@@ -39,10 +39,24 @@ pub enum Frame {
 
 /// Appends one frame to `out`, returning the number of bytes written.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) -> usize {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    FRAME_HEADER + payload.len()
+    write_frame_with(out, |out| out.extend_from_slice(payload))
+}
+
+/// Appends one frame whose payload `encode` writes straight into `out`:
+/// the header is reserved first and patched once the payload's length and
+/// CRC are known, so a record is serialized once, in place, instead of
+/// into a temporary that is then copied. `encode` must only append.
+/// Returns the number of bytes written.
+pub fn write_frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let header = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    encode(out);
+    let payload = header + FRAME_HEADER;
+    let len = u32::try_from(out.len() - payload).expect("frame payload fits u32");
+    let crc = crc32(&out[payload..]);
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..payload].copy_from_slice(&crc.to_le_bytes());
+    FRAME_HEADER + len as usize
 }
 
 /// Size a payload occupies once framed.
@@ -161,6 +175,21 @@ mod tests {
         let (records, end) = recover(&buf);
         assert_eq!(records, vec![b"first".to_vec(), b"".to_vec(), b"third record".to_vec()]);
         assert_eq!(end, buf.len());
+    }
+
+    #[test]
+    fn in_place_frames_match_copied_frames() {
+        let mut copied = Vec::new();
+        let mut in_place = Vec::new();
+        for payload in [&b"first"[..], b"", b"third record"] {
+            let n = write_frame(&mut copied, payload);
+            let m = write_frame_with(&mut in_place, |out| {
+                out.extend_from_slice(&payload[..payload.len() / 2]);
+                out.extend_from_slice(&payload[payload.len() / 2..]);
+            });
+            assert_eq!(n, m);
+        }
+        assert_eq!(copied, in_place);
     }
 
     #[test]

@@ -121,22 +121,6 @@ impl<S> ShardedLock<S> {
         indices.iter().map(|&i| self.stripes[i].lock()).collect()
     }
 
-    /// Locks the two stripes covering `a` and `b` in ascending order — the
-    /// two-row read-modify-write case (one guard when they collide).
-    pub fn lock_pair<'l, A: Hash, B: Hash>(
-        &'l self,
-        a: &A,
-        b: &B,
-    ) -> (MutexGuard<'l, S>, Option<MutexGuard<'l, S>>) {
-        let (ia, ib) = (self.stripe_of(a), self.stripe_of(b));
-        if ia == ib {
-            (self.lock_stripe(ia), None)
-        } else {
-            let (lo, hi) = (ia.min(ib), ia.max(ib));
-            (self.lock_stripe(lo), Some(self.lock_stripe(hi)))
-        }
-    }
-
     /// Locks every stripe in ascending order (whole-structure operations:
     /// scans, fingerprints, recovery).
     pub fn lock_all(&self) -> Vec<MutexGuard<'_, S>> {
@@ -186,13 +170,6 @@ mod tests {
         assert!(set.windows(2).all(|w| w[0] < w[1]));
         let guards = sharded.lock_many(&set);
         assert_eq!(guards.len(), set.len());
-    }
-
-    #[test]
-    fn lock_pair_collapses_colliding_keys() {
-        let sharded: ShardedLock<()> = ShardedLock::new(1, || ());
-        let (_a, b) = sharded.lock_pair(&1u64, &2u64);
-        assert!(b.is_none(), "single stripe: one guard, no self-deadlock");
     }
 
     #[test]

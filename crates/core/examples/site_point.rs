@@ -1,7 +1,7 @@
 //! Runs a single site-bench population point — the inner loop of the
 //! C-24 population sweep — without the surrounding Criterion harness.
-//! Useful for profiling one point (especially the 1M-member one) under
-//! `LI_PUMP_TRACE=1` without re-running the whole sweep.
+//! Useful for profiling one point (especially the 1M-member one)
+//! without re-running the whole sweep.
 //!
 //! Knobs via env: `MEMBERS` (default 1_000_000), `DRIVERS` (128),
 //! `OPS_TOTAL` (12_800), `WORKERS` (8).

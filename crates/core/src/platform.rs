@@ -2,14 +2,14 @@
 //! activity events → Kafka → online consumers + offline warehouse.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use li_commons::metrics::{MetricsRegistry, MetricsSnapshot};
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator};
 use li_commons::ring::{HashRing, NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
-use li_commons::shard::{ShardMode, ShardedLock};
+use li_commons::shard::ShardMode;
 use li_commons::sim::{RealClock, SimNetwork};
 use li_databus::{BootstrapServer, DatabusClient, LogShippingAdapter, Relay, StreamDispatcher};
 use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
@@ -17,13 +17,14 @@ use li_kafka::audit::{AuditedProducer, AUDIT_TOPIC};
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::{MirrorMaker, WarehouseLoader};
 use li_kafka::{KafkaCluster, Producer, SimpleConsumer};
-use li_sqlstore::Database;
+use li_sqlstore::{Database, DbError, RowKey};
 use li_voldemort::readonly::{ReadOnlyBuilder, ReadOnlyStore, ScratchDir};
-use li_voldemort::{StoreDef, VoldemortCluster};
+use li_voldemort::{StoreClient, StoreDef, VoldemortCluster};
 use parking_lot::Mutex;
 
 use crate::consumers::{
-    company_row_key, member_row_key, parse_id_list, CompanyFollowCacher, SearchIndexer,
+    company_row_key, follow_edge_row, member_row_key, union_ids, CompanyFollowCacher,
+    SearchIndexer, FOLLOW_EDGES_TABLE,
 };
 
 /// Name of the activity-event topic.
@@ -37,11 +38,6 @@ pub const PROFILE_TABLE: &str = "Profile";
 
 /// Voldemort read-only store serving PYMK recommendations (§II.C).
 pub const PYMK_STORE: &str = "pymk";
-
-/// Entity stripes behind `follow_company`'s read-modify-write in
-/// [`ShardMode::Parallel`] — comfortably above plausible driver counts so
-/// random member/company pairs rarely collide.
-const FOLLOW_STRIPES: usize = 64;
 
 /// Errors from platform operations (stringly typed at this altitude: the
 /// facade aggregates seven subsystem error types).
@@ -75,8 +71,8 @@ pub struct PlatformConfig {
     pub espresso_partitions: u32,
     /// Partitions of the activity topic.
     pub activity_partitions: u32,
-    /// Shard mode for every striped structure in the platform (primary
-    /// store row stripes, follow-lock stripes). `Deterministic` collapses
+    /// Shard mode for every striped structure in the platform (the
+    /// primary store's row stripes). `Deterministic` collapses
     /// them all to single locks — the serialized twin used for chaos
     /// replays and as the scaling baseline.
     pub shard_mode: ShardMode,
@@ -130,15 +126,10 @@ pub struct DataPlatform {
     mirror: MirrorMaker,
     warehouse: WarehouseLoader,
     activity_partitions: u32,
-    /// Stand-in for the primary's row locks: `follow_company` does a
-    /// read-modify-write of two association rows, which concurrent
-    /// frontends would otherwise race (lost follows). A real RDBMS takes
-    /// row locks inside the transaction; the in-process store doesn't, so
-    /// the facade stripes by entity — one stripe per member/company hash —
-    /// and a follow holds its member's and company's stripes (acquired in
-    /// ascending order) for the read-modify-write. Follows touching
-    /// disjoint entities no longer serialize.
-    follow_stripes: ShardedLock<()>,
+    /// Read-path clients of the two Company Follow stores, built once
+    /// (a client resolves a dozen metric handles by name when created).
+    member_follows: StoreClient,
+    company_followers: StoreClient,
     pymk: Mutex<Option<PymkTier>>,
 }
 
@@ -175,7 +166,12 @@ impl DataPlatform {
             &metrics,
             shard_mode,
         ));
-        for table in ["member_follows", "company_followers", "member_profile"] {
+        for table in [
+            "member_follows",
+            "company_followers",
+            FOLLOW_EDGES_TABLE,
+            "member_profile",
+        ] {
             primary.create_table(table).map_err(wrap)?;
         }
 
@@ -209,6 +205,9 @@ impl DataPlatform {
         voldemort
             .add_store(StoreDef::read_write("company-followers"))
             .map_err(wrap)?;
+
+        let member_follows = voldemort.client("member-follows").map_err(wrap)?;
+        let company_followers = voldemort.client("company-followers").map_err(wrap)?;
 
         let follow_cacher = Arc::new(DatabusClient::new(
             relay.clone(),
@@ -307,7 +306,8 @@ impl DataPlatform {
             mirror,
             warehouse,
             activity_partitions,
-            follow_stripes: ShardedLock::with_mode(shard_mode, FOLLOW_STRIPES, || ()),
+            member_follows,
+            company_followers,
             pymk: Mutex::new(None),
         })
     }
@@ -327,50 +327,16 @@ impl DataPlatform {
         )
     }
 
-    /// A user follows a company: one transaction against the *primary*
-    /// updating both association rows. Derived stores learn about it via
-    /// Databus — never written directly.
+    /// A user follows a company: one put-if-absent of a tiny edge row
+    /// against the *primary*, whatever the follower count (following again
+    /// commits nothing). Derived stores learn about it via Databus — never
+    /// written directly: the follow cacher appends it to both cached lists.
     pub fn follow_company(&self, member: u64, company: u64) -> Result<(), PlatformError> {
-        // Serialize the two-row read-modify-write per entity (see
-        // `follow_stripes`): without this, two concurrent follows of the
-        // same member or company read the same base list and one follow is
-        // lost. Stripes are acquired in ascending order, so crossing
-        // follows cannot deadlock.
-        let _guards = self
-            .follow_stripes
-            .lock_pair(&("member", member), &("company", company));
-        let member_key = member_row_key(member);
-        let company_key = company_row_key(company);
-        let mut followed = self
-            .primary
-            .get("member_follows", &member_key)
-            .map_err(wrap)?
-            .map(|row| parse_id_list(&row.value))
-            .unwrap_or_default();
-        let mut followers = self
-            .primary
-            .get("company_followers", &company_key)
-            .map_err(wrap)?
-            .map(|row| parse_id_list(&row.value))
-            .unwrap_or_default();
-        if !followed.contains(&company) {
-            followed.push(company);
+        let (key, value) = follow_edge_row(member, company);
+        match self.primary.put_if_etag(FOLLOW_EDGES_TABLE, key, 0, value, 1) {
+            Ok(_) | Err(DbError::EtagMismatch { .. }) => Ok(()),
+            Err(e) => Err(wrap(e)),
         }
-        if !followers.contains(&member) {
-            followers.push(member);
-        }
-        let join = |ids: &[u64]| {
-            ids.iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-                .into_bytes()
-        };
-        let mut txn = self.primary.begin();
-        txn.put("member_follows", member_key, join(&followed), 1);
-        txn.put("company_followers", company_key, join(&followers), 1);
-        self.primary.commit(txn).map_err(wrap)?;
-        Ok(())
     }
 
     /// Updates a member's profile text. Dual-write, the paper's
@@ -515,24 +481,18 @@ impl DataPlatform {
 
     /// Cache read path: companies a member follows (from Voldemort).
     pub fn followed_companies(&self, member: u64) -> Result<Vec<u64>, PlatformError> {
-        let client = self.voldemort.client("member-follows").map_err(wrap)?;
-        let key = member_row_key(member).to_string().into_bytes();
-        let versions = client.get(&key).map_err(wrap)?;
-        Ok(versions
-            .first()
-            .map(|v| parse_id_list(&v.value))
-            .unwrap_or_default())
+        Self::cached_ids(&self.member_follows, &member_row_key(member))
     }
 
     /// Cache read path: a company's followers (from Voldemort).
     pub fn followers(&self, company: u64) -> Result<Vec<u64>, PlatformError> {
-        let client = self.voldemort.client("company-followers").map_err(wrap)?;
-        let key = company_row_key(company).to_string().into_bytes();
-        let versions = client.get(&key).map_err(wrap)?;
-        Ok(versions
-            .first()
-            .map(|v| parse_id_list(&v.value))
-            .unwrap_or_default())
+        Self::cached_ids(&self.company_followers, &company_row_key(company))
+    }
+
+    fn cached_ids(store: &StoreClient, key: &RowKey) -> Result<Vec<u64>, PlatformError> {
+        let key = key.to_string();
+        let versions = store.get(key.as_bytes()).map_err(wrap)?;
+        union_ids(&versions).map_err(|e| PlatformError(format!("cached list {key}: {e}")))
     }
 
     /// Publishes an activity event to the live Kafka cluster (audited).
@@ -562,6 +522,19 @@ impl DataPlatform {
     /// these continuously; examples and tests call it at interesting
     /// moments (determinism over threads).
     pub fn pump(&self) -> Result<(), PlatformError> {
+        self.pump_stages(true)
+    }
+
+    /// [`Self::pump`] without the audit flush: only the data-tier streams
+    /// (Databus subscribers, bootstrap, Espresso replication, mirror,
+    /// warehouse). The closed-loop benchmark's background pump thread uses
+    /// this — the audit producer buckets by wall-clock window, which would
+    /// make a seeded run's metrics timing-dependent.
+    pub fn pump_streams(&self) -> Result<(), PlatformError> {
+        self.pump_stages(false)
+    }
+
+    fn pump_stages(&self, flush_audit: bool) -> Result<(), PlatformError> {
         // Bootstrap first: it is the fallen-behind escape hatch for every
         // subscriber, and it reads the relay directly (no drive lock). If
         // it ran after the subscriber catch-ups, a subscriber evicted off
@@ -573,43 +546,11 @@ impl DataPlatform {
         self.follow_cacher.catch_up().map_err(wrap)?;
         self.search_client.catch_up().map_err(wrap)?;
         self.espresso.pump_replication().map_err(wrap)?;
-        self.event_producer.publish_audit_and_flush().map_err(wrap)?;
+        if flush_audit {
+            self.event_producer.publish_audit_and_flush().map_err(wrap)?;
+        }
         self.mirror.pump().map_err(wrap)?;
         self.warehouse.tick().map_err(wrap)?;
-        Ok(())
-    }
-
-    /// [`Self::pump`] without the audit flush: only the data-tier streams
-    /// (Databus subscribers, bootstrap, Espresso replication, mirror,
-    /// warehouse). The closed-loop benchmark's background pump thread uses
-    /// this — the audit producer buckets by wall-clock window, which would
-    /// make a seeded run's metrics timing-dependent.
-    pub fn pump_streams(&self) -> Result<(), PlatformError> {
-        let trace = std::env::var_os("LI_PUMP_TRACE").is_some();
-        let mut stage_start = Instant::now();
-        let mut stage = |name: &str| {
-            let took = stage_start.elapsed();
-            stage_start = Instant::now();
-            if trace && took > Duration::from_secs(1) {
-                eprintln!("[pump] {name} took {took:.2?}");
-            }
-        };
-        // Bootstrap first — see [`Self::pump`] for why this ordering is
-        // load-bearing (fallen-behind livelock under relay eviction).
-        self.bootstrap.catch_up_from(&self.relay).map_err(wrap)?;
-        stage("bootstrap.catch_up_from");
-        self.bootstrap.apply_log();
-        stage("bootstrap.apply_log");
-        self.follow_cacher.catch_up().map_err(wrap)?;
-        stage("follow_cacher.catch_up");
-        self.search_client.catch_up().map_err(wrap)?;
-        stage("search_client.catch_up");
-        self.espresso.pump_replication().map_err(wrap)?;
-        stage("espresso.pump_replication");
-        self.mirror.pump().map_err(wrap)?;
-        stage("mirror.pump");
-        self.warehouse.tick().map_err(wrap)?;
-        stage("warehouse.tick");
         Ok(())
     }
 
@@ -805,41 +746,11 @@ mod tests {
             h.join().unwrap();
         }
         platform.pump().unwrap();
-        // Every acked follow appears exactly once — the racy RMW would
-        // drop some and this assert would see fewer than 8.
+        // Every acked follow appears exactly once: each is its own edge
+        // row, not a shared list for racing writers to lose updates on.
         let mut followers = platform.followers(1).unwrap();
         followers.sort_unstable();
         assert_eq!(followers, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn disjoint_follows_do_not_serialize() {
-        // Regression for the old global follow lock: a follow of one
-        // member/company pair must not block a follow touching entirely
-        // different stripes. Hold the first pair's stripes directly, then
-        // run a disjoint follow on another thread — it must complete while
-        // the stripes are held.
-        let platform = Arc::new(DataPlatform::new(2, 1).unwrap());
-        let held = platform
-            .follow_stripes
-            .stripe_set([("member", 1u64), ("company", 100u64)]);
-        // Find a pair whose stripes are disjoint from the held set.
-        let (member, company) = (2..2000u64)
-            .flat_map(|m| (2000..4000u64).map(move |c| (m, c)))
-            .find(|(m, c)| {
-                let s = platform.follow_stripes.stripe_set([("member", *m), ("company", *c)]);
-                s.iter().all(|id| !held.contains(id))
-            })
-            .expect("a disjoint pair");
-        let guards = platform.follow_stripes.lock_many(&held);
-        let other = Arc::clone(&platform);
-        let h = std::thread::spawn(move || other.follow_company(member, company).unwrap());
-        h.join().unwrap();
-        drop(guards);
-        // And the lost-update guarantee still holds for colliding entities
-        // (covered exhaustively by `concurrent_follows_are_not_lost`).
-        platform.pump().unwrap();
-        assert_eq!(platform.followers(company).unwrap(), vec![member]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use li_workload::site::{
 use crate::platform::{
     DataPlatform, PlatformConfig, PlatformError, ACTIVITY_TOPIC,
 };
-use crate::consumers::member_row_key;
+use crate::consumers::{company_row_key, encode_ids, member_row_key};
 use crate::sched::{run_on_pool, run_serial, Resumable};
 
 /// Per-tier p99 latency thresholds (the SLOs the run is gated on).
@@ -356,14 +356,6 @@ struct PopulationLoader<'a> {
 /// totals anyway; this keeps the paths structurally twinned).
 const PUMP_EVERY_MEMBERS: usize = 4096;
 
-fn join_ids(ids: &[u64]) -> Vec<u8> {
-    ids.iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
-        .into_bytes()
-}
-
 impl<'a> PopulationLoader<'a> {
     fn new(platform: &'a DataPlatform, companies: u64) -> Self {
         PopulationLoader {
@@ -413,7 +405,7 @@ impl<'a> PopulationLoader<'a> {
                 )
                 .map_err(|e| PlatformError(e.to_string()))?;
             if !follows.is_empty() {
-                self.follows_buffer.push((member, join_ids(follows)));
+                self.follows_buffer.push((member, encode_ids(follows)));
                 if self.follows_buffer.len() >= SEED_BATCH {
                     self.flush_follows()?;
                 }
@@ -438,22 +430,17 @@ impl<'a> PopulationLoader<'a> {
     /// lists, and runs the PYMK build → pull → swap.
     fn finish(mut self) -> Result<(), PlatformError> {
         self.flush_follows()?;
-        let company_rows: Vec<(u64, Vec<u8>)> = self
+        let followed: Vec<(usize, &Vec<u64>)> = self
             .follower_lists
             .iter()
             .enumerate()
             .filter(|(_, list)| !list.is_empty())
-            .map(|(c, list)| (c as u64, join_ids(list)))
             .collect();
-        for chunk in company_rows.chunks(SEED_BATCH) {
+        for chunk in followed.chunks(SEED_BATCH) {
             let mut txn = self.platform.primary.begin();
-            for (company, value) in chunk {
-                txn.put(
-                    "company_followers",
-                    crate::consumers::company_row_key(*company),
-                    value.clone(),
-                    1,
-                );
+            for (company, list) in chunk {
+                let key = company_row_key(*company as u64);
+                txn.put("company_followers", key, encode_ids(list), 1);
             }
             self.platform
                 .primary
@@ -673,23 +660,11 @@ impl SiteBench {
             std::thread::Builder::new()
                 .name("site-pump".into())
                 .spawn(move || {
-                    let trace = std::env::var_os("LI_PUMP_TRACE").is_some();
                     let mut scn_watch = platform.relay.scn_watch();
                     let mut backoff = PUMP_MIN_BACKOFF;
-                    let mut iterations: u64 = 0;
-                    let mut last_report = Instant::now();
                     while !stop.load(Ordering::Acquire) {
-                        let pump_start = Instant::now();
                         if platform.pump_streams().is_err() {
                             errors.inc();
-                        }
-                        iterations += 1;
-                        if trace && last_report.elapsed() > Duration::from_secs(30) {
-                            eprintln!(
-                                "[pump] alive: {iterations} iterations, last {:.2?}",
-                                pump_start.elapsed()
-                            );
-                            last_report = Instant::now();
                         }
                         if scn_watch.wait_newer(backoff).is_some() {
                             backoff = PUMP_MIN_BACKOFF;

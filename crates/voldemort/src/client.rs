@@ -53,6 +53,8 @@ use crate::store::StoreDef;
 
 /// A server-side transform (API methods 3 and 4): runs against the stored
 /// value *on the node*, saving the round trip of shipping the whole value.
+/// A transformed get runs on every replica read; a transformed put runs
+/// once, on the coordinating replica, against the version the caller read.
 /// "For example, if the value is a list, we can run a transformed get to
 /// retrieve a sub-list or a transformed put to append an entity to a list."
 pub trait Transform: Send + Sync {
@@ -642,8 +644,16 @@ impl StoreClient {
         self.put(key, &VectorClock::new(), value)
     }
 
-    /// API method 4: transformed put — each replica derives the stored
-    /// value from its current value and the client's (small) input.
+    /// API method 4: transformed put — the client ships only its (small)
+    /// input; the coordinating replica derives the stored value from the
+    /// version it holds under `clock`, and that stored value is what
+    /// replicates, parks as a hint and feeds a migration capture, exactly
+    /// like a raw put's. `clock` must be the clock of the one version the
+    /// caller read (empty for a first write): a coordinator that does not
+    /// hold that version — it missed writes while down, or the caller
+    /// merged siblings — answers `ObsoleteVersion` rather than replicate a
+    /// list derived from less than the caller saw. Resolve siblings with a
+    /// raw [`StoreClient::put`].
     pub fn put_with_transform(
         &self,
         key: &[u8],
@@ -674,17 +684,18 @@ impl StoreClient {
         result
     }
 
-    /// One synchronous replica put (used for the coordinator hop and for
-    /// transformed puts, which need per-replica server state and therefore
-    /// can't ship as `'static` tasks).
-    fn put_replica_inline(
+    /// The coordinator hop: one synchronous replica put that stamps
+    /// `clock` incremented by `node`. Returns the link latency, the stamped
+    /// clock and the value the replica stored — the transform's output
+    /// when there is one.
+    fn put_coordinator(
         &self,
         node: NodeId,
         key: &[u8],
-        candidate: &VectorClock,
+        clock: &VectorClock,
         value: &Bytes,
         transform: Option<&dyn Transform>,
-    ) -> Result<Duration, VoldemortError> {
+    ) -> Result<(Duration, VectorClock, Bytes), VoldemortError> {
         let server = self.cluster.node(node)?;
         let latency = replica_deliver(
             &self.cluster,
@@ -694,26 +705,32 @@ impl StoreClient {
             self.config.simulate_latency,
         )?;
         let result = (|| {
-            let stored_value = match transform {
+            let stored = match transform {
                 Some(t) => {
-                    let current = server.get(&self.store.name, key)?;
-                    // Transform against the newest value this replica has.
-                    let current_bytes = current.first().map(|v| v.value.clone());
-                    t.on_put(current_bytes.as_deref(), value)
+                    // Transform exactly the version the stamped clock
+                    // supersedes: the output replaces it on every replica.
+                    let held = server.get(&self.store.name, key)?;
+                    let base = held.iter().find(|v| v.clock == *clock);
+                    if base.is_none() && !clock.is_empty() {
+                        return Err(VoldemortError::ObsoleteVersion);
+                    }
+                    t.on_put(base.map(|v| v.value.as_ref()), value)
                 }
                 None => value.clone(),
             };
+            let stamped = clock.incremented(node.0);
             server.put(
                 &self.store.name,
                 key,
-                Versioned::new(candidate.clone(), stored_value),
-            )
+                Versioned::new(stamped.clone(), stored.clone()),
+            )?;
+            Ok((stamped, stored))
         })();
         self.cluster.detector().record_success(node);
-        result.map(|()| latency)
+        result.map(|(stamped, stored)| (latency, stamped, stored))
     }
 
-    /// Builds the replica-put task for `node` (raw values only).
+    /// Builds the replica-put task for `node`.
     fn put_task(
         &self,
         node: NodeId,
@@ -739,7 +756,7 @@ impl StoreClient {
         &self,
         key: &[u8],
         clock: &VectorClock,
-        value: Bytes,
+        mut value: Bytes,
         transform: Option<&dyn Transform>,
     ) -> Result<VectorClock, VoldemortError> {
         self.enter()?;
@@ -763,19 +780,17 @@ impl StoreClient {
         // mint *identical* clocks, silently losing one write — so this hop
         // stays serial in every mode.
         let mut committed_clock: Option<VectorClock> = None;
-        let mut coordinator_node: Option<NodeId> = None;
         let mut wave_start = prefs.len();
         for (i, &node) in prefs.iter().enumerate() {
             if self.cluster.node(node).is_err() || !detector.is_available(node) {
                 failed_replicas.push(node);
                 continue;
             }
-            let candidate = clock.incremented(node.0);
-            match self.put_replica_inline(node, key, &candidate, &value, transform) {
-                Ok(latency) => {
+            match self.put_coordinator(node, key, clock, &value, transform) {
+                Ok((latency, stamped, stored)) => {
                     sim_latency += latency;
-                    committed_clock = Some(candidate);
-                    coordinator_node = Some(node);
+                    value = stored;
+                    committed_clock = Some(stamped);
                     acks = 1;
                     wave_start = i + 1;
                     break;
@@ -791,6 +806,11 @@ impl StoreClient {
                 Err(_) => failed_replicas.push(node),
             }
         }
+        if transform.is_some() && committed_clock.is_none() {
+            // No replica ran the transform, so there is no stored value to
+            // park as a hint: the raw input is not one.
+            return Err(VoldemortError::InsufficientWrites { required, got: 0 });
+        }
         let new_clock = committed_clock
             .clone()
             .unwrap_or_else(|| clock.incremented(prefs[0].0));
@@ -801,38 +821,16 @@ impl StoreClient {
         // a late failure parks a hint asynchronously.
         if committed_clock.is_some() && wave_start < prefs.len() {
             let mut tasks = Vec::new();
-            match transform {
-                None => {
-                    for &node in &prefs[wave_start..] {
-                        if self.cluster.node(node).is_err() || !detector.is_available(node) {
-                            failed_replicas.push(node);
-                            continue;
-                        }
-                        tasks.push(self.put_task(
-                            node,
-                            key,
-                            Versioned::new(new_clock.clone(), value.clone()),
-                        ));
-                    }
+            for &node in &prefs[wave_start..] {
+                if self.cluster.node(node).is_err() || !detector.is_available(node) {
+                    failed_replicas.push(node);
+                    continue;
                 }
-                Some(t) => {
-                    // Transformed puts read per-replica state; keep them on
-                    // the inline path regardless of mode.
-                    for &node in &prefs[wave_start..] {
-                        if self.cluster.node(node).is_err() || !detector.is_available(node) {
-                            failed_replicas.push(node);
-                            continue;
-                        }
-                        match self.put_replica_inline(node, key, &new_clock, &value, Some(t)) {
-                            Ok(_) => acks += 1,
-                            Err(VoldemortError::ObsoleteVersion) => {
-                                return Err(VoldemortError::ObsoleteVersion)
-                            }
-                            Err(e @ VoldemortError::UnsupportedOperation(_)) => return Err(e),
-                            Err(_) => failed_replicas.push(node),
-                        }
-                    }
-                }
+                tasks.push(self.put_task(
+                    node,
+                    key,
+                    Versioned::new(new_clock.clone(), value.clone()),
+                ));
             }
             if !tasks.is_empty() {
                 let late: Option<LateHandler<Duration, VoldemortError>> =
@@ -942,39 +940,15 @@ impl StoreClient {
         }
 
         // The write is acked: this is the zero-loss capture point for an
-        // in-flight partition migration. For transformed puts the stored
-        // value differs from the input, so it is fetched back from the
-        // coordinator replica that committed it.
-        let stored = match transform {
-            None => value.clone(),
-            Some(_) => self
-                .committed_value(coordinator_node, key, &new_clock)
-                .unwrap_or_else(|| value.clone()),
-        };
+        // in-flight partition migration.
         self.cluster.on_acked_put(
             &self.store,
             key,
-            &Versioned::new(new_clock.clone(), stored.clone()),
+            &Versioned::new(new_clock.clone(), value.clone()),
             self.origin(),
         );
-        self.heal_routing_drift(key, &prefs, &new_clock, &stored, epoch);
+        self.heal_routing_drift(key, &prefs, &new_clock, &value, epoch);
         Ok(new_clock)
-    }
-
-    /// The value the coordinator replica stored for `clock` (transformed
-    /// puts derive it server-side, so the client reads it back).
-    fn committed_value(
-        &self,
-        coordinator: Option<NodeId>,
-        key: &[u8],
-        clock: &VectorClock,
-    ) -> Option<Bytes> {
-        let node = self.cluster.node(coordinator?).ok()?;
-        let versions = node.engine(&self.store.name).ok()?.get(key).ok()?;
-        versions
-            .into_iter()
-            .find(|v| v.clock == *clock)
-            .map(|v| v.value)
     }
 
     /// If the topology changed while this put was in flight (a cutover
@@ -1495,6 +1469,79 @@ mod tests {
         let recovered = cluster.node(prefs[1]).unwrap().get("s", b"k").unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].value.as_ref(), b"v");
+    }
+
+    #[test]
+    fn hinted_handoff_of_a_transformed_put_parks_the_stored_value() {
+        let (cluster, client) = cluster_with_store(4, 2, 1, 2);
+        let prefs = cluster.ring().preference_list(b"follows", 2).unwrap();
+        let c1 = client
+            .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
+            .unwrap();
+        cluster.network().crash(prefs[1]);
+        // W=2 met via the coordinator + 1 hint: the hint must carry the
+        // list the coordinator stored, not the two-byte input.
+        client
+            .put_with_transform(b"follows", &c1, Bytes::from_static(b"msft"), &ListAppend)
+            .unwrap();
+        assert_eq!(cluster.pending_hints(), 1);
+        cluster.network().restart(prefs[1]);
+        assert_eq!(cluster.deliver_hints(), 1);
+        let recovered = cluster.node(prefs[1]).unwrap().get("s", b"follows").unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].value.as_ref(), b"li,msft");
+    }
+
+    #[test]
+    fn transformed_put_with_no_live_replica_parks_nothing() {
+        let (cluster, client) = cluster_with_store(4, 2, 1, 1);
+        for node in cluster.ring().preference_list(b"follows", 2).unwrap() {
+            cluster.network().crash(node);
+        }
+        let err = client
+            .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
+            .unwrap_err();
+        assert_eq!(err, VoldemortError::InsufficientWrites { required: 1, got: 0 });
+        assert_eq!(cluster.pending_hints(), 0);
+    }
+
+    #[test]
+    fn stale_coordinator_refuses_a_transformed_put() {
+        // N=2, R=1, W=1: an append while prefs[0] is down reaches prefs[1]
+        // only, and W is met without a hint.
+        let (cluster, client) = cluster_with_store(4, 2, 1, 1);
+        let prefs = cluster.ring().preference_list(b"follows", 2).unwrap();
+        let c1 = client
+            .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
+            .unwrap();
+        cluster.network().crash(prefs[0]);
+        let c2 = client
+            .put_with_transform(b"follows", &c1, Bytes::from_static(b"msft"), &ListAppend)
+            .unwrap();
+        cluster.network().restart(prefs[0]);
+        // prefs[0] coordinates again but still holds "li": appending to that
+        // under a clock above c2 would erase "msft" from the healthy replica.
+        let err = client
+            .put_with_transform(b"follows", &c2, Bytes::from_static(b"goog"), &ListAppend)
+            .unwrap_err();
+        assert_eq!(err, VoldemortError::ObsoleteVersion);
+        let healthy = cluster.node(prefs[1]).unwrap().get("s", b"follows").unwrap();
+        assert_eq!(healthy[0].value.as_ref(), b"li,msft");
+        // From the version prefs[0] does hold, the append lands as a
+        // sibling beside the healthy replica's list: nothing is lost.
+        client
+            .put_with_transform(b"follows", &c1, Bytes::from_static(b"goog"), &ListAppend)
+            .unwrap();
+        let mut lists: Vec<_> = cluster
+            .node(prefs[1])
+            .unwrap()
+            .get("s", b"follows")
+            .unwrap()
+            .into_iter()
+            .map(|v| v.value)
+            .collect();
+        lists.sort();
+        assert_eq!(lists, [&b"li,goog"[..], &b"li,msft"[..]]);
     }
 
     #[test]

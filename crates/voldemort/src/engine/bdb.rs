@@ -26,8 +26,6 @@ const OP_DELETE: u8 = 1;
 struct Inner {
     index: BTreeMap<Vec<u8>, Vec<Versioned<Bytes>>>,
     log: Vec<u8>,
-    /// Live bytes estimate for compaction heuristics.
-    records_since_compaction: usize,
 }
 
 /// Log-structured engine with an in-memory index over an append-only log.
@@ -36,21 +34,17 @@ pub struct BdbLikeEngine {
     inner: Mutex<Inner>,
 }
 
-fn encode_put(key: &[u8], value: &Versioned<Bytes>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + value.value.len() + 16);
+fn encode_put(out: &mut Vec<u8>, key: &[u8], value: &Versioned<Bytes>) {
     out.push(OP_PUT);
-    varint::write_bytes(&mut out, key);
-    value.clock.encode(&mut out);
-    varint::write_bytes(&mut out, &value.value);
-    out
+    varint::write_bytes(out, key);
+    value.clock.encode(out);
+    varint::write_bytes(out, &value.value);
 }
 
-fn encode_delete(key: &[u8], clock: &VectorClock) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 16);
+fn encode_delete(out: &mut Vec<u8>, key: &[u8], clock: &VectorClock) {
     out.push(OP_DELETE);
-    varint::write_bytes(&mut out, key);
-    clock.encode(&mut out);
-    out
+    varint::write_bytes(out, key);
+    clock.encode(out);
 }
 
 impl BdbLikeEngine {
@@ -124,11 +118,10 @@ impl BdbLikeEngine {
         let mut fresh = Vec::with_capacity(inner.log.len() / 2);
         for (key, slot) in &inner.index {
             for version in slot {
-                bufio::write_frame(&mut fresh, &encode_put(key, version));
+                bufio::write_frame_with(&mut fresh, |out| encode_put(out, key, version));
             }
         }
         inner.log = fresh;
-        inner.records_since_compaction = 0;
     }
 }
 
@@ -145,9 +138,8 @@ impl StorageEngine for BdbLikeEngine {
             inner.index.remove(key);
         }
         if outcome.is_ok() {
-            let record = encode_put(key, &value);
-            bufio::write_frame(&mut inner.log, &record);
-            inner.records_since_compaction += 1;
+            // Framed in place: the value is copied once, into the log.
+            bufio::write_frame_with(&mut inner.log, |out| encode_put(out, key, &value));
         }
         outcome
     }
@@ -162,9 +154,7 @@ impl StorageEngine for BdbLikeEngine {
             inner.index.remove(key);
         }
         if removed {
-            let record = encode_delete(key, clock);
-            bufio::write_frame(&mut inner.log, &record);
-            inner.records_since_compaction += 1;
+            bufio::write_frame_with(&mut inner.log, |out| encode_delete(out, key, clock));
         }
         Ok(removed)
     }

@@ -31,6 +31,15 @@ echo "== kafka ingest proptests: 64 cases (default is 24) =="
 # keep per-thread FIFO order.
 KAFKA_INGEST_PROPTEST_CASES=64 cargo test -q --test kafka_ingest_props
 
+echo "== follow view proptests: 64 cases (default is 24) =="
+# The Company Follow materialised view: packed load-time lists plus one
+# append-if-absent per edge row must equal the set-union model, every id
+# exactly once, under duplicate follows, redelivery, a bootstrap snapshot
+# and a consolidated delta, with identical replica puts per node in the
+# Deterministic and Parallel twins; and with a Voldemort replica down for
+# part of the stream nothing is lost and a replay converges every replica.
+FOLLOW_VIEW_PROPTEST_CASES=64 cargo test -q --test follow_view_props
+
 echo "== chaos sweep: 20 seeds x 10 scenarios (10 min budget) =="
 # Wider seed sweep than the per-test default of 5. Deterministic — only
 # the tail-fanout scenario sleeps (it replays simulated link latencies
@@ -65,7 +74,7 @@ SITE_SMOKE_OPS="${SITE_SMOKE_OPS:-600}" \
 
 echo "== contended site smoke: 8 closed-loop drivers on the sharded runtime (5 min budget) =="
 # Drives the striped-lock serving paths (sqlstore row stripes, Kafka
-# partition index, follow stripes, push dispatch) at real contention.
+# partition index, push dispatch) at real contention.
 # Deterministic per-driver op streams; the timeout is a tripwire for a
 # serialization regression (a global lock would blow the p99 gates long
 # before it), not flakiness.

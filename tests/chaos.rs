@@ -30,12 +30,13 @@ use li_kafka::mirror::MirrorMaker;
 use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use li_sqlstore::{Database, RowKey};
+use li_sqlstore::{Database, DbError, RowKey};
 use li_databus::{DatabusClient, LogShippingAdapter, Relay};
 use li_voldemort::{FanOutMode, QuorumConfig, ReadFanOut, StoreDef, VoldemortCluster};
 use li_workload::{SiteGraph, SiteGraphConfig, SiteMix, SiteOp, SiteWorkload};
 use linkedin_data_infra::consumers::{
-    company_row_key, member_row_key, parse_id_list, CompanyFollowCacher,
+    company_row_key, decode_ids, encode_ids, follow_edge_row, member_row_key,
+    CompanyFollowCacher, FOLLOW_EDGES_TABLE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -1080,8 +1081,9 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
     // Primary + Databus → Voldemort follow caches, on the scheduler's
     // network and clock (Voldemort's failure surface is the network).
     let primary = Database::with_clock("primary", Arc::new(clock.clone()));
-    primary.create_table("member_follows").unwrap();
-    primary.create_table("company_followers").unwrap();
+    for table in ["member_follows", "company_followers", FOLLOW_EDGES_TABLE] {
+        primary.create_table(table).unwrap();
+    }
     let relay = Arc::new(Relay::new("primary", 32 << 20));
     LogShippingAdapter::attach_with_backlog(&primary, relay.clone(), 0).unwrap();
     let ring = HashRing::balanced(16, &nodes).unwrap();
@@ -1115,17 +1117,11 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
         kafka: replicated.clone(),
     };
 
-    // Seed the population: graph-shaped follow rows in the primary,
-    // shipped to the caches through Databus before load starts. The
-    // expected sets track the primary-derived truth from here on.
+    // Seed the population: graph-shaped packed follow rows in the
+    // primary, shipped to the caches through Databus before load starts.
+    // The expected sets track the primary-derived truth from here on.
     let graph = SiteGraph::generate(&SiteGraphConfig::smoke(120, seed));
-    let join = |ids: &BTreeSet<u64>| {
-        ids.iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-            .into_bytes()
-    };
+    let pack = |ids: &BTreeSet<u64>| encode_ids(&ids.iter().copied().collect::<Vec<_>>());
     let mut follows: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     let mut followers: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for member in 0..graph.member_count() {
@@ -1139,46 +1135,22 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
     }
     let mut txn = primary.begin();
     for (member, set) in &follows {
-        txn.put("member_follows", member_row_key(*member), join(set), 1);
+        txn.put("member_follows", member_row_key(*member), pack(set), 1);
     }
     for (company, set) in &followers {
-        txn.put("company_followers", company_row_key(*company), join(set), 1);
+        txn.put("company_followers", company_row_key(*company), pack(set), 1);
     }
     primary.commit(txn).unwrap();
     cacher.catch_up().unwrap();
 
-    // A follow against the primary: the same two-row read-modify-write
-    // the platform performs (single-threaded here, so no row lock).
+    // A follow against the primary: the same put-if-absent of one edge
+    // row the platform performs; a repeated follow commits nothing.
     let apply_follow = |member: u64, company: u64| {
-        let member_key = member_row_key(member);
-        let company_key = company_row_key(company);
-        let mut followed = primary
-            .get("member_follows", &member_key)
-            .unwrap()
-            .map(|row| parse_id_list(&row.value))
-            .unwrap_or_default();
-        let mut follower_list = primary
-            .get("company_followers", &company_key)
-            .unwrap()
-            .map(|row| parse_id_list(&row.value))
-            .unwrap_or_default();
-        if !followed.contains(&company) {
-            followed.push(company);
+        let (key, value) = follow_edge_row(member, company);
+        match primary.put_if_etag(FOLLOW_EDGES_TABLE, key, 0, value, 1) {
+            Ok(_) | Err(DbError::EtagMismatch { .. }) => {}
+            Err(e) => panic!("follow {member}->{company}: {e}"),
         }
-        if !follower_list.contains(&member) {
-            follower_list.push(member);
-        }
-        let encode = |ids: &[u64]| {
-            ids.iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-                .into_bytes()
-        };
-        let mut txn = primary.begin();
-        txn.put("member_follows", member_key, encode(&followed), 1);
-        txn.put("company_followers", company_key, encode(&follower_list), 1);
-        primary.commit(txn).unwrap();
     };
 
     // Closed-loop drive: the seeded per-driver op stream, reads mapped
@@ -1237,7 +1209,7 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
         if i % 6 == 0 {
             // A window can fail mid-apply while a quorum is short; the
             // checkpoint only advances on success, and the cacher's
-            // full-value writes make redelivery idempotent.
+            // append-if-absent makes redelivery idempotent.
             if let Err(e) = cacher.catch_up() {
                 sched.note(format!("op {i}: databus catch_up deferred: {e}"));
             }
@@ -1319,7 +1291,7 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
                     siblings.len()
                 ));
             }
-            let got = parse_id_list(&siblings[0].value);
+            let got = decode_ids(&siblings[0].value).map_err(|e| format!("{what} {key}: {e}"))?;
             let mut sorted = got.clone();
             sorted.sort_unstable();
             sorted.dedup();
