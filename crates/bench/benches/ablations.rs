@@ -12,7 +12,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use li_databus::{Relay, ServerFilter, Window};
+use li_databus::{Relay, ServerFilter, Window, WindowView};
 use li_kafka::log::{LogConfig, PartitionLog};
 use li_kafka::Message;
 use li_sqlstore::{Op, Row, RowChange, RowKey};
@@ -108,11 +108,11 @@ fn bench_relay_buffer_budget(c: &mut Criterion) {
         let oldest = relay.oldest_scn();
         group.bench_with_input(BenchmarkId::new("serve_tail", budget), &budget, |b, _| {
             b.iter(|| {
-                black_box(
-                    relay
-                        .events_after(oldest.max(1) - 1 + 64, 64, &ServerFilter::all())
-                        .unwrap(),
-                )
+                let views = relay
+                    .events_after_shared(oldest.max(1) - 1 + 64, 64, &ServerFilter::all())
+                    .unwrap();
+                // Eager serve, as recorded: an owned clone per window.
+                black_box(views.into_iter().map(WindowView::into_window).collect::<Vec<_>>())
             })
         });
     }

@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use li_databus::{BootstrapServer, LogShippingAdapter, Relay, ServerFilter, Window};
+use li_databus::{BootstrapServer, LogShippingAdapter, Relay, ServerFilter, Window, WindowView};
 use li_sqlstore::{BinlogEntry, Database, Op, Row, RowChange, RowKey};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -25,6 +25,18 @@ fn window(scn: u64, keys: u64, bytes: usize) -> Window {
             op: Op::Put(Row::new(Bytes::from(vec![b'x'; bytes]), 1)),
         }],
     }
+}
+
+/// The eager serve the "copy" series measure: every served view
+/// materialised into an owned `Window` clone.
+fn copy_serve(
+    relay: &Relay,
+    after_scn: u64,
+    max_windows: usize,
+    filter: &ServerFilter,
+) -> Vec<Window> {
+    let views = relay.events_after_shared(after_scn, max_windows, filter).unwrap();
+    views.into_iter().map(WindowView::into_window).collect()
 }
 
 fn bench_relay_serving(c: &mut Criterion) {
@@ -47,7 +59,7 @@ fn bench_relay_serving(c: &mut Criterion) {
             cursor = (cursor + 977) % (newest - 64);
             // A caught-up-ish consumer pulling a 64-window batch.
             let from = relay.oldest_scn().max(cursor);
-            black_box(relay.events_after(from, 64, &ServerFilter::all()).unwrap())
+            black_box(copy_serve(&relay, from, 64, &ServerFilter::all()))
         })
     });
     group.finish();
@@ -75,7 +87,7 @@ fn bench_consumer_scaling(c: &mut Criterion) {
                     for consumer in 0..consumers {
                         // Each consumer reads the full stream from scn 0.
                         let filter = ServerFilter::for_partition(consumers as u32, consumer as u32);
-                        black_box(relay.events_after(0, usize::MAX, &filter).unwrap());
+                        black_box(copy_serve(&relay, 0, usize::MAX, &filter));
                     }
                 })
             },
@@ -124,7 +136,7 @@ fn bench_consolidated_delta(c: &mut Criterion) {
     group.bench_function("full_replay", |b| {
         b.iter(|| {
             let mut state = std::collections::HashMap::new();
-            let windows = relay.events_after(0, usize::MAX, &ServerFilter::all()).unwrap();
+            let windows = copy_serve(&relay, 0, usize::MAX, &ServerFilter::all());
             for w in &windows {
                 for ch in &w.changes {
                     match &ch.op {

@@ -7,9 +7,9 @@
 //!
 //! Two serving paths over the same buffered stream:
 //!
-//! * **copy** — `Relay::events_after`: the legacy eager path, which
-//!   materializes an owned `Window` clone (per-change table/key
-//!   allocations) for every window, for every consumer, every poll.
+//! * **copy** — the eager serve (`copy_serve` below): an owned `Window`
+//!   clone (per-change table/key allocations) materialized for every
+//!   window, for every consumer, every poll.
 //! * **zero_copy** — `Relay::events_after_shared`: `Arc`-shared frozen
 //!   windows; an unfiltered consumer does zero per-change work, a filtered
 //!   consumer skips non-matching windows in O(1) via the ingest-time
@@ -22,7 +22,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use li_databus::{Relay, ServerFilter, Window};
+use li_databus::{Relay, ServerFilter, Window, WindowView};
 use li_sqlstore::{Op, Row, RowChange, RowKey};
 use std::hint::black_box;
 
@@ -46,6 +46,13 @@ fn window(scn: u64) -> Window {
             })
             .collect(),
     }
+}
+
+/// The eager serve: every view of the whole stream materialised into an
+/// owned `Window` clone.
+fn copy_serve(relay: &Relay, filter: &ServerFilter) -> Vec<Window> {
+    let views = relay.events_after_shared(0, usize::MAX, filter).unwrap();
+    views.into_iter().map(WindowView::into_window).collect()
 }
 
 fn loaded_relay() -> Relay {
@@ -80,10 +87,7 @@ fn bench_fanout(c: &mut Criterion) {
                     b.iter(|| {
                         let mut served = 0usize;
                         for _ in 0..consumers {
-                            served += black_box(
-                                relay.events_after(0, usize::MAX, &filter).unwrap(),
-                            )
-                            .len();
+                            served += black_box(copy_serve(&relay, &filter)).len();
                         }
                         served
                     })

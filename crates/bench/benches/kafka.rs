@@ -12,12 +12,12 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use li_bench::net::{transfer, TransferMode};
+use li_bench::traditional_mq::TraditionalMq;
 use li_commons::compress::Codec;
 use li_commons::sim::{Clock, SimClock};
-use li_kafka::baseline::TraditionalMq;
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::{MirrorMaker, WarehouseLoader};
-use li_kafka::net::{transfer, TransferMode};
 use li_kafka::{KafkaCluster, MessageSet, Producer, SimpleConsumer};
 use li_workload::events::activity_batch;
 use li_workload::zipf::Zipfian;
@@ -74,7 +74,7 @@ fn bench_vs_traditional_mq(c: &mut Criterion) {
             next_topic += 1;
             cluster.create_topic(&topic, 1).unwrap();
             let broker = cluster.broker_for(&topic, 0).unwrap();
-            broker.produce(&topic, 0, &set).unwrap();
+            broker.log(&topic, 0).unwrap().append_frames(&set.encode()).unwrap();
             // 3 independent subscribers: zero broker-side state, each just
             // reads the log.
             let mut seen = 0;

@@ -5,9 +5,10 @@
 //! of every store. Concurrent producers hit a 3-broker replicated
 //! cluster two ways:
 //!
-//! * **legacy** — `ReplicatedCluster::produce`: every producer takes the
-//!   partition log lock itself, one append + one flush check + one
-//!   wakeup per request (the Leader-ack contract).
+//! * **legacy** — the per-request baseline (`per_request_produce`
+//!   below): every producer resolves the leader and takes its partition
+//!   log lock itself, one append + one flush check + one wakeup per
+//!   request (the Leader-ack contract, bypassing the group queue).
 //! * **grouped** — `ReplicatedCluster::produce_with_ack`: producers
 //!   enqueue pre-encoded frame groups into the partition's
 //!   [`GroupQueue`]; one drainer commits every pending group with a
@@ -64,7 +65,7 @@ fn ack_label(ack: AckMode) -> &'static str {
     }
 }
 
-fn fresh_cluster(partitions: u32) -> Arc<ReplicatedCluster> {
+fn fresh_cluster(partitions: u32) -> (Arc<KafkaCluster>, Arc<ReplicatedCluster>) {
     let config = LogConfig {
         // Flush-per-request durability with a modeled stable-storage
         // latency: this is the regime group commit exists for. Legacy
@@ -85,9 +86,22 @@ fn fresh_cluster(partitions: u32) -> Arc<ReplicatedCluster> {
         ShardMode::Parallel,
     )
     .unwrap();
-    let rc = Arc::new(ReplicatedCluster::new(cluster));
+    let rc = Arc::new(ReplicatedCluster::new(cluster.clone()));
     rc.create_topic("ingest", partitions, 3).unwrap();
-    rc
+    (cluster, rc)
+}
+
+/// The per-request baseline: resolve the partition's leader, then append
+/// the encoded set straight to its log.
+fn per_request_produce(
+    cluster: &KafkaCluster,
+    rc: &ReplicatedCluster,
+    partition: u32,
+    set: &MessageSet,
+) {
+    let leader = rc.leader_of("ingest", partition).unwrap();
+    let log = cluster.brokers()[leader as usize].log("ingest", partition).unwrap();
+    log.append_frames(&set.encode()).unwrap();
 }
 
 fn percentile(sorted: &[u64], q: f64) -> f64 {
@@ -107,14 +121,14 @@ fn run_cell(
     partitions: u32,
     ack: Option<AckMode>,
 ) -> CellResult {
-    let rc = fresh_cluster(partitions);
+    let (cluster, rc) = fresh_cluster(partitions);
     let batches_per_producer = (TARGET_MESSAGES / (producers * batch)).max(1);
     let messages = producers * batches_per_producer * batch;
 
     let started = Instant::now();
     let handles: Vec<_> = (0..producers)
         .map(|t| {
-            let rc = rc.clone();
+            let (cluster, rc) = (cluster.clone(), rc.clone());
             std::thread::spawn(move || {
                 let mut latencies = Vec::with_capacity(batches_per_producer);
                 for i in 0..batches_per_producer {
@@ -128,9 +142,7 @@ fn run_cell(
                         Some(ack) => {
                             rc.produce_with_ack("ingest", partition, &set, ack).unwrap();
                         }
-                        None => {
-                            rc.produce("ingest", partition, &set).unwrap();
-                        }
+                        None => per_request_produce(&cluster, &rc, partition, &set),
                     }
                     latencies.push(call.elapsed().as_nanos() as u64);
                 }

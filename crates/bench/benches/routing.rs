@@ -8,8 +8,8 @@
 //! is an RPC in a real deployment, so hops dominate real latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use li_bench::chord::ChordBaseline;
 use li_commons::ring::{HashRing, NodeId};
-use li_voldemort::routing::ChordBaseline;
 use std::hint::black_box;
 
 fn node_ids(n: u16) -> Vec<NodeId> {

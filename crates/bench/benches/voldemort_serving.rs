@@ -15,11 +15,11 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use li_bench::mixed::{MixedWorkload, Operation};
 use li_voldemort::readonly::{ReadOnlyBuilder, ScratchDir};
 use li_voldemort::{StoreDef, VoldemortCluster};
 use li_workload::datasets::company_follow_dataset;
 use li_workload::keys::{member_key, KeyDistribution};
-use li_workload::{MixedWorkload, Operation};
 use rand::SeedableRng;
 use std::hint::black_box;
 

@@ -10,8 +10,8 @@
 //! In-process, the page cache is a `Bytes` buffer. The zero-copy path
 //! hands out a reference-counted slice (no byte movement, one "syscall");
 //! the conventional path performs the four explicit copies. The
-//! `kafka_zerocopy` benchmark measures the difference; the counters here
-//! make the copy arithmetic checkable.
+//! `kafka_zerocopy` benchmark (C-15, `benches/kafka.rs`) measures the
+//! difference; the counters here make the copy arithmetic checkable.
 
 use bytes::Bytes;
 
@@ -31,69 +31,6 @@ pub struct TransferStats {
     pub bytes_copied: u64,
     /// System calls performed.
     pub syscalls: u64,
-}
-
-impl TransferStats {
-    /// Folds another transfer's accounting into this one (the benchmarks
-    /// sum per-call stats over a whole sweep).
-    pub fn accumulate(&mut self, other: TransferStats) {
-        self.bytes_copied += other.bytes_copied;
-        self.syscalls += other.syscalls;
-    }
-}
-
-/// Which broker-side ingress path a set of produce requests takes. The
-/// group-commit drainer turns many producers' pending groups into one
-/// gathered receive and one log append — the ingress mirror of the
-/// `sendfile` egress claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProducePath {
-    /// Legacy: each produce request is its own recv + append.
-    PerRequest,
-    /// Group commit: all pending groups land in one gathered recv
-    /// (`recvmmsg`-style) and one vectored append (`pwritev`-style).
-    GroupCommit,
-}
-
-/// Models broker ingress of `groups` pre-encoded frame groups, returning
-/// the bytes as they land in the log plus the syscall/copy accounting.
-/// Both paths deliver identical bytes; only the arithmetic differs.
-pub fn produce_transfer(groups: &[&[u8]], path: ProducePath) -> (Bytes, TransferStats) {
-    let total: usize = groups.iter().map(|g| g.len()).sum();
-    match path {
-        ProducePath::PerRequest => {
-            let mut log = Vec::with_capacity(total);
-            let mut stats = TransferStats::default();
-            for group in groups {
-                // (1) socket -> application buffer   [recv syscall]
-                let mut app_buffer = vec![0u8; group.len()];
-                app_buffer.copy_from_slice(group);
-                // (2) application buffer -> page cache [write syscall]
-                log.extend_from_slice(&app_buffer);
-                stats.accumulate(TransferStats {
-                    bytes_copied: 2 * group.len() as u64,
-                    syscalls: 2,
-                });
-            }
-            (Bytes::from(log), stats)
-        }
-        ProducePath::GroupCommit => {
-            // One gathered receive for every pending group...
-            let mut app_buffer = Vec::with_capacity(total);
-            for group in groups {
-                app_buffer.extend_from_slice(group);
-            }
-            // ...and one vectored append into the page cache.
-            let log = app_buffer.clone();
-            (
-                Bytes::from(log),
-                TransferStats {
-                    bytes_copied: 2 * total as u64,
-                    syscalls: 2,
-                },
-            )
-        }
-    }
 }
 
 /// Serves `range` of a segment (`page_cache`) to a "socket", returning the
@@ -179,37 +116,5 @@ mod tests {
         let cache = segment();
         let (bytes, _) = transfer(&cache, cache.len() - 10, 1000, TransferMode::ZeroCopy);
         assert_eq!(bytes.len(), 10);
-    }
-
-    #[test]
-    fn produce_paths_deliver_identical_bytes() {
-        let groups: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 100 + i as usize]).collect();
-        let refs: Vec<&[u8]> = groups.iter().map(Vec::as_slice).collect();
-        let (per, _) = produce_transfer(&refs, ProducePath::PerRequest);
-        let (grouped, _) = produce_transfer(&refs, ProducePath::GroupCommit);
-        assert_eq!(per, grouped);
-        assert_eq!(per.len(), groups.iter().map(Vec::len).sum::<usize>());
-    }
-
-    #[test]
-    fn group_commit_amortizes_syscalls_over_the_batch() {
-        let groups: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 1000]).collect();
-        let refs: Vec<&[u8]> = groups.iter().map(Vec::as_slice).collect();
-        let (_, per) = produce_transfer(&refs, ProducePath::PerRequest);
-        let (_, grouped) = produce_transfer(&refs, ProducePath::GroupCommit);
-        // Per-request: 2 syscalls per group. Group commit: 2 total.
-        assert_eq!(per.syscalls, 32);
-        assert_eq!(grouped.syscalls, 2);
-        // Copy volume is identical — the win is in syscall count.
-        assert_eq!(per.bytes_copied, grouped.bytes_copied);
-        assert_eq!(grouped.bytes_copied, 2 * 16_000);
-    }
-
-    #[test]
-    fn transfer_stats_accumulate_sums_both_fields() {
-        let mut total = TransferStats::default();
-        total.accumulate(TransferStats { bytes_copied: 10, syscalls: 1 });
-        total.accumulate(TransferStats { bytes_copied: 32, syscalls: 2 });
-        assert_eq!(total, TransferStats { bytes_copied: 42, syscalls: 3 });
     }
 }

@@ -1,4 +1,4 @@
-//! A traditional message-queue baseline.
+//! A traditional message-queue baseline (C-12, `benches/kafka.rs`).
 //!
 //! The paper's design choices are defined by contrast with "most other
 //! messaging systems": explicit per-message ids with "auxiliary index
@@ -138,19 +138,6 @@ impl TraditionalMq {
     pub fn retained(&self) -> usize {
         self.state.lock().index.len()
     }
-
-    /// Redelivers in-flight messages of a crashed consumer (they were
-    /// delivered but never acked).
-    pub fn redeliver_unacked(&self, consumer: &str) -> Vec<(MessageId, Bytes)> {
-        let mut state = self.state.lock();
-        let Some(consumer_state) = state.consumers.get_mut(consumer) else {
-            return Vec::new();
-        };
-        let ids: Vec<MessageId> = consumer_state.delivered.iter().copied().collect();
-        ids.into_iter()
-            .filter_map(|id| state.index.get(&id).map(|(p, _)| (id, p.clone())))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -196,19 +183,6 @@ mod tests {
         assert_eq!(mq.retained(), 1);
         assert!(mq.ack("c", a));
         assert_eq!(mq.retained(), 0);
-    }
-
-    #[test]
-    fn unacked_messages_redelivered_after_crash() {
-        let mq = TraditionalMq::new();
-        mq.register_consumer("c");
-        mq.publish(&b"m1"[..]);
-        mq.publish(&b"m2"[..]);
-        let batch = mq.deliver("c", 2);
-        mq.ack("c", batch[0].0);
-        let redelivered = mq.redeliver_unacked("c");
-        assert_eq!(redelivered.len(), 1);
-        assert_eq!(redelivered[0].1.as_ref(), b"m2");
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl VectorClock {
         *self.entries.entry(writer).or_insert(0) += 1;
     }
 
-    /// Returns the counter recorded for `writer` (0 if absent).
-    pub fn counter_of(&self, writer: WriterId) -> u64 {
-        self.entries.get(&writer).copied().unwrap_or(0)
-    }
-
     /// Number of distinct writers recorded.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -175,26 +175,6 @@ impl HashRing {
         Ok(HashRing { owner, zones, zone_count })
     }
 
-    /// Builds a ring from an explicit partition→node assignment plus a
-    /// node→zone map. Every partition must be owned exactly once.
-    pub fn from_assignment(
-        owner: Vec<NodeId>,
-        zones: BTreeMap<NodeId, ZoneId>,
-    ) -> Result<Self, RingError> {
-        if owner.is_empty() {
-            return Err(RingError::Empty);
-        }
-        for (p, node) in owner.iter().enumerate() {
-            if !zones.contains_key(node) {
-                return Err(RingError::BadAssignment(format!(
-                    "partition {p} owned by {node} which has no zone"
-                )));
-            }
-        }
-        let zone_count = count_zones(&zones);
-        Ok(HashRing { owner, zones, zone_count })
-    }
-
     /// Builds a zoned ring: `layout` maps each node to its zone; partitions
     /// are dealt round-robin across nodes interleaved by zone so replicas
     /// of consecutive partitions naturally spread across zones.

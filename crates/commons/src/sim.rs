@@ -185,11 +185,6 @@ impl SimNetwork {
         self.state.lock().down.remove(&node);
     }
 
-    /// True when `node` is currently marked down.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.state.lock().down.contains(&node)
-    }
-
     /// Splits the cluster: nodes in `groups[i]` can only reach nodes in the
     /// same group. Nodes not mentioned remain reachable from everyone.
     pub fn partition(&self, groups: &[&[NodeId]]) {

@@ -129,13 +129,6 @@ impl<T: Clone> Receiver<T> {
         self.shared.slot.lock().1.clone()
     }
 
-    /// Latest value and its version, marking it observed.
-    pub fn get_and_update(&mut self) -> (u64, T) {
-        let slot = self.shared.slot.lock();
-        self.seen = slot.0;
-        (slot.0, slot.1.clone())
-    }
-
     /// Blocks until a version newer than the last observed one is
     /// published (or `timeout` expires / every sender is gone — both
     /// return `None`). On success the value is marked observed.
@@ -164,11 +157,6 @@ impl<T> Receiver<T> {
     /// single short lock, no clone (cheap staleness probe).
     pub fn has_changed(&self) -> bool {
         self.shared.slot.lock().0 > self.seen
-    }
-
-    /// The last version this receiver observed.
-    pub fn seen_version(&self) -> u64 {
-        self.seen
     }
 }
 

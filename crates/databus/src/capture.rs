@@ -123,7 +123,7 @@ mod tests {
         db.put_one("member", RowKey::single("1"), &b"v"[..], 1).unwrap();
         // The commit only returned after the relay had the window.
         assert_eq!(relay.newest_scn(), 1);
-        let windows = relay.events_after(0, 10, &ServerFilter::all()).unwrap();
+        let windows = relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap();
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].changes.len(), 1);
     }
@@ -171,7 +171,7 @@ mod tests {
         txn.put("member", RowKey::single("1"), &b"a"[..], 1);
         txn.put("member", RowKey::single("2"), &b"b"[..], 1);
         db.commit(txn).unwrap();
-        let windows = relay.events_after(0, 10, &ServerFilter::all()).unwrap();
+        let windows = relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap();
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].changes.len(), 2, "txn boundary preserved");
     }

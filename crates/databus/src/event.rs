@@ -208,7 +208,8 @@ impl WindowView {
         }
     }
 
-    /// Materializes an owned window (legacy eager API).
+    /// Materializes an owned window: a clone of the shared data, or the
+    /// trimmed window itself.
     pub fn into_window(self) -> Window {
         match self {
             WindowView::Shared(shared) => shared.window().clone(),

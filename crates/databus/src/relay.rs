@@ -339,23 +339,6 @@ impl Relay {
         self.buffer.lock().bytes
     }
 
-    /// Serves up to `max_windows` windows with `scn > after_scn`, filtered
-    /// server-side. Legacy eager adapter over [`Relay::events_after_shared`]
-    /// — materializes an owned clone per window; prefer the shared-view
-    /// path for anything hot.
-    pub fn events_after(
-        &self,
-        after_scn: Scn,
-        max_windows: usize,
-        filter: &ServerFilter,
-    ) -> Result<Vec<Window>, RelayError> {
-        Ok(self
-            .events_after_shared(after_scn, max_windows, filter)?
-            .into_iter()
-            .map(WindowView::into_window)
-            .collect())
-    }
-
     /// The default (hot) serving path: up to `max_windows` windows with
     /// `scn > after_scn`, filtered server-side, as zero-copy views.
     ///
@@ -574,12 +557,12 @@ mod tests {
         for scn in 1..=10 {
             relay.ingest(window(scn, 10)).unwrap();
         }
-        let got = relay.events_after(3, 100, &ServerFilter::all()).unwrap();
+        let got = relay.events_after_shared(3, 100, &ServerFilter::all()).unwrap();
         assert_eq!(got.len(), 7);
         assert_eq!(got[0].scn, 4);
         assert_eq!(got.last().unwrap().scn, 10);
         // max_windows respected.
-        let got = relay.events_after(0, 2, &ServerFilter::all()).unwrap();
+        let got = relay.events_after_shared(0, 2, &ServerFilter::all()).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[1].scn, 2);
     }
@@ -588,14 +571,14 @@ mod tests {
     fn caught_up_client_gets_empty() {
         let relay = Relay::new("primary", 1 << 20);
         relay.ingest(window(1, 10)).unwrap();
-        assert!(relay.events_after(1, 10, &ServerFilter::all()).unwrap().is_empty());
-        assert!(relay.events_after(5, 10, &ServerFilter::all()).unwrap().is_empty());
+        assert!(relay.events_after_shared(1, 10, &ServerFilter::all()).unwrap().is_empty());
+        assert!(relay.events_after_shared(5, 10, &ServerFilter::all()).unwrap().is_empty());
     }
 
     #[test]
     fn empty_relay_serves_nothing() {
         let relay = Relay::new("primary", 1 << 20);
-        assert!(relay.events_after(0, 10, &ServerFilter::all()).unwrap().is_empty());
+        assert!(relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap().is_empty());
     }
 
     #[test]
@@ -609,7 +592,7 @@ mod tests {
         let oldest = relay.oldest_scn();
         assert!(oldest > 1);
         // A client at SCN 0 has fallen off the buffer.
-        let err = relay.events_after(0, 10, &ServerFilter::all()).unwrap_err();
+        let err = relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap_err();
         assert_eq!(
             err,
             RelayError::ScnNotFound {
@@ -619,7 +602,7 @@ mod tests {
         );
         // A client exactly at the tail boundary is fine.
         assert!(relay
-            .events_after(oldest - 1, 100, &ServerFilter::all())
+            .events_after_shared(oldest - 1, 100, &ServerFilter::all())
             .is_ok());
     }
 
@@ -639,7 +622,7 @@ mod tests {
         relay.set_eviction_floor(7);
         relay.ingest(window(11, 1000)).unwrap();
         assert_eq!(relay.oldest_scn(), 8, "evicted exactly the linked prefix");
-        let err = relay.events_after(0, 10, &ServerFilter::all()).unwrap_err();
+        let err = relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap_err();
         assert_eq!(err, RelayError::ScnNotFound { requested: 0, oldest: 8 });
     }
 
@@ -716,7 +699,7 @@ mod tests {
         let relay = Relay::new("primary", 1 << 20);
         relay.ingest(window(1, 10)).unwrap();
         let filter = ServerFilter::for_tables(["company"]);
-        let got = relay.events_after(0, 10, &filter).unwrap();
+        let got = relay.events_after_shared(0, 10, &filter).unwrap();
         assert_eq!(got.len(), 1, "window delivered for checkpointing");
         assert!(got[0].is_empty(), "changes filtered out");
     }
@@ -776,14 +759,14 @@ mod tests {
         relay.ingest(window(1, 10)).unwrap();
         assert_eq!(relay.served_while_paused(), 0);
         relay.set_paused(true);
-        assert!(relay.events_after(0, 10, &ServerFilter::all()).unwrap().is_empty());
-        assert!(relay.events_after(0, 10, &ServerFilter::all()).unwrap().is_empty());
+        assert!(relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap().is_empty());
+        assert!(relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap().is_empty());
         assert_eq!(relay.served_while_paused(), 2, "stall is observable");
         // Ingestion continues while paused; lag reference keeps moving.
         relay.ingest(window(2, 10)).unwrap();
         assert_eq!(relay.newest_scn(), 2);
         relay.set_paused(false);
-        assert_eq!(relay.events_after(0, 10, &ServerFilter::all()).unwrap().len(), 2);
+        assert_eq!(relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap().len(), 2);
         assert_eq!(relay.served_while_paused(), 2, "unpaused serves not counted");
     }
 
@@ -797,13 +780,11 @@ mod tests {
         assert_eq!(replica_relay.chain_from(&primary_relay).unwrap(), 20);
         assert_eq!(replica_relay.chain_from(&primary_relay).unwrap(), 0, "idempotent");
         // The replica serves the identical stream.
-        let a = primary_relay.events_after(0, 100, &ServerFilter::all()).unwrap();
-        let b = replica_relay.events_after(0, 100, &ServerFilter::all()).unwrap();
+        let a = primary_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
+        let b = replica_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
         assert_eq!(a, b);
         // Zero-copy chaining: both buffers hold the same frozen windows.
-        let av = primary_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
-        let bv = replica_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
-        for (x, y) in av.iter().zip(&bv) {
+        for (x, y) in a.iter().zip(&b) {
             let (WindowView::Shared(x), WindowView::Shared(y)) = (x, y) else {
                 unreachable!()
             };
@@ -838,7 +819,7 @@ mod tests {
             relay.ingest(window(scn, 10)).unwrap();
         }
         for _ in 0..100 {
-            relay.events_after(0, 100, &ServerFilter::all()).unwrap();
+            relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
         }
         assert_eq!(relay.windows_ingested(), 5, "source cost fixed");
         assert_eq!(relay.reads_served(), 100, "fan-out absorbed by relay");

@@ -425,7 +425,7 @@ fn downstream_cdc_consumers_see_all_changes() {
     for id in [NodeId(0), NodeId(1)] {
         let relay = cluster.relay(id).unwrap();
         let windows = relay
-            .events_after(0, usize::MAX, &li_databus::ServerFilter::all())
+            .events_after_shared(0, usize::MAX, &li_databus::ServerFilter::all())
             .unwrap();
         total_changes += windows.iter().map(|w| w.changes.len()).sum::<usize>();
     }

@@ -116,7 +116,6 @@ impl ControllerMetrics {
 
 /// The cluster controller.
 pub struct Controller {
-    zk: ZooKeeper,
     session: Session,
     cluster: String,
     handlers: Mutex<HashMap<NodeId, TransitionHandler>>,
@@ -154,7 +153,6 @@ impl Controller {
             }
         }
         Ok(Controller {
-            zk: zk.clone(),
             session,
             cluster: cluster.to_string(),
             handlers: Mutex::new(HashMap::new()),
@@ -397,11 +395,6 @@ impl Controller {
         Ok(self
             .session
             .watch_children(&format!("/helix/{}/live", self.cluster))?)
-    }
-
-    /// Simulates a node crash by expiring the participant's session.
-    pub fn expire_session(&self, session: SessionId) {
-        self.zk.expire(session);
     }
 }
 

@@ -17,7 +17,7 @@ use li_commons::sim::Clock;
 
 use crate::ingest::{AckMode, GroupFrames, GroupQueue, IngestSink, ProduceReceipt};
 use crate::log::{LogConfig, PartitionLog};
-use crate::message::{FetchChunk, KafkaError, Message, MessageSet};
+use crate::message::{FetchChunk, KafkaError};
 
 /// Index stripes per broker in [`ShardMode::Parallel`].
 const INDEX_STRIPES: usize = 16;
@@ -164,58 +164,6 @@ impl Broker {
         Ok(self.entry(topic, partition)?.log)
     }
 
-    /// Appends one (possibly wrapper) message; returns its offset.
-    pub fn produce_message(
-        &self,
-        topic: &str,
-        partition: u32,
-        message: &Message,
-    ) -> Result<u64, KafkaError> {
-        let entry = self.entry(topic, partition)?;
-        let offset = entry.log.append(message);
-        self.metrics.produce_messages.inc();
-        self.metrics.bytes_in.add(message.payload.len() as u64);
-        entry.log_end.set(entry.log.log_end() as i64);
-        Ok(offset)
-    }
-
-    /// Appends every message of a set under **one** log lock acquisition
-    /// (the set is encoded into a single buffer first); returns the first
-    /// offset.
-    pub fn produce(
-        &self,
-        topic: &str,
-        partition: u32,
-        set: &MessageSet,
-    ) -> Result<u64, KafkaError> {
-        let entry = self.entry(topic, partition)?;
-        let first = entry.log.append_set(set);
-        self.metrics.produce_messages.add(set.messages.len() as u64);
-        self.metrics.bytes_in.add(set.payload_bytes() as u64);
-        entry.log_end.set(entry.log.log_end() as i64);
-        Ok(first)
-    }
-
-    /// Appends an already-encoded message set (a producer wire buffer, a
-    /// mirrored or replicated chunk) verbatim, without decoding it —
-    /// `messages` and `payload_bytes` are the caller's accounting for the
-    /// buffer. Returns the base offset.
-    pub fn produce_frames(
-        &self,
-        topic: &str,
-        partition: u32,
-        frames: &[u8],
-        messages: u64,
-        payload_bytes: usize,
-    ) -> Result<u64, KafkaError> {
-        let entry = self.entry(topic, partition)?;
-        let first = entry.log.append_frames(frames)?;
-        self.metrics.produce_messages.add(messages);
-        self.metrics.bytes_in.add(payload_bytes as u64);
-        entry.log_end.set(entry.log.log_end() as i64);
-        Ok(first)
-    }
-
     /// Group-commit produce: enqueues an already-encoded frame group into
     /// the partition's append queue and drives the drainer protocol — `N`
     /// concurrent producers on one partition cost one log-lock
@@ -246,9 +194,9 @@ impl Broker {
 
     /// Appends a drained batch of frame groups to the hosted partition
     /// log under **one** lock acquisition, updating produce metrics — the
-    /// sink primitive shared by this broker's own group-commit queue and
-    /// the replicated cluster's leader append. Returns the base offset of
-    /// the batch's first buffer.
+    /// sink primitive shared by this broker's own group-commit queue, the
+    /// replicated cluster's leader append and the mirror's verbatim chunk
+    /// copy. Returns the base offset of the batch's first buffer.
     pub fn append_groups_local(
         &self,
         topic: &str,
@@ -280,28 +228,6 @@ impl Broker {
             };
             entry.queue.drain_with(&sink);
         }
-    }
-
-    /// Pull fetch: raw stored messages from `offset`, bounded by
-    /// `max_bytes`. The consumer unwraps compression.
-    ///
-    /// Thin adapter over [`Broker::fetch_chunks`]; payloads of the decoded
-    /// messages still alias segment memory.
-    pub fn fetch(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max_bytes: usize,
-    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
-        let (chunks, next) = self.fetch_chunks(topic, partition, offset, max_bytes)?;
-        let mut messages = Vec::new();
-        for chunk in &chunks {
-            for item in chunk {
-                messages.push(item?);
-            }
-        }
-        Ok((messages, next))
     }
 
     /// Zero-copy pull fetch: frame-aligned [`FetchChunk`] views of the
@@ -411,6 +337,8 @@ impl IngestSink for BrokerSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::MessageSet;
+    use crate::testutil::{fetch_all, produce};
     use li_commons::sim::SimClock;
 
     fn broker() -> Broker {
@@ -422,10 +350,9 @@ mod tests {
         let b = broker();
         b.create_partition("events", 0);
         let set = MessageSet::from_payloads(["a", "b", "c"]);
-        let first = b.produce("events", 0, &set).unwrap();
-        assert_eq!(first, 0);
-        let (messages, next) = b.fetch("events", 0, 0, usize::MAX).unwrap();
-        assert_eq!(messages.len(), 3);
+        assert_eq!(produce(&b, "events", 0, &set).unwrap(), 0);
+        let (chunks, next) = b.fetch_chunks("events", 0, 0, usize::MAX).unwrap();
+        assert_eq!(chunks.iter().map(|c| c.messages).sum::<u64>(), 3);
         assert!(next > 0);
     }
 
@@ -433,22 +360,19 @@ mod tests {
     fn unknown_partition_rejected() {
         let b = broker();
         assert!(matches!(
-            b.fetch("nope", 0, 0, 100),
+            b.fetch_chunks("nope", 0, 0, 100),
             Err(KafkaError::UnknownTopicPartition(_, 0))
         ));
-        assert!(b
-            .produce("nope", 0, &MessageSet::from_payloads(["x"]))
-            .is_err());
+        assert!(produce(&b, "nope", 0, &MessageSet::from_payloads(["x"])).is_err());
     }
 
     #[test]
     fn create_partition_idempotent() {
         let b = broker();
         b.create_partition("t", 0);
-        b.produce("t", 0, &MessageSet::from_payloads(["x"])).unwrap();
+        produce(&b, "t", 0, &MessageSet::from_payloads(["x"])).unwrap();
         b.create_partition("t", 0); // must not wipe the log
-        let (messages, _) = b.fetch("t", 0, 0, usize::MAX).unwrap();
-        assert_eq!(messages.len(), 1);
+        assert_eq!(fetch_all(&b, "t", 0, 0).unwrap().len(), 1);
     }
 
     #[test]
@@ -456,33 +380,29 @@ mod tests {
         let b = broker();
         b.create_partition("t", 0);
         b.create_partition("t", 1);
-        b.produce("t", 0, &MessageSet::from_payloads(["only in 0"])).unwrap();
-        assert_eq!(b.fetch("t", 0, 0, usize::MAX).unwrap().0.len(), 1);
-        assert!(b.fetch("t", 1, 0, usize::MAX).unwrap().0.is_empty());
+        produce(&b, "t", 0, &MessageSet::from_payloads(["only in 0"])).unwrap();
+        assert_eq!(fetch_all(&b, "t", 0, 0).unwrap().len(), 1);
+        assert!(fetch_all(&b, "t", 1, 0).unwrap().is_empty());
     }
 
     #[test]
-    fn grouped_produce_matches_legacy_bytes_and_counts_groups() {
-        let legacy = broker();
+    fn grouped_produce_matches_sequential_appends_and_counts_groups() {
+        let bare = PartitionLog::new(LogConfig::default(), Arc::new(SimClock::new()));
         let grouped = broker();
-        for b in [&legacy, &grouped] {
-            b.create_partition("t", 0);
-        }
+        grouped.create_partition("t", 0);
         for i in 0..10 {
             let set = MessageSet::from_payloads([format!("m-{i}")]);
             let frames = set.encode();
-            let payload = set.payload_bytes();
-            let offset = legacy
-                .produce_frames("t", 0, &frames, 1, payload)
-                .unwrap();
+            let offset = bare.append_frames(&frames).unwrap();
             let receipt = grouped
-                .produce_frames_grouped("t", 0, frames, 1, payload, AckMode::Leader)
+                .produce_frames_grouped("t", 0, frames, 1, set.payload_bytes(), AckMode::Leader)
                 .unwrap();
             assert_eq!(receipt.base_offset, Some(offset));
         }
-        let (a, b) = (legacy.log("t", 0).unwrap(), grouped.log("t", 0).unwrap());
-        assert_eq!(a.log_end(), b.log_end());
-        assert_eq!(a.content_fingerprint(), b.content_fingerprint());
+        let log = grouped.log("t", 0).unwrap();
+        assert_eq!(bare.log_end(), log.log_end());
+        assert_eq!(bare.content_fingerprint(), log.content_fingerprint());
+        assert_eq!(grouped.metrics.produce_groups.value(), 10);
     }
 
     #[test]
@@ -495,7 +415,7 @@ mod tests {
             .unwrap();
         assert_eq!(receipt.base_offset, None);
         b.flush_ingest();
-        assert_eq!(b.fetch("t", 0, 0, usize::MAX).unwrap().0.len(), 1);
+        assert_eq!(fetch_all(&b, "t", 0, 0).unwrap().len(), 1);
     }
 
     #[test]
@@ -522,8 +442,7 @@ mod tests {
         let guard = b.logs.lock(&("t", 0u32));
         let b2 = b.clone();
         let h = std::thread::spawn(move || {
-            b2.produce("t", other, &MessageSet::from_payloads(["x"]))
-                .unwrap()
+            produce(&b2, "t", other, &MessageSet::from_payloads(["x"])).unwrap()
         });
         assert_eq!(h.join().unwrap(), 0);
         drop(guard);

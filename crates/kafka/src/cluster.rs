@@ -68,8 +68,8 @@ impl KafkaCluster {
 
     /// [`KafkaCluster::with_metrics`] with an explicit shard mode threaded
     /// to every broker (index striping + group-commit ingest queues).
-    /// [`ShardMode::Deterministic`] makes produce sequencing byte-identical
-    /// to the legacy one-append-per-produce path — the chaos harness twin.
+    /// [`ShardMode::Deterministic`] commits exactly one producer group per
+    /// log append, in arrival order — the chaos harness twin.
     pub fn with_shard_mode(
         broker_count: u16,
         config: LogConfig,
@@ -204,6 +204,7 @@ impl KafkaCluster {
 mod tests {
     use super::*;
     use crate::message::MessageSet;
+    use crate::testutil::{fetch_all, produce};
 
     #[test]
     fn topic_partitions_spread_over_brokers() {
@@ -238,16 +239,8 @@ mod tests {
     fn produce_via_cluster_routing() {
         let cluster = KafkaCluster::new(2).unwrap();
         cluster.create_topic("t", 2).unwrap();
-        cluster
-            .broker_for("t", 1)
-            .unwrap()
-            .produce("t", 1, &MessageSet::from_payloads(["hello"]))
-            .unwrap();
-        let (messages, _) = cluster
-            .broker_for("t", 1)
-            .unwrap()
-            .fetch("t", 1, 0, usize::MAX)
-            .unwrap();
-        assert_eq!(messages.len(), 1);
+        let broker = cluster.broker_for("t", 1).unwrap();
+        produce(&broker, "t", 1, &MessageSet::from_payloads(["hello"])).unwrap();
+        assert_eq!(fetch_all(&broker, "t", 1, 0).unwrap().len(), 1);
     }
 }

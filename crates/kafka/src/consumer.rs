@@ -202,6 +202,7 @@ impl Iterator for MessageStream {
 mod tests {
     use super::*;
     use crate::message::MessageSet;
+    use crate::testutil;
 
     fn cluster_with_topic() -> Arc<KafkaCluster> {
         let cluster = KafkaCluster::new(1).unwrap();
@@ -210,11 +211,8 @@ mod tests {
     }
 
     fn produce(cluster: &Arc<KafkaCluster>, payloads: &[&str]) {
-        cluster
-            .broker_for("t", 0)
-            .unwrap()
-            .produce("t", 0, &MessageSet::from_payloads(payloads.iter().map(|s| s.to_string())))
-            .unwrap();
+        let set = MessageSet::from_payloads(payloads.iter().map(|s| s.to_string()));
+        testutil::produce(&cluster.broker_for("t", 0).unwrap(), "t", 0, &set).unwrap();
     }
 
     #[test]
@@ -270,12 +268,8 @@ mod tests {
     fn compressed_batches_transparent_to_consumer() {
         let cluster = cluster_with_topic();
         let set = MessageSet::from_payloads((0..50).map(|i| format!("event {i} event")));
-        let wrapper = set.compressed();
-        cluster
-            .broker_for("t", 0)
-            .unwrap()
-            .produce_message("t", 0, &wrapper)
-            .unwrap();
+        let wrapper = MessageSet { messages: vec![set.compressed()] };
+        testutil::produce(&cluster.broker_for("t", 0).unwrap(), "t", 0, &wrapper).unwrap();
         let mut consumer = SimpleConsumer::new(cluster, "t", 0).unwrap();
         let batch = consumer.poll().unwrap();
         assert_eq!(batch.len(), 50);
@@ -339,15 +333,8 @@ mod tests {
     }
 
     fn produce_n(cluster: &Arc<crate::cluster::KafkaCluster>, n: usize) {
-        cluster
-            .broker_for("t", 0)
-            .unwrap()
-            .produce(
-                "t",
-                0,
-                &MessageSet::from_payloads((0..n).map(|i| format!("m{i}"))),
-            )
-            .unwrap();
+        let set = MessageSet::from_payloads((0..n).map(|i| format!("m{i}")));
+        testutil::produce(&cluster.broker_for("t", 0).unwrap(), "t", 0, &set).unwrap();
     }
 
     #[test]

@@ -236,11 +236,9 @@ mod tests {
     }
 
     fn produce_to(cluster: &Arc<KafkaCluster>, partition: u32, payloads: &[String]) {
-        cluster
-            .broker_for("t", partition)
-            .unwrap()
-            .produce("t", partition, &MessageSet::from_payloads(payloads.to_vec()))
-            .unwrap();
+        let broker = cluster.broker_for("t", partition).unwrap();
+        let set = MessageSet::from_payloads(payloads.to_vec());
+        crate::testutil::produce(&broker, "t", partition, &set).unwrap();
     }
 
     fn settle(consumers: &mut [&mut GroupConsumer]) {

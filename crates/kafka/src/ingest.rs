@@ -36,11 +36,12 @@
 //!
 //! Per the PR 7 contract every new concurrent path keeps a
 //! [`ShardMode::Deterministic`] twin: a deterministic queue commits
-//! exactly one group per append (no cross-producer batching, drainers
-//! fully serialized), which makes its lock/flush/wakeup sequence — and
-//! therefore the log bytes and any seeded chaos trace — identical to the
-//! legacy one-append-per-produce path. `tests/kafka_ingest_props.rs` pins
-//! grouped ≡ legacy log bytes in both modes.
+//! exactly one group per append, in arrival order (no cross-producer
+//! batching, drainers fully serialized), so its lock/flush/wakeup
+//! sequence — and therefore the log bytes and any seeded chaos trace — is
+//! a pure function of the produce sequence. `tests/kafka_ingest_props.rs`
+//! pins grouped ≡ one `PartitionLog::append_frames` per group, byte for
+//! byte, in both modes.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -60,10 +61,9 @@ pub enum AckMode {
     /// drainer (enqueue never silently drops), but the caller learns
     /// neither the offset nor about append failures.
     None,
-    /// Ack after the leader's local append — the legacy produce contract,
-    /// and the default. Survives everything except a leader crash before
-    /// the next replication ship (the bounded "unshipped tail" loss the
-    /// chaos suite measures).
+    /// Ack after the leader's local append — the default. Survives
+    /// everything except a leader crash before the next replication ship
+    /// (the bounded "unshipped tail" loss the chaos suite measures).
     #[default]
     Leader,
     /// Ack only after every in-sync replica holds the bytes. A
@@ -310,8 +310,8 @@ impl GroupQueue {
     ///
     /// Parallel mode claims every pending group per iteration — the group
     /// commit. Deterministic mode claims exactly one group per iteration
-    /// and fully serializes drainers, reproducing the legacy
-    /// one-append-per-produce lock/flush sequence byte for byte.
+    /// and fully serializes drainers: one append, one flush check and one
+    /// wakeup per group, in arrival order.
     pub fn drain_with(&self, sink: &dyn IngestSink) -> DrainStats {
         let mut stats = DrainStats::default();
         let mut inner = self.inner.lock();
@@ -667,7 +667,7 @@ mod tests {
         assert_eq!(
             sink.appends.load(Ordering::SeqCst),
             5,
-            "deterministic twin: one append per group, like the legacy path"
+            "deterministic twin: one append per group"
         );
         assert_eq!(sink.log.verify_contiguity().unwrap(), 5);
     }

@@ -13,10 +13,10 @@
 //!   messages are addressed by *logical offset* (next id = id + message
 //!   length), not per-message ids with an index; messages become visible
 //!   only after a flush.
-//! * **Efficient transfer** ([`producer`], [`net`]) — producers batch
-//!   message sets and compress them ([`li_commons::compress`]); brokers
-//!   hand out stored bytes without re-copying (the `sendfile` analog, with
-//!   an explicit 4-copy baseline for the benchmark).
+//! * **Efficient transfer** ([`producer`], [`message::FetchChunk`]) —
+//!   producers batch message sets and compress them
+//!   ([`li_commons::compress`]); brokers hand out views of the stored bytes
+//!   without re-copying (the `sendfile` analog).
 //! * **Distributed consumer state** ([`consumer`]) — brokers keep no
 //!   per-consumer state; consumers own their offsets, can rewind, and
 //!   retention is a simple time-based SLA.
@@ -26,8 +26,6 @@
 //! * **Pipelines** ([`mirror`]) — embedded consumers mirror live clusters
 //!   into an offline cluster; [`audit`] reproduces the paper's end-to-end
 //!   count-auditing scheme.
-//! * **Baseline** ([`baseline`]) — a traditional message queue (per-message
-//!   ids, broker-side ack state) for the design-choice benchmarks.
 //!
 //! ```
 //! use li_kafka::{KafkaCluster, Producer, SimpleConsumer};
@@ -55,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod baseline;
 pub mod broker;
 pub mod cluster;
 pub mod consumer;
@@ -64,9 +61,10 @@ pub mod ingest;
 pub mod log;
 pub mod message;
 pub mod mirror;
-pub mod net;
 pub mod producer;
 pub mod replication;
+#[cfg(test)]
+mod testutil;
 
 pub use broker::Broker;
 pub use cluster::KafkaCluster;

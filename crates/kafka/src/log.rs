@@ -402,31 +402,12 @@ impl PartitionLog {
         li_commons::fnv::fnv1a(&bytes)
     }
 
-    /// Reads messages starting at `offset`, up to `max_bytes` of framed
-    /// data ("each pull request contains the offset of the message from
-    /// which the consumption begins and a maximum number of bytes to
-    /// fetch"). Returns `(messages_with_offsets, next_offset)`.
-    ///
-    /// Thin adapter over [`PartitionLog::read_chunks`]: the returned
-    /// messages' payloads still alias segment memory, only the eager
-    /// decode is added.
-    pub fn read(
-        &self,
-        offset: u64,
-        max_bytes: usize,
-    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
-        let (chunks, next) = self.read_chunks(offset, max_bytes)?;
-        let mut out = Vec::new();
-        for chunk in &chunks {
-            for item in chunk {
-                out.push(item?);
-            }
-        }
-        Ok((out, next))
-    }
-
-    /// Chunk-based fetch, the zero-copy read path. Under a short lock
-    /// hold this only *locates* the data — binary search for the segment,
+    /// Chunk-based fetch, the zero-copy read path: views of the stored
+    /// frames starting at `offset`, up to `max_bytes` of framed data ("each
+    /// pull request contains the offset of the message from which the
+    /// consumption begins and a maximum number of bytes to fetch"), plus
+    /// the offset to resume from. Under a short lock hold this only
+    /// *locates* the data — binary search for the segment,
     /// then for the frozen chunk holding `offset` — and snapshots cheap
     /// `Bytes` views clamped to the flush horizon. The lock is dropped
     /// before any frame is examined; the returned chunks are then trimmed
@@ -623,6 +604,17 @@ mod tests {
         Message::new(text.as_bytes().to_vec())
     }
 
+    /// `read_chunks`, decoded by [`FetchChunk`] iteration.
+    fn read(
+        log: &PartitionLog,
+        offset: u64,
+        max_bytes: usize,
+    ) -> Result<(Vec<(u64, Message)>, u64), KafkaError> {
+        let (chunks, next) = log.read_chunks(offset, max_bytes)?;
+        let messages = chunks.iter().flatten().collect::<Result<_, _>>()?;
+        Ok((messages, next))
+    }
+
     #[test]
     fn append_read_round_trip_with_offsets() {
         let (log, _) = log_with(LogConfig::default());
@@ -632,13 +624,13 @@ mod tests {
         assert_eq!(o1, 0);
         assert_eq!(o2, msg("a").framed_len() as u64);
         assert_eq!(o3, o2 + msg("bb").framed_len() as u64);
-        let (messages, next) = log.read(0, usize::MAX).unwrap();
+        let (messages, next) = read(&log, 0, usize::MAX).unwrap();
         assert_eq!(messages.len(), 3);
         assert_eq!(messages[1].0, o2);
         assert_eq!(messages[2].1.payload.as_ref(), b"ccc");
         assert_eq!(next, log.log_end());
         // Resume from the middle.
-        let (tail, _) = log.read(o2, usize::MAX).unwrap();
+        let (tail, _) = read(&log, o2, usize::MAX).unwrap();
         assert_eq!(tail.len(), 2);
     }
 
@@ -648,10 +640,10 @@ mod tests {
         for i in 0..100 {
             log.append(&msg(&format!("event-{i}")));
         }
-        let (messages, next) = log.read(0, 100).unwrap();
+        let (messages, next) = read(&log, 0, 100).unwrap();
         assert!(messages.len() < 100 && !messages.is_empty());
         // Continue from next.
-        let (more, _) = log.read(next, usize::MAX).unwrap();
+        let (more, _) = read(&log, next, usize::MAX).unwrap();
         assert_eq!(messages.len() + more.len(), 100);
     }
 
@@ -666,7 +658,7 @@ mod tests {
             log.append(&msg("x"));
         }
         assert_eq!(log.visible_end(), 0);
-        let (messages, next) = log.read(0, usize::MAX).unwrap();
+        let (messages, next) = read(&log, 0, usize::MAX).unwrap();
         assert!(messages.is_empty());
         assert_eq!(next, 0);
         // 10th message triggers the count-based flush.
@@ -674,7 +666,7 @@ mod tests {
             log.append(&msg("x"));
         }
         assert_eq!(log.visible_end(), log.log_end());
-        assert_eq!(log.read(0, usize::MAX).unwrap().0.len(), 10);
+        assert_eq!(read(&log, 0, usize::MAX).unwrap().0.len(), 10);
     }
 
     #[test]
@@ -725,7 +717,7 @@ mod tests {
         assert!(log.segment_count() > 1);
         // Reads work across segment boundaries from any starting offset.
         for (i, &offset) in offsets.iter().enumerate() {
-            let (messages, _) = log.read(offset, usize::MAX).unwrap();
+            let (messages, _) = read(&log, offset, usize::MAX).unwrap();
             assert_eq!(messages.len(), 50 - i, "from offset {offset}");
         }
     }
@@ -734,10 +726,10 @@ mod tests {
     fn out_of_range_offsets_rejected() {
         let (log, _) = log_with(LogConfig::default());
         log.append(&msg("x"));
-        let err = log.read(log.log_end() + 1, 100).unwrap_err();
+        let err = read(&log, log.log_end() + 1, 100).unwrap_err();
         assert!(matches!(err, KafkaError::OffsetOutOfRange { .. }));
         // Mid-message offsets are detected as corrupt rather than served.
-        assert!(log.read(3, 100).is_err());
+        assert!(read(&log, 3, 100).is_err());
     }
 
     #[test]
@@ -748,8 +740,8 @@ mod tests {
         for i in 0..10 {
             log.append(&msg(&format!("{i}")));
         }
-        let (first, _) = log.read(0, usize::MAX).unwrap();
-        let (again, _) = log.read(0, usize::MAX).unwrap();
+        let (first, _) = read(&log, 0, usize::MAX).unwrap();
+        let (again, _) = read(&log, 0, usize::MAX).unwrap();
         assert_eq!(first, again);
     }
 
@@ -772,8 +764,8 @@ mod tests {
         assert!(deleted > 0);
         assert!(log.log_start() > 0);
         // Old offsets now out of range; new data still readable.
-        assert!(log.read(0, 100).is_err());
-        let (messages, _) = log.read(old_end, usize::MAX).unwrap();
+        assert!(read(&log, 0, 100).is_err());
+        let (messages, _) = read(&log, old_end, usize::MAX).unwrap();
         assert_eq!(messages.len(), 5);
     }
 
@@ -787,7 +779,7 @@ mod tests {
         clock.advance(Duration::from_secs(60));
         assert_eq!(log.enforce_retention(), 1);
         assert_eq!(log.log_start(), log.log_end());
-        assert!(log.read(log.log_end(), 100).unwrap().0.is_empty());
+        assert!(read(&log, log.log_end(), 100).unwrap().0.is_empty());
     }
 
     #[test]
@@ -805,8 +797,8 @@ mod tests {
             single.append(m);
         }
         assert_eq!(batched.log_end(), single.log_end());
-        let a = batched.read(0, usize::MAX).unwrap();
-        let b = single.read(0, usize::MAX).unwrap();
+        let a = read(&batched, 0, usize::MAX).unwrap();
+        let b = read(&single, 0, usize::MAX).unwrap();
         assert_eq!(a, b);
     }
 
@@ -905,20 +897,24 @@ mod tests {
         for i in 0..20 {
             offsets.push(log.append(&msg(&format!("event-{i}"))));
         }
-        // Resume from each message boundary; chunk path must agree with
-        // the eager decode at every budget.
-        for &offset in &offsets {
+        // Resume from each message boundary: whole frames are served while
+        // the budget is not yet spent (so at least one), and `next` is
+        // where the last served frame ends.
+        for (first, &offset) in offsets.iter().enumerate() {
             for max_bytes in [1usize, 33, 100, usize::MAX] {
-                let (chunks, next) = log.read_chunks(offset, max_bytes).unwrap();
-                let mut lazy = Vec::new();
-                for chunk in &chunks {
-                    for item in chunk {
-                        lazy.push(item.unwrap());
+                let (messages, next) = read(&log, offset, max_bytes).unwrap();
+                let mut used = 0usize;
+                let mut want = Vec::new();
+                for (i, &at) in offsets.iter().enumerate().skip(first) {
+                    if used >= max_bytes {
+                        break;
                     }
+                    let message = msg(&format!("event-{i}"));
+                    used += message.framed_len();
+                    want.push((at, message));
                 }
-                let (eager, eager_next) = log.read(offset, max_bytes).unwrap();
-                assert_eq!(lazy, eager);
-                assert_eq!(next, eager_next);
+                assert_eq!(messages, want);
+                assert_eq!(next, offset + used as u64);
             }
         }
     }

@@ -21,6 +21,7 @@ use std::time::Duration;
 use li_commons::sim::Clock;
 
 use crate::cluster::KafkaCluster;
+use crate::ingest::GroupFrames;
 use crate::message::{KafkaError, MessageSet};
 
 /// The embedded consumer that replicates topics from a live cluster into
@@ -80,12 +81,14 @@ impl MirrorMaker {
                 }
                 let target_broker = self.target.broker_for(topic, partition)?;
                 for chunk in &chunks {
-                    target_broker.produce_frames(
+                    target_broker.append_groups_local(
                         topic,
                         partition,
-                        &chunk.data,
-                        chunk.messages,
-                        chunk.payload_bytes(),
+                        &[GroupFrames {
+                            frames: &chunk.data,
+                            messages: chunk.messages,
+                            payload_bytes: chunk.payload_bytes() as u64,
+                        }],
                     )?;
                     copied += chunk.messages as usize;
                 }
@@ -223,13 +226,8 @@ mod tests {
         assert_eq!(mirror.pump().unwrap(), 0, "idempotent when caught up");
         let total: usize = (0..4)
             .map(|p| {
-                offline
-                    .broker_for("events", p)
-                    .unwrap()
-                    .fetch("events", p, 0, usize::MAX)
-                    .unwrap()
-                    .0
-                    .len()
+                let broker = offline.broker_for("events", p).unwrap();
+                crate::testutil::fetch_all(&broker, "events", p, 0).unwrap().len()
             })
             .sum();
         assert_eq!(total, 50);

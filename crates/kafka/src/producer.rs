@@ -154,7 +154,7 @@ impl Producer {
     }
 
     /// Builder: durability level each flushed batch waits for (default
-    /// [`AckMode::Leader`], the legacy produce contract). On an
+    /// [`AckMode::Leader`]: acked after the leader's local append). On an
     /// unreplicated cluster [`AckMode::FullIsr`] degenerates to `Leader`;
     /// the full contract lives in `ReplicatedCluster::produce_with_ack`.
     #[must_use]

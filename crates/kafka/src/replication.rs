@@ -153,24 +153,6 @@ impl ReplicatedCluster {
         Ok(isr)
     }
 
-    /// Produces to the partition's leader. Fails when the leader is down
-    /// (the client should refresh metadata after a failover).
-    pub fn produce(
-        &self,
-        topic: &str,
-        partition: u32,
-        set: &MessageSet,
-    ) -> Result<u64, KafkaError> {
-        let assignment = self.assignment(topic, partition)?;
-        if self.down.read().contains(&assignment.leader) {
-            return Err(KafkaError::Group(format!(
-                "leader {} down for {topic}/{partition}",
-                assignment.leader
-            )));
-        }
-        self.cluster.brokers()[assignment.leader as usize].produce(topic, partition, set)
-    }
-
     /// Group-commit produce with an explicit durability contract. The set
     /// is encoded once, outside every lock, then enqueued into the
     /// partition's cluster-level [`GroupQueue`]: concurrent producers
@@ -178,8 +160,9 @@ impl ReplicatedCluster {
     /// [`AckMode::FullIsr`]) one replication ship per drained batch.
     ///
     /// * [`AckMode::None`] — returns without waiting; no offset.
-    /// * [`AckMode::Leader`] — returns after the leader's local append,
-    ///   exactly the [`ReplicatedCluster::produce`] contract.
+    /// * [`AckMode::Leader`] — returns after the leader's local append;
+    ///   fails when the leader is down (the client should refresh metadata
+    ///   after a failover).
     /// * [`AckMode::FullIsr`] — returns only after every live replica
     ///   holds the bytes; the message is committed (at or below the high
     ///   watermark) the moment the call returns, with no
@@ -356,15 +339,20 @@ impl ReplicatedCluster {
         }
         let hw = self.high_watermark(topic, partition)?;
         let leader_log = self.cluster.brokers()[assignment.leader as usize].log(topic, partition)?;
-        let (messages, next) = leader_log.read(offset.min(hw), max_bytes)?;
-        let committed: Vec<(u64, Message)> =
-            messages.into_iter().take_while(|(o, _)| *o < hw).collect();
-        let next = next.min(hw).max(
-            committed
-                .last()
-                .map(|(o, m)| o + m.framed_len() as u64)
-                .unwrap_or(offset.min(hw)),
-        );
+        // Walk the leader's chunk views frame by frame and stop at the high
+        // watermark: a frame at or past it is never decoded.
+        let mut next = offset.min(hw);
+        let (chunks, _) = leader_log.read_chunks(next, max_bytes)?;
+        let mut committed = Vec::new();
+        for chunk in &chunks {
+            let mut frames = chunk.iter();
+            while next < hw {
+                let Some(item) = frames.next() else { break };
+                let (at, message) = item?;
+                next = at + message.framed_len() as u64;
+                committed.push((at, message));
+            }
+        }
         Ok((committed, next))
     }
 
@@ -489,8 +477,7 @@ impl ReplicatedCluster {
 /// to whoever *currently* leads the partition (one lock acquisition via
 /// the leader broker's group append), and a FullIsr ship pushes the
 /// leader's bytes to every live follower once per batch. A downed leader
-/// fails the whole batch — every waiting producer sees the error, exactly
-/// like the legacy [`ReplicatedCluster::produce`].
+/// fails the whole batch — every waiting producer sees the error.
 struct ReplicaSink<'a> {
     rc: &'a ReplicatedCluster,
     topic: &'a str,
@@ -544,6 +531,11 @@ mod tests {
         (cluster, replicated)
     }
 
+    /// Leader-acked produce to `t`/0.
+    fn produce(rc: &ReplicatedCluster, set: MessageSet) -> Result<ProduceReceipt, KafkaError> {
+        rc.produce_with_ack("t", 0, &set, AckMode::Leader)
+    }
+
     fn payloads(rc: &ReplicatedCluster, from: u64) -> Vec<String> {
         let (messages, _) = rc.fetch_committed("t", 0, from, usize::MAX).unwrap();
         messages
@@ -555,7 +547,7 @@ mod tests {
     #[test]
     fn uncommitted_messages_invisible_until_replicated() {
         let (_c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["a", "b"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["a", "b"])).unwrap();
         assert_eq!(rc.high_watermark("t", 0).unwrap(), 0, "followers empty");
         assert!(payloads(&rc, 0).is_empty(), "nothing committed yet");
         rc.replicate().unwrap();
@@ -564,13 +556,41 @@ mod tests {
     }
 
     #[test]
+    fn committed_fetch_stops_exactly_at_a_straddled_high_watermark() {
+        let (c, rc) = replicated();
+        produce(&rc, MessageSet::from_payloads(["a", "b"])).unwrap();
+        rc.replicate().unwrap();
+        // One follower misses the second produce and comes back stale, so
+        // the high watermark sits mid-log and a whole-log fetch window
+        // straddles it.
+        let leader = rc.leader_of("t", 0).unwrap();
+        let lagging = (0..3u16).find(|&b| b != leader).unwrap();
+        rc.fail_broker(lagging).unwrap();
+        produce(&rc, MessageSet::from_payloads(["c", "d"])).unwrap();
+        rc.replicate().unwrap();
+        rc.recover_broker(lagging);
+        let hw = rc.high_watermark("t", 0).unwrap();
+        let leader_log = c.brokers()[leader as usize].log("t", 0).unwrap();
+        assert!(0 < hw && hw < leader_log.visible_end(), "window straddles hw");
+
+        let (messages, next) = rc.fetch_committed("t", 0, 0, usize::MAX).unwrap();
+        let frame = Message::new(&b"a"[..]).framed_len() as u64;
+        assert_eq!(messages.iter().map(|(at, _)| *at).collect::<Vec<_>>(), vec![0, frame]);
+        assert_eq!(next, hw, "next never passes the high watermark");
+        // Resuming at the watermark serves nothing and stays put.
+        assert_eq!(rc.fetch_committed("t", 0, next, usize::MAX).unwrap(), (Vec::new(), hw));
+        // A consumer ahead of the watermark is clamped back to it.
+        assert_eq!(rc.fetch_committed("t", 0, hw + frame, usize::MAX).unwrap().1, hw);
+    }
+
+    #[test]
     fn leader_failover_keeps_all_committed_messages() {
         let (_c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["committed-1", "committed-2"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["committed-1", "committed-2"])).unwrap();
         rc.replicate().unwrap();
         let old_leader = rc.leader_of("t", 0).unwrap();
         // An uncommitted write sneaks in right before the crash.
-        rc.produce("t", 0, &MessageSet::from_payloads(["uncommitted"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["uncommitted"])).unwrap();
 
         let elections = rc.fail_broker(old_leader).unwrap();
         assert_eq!(elections.len(), 1);
@@ -580,7 +600,7 @@ mod tests {
         // visible to consumers in the first place).
         assert_eq!(payloads(&rc, 0), vec!["committed-1", "committed-2"]);
         // Writes continue on the new leader.
-        rc.produce("t", 0, &MessageSet::from_payloads(["after-failover"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["after-failover"])).unwrap();
         rc.replicate().unwrap();
         assert_eq!(
             payloads(&rc, 0),
@@ -594,26 +614,26 @@ mod tests {
         let leader = rc.leader_of("t", 0).unwrap();
         rc.fail_broker(leader).unwrap();
         // After metadata refresh (leader_of), produces go to the new leader.
-        rc.produce("t", 0, &MessageSet::from_payloads(["x"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["x"])).unwrap();
         // But a client pinned to the old leader errors... we model that by
         // failing everyone: all down -> produce fails.
         let l2 = rc.leader_of("t", 0).unwrap();
         rc.fail_broker(l2).unwrap();
         let l3 = rc.leader_of("t", 0).unwrap();
         rc.fail_broker(l3).unwrap();
-        assert!(rc.produce("t", 0, &MessageSet::from_payloads(["y"])).is_err());
+        assert!(produce(&rc, MessageSet::from_payloads(["y"])).is_err());
     }
 
     #[test]
     fn divergent_recovered_broker_is_reset_and_caught_up() {
         let (c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["base"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["base"])).unwrap();
         rc.replicate().unwrap();
         let old_leader = rc.leader_of("t", 0).unwrap();
         // Uncommitted tail on the old leader, then crash.
-        rc.produce("t", 0, &MessageSet::from_payloads(["tail-1", "tail-2", "tail-3"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["tail-1", "tail-2", "tail-3"])).unwrap();
         rc.fail_broker(old_leader).unwrap();
-        rc.produce("t", 0, &MessageSet::from_payloads(["new-era"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["new-era"])).unwrap();
         rc.replicate().unwrap();
 
         // Old leader returns with a longer-but-divergent log.
@@ -635,13 +655,13 @@ mod tests {
         // replica rejoin, count toward the high watermark, and win a
         // later longest-log election with bytes no consumer ever saw.
         let (c, rc) = replicated();
-        rc.produce("t", 0, &MessageSet::from_payloads(["base"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["base"])).unwrap();
         rc.replicate().unwrap();
         let old_leader = rc.leader_of("t", 0).unwrap();
-        rc.produce("t", 0, &MessageSet::from_payloads(["AAAA"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["AAAA"])).unwrap();
         rc.fail_broker(old_leader).unwrap();
         // Same framed length, different bytes.
-        rc.produce("t", 0, &MessageSet::from_payloads(["BBBB"])).unwrap();
+        produce(&rc, MessageSet::from_payloads(["BBBB"])).unwrap();
         rc.replicate().unwrap();
         let new_leader = rc.leader_of("t", 0).unwrap();
         let leader_end = c.brokers()[new_leader as usize].log("t", 0).unwrap().log_end();
@@ -710,7 +730,7 @@ mod tests {
         let (_c, rc) = replicated();
         let mut last_hw = 0;
         for round in 0..10u32 {
-            rc.produce("t", 0, &MessageSet::from_payloads([format!("m{round}")])).unwrap();
+            produce(&rc, MessageSet::from_payloads([format!("m{round}")])).unwrap();
             rc.replicate().unwrap();
             let hw = rc.high_watermark("t", 0).unwrap();
             assert!(hw >= last_hw, "hw went backwards at round {round}");

@@ -294,11 +294,6 @@ impl Database {
         *self.shipper.lock() = Some(shipper);
     }
 
-    /// Removes the shipper (fall back to local-only durability).
-    pub fn clear_shipper(&self) {
-        *self.shipper.lock() = None;
-    }
-
     /// Begins a transaction.
     pub fn begin(&self) -> Transaction {
         Transaction::default()

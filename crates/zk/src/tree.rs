@@ -322,11 +322,6 @@ impl ZooKeeper {
             state.delete_node(&path);
         }
     }
-
-    /// True when the session is still live.
-    pub fn session_alive(&self, session: SessionId) -> bool {
-        self.state.lock().sessions.contains(&session)
-    }
 }
 
 /// A client handle; all operations are performed in the context of a

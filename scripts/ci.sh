@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== one path per operation: deleted twins and moved baselines stay gone =="
+# The per-request/eager adapters are deleted and the bench-only baselines
+# live in crates/bench; -w keeps events_after_shared and
+# produce_frames_grouped legal.
+# (`set -e` ignores a `!`-negated command, hence the explicit exit.)
+if git grep -nwE 'events_after|produce_message|produce_frames|produce_transfer|TraditionalMq|ChordBaseline|MixedWorkload|TransferMode' -- crates ':!crates/bench' tests examples; then
+  echo "ci.sh: a deleted twin or moved baseline is back (matches above)" >&2
+  exit 1
+fi
+
 echo "== cargo test -q (root package: examples + integration tests) =="
 cargo test -q
 
@@ -26,9 +36,9 @@ SITE_GRAPH_PROPTEST_CASES=64 cargo test -q --test site_graph_props
 
 echo "== kafka ingest proptests: 64 cases (default is 24) =="
 # Group-commit equivalence: grouped produce must be byte-identical to
-# the legacy per-request path (same fingerprints, same offsets) in both
-# shard modes, and concurrent grouped producers must lose nothing and
-# keep per-thread FIFO order.
+# appending the same frame buffers one by one to a bare partition log
+# (same fingerprints, same offsets) in both shard modes, and concurrent
+# grouped producers must lose nothing and keep per-thread FIFO order.
 KAFKA_INGEST_PROPTEST_CASES=64 cargo test -q --test kafka_ingest_props
 
 echo "== follow view proptests: 64 cases (default is 24) =="
@@ -118,5 +128,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo bench --workspace --no-run (bench targets compile-gate) =="
 cargo bench --workspace --no-run
+
+echo "== site benchmark compile-gate (benchmark/ is its own workspace) =="
+# Nothing above builds benchmark/, so an API deletion under crates/ that
+# breaks the ruler would otherwise go unnoticed until the benchmark runs.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --no-run
 
 echo "ci.sh: all green"

@@ -554,13 +554,20 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
         sched.step(&replicated);
         let partition = (i % 3) as u32;
         let set = MessageSet::from_payloads([format!("m{i}")]);
-        if replicated.produce("events", partition, &set).is_ok() {
+        if replicated.produce_with_ack("events", partition, &set, AckMode::Leader).is_ok() {
             produced_ok += 1;
         }
         source
             .broker_for("tracking", (i % 2) as u32)
             .unwrap()
-            .produce("tracking", (i % 2) as u32, &set)
+            .produce_frames_grouped(
+                "tracking",
+                (i % 2) as u32,
+                set.encode(),
+                1,
+                set.payload_bytes(),
+                AckMode::Leader,
+            )
             .unwrap();
         if i % 4 == 0 {
             let _ = replicated.replicate();
@@ -1197,8 +1204,9 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
                 let partition = (*member % ACTIVITY_PARTITIONS as u64) as u32;
                 let payload = Bytes::from(format!("{i}:{member}:{event}"));
                 let set = MessageSet::from_payloads([payload.clone()]);
-                match replicated.produce("activity", partition, &set) {
-                    Ok(offset) => {
+                match replicated.produce_with_ack("activity", partition, &set, AckMode::Leader) {
+                    Ok(receipt) => {
+                        let offset = receipt.base_offset.expect("a Leader ack carries the offset");
                         produced_ok += 1;
                         acked_activity.push((partition, offset, payload));
                     }

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use li_commons::ring::NodeId;
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
 use li_espresso::{DatabaseSchema, EspressoCluster, GlobalIndex, TableSchema};
-use li_kafka::{KafkaCluster, MessageSet, ReplicatedCluster};
+use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
 use li_sqlstore::RowKey;
 use std::sync::Arc;
 
@@ -21,8 +21,8 @@ fn kafka_replication_under_rolling_broker_failures() {
     for round in 0..3u16 {
         for p in 0..2 {
             let payload = format!("round-{round}-p{p}");
-            rc.produce("events", p, &MessageSet::from_payloads([payload.clone()]))
-                .unwrap();
+            let set = MessageSet::from_payloads([payload.clone()]);
+            rc.produce_with_ack("events", p, &set, AckMode::Leader).unwrap();
             committed.push(payload);
         }
         rc.replicate().unwrap();

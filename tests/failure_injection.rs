@@ -202,15 +202,16 @@ fn helix_converges_back_to_ideal_after_churn() {
 
 #[test]
 fn kafka_group_survives_rapid_membership_churn() {
-    use li_kafka::{GroupConsumer, KafkaCluster, MessageSet};
+    use li_kafka::{AckMode, GroupConsumer, KafkaCluster, MessageSet};
 
     let cluster = KafkaCluster::new(2).unwrap();
     cluster.create_topic("t", 12).unwrap();
     for p in 0..12 {
+        let set = MessageSet::from_payloads([format!("m{p}")]);
         cluster
             .broker_for("t", p)
             .unwrap()
-            .produce("t", p, &MessageSet::from_payloads([format!("m{p}")]))
+            .produce_frames_grouped("t", p, set.encode(), 1, set.payload_bytes(), AckMode::Leader)
             .unwrap();
     }
     let mut a = GroupConsumer::join(cluster.clone(), "g", "t", "a").unwrap();

@@ -3,10 +3,10 @@
 //! The tentpole claim: routing produce through the per-partition
 //! [`GroupQueue`] changes *how often* the partition lock is taken, never
 //! *what lands in the log*. Under random producer counts, batch splits,
-//! and key distributions, the grouped path must be byte-identical to the
-//! legacy one-append-per-produce path — same `content_fingerprint`, same
-//! offsets — in both `ShardMode::Deterministic` and
-//! `ShardMode::Parallel`. A second property drives real concurrent
+//! and key distributions, the grouped path must be byte-identical to
+//! appending the same frame buffers one by one to a bare `PartitionLog` —
+//! same `content_fingerprint`, same offsets — in both
+//! `ShardMode::Deterministic` and `ShardMode::Parallel`. A second property drives real concurrent
 //! producer threads and checks conservation, contiguity, and per-thread
 //! FIFO order.
 //!
@@ -17,7 +17,7 @@
 use li_commons::metrics::MetricsRegistry;
 use li_commons::shard::ShardMode;
 use li_commons::sim::SimClock;
-use li_kafka::log::LogConfig;
+use li_kafka::log::{LogConfig, PartitionLog};
 use li_kafka::message::MessageSet;
 use li_kafka::{AckMode, KafkaCluster};
 use proptest::prelude::*;
@@ -65,13 +65,14 @@ fn batches_strategy(partitions: u32) -> impl Strategy<Value = Vec<SendBatch>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
-    /// Grouped produce ≡ legacy produce, byte for byte. The same random
-    /// batch sequence is replayed against three single-broker clusters —
-    /// legacy `produce_frames`, grouped Deterministic, grouped Parallel —
+    /// Grouped produce ≡ sequential appends, byte for byte. The same
+    /// random batch sequence is replayed against bare partition logs
+    /// (`PartitionLog::append_frames`, one buffer at a time) and two
+    /// single-broker clusters — grouped Deterministic, grouped Parallel —
     /// and every partition must end with identical `log_end`,
     /// `content_fingerprint`, and per-batch base offsets.
     #[test]
-    fn prop_grouped_produce_matches_legacy_bytes_and_offsets(
+    fn prop_grouped_produce_matches_sequential_bytes_and_offsets(
         partitions in 1u32..5,
         flush_every in 1u64..5,
         segment_bytes in prop_oneof![Just(1usize << 20), 128usize..1024],
@@ -83,7 +84,9 @@ proptest! {
             segment_bytes,
             ..LogConfig::default()
         };
-        let legacy = cluster_with(ShardMode::Parallel, &config, partitions);
+        let bare: Vec<PartitionLog> = (0..partitions)
+            .map(|_| PartitionLog::new(config.clone(), Arc::new(SimClock::new())))
+            .collect();
         let det = cluster_with(ShardMode::Deterministic, &config, partitions);
         let par = cluster_with(ShardMode::Parallel, &config, partitions);
 
@@ -94,10 +97,7 @@ proptest! {
             let messages = set.messages.len() as u64;
             let payload_bytes = set.payload_bytes();
 
-            let legacy_offset = legacy
-                .broker_for("ingest", partition).unwrap()
-                .produce_frames("ingest", partition, &frames, messages, payload_bytes)
-                .unwrap();
+            let bare_offset = bare[partition as usize].append_frames(&frames).unwrap();
             let det_receipt = det
                 .broker_for("ingest", partition).unwrap()
                 .produce_frames_grouped(
@@ -113,29 +113,29 @@ proptest! {
                 )
                 .unwrap();
             // Leader ack always reports the append offset — and it matches
-            // the legacy path exactly (single-threaded, so the grouped
-            // drainer commits inline in arrival order).
-            prop_assert_eq!(det_receipt.base_offset, Some(legacy_offset));
-            prop_assert_eq!(par_receipt.base_offset, Some(legacy_offset));
+            // the sequential append exactly (single-threaded, so the
+            // grouped drainer commits inline in arrival order).
+            prop_assert_eq!(det_receipt.base_offset, Some(bare_offset));
+            prop_assert_eq!(par_receipt.base_offset, Some(bare_offset));
         }
 
-        legacy.flush_all();
+        bare.iter().for_each(PartitionLog::flush);
         det.flush_all();
         par.flush_all();
         for p in 0..partitions {
-            let legacy_log = legacy.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
+            let bare_log = &bare[p as usize];
             let det_log = det.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
             let par_log = par.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
-            prop_assert_eq!(det_log.log_end(), legacy_log.log_end(), "partition {}", p);
-            prop_assert_eq!(par_log.log_end(), legacy_log.log_end(), "partition {}", p);
+            prop_assert_eq!(det_log.log_end(), bare_log.log_end(), "partition {}", p);
+            prop_assert_eq!(par_log.log_end(), bare_log.log_end(), "partition {}", p);
             prop_assert_eq!(
                 det_log.content_fingerprint(),
-                legacy_log.content_fingerprint(),
+                bare_log.content_fingerprint(),
                 "deterministic twin diverged on partition {}", p
             );
             prop_assert_eq!(
                 par_log.content_fingerprint(),
-                legacy_log.content_fingerprint(),
+                bare_log.content_fingerprint(),
                 "parallel path diverged on partition {}", p
             );
             prop_assert!(det_log.verify_contiguity().is_ok());
@@ -200,9 +200,10 @@ proptest! {
         for p in 0..partitions {
             let log = cluster.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
             prop_assert!(log.verify_contiguity().is_ok());
-            let (messages, _) = log.read(0, usize::MAX).unwrap();
-            landed += messages.len();
-            for (_, message) in &messages {
+            let (chunks, _) = log.read_chunks(0, usize::MAX).unwrap();
+            for item in chunks.iter().flatten() {
+                let (_, message) = item.unwrap();
+                landed += 1;
                 let text = String::from_utf8(message.payload.to_vec()).unwrap();
                 let (t, s) = text[1..].split_once("-s").unwrap();
                 per_thread_seen[t.parse::<usize>().unwrap()][p as usize]

@@ -56,6 +56,13 @@ fn log_with_all_visible() -> PartitionLog {
     )
 }
 
+/// `read_chunks`, decoded by `FetchChunk` iteration.
+fn read(log: &PartitionLog, offset: u64, max_bytes: usize) -> (Vec<(u64, Message)>, u64) {
+    let (chunks, next) = log.read_chunks(offset, max_bytes).unwrap();
+    let messages = chunks.iter().flatten().map(Result::unwrap).collect();
+    (messages, next)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -75,7 +82,7 @@ proptest! {
             prop_assert_eq!(window[1], expected);
         }
         // Full scan reconstructs everything in order.
-        let (messages, next) = log.read(0, usize::MAX).unwrap();
+        let (messages, next) = read(&log, 0, usize::MAX);
         prop_assert_eq!(messages.len(), payloads.len());
         for ((offset, message), (expected_offset, payload)) in
             messages.iter().zip(offsets.iter().zip(payloads.iter()))
@@ -97,7 +104,7 @@ proptest! {
             offsets.push(log.append(&Message::new(Bytes::from(p.clone()))));
         }
         let idx = rewind_to.index(offsets.len());
-        let (messages, _) = log.read(offsets[idx], usize::MAX).unwrap();
+        let (messages, _) = read(&log, offsets[idx], usize::MAX);
         prop_assert_eq!(messages.len(), payloads.len() - idx);
         prop_assert_eq!(
             messages[0].1.payload.as_ref(),
@@ -117,7 +124,7 @@ proptest! {
         let mut collected = Vec::new();
         let mut cursor = 0u64;
         loop {
-            let (batch, next) = log.read(cursor, max_bytes).unwrap();
+            let (batch, next) = read(&log, cursor, max_bytes);
             if batch.is_empty() {
                 prop_assert_eq!(next, cursor, "no progress means caught up");
                 break;
@@ -132,7 +139,7 @@ proptest! {
     }
 
     #[test]
-    fn prop_chunk_fetch_equals_eager_fetch(
+    fn prop_chunk_fetch_equals_frame_model(
         payloads in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..96), 1..60),
         segment_bytes in 32usize..512,
@@ -153,22 +160,28 @@ proptest! {
         for p in &payloads {
             offsets.push(log.append(&Message::new(Bytes::from(p.clone()))));
         }
-        let offset = offsets[start.index(offsets.len())];
+        let first = start.index(offsets.len());
+        let offset = offsets[first];
         if offset > log.visible_end() {
             return Ok(()); // start beyond the flush horizon: nothing to compare
         }
-        // The lazy chunk walk and the eager decode must agree exactly —
-        // same messages, same offsets, same next cursor.
-        let (chunks, chunk_next) = log.read_chunks(offset, max_bytes).unwrap();
-        let mut lazy = Vec::new();
-        for chunk in &chunks {
-            for item in chunk {
-                lazy.push(item.unwrap());
+        // The lazy chunk walk must agree exactly with the frame model:
+        // whole flushed frames from `offset` while the byte budget is not
+        // yet spent, and a next cursor at the end of the last one.
+        let mut want = Vec::new();
+        let mut used = 0usize;
+        for (at, payload) in offsets.iter().zip(&payloads).skip(first) {
+            if *at >= log.visible_end() || used >= max_bytes {
+                break;
             }
+            let message = Message::new(Bytes::from(payload.clone()));
+            used += message.framed_len();
+            want.push((*at, message));
         }
-        let (eager, eager_next) = log.read(offset, max_bytes).unwrap();
-        prop_assert_eq!(&lazy, &eager);
-        prop_assert_eq!(chunk_next, eager_next);
+        let (chunks, chunk_next) = log.read_chunks(offset, max_bytes).unwrap();
+        let lazy: Vec<(u64, Message)> = chunks.iter().flatten().map(Result::unwrap).collect();
+        prop_assert_eq!(&lazy, &want);
+        prop_assert_eq!(chunk_next, offset + used as u64);
         // And every lazily-decoded payload aliases its chunk's storage.
         for chunk in &chunks {
             for item in chunk {
@@ -196,7 +209,7 @@ proptest! {
             log.append(&Message::new(Bytes::from(p.clone())));
             // Visible count is always a multiple of the flush interval
             // (until a final explicit flush).
-            let (visible, _) = log.read(0, usize::MAX).unwrap();
+            let (visible, _) = read(&log, 0, usize::MAX);
             let appended = i as u64 + 1;
             prop_assert_eq!(
                 visible.len() as u64,
@@ -204,6 +217,6 @@ proptest! {
             );
         }
         log.flush();
-        prop_assert_eq!(log.read(0, usize::MAX).unwrap().0.len(), payloads.len());
+        prop_assert_eq!(read(&log, 0, usize::MAX).0.len(), payloads.len());
     }
 }
