@@ -15,8 +15,8 @@
 //!
 //! Both run at two fetch budgets (64 KiB and 512 KiB — the paper's
 //! "hundreds of kilobytes" pull size). Throughput is payload MB/s.
-//! Acceptance: zero-copy ≥ 2x the copy path at 512 KiB fetches; snapshot
-//! lives in BENCH_kafka_fetch.json.
+//! Acceptance: zero-copy ≥ 2x the copy path at 512 KiB fetches (recorded
+//! in EXPERIMENTS.md C-21: single shot, 1-core host, 2026-08-06).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use li_kafka::broker::Broker;

@@ -23,7 +23,8 @@
 //! reaching 90% of it. The host is single-core, so the grouped win must
 //! come from doing *less work per message* under contention (fewer lock
 //! acquisitions, flush checks, and condvar broadcasts), not from
-//! parallel appends. Snapshot lives in BENCH_kafka_ingest.json.
+//! parallel appends. Prints a JSON line; EXPERIMENTS.md C-26 records a
+//! single shot of it (1-core host, 2026-08-09).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use li_commons::metrics::MetricsRegistry;
@@ -282,7 +283,7 @@ fn sweep() {
         "group commit must beat per-request appends at 8 producers on some Leader-ack row"
     );
 
-    // Machine-readable snapshot (recorded into BENCH_kafka_ingest.json).
+    // Machine-readable snapshot.
     let json_rows: Vec<String> = rows
         .iter()
         .map(|(path, ack, batch, partitions, producers, r)| {

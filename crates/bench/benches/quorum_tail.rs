@@ -24,7 +24,8 @@
 //!
 //! Acceptance: parallel p99 ≥ 2× better than serial; hedged p999 ≥ 2×
 //! better than serial with ≤ ~5% mean replica load increase over serial.
-//! Snapshot lives in BENCH_quorum_tail.json.
+//! Prints a JSON line; EXPERIMENTS.md C-22 records a single shot of it
+//! (1-core host, 2026-08-06).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -223,7 +224,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         serial.p999.as_secs_f64() / hedged.p999.as_secs_f64().max(1e-9),
         (hedged.load_per_read / serial.load_per_read - 1.0) * 100.0
     );
-    // Machine-readable snapshot for BENCH_quorum_tail.json.
+    // Machine-readable snapshot.
     print!("{{\"results\":[");
     for (i, stats) in [&serial, &parallel, &hedged].iter().enumerate() {
         if i > 0 {

@@ -19,20 +19,16 @@
 //!   generate/load wall split recorded — `generate + load > wall` is the
 //!   direct evidence the two phases overlapped.
 //!
-//! Every load point re-runs the full SLO gate set of `site_bench`
+//! Every load point re-runs the full SLO gate set of `li_bench::site`
 //! (per-tier p99, Databus/Kafka lag drained to zero, cross-tier write
 //! conservation), so a "fast" point that loses writes or leaves lag
 //! behind does not count. The knee is the highest-throughput point that
 //! still clears every gate. Snapshot lives in BENCH_site_scale.json.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use li_workload::SiteGraph;
-use linkedin_data_infra::{
-    PlatformConfig, PrepareStats, ShardMode, SiteBench, SiteBenchConfig, SiteBenchReport,
-    SloThresholds,
-};
+use li_bench::site::{recorded_platform, run, RunOptions, SiteBenchReport, SloThresholds};
+use linkedin_data_infra::{PrepareStats, ShardMode, SiteBench, SiteBenchConfig};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Duration;
 
 const MEMBERS: u64 = 2000;
@@ -65,17 +61,6 @@ fn sweep_slo() -> SloThresholds {
     }
 }
 
-fn platform_shape(mode: ShardMode) -> PlatformConfig {
-    PlatformConfig {
-        voldemort_nodes: 3,
-        kafka_brokers: 2,
-        espresso_nodes: 3,
-        espresso_partitions: 8,
-        activity_partitions: 4,
-        shard_mode: mode,
-    }
-}
-
 fn point_config(
     members: u64,
     drivers: usize,
@@ -83,19 +68,25 @@ fn point_config(
     mode: ShardMode,
 ) -> SiteBenchConfig {
     let mut config = SiteBenchConfig::smoke(members, drivers, ops_per_driver, SEED);
-    config.platform = platform_shape(mode);
-    config.slo = sweep_slo();
-    config.workers = SCHED_WORKERS;
+    config.platform = recorded_platform(mode);
     config
 }
 
-fn run_point(graph: &Arc<SiteGraph>, drivers: usize, mode: ShardMode) -> SiteBenchReport {
-    let bench = SiteBench::prepare_with_graph(
-        point_config(MEMBERS, drivers, OPS_TOTAL / drivers, mode),
-        graph.clone(),
-    )
-    .expect("prepare load point");
-    bench.run().expect("run load point")
+fn point_options(slo: SloThresholds) -> RunOptions {
+    RunOptions {
+        slo,
+        migrate_partitions: 0,
+        workers: SCHED_WORKERS,
+    }
+}
+
+/// One driver-sweep point. Every point prepares the same population —
+/// the graph is a pure function of (`MEMBERS`, `SEED`) — so the knee
+/// comes from load, not from a different graph shape per point.
+fn run_point(drivers: usize, mode: ShardMode) -> SiteBenchReport {
+    let bench = SiteBench::prepare(point_config(MEMBERS, drivers, OPS_TOTAL / drivers, mode))
+        .expect("prepare load point");
+    run(bench, &point_options(sweep_slo())).expect("run load point")
 }
 
 fn p99_ms(report: &SiteBenchReport, tier: &str) -> f64 {
@@ -117,12 +108,6 @@ fn secs(d: Duration) -> f64 {
 const BASELINE_DRIVERS: usize = 8;
 
 fn sweep_drivers() -> String {
-    // One population for every point: the knee must come from load, not
-    // from a different graph shape per point.
-    let graph = Arc::new(SiteGraph::generate(
-        &point_config(MEMBERS, 1, OPS_TOTAL, ShardMode::Parallel).graph,
-    ));
-
     println!(
         "\n=== C-24a: driver knee (population {MEMBERS}, {OPS_TOTAL} ops/point, \
          {SCHED_WORKERS} scheduler workers) ==="
@@ -140,7 +125,7 @@ fn sweep_drivers() -> String {
     );
     let mut points = Vec::new();
     for drivers in DRIVER_SWEEP {
-        let report = run_point(&graph, drivers, ShardMode::Parallel);
+        let report = run_point(drivers, ShardMode::Parallel);
         let slo_ok = report.all_gates_pass();
         println!(
             "{:>8} {:>10} {:>12.0} {:>9.3}ms {:>9.3}ms {:>9.3}ms {:>9.3}ms {:>8}",
@@ -179,7 +164,7 @@ fn sweep_drivers() -> String {
     // offered the same concurrency. This is the pre-sharding runtime —
     // the speedup of the sharded platform at the same driver count is
     // the figure of merit.
-    let baseline = run_point(&graph, BASELINE_DRIVERS, ShardMode::Deterministic);
+    let baseline = run_point(BASELINE_DRIVERS, ShardMode::Deterministic);
     let sharded_at_baseline = points
         .iter()
         .find(|(d, _, _)| *d == BASELINE_DRIVERS)
@@ -250,14 +235,13 @@ fn prepare_json(stats: &PrepareStats) -> String {
     let overlap = secs(stats.generate_wall) + secs(stats.load_wall) - secs(stats.wall);
     format!(
         "{{ \"wall_s\": {:.3}, \"generate_wall_s\": {:.3}, \"load_wall_s\": {:.3}, \
-         \"overlap_s\": {:.3}, \"chunks\": {}, \"chunk_members\": {}, \"overlapped\": {} }}",
+         \"overlap_s\": {:.3}, \"chunks\": {}, \"chunk_members\": {} }}",
         secs(stats.wall),
         secs(stats.generate_wall),
         secs(stats.load_wall),
         overlap,
         stats.chunks,
-        stats.chunk_members,
-        stats.overlapped
+        stats.chunk_members
     )
 }
 
@@ -280,7 +264,7 @@ fn sweep_population() -> String {
             println!("{members:>10} skipped (SITE_BENCH_MAX_MEMBERS={max_members})");
             continue;
         }
-        let mut config = point_config(
+        let config = point_config(
             members,
             POPULATION_DRIVERS,
             OPS_TOTAL / POPULATION_DRIVERS,
@@ -292,7 +276,7 @@ fn sweep_population() -> String {
         // at 10^5+ members (company inverted lists grow with the
         // population), and that latency is the honest reading. The smoke
         // budgets still trip on pathological serialization.
-        config.slo = SloThresholds::smoke();
+        let options = point_options(SloThresholds::smoke());
         let bench = SiteBench::prepare(config).expect("streaming prepare");
         let stats = bench.prepare_stats();
         // Progress marker between the phases: a stalled point is then
@@ -302,7 +286,7 @@ fn sweep_population() -> String {
             secs(stats.wall),
             stats.chunks
         );
-        let report = bench.run().expect("run population point");
+        let report = run(bench, &options).expect("run population point");
         let slo_ok = report.all_gates_pass();
         let overlap = secs(stats.generate_wall) + secs(stats.load_wall) - secs(stats.wall);
         println!(
@@ -352,13 +336,13 @@ fn bench_site_scale(c: &mut Criterion) {
     // Standard criterion report: one small end-to-end closed-loop run
     // (prepare + drive + gate evaluation) as a regression canary.
     let config = point_config(400, 2, 100, ShardMode::Parallel);
-    let graph = Arc::new(SiteGraph::generate(&config.graph));
+    let options = point_options(sweep_slo());
     let mut group = c.benchmark_group("site_scale");
     group.sample_size(10);
     group.bench_function("smoke_run", |b| {
         b.iter(|| {
-            let bench = SiteBench::prepare_with_graph(config.clone(), graph.clone()).unwrap();
-            black_box(bench.run().unwrap())
+            let bench = SiteBench::prepare(config.clone()).unwrap();
+            black_box(run(bench, &options).unwrap())
         })
     });
     group.finish();

@@ -6,9 +6,8 @@
 //! Knobs via env: `MEMBERS` (default 1_000_000), `DRIVERS` (128),
 //! `OPS_TOTAL` (12_800), `WORKERS` (8).
 
-use linkedin_data_infra::{
-    PlatformConfig, ShardMode, SiteBench, SiteBenchConfig, SloThresholds,
-};
+use li_bench::site::{recorded_platform, run, RunOptions};
+use linkedin_data_infra::{ShardMode, SiteBench, SiteBenchConfig};
 use std::time::Instant;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -26,16 +25,11 @@ fn main() {
 
     let mut config =
         SiteBenchConfig::smoke(members, drivers, ops_total / drivers, 42);
-    config.platform = PlatformConfig {
-        voldemort_nodes: 3,
-        kafka_brokers: 2,
-        espresso_nodes: 3,
-        espresso_partitions: 8,
-        activity_partitions: 4,
-        shard_mode: ShardMode::Parallel,
+    config.platform = recorded_platform(ShardMode::Parallel);
+    let options = RunOptions {
+        workers,
+        ..RunOptions::smoke()
     };
-    config.slo = SloThresholds::smoke();
-    config.workers = workers;
 
     eprintln!("[site_point] preparing {members} members...");
     let start = Instant::now();
@@ -51,7 +45,7 @@ fn main() {
 
     eprintln!("[site_point] running {drivers} drivers x {} ops...", ops_total / drivers);
     let run_start = Instant::now();
-    let report = bench.run().expect("run point");
+    let report = run(bench, &options).expect("run point");
     eprintln!(
         "[site_point] ran in {:.2?}: {:.0} ops/s, acked {}, slo_ok {}",
         run_start.elapsed(),

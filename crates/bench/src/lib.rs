@@ -1,7 +1,12 @@
-//! Benchmark harness support (targets live in benches/): the baselines and
-//! models that exist only to be measured against. No library crate calls
-//! them; each serves one comparison in the evaluation.
+//! Benchmark harness support (targets live in benches/): the site load
+//! harness, and the baselines and models that exist only to be measured
+//! against. No library crate calls them.
 //!
+//! * [`site`] — the closed-loop site driver over a prepared
+//!   `DataPlatform`: SLO and conservation gates, the run report (C-24,
+//!   C-25; `benches/site_scale.rs`, `tests/site_scale.rs`).
+//! * [`sched`] — the M:N scheduler multiplexing [`site`]'s logical
+//!   drivers onto a bounded worker pool.
 //! * [`chord`] — a Chord-style finger-table overlay, the O(log N) side of
 //!   C-4 (`benches/routing.rs`).
 //! * [`traditional_mq`] — a conventional message queue (per-message ids,
@@ -17,4 +22,6 @@
 pub mod chord;
 pub mod mixed;
 pub mod net;
+pub mod sched;
+pub mod site;
 pub mod traditional_mq;

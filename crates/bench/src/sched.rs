@@ -1,14 +1,13 @@
 //! M:N scheduling of logical closed-loop drivers onto bounded workers.
 //!
-//! `site_bench` used to spawn one OS thread per driver, which capped the
-//! concurrency sweep at ~32 drivers. Here N logical drivers — each a
-//! resumable state machine over its pre-split op stream — multiplex onto
-//! the W workers of a [`FanOutPool`]: every worker repeatedly pops a
-//! runnable driver from a shared FIFO, runs one quantum of its ops, and
-//! requeues it until the stream is exhausted. Hundreds of drivers run on
-//! a handful of OS threads, and the FIFO round-robins quanta so all
-//! drivers progress together (closed-loop fairness: no driver's offered
-//! load starves behind another's).
+//! N logical drivers — each a resumable state machine over its
+//! pre-split op stream — multiplex onto the W workers of a
+//! [`FanOutPool`]: every worker repeatedly pops a runnable driver from a
+//! shared FIFO, runs one quantum of its ops, and requeues it until the
+//! stream is exhausted. Hundreds of drivers run on a handful of OS
+//! threads, and the FIFO round-robins quanta — one quantum per turn — so
+//! all drivers progress together (closed-loop fairness: no driver's
+//! offered load starves behind another's).
 //!
 //! **Determinism contract:** [`run_serial`] is the collapsed twin — it
 //! runs each machine to completion in submission order on the calling

@@ -6,6 +6,7 @@
 //! Databus into derived-data systems (a Voldemort cache and a search
 //! index), while activity events flow through Kafka into online consumers
 //! and a mirrored offline cluster feeding a warehouse loader.
+//! [`population`] seeds that assembly with a member population.
 //!
 //! ```
 //! use linkedin_data_infra::platform::DataPlatform;
@@ -22,12 +23,11 @@
 
 pub mod consumers;
 pub mod platform;
-pub mod sched;
-pub mod site_bench;
+pub mod population;
 
 pub use li_commons::shard::ShardMode;
 pub use platform::{DataPlatform, PlatformConfig};
-pub use site_bench::{PrepareStats, SiteBench, SiteBenchConfig, SiteBenchReport, SloThresholds};
+pub use population::{PrepareStats, SiteBench, SiteBenchConfig};
 
 // The four systems, one roof.
 pub use li_commons as commons;

@@ -8,7 +8,7 @@
 //! with power-law skew (a minority of members generate most follows and
 //! activity). [`SiteGraph`] generates that population deterministically
 //! from one seed; [`SiteWorkload`] turns it into per-driver operation
-//! streams for the closed-loop `site_bench` harness.
+//! streams for the closed-loop `li_bench::site` harness.
 //!
 //! # Determinism contract
 //!

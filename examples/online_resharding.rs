@@ -1,4 +1,4 @@
-//! Online resharding under live traffic (ROADMAP item 4 / claim C-25).
+//! Online resharding under live traffic (claim C-25).
 //!
 //! The paper's serving systems assume static partition maps; this run
 //! moves partitions *while the closed-loop site workload hammers every
@@ -12,18 +12,22 @@
 //!
 //! Run with: `cargo run --release --example online_resharding`
 
-use linkedin_data_infra::site_bench::{SiteBench, SiteBenchConfig};
+use li_bench::site::{run, RunOptions};
+use linkedin_data_infra::{SiteBench, SiteBenchConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut config = SiteBenchConfig::smoke(1500, 3, 400, 42);
-    config.migrate_partitions = 2;
+    let config = SiteBenchConfig::smoke(1500, 3, 400, 42);
+    let options = RunOptions {
+        migrate_partitions: 2,
+        ..RunOptions::smoke()
+    };
 
     println!(
         "preparing: {} members, {} drivers x {} ops, {} Voldemort partition moves + 1 Espresso move in flight",
-        config.graph.members, config.drivers, config.ops_per_driver, config.migrate_partitions
+        config.graph.members, config.drivers, config.ops_per_driver, options.migrate_partitions
     );
     let bench = SiteBench::prepare(config)?;
-    let report = bench.run()?;
+    let report = run(bench, &options)?;
 
     println!("\n{}", report.summary());
 

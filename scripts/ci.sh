@@ -9,13 +9,19 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== one path per operation: deleted twins and moved baselines stay gone =="
+echo "== one path per operation: deleted twins, moved baselines and the moved site harness stay gone =="
 # The per-request/eager adapters are deleted and the bench-only baselines
 # live in crates/bench; -w keeps events_after_shared and
 # produce_frames_grouped legal.
 # (`set -e` ignores a `!`-negated command, hence the explicit exit.)
 if git grep -nwE 'events_after|produce_message|produce_frames|produce_transfer|TraditionalMq|ChordBaseline|MixedWorkload|TransferMode' -- crates ':!crates/bench' tests examples; then
   echo "ci.sh: a deleted twin or moved baseline is back (matches above)" >&2
+  exit 1
+fi
+# The site load harness (driver, SLO gates, report, M:N scheduler) lives in
+# crates/bench; li-core keeps only the population prepare.
+if git grep -nwE 'SloThresholds|SiteBenchReport|GateResult|DriverState|Resumable|run_on_pool|prepare_with_graph' -- crates ':!crates/bench'; then
+  echo "ci.sh: a site-harness name is back in a library crate (matches above)" >&2
   exit 1
 fi
 
@@ -105,11 +111,11 @@ SITE_SMOKE_WORKERS=4 \
 SITE_SMOKE_OPS=40 \
   timeout 300 cargo test -q --test site_scale site_smoke_clears_all_slo_gates
 
-echo "== site loader proptests: streaming == bulk prepare (default cases) =="
+echo "== site loader proptests: prepare is chunk-size invariant (default cases) =="
 # The chunk-invariance contract the pipelined prepare rides on: the
 # streaming loader must land the byte-identical primary commit stream
-# and router accounting as the bulk path at any chunk size, in both
-# shard modes.
+# and router accounting at any chunk size as from one whole-population
+# chunk, in both shard modes, and stream the graph `generate` builds.
 cargo test -q --test site_loader_props
 
 echo "== site smoke with migration in flight: online resharding mid-load (5 min budget) =="
@@ -128,6 +134,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo bench --workspace --no-run (bench targets compile-gate) =="
 cargo bench --workspace --no-run
+cargo build --release -p li-bench --example site_point
 
 echo "== site benchmark compile-gate (benchmark/ is its own workspace) =="
 # Nothing above builds benchmark/, so an API deletion under crates/ that

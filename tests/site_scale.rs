@@ -10,7 +10,8 @@
 //! logical drivers onto; `0` keeps the default bound, letting CI run
 //! e.g. 128 logical drivers on a handful of threads).
 
-use linkedin_data_infra::{PlatformConfig, SiteBench, SiteBenchConfig};
+use li_bench::site::{recorded_platform, run, RunOptions};
+use linkedin_data_infra::{ShardMode, SiteBench, SiteBenchConfig};
 
 const SEED: u64 = 42;
 
@@ -25,24 +26,22 @@ fn smoke_config() -> SiteBenchConfig {
     let members = env_u64("SITE_SMOKE_MEMBERS", 1500);
     let drivers = env_u64("SITE_SMOKE_DRIVERS", 3) as usize;
     let ops = env_u64("SITE_SMOKE_OPS", 400) as usize;
-    let workers = env_u64("SITE_SMOKE_WORKERS", 0) as usize;
     let mut config = SiteBenchConfig::smoke(members, drivers, ops, SEED);
-    config.workers = workers;
-    config.platform = PlatformConfig {
-        voldemort_nodes: 3,
-        kafka_brokers: 2,
-        espresso_nodes: 3,
-        espresso_partitions: 8,
-        activity_partitions: 4,
-        ..PlatformConfig::default()
-    };
+    config.platform = recorded_platform(ShardMode::Parallel);
     config
+}
+
+fn smoke_options() -> RunOptions {
+    RunOptions {
+        workers: env_u64("SITE_SMOKE_WORKERS", 0) as usize,
+        ..RunOptions::smoke()
+    }
 }
 
 #[test]
 fn site_smoke_clears_all_slo_gates() {
     let bench = SiteBench::prepare(smoke_config()).unwrap();
-    let report = bench.run().unwrap();
+    let report = run(bench, &smoke_options()).unwrap();
     assert!(
         report.all_gates_pass(),
         "SLO gate failures:\n{}",
@@ -73,7 +72,7 @@ fn site_smoke_clears_all_slo_gates() {
 fn same_seed_reproduces_metrics_snapshot_byte_identically() {
     let run = || {
         let bench = SiteBench::prepare(smoke_config()).unwrap();
-        let report = bench.run().unwrap();
+        let report = run(bench, &smoke_options()).unwrap();
         assert!(report.all_gates_pass(), "gates:\n{}", report.summary());
         report.conservation_fingerprint()
     };
@@ -110,10 +109,12 @@ fn same_seed_reproduces_metrics_snapshot_byte_identically() {
 /// the conservation subset for migration runs (see `conservation_subset`).
 #[test]
 fn site_smoke_with_migration_in_flight_clears_all_gates() {
-    let mut config = smoke_config();
-    config.migrate_partitions = 2;
-    let bench = SiteBench::prepare(config).unwrap();
-    let report = bench.run().unwrap();
+    let options = RunOptions {
+        migrate_partitions: 2,
+        ..smoke_options()
+    };
+    let bench = SiteBench::prepare(smoke_config()).unwrap();
+    let report = run(bench, &options).unwrap();
     assert!(
         report.all_gates_pass(),
         "SLO gate failures with migration in flight:\n{}",
@@ -144,7 +145,9 @@ fn different_seed_changes_the_fingerprint() {
         // Smaller load: this test only needs divergence, not coverage.
         config.ops_per_driver = 120;
         let bench = SiteBench::prepare(config).unwrap();
-        bench.run().unwrap().conservation_fingerprint()
+        run(bench, &smoke_options())
+            .unwrap()
+            .conservation_fingerprint()
     };
     assert_ne!(run(SEED), run(SEED + 1));
 }
