@@ -21,7 +21,7 @@ use crate::error::VoldemortError;
 use crate::migrate::{ActiveMigration, JournaledWrite, PartitionMigration};
 use crate::readonly::{ReadOnlyEngine, ReadOnlyStore};
 use crate::routing::Router;
-use crate::server::VoldemortNode;
+use crate::server::{node_scope, VoldemortNode};
 use crate::store::{EngineKind, StoreDef};
 
 /// A whole Voldemort cluster, in process. Nodes are real state machines;
@@ -202,6 +202,20 @@ impl VoldemortCluster {
         self.router.read().route(store, key)
     }
 
+    /// A fresh engine for the read-write store `def` on `node`; `None` for
+    /// the read-only kind, which is opened over a directory instead. The
+    /// log-structured engine reports under `voldemort.node<id>.<store>.`.
+    fn read_write_engine(&self, node: NodeId, def: &StoreDef) -> Option<Arc<dyn StorageEngine>> {
+        match def.engine {
+            EngineKind::Memory => Some(Arc::new(MemoryEngine::new())),
+            EngineKind::BdbLike => {
+                let scope = node_scope(&self.metrics, node).scope(&def.name);
+                Some(Arc::new(BdbLikeEngine::with_metrics(&scope)))
+            }
+            EngineKind::ReadOnly => None,
+        }
+    }
+
     /// Creates a store on every node (admin service "add store" — no
     /// downtime, existing stores unaffected). Read-write engines only; use
     /// [`VoldemortCluster::add_read_only_store`] for the pipeline-fed kind.
@@ -217,11 +231,9 @@ impl VoldemortCluster {
             return Err(VoldemortError::DuplicateStore(def.name));
         }
         for node in self.nodes.read().values() {
-            let engine: Arc<dyn StorageEngine> = match def.engine {
-                EngineKind::Memory => Arc::new(MemoryEngine::new()),
-                EngineKind::BdbLike => Arc::new(BdbLikeEngine::new()),
-                EngineKind::ReadOnly => unreachable!("rejected above"),
-            };
+            let engine = self
+                .read_write_engine(node.id(), &def)
+                .expect("read-only stores rejected above");
             node.add_store(&def.name, engine)?;
         }
         stores.insert(def.name.clone(), def);
@@ -722,16 +734,12 @@ impl VoldemortCluster {
             }
             let node = Arc::new(VoldemortNode::with_metrics(id, &self.metrics));
             for def in self.stores.read().values() {
-                let engine: Arc<dyn StorageEngine> = match def.engine {
-                    EngineKind::Memory => Arc::new(MemoryEngine::new()),
-                    EngineKind::BdbLike => Arc::new(BdbLikeEngine::new()),
-                    EngineKind::ReadOnly => {
-                        return Err(VoldemortError::Admin(
-                            "cannot dynamically add a node to a cluster with read-only \
-                             stores; rebuild and re-pull instead"
-                                .into(),
-                        ))
-                    }
+                let Some(engine) = self.read_write_engine(id, def) else {
+                    return Err(VoldemortError::Admin(
+                        "cannot dynamically add a node to a cluster with read-only \
+                         stores; rebuild and re-pull instead"
+                            .into(),
+                    ));
                 };
                 node.add_store(&def.name, engine)?;
             }

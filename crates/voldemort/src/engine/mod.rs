@@ -51,9 +51,9 @@ pub trait StorageEngine: Send + Sync {
 }
 
 /// Shared sibling-slot mutation used by the read-write engines.
-pub(crate) fn slot_put(
-    slot: &mut Vec<Versioned<Bytes>>,
-    value: Versioned<Bytes>,
+pub(crate) fn slot_put<V>(
+    slot: &mut Vec<Versioned<V>>,
+    value: Versioned<V>,
 ) -> Result<(), VoldemortError> {
     if li_commons::clock::resolve_siblings(slot, value) {
         Ok(())
@@ -63,7 +63,7 @@ pub(crate) fn slot_put(
 }
 
 /// Shared delete logic: drop versions `<= clock`.
-pub(crate) fn slot_delete(slot: &mut Vec<Versioned<Bytes>>, clock: &VectorClock) -> bool {
+pub(crate) fn slot_delete<V>(slot: &mut Vec<Versioned<V>>, clock: &VectorClock) -> bool {
     let before = slot.len();
     slot.retain(|v| {
         !matches!(

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use li_commons::clock::{VectorClock, Versioned};
-use li_commons::metrics::{Counter, Gauge, MetricsRegistry};
+use li_commons::metrics::{Counter, Gauge, MetricsRegistry, MetricsScope};
 use li_commons::ring::NodeId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -25,9 +25,15 @@ struct NodeMetrics {
     hints_pending: Gauge,
 }
 
+/// `voldemort.node<id>` in `registry`: where node `id` and the engines it
+/// hosts report.
+pub(crate) fn node_scope(registry: &Arc<MetricsRegistry>, id: NodeId) -> MetricsScope {
+    registry.scope(format!("voldemort.node{}", id.0))
+}
+
 impl NodeMetrics {
     fn new(registry: &Arc<MetricsRegistry>, id: NodeId) -> Self {
-        let scope = registry.scope(format!("voldemort.node{}", id.0));
+        let scope = node_scope(registry, id);
         NodeMetrics {
             gets: scope.counter("get.count"),
             multigets: scope.counter("multiget.count"),

@@ -34,6 +34,13 @@ cargo test -q --workspace
 echo "== quorum proptests: 64 cases (default is 24) =="
 QUORUM_PROPTEST_CASES=64 cargo test -q --test voldemort_quorum_props
 
+echo "== engine log proptests: 64 cases (default is 24) =="
+# The BDB-like engine's log against a reference: suffix-log replay ==
+# whole-value-log replay == the in-memory engine fed the same puts,
+# force_puts, deletes and compacts, at every crash point (a log cut at
+# any byte recovers to the state after its last whole frame).
+ENGINE_PROPTEST_CASES=64 cargo test -q --test voldemort_engine_props
+
 echo "== relay proptests: 64 cases (default is 24) =="
 RELAY_PROPTEST_CASES=64 cargo test -q --test databus_relay_props
 

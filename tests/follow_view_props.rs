@@ -25,6 +25,11 @@
 //! consumers (one append per edge event, no coalescing). The replica-down
 //! cases run once, on the deterministic inline path.
 //!
+//! Every view's stores run on log-structured engines the test holds, and
+//! wherever a view is checked each replica's log must replay to what the
+//! replica serves — appends logged as suffix records, hint replay, read
+//! repair and the sibling-union put included.
+//!
 //! Case count: `FOLLOW_VIEW_PROPTEST_CASES` (default 24; CI runs 64).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -38,6 +43,7 @@ use li_databus::{BootstrapServer, DatabusClient, LogShippingAdapter, Relay, Stre
 use li_sqlstore::{Database, DbError, RowKey};
 use bytes::Bytes;
 use li_commons::clock::Versioned;
+use li_voldemort::engine::{BdbLikeEngine, StorageEngine};
 use li_voldemort::{StoreDef, VoldemortCluster};
 use linkedin_data_infra::DataPlatform;
 use linkedin_data_infra::consumers::{
@@ -66,6 +72,8 @@ struct View {
     cluster: Arc<VoldemortCluster>,
     registry: Arc<MetricsRegistry>,
     client: Arc<DatabusClient>,
+    /// The engine of each store on each node.
+    engines: Vec<Arc<BdbLikeEngine>>,
 }
 
 impl View {
@@ -79,8 +87,17 @@ impl View {
             &registry,
         )
         .unwrap();
+        let mut engines = Vec::new();
         for store in ["member-follows", "company-followers"] {
             cluster.add_store(StoreDef::read_write(store)).unwrap();
+            // The same engine kind, but one the test can ask for its log.
+            for id in &nodes {
+                let node = cluster.node(*id).unwrap();
+                let engine = Arc::new(BdbLikeEngine::new());
+                node.remove_store(store).unwrap();
+                node.add_store(store, engine.clone()).unwrap();
+                engines.push(engine);
+            }
         }
         let cacher = CompanyFollowCacher::new(
             cluster.client("member-follows").unwrap(),
@@ -91,7 +108,24 @@ impl View {
             cluster,
             registry,
             client: Arc::new(client.with_batch(1)),
+            engines,
         }
+    }
+
+    /// A crash of any replica now loses nothing: its log replays to exactly
+    /// what it serves.
+    fn check_logs(&self) -> Result<(), String> {
+        for engine in &self.engines {
+            let recovered = BdbLikeEngine::recover(&engine.log_bytes());
+            if recovered.entries() != engine.entries() {
+                return Err(format!(
+                    "a log replays to {:?}, its engine serves {:?}",
+                    recovered.entries(),
+                    engine.entries()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The cached list under every key of `want`, each id exactly once.
@@ -128,7 +162,8 @@ impl View {
 
     fn check_both(&self, follows: &Lists, followers: &Lists) -> Result<(), String> {
         self.check("member-follows", member_row_key, follows)?;
-        self.check("company-followers", company_row_key, followers)
+        self.check("company-followers", company_row_key, followers)?;
+        self.check_logs()
     }
 
     fn puts_per_node(&self) -> Vec<u64> {
@@ -319,11 +354,27 @@ fn follow_cost_does_not_grow_with_the_follower_list() {
         row.unwrap().etag
     };
     let (etag_before, buffered_before) = (etag(&platform), platform.relay.buffered_bytes());
+    // Every replica's engine log, of both list stores.
+    let logged = |p: &DataPlatform| -> i64 {
+        let snapshot = p.metrics_snapshot();
+        let names = snapshot.iter().map(|(name, _)| name);
+        names
+            .filter(|name| name.starts_with("voldemort.node") && name.ends_with(".log_bytes"))
+            .filter_map(|name| snapshot.gauge(name))
+            .sum()
+    };
 
     platform.follow_company(50_000, 7).unwrap();
     let grew = platform.relay.buffered_bytes() - buffered_before;
     assert!(grew < 256, "one follow put {grew} B on the relay");
     assert_eq!(etag(&platform), etag_before, "the packed row is not rewritten");
+    let logged_before = logged(&platform);
+    assert!(logged_before > 2 * 400_000, "the loaded list, on two replicas");
+    platform.pump().unwrap();
+    // Two replicas of the 400 KB list take a suffix record each, two of the
+    // member's new list a first write.
+    let grew = logged(&platform) - logged_before;
+    assert!((1..1024).contains(&grew), "one follow logged {grew} B");
 
     // Re-following a loaded edge commits an edge row but appends nothing.
     platform.follow_company(3, 7).unwrap();
@@ -369,6 +420,7 @@ fn a_bounced_replica_heals_at_the_next_follow_of_its_key() {
     let followers = Lists::from([(7, (1..=5).collect())]);
     view.check_replicas("company-followers", company_row_key, &followers).unwrap();
     view.check("company-followers", company_row_key, &followers).unwrap();
+    view.check_logs().unwrap();
 }
 
 proptest! {
@@ -419,6 +471,7 @@ proptest! {
         if let Some(node) = down {
             view.restart(node);
         }
+        view.check_logs().map_err(TestCaseError::fail)?;
 
         // Nothing is lost: whatever the replicas hold between them unions
         // to the model. (A serving read at R=1 may still see one replica's
@@ -446,5 +499,6 @@ proptest! {
         view.client.catch_up().map_err(|e| TestCaseError::fail(e.to_string()))?;
         view.check_replicas("member-follows", member_row_key, &follows).map_err(TestCaseError::fail)?;
         view.check_replicas("company-followers", company_row_key, &followers).map_err(TestCaseError::fail)?;
+        view.check_logs().map_err(TestCaseError::fail)?;
     }
 }
