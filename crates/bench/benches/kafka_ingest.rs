@@ -27,8 +27,6 @@
 //! single shot of it (1-core host, 2026-08-09).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use li_commons::metrics::MetricsRegistry;
-use li_commons::shard::ShardMode;
 use li_commons::sim::RealClock;
 use li_kafka::log::LogConfig;
 use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
@@ -79,14 +77,7 @@ fn fresh_cluster(partitions: u32) -> (Arc<KafkaCluster>, Arc<ReplicatedCluster>)
         flush_latency: FLUSH_LATENCY,
         ..LogConfig::default()
     };
-    let cluster = KafkaCluster::with_shard_mode(
-        3,
-        config,
-        Arc::new(RealClock::new()),
-        &MetricsRegistry::new(),
-        ShardMode::Parallel,
-    )
-    .unwrap();
+    let cluster = KafkaCluster::with_parts(3, config, Arc::new(RealClock::new())).unwrap();
     let rc = Arc::new(ReplicatedCluster::new(cluster.clone()));
     rc.create_topic("ingest", partitions, 3).unwrap();
     (cluster, rc)

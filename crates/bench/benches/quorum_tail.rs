@@ -2,8 +2,8 @@
 //! serial walk vs parallel fan-out vs hedged reads.
 //!
 //! Paper §II.B: Voldemort reads are quorum reads against the key's
-//! preference list. The legacy client walked replicas *serially*, so one
-//! slow replica set the whole request's critical path. The fan-out
+//! preference list. A client that walks replicas *serially* puts one
+//! slow replica on the whole request's critical path. The fan-out
 //! executor contacts replicas concurrently and completes at R acks; a
 //! hedged read keeps the contact budget at R and launches one backup
 //! request only after a quantile-derived delay (Dean & Barroso's
@@ -16,7 +16,8 @@
 //! modes replay the identical stall schedule with real sleeps
 //! (`simulate_latency`), so completion order is decided by link latency.
 //!
-//! * **serial** — `FanOutMode::Serial`, quorum width: the legacy path.
+//! * **serial** — `FanOutMode::Deterministic`, quorum width: R replicas
+//!   contacted inline, one after the other, each link slept in turn.
 //! * **parallel** — `FanOutMode::Parallel`, `ReadFanOut::All`: contact
 //!   every replica, return at R. Masks the stall at +N/R× replica load.
 //! * **hedged** — `FanOutMode::Parallel`, quorum width + `HedgeConfig`:
@@ -166,7 +167,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         &keys,
         "serial",
         QuorumConfig {
-            mode: FanOutMode::Serial,
+            mode: FanOutMode::Deterministic,
             simulate_latency: true,
             ..QuorumConfig::default()
         },
@@ -264,7 +265,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
         (
             "serial",
             QuorumConfig {
-                mode: FanOutMode::Serial,
+                mode: FanOutMode::Deterministic,
                 simulate_latency: true,
                 ..QuorumConfig::default()
             },

@@ -101,10 +101,11 @@ fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// Drivers at which the sharded runtime is compared against its
-/// serialized (single-stripe, `ShardMode::Deterministic`) twin: the same
-/// concurrency offered to a platform that takes one global stripe per
-/// tier, i.e. the pre-sharding serving runtime.
+/// Drivers at which the pooled run is compared against the
+/// `ShardMode::Deterministic` run of the same logical drivers: serial on
+/// the calling thread, no push dispatcher, Espresso inline. (Stripe
+/// counts are the same on both sides since PR 18; the row recorded in
+/// `BENCH_site_scale.json` predates that and also collapsed the stripes.)
 const BASELINE_DRIVERS: usize = 8;
 
 fn sweep_drivers() -> String {
@@ -159,11 +160,10 @@ fn sweep_drivers() -> String {
         .expect("at least one load point must clear the gates");
     println!("knee: {knee} drivers (highest-throughput SLO-clean point)");
 
-    // Serialized baseline: the deterministic twin (every striped lock
-    // collapsed to one stripe, scheduler collapsed to the serial twin)
-    // offered the same concurrency. This is the pre-sharding runtime —
-    // the speedup of the sharded platform at the same driver count is
-    // the figure of merit.
+    // Serialized baseline: the same logical drivers run one after the
+    // other on this thread (`sched::run_serial`), with no dispatcher —
+    // the speedup of the pooled run at the same driver count is the
+    // figure of merit.
     let baseline = run_point(BASELINE_DRIVERS, ShardMode::Deterministic);
     let sharded_at_baseline = points
         .iter()

@@ -37,7 +37,6 @@ use std::time::{Duration, Instant};
 use li_commons::exec::FanOutPool;
 use li_commons::hist::Histogram;
 use li_commons::metrics::{Counter, HistogramSummary, MetricValue, MetricsSnapshot};
-use li_commons::shard::ShardMode;
 use li_kafka::{Partitioner, Producer};
 use li_workload::datasets::PymkRecord;
 use li_workload::site::{expected_follow_sets, SiteGraph, SiteMix, SiteOp, SiteWorkload};
@@ -45,7 +44,7 @@ use linkedin_data_infra::consumers::member_row_key;
 use linkedin_data_infra::platform::{
     DataPlatform, PlatformConfig, PlatformError, ACTIVITY_TOPIC, PROFILE_DB,
 };
-use linkedin_data_infra::{PrepareStats, SiteBench};
+use linkedin_data_infra::{PrepareStats, ShardMode, SiteBench};
 
 use crate::sched::{run_on_pool, run_serial, Resumable};
 

@@ -8,19 +8,17 @@
 //! * [`FanOutPool`] — a small bounded worker pool (plain threads, no async
 //!   runtime) that quorum coordinators share.
 //! * [`fan_out`] — launch a set of replica tasks, wait for the first
-//!   `required` successes, replace failures with backup tasks, optionally
-//!   *hedge* (issue one speculative backup after a delay) and enforce an
-//!   overall deadline. Stragglers are demoted to a `late` callback instead
-//!   of blocking the caller.
+//!   `required` successes, replace failures with backup tasks and
+//!   optionally *hedge* (issue one speculative backup after a delay).
+//!   Stragglers are demoted to a `late` callback instead of blocking the
+//!   caller.
 //!
 //! # Determinism contract
 //!
 //! Thread scheduling is inherently nondeterministic, but the chaos harness
 //! (`li_commons::chaos`) requires byte-identical replays. [`FanOutMode`]
-//! therefore offers three execution strategies:
+//! therefore offers two execution strategies:
 //!
-//! * [`FanOutMode::Serial`] — the legacy walk: run tasks one at a time and
-//!   stop at `required` successes. Exists as the comparison baseline.
 //! * [`FanOutMode::Deterministic`] — run every launched task inline, in
 //!   submission order, on the calling thread. Latencies are *accounted*
 //!   (the caller sums simulated latencies as if the tasks had overlapped)
@@ -29,14 +27,13 @@
 //!   — is a pure function of the inputs. This is the default for
 //!   simulation and the mode chaos replays use.
 //! * [`FanOutMode::Parallel`] — real threads from the pool, wall-clock
-//!   hedging and deadlines. Used by benchmarks and production-like runs
-//!   where throughput matters more than replayability.
+//!   hedging. Used by benchmarks and production-like runs where
+//!   throughput matters more than replayability.
 //!
-//! Serial and Deterministic contact the same nodes in the same order and
-//! produce the same result sets; Parallel contacts the same nodes but may
-//! observe completions in any order (callers sort by preference-list
-//! position before merging, so *results* still match when task outcomes
-//! are themselves deterministic).
+//! Parallel contacts the same nodes as Deterministic but may observe
+//! completions in any order (callers sort by preference-list position
+//! before merging, so *results* still match when task outcomes are
+//! themselves deterministic).
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -175,13 +172,11 @@ impl Drop for FanOutPool {
 /// determinism contract behind each mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanOutMode {
-    /// Legacy serial walk: stop launching once `required` successes arrive.
-    Serial,
     /// Inline, submission-ordered execution of every launched task —
     /// replayable; simulated latencies overlap by accounting, not threads.
     #[default]
     Deterministic,
-    /// Real threads, wall-clock hedging and deadlines.
+    /// Real threads, wall-clock hedging.
     Parallel,
 }
 
@@ -221,9 +216,6 @@ pub struct FanOutOptions {
     /// Parallel only: if the quorum is still unmet after this delay, launch
     /// one backup task speculatively (a hedged request).
     pub hedge_delay: Option<Duration>,
-    /// Parallel only: give up waiting (not on the tasks — they keep
-    /// running and report to `late`) after this much wall time.
-    pub overall_deadline: Option<Duration>,
 }
 
 /// What [`fan_out`] observed.
@@ -295,35 +287,28 @@ where
     T: Send + 'static,
     E: Send + 'static,
 {
-    match opts.mode {
-        FanOutMode::Serial => run_serial(opts, primary, backups, is_fatal, false),
-        FanOutMode::Deterministic => run_serial(opts, primary, backups, is_fatal, true),
-        FanOutMode::Parallel => match pool {
-            Some(pool) => run_parallel(pool, opts, primary, backups, is_fatal, late),
-            // No pool: degrade gracefully to the replayable inline mode.
-            None => run_serial(opts, primary, backups, is_fatal, true),
-        },
+    match (opts.mode, pool) {
+        (FanOutMode::Parallel, Some(pool)) => {
+            run_parallel(pool, opts, primary, backups, is_fatal, late)
+        }
+        // Parallel without a pool degrades to the replayable inline mode.
+        _ => run_inline(opts, primary, backups, is_fatal),
     }
 }
 
-/// Serial and Deterministic share one inline loop; `run_all` distinguishes
-/// them (Deterministic keeps executing launched tasks past the quorum so
+/// The inline loop keeps executing launched tasks past the quorum so
 /// every contacted replica's side effects happen inline, matching what
-/// Parallel would eventually do via stragglers).
-fn run_serial<T, E>(
+/// Parallel would eventually do via stragglers.
+fn run_inline<T, E>(
     opts: &FanOutOptions,
     primary: Vec<FanOutTask<T, E>>,
     backups: Vec<FanOutTask<T, E>>,
     is_fatal: Option<&dyn Fn(&E) -> bool>,
-    run_all: bool,
 ) -> FanOutReport<T, E> {
     let mut report = FanOutReport::empty(opts.required);
     let mut backups = backups.into_iter();
     let mut work: VecDeque<FanOutTask<T, E>> = primary.into();
     while let Some(task) = work.pop_front() {
-        if !run_all && report.satisfied() {
-            break;
-        }
         report.launched += 1;
         match (task.run)() {
             Ok(value) => {
@@ -400,21 +385,12 @@ where
 
     let start = Instant::now();
     let mut hedged_keys: Vec<u64> = Vec::new();
-    let mut hedge_armed = opts.hedge_delay.is_some();
+    let mut hedge_at = opts.hedge_delay;
     while !report.satisfied() && pending > 0 {
-        let now = start.elapsed();
-        // Wake at the next interesting instant: hedge fire or deadline.
-        let mut wait = Duration::from_secs(3600);
-        if hedge_armed {
-            let hedge_at = opts.hedge_delay.unwrap_or_default();
-            wait = wait.min(hedge_at.saturating_sub(now));
-        }
-        if let Some(deadline) = opts.overall_deadline {
-            if now >= deadline {
-                break;
-            }
-            wait = wait.min(deadline - now);
-        }
+        // Wake when the hedge is due; until then only a completion matters.
+        let wait = hedge_at.map_or(Duration::from_secs(3600), |at| {
+            at.saturating_sub(start.elapsed())
+        });
         match rx.recv_timeout(wait) {
             Ok((key, Some(Ok(value)))) => {
                 pending -= 1;
@@ -455,20 +431,14 @@ where
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                let now = start.elapsed();
-                if hedge_armed && now >= opts.hedge_delay.unwrap_or_default() {
-                    hedge_armed = false;
+                if hedge_at.is_some_and(|at| start.elapsed() >= at) {
+                    hedge_at = None;
                     if let Some(backup) = backups.next() {
                         hedged_keys.push(backup.key);
                         launch(backup);
                         report.launched += 1;
                         report.hedges += 1;
                         pending += 1;
-                    }
-                }
-                if let Some(deadline) = opts.overall_deadline {
-                    if now >= deadline {
-                        break;
                     }
                 }
             }
@@ -517,22 +487,6 @@ mod tests {
             log.lock().push(key);
             Err(format!("fail-{key}"))
         })
-    }
-
-    #[test]
-    fn serial_stops_at_quorum() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let primary = (0..4).map(|k| ok_task(k, &log)).collect();
-        let opts = FanOutOptions {
-            mode: FanOutMode::Serial,
-            required: 2,
-            ..Default::default()
-        };
-        let report = fan_out(None, &opts, primary, vec![], None, None);
-        assert!(report.satisfied());
-        assert_eq!(report.quorum, vec![(0, 0), (1, 10)]);
-        assert_eq!(*log.lock(), vec![0, 1], "serial stops after R successes");
-        assert!(report.extras.is_empty());
     }
 
     #[test]
@@ -651,42 +605,12 @@ mod tests {
             mode: FanOutMode::Parallel,
             required: 1,
             hedge_delay: Some(Duration::from_millis(5)),
-            ..Default::default()
         };
         let report = fan_out(Some(&pool), &opts, primary, backups, None, None);
         assert!(report.satisfied());
         assert_eq!(report.quorum, vec![(7, 70)]);
         assert_eq!(report.hedges, 1);
         assert_eq!(report.hedge_wins, 1);
-        let (lock, cv) = &*release;
-        *lock.lock() = true;
-        cv.notify_all();
-        pool.wait_idle();
-    }
-
-    #[test]
-    fn parallel_deadline_returns_unsatisfied() {
-        let pool = FanOutPool::new(2);
-        let release = Arc::new((Mutex::new(false), Condvar::new()));
-        let primary: Vec<FanOutTask<u64, String>> = vec![{
-            let release = Arc::clone(&release);
-            FanOutTask::new(0, move || {
-                let (lock, cv) = &*release;
-                let mut go = lock.lock();
-                while !*go {
-                    cv.wait(&mut go);
-                }
-                Ok(0)
-            })
-        }];
-        let opts = FanOutOptions {
-            mode: FanOutMode::Parallel,
-            required: 1,
-            overall_deadline: Some(Duration::from_millis(10)),
-            ..Default::default()
-        };
-        let report = fan_out(Some(&pool), &opts, primary, vec![], None, None);
-        assert!(!report.satisfied(), "deadline elapsed without a success");
         let (lock, cv) = &*release;
         *lock.lock() = true;
         cv.notify_all();

@@ -26,14 +26,13 @@
 //!   paper's systems assume (MD5-keyed read-only indexes, CRC-framed log
 //!   entries, hash routing, compact integer framing).
 //! * [`exec`] — a bounded fan-out executor (worker pool + quorum waiter
-//!   with hedging and deadlines) behind Voldemort's parallel quorum I/O,
-//!   with a deterministic inline mode for chaos replays.
+//!   with hedging) behind Voldemort's parallel quorum I/O, with a
+//!   deterministic inline mode for chaos replays.
 //! * [`hist`] — a latency histogram for the benchmark harness.
 //! * [`metrics`] — the unified metrics registry (counters, gauges,
 //!   histograms) every system exports its observability through.
 //! * [`shard`] — hash-striped locks with ordered multi-stripe acquisition
-//!   (the partitioned-state substrate behind the sharded serving runtime),
-//!   with a deterministic one-stripe twin for chaos replays.
+//!   (the partitioned-state substrate behind the sharded serving runtime).
 //! * [`watch`] — a single-value watch channel for config/external-view and
 //!   high-water-mark propagation instead of polling.
 

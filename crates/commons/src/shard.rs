@@ -9,26 +9,13 @@
 //! operations acquire their stripes in ascending index order so no two
 //! transactions can deadlock no matter which keys they touch.
 //!
-//! Like [`crate::exec::FanOutMode`], every user of this primitive keeps a
-//! deterministic twin: [`ShardMode::Deterministic`] degenerates to one
-//! logical stripe, which makes the sharded code path byte-identical to
-//! the old single-lock behavior — the property the seeded chaos harness
-//! relies on for replayable traces.
+//! The stripe count is a constant of the structure that owns the lock, not
+//! a run mode: which stripe a key lands on changes nothing an operation
+//! returns, so a replay driven from one thread is the same at any count.
 
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-
-/// How a sharded structure spreads its state over stripes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// One logical stripe: every key contends on the same lock, exactly
-    /// reproducing the pre-sharding serial behavior (chaos replays).
-    Deterministic,
-    /// The configured stripe count: disjoint keys proceed concurrently.
-    #[default]
-    Parallel,
-}
 
 /// `N` hash-striped instances of `S` behind independent mutexes.
 ///
@@ -39,7 +26,6 @@ pub enum ShardMode {
 /// all stripes, never before.
 pub struct ShardedLock<S> {
     stripes: Vec<Mutex<S>>,
-    mode: ShardMode,
 }
 
 impl<S: std::fmt::Debug> std::fmt::Debug for ShardedLock<S> {
@@ -55,33 +41,7 @@ impl<S> ShardedLock<S> {
     pub fn new(stripes: usize, init: impl Fn() -> S) -> Self {
         ShardedLock {
             stripes: (0..stripes.max(1)).map(|_| Mutex::new(init())).collect(),
-            mode: ShardMode::Parallel,
         }
-    }
-
-    /// [`Self::new`], but [`ShardMode::Deterministic`] collapses to one
-    /// stripe regardless of `stripes`.
-    pub fn with_mode(mode: ShardMode, stripes: usize, init: impl Fn() -> S) -> Self {
-        let mut lock = match mode {
-            ShardMode::Deterministic => Self::new(1, init),
-            ShardMode::Parallel => Self::new(stripes, init),
-        };
-        lock.mode = mode;
-        lock
-    }
-
-    /// Number of stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// The mode this lock was built with. Structures layering their own
-    /// concurrency on top of the stripes (e.g. the Kafka ingest queues,
-    /// which collapse drainer hand-off to inline execution in
-    /// [`ShardMode::Deterministic`]) read this instead of threading the
-    /// mode through a second channel.
-    pub fn mode(&self) -> ShardMode {
-        self.mode
     }
 
     /// The stripe a key hashes to. Stable for the lifetime of the value
@@ -95,12 +55,7 @@ impl<S> ShardedLock<S> {
 
     /// Locks the stripe holding `key`.
     pub fn lock<K: Hash + ?Sized>(&self, key: &K) -> MutexGuard<'_, S> {
-        self.lock_stripe(self.stripe_of(key))
-    }
-
-    /// Locks stripe `index` directly.
-    pub fn lock_stripe(&self, index: usize) -> MutexGuard<'_, S> {
-        self.stripes[index].lock()
+        self.stripes[self.stripe_of(key)].lock()
     }
 
     /// The sorted, deduplicated stripe set covering `keys` — the exact
@@ -134,24 +89,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
-
-    #[test]
-    fn deterministic_mode_is_one_stripe() {
-        let sharded: ShardedLock<u32> = ShardedLock::with_mode(ShardMode::Deterministic, 64, || 0);
-        assert_eq!(sharded.stripe_count(), 1);
-        let sharded: ShardedLock<u32> = ShardedLock::with_mode(ShardMode::Parallel, 64, || 0);
-        assert_eq!(sharded.stripe_count(), 64);
-    }
-
-    #[test]
-    fn mode_accessor_reports_construction_mode() {
-        let det: ShardedLock<u32> = ShardedLock::with_mode(ShardMode::Deterministic, 64, || 0);
-        assert_eq!(det.mode(), ShardMode::Deterministic);
-        let par: ShardedLock<u32> = ShardedLock::with_mode(ShardMode::Parallel, 64, || 0);
-        assert_eq!(par.mode(), ShardMode::Parallel);
-        let plain: ShardedLock<u32> = ShardedLock::new(4, || 0);
-        assert_eq!(plain.mode(), ShardMode::Parallel);
-    }
 
     #[test]
     fn stripe_of_is_stable_and_in_range() {

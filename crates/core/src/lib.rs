@@ -25,8 +25,7 @@ pub mod consumers;
 pub mod platform;
 pub mod population;
 
-pub use li_commons::shard::ShardMode;
-pub use platform::{DataPlatform, PlatformConfig};
+pub use platform::{DataPlatform, PlatformConfig, ShardMode};
 pub use population::{PrepareStats, SiteBench, SiteBenchConfig};
 
 // The four systems, one roof.

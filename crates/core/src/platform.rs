@@ -1,7 +1,7 @@
 //! The Figure I.1 assembly: primary store → Databus → derived systems;
 //! activity events → Kafka → online consumers + offline warehouse.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -9,7 +9,6 @@ use li_commons::metrics::{MetricsRegistry, MetricsSnapshot};
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator};
 use li_commons::ring::{HashRing, NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
-use li_commons::shard::ShardMode;
 use li_commons::sim::{RealClock, SimNetwork};
 use li_databus::{BootstrapServer, DatabusClient, LogShippingAdapter, Relay, StreamDispatcher};
 use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
@@ -56,6 +55,23 @@ fn wrap<E: std::fmt::Display>(e: E) -> PlatformError {
     PlatformError(e.to_string())
 }
 
+/// How many threads drive a site run, and nothing else: no structure
+/// below the platform reads it (stripe counts are constants, every
+/// produce is a group commit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ShardMode {
+    /// One driving thread, so a seeded run replays byte for byte:
+    /// [`crate::SiteBench::prepare`] and `li_bench::site` start no push
+    /// dispatcher, `li_bench::site` runs its drivers one after the other
+    /// on the calling thread, and Espresso's multi-key requests run
+    /// inline ([`li_commons::exec::FanOutMode::Deterministic`]).
+    Deterministic,
+    /// Push-dispatch threads, a driver worker pool, and Espresso's
+    /// multi-key requests on its fan-out pool (`FanOutMode::Parallel`).
+    #[default]
+    Parallel,
+}
+
 /// Sizing knobs for [`DataPlatform::with_config`]. `Default` matches the
 /// shape `DataPlatform::new(3, 2)` used to build, plus a 3-node Espresso
 /// tier.
@@ -71,10 +87,7 @@ pub struct PlatformConfig {
     pub espresso_partitions: u32,
     /// Partitions of the activity topic.
     pub activity_partitions: u32,
-    /// Shard mode for every striped structure in the platform (the
-    /// primary store's row stripes). `Deterministic` collapses
-    /// them all to single locks — the serialized twin used for chaos
-    /// replays and as the scaling baseline.
+    /// Threads beside the caller's (see [`ShardMode`]).
     pub shard_mode: ShardMode,
 }
 
@@ -131,6 +144,9 @@ pub struct DataPlatform {
     member_follows: StoreClient,
     company_followers: StoreClient,
     pymk: Mutex<Option<PymkTier>>,
+    /// Read client of the PYMK store, held like the two above: set once
+    /// by the first [`Self::load_pymk`], read without the tier mutex.
+    pymk_client: OnceLock<StoreClient>,
 }
 
 impl DataPlatform {
@@ -158,13 +174,11 @@ impl DataPlatform {
         // it, so a single snapshot shows the full pipeline.
         let metrics = MetricsRegistry::new();
 
-        // Primary store (Oracle analog) with the site's tables, row-striped
-        // per the platform shard mode.
-        let primary = Arc::new(Database::with_shard_mode(
+        // Primary store (Oracle analog) with the site's tables.
+        let primary = Arc::new(Database::with_metrics(
             "primary",
             Arc::new(RealClock::new()),
             &metrics,
-            shard_mode,
         ));
         for table in [
             "member_follows",
@@ -282,9 +296,6 @@ impl DataPlatform {
         )
         .map_err(wrap)?;
         espresso.create_database(profile_schema).map_err(wrap)?;
-        // Multi-key profile requests fan out across storage-node
-        // sub-batches when the platform runs sharded; the Deterministic
-        // twin keeps them inline and replayable.
         espresso.set_fan_out_mode(match shard_mode {
             ShardMode::Parallel => li_commons::exec::FanOutMode::Parallel,
             ShardMode::Deterministic => li_commons::exec::FanOutMode::Deterministic,
@@ -309,6 +320,7 @@ impl DataPlatform {
             member_follows,
             company_followers,
             pymk: Mutex::new(None),
+            pymk_client: OnceLock::new(),
         })
     }
 
@@ -439,6 +451,9 @@ impl DataPlatform {
                 .voldemort
                 .add_read_only_store(StoreDef::read_only(PYMK_STORE), local.path())
                 .map_err(wrap)?;
+            // Until the first swap below the stores serve no version, so a
+            // lookup through this client finds nothing.
+            let _ = self.pymk_client.set(self.voldemort.client(PYMK_STORE).map_err(wrap)?);
             *tier = Some(PymkTier {
                 hdfs,
                 _local: local,
@@ -470,10 +485,9 @@ impl DataPlatform {
     /// format). `None` when the member has no recommendations or no PYMK
     /// run has been loaded yet.
     pub fn pymk_recommendations(&self, member: u64) -> Result<Option<Bytes>, PlatformError> {
-        if self.pymk.lock().is_none() {
+        let Some(client) = self.pymk_client.get() else {
             return Ok(None);
-        }
-        let client = self.voldemort.client(PYMK_STORE).map_err(wrap)?;
+        };
         let key = member_row_key(member).to_string().into_bytes();
         let versions = client.get(&key).map_err(wrap)?;
         Ok(versions.into_iter().next().map(|v| v.value))

@@ -14,12 +14,11 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use li_commons::shard::ShardMode;
 use li_workload::datasets::PymkRecord;
 use li_workload::site::{split_seed, SiteChunk, SiteGraph, SiteGraphChunks, SiteGraphConfig};
 
 use crate::consumers::{company_row_key, encode_ids, member_row_key};
-use crate::platform::{DataPlatform, PlatformConfig, PlatformError};
+use crate::platform::{DataPlatform, PlatformConfig, PlatformError, ShardMode};
 
 /// What [`SiteBench::prepare`] builds, plus the load shape a generator
 /// driving the prepared platform starts from.

@@ -373,7 +373,7 @@ impl EspressoCluster {
     }
 
     /// Sets how multi-key requests execute (Deterministic by default;
-    /// the site platform switches to Parallel alongside `ShardMode`).
+    /// the site platform picks per its configured run mode).
     pub fn set_fan_out_mode(&self, mode: FanOutMode) {
         *self.fan_out_mode.write() = mode;
     }

@@ -4,22 +4,20 @@
 //! topic-partition through one short stripe lock instead of a broker-wide
 //! map lock, so partitions hosted on the same broker never contend on the
 //! index. The striping is semantics-free — the index is read-mostly and
-//! each [`PartitionLog`] has its own interior locking — so the
-//! deterministic twin ([`ShardMode::Deterministic`], one stripe) exists
-//! only to keep lock behavior replayable under the chaos harness.
+//! each [`PartitionLog`] has its own interior locking.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use li_commons::metrics::{Counter, Gauge, Histo, MetricsRegistry};
-use li_commons::shard::{ShardMode, ShardedLock};
+use li_commons::shard::ShardedLock;
 use li_commons::sim::Clock;
 
 use crate::ingest::{AckMode, GroupFrames, GroupQueue, IngestSink, ProduceReceipt};
 use crate::log::{LogConfig, PartitionLog};
 use crate::message::{FetchChunk, KafkaError};
 
-/// Index stripes per broker in [`ShardMode::Parallel`].
+/// Index stripes per broker.
 const INDEX_STRIPES: usize = 16;
 
 /// Per-broker observability under `kafka.broker<id>.`: messages and bytes
@@ -75,7 +73,6 @@ pub struct Broker {
     logs: ShardedLock<HashMap<(String, u32), PartitionEntry>>,
     registry: Arc<MetricsRegistry>,
     metrics: BrokerMetrics,
-    mode: ShardMode,
 }
 
 impl std::fmt::Debug for Broker {
@@ -103,32 +100,14 @@ impl Broker {
         clock: Arc<dyn Clock>,
         registry: &Arc<MetricsRegistry>,
     ) -> Self {
-        Self::with_shard_mode(id, config, clock, registry, ShardMode::Parallel)
-    }
-
-    /// [`Broker::with_metrics`] with an explicit index shard mode
-    /// (deterministic = one stripe, for chaos replays).
-    pub fn with_shard_mode(
-        id: u16,
-        config: LogConfig,
-        clock: Arc<dyn Clock>,
-        registry: &Arc<MetricsRegistry>,
-        mode: ShardMode,
-    ) -> Self {
         Broker {
             id,
             config,
             clock,
-            logs: ShardedLock::with_mode(mode, INDEX_STRIPES, HashMap::new),
+            logs: ShardedLock::new(INDEX_STRIPES, HashMap::new),
             registry: Arc::clone(registry),
             metrics: BrokerMetrics::new(registry, id),
-            mode,
         }
-    }
-
-    /// The shard mode this broker (index striping + ingest queues) runs in.
-    pub fn shard_mode(&self) -> ShardMode {
-        self.mode
     }
 
     /// Resolves a topic-partition to its entry via one stripe lock.
@@ -152,7 +131,7 @@ impl Broker {
             .entry((topic.to_string(), partition))
             .or_insert_with(|| PartitionEntry {
                 log: Arc::new(PartitionLog::new(self.config.clone(), self.clock.clone())),
-                queue: Arc::new(GroupQueue::new(self.mode, self.config.ingest_queue_bytes)),
+                queue: Arc::new(GroupQueue::new(self.config.ingest_queue_bytes)),
                 log_end: self
                     .registry
                     .gauge(&format!("kafka.topic.{topic}.{partition}.log_end")),
@@ -260,10 +239,7 @@ impl Broker {
                     (topic.to_string(), partition),
                     PartitionEntry {
                         log,
-                        queue: Arc::new(GroupQueue::new(
-                            self.mode,
-                            self.config.ingest_queue_bytes,
-                        )),
+                        queue: Arc::new(GroupQueue::new(self.config.ingest_queue_bytes)),
                         log_end: self
                             .registry
                             .gauge(&format!("kafka.topic.{topic}.{partition}.log_end")),

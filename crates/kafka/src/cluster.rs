@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use li_commons::metrics::MetricsRegistry;
-use li_commons::shard::ShardMode;
 use li_commons::sim::{Clock, RealClock};
 use li_zk::{CreateMode, Session, ZooKeeper};
 
@@ -63,20 +62,6 @@ impl KafkaCluster {
         clock: Arc<dyn Clock>,
         registry: &Arc<MetricsRegistry>,
     ) -> Result<Arc<Self>, KafkaError> {
-        Self::with_shard_mode(broker_count, config, clock, registry, ShardMode::Parallel)
-    }
-
-    /// [`KafkaCluster::with_metrics`] with an explicit shard mode threaded
-    /// to every broker (index striping + group-commit ingest queues).
-    /// [`ShardMode::Deterministic`] commits exactly one producer group per
-    /// log append, in arrival order — the chaos harness twin.
-    pub fn with_shard_mode(
-        broker_count: u16,
-        config: LogConfig,
-        clock: Arc<dyn Clock>,
-        registry: &Arc<MetricsRegistry>,
-        mode: ShardMode,
-    ) -> Result<Arc<Self>, KafkaError> {
         let zk = ZooKeeper::with_metrics(registry);
         let session = zk.connect();
         session.create_recursive("/brokers/ids", Vec::new(), CreateMode::Persistent)?;
@@ -84,12 +69,11 @@ impl KafkaCluster {
         let metrics = Arc::clone(registry);
         let brokers: Vec<Arc<Broker>> = (0..broker_count)
             .map(|id| {
-                let broker = Arc::new(Broker::with_shard_mode(
+                let broker = Arc::new(Broker::with_metrics(
                     id,
                     config.clone(),
                     clock.clone(),
                     &metrics,
-                    mode,
                 ));
                 let _ = session.create(
                     &format!("/brokers/ids/{id}"),
@@ -113,14 +97,6 @@ impl KafkaCluster {
     /// The log configuration every broker of this cluster was built with.
     pub fn log_config(&self) -> &LogConfig {
         &self.config
-    }
-
-    /// The shard mode the cluster's brokers run in.
-    pub fn shard_mode(&self) -> ShardMode {
-        self.brokers
-            .first()
-            .map(|b| b.shard_mode())
-            .unwrap_or_default()
     }
 
     /// The metrics registry every broker, producer, and consumer of this

@@ -31,23 +31,10 @@
 //! the leader's local append holds the bytes, and `FullIsr` returns only
 //! after every in-sync replica holds them — the contracts the chaos
 //! scenario `chaos_sweep_kafka_ack_durability` kills leaders to verify.
-//!
-//! ## Deterministic twin
-//!
-//! Per the PR 7 contract every new concurrent path keeps a
-//! [`ShardMode::Deterministic`] twin: a deterministic queue commits
-//! exactly one group per append, in arrival order (no cross-producer
-//! batching, drainers fully serialized), so its lock/flush/wakeup
-//! sequence — and therefore the log bytes and any seeded chaos trace — is
-//! a pure function of the produce sequence. `tests/kafka_ingest_props.rs`
-//! pins grouped ≡ one `PartitionLog::append_frames` per group, byte for
-//! byte, in both modes.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-use li_commons::shard::ShardMode;
 
 use crate::message::KafkaError;
 
@@ -205,7 +192,6 @@ pub struct DrainStats {
 /// next to each partition log; producers [`GroupQueue::produce`] into it
 /// and the winning drainer commits every waiting group in one shot.
 pub struct GroupQueue {
-    mode: ShardMode,
     capacity_bytes: usize,
     inner: Mutex<QueueInner>,
     /// Signaled when queue space frees up *and* when a drainer finishes —
@@ -217,7 +203,6 @@ impl std::fmt::Debug for GroupQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("GroupQueue")
-            .field("mode", &self.mode)
             .field("pending", &inner.pending.len())
             .field("pending_bytes", &inner.pending_bytes)
             .field("draining", &inner.draining)
@@ -230,9 +215,8 @@ impl GroupQueue {
     /// combined frame bytes; producers past it block (backpressure, not
     /// load shedding) with a one-group overshoot allowance so a single
     /// oversized batch can always land.
-    pub fn new(mode: ShardMode, capacity_bytes: usize) -> Self {
+    pub fn new(capacity_bytes: usize) -> Self {
         GroupQueue {
-            mode,
             capacity_bytes: capacity_bytes.max(1),
             inner: Mutex::new(QueueInner {
                 pending: VecDeque::new(),
@@ -241,11 +225,6 @@ impl GroupQueue {
             }),
             vacancy: Condvar::new(),
         }
-    }
-
-    /// The queue's shard mode.
-    pub fn mode(&self) -> ShardMode {
-        self.mode
     }
 
     /// Groups currently waiting for a drainer (diagnostics / tests).
@@ -307,43 +286,19 @@ impl GroupQueue {
 
     /// Runs the drainer protocol until no groups are pending or another
     /// thread holds the drainer role. Returns what this call committed.
-    ///
-    /// Parallel mode claims every pending group per iteration — the group
-    /// commit. Deterministic mode claims exactly one group per iteration
-    /// and fully serializes drainers: one append, one flush check and one
-    /// wakeup per group, in arrival order.
+    /// Each iteration claims every pending group — the group commit.
     pub fn drain_with(&self, sink: &dyn IngestSink) -> DrainStats {
         let mut stats = DrainStats::default();
         let mut inner = self.inner.lock();
         loop {
-            if inner.draining {
-                match self.mode {
-                    // The active drainer re-checks `pending` before it
-                    // retires, so our groups are its problem now.
-                    ShardMode::Parallel => return stats,
-                    // Serialized twin: wait for the active drainer to
-                    // retire, then claim the role ourselves.
-                    ShardMode::Deterministic => {
-                        self.vacancy.wait(&mut inner);
-                        continue;
-                    }
-                }
-            }
-            if inner.pending.is_empty() {
+            // The active drainer re-checks `pending` before it retires,
+            // so our groups are its problem now.
+            if inner.draining || inner.pending.is_empty() {
                 return stats;
             }
             inner.draining = true;
-            let batch: Vec<PendingGroup> = match self.mode {
-                ShardMode::Parallel => {
-                    inner.pending_bytes = 0;
-                    inner.pending.drain(..).collect()
-                }
-                ShardMode::Deterministic => {
-                    let group = inner.pending.pop_front().expect("checked non-empty");
-                    inner.pending_bytes -= group.frames.len();
-                    vec![group]
-                }
-            };
+            inner.pending_bytes = 0;
+            let batch: Vec<PendingGroup> = inner.pending.drain(..).collect();
             // Space freed: wake blocked admitters.
             self.vacancy.notify_all();
             drop(inner);
@@ -354,9 +309,9 @@ impl GroupQueue {
 
             inner = self.inner.lock();
             inner.draining = false;
-            // Wake admission waiters and (in Deterministic mode) drainer
-            // candidates; then loop — more groups may have arrived while
-            // we were committing, and nobody else will take them.
+            // Wake admission waiters; then loop — more groups may have
+            // arrived while we were committing, and nobody else will take
+            // them.
             self.vacancy.notify_all();
         }
     }
@@ -473,7 +428,7 @@ mod tests {
 
     #[test]
     fn one_producer_commits_inline_and_gets_its_offset() {
-        let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
+        let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         let r1 = queue
             .produce(&sink, encode(&["a"]), 1, 1, AckMode::Leader)
@@ -490,7 +445,7 @@ mod tests {
 
     #[test]
     fn empty_group_commits_cleanly() {
-        let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
+        let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         let receipt = queue
             .produce(&sink, Vec::new(), 0, 0, AckMode::Leader)
@@ -510,7 +465,7 @@ mod tests {
 
     #[test]
     fn none_ack_returns_without_offset_but_still_lands() {
-        let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
+        let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         let receipt = queue
             .produce(&sink, encode(&["fire", "forget"]), 2, 10, AckMode::None)
@@ -524,7 +479,7 @@ mod tests {
 
     #[test]
     fn full_isr_ships_once_per_drained_batch() {
-        let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
+        let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         queue
             .produce(&sink, encode(&["d"]), 1, 1, AckMode::FullIsr)
@@ -538,7 +493,7 @@ mod tests {
 
     #[test]
     fn torn_group_fails_its_producer_without_wedging_the_queue() {
-        let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
+        let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         let mut torn = encode(&["torn"]);
         torn.truncate(torn.len() - 1);
@@ -555,7 +510,7 @@ mod tests {
     fn concurrent_producers_group_into_fewer_appends() {
         // Wedge the drainer on the first append; the groups piling up
         // behind it must then commit in ONE append_groups call.
-        let queue = Arc::new(GroupQueue::new(ShardMode::Parallel, 1 << 20));
+        let queue = Arc::new(GroupQueue::new(1 << 20));
         let (gate_tx, gate_rx) = mpsc::channel();
         let mut sink = LogSink::new();
         sink.gate = Some(Mutex::new(gate_rx));
@@ -610,7 +565,7 @@ mod tests {
         // Capacity of one small group; wedge the drainer so a second
         // producer's admission must wait for the drain to free space.
         let group = encode(&["block"]);
-        let queue = Arc::new(GroupQueue::new(ShardMode::Parallel, group.len()));
+        let queue = Arc::new(GroupQueue::new(group.len()));
         let (gate_tx, gate_rx) = mpsc::channel();
         let mut sink = LogSink::new();
         sink.gate = Some(Mutex::new(gate_rx));
@@ -656,8 +611,8 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_mode_commits_one_group_per_append() {
-        let queue = GroupQueue::new(ShardMode::Deterministic, 1 << 20);
+    fn one_producer_at_a_time_commits_one_group_per_append() {
+        let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         for i in 0..5 {
             queue
@@ -667,7 +622,7 @@ mod tests {
         assert_eq!(
             sink.appends.load(Ordering::SeqCst),
             5,
-            "deterministic twin: one append per group"
+            "each drain claims only its caller's group"
         );
         assert_eq!(sink.log.verify_contiguity().unwrap(), 5);
     }
@@ -676,7 +631,7 @@ mod tests {
     fn flush_on_close_drain_leaves_nothing_pending() {
         // drain_with on an idle queue is a no-op; after interleaved
         // produces it reports zero pending regardless of ack mode.
-        let queue = GroupQueue::new(ShardMode::Parallel, 1 << 20);
+        let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         for ack in [AckMode::None, AckMode::Leader, AckMode::FullIsr] {
             queue.produce(&sink, encode(&["z"]), 1, 1, ack).unwrap();

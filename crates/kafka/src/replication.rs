@@ -31,8 +31,8 @@ use crate::cluster::KafkaCluster;
 use crate::ingest::{AckMode, GroupFrames, GroupQueue, IngestSink, ProduceReceipt};
 use crate::message::{KafkaError, Message, MessageSet};
 
-/// Ingest-queue index stripes in `ShardMode::Parallel` (mirrors the
-/// broker's partition-index striping).
+/// Ingest-queue index stripes (mirrors the broker's partition-index
+/// striping).
 const QUEUE_STRIPES: usize = 16;
 
 #[derive(Debug, Clone)]
@@ -58,17 +58,14 @@ pub struct ReplicatedCluster {
 }
 
 impl ReplicatedCluster {
-    /// Wraps a cluster. The ingest queues inherit the cluster's shard
-    /// mode, so a `ShardMode::Deterministic` cluster gets fully
-    /// serialized, one-group-per-append produce sequencing here too.
+    /// Wraps a cluster.
     pub fn new(cluster: Arc<KafkaCluster>) -> Self {
-        let mode = cluster.shard_mode();
         ReplicatedCluster {
             cluster,
             assignments: RwLock::new(HashMap::new()),
             down: RwLock::new(HashSet::new()),
             isr: RwLock::new(HashMap::new()),
-            queues: ShardedLock::with_mode(mode, QUEUE_STRIPES, HashMap::new),
+            queues: ShardedLock::new(QUEUE_STRIPES, HashMap::new),
         }
     }
 
@@ -108,10 +105,7 @@ impl ReplicatedCluster {
                 .insert((topic.to_string(), p), replicas.iter().copied().collect());
             self.queues.lock(&(topic, p)).insert(
                 (topic.to_string(), p),
-                Arc::new(GroupQueue::new(
-                    self.cluster.shard_mode(),
-                    self.cluster.log_config().ingest_queue_bytes,
-                )),
+                Arc::new(GroupQueue::new(self.cluster.log_config().ingest_queue_bytes)),
             );
         }
         Ok(())

@@ -8,8 +8,7 @@
 //! order and the Databus relay's stream remains timeline-consistent.
 //! Lock order is fixed — row stripes in ascending index order first, the
 //! commit point last — which keeps arbitrary multi-row transactions
-//! deadlock-free. [`ShardMode::Deterministic`] collapses the stripes to
-//! one, reproducing the old single-lock behavior for chaos replays.
+//! deadlock-free.
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
@@ -18,7 +17,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use li_commons::metrics::{Counter, Gauge, MetricsRegistry};
-use li_commons::shard::{ShardMode, ShardedLock};
+use li_commons::shard::ShardedLock;
 use li_commons::sim::{Clock, RealClock};
 
 use crate::binlog::{Binlog, BinlogEntry};
@@ -26,11 +25,11 @@ use crate::replication::{ShipError, Shipper};
 use crate::row::{Op, Row, RowChange, RowKey, Scn};
 use crate::table::Table;
 
-/// Row stripes per database in [`ShardMode::Parallel`]. Sized for the
-/// closed-loop site bench: comfortably above the driver counts that
-/// matter (8–32) so two random rows rarely collide, small enough that
-/// whole-state operations (scans, fingerprints) stay cheap.
-pub const DEFAULT_ROW_STRIPES: usize = 32;
+/// Row stripes per database. Sized for the closed-loop site bench:
+/// comfortably above the driver counts that matter (8–32) so two random
+/// rows rarely collide, small enough that whole-state operations (scans,
+/// fingerprints) stay cheap.
+const ROW_STRIPES: usize = 32;
 
 /// Errors from database operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +158,6 @@ pub struct Database {
     /// table name → the subset of that table's rows hashing to it.
     rows: ShardedLock<HashMap<String, Table>>,
     commit_point: Mutex<CommitPoint>,
-    mode: ShardMode,
     triggers: Mutex<Vec<TriggerFn>>,
     shipper: Mutex<Option<Arc<dyn Shipper>>>,
     clock: Arc<dyn Clock>,
@@ -173,7 +171,6 @@ impl fmt::Debug for Database {
             .field("name", &self.name)
             .field("tables", &self.tables.read().iter().collect::<Vec<_>>())
             .field("last_scn", &self.commit_point.lock().binlog.last_scn())
-            .field("stripes", &self.rows.stripe_count())
             .finish()
     }
 }
@@ -196,31 +193,16 @@ impl Database {
         clock: Arc<dyn Clock>,
         registry: &Arc<MetricsRegistry>,
     ) -> Self {
-        Self::with_shard_mode(name, clock, registry, ShardMode::Parallel)
-    }
-
-    /// [`Self::with_metrics`] with an explicit shard mode:
-    /// [`ShardMode::Deterministic`] serializes all rows behind one stripe
-    /// (the pre-sharding behavior, byte-identical for seeded replays);
-    /// [`ShardMode::Parallel`] stripes rows over
-    /// [`DEFAULT_ROW_STRIPES`] locks.
-    pub fn with_shard_mode(
-        name: impl Into<String>,
-        clock: Arc<dyn Clock>,
-        registry: &Arc<MetricsRegistry>,
-        mode: ShardMode,
-    ) -> Self {
         let name = name.into();
         let metrics = DbMetrics::new(registry, &name);
         Database {
             name,
             tables: RwLock::new(BTreeSet::new()),
-            rows: ShardedLock::with_mode(mode, DEFAULT_ROW_STRIPES, HashMap::new),
+            rows: ShardedLock::new(ROW_STRIPES, HashMap::new),
             commit_point: Mutex::new(CommitPoint {
                 binlog: Binlog::new(),
                 applied_scn: 0,
             }),
-            mode,
             triggers: Mutex::new(Vec::new()),
             shipper: Mutex::new(None),
             clock,
@@ -237,16 +219,6 @@ impl Database {
     /// The database name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The shard mode this instance was built with.
-    pub fn shard_mode(&self) -> ShardMode {
-        self.mode
-    }
-
-    /// Row-stripe count (1 in deterministic mode).
-    pub fn row_stripes(&self) -> usize {
-        self.rows.stripe_count()
     }
 
     /// Creates a table.
@@ -857,41 +829,6 @@ mod tests {
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.scn, i as u64 + 1, "SCNs dense and ordered");
         }
-    }
-
-    #[test]
-    fn deterministic_and_parallel_modes_hold_identical_state() {
-        let registry = MetricsRegistry::new();
-        let clock: Arc<dyn li_commons::sim::Clock> =
-            Arc::new(li_commons::sim::SimClock::new());
-        let make = |mode| {
-            let db = Database::with_shard_mode("twin", clock.clone(), &registry, mode);
-            db.create_table("member").unwrap();
-            db.create_table("mailbox").unwrap();
-            db
-        };
-        let det = make(ShardMode::Deterministic);
-        let par = make(ShardMode::Parallel);
-        assert_eq!(det.row_stripes(), 1);
-        assert_eq!(par.row_stripes(), DEFAULT_ROW_STRIPES);
-        for db in [&det, &par] {
-            for i in 0..200u32 {
-                db.put_one("member", RowKey::single(format!("{i}")), format!("v{i}").into_bytes(), 1)
-                    .unwrap();
-            }
-            let mut txn = db.begin();
-            txn.put("mailbox", RowKey::new(["7", "m1"]), &b"x"[..], 1);
-            txn.delete("member", RowKey::single("13"));
-            db.commit(txn).unwrap();
-        }
-        assert_eq!(det.state_fingerprint(), par.state_fingerprint());
-        assert_eq!(
-            det.binlog_after(0).len(),
-            par.binlog_after(0).len(),
-            "same SCN sequence"
-        );
-        det.verify_replay_equivalence().unwrap();
-        par.verify_replay_equivalence().unwrap();
     }
 
     #[test]

@@ -33,8 +33,6 @@
 //!   ([`QuorumConfig::hedge`]: after a quantile-derived delay, one backup
 //!   request goes to the next replica; `get.hedged` / `get.hedge_won`
 //!   count the rate and usefulness).
-//! * [`FanOutMode::Serial`] — the pre-parallel walk, kept as the
-//!   benchmark baseline.
 
 use bytes::Bytes;
 use li_commons::clock::{resolve_siblings, VectorClock, Versioned};
@@ -160,9 +158,8 @@ pub struct QuorumConfig {
 /// checks its R-th-fastest-replica bound against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuorumStats {
-    /// Simulated completion latency: for parallel/deterministic fan-out,
-    /// the R-th smallest replica latency among the successes (replicas
-    /// overlap); for [`FanOutMode::Serial`], the sum (they don't).
+    /// Simulated completion latency: the R-th smallest replica latency
+    /// among the successes (replicas overlap).
     pub sim_latency: Duration,
     /// Replica requests launched (primaries + backups + hedges).
     pub contacted: usize,
@@ -501,7 +498,6 @@ impl StoreClient {
             hedge_delay: (!backups.is_empty())
                 .then(|| self.hedge_delay())
                 .flatten(),
-            overall_deadline: None,
         };
         let report = fan_out(self.pool().as_deref(), &opts, primary, backups, None, late);
         self.metrics.hedged.add(report.hedges as u64);
@@ -560,13 +556,10 @@ impl StoreClient {
         let mut latencies: Vec<Duration> =
             responses.iter().map(|(_, latency, _)| *latency).collect();
         latencies.sort();
-        let sim_latency = match self.config.mode {
-            FanOutMode::Serial => latencies.iter().sum(),
-            _ => latencies
-                .get(required.saturating_sub(1))
-                .copied()
-                .unwrap_or_default(),
-        };
+        let sim_latency = latencies
+            .get(required.saturating_sub(1))
+            .copied()
+            .unwrap_or_default();
         let stats = QuorumStats {
             sim_latency,
             contacted: report.launched,
@@ -838,18 +831,17 @@ impl StoreClient {
                         self.late_hint_handler(key, &prefs, &new_clock, &value)
                     });
                 // Replication is not optional: every replica must be
-                // attempted. Inline modes run the whole wave (legacy
-                // parity); only Parallel returns at W acks and leaves the
-                // rest replicating in the background.
+                // attempted. Inline runs the whole wave; only Parallel
+                // returns at W acks and leaves the rest replicating in
+                // the background.
                 let wave_required = match self.config.mode {
                     FanOutMode::Parallel => required.saturating_sub(acks),
-                    _ => tasks.len(),
+                    FanOutMode::Deterministic => tasks.len(),
                 };
                 let opts = FanOutOptions {
                     mode: self.config.mode,
                     required: wave_required,
                     hedge_delay: None,
-                    overall_deadline: None,
                 };
                 let is_fatal = |e: &VoldemortError| {
                     matches!(
@@ -879,15 +871,12 @@ impl StoreClient {
                     failed_replicas.push(NodeId(*node as u16));
                 }
                 wave_latencies.sort();
-                sim_latency += match self.config.mode {
-                    FanOutMode::Serial => wave_latencies.iter().sum(),
-                    _ => opts
-                        .required
-                        .checked_sub(1)
-                        .and_then(|i| wave_latencies.get(i))
-                        .copied()
-                        .unwrap_or_default(),
-                };
+                sim_latency += opts
+                    .required
+                    .checked_sub(1)
+                    .and_then(|i| wave_latencies.get(i))
+                    .copied()
+                    .unwrap_or_default();
             }
         }
         self.metrics
@@ -1087,7 +1076,6 @@ impl StoreClient {
             mode: self.config.mode,
             required,
             hedge_delay: None,
-            overall_deadline: None,
         };
         let report = fan_out(self.pool().as_deref(), &opts, tasks, Vec::new(), None, None);
         let acks = report.quorum.len() + report.extras.len();
@@ -1176,7 +1164,6 @@ impl StoreClient {
             mode: self.config.mode,
             required: tasks.len(),
             hedge_delay: None,
-            overall_deadline: None,
         };
         let report = fan_out(self.pool().as_deref(), &opts, tasks, Vec::new(), None, None);
         let mut node_results: BTreeMap<NodeId, Vec<Vec<Versioned<Bytes>>>> = BTreeMap::new();

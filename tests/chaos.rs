@@ -21,8 +21,6 @@ use li_commons::clock::VectorClock;
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator, MigrationPhase};
 use li_commons::ring::{HashRing, NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
-use li_commons::metrics::MetricsRegistry;
-use li_commons::shard::ShardMode;
 use li_commons::sim::SimClock;
 use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
 use li_kafka::log::LogConfig;
@@ -731,10 +729,9 @@ impl li_commons::chaos::FaultHooks for AckCrashHooks<'_> {
     }
 }
 
-/// Drives a 3-broker replicated cluster (RF=3, `ShardMode::Deterministic`
-/// — the grouped ingest path's chaos twin) through leader fail/recover
-/// cycles while producing under all three ack modes via the group-commit
-/// queue. Invariants at quiesce:
+/// Drives a 3-broker replicated cluster (RF=3) through leader
+/// fail/recover cycles while producing under all three ack modes via the
+/// group-commit queue, one producer at a time. Invariants at quiesce:
 ///
 /// * **full-isr-durability** — every `FullIsr`-acked message survives
 ///   failover byte-identically at its acked offset.
@@ -748,14 +745,8 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
     let mut config = ChaosConfig::hooks_only();
     config.max_down = 1;
     let mut sched = ChaosScheduler::new(seed, nodes, config);
-    let live = KafkaCluster::with_shard_mode(
-        3,
-        LogConfig::default(),
-        Arc::new(SimClock::new()),
-        &MetricsRegistry::new(),
-        ShardMode::Deterministic,
-    )
-    .unwrap();
+    let live =
+        KafkaCluster::with_parts(3, LogConfig::default(), Arc::new(SimClock::new())).unwrap();
     let replicated = ReplicatedCluster::new(live.clone());
     replicated.create_topic("events", ACK_PARTITIONS, 3).unwrap();
     let op = AtomicU64::new(0);

@@ -18,12 +18,12 @@
 //!   replicas agree again at its next append, and a replayed stream leaves
 //!   every replica equal to the model.
 //!
-//! The reference is the in-test set model. Each case runs in both shard
-//! modes — the Parallel twin feeds its live consumer from push-dispatch
-//! threads while the follows commit — and the twins must issue the same
+//! The reference is the in-test set model. Each case runs twice — once
+//! with the live consumer caught up inline, once fed from push-dispatch
+//! threads while the follows commit — and both runs must issue the same
 //! number of replica puts per Voldemort node in every one of the three
 //! consumers (one append per edge event, no coalescing). The replica-down
-//! cases run once, on the deterministic inline path.
+//! cases run once, on the inline path.
 //!
 //! Every view's stores run on log-structured engines the test holds, and
 //! wherever a view is checked each replica's log must replay to what the
@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use li_commons::metrics::MetricsRegistry;
 use li_commons::ring::{HashRing, NodeId};
-use li_commons::shard::ShardMode;
 use li_commons::sim::{RealClock, SimNetwork};
 use li_databus::{BootstrapServer, DatabusClient, LogShippingAdapter, Relay, StreamDispatcher};
 use li_sqlstore::{Database, DbError, RowKey};
@@ -188,13 +187,8 @@ fn one_list_equal_to(versions: &[Versioned<Bytes>], expected: &BTreeSet<u64>) ->
 
 /// The primary with the three follow tables, its relay and a bootstrap
 /// server behind it.
-fn stream(mode: ShardMode, relay_bytes: usize) -> (Database, Arc<Relay>, Arc<BootstrapServer>) {
-    let primary = Database::with_shard_mode(
-        "primary",
-        Arc::new(RealClock::new()),
-        &MetricsRegistry::new(),
-        mode,
-    );
+fn stream(relay_bytes: usize) -> (Database, Arc<Relay>, Arc<BootstrapServer>) {
+    let primary = Database::with_clock("primary", Arc::new(RealClock::new()));
     for table in ["member_follows", "company_followers", FOLLOW_EDGES_TABLE] {
         primary.create_table(table).unwrap();
     }
@@ -213,10 +207,11 @@ fn follow(primary: &Database, member: u64, company: u64) -> Result<(), String> {
     }
 }
 
-/// Runs one case in one shard mode; the replica puts per node of the
-/// live, fresh and fallen-behind consumers.
+/// Runs one case with the live consumer fed inline or by the push
+/// dispatcher; the replica puts per node of the live, fresh and
+/// fallen-behind consumers.
 fn run_case(
-    mode: ShardMode,
+    push_dispatch: bool,
     loaded: &BTreeSet<(u64, u64)>,
     ops: &[(u64, u64)],
     pump_every: usize,
@@ -225,7 +220,7 @@ fn run_case(
     // A one-byte relay keeps only what the bootstrap has not linked yet:
     // every pump below evicts the consumed head, so a late consumer must
     // come through the bootstrap server.
-    let (primary, relay, bootstrap) = stream(mode, 1);
+    let (primary, relay, bootstrap) = stream(1);
     let pump_bootstrap = || {
         bootstrap.catch_up_from(&relay).unwrap();
         bootstrap.apply_log();
@@ -257,14 +252,8 @@ fn run_case(
     live.client.catch_up().unwrap();
     pump_bootstrap();
 
-    let dispatcher = match mode {
-        ShardMode::Parallel => Some(StreamDispatcher::start(
-            relay.clone(),
-            vec![live.client.clone()],
-            1,
-        )),
-        ShardMode::Deterministic => None,
-    };
+    let dispatcher = push_dispatch
+        .then(|| StreamDispatcher::start(relay.clone(), vec![live.client.clone()], 1));
     for (i, &(member, company)) in ops.iter().enumerate() {
         follow(&primary, member, company)?;
         follows.entry(member).or_default().insert(company);
@@ -319,10 +308,10 @@ proptest! {
         pump_every in 1usize..9,
         redeliver_from in any::<proptest::sample::Index>(),
     ) {
-        let run = |mode| run_case(mode, &loaded, &ops, pump_every, redeliver_from);
-        let deterministic = run(ShardMode::Deterministic).map_err(TestCaseError::fail)?;
-        let parallel = run(ShardMode::Parallel).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(deterministic, parallel, "replica puts per node differ between the twins");
+        let run = |push| run_case(push, &loaded, &ops, pump_every, redeliver_from);
+        let inline = run(false).map_err(TestCaseError::fail)?;
+        let pushed = run(true).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(inline, pushed, "replica puts per node differ between inline and push delivery");
     }
 }
 
@@ -400,7 +389,7 @@ fn a_torn_cached_list_is_an_error_not_a_shorter_list() {
 /// follow 1, prefs[0] down, follow 2, prefs[0] back, follows 3, 4, 5.
 #[test]
 fn a_bounced_replica_heals_at_the_next_follow_of_its_key() {
-    let (primary, relay, bootstrap) = stream(ShardMode::Deterministic, 1 << 20);
+    let (primary, relay, bootstrap) = stream(1 << 20);
     let view = View::new(&relay, &bootstrap);
     let key = company_row_key(7).to_string();
     let prefs = view.cluster.ring().preference_list(key.as_bytes(), 2).unwrap();
@@ -433,7 +422,7 @@ proptest! {
         loaded in proptest::collection::btree_set((0..MEMBERS, 0..COMPANIES), 1..12),
         ops in proptest::collection::vec((0..MEMBERS, 0..COMPANIES, 0..NODES * 3), 1..48),
     ) {
-        let (primary, relay, bootstrap) = stream(ShardMode::Deterministic, 1 << 20);
+        let (primary, relay, bootstrap) = stream(1 << 20);
         let (mut follows, mut followers) = (Lists::new(), Lists::new());
         let mut txn = primary.begin();
         for &(member, company) in &loaded {

@@ -5,17 +5,14 @@
 //! *what lands in the log*. Under random producer counts, batch splits,
 //! and key distributions, the grouped path must be byte-identical to
 //! appending the same frame buffers one by one to a bare `PartitionLog` —
-//! same `content_fingerprint`, same offsets — in both
-//! `ShardMode::Deterministic` and `ShardMode::Parallel`. A second property drives real concurrent
-//! producer threads and checks conservation, contiguity, and per-thread
-//! FIFO order.
+//! same `content_fingerprint`, same offsets. A second property drives
+//! real concurrent producer threads and checks conservation, contiguity,
+//! and per-thread FIFO order.
 //!
 //! Case count defaults to 24; CI raises it with
 //! `KAFKA_INGEST_PROPTEST_CASES=64` (the vendored proptest has no env
 //! support compiled in, so the knob is read manually).
 
-use li_commons::metrics::MetricsRegistry;
-use li_commons::shard::ShardMode;
 use li_commons::sim::SimClock;
 use li_kafka::log::{LogConfig, PartitionLog};
 use li_kafka::message::MessageSet;
@@ -30,15 +27,8 @@ fn cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-fn cluster_with(mode: ShardMode, config: &LogConfig, partitions: u32) -> Arc<KafkaCluster> {
-    let cluster = KafkaCluster::with_shard_mode(
-        1,
-        config.clone(),
-        Arc::new(SimClock::new()),
-        &MetricsRegistry::new(),
-        mode,
-    )
-    .unwrap();
+fn cluster_with(config: &LogConfig, partitions: u32) -> Arc<KafkaCluster> {
+    let cluster = KafkaCluster::with_parts(1, config.clone(), Arc::new(SimClock::new())).unwrap();
     cluster.create_topic("ingest", partitions).unwrap();
     cluster
 }
@@ -67,10 +57,10 @@ proptest! {
 
     /// Grouped produce ≡ sequential appends, byte for byte. The same
     /// random batch sequence is replayed against bare partition logs
-    /// (`PartitionLog::append_frames`, one buffer at a time) and two
-    /// single-broker clusters — grouped Deterministic, grouped Parallel —
-    /// and every partition must end with identical `log_end`,
-    /// `content_fingerprint`, and per-batch base offsets.
+    /// (`PartitionLog::append_frames`, one buffer at a time) and a
+    /// single-broker cluster's grouped path, and every partition must end
+    /// with identical `log_end`, `content_fingerprint`, and per-batch
+    /// base offsets.
     #[test]
     fn prop_grouped_produce_matches_sequential_bytes_and_offsets(
         partitions in 1u32..5,
@@ -87,8 +77,7 @@ proptest! {
         let bare: Vec<PartitionLog> = (0..partitions)
             .map(|_| PartitionLog::new(config.clone(), Arc::new(SimClock::new())))
             .collect();
-        let det = cluster_with(ShardMode::Deterministic, &config, partitions);
-        let par = cluster_with(ShardMode::Parallel, &config, partitions);
+        let grouped = cluster_with(&config, partitions);
 
         for batch in &batches {
             let partition = batch.partition % partitions;
@@ -98,14 +87,7 @@ proptest! {
             let payload_bytes = set.payload_bytes();
 
             let bare_offset = bare[partition as usize].append_frames(&frames).unwrap();
-            let det_receipt = det
-                .broker_for("ingest", partition).unwrap()
-                .produce_frames_grouped(
-                    "ingest", partition, frames.clone(), messages, payload_bytes,
-                    AckMode::Leader,
-                )
-                .unwrap();
-            let par_receipt = par
+            let receipt = grouped
                 .broker_for("ingest", partition).unwrap()
                 .produce_frames_grouped(
                     "ingest", partition, frames, messages, payload_bytes,
@@ -115,35 +97,25 @@ proptest! {
             // Leader ack always reports the append offset — and it matches
             // the sequential append exactly (single-threaded, so the
             // grouped drainer commits inline in arrival order).
-            prop_assert_eq!(det_receipt.base_offset, Some(bare_offset));
-            prop_assert_eq!(par_receipt.base_offset, Some(bare_offset));
+            prop_assert_eq!(receipt.base_offset, Some(bare_offset));
         }
 
         bare.iter().for_each(PartitionLog::flush);
-        det.flush_all();
-        par.flush_all();
+        grouped.flush_all();
         for p in 0..partitions {
             let bare_log = &bare[p as usize];
-            let det_log = det.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
-            let par_log = par.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
-            prop_assert_eq!(det_log.log_end(), bare_log.log_end(), "partition {}", p);
-            prop_assert_eq!(par_log.log_end(), bare_log.log_end(), "partition {}", p);
+            let log = grouped.broker_for("ingest", p).unwrap().log("ingest", p).unwrap();
+            prop_assert_eq!(log.log_end(), bare_log.log_end(), "partition {}", p);
             prop_assert_eq!(
-                det_log.content_fingerprint(),
+                log.content_fingerprint(),
                 bare_log.content_fingerprint(),
-                "deterministic twin diverged on partition {}", p
+                "grouped path diverged on partition {}", p
             );
-            prop_assert_eq!(
-                par_log.content_fingerprint(),
-                bare_log.content_fingerprint(),
-                "parallel path diverged on partition {}", p
-            );
-            prop_assert!(det_log.verify_contiguity().is_ok());
-            prop_assert!(par_log.verify_contiguity().is_ok());
+            prop_assert!(log.verify_contiguity().is_ok());
         }
     }
 
-    /// Real concurrent producers against the Parallel grouped path: no
+    /// Real concurrent producers against the grouped path: no
     /// message lost or duplicated, the log stays contiguous, and each
     /// thread's sends land in its own send order within each partition
     /// (admission order is commit order — the queue is FIFO).
@@ -159,7 +131,7 @@ proptest! {
             flush_interval: std::time::Duration::from_secs(3600),
             ..LogConfig::default()
         };
-        let cluster = cluster_with(ShardMode::Parallel, &config, partitions);
+        let cluster = cluster_with(&config, partitions);
         let acks = [AckMode::Leader, AckMode::FullIsr, AckMode::None];
 
         let handles: Vec<_> = (0..threads)

@@ -189,3 +189,97 @@ fn interval_delta_isolates_second_half_of_the_run() {
     assert_eq!(now.counter("pipeline.events"), Some(42));
     assert_eq!(now.delta(&at_t).counter("pipeline.events"), Some(12));
 }
+
+/// The patterns of DESIGN.md §7's catalog. Every backticked string in the
+/// table's Metrics column is one: a `{a, b}` list stands for one name per
+/// item, and `<...>` for the part of a dotted segment that holds an id.
+fn catalog_patterns() -> Vec<String> {
+    let design = include_str!("../DESIGN.md");
+    let table = design.split("**Catalog**").nth(1).expect("catalog heading");
+    let mut patterns = Vec::new();
+    for row in table
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+    {
+        let cell = row.split('|').nth(2).expect("a Metrics column");
+        for quoted in cell.split('`').skip(1).step_by(2) {
+            match quoted.split_once('{') {
+                Some((prefix, list)) => {
+                    let (items, suffix) = list.split_once('}').expect("closed brace list");
+                    patterns.extend(
+                        items.split(',').map(|item| format!("{prefix}{}{suffix}", item.trim())),
+                    );
+                }
+                None => patterns.push(quoted.to_string()),
+            }
+        }
+    }
+    patterns
+}
+
+fn matches(pattern: &str, name: &str) -> bool {
+    let (pattern, name): (Vec<&str>, Vec<&str>) =
+        (pattern.split('.').collect(), name.split('.').collect());
+    pattern.len() == name.len()
+        && pattern.iter().zip(&name).all(|(p, n)| match p.split_once('<') {
+            Some((head, id)) => {
+                let tail = id.split_once('>').expect("closed placeholder").1;
+                n.len() > head.len() + tail.len() && n.starts_with(head) && n.ends_with(tail)
+            }
+            None => p == n,
+        })
+}
+
+/// Catalog names no site run registers, each with its reason.
+const NOT_IN_A_SITE_RUN: &[(&str, &str)] = &[
+    (
+        "helix.<cluster>.transitions_fired",
+        "Espresso builds its controller with Controller::new: a private registry",
+    ),
+    ("helix.<cluster>.rebalances", "as above"),
+    (
+        "sqlstore.replica.<name>.ack_lag_scns",
+        "the platform attaches no semi-sync replica to the primary",
+    ),
+    (
+        "voldemort.hints.dropped_obsolete",
+        "registered by deliver_hints, which the site loop never calls",
+    ),
+];
+
+/// The catalog and the registry of a site run (one partition migrating)
+/// list the same names, so an added metric and a deleted one both fail.
+#[test]
+fn design_catalog_lists_exactly_the_live_metric_names() {
+    use li_bench::site::{recorded_platform, run, RunOptions};
+    use linkedin_data_infra::{ShardMode, SiteBench, SiteBenchConfig};
+
+    let mut config = SiteBenchConfig::smoke(300, 2, 60, 7);
+    config.platform = recorded_platform(ShardMode::Parallel);
+    let options = RunOptions {
+        migrate_partitions: 1,
+        ..RunOptions::smoke()
+    };
+    let report = run(SiteBench::prepare(config).unwrap(), &options).unwrap();
+    let live: Vec<&str> = report.snapshot.iter().map(|(name, _)| name).collect();
+    let catalog = catalog_patterns();
+    assert!(catalog.len() > 50, "parsed only {} patterns", catalog.len());
+
+    for name in &live {
+        assert!(
+            catalog.iter().any(|pattern| matches(pattern, name)),
+            "{name} is live but not in the DESIGN.md catalog"
+        );
+    }
+    for pattern in &catalog {
+        let is_live = live.iter().any(|name| matches(pattern, name));
+        match NOT_IN_A_SITE_RUN.iter().find(|(absent, _)| absent == pattern) {
+            Some((_, reason)) => assert!(!is_live, "{pattern} is live after all ({reason})"),
+            None => assert!(is_live, "{pattern} is in the catalog but no site run creates it"),
+        }
+    }
+    for (absent, _) in NOT_IN_A_SITE_RUN {
+        assert!(catalog.iter().any(|pattern| pattern == absent), "{absent} left the catalog");
+    }
+}

@@ -1,18 +1,16 @@
-//! Property tests for the sharded serving runtime's deterministic-twin
-//! contract (DESIGN.md "serving runtime"): striping row locks over
-//! multiple stripes is a pure concurrency optimization. For any seeded
-//! workload, a [`ShardMode::Parallel`] database must be observationally
-//! identical to its [`ShardMode::Deterministic`] twin — same state
-//! fingerprint (which hashes full row images including etags and
-//! timestamps), same binlog bytes, same dense SCN sequence — and a
-//! concurrently-driven parallel instance must end in the same state as a
-//! serial replay of the same per-lane programs.
+//! Property tests for the sharded serving runtime (DESIGN.md "serving
+//! runtime"): striping row locks over multiple stripes is a pure
+//! concurrency optimization. For any seeded workload the striped database
+//! must equal a plain map of the same program — same values, same etags,
+//! a dense SCN sequence, and a binlog that recovers to the byte-identical
+//! state fingerprint (which hashes full row images including etags and
+//! timestamps) — and an instance driven by concurrent lanes must end in
+//! the same state as the same lanes replayed from one thread.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use li_commons::metrics::MetricsRegistry;
-use li_commons::shard::ShardMode;
 use li_commons::sim::SimClock;
 use li_sqlstore::{Database, RowKey};
 use proptest::prelude::*;
@@ -42,13 +40,8 @@ fn arb_op() -> impl Strategy<Value = WorkloadOp> {
     ]
 }
 
-fn db(mode: ShardMode) -> Database {
-    let db = Database::with_shard_mode(
-        "props",
-        Arc::new(SimClock::new()),
-        &MetricsRegistry::new(),
-        mode,
-    );
+fn db() -> Database {
+    let db = Database::with_clock("props", Arc::new(SimClock::new()));
     db.create_table("t").unwrap();
     db
 }
@@ -82,38 +75,56 @@ fn apply(db: &Database, ops: &[WorkloadOp]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
-    /// The deterministic-twin contract itself: the same program applied
-    /// to a single-stripe and a 32-stripe database produces byte-identical
-    /// binlogs and identical state fingerprints. Stripe layout must be
-    /// invisible to every observer — replication, recovery, and chaos
-    /// trace comparison all ride on this.
+    /// Stripe layout must be invisible to every observer — replication,
+    /// recovery and chaos trace comparison all ride on this: the striped
+    /// database holds exactly what a map fed the same program holds (the
+    /// etag being the SCN of a row's last write), assigns one dense SCN
+    /// per commit, and its binlog recovers to the identical fingerprint.
     #[test]
-    fn parallel_database_is_byte_identical_to_deterministic_twin(
+    fn striped_database_matches_a_map_and_recovers_from_its_binlog(
         ops in proptest::collection::vec(arb_op(), 1..40),
     ) {
-        let serial = db(ShardMode::Deterministic);
-        let sharded = db(ShardMode::Parallel);
-        prop_assert_eq!(serial.row_stripes(), 1);
-        prop_assert!(sharded.row_stripes() > 1);
-
-        apply(&serial, &ops);
+        let sharded = db();
         apply(&sharded, &ops);
 
-        prop_assert_eq!(serial.state_fingerprint(), sharded.state_fingerprint());
-        prop_assert_eq!(serial.binlog_bytes(), sharded.binlog_bytes());
-        // Same dense SCN sequence with the same change payloads.
-        let a = serial.binlog_after(0);
-        let b = sharded.binlog_after(0);
-        prop_assert_eq!(a.len(), b.len());
-        for (ea, eb) in a.iter().zip(&b) {
-            prop_assert_eq!(ea, eb);
+        // key -> (value, SCN of the commit that wrote it).
+        let mut model: BTreeMap<u8, (Vec<u8>, u64)> = BTreeMap::new();
+        for (i, op) in ops.iter().enumerate() {
+            let scn = i as u64 + 1;
+            match op {
+                WorkloadOp::Put { key, value } => {
+                    model.insert(*key, (value.clone(), scn));
+                }
+                WorkloadOp::Delete { key } => {
+                    model.remove(key);
+                }
+                WorkloadOp::Multi { keys } => {
+                    for key in keys {
+                        model.insert(*key, (format!("multi-{i}").into_bytes(), scn));
+                    }
+                }
+            }
         }
-        prop_assert_eq!(serial.last_scn(), ops.len() as u64);
+        for key in 0u8..64 {
+            let got = sharded
+                .get("t", &RowKey::new([format!("k{key}")]))
+                .unwrap()
+                .map(|row| (row.value.to_vec(), row.etag));
+            prop_assert_eq!(got.as_ref(), model.get(&key), "key k{} diverged", key);
+        }
+        prop_assert_eq!(sharded.row_count("t").unwrap(), model.len());
+
+        // One dense SCN per commit, deletes of absent rows included.
+        let scns: Vec<u64> = sharded.binlog_after(0).iter().map(|e| e.scn).collect();
+        prop_assert_eq!(scns, (1..=ops.len() as u64).collect::<Vec<_>>());
+        prop_assert_eq!(sharded.last_scn(), ops.len() as u64);
+
+        sharded.verify_replay_equivalence().map_err(TestCaseError::fail)?;
     }
 
-    /// Concurrent lanes over disjoint key ranges: a parallel database
-    /// driven by one thread per lane ends in exactly the state of a
-    /// serial replay of the lanes — SCNs stay dense (no commit lost or
+    /// Concurrent lanes over disjoint key ranges: a database driven by
+    /// one thread per lane ends in exactly the state of a replay of the
+    /// lanes from one thread — SCNs stay dense (no commit lost or
     /// double-assigned under striped locking) and replaying the
     /// concurrent binlog reproduces the concurrent state.
     #[test]
@@ -139,7 +150,7 @@ proptest! {
             .collect();
         let total: u64 = keyed.iter().map(|lane| lane.len() as u64).sum();
 
-        let concurrent = Arc::new(db(ShardMode::Parallel));
+        let concurrent = Arc::new(db());
         let handles: Vec<_> = keyed
             .iter()
             .cloned()
@@ -158,7 +169,7 @@ proptest! {
             handle.join().unwrap();
         }
 
-        let serial = db(ShardMode::Deterministic);
+        let serial = db();
         for lane in &keyed {
             for (key, value) in lane {
                 let mut txn = serial.begin();
@@ -174,7 +185,7 @@ proptest! {
         // Per-key program order is lane-internal, so every key's final
         // *value* matches the serial replay. (Etags are SCNs and SCN
         // assignment across lanes is interleaving-dependent, so whole-row
-        // fingerprints are only compared in the twin property above.)
+        // fingerprints are only compared in the property above.)
         for lane in &keyed {
             for (key, _) in lane {
                 let got = concurrent

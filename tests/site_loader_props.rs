@@ -14,9 +14,8 @@
 //! Every case builds four full platforms, so the case count stays small
 //! (tunable with `SITE_LOADER_PROPTEST_CASES`).
 
-use li_commons::shard::ShardMode;
 use li_workload::site::SiteGraph;
-use linkedin_data_infra::{PlatformConfig, SiteBench, SiteBenchConfig};
+use linkedin_data_infra::{PlatformConfig, ShardMode, SiteBench, SiteBenchConfig};
 use proptest::prelude::*;
 
 fn loader_cases() -> ProptestConfig {
