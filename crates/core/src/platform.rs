@@ -326,16 +326,15 @@ impl DataPlatform {
 
     /// Starts push-style dispatch of the primary's change stream to the
     /// Databus subscribers (follow cacher + search indexer): the relay's
-    /// SCN watch wakes per-client workers through bounded channels instead
-    /// of every consumer polling. Safe alongside [`Self::pump`] /
-    /// [`Self::pump_streams`] — each client serializes whole poll cycles,
-    /// so no window is delivered twice. Stop (or drop) the returned
-    /// dispatcher to shut the threads down and drain.
+    /// SCN watch wakes one worker per client instead of every consumer
+    /// polling. Safe alongside [`Self::pump`] / [`Self::pump_streams`] —
+    /// each client serializes whole poll cycles, so no window is delivered
+    /// twice. Stop (or drop) the returned dispatcher to shut the threads
+    /// down and drain.
     pub fn start_stream_dispatch(&self) -> StreamDispatcher {
         StreamDispatcher::start(
             self.relay.clone(),
             vec![self.follow_cacher.clone(), self.search_client.clone()],
-            1,
         )
     }
 

@@ -1,19 +1,19 @@
-//! Push-style stream dispatch: bounded-channel fan-out from the relay's
-//! SCN watch to consumer-driving worker threads.
+//! Push-style stream dispatch: consumer-driving worker threads woken by
+//! the relay's SCN watch.
 //!
 //! The polling model has every consumer spinning `catch_up()` on its own
 //! schedule — cheap with one consumer, a thundering herd at site scale.
 //! The dispatcher inverts it: the relay publishes its high-water mark on a
-//! watch channel once per ingest batch ([`crate::Relay::scn_watch`]); one
-//! notifier thread forwards each mark into a **bounded** per-client
-//! channel; one worker per client drains its channel and runs `catch_up`.
+//! watch channel once per ingest batch ([`crate::Relay::scn_watch`]), and
+//! one worker per client sleeps on its own receiver of that watch and runs
+//! `catch_up` when the mark moves.
 //!
-//! The bounded channel is the backpressure point: when a slow consumer's
-//! channel is full, [`try_send`](crossbeam::channel::Sender::try_send)
-//! returns `Full` and the notification is *coalesced* — dropped, because a
-//! later mark supersedes it and the worker's next catch-up reads the
-//! newest state anyway. Fast consumers never wait on slow ones, and a
-//! stalled consumer costs one queued notification, not an unbounded queue.
+//! The watch is the only queue, and it holds one value: marks published
+//! while a worker is inside a (possibly long) catch-up conflate into the
+//! newest one, which is all the worker needs — its next catch-up reads the
+//! relay's current state anyway. Fast consumers never wait on slow ones,
+//! and a stalled consumer costs nothing but its own lag
+//! (`databus.client.relay_lag_scns`).
 //!
 //! Exactly-once delivery per window is the client's job, not the
 //! dispatcher's: `DatabusClient` serializes whole poll cycles on its drive
@@ -25,27 +25,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use li_sqlstore::Scn;
-
 use crate::client::DatabusClient;
 use crate::relay::Relay;
 
-/// How long the notifier sleeps on the watch and workers sleep on their
-/// channels between shutdown checks.
+/// How long a worker sleeps on the watch between shutdown checks.
 const TICK: Duration = Duration::from_millis(20);
 
 /// Counters describing a dispatcher's traffic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// High-water marks observed on the relay watch.
+    /// High-water marks observed on the relay watch, summed over the
+    /// workers (each one started a `catch_up`).
     pub marks_seen: u64,
-    /// Notifications accepted into client channels.
-    pub notified: u64,
-    /// Notifications dropped because a client channel was full (the
-    /// backpressure/coalescing path — not lost work, a later mark covers
-    /// them).
-    pub coalesced: u64,
     /// `catch_up` runs that returned an error (consumer failures; the
     /// worker keeps going and retries on the next mark).
     pub errors: u64,
@@ -54,12 +45,10 @@ pub struct DispatchStats {
 #[derive(Default)]
 struct SharedStats {
     marks_seen: AtomicU64,
-    notified: AtomicU64,
-    coalesced: AtomicU64,
     errors: AtomicU64,
 }
 
-/// A running dispatcher: one notifier thread plus one worker per client.
+/// A running dispatcher: one worker thread per client.
 /// Call [`StreamDispatcher::stop`] (or drop) to shut down; stopping runs a
 /// final drain so every client ends caught up with the relay.
 pub struct StreamDispatcher {
@@ -80,22 +69,14 @@ impl std::fmt::Debug for StreamDispatcher {
 }
 
 impl StreamDispatcher {
-    /// Starts dispatching `relay`'s stream to `clients`. `capacity` bounds
-    /// each client's notification channel (minimum 1; 1 is the natural
-    /// choice — one pending "you are behind" flag per client).
-    pub fn start(
-        relay: Arc<Relay>,
-        clients: Vec<Arc<DatabusClient>>,
-        capacity: usize,
-    ) -> Self {
+    /// Starts dispatching `relay`'s stream to `clients`.
+    pub fn start(relay: Arc<Relay>, clients: Vec<Arc<DatabusClient>>) -> Self {
         let stopped = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(SharedStats::default());
         let mut threads = Vec::new();
-        let mut senders: Vec<Sender<Scn>> = Vec::new();
 
         for (worker_index, client) in clients.iter().enumerate() {
-            let (tx, rx): (Sender<Scn>, Receiver<Scn>) = bounded(capacity.max(1));
-            senders.push(tx);
+            let mut watch = relay.scn_watch();
             let client = Arc::clone(client);
             let stopped = Arc::clone(&stopped);
             let stats = Arc::clone(&stats);
@@ -103,44 +84,14 @@ impl StreamDispatcher {
                 std::thread::Builder::new().name(format!("dispatch-{worker_index}"));
             threads.push(builder.spawn(move || {
                 while !stopped.load(Ordering::SeqCst) {
-                    if rx.recv_timeout(TICK).is_ok() {
-                        // Drain any queued duplicates before the (possibly
-                        // long) catch-up — they all mean the same thing.
-                        for _ in rx.try_iter() {}
+                    if watch.wait_newer(TICK).is_some() {
+                        stats.marks_seen.fetch_add(1, Ordering::Relaxed);
                         if client.catch_up().is_err() {
                             stats.errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
             }).expect("spawn dispatch worker"));
-        }
-
-        {
-            let mut watch = relay.scn_watch();
-            let stopped = Arc::clone(&stopped);
-            let stats = Arc::clone(&stats);
-            let builder = std::thread::Builder::new().name("dispatch-notify".into());
-            threads.push(builder.spawn(move || {
-                while !stopped.load(Ordering::SeqCst) {
-                    let Some(scn) = watch.wait_newer(TICK) else {
-                        continue;
-                    };
-                    stats.marks_seen.fetch_add(1, Ordering::Relaxed);
-                    for tx in &senders {
-                        match tx.try_send(scn) {
-                            Ok(()) => {
-                                stats.notified.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                stats.coalesced.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(TrySendError::Disconnected(_)) => {}
-                        }
-                    }
-                }
-                // Senders drop here; workers see Disconnected after their
-                // queues drain.
-            }).expect("spawn dispatch notifier"));
         }
 
         StreamDispatcher {
@@ -156,8 +107,6 @@ impl StreamDispatcher {
     pub fn stats(&self) -> DispatchStats {
         DispatchStats {
             marks_seen: self.stats.marks_seen.load(Ordering::Relaxed),
-            notified: self.stats.notified.load(Ordering::Relaxed),
-            coalesced: self.stats.coalesced.load(Ordering::Relaxed),
             errors: self.stats.errors.load(Ordering::Relaxed),
         }
     }
@@ -196,7 +145,7 @@ mod tests {
     use crate::client::ConsumerCallback;
     use crate::event::Window;
     use bytes::Bytes;
-    use li_sqlstore::{Op, Row, RowChange, RowKey};
+    use li_sqlstore::{Op, Row, RowChange, RowKey, Scn};
     use std::sync::atomic::AtomicUsize;
 
     struct CountingConsumer(AtomicUsize);
@@ -225,7 +174,7 @@ mod tests {
         let relay = Arc::new(Relay::new("primary", 1 << 20));
         let consumer = Arc::new(CountingConsumer(AtomicUsize::new(0)));
         let client = Arc::new(DatabusClient::new(relay.clone(), None, consumer.clone()));
-        let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()], 1);
+        let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()]);
 
         for scn in 1..=50 {
             relay.ingest(window(scn)).unwrap();
@@ -238,7 +187,6 @@ mod tests {
         assert_eq!(client.checkpoint(), 50, "fully caught up, no manual pump");
         assert_eq!(consumer.0.load(Ordering::Relaxed), 50, "each window once");
         assert!(stats.marks_seen > 0);
-        assert!(stats.notified > 0);
     }
 
     #[test]
@@ -246,7 +194,7 @@ mod tests {
         let relay = Arc::new(Relay::new("primary", 1 << 20));
         let consumer = Arc::new(CountingConsumer(AtomicUsize::new(0)));
         let client = Arc::new(DatabusClient::new(relay.clone(), None, consumer.clone()));
-        let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()], 1);
+        let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()]);
         for scn in 1..=20 {
             relay.ingest(window(scn)).unwrap();
         }
@@ -263,7 +211,7 @@ mod tests {
         let relay = Arc::new(Relay::new("primary", 1 << 20));
         let consumer = Arc::new(CountingConsumer(AtomicUsize::new(0)));
         let client = Arc::new(DatabusClient::new(relay.clone(), None, consumer.clone()));
-        let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()], 1);
+        let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()]);
         let pump_client = client.clone();
         let pumping = Arc::new(AtomicBool::new(true));
         let pumping2 = pumping.clone();

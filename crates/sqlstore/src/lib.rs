@@ -33,6 +33,6 @@ mod table;
 
 pub use binlog::{Binlog, BinlogEntry};
 pub use db::{Database, DbError, Transaction, TriggerFn};
-pub use replication::{ReplicaApplier, ShipError, Shipper};
+pub use replication::{ShipError, Shipper};
 pub use row::{Op, Row, RowChange, RowKey, Scn};
 pub use table::Table;

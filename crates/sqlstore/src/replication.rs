@@ -1,14 +1,8 @@
-//! Semi-synchronous binlog shipping and replica application.
+//! Semi-synchronous binlog shipping.
 
 use std::fmt;
-use std::sync::Arc;
-
-use li_commons::metrics::Gauge;
-use parking_lot::Mutex;
 
 use crate::binlog::BinlogEntry;
-use crate::db::{Database, DbError};
-use crate::row::Scn;
 
 /// Failure to ship a binlog entry to its second home.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,81 +47,13 @@ where
     }
 }
 
-/// Applies a master's binlog stream to a replica database in SCN order,
-/// buffering out-of-order deliveries — the read-replica use case the paper
-/// lists for Databus ("database replication for read scalability").
-pub struct ReplicaApplier {
-    replica: Arc<Database>,
-    pending: Mutex<Vec<BinlogEntry>>,
-    /// Highest master SCN ever offered (what the master has committed, as
-    /// far as this replica has heard).
-    newest_offered: Mutex<Scn>,
-    /// Replication ack lag (`sqlstore.replica.<name>.ack_lag_scns`): newest
-    /// offered master SCN minus the replica's applied SCN. Zero when caught
-    /// up; positive while entries are buffered out of order.
-    ack_lag: Gauge,
-}
-
-impl ReplicaApplier {
-    /// Wraps a replica database, reporting lag into the replica's own
-    /// metrics registry.
-    pub fn new(replica: Arc<Database>) -> Self {
-        let ack_lag = replica
-            .metrics()
-            .gauge(&format!("sqlstore.replica.{}.ack_lag_scns", replica.name()));
-        ReplicaApplier {
-            replica,
-            pending: Mutex::new(Vec::new()),
-            newest_offered: Mutex::new(0),
-            ack_lag,
-        }
-    }
-
-    /// The wrapped replica.
-    pub fn replica(&self) -> &Arc<Database> {
-        &self.replica
-    }
-
-    /// Offers one entry; applies it and any now-unblocked buffered entries.
-    /// Returns the replica's applied SCN after the call.
-    pub fn offer(&self, entry: BinlogEntry) -> Result<Scn, DbError> {
-        {
-            let mut newest = self.newest_offered.lock();
-            *newest = (*newest).max(entry.scn);
-        }
-        let mut pending = self.pending.lock();
-        pending.push(entry);
-        pending.sort_by_key(|e| e.scn);
-        loop {
-            let next_scn = self.replica.applied_scn() + 1;
-            match pending.iter().position(|e| e.scn == next_scn) {
-                Some(idx) => {
-                    let entry = pending.remove(idx);
-                    self.replica.apply_replicated(&entry)?;
-                }
-                None => {
-                    // Drop anything stale (already applied duplicates).
-                    let applied = self.replica.applied_scn();
-                    pending.retain(|e| e.scn > applied);
-                    self.ack_lag
-                        .set(self.newest_offered.lock().saturating_sub(applied) as i64);
-                    return Ok(applied);
-                }
-            }
-        }
-    }
-
-    /// Number of buffered out-of-order entries.
-    pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{Database, DbError};
     use crate::row::RowKey;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn primary() -> Database {
         let db = Database::new("primary");
@@ -168,33 +94,5 @@ mod tests {
         // Relay back: the same write succeeds with SCN 1 (no gap).
         fail.store(false, Ordering::SeqCst);
         assert_eq!(db.put_one("t", RowKey::single("k"), &b"v"[..], 1).unwrap(), 1);
-    }
-
-    #[test]
-    fn replica_applier_handles_reorder_and_duplicates() {
-        let db = primary();
-        for i in 0..5 {
-            db.put_one("t", RowKey::single(format!("k{i}")), &b"v"[..], 1).unwrap();
-        }
-        let entries = db.binlog_after(0);
-
-        let replica = Arc::new(Database::new("replica"));
-        replica.create_table("t").unwrap();
-        let applier = ReplicaApplier::new(replica.clone());
-
-        // Deliver out of order with a duplicate.
-        applier.offer(entries[1].clone()).unwrap(); // scn 2 buffered
-        assert_eq!(replica.applied_scn(), 0);
-        assert_eq!(applier.pending_len(), 1);
-        applier.offer(entries[0].clone()).unwrap(); // unblocks 1 and 2
-        assert_eq!(replica.applied_scn(), 2);
-        applier.offer(entries[0].clone()).unwrap(); // stale duplicate
-        assert_eq!(replica.applied_scn(), 2);
-        assert_eq!(applier.pending_len(), 0);
-        applier.offer(entries[4].clone()).unwrap();
-        applier.offer(entries[3].clone()).unwrap();
-        applier.offer(entries[2].clone()).unwrap();
-        assert_eq!(replica.applied_scn(), 5);
-        assert_eq!(replica.row_count("t").unwrap(), 5);
     }
 }

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use crate::cluster::VoldemortCluster;
 use crate::error::VoldemortError;
-use crate::server::Hint;
+use crate::server::{Hint, VoldemortNode};
 use crate::store::StoreDef;
 
 /// A server-side transform (API methods 3 and 4): runs against the stored
@@ -69,14 +69,9 @@ pub trait Transform: Send + Sync {
 /// `None` to abort.
 pub type UpdateAction<'a> = &'a dyn Fn(&[Versioned<Bytes>]) -> Option<Bytes>;
 
-/// One replica's read reply: simulated link latency plus the versions held.
-type ReadReply = (Duration, Vec<Versioned<Bytes>>);
-
-/// Late-straggler handler for read fan-outs.
-type ReadLateHandler = LateHandler<ReadReply, VoldemortError>;
-
-/// One node's batched multi-get task: per-key version lists in request order.
-type MultiGetTask = FanOutTask<(NodeId, Vec<Vec<Versioned<Bytes>>>), VoldemortError>;
+/// Late-straggler handler for a fan-out of [`ReplicaLink::task`]s, whose
+/// replies are the simulated link latency plus the op's value.
+type LateReplyHandler<T> = LateHandler<(Duration, T), VoldemortError>;
 
 /// Which side coordinates requests. "Voldemort supports both server and
 /// client side routing by moving the routing and associated modules"
@@ -209,49 +204,137 @@ impl ClientMetrics {
     }
 }
 
-/// Delivers one replica-bound message, enforcing the per-node deadline and
-/// maintaining the failure detector. Returns the simulated link latency.
-fn replica_deliver(
-    cluster: &VoldemortCluster,
+/// The one way a client reaches a replica: what every replica request of a
+/// client shares, fixed once the client is built
+/// ([`StoreClient::with_server_routing`] and
+/// [`StoreClient::with_quorum_config`] are the only writers). Held in an
+/// `Arc`, so a fan-out task captures one refcount.
+#[derive(Clone)]
+struct ReplicaLink {
+    cluster: Arc<VoldemortCluster>,
+    store: String,
+    /// The node replica traffic originates from: the client itself, or the
+    /// coordinator under server-side routing.
     origin: NodeId,
-    node: NodeId,
-    timeout: Option<Duration>,
-    sleep: bool,
-) -> Result<Duration, VoldemortError> {
-    match cluster.network().deliver(origin, node) {
-        Ok(latency) => {
-            if let Some(deadline) = timeout {
-                if latency > deadline {
-                    // The caller gives up at the deadline (sleep only that
-                    // long) and the slow node is penalized like a dead one,
-                    // so the detector's ban/backoff covers chronic
-                    // stragglers too.
-                    if sleep {
-                        std::thread::sleep(deadline);
-                    }
-                    cluster.detector().record_failure(node);
-                    return Err(VoldemortError::Timeout(node));
+    per_node_timeout: Option<Duration>,
+    simulate_latency: bool,
+}
+
+impl ReplicaLink {
+    /// Delivers one message to `node` and runs `op` on it, returning the
+    /// simulated link latency with `op`'s value. Every outcome feeds the
+    /// failure detector. A *timed* call is one the caller waits on (the
+    /// coordinator hop, the quorum waves): it enforces the per-node
+    /// deadline and sleeps the link when latency is simulated. Repairs,
+    /// hints, heals and shadow probes are untimed.
+    fn call<T>(
+        &self,
+        node: NodeId,
+        timed: bool,
+        op: impl FnOnce(&VoldemortNode) -> Result<T, VoldemortError>,
+    ) -> Result<(Duration, T), VoldemortError> {
+        let server = self.cluster.node(node)?;
+        let detector = self.cluster.detector();
+        let latency = self.cluster.network().deliver(self.origin, node).map_err(|net| {
+            detector.record_failure(node);
+            VoldemortError::Net(node, net)
+        })?;
+        if timed {
+            if let Some(deadline) = self.per_node_timeout.filter(|d| latency > *d) {
+                // The caller gives up at the deadline (sleep only that
+                // long) and the slow node is penalized like a dead one, so
+                // the detector's ban/backoff covers chronic stragglers too.
+                if self.simulate_latency {
+                    std::thread::sleep(deadline);
                 }
+                detector.record_failure(node);
+                return Err(VoldemortError::Timeout(node));
             }
-            if sleep {
+            if self.simulate_latency {
                 std::thread::sleep(latency);
             }
-            Ok(latency)
         }
-        Err(net) => {
-            cluster.detector().record_failure(node);
-            Err(VoldemortError::Net(node, net))
+        let result = op(&server);
+        // An application-level rejection (e.g. ObsoleteVersion) is a
+        // *successful* interaction for liveness purposes.
+        detector.record_success(node);
+        result.map(|value| (latency, value))
+    }
+
+    /// The fan-out task that runs `op` (handed the store name) on `node`
+    /// as a timed call. `'static` because Parallel mode stragglers may
+    /// outlive the operation that launched them.
+    fn task<T>(
+        self: &Arc<Self>,
+        node: NodeId,
+        op: impl FnOnce(&VoldemortNode, &str) -> Result<T, VoldemortError> + Send + 'static,
+    ) -> FanOutTask<(Duration, T), VoldemortError> {
+        let link = Arc::clone(self);
+        FanOutTask::new(u64::from(node.0), move || {
+            link.call(node, true, |server| op(server, &link.store))
+        })
+    }
+
+    /// Read repair: pushes every version of `merged` that `node` answered
+    /// without (`held` is what it answered) back to it.
+    fn repair(
+        &self,
+        node: NodeId,
+        key: &[u8],
+        merged: &[Versioned<Bytes>],
+        held: &[Versioned<Bytes>],
+    ) {
+        for version in merged {
+            if !held.iter().any(|v| v.clock == version.clock) {
+                let _ = self.call(node, false, |server| {
+                    server.force_put(&self.store, key, version.clone())
+                });
+            }
         }
+    }
+
+    /// The nodes that may hold a hint for a replica of `prefs`, in id
+    /// order: outside the preference list and not banned.
+    fn hint_holders<'a>(&'a self, prefs: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
+        let detector = self.cluster.detector();
+        self.cluster
+            .node_ids()
+            .into_iter()
+            .filter(move |n| !prefs.contains(n) && detector.is_available(*n))
+    }
+
+    /// Hinted handoff: parks `value` for the unreachable `target` on the
+    /// first of `holders` that accepts it, walking past holders that are
+    /// unreachable themselves. False when the walk runs out of holders.
+    fn park_hint(
+        &self,
+        holders: &mut impl Iterator<Item = NodeId>,
+        target: NodeId,
+        key: &Bytes,
+        value: &Versioned<Bytes>,
+    ) -> bool {
+        holders.any(|holder| {
+            self.call(holder, false, |server| {
+                server.store_hint(Hint {
+                    store: self.store.clone(),
+                    target,
+                    key: key.clone(),
+                    value: value.clone(),
+                });
+                Ok(())
+            })
+            .is_ok()
+        })
     }
 }
 
 /// A client bound to one store.
 pub struct StoreClient {
-    cluster: Arc<VoldemortCluster>,
     store: StoreDef,
     routing: RoutingMode,
     config: QuorumConfig,
     metrics: ClientMetrics,
+    link: Arc<ReplicaLink>,
 }
 
 impl StoreClient {
@@ -260,12 +343,20 @@ impl StoreClient {
 
     pub(crate) fn new(cluster: Arc<VoldemortCluster>, store: StoreDef) -> Self {
         let metrics = ClientMetrics::new(&cluster);
-        StoreClient {
+        let config = QuorumConfig::default();
+        let link = Arc::new(ReplicaLink {
             cluster,
+            store: store.name.clone(),
+            origin: Self::CLIENT_NODE,
+            per_node_timeout: config.per_node_timeout,
+            simulate_latency: config.simulate_latency,
+        });
+        StoreClient {
             store,
             routing: RoutingMode::ClientSide,
-            config: QuorumConfig::default(),
+            config,
             metrics,
+            link,
         }
     }
 
@@ -276,6 +367,7 @@ impl StoreClient {
     #[must_use]
     pub fn with_server_routing(mut self, coordinator: NodeId) -> Self {
         self.routing = RoutingMode::ServerSide(coordinator);
+        Arc::make_mut(&mut self.link).origin = coordinator;
         self
     }
 
@@ -283,6 +375,9 @@ impl StoreClient {
     /// per-node deadline, hedging).
     #[must_use]
     pub fn with_quorum_config(mut self, config: QuorumConfig) -> Self {
+        let link = Arc::make_mut(&mut self.link);
+        link.per_node_timeout = config.per_node_timeout;
+        link.simulate_latency = config.simulate_latency;
         self.config = config;
         self
     }
@@ -292,18 +387,10 @@ impl StoreClient {
         &self.config
     }
 
-    /// The node that acts as the origin of replica traffic.
-    fn origin(&self) -> NodeId {
-        match self.routing {
-            RoutingMode::ClientSide => Self::CLIENT_NODE,
-            RoutingMode::ServerSide(coordinator) => coordinator,
-        }
-    }
-
     /// For server-side routing: the client -> coordinator hop itself.
     fn enter(&self) -> Result<(), VoldemortError> {
         if let RoutingMode::ServerSide(coordinator) = self.routing {
-            self.cluster
+            self.link.cluster
                 .network()
                 .deliver(Self::CLIENT_NODE, coordinator)
                 .map_err(|e| VoldemortError::Net(coordinator, e))?;
@@ -317,44 +404,22 @@ impl StoreClient {
     }
 
     fn preference_list(&self, key: &[u8]) -> Result<Vec<NodeId>, VoldemortError> {
-        self.cluster.route(&self.store, key)
+        self.link.cluster.route(&self.store, key)
     }
 
     /// The worker pool, only when this client actually runs parallel.
     fn pool(&self) -> Option<Arc<FanOutPool>> {
-        (self.config.mode == FanOutMode::Parallel).then(|| self.cluster.fan_out_pool())
-    }
-
-    /// Attempts one remote call inline, maintaining the failure detector.
-    fn call<T>(
-        &self,
-        node: NodeId,
-        op: impl FnOnce() -> Result<T, VoldemortError>,
-    ) -> Result<T, VoldemortError> {
-        let detector = self.cluster.detector();
-        match self.cluster.network().deliver(self.origin(), node) {
-            Ok(_latency) => {
-                let result = op();
-                // An application-level rejection (e.g. ObsoleteVersion) is
-                // a *successful* interaction for liveness purposes.
-                detector.record_success(node);
-                result
-            }
-            Err(net) => {
-                detector.record_failure(node);
-                Err(VoldemortError::Net(node, net))
-            }
-        }
+        (self.config.mode == FanOutMode::Parallel).then(|| self.link.cluster.fan_out_pool())
     }
 
     /// Preference-list nodes that exist and the failure detector considers
     /// available, in preference order.
     fn available_replicas(&self, prefs: &[NodeId]) -> Vec<NodeId> {
-        let detector = self.cluster.detector();
+        let detector = self.link.cluster.detector();
         prefs
             .iter()
             .copied()
-            .filter(|&n| detector.is_available(n) && self.cluster.node(n).is_ok())
+            .filter(|&n| detector.is_available(n) && self.link.cluster.node(n).is_ok())
             .collect()
     }
 
@@ -372,28 +437,6 @@ impl StoreClient {
             Duration::from_nanos(observed.quantile(cfg.quantile))
         };
         Some(delay.clamp(cfg.min_delay, cfg.max_delay))
-    }
-
-    /// Builds the replica-get task for `node`. `'static` because Parallel
-    /// mode stragglers may outlive this call.
-    fn get_task(
-        &self,
-        node: NodeId,
-        key: &[u8],
-    ) -> FanOutTask<(Duration, Vec<Versioned<Bytes>>), VoldemortError> {
-        let cluster = Arc::clone(&self.cluster);
-        let store = self.store.name.clone();
-        let key = Bytes::copy_from_slice(key);
-        let origin = self.origin();
-        let timeout = self.config.per_node_timeout;
-        let sleep = self.config.simulate_latency;
-        FanOutTask::new(u64::from(node.0), move || {
-            let server = cluster.node(node)?;
-            let latency = replica_deliver(&cluster, origin, node, timeout, sleep)?;
-            let result = server.get(&store, &key);
-            cluster.detector().record_success(node);
-            result.map(|versions| (latency, versions))
-        })
     }
 
     /// API method 1: quorum get. Returns all concurrent siblings (empty
@@ -459,38 +502,31 @@ impl StoreClient {
             ReadFanOut::Quorum => required.min(available.len()),
             ReadFanOut::All => available.len(),
         };
-        let primary: Vec<_> = available[..width].iter().map(|&n| self.get_task(n, key)).collect();
-        let backups: Vec<_> = available[width..].iter().map(|&n| self.get_task(n, key)).collect();
+        // One copy of the key per operation; each task shares it.
+        let shared_key = Bytes::copy_from_slice(key);
+        let get_task = |&node: &NodeId| {
+            let key = shared_key.clone();
+            self.link.task(node, move |server, store| server.get(store, &key))
+        };
+        let primary: Vec<_> = available[..width].iter().map(get_task).collect();
+        let backups: Vec<_> = available[width..].iter().map(get_task).collect();
 
         // Stragglers that answer after we've returned get repaired in the
         // background against the merged set published here. Best-effort: a
         // straggler racing the publish is skipped, exactly like a replica
         // that missed this read entirely — the next read repairs it.
         let merged_latch: Arc<OnceLock<Vec<Versioned<Bytes>>>> = Arc::new(OnceLock::new());
-        let late: Option<ReadLateHandler> =
-            (self.config.mode == FanOutMode::Parallel).then(|| {
-                let cluster = Arc::clone(&self.cluster);
-                let store = self.store.name.clone();
-                let key = Bytes::copy_from_slice(key);
-                let origin = self.origin();
-                let latch = Arc::clone(&merged_latch);
-                let handler: ReadLateHandler =
-                    Arc::new(move |node, outcome| {
-                        let Ok((_, versions)) = outcome else { return };
-                        let Some(merged) = latch.get() else { return };
-                        let node = NodeId(node as u16);
-                        for version in merged {
-                            if !versions.iter().any(|v| v.clock == version.clock) {
-                                if let Ok(server) = cluster.node(node) {
-                                    if cluster.network().deliver(origin, node).is_ok() {
-                                        let _ = server.force_put(&store, &key, version.clone());
-                                    }
-                                }
-                            }
-                        }
-                    });
-                handler
-            });
+        let late = (self.config.mode == FanOutMode::Parallel).then(|| {
+            let (link, key) = (Arc::clone(&self.link), shared_key.clone());
+            let latch = Arc::clone(&merged_latch);
+            let handler: LateReplyHandler<Vec<Versioned<Bytes>>> =
+                Arc::new(move |node, outcome| {
+                    if let (Ok((_, held)), Some(merged)) = (outcome, latch.get()) {
+                        link.repair(NodeId(node as u16), &key, merged, &held);
+                    }
+                });
+            handler
+        });
 
         let opts = FanOutOptions {
             mode: self.config.mode,
@@ -541,16 +577,7 @@ impl StoreClient {
 
         // Read repair: push missing versions back to stale responders.
         for (node, _, versions) in &responses {
-            for version in &merged {
-                let has = versions.iter().any(|v| v.clock == version.clock);
-                if !has {
-                    if let Ok(server) = self.cluster.node(*node) {
-                        let _ = self.call(*node, || {
-                            server.force_put(&self.store.name, key, version.clone())
-                        });
-                    }
-                }
-            }
+            self.link.repair(*node, key, &merged, versions);
         }
 
         let mut latencies: Vec<Duration> =
@@ -584,7 +611,7 @@ impl StoreClient {
     /// counts a `migration.shadow_mismatch` when it diverges from what the
     /// read quorum served.
     fn shadow_read_probe(&self, key: &[u8], merged: &[Versioned<Bytes>]) {
-        let Some(m) = self.cluster.active_migration() else {
+        let Some(m) = self.link.cluster.active_migration() else {
             return;
         };
         if !m.dual_write_active() {
@@ -594,18 +621,11 @@ impl StoreClient {
         if gaining.is_empty() {
             return;
         }
-        let scope = self.cluster.metrics().scope("migration");
+        let scope = self.link.cluster.metrics().scope("migration");
         for t in gaining {
-            let Ok(node) = self.cluster.node(t) else {
-                continue;
-            };
-            if self.cluster.network().deliver(self.origin(), t).is_err() {
-                continue;
-            }
-            let Ok(engine) = node.engine(&self.store.name) else {
-                continue;
-            };
-            let Ok(versions) = engine.get(key) else {
+            // Straight at the engine: a probe is not a served get.
+            let probe = |node: &VoldemortNode| node.engine(&self.store.name)?.get(key);
+            let Ok((_, versions)) = self.link.call(t, false, probe) else {
                 continue;
             };
             let mut image: Vec<Versioned<Bytes>> = Vec::new();
@@ -688,16 +708,8 @@ impl StoreClient {
         clock: &VectorClock,
         value: &Bytes,
         transform: Option<&dyn Transform>,
-    ) -> Result<(Duration, VectorClock, Bytes), VoldemortError> {
-        let server = self.cluster.node(node)?;
-        let latency = replica_deliver(
-            &self.cluster,
-            self.origin(),
-            node,
-            self.config.per_node_timeout,
-            self.config.simulate_latency,
-        )?;
-        let result = (|| {
+    ) -> Result<(Duration, (VectorClock, Bytes)), VoldemortError> {
+        self.link.call(node, true, |server| {
             let stored = match transform {
                 Some(t) => {
                     // Transform exactly the version the stamped clock
@@ -718,30 +730,6 @@ impl StoreClient {
                 Versioned::new(stamped.clone(), stored.clone()),
             )?;
             Ok((stamped, stored))
-        })();
-        self.cluster.detector().record_success(node);
-        result.map(|(stamped, stored)| (latency, stamped, stored))
-    }
-
-    /// Builds the replica-put task for `node`.
-    fn put_task(
-        &self,
-        node: NodeId,
-        key: &[u8],
-        versioned: Versioned<Bytes>,
-    ) -> FanOutTask<Duration, VoldemortError> {
-        let cluster = Arc::clone(&self.cluster);
-        let store = self.store.name.clone();
-        let key = Bytes::copy_from_slice(key);
-        let origin = self.origin();
-        let timeout = self.config.per_node_timeout;
-        let sleep = self.config.simulate_latency;
-        FanOutTask::new(u64::from(node.0), move || {
-            let server = cluster.node(node)?;
-            let latency = replica_deliver(&cluster, origin, node, timeout, sleep)?;
-            let result = server.put(&store, &key, versioned);
-            cluster.detector().record_success(node);
-            result.map(|()| latency)
         })
     }
 
@@ -757,8 +745,8 @@ impl StoreClient {
         // Captured before the quorum runs: if a migration cutover flips
         // routing while this put is in flight, the epoch moves and the
         // committed version is re-pushed to the new preference list.
-        let epoch = self.cluster.topology_epoch();
-        let detector = self.cluster.detector();
+        let epoch = self.link.cluster.topology_epoch();
+        let detector = self.link.cluster.detector();
         let required = self.store.required_writes;
         let mut acks = 0usize;
         let mut failed_replicas: Vec<NodeId> = Vec::new();
@@ -775,12 +763,12 @@ impl StoreClient {
         let mut committed_clock: Option<VectorClock> = None;
         let mut wave_start = prefs.len();
         for (i, &node) in prefs.iter().enumerate() {
-            if self.cluster.node(node).is_err() || !detector.is_available(node) {
+            if self.link.cluster.node(node).is_err() || !detector.is_available(node) {
                 failed_replicas.push(node);
                 continue;
             }
             match self.put_coordinator(node, key, clock, &value, transform) {
-                Ok((latency, stamped, stored)) => {
+                Ok((latency, (stamped, stored))) => {
                     sim_latency += latency;
                     value = stored;
                     committed_clock = Some(stamped);
@@ -799,37 +787,39 @@ impl StoreClient {
                 Err(_) => failed_replicas.push(node),
             }
         }
-        if transform.is_some() && committed_clock.is_none() {
+        let committed = committed_clock.is_some();
+        if transform.is_some() && !committed {
             // No replica ran the transform, so there is no stored value to
             // park as a hint: the raw input is not one.
             return Err(VoldemortError::InsufficientWrites { required, got: 0 });
         }
-        let new_clock = committed_clock
-            .clone()
-            .unwrap_or_else(|| clock.incremented(prefs[0].0));
+        // The version that replicates, parks as a hint and feeds a
+        // migration capture; the key is copied once for all of them.
+        let versioned = Versioned::new(
+            committed_clock.unwrap_or_else(|| clock.incremented(prefs[0].0)),
+            value,
+        );
+        let shared_key = Bytes::copy_from_slice(key);
 
         // Phase 2 — replicate the committed version to the remaining
         // preference-list replicas, in parallel, waiting only for the
         // W−1 further acks the quorum still needs. Stragglers keep running;
         // a late failure parks a hint asynchronously.
-        if committed_clock.is_some() && wave_start < prefs.len() {
+        if committed && wave_start < prefs.len() {
             let mut tasks = Vec::new();
             for &node in &prefs[wave_start..] {
-                if self.cluster.node(node).is_err() || !detector.is_available(node) {
+                if self.link.cluster.node(node).is_err() || !detector.is_available(node) {
                     failed_replicas.push(node);
                     continue;
                 }
-                tasks.push(self.put_task(
-                    node,
-                    key,
-                    Versioned::new(new_clock.clone(), value.clone()),
-                ));
+                let (key, versioned) = (shared_key.clone(), versioned.clone());
+                tasks.push(self.link.task(node, move |server, store| {
+                    server.put(store, &key, versioned)
+                }));
             }
             if !tasks.is_empty() {
-                let late: Option<LateHandler<Duration, VoldemortError>> =
-                    (self.config.mode == FanOutMode::Parallel).then(|| {
-                        self.late_hint_handler(key, &prefs, &new_clock, &value)
-                    });
+                let late = (self.config.mode == FanOutMode::Parallel)
+                    .then(|| self.late_hint_handler(&shared_key, &prefs, &versioned));
                 // Replication is not optional: every replica must be
                 // attempted. Inline runs the whole wave; only Parallel
                 // returns at W acks and leaves the rest replicating in
@@ -862,7 +852,7 @@ impl StoreClient {
                     return Err(e);
                 }
                 let mut wave_latencies: Vec<Duration> = Vec::new();
-                for (_, latency) in report.successes() {
+                for (_, (latency, ())) in report.successes() {
                     acks += 1;
                     wave_latencies.push(*latency);
                     self.metrics.replica_latency.record(latency.as_nanos() as u64);
@@ -883,41 +873,19 @@ impl StoreClient {
             .put_sim_latency
             .record(sim_latency.as_nanos() as u64);
 
-        // Hinted handoff: park failed replicas' writes on fallback nodes.
+        // Hinted handoff (sloppy quorum): each failed replica's write parks
+        // on the next holder that accepts it. The failed replicas share one
+        // walk over the holders, so W acks are W distinct nodes.
         if acks < required && !failed_replicas.is_empty() {
-            let fallbacks: Vec<NodeId> = self
-                .cluster
-                .node_ids()
-                .into_iter()
-                .filter(|n| !prefs.contains(n) && detector.is_available(*n))
-                .collect();
-            let mut fallback_iter = fallbacks.into_iter();
+            let mut holders = self.link.hint_holders(&prefs);
             for &target in &failed_replicas {
-                if acks >= required {
-                    break;
-                }
-                let Some(holder_id) = fallback_iter.next() else {
-                    break;
-                };
-                let Ok(holder) = self.cluster.node(holder_id) else {
-                    continue;
-                };
-                let hint = Hint {
-                    store: self.store.name.clone(),
-                    target,
-                    key: Bytes::copy_from_slice(key),
-                    value: Versioned::new(new_clock.clone(), value.clone()),
-                };
-                if self
-                    .call(holder_id, || {
-                        holder.store_hint(hint);
-                        Ok(())
-                    })
-                    .is_ok()
+                if acks >= required
+                    || !self.link.park_hint(&mut holders, target, &shared_key, &versioned)
                 {
-                    acks += 1;
-                    self.metrics.hinted_writes.inc();
+                    break;
                 }
+                acks += 1;
+                self.metrics.hinted_writes.inc();
             }
         }
 
@@ -930,14 +898,9 @@ impl StoreClient {
 
         // The write is acked: this is the zero-loss capture point for an
         // in-flight partition migration.
-        self.cluster.on_acked_put(
-            &self.store,
-            key,
-            &Versioned::new(new_clock.clone(), value.clone()),
-            self.origin(),
-        );
-        self.heal_routing_drift(key, &prefs, &new_clock, &value, epoch);
-        Ok(new_clock)
+        self.link.cluster.on_acked_put(&self.store, key, &versioned, self.link.origin);
+        self.heal_routing_drift(&shared_key, &prefs, &versioned, epoch);
+        Ok(versioned.clock)
     }
 
     /// If the topology changed while this put was in flight (a cutover
@@ -948,53 +911,27 @@ impl StoreClient {
     /// `deliver_hints` routes via the current ring, so it lands there.
     fn heal_routing_drift(
         &self,
-        key: &[u8],
+        key: &Bytes,
         prefs: &[NodeId],
-        clock: &VectorClock,
-        value: &Bytes,
+        versioned: &Versioned<Bytes>,
         epoch_before: u64,
     ) {
-        if self.cluster.topology_epoch() == epoch_before {
+        if self.link.cluster.topology_epoch() == epoch_before {
             return;
         }
         let Ok(now_prefs) = self.preference_list(key) else {
             return;
         };
-        let detector = self.cluster.detector();
         for node in now_prefs.iter().copied().filter(|n| !prefs.contains(n)) {
-            let versioned = Versioned::new(clock.clone(), value.clone());
-            let landed = self
-                .cluster
-                .node(node)
-                .ok()
-                .filter(|_| self.cluster.network().deliver(self.origin(), node).is_ok())
-                .is_some_and(|server| {
-                    server
-                        .force_put(&self.store.name, key, versioned.clone())
-                        .is_ok()
-                });
-            if landed {
+            let push = |server: &VoldemortNode| {
+                server.force_put(&self.store.name, key, versioned.clone())
+            };
+            if self.link.call(node, false, push).is_ok() {
                 continue;
             }
-            for holder_id in self
-                .cluster
-                .node_ids()
-                .into_iter()
-                .filter(|n| !now_prefs.contains(n) && detector.is_available(*n))
-            {
-                let Ok(holder) = self.cluster.node(holder_id) else {
-                    continue;
-                };
-                if self.cluster.network().deliver(self.origin(), holder_id).is_ok() {
-                    holder.store_hint(Hint {
-                        store: self.store.name.clone(),
-                        target: node,
-                        key: Bytes::copy_from_slice(key),
-                        value: versioned,
-                    });
-                    self.metrics.hinted_writes.inc();
-                    break;
-                }
+            let mut holders = self.link.hint_holders(&now_prefs);
+            if self.link.park_hint(&mut holders, node, key, versioned) {
+                self.metrics.hinted_writes.inc();
             }
         }
     }
@@ -1003,44 +940,19 @@ impl StoreClient {
     /// that fail after the quorum already returned.
     fn late_hint_handler(
         &self,
-        key: &[u8],
+        key: &Bytes,
         prefs: &[NodeId],
-        new_clock: &VectorClock,
-        value: &Bytes,
-    ) -> LateHandler<Duration, VoldemortError> {
-        let cluster = Arc::clone(&self.cluster);
-        let store = self.store.name.clone();
-        let key = Bytes::copy_from_slice(key);
-        let prefs = prefs.to_vec();
-        let new_clock = new_clock.clone();
-        let value = value.clone();
-        let origin = self.origin();
+        versioned: &Versioned<Bytes>,
+    ) -> LateReplyHandler<()> {
+        let link = Arc::clone(&self.link);
+        let (key, prefs, versioned) = (key.clone(), prefs.to_vec(), versioned.clone());
         let hinted = self.metrics.hinted_writes.clone();
         Arc::new(move |node, outcome| {
-            if outcome.is_ok() {
-                return;
-            }
             let target = NodeId(node as u16);
-            let detector = cluster.detector();
-            let fallbacks: Vec<NodeId> = cluster
-                .node_ids()
-                .into_iter()
-                .filter(|n| !prefs.contains(n) && detector.is_available(*n))
-                .collect();
-            for holder_id in fallbacks {
-                let Ok(holder) = cluster.node(holder_id) else {
-                    continue;
-                };
-                if cluster.network().deliver(origin, holder_id).is_ok() {
-                    holder.store_hint(Hint {
-                        store: store.clone(),
-                        target,
-                        key: key.clone(),
-                        value: Versioned::new(new_clock.clone(), value.clone()),
-                    });
-                    hinted.inc();
-                    break;
-                }
+            if outcome.is_err()
+                && link.park_hint(&mut link.hint_holders(&prefs), target, &key, &versioned)
+            {
+                hinted.inc();
             }
         })
     }
@@ -1050,26 +962,20 @@ impl StoreClient {
     pub fn delete(&self, key: &[u8], clock: &VectorClock) -> Result<bool, VoldemortError> {
         self.enter()?;
         let prefs = self.preference_list(key)?;
-        let epoch = self.cluster.topology_epoch();
+        let epoch = self.link.cluster.topology_epoch();
         let required = self.store.required_writes;
-        let mut tasks: Vec<FanOutTask<(Duration, bool), VoldemortError>> = Vec::new();
+        // Banned replicas are contacted like any other: a delete parks no
+        // hint, so a replica it skipped would keep the value for read
+        // repair to bring back.
+        let shared_key = Bytes::copy_from_slice(key);
+        let mut tasks = Vec::new();
         for &node in &prefs {
-            if self.cluster.node(node).is_err() {
+            if self.link.cluster.node(node).is_err() {
                 continue;
             }
-            let cluster = Arc::clone(&self.cluster);
-            let store = self.store.name.clone();
-            let key = Bytes::copy_from_slice(key);
-            let clock = clock.clone();
-            let origin = self.origin();
-            let timeout = self.config.per_node_timeout;
-            let sleep = self.config.simulate_latency;
-            tasks.push(FanOutTask::new(u64::from(node.0), move || {
-                let server = cluster.node(node)?;
-                let latency = replica_deliver(&cluster, origin, node, timeout, sleep)?;
-                let result = server.delete(&store, &key, &clock);
-                cluster.detector().record_success(node);
-                result.map(|deleted| (latency, deleted))
+            let (key, clock) = (shared_key.clone(), clock.clone());
+            tasks.push(self.link.task(node, move |server, store| {
+                server.delete(store, &key, &clock)
             }));
         }
         let opts = FanOutOptions {
@@ -1089,16 +995,13 @@ impl StoreClient {
         // Acked-delete capture for an in-flight migration, plus the same
         // cutover-race heal as puts (replay the delete on any replica the
         // key just gained).
-        self.cluster
-            .on_acked_delete(&self.store, key, clock, self.origin());
-        if self.cluster.topology_epoch() != epoch {
+        self.link.cluster.on_acked_delete(&self.store, key, clock, self.link.origin);
+        if self.link.cluster.topology_epoch() != epoch {
             if let Ok(now_prefs) = self.preference_list(key) {
                 for node in now_prefs.into_iter().filter(|n| !prefs.contains(n)) {
-                    if let Ok(server) = self.cluster.node(node) {
-                        if self.cluster.network().deliver(self.origin(), node).is_ok() {
-                            let _ = server.delete(&self.store.name, key, clock);
-                        }
-                    }
+                    let _ = self.link.call(node, false, |server| {
+                        server.delete(&self.store.name, key, clock)
+                    });
                 }
             }
         }
@@ -1138,24 +1041,14 @@ impl StoreClient {
             key_targets.push(targets);
         }
 
-        // One multi-get task per node.
-        let mut tasks: Vec<MultiGetTask> = Vec::new();
+        // One multi-get task per node; each key is copied once, whichever
+        // nodes ask for it.
+        let shared_keys: Vec<Bytes> = keys.iter().map(|k| Bytes::copy_from_slice(k)).collect();
+        let mut tasks = Vec::new();
         for (&node, indices) in &per_node {
-            let cluster = Arc::clone(&self.cluster);
-            let store = self.store.name.clone();
-            let node_keys: Vec<Bytes> = indices
-                .iter()
-                .map(|&i| Bytes::copy_from_slice(keys[i]))
-                .collect();
-            let origin = self.origin();
-            let timeout = self.config.per_node_timeout;
-            let sleep = self.config.simulate_latency;
-            tasks.push(FanOutTask::new(u64::from(node.0), move || {
-                let server = cluster.node(node)?;
-                let _latency = replica_deliver(&cluster, origin, node, timeout, sleep)?;
-                let result = server.get_many(&store, &node_keys);
-                cluster.detector().record_success(node);
-                result.map(|versions| (node, versions))
+            let node_keys: Vec<Bytes> = indices.iter().map(|&i| shared_keys[i].clone()).collect();
+            tasks.push(self.link.task(node, move |server, store| {
+                server.get_many(store, &node_keys)
             }));
         }
         let opts = FanOutOptions {
@@ -1167,8 +1060,8 @@ impl StoreClient {
         };
         let report = fan_out(self.pool().as_deref(), &opts, tasks, Vec::new(), None, None);
         let mut node_results: BTreeMap<NodeId, Vec<Vec<Versioned<Bytes>>>> = BTreeMap::new();
-        for (_, (node, versions)) in report.quorum.into_iter().chain(report.extras) {
-            node_results.insert(node, versions);
+        for (node, (_, versions)) in report.quorum.into_iter().chain(report.extras) {
+            node_results.insert(NodeId(node as u16), versions);
         }
 
         // Assemble per-key quorums from the per-node responses.
@@ -1192,15 +1085,7 @@ impl StoreClient {
             }
             // Read repair stale responders, as the single-key path does.
             for (node, versions) in &responses {
-                for version in &merged {
-                    if !versions.iter().any(|v| v.clock == version.clock) {
-                        if let Ok(server) = self.cluster.node(*node) {
-                            let _ = self.call(*node, || {
-                                server.force_put(&self.store.name, key, version.clone())
-                            });
-                        }
-                    }
-                }
+                self.link.repair(*node, key, &merged, versions);
             }
             if !merged.is_empty() {
                 out.insert(key.to_vec(), merged);
@@ -1529,6 +1414,106 @@ mod tests {
             .collect();
         lists.sort();
         assert_eq!(lists, [&b"li,goog"[..], &b"li,msft"[..]]);
+    }
+
+    /// The nodes outside `prefs`, in id order: where hints for it park.
+    fn non_replicas(cluster: &VoldemortCluster, prefs: &[NodeId]) -> Vec<NodeId> {
+        let mut nodes = cluster.node_ids();
+        nodes.retain(|n| !prefs.contains(n));
+        nodes
+    }
+
+    #[test]
+    fn sloppy_quorum_walks_past_an_unreachable_fallback() {
+        let (cluster, client) = cluster_with_store(4, 2, 1, 2);
+        let prefs = cluster.ring().preference_list(b"k", 2).unwrap();
+        let fallbacks = non_replicas(&cluster, &prefs);
+        cluster.network().crash(prefs[1]);
+        cluster.network().crash(fallbacks[0]);
+        // W=2 is one live replica plus one hint: the first fallback being
+        // down must not cost the write while a second one is healthy.
+        client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
+        assert_eq!(cluster.node(fallbacks[0]).unwrap().hint_count(), 0);
+        assert_eq!(cluster.node(fallbacks[1]).unwrap().hint_count(), 1);
+    }
+
+    /// Tops `node`'s detector window up with `failures` failure samples.
+    fn add_failures(cluster: &VoldemortCluster, node: NodeId, failures: u64) {
+        for _ in 0..failures {
+            cluster.detector().record_failure(node);
+        }
+    }
+
+    #[test]
+    fn late_hint_walks_past_an_unreachable_holder_and_tells_the_detector() {
+        let (cluster, client) = cluster_with_store(5, 3, 1, 2);
+        let client = client.with_quorum_config(QuorumConfig {
+            mode: FanOutMode::Parallel,
+            per_node_timeout: Some(Duration::from_millis(100)),
+            simulate_latency: true,
+            ..QuorumConfig::default()
+        });
+        let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
+        let holders = non_replicas(&cluster, &prefs);
+        // prefs[2] times out long after prefs[0] and prefs[1] made W=2, so
+        // its hint is placed by the late-straggler handler.
+        cluster.network().set_link_latency(
+            StoreClient::CLIENT_NODE,
+            prefs[2],
+            Duration::from_millis(400),
+        );
+        cluster.network().crash(holders[0]);
+        client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
+        cluster.fan_out_pool().wait_idle();
+        assert_eq!(cluster.node(holders[1]).unwrap().hint_count(), 1);
+        // The failed delivery to holders[0] is one failure sample: nine
+        // more reach the detector's ten-sample minimum and ban it.
+        add_failures(&cluster, holders[0], 9);
+        assert!(!cluster.detector().is_available(holders[0]));
+    }
+
+    #[test]
+    fn replica_link_call_feeds_the_detector_on_every_outcome() {
+        let (cluster, client) = cluster_with_store(4, 2, 1, 1);
+        let client = client.with_quorum_config(QuorumConfig {
+            per_node_timeout: Some(Duration::from_millis(5)),
+            ..QuorumConfig::default()
+        });
+        let (link, detector) = (&client.link, cluster.detector());
+        let (down, slow, stale) = (NodeId(0), NodeId(1), NodeId(2));
+        cluster.network().crash(down);
+        cluster.network().set_link_latency(
+            StoreClient::CLIENT_NODE,
+            slow,
+            Duration::from_millis(50),
+        );
+        // The detector decides at ten samples, below a 0.8 success ratio.
+        for _ in 0..10 {
+            assert!(detector.is_available(down));
+            let unreachable = link.call(down, false, |_| Ok(()));
+            assert!(matches!(unreachable, Err(VoldemortError::Net(node, _)) if node == down));
+        }
+        assert!(!detector.is_available(down), "ten Net failures sampled");
+        // Past the deadline an untimed call goes through (and is a success
+        // sample); a timed one is a Timeout and a failure sample.
+        for _ in 0..10 {
+            assert!(link.call(slow, false, |_| Ok(())).is_ok());
+        }
+        for _ in 0..3 {
+            assert!(detector.is_available(slow));
+            assert_eq!(link.call(slow, true, |_| Ok(())), Err(VoldemortError::Timeout(slow)));
+        }
+        assert!(!detector.is_available(slow), "10 of 13 samples succeeded");
+        // An application-level rejection is a success sample: eight of them
+        // keep two failures at the 0.8 ratio, a third failure tips it.
+        for _ in 0..8 {
+            let rejected = link.call(stale, true, |_| Err::<(), _>(VoldemortError::ObsoleteVersion));
+            assert_eq!(rejected, Err(VoldemortError::ObsoleteVersion));
+        }
+        add_failures(&cluster, stale, 2);
+        assert!(detector.is_available(stale));
+        add_failures(&cluster, stale, 1);
+        assert!(!detector.is_available(stale), "the eight rejections were samples");
     }
 
     #[test]

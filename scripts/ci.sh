@@ -37,6 +37,24 @@ if git grep -n 'ShardMode' -- crates/commons crates/sqlstore crates/kafka crates
   exit 1
 fi
 
+# One way to reach a replica, one queue in front of a consumer: the bare
+# delivery helper, the out-of-order replica applier, the bounded channels
+# and the dispatcher's notifier thread stay gone.
+if git grep -nE 'replica_deliver|ReplicaApplier|TrySendError|dispatch-notify' -- crates tests examples vendor/crossbeam; then
+  echo "ci.sh: a deleted replica/dispatch name is back (matches above)" >&2
+  exit 1
+fi
+# ...and the seam stays closed: outside its test module the quorum client
+# builds fan-out tasks and parks hints in one place each (`ReplicaLink`),
+# and delivers from two (the link and `enter()`'s client -> coordinator hop).
+client_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/voldemort/src/client.rs)"
+if [ "$(grep -c 'FanOutTask::new' <<<"$client_seam")" -ne 1 ] \
+  || [ "$(grep -c 'store_hint(' <<<"$client_seam")" -ne 1 ] \
+  || [ "$(grep -c '\.deliver(' <<<"$client_seam")" -gt 2 ]; then
+  echo "ci.sh: voldemort client.rs reaches a replica outside ReplicaLink" >&2
+  exit 1
+fi
+
 echo "== cargo test -q (root package: examples + integration tests) =="
 cargo test -q
 

@@ -252,8 +252,8 @@ fn run_case(
     live.client.catch_up().unwrap();
     pump_bootstrap();
 
-    let dispatcher = push_dispatch
-        .then(|| StreamDispatcher::start(relay.clone(), vec![live.client.clone()], 1));
+    let dispatcher =
+        push_dispatch.then(|| StreamDispatcher::start(relay.clone(), vec![live.client.clone()]));
     for (i, &(member, company)) in ops.iter().enumerate() {
         follow(&primary, member, company)?;
         follows.entry(member).or_default().insert(company);

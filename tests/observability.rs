@@ -239,10 +239,6 @@ const NOT_IN_A_SITE_RUN: &[(&str, &str)] = &[
     ),
     ("helix.<cluster>.rebalances", "as above"),
     (
-        "sqlstore.replica.<name>.ack_lag_scns",
-        "the platform attaches no semi-sync replica to the primary",
-    ),
-    (
         "voldemort.hints.dropped_obsolete",
         "registered by deliver_hints, which the site loop never calls",
     ),
