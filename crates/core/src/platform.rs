@@ -9,7 +9,7 @@ use li_commons::metrics::{MetricsRegistry, MetricsSnapshot};
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator};
 use li_commons::ring::{HashRing, NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
-use li_commons::sim::{RealClock, SimNetwork};
+use li_commons::sim::{Clock, RealClock, SimNetwork};
 use li_databus::{BootstrapServer, DatabusClient, LogShippingAdapter, Relay, StreamDispatcher};
 use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
 use li_kafka::audit::{AuditedProducer, AUDIT_TOPIC};
@@ -160,8 +160,21 @@ impl DataPlatform {
         })
     }
 
-    /// Builds the platform from explicit sizing knobs.
+    /// Builds the platform from explicit sizing knobs, on a reliable
+    /// network and the real clock.
     pub fn with_config(config: PlatformConfig) -> Result<Self, PlatformError> {
+        Self::with_parts(config, SimNetwork::reliable(), Arc::new(RealClock::new()))
+    }
+
+    /// Fully-injected constructor, like every crate's below: the one
+    /// `clock` goes to the primary, Voldemort and both Kafka clusters,
+    /// `network` to Voldemort (the only tier that routes over one). A
+    /// chaos run passes its scheduler's parts.
+    pub fn with_parts(
+        config: PlatformConfig,
+        network: SimNetwork,
+        clock: Arc<dyn Clock>,
+    ) -> Result<Self, PlatformError> {
         let PlatformConfig {
             voldemort_nodes,
             kafka_brokers,
@@ -175,11 +188,7 @@ impl DataPlatform {
         let metrics = MetricsRegistry::new();
 
         // Primary store (Oracle analog) with the site's tables.
-        let primary = Arc::new(Database::with_metrics(
-            "primary",
-            Arc::new(RealClock::new()),
-            &metrics,
-        ));
+        let primary = Arc::new(Database::with_metrics("primary", clock.clone(), &metrics));
         for table in [
             "member_follows",
             "company_followers",
@@ -208,8 +217,8 @@ impl DataPlatform {
         let voldemort_nodes_ids: Vec<NodeId> = (0..voldemort_nodes).map(NodeId).collect();
         let voldemort = VoldemortCluster::with_metrics(
             HashRing::balanced(64, &voldemort_nodes_ids).map_err(wrap)?,
-            SimNetwork::reliable(),
-            Arc::new(RealClock::new()),
+            network,
+            clock.clone(),
             &metrics,
         )
         .map_err(wrap)?;
@@ -243,14 +252,11 @@ impl DataPlatform {
         // The live cluster shares the site registry; the offline mirror
         // keeps a private one so identical broker/topic metric names from
         // the two datacenters never collide.
-        let kafka_live = KafkaCluster::with_metrics(
-            kafka_brokers,
-            LogConfig::default(),
-            Arc::new(RealClock::new()),
-            &metrics,
-        )
-        .map_err(wrap)?;
-        let kafka_offline = KafkaCluster::new(kafka_brokers).map_err(wrap)?;
+        let kafka_live =
+            KafkaCluster::with_metrics(kafka_brokers, LogConfig::default(), clock.clone(), &metrics)
+                .map_err(wrap)?;
+        let kafka_offline =
+            KafkaCluster::with_parts(kafka_brokers, LogConfig::default(), clock).map_err(wrap)?;
         for cluster in [&kafka_live, &kafka_offline] {
             cluster
                 .create_topic(ACTIVITY_TOPIC, activity_partitions)
@@ -529,20 +535,24 @@ impl DataPlatform {
         self.warehouse.rows().len()
     }
 
-    /// One pump of every asynchronous pipeline stage: Databus subscribers
-    /// catch up, the bootstrap server follows the relay, producers flush,
-    /// the mirror copies, and the warehouse loader ticks. Production runs
-    /// these continuously; examples and tests call it at interesting
-    /// moments (determinism over threads).
+    /// One pump of every asynchronous pipeline stage: the bootstrap
+    /// server follows the relay, Voldemort probes banned nodes and
+    /// replays hinted handoffs, Databus subscribers catch up, Espresso
+    /// replicates, producers flush, the mirror copies, and the warehouse
+    /// loader ticks. Production runs these continuously; examples and
+    /// tests call it at interesting moments (determinism over threads).
+    /// A failing stage does not stop the ones after it; the first error
+    /// is returned once all have run.
     pub fn pump(&self) -> Result<(), PlatformError> {
         self.pump_stages(true)
     }
 
     /// [`Self::pump`] without the audit flush: only the data-tier streams
-    /// (Databus subscribers, bootstrap, Espresso replication, mirror,
-    /// warehouse). The closed-loop benchmark's background pump thread uses
-    /// this — the audit producer buckets by wall-clock window, which would
-    /// make a seeded run's metrics timing-dependent.
+    /// (Databus subscribers, bootstrap, Voldemort recovery, Espresso
+    /// replication, mirror, warehouse). The closed-loop benchmark's
+    /// background pump thread uses this — the audit producer buckets by
+    /// wall-clock window, which would make a seeded run's metrics
+    /// timing-dependent.
     pub fn pump_streams(&self) -> Result<(), PlatformError> {
         self.pump_stages(false)
     }
@@ -554,17 +564,28 @@ impl DataPlatform {
         // the relay would cycle stale consolidated deltas while holding
         // the drive lock — and the pump, parked on that same lock, could
         // never advance the bootstrap to break the cycle.
-        self.bootstrap.catch_up_from(&self.relay).map_err(wrap)?;
+        let bootstrap = self.bootstrap.catch_up_from(&self.relay).map(drop).map_err(wrap);
         self.bootstrap.apply_log();
-        self.follow_cacher.catch_up().map_err(wrap)?;
-        self.search_client.catch_up().map_err(wrap)?;
-        self.espresso.pump_replication().map_err(wrap)?;
-        if flush_audit {
-            self.event_producer.publish_audit_and_flush().map_err(wrap)?;
-        }
-        self.mirror.pump().map_err(wrap)?;
-        self.warehouse.tick().map_err(wrap)?;
-        Ok(())
+        // Voldemort's asynchronous recovery (§II.B), ahead of the cacher
+        // so a replica that is back rejoins before its quorum is needed.
+        self.voldemort.run_failure_probes();
+        self.voldemort.deliver_hints();
+        // Evaluated in order, every one: a cacher short of a quorum must
+        // not starve search, replication or the warehouse.
+        let stages = [
+            bootstrap,
+            self.follow_cacher.catch_up().map(drop).map_err(wrap),
+            self.search_client.catch_up().map(drop).map_err(wrap),
+            self.espresso.pump_replication().map(drop).map_err(wrap),
+            if flush_audit {
+                self.event_producer.publish_audit_and_flush().map_err(wrap)
+            } else {
+                Ok(())
+            },
+            self.mirror.pump().map(drop).map_err(wrap),
+            self.warehouse.tick().map(drop).map_err(wrap),
+        ];
+        stages.into_iter().collect()
     }
 
     /// The migration tuning used by the platform facade: the same phase
@@ -647,9 +668,28 @@ impl DataPlatform {
     }
 }
 
+/// Chaos-scheduler hooks for the assembled site: chaos node `i` is
+/// Espresso storage node `i`, whose crash expires its Helix session and
+/// fails its masterships over. Voldemort needs no hook — its whole fault
+/// surface is the [`SimNetwork`] handed to [`DataPlatform::with_parts`],
+/// which the scheduler already owns and crashes node `i` on itself — and
+/// the two Kafka clusters are unreplicated, so a broker has no crash
+/// surface here (broker failover is covered at crate level by the
+/// replicated-Kafka chaos scenarios).
+impl li_commons::chaos::FaultHooks for DataPlatform {
+    fn crash(&self, node: NodeId) {
+        self.espresso.crash(node);
+    }
+
+    fn restart(&self, node: NodeId) {
+        self.espresso.restart(node);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use li_commons::sim::SimClock;
 
     #[test]
     fn follow_flow_reaches_caches() {
@@ -783,6 +823,57 @@ mod tests {
         let mut followers = platform.followers(100).unwrap();
         followers.sort_unstable();
         assert_eq!(followers, vec![1, 2]);
+    }
+
+    /// A default platform on a network and a virtual clock the test keeps.
+    fn sim_platform() -> (DataPlatform, SimNetwork, SimClock) {
+        let (network, clock) = (SimNetwork::reliable(), SimClock::new());
+        let config = PlatformConfig::default();
+        let platform =
+            DataPlatform::with_parts(config, network.clone(), Arc::new(clock.clone())).unwrap();
+        (platform, network, clock)
+    }
+
+    #[test]
+    fn pump_readmits_a_banned_replica_that_is_back() {
+        let (platform, network, clock) = sim_platform();
+        network.crash(NodeId(0));
+        // Ten failed deliveries in one detector window ban the node.
+        for member in 0..40 {
+            platform.follow_company(member, 7).unwrap();
+        }
+        platform.pump().unwrap();
+        assert_eq!(platform.voldemort.detector().banned_nodes(), vec![NodeId(0)]);
+        // Back up, but only a recovery probe readmits it — the pump's.
+        network.restart(NodeId(0));
+        clock.advance(Duration::from_secs(6));
+        platform.pump().unwrap();
+        assert!(platform.voldemort.detector().banned_nodes().is_empty());
+        assert_eq!(platform.voldemort.pending_hints(), 0);
+        // It serves again: the list's next append reads both replicas and
+        // heals the one that missed 40 follows, whichever a read lands on.
+        platform.follow_company(40, 7).unwrap();
+        platform.pump().unwrap();
+        assert_eq!(platform.followers(7).unwrap(), (0..=40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_failing_pump_stage_does_not_starve_the_stages_after_it() {
+        let (platform, network, _clock) = sim_platform();
+        // Both replicas of company 42's list are unreachable, so the
+        // follow cacher cannot apply the follow below.
+        let key = company_row_key(42).to_string();
+        for replica in platform.voldemort.ring().preference_list(key.as_bytes(), 2).unwrap() {
+            network.crash(replica);
+        }
+        platform.follow_company(1, 42).unwrap();
+        platform.update_profile(1, "storage systems engineer").unwrap();
+        platform.track("page_view member=1").unwrap();
+        assert!(platform.pump().is_err());
+        // Search, the audit flush, the mirror and the loader ran anyway.
+        assert_eq!(platform.search.indexed_count(), 1);
+        assert_eq!(platform.force_warehouse_load().unwrap(), 1);
+        assert_eq!(platform.warehouse_rows(), 1);
     }
 
     #[test]

@@ -231,11 +231,21 @@ impl SiteBench {
     /// platform state is byte-identical at any chunk size
     /// (`tests/site_loader_props.rs`).
     pub fn prepare(config: SiteBenchConfig) -> Result<Self, PlatformError> {
+        Self::prepare_on(DataPlatform::with_config(config.platform.clone())?, config)
+    }
+
+    /// [`Self::prepare`] on a platform the caller built from
+    /// `config.platform` — a chaos run builds it on its scheduler's
+    /// network and clock ([`DataPlatform::with_parts`]).
+    pub fn prepare_on(
+        platform: DataPlatform,
+        config: SiteBenchConfig,
+    ) -> Result<Self, PlatformError> {
         let chunk_members = match config.chunk_members {
             0 => 4096,
             c => c,
         };
-        let platform = Arc::new(DataPlatform::with_config(config.platform.clone())?);
+        let platform = Arc::new(platform);
         let prepare_start = Instant::now();
         let dispatcher = match config.platform.shard_mode {
             ShardMode::Parallel => Some(platform.start_stream_dispatch()),

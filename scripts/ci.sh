@@ -55,6 +55,17 @@ if [ "$(grep -c 'FanOutTask::new' <<<"$client_seam")" -ne 1 ] \
   exit 1
 fi
 
+# One site: the chaos sweep runs the real `DataPlatform`, so no second
+# site is assembled by hand in tests/chaos.rs, and the platform builds no
+# clock of its own beyond the one `with_config` hands `with_parts`.
+platform_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/platform.rs)"
+if grep -nE 'SiteHooks|LogShippingAdapter|CompanyFollowCacher::new' tests/chaos.rs \
+  || [ "$(grep -c 'RealClock::new' <<<"$platform_seam")" -ne 1 ] \
+  || grep -n 'KafkaCluster::new(' <<<"$platform_seam"; then
+  echo "ci.sh: a hand-assembled site or a private platform clock is back" >&2
+  exit 1
+fi
+
 echo "== cargo test -q (root package: examples + integration tests) =="
 cargo test -q
 

@@ -14,29 +14,30 @@
 //! `CHAOS_SEEDS=20` and a repro pins one with `CHAOS_SEED=<n>`.
 
 use bytes::Bytes;
-use li_commons::chaos::{
-    sweep_seeds, ChaosConfig, ChaosFailure, ChaosScheduler, FaultHooks, NetworkOnlyHooks,
-};
+use li_bench::site::recorded_platform;
+use li_commons::chaos::{sweep_seeds, ChaosConfig, ChaosFailure, ChaosScheduler, NetworkOnlyHooks};
 use li_commons::clock::VectorClock;
+use li_commons::failure::FailureDetectorConfig;
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator, MigrationPhase};
 use li_commons::ring::{HashRing, NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
 use li_commons::sim::SimClock;
 use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
+use li_kafka::audit::AuditReconciler;
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::MirrorMaker;
 use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use li_sqlstore::{Database, DbError, RowKey};
-use li_databus::{DatabusClient, LogShippingAdapter, Relay};
-use li_voldemort::{FanOutMode, QuorumConfig, ReadFanOut, StoreDef, VoldemortCluster};
-use li_workload::{SiteGraph, SiteGraphConfig, SiteMix, SiteOp, SiteWorkload};
-use linkedin_data_infra::consumers::{
-    company_row_key, decode_ids, encode_ids, follow_edge_row, member_row_key,
-    CompanyFollowCacher, FOLLOW_EDGES_TABLE,
+use li_sqlstore::{Database, RowKey};
+use li_voldemort::{
+    FanOutMode, QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use li_workload::{SiteMix, SiteOp, SiteWorkload};
+use linkedin_data_infra::consumers::{company_row_key, member_row_key, union_ids};
+use linkedin_data_infra::platform::ACTIVITY_TOPIC;
+use linkedin_data_infra::{DataPlatform, ShardMode, SiteBench, SiteBenchConfig};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1019,145 +1020,74 @@ fn chaos_sweep_sqlstore_replication() {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 5: the site closed loop under cross-system node crashes.
+// Scenario 5: the assembled site under the full fault menu.
 // ---------------------------------------------------------------------
 
-/// Forwards each chaos node's faults to *two* systems at once: chaos
-/// node `i` is both Voldemort cache node `i` and Kafka broker `i`, so a
-/// single crash takes out one node of each tier simultaneously — the
-/// correlated-failure shape of a real host loss.
-struct SiteHooks {
-    voldemort: Arc<VoldemortCluster>,
-    kafka: Arc<ReplicatedCluster>,
-}
-
-impl FaultHooks for SiteHooks {
-    fn crash(&self, node: NodeId) {
-        self.voldemort.crash(node);
-        self.kafka.crash(node);
-    }
-
-    fn restart(&self, node: NodeId) {
-        self.voldemort.restart(node);
-        self.kafka.restart(node);
-    }
-
-    fn pause(&self, node: NodeId) {
-        self.crash(node);
-    }
-
-    fn resume(&self, node: NodeId) {
-        self.restart(node);
-    }
-}
-
-/// A small seeded site population (`li_workload::site`) drives the
-/// cross-system pipeline — follow writes through the primary → Databus →
-/// the Voldemort Company Follow caches, cache reads against those
-/// stores, and activity events into a replicated Kafka topic — while the
-/// seeded scheduler crashes one Voldemort-node/Kafka-broker pair at a
-/// time mid-load. The SLO conservation gates of the site benchmark must
-/// hold after heal:
+/// The real [`DataPlatform`] — the recorded 3/2/3/8/4 shape at the follow
+/// stores' N=2, R=W=1 — built on the scheduler's network and clock,
+/// seeded by the one population loader, and driven by one seeded site op
+/// stream while the scheduler injects crashes, partitions, link blocks,
+/// drop bursts, slow links and clock-skew bursts. Chaos node `i` is
+/// Voldemort node `i` (by network) and Espresso node `i` (by the
+/// platform's hooks): one crash is a correlated host loss. Recovery is
+/// the platform's own — after quiesce nothing runs but virtual time and
+/// `pump()`. Gates after the drain:
 ///
-/// * **follow-conservation** — every member's (and company's) cached
-///   list equals the primary-derived set exactly: each follow exactly
-///   once, none lost, none duplicated, despite Databus redelivery and
-///   hinted handoff;
-/// * **databus-lag-drained** — relay and consumer checkpoint both reach
-///   the primary's last SCN;
-/// * **kafka-committed-exactly-once** — committed reads were never
-///   rolled back or altered, every acked payload appears at most once
-///   (at its acked offset), replicas are byte-identical, and consumer
-///   lag drains to zero.
-fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
-    let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let mut config = ChaosConfig::hooks_only();
-    config.max_down = 1;
-    let mut sched = ChaosScheduler::new(seed, nodes.clone(), config);
+/// * **recovery-drained** — no banned node, no pending hint, the relay at
+///   the primary's SCN;
+/// * **follow-no-acked-write-lost** — every cached list, as the union
+///   over all its replicas, equals the primary-derived set, no id twice
+///   (how many lists an R=1 *serving* read still returns stale is
+///   recorded in the trace first, not asserted);
+/// * **databus-lag-drained** — both subscribers at the relay's head;
+/// * **profile-timeline** — an updated member reads its last acked text
+///   or a later attempt that was not acked, every other member its
+///   seeded text (§IV timeline consistency across Espresso failover);
+/// * **pymk-serves** — every member's read-only record is served;
+/// * **kafka-conserved** — tracked = consumed online = warehouse rows,
+///   and every audit window reconciles on the offline mirror.
+///
+/// With `plant_violation`, one acked cached list is deleted from every
+/// replica after the drain — the no-loss gate must catch it.
+fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, ChaosFailure> {
+    let config = ChaosConfig {
+        max_down: 1,
+        ..ChaosConfig::default()
+    };
+    let mut sched = ChaosScheduler::new(seed, (0..3).map(NodeId).collect(), config);
     let clock = sched.clock();
 
-    // Primary + Databus → Voldemort follow caches, on the scheduler's
-    // network and clock (Voldemort's failure surface is the network).
-    let primary = Database::with_clock("primary", Arc::new(clock.clone()));
-    for table in ["member_follows", "company_followers", FOLLOW_EDGES_TABLE] {
-        primary.create_table(table).unwrap();
-    }
-    let relay = Arc::new(Relay::new("primary", 32 << 20));
-    LogShippingAdapter::attach_with_backlog(&primary, relay.clone(), 0).unwrap();
-    let ring = HashRing::balanced(16, &nodes).unwrap();
-    let voldemort =
-        VoldemortCluster::with_parts(ring, sched.network(), Arc::new(clock.clone())).unwrap();
-    for store in ["member-follows", "company-followers"] {
-        voldemort
-            .add_store(StoreDef::read_write(store).with_quorum(3, 2, 2))
-            .unwrap();
-    }
-    let cacher = DatabusClient::new(
-        relay.clone(),
-        None,
-        Arc::new(CompanyFollowCacher::new(
-            voldemort.client("member-follows").unwrap(),
-            voldemort.client("company-followers").unwrap(),
-        )),
-    );
+    let mut bench_config = SiteBenchConfig::smoke(120, 1, 0, seed);
+    bench_config.platform = recorded_platform(ShardMode::Deterministic);
+    let platform = DataPlatform::with_parts(
+        bench_config.platform.clone(),
+        sched.network(),
+        Arc::new(clock.clone()),
+    )
+    .unwrap();
+    let bench = SiteBench::prepare_on(platform, bench_config).unwrap();
+    let (platform, graph) = (bench.platform(), bench.graph());
+    let (members, companies) = (graph.member_count(), graph.company_count());
 
-    // Activity tier: 3 brokers, RF=3 — any single broker loss leaves a
-    // quorum of replicas for every partition.
-    let kafka = KafkaCluster::new(3).unwrap();
-    let replicated = Arc::new(ReplicatedCluster::new(kafka.clone()));
-    const ACTIVITY_PARTITIONS: u32 = 2;
-    replicated
-        .create_topic("activity", ACTIVITY_PARTITIONS, 3)
-        .unwrap();
-
-    let hooks = SiteHooks {
-        voldemort: voldemort.clone(),
-        kafka: replicated.clone(),
-    };
-
-    // Seed the population: graph-shaped packed follow rows in the
-    // primary, shipped to the caches through Databus before load starts.
-    // The expected sets track the primary-derived truth from here on.
-    let graph = SiteGraph::generate(&SiteGraphConfig::smoke(120, seed));
-    let pack = |ids: &BTreeSet<u64>| encode_ids(&ids.iter().copied().collect::<Vec<_>>());
-    let mut follows: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    let mut followers: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    for member in 0..graph.member_count() {
-        let set: BTreeSet<u64> = graph.follows_of(member).iter().copied().collect();
-        for &company in &set {
-            followers.entry(company).or_default().insert(member);
-        }
-        if !set.is_empty() {
-            follows.insert(member, set);
+    // The primary-derived truth, by id: the seeded graph plus every acked
+    // follow.
+    let mut follows = vec![BTreeSet::new(); members as usize];
+    let mut followers = vec![BTreeSet::new(); companies as usize];
+    for member in 0..members {
+        for &company in graph.follows_of(member) {
+            follows[member as usize].insert(company);
+            followers[company as usize].insert(member);
         }
     }
-    let mut txn = primary.begin();
-    for (member, set) in &follows {
-        txn.put("member_follows", member_row_key(*member), pack(set), 1);
-    }
-    for (company, set) in &followers {
-        txn.put("company_followers", company_row_key(*company), pack(set), 1);
-    }
-    primary.commit(txn).unwrap();
-    cacher.catch_up().unwrap();
+    // The texts a member may read: the last acked one (the seeded one at
+    // first) and every attempt since that returned an error — its
+    // Espresso half may have committed all the same.
+    let mut profiles: Vec<Vec<String>> =
+        (0..members).map(|m| vec![graph.profile_of(m).to_string()]).collect();
 
-    // A follow against the primary: the same put-if-absent of one edge
-    // row the platform performs; a repeated follow commits nothing.
-    let apply_follow = |member: u64, company: u64| {
-        let (key, value) = follow_edge_row(member, company);
-        match primary.put_if_etag(FOLLOW_EDGES_TABLE, key, 0, value, 1) {
-            Ok(_) | Err(DbError::EtagMismatch { .. }) => {}
-            Err(e) => panic!("follow {member}->{company}: {e}"),
-        }
-    };
-
-    // Closed-loop drive: the seeded per-driver op stream, reads mapped
-    // to the Voldemort cache (the §II.C read path), follows to the
-    // primary, activity to Kafka. Databus and replication pump
-    // periodically, exactly as the site pumps between requests.
     let workload = SiteWorkload::new(
-        graph.member_count(),
-        graph.company_count(),
+        members,
+        companies,
         SiteMix {
             profile_reads: 0.15,
             pymk_reads: 0.15,
@@ -1165,230 +1095,205 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
             activity_events: 0.30,
         },
     );
-    let ops = workload.ops_for_driver(seed, 0, 160);
-    let member_reader = voldemort.client("member-follows").unwrap();
-    // Acked activity: (partition, acked offset, payload). Leader-only
-    // acks mean an unreplicated tail can be truncated by a longest-log
-    // election — acked payloads must appear *at most* once, and the
-    // committed prefix a consumer observed may never change.
-    let mut acked_activity: Vec<(u32, u64, Bytes)> = Vec::new();
-    let mut consumed: Vec<Vec<(u64, Bytes)>> = vec![Vec::new(); ACTIVITY_PARTITIONS as usize];
-    let mut next_offset = [0u64; ACTIVITY_PARTITIONS as usize];
-    let mut follows_applied = 0u64;
-    let mut produced_ok = 0u64;
-    for (i, op) in ops.iter().enumerate() {
-        sched.step(&hooks);
-        match op {
-            SiteOp::ProfileRead(m) | SiteOp::PymkRead(m) => {
-                let key = member_row_key(*m).to_string().into_bytes();
-                if let Err(e) = member_reader.get(&key) {
-                    sched.note(format!("op {i}: cache read failed under faults: {e}"));
+    let (mut follows_acked, mut tracked, mut profile_ops) = (0u64, 0usize, 0u64);
+    for (i, op) in workload.ops_for_driver(seed, 0, 160).iter().enumerate() {
+        sched.step(&**platform);
+        let outcome = match op {
+            SiteOp::PymkRead(m) => platform
+                .followed_companies(*m)
+                .and_then(|_| platform.pymk_recommendations(*m))
+                .map(drop),
+            SiteOp::ProfileRead(m) => {
+                profile_ops += 1;
+                if profile_ops % 2 == 1 {
+                    platform.profile(*m).map(drop)
+                } else {
+                    let text = format!("member {m} rewrote this at op {i}");
+                    let outcome = platform.update_profile(*m, &text);
+                    match outcome {
+                        Ok(()) => profiles[*m as usize] = vec![text],
+                        Err(_) => profiles[*m as usize].push(text),
+                    }
+                    outcome
                 }
             }
             SiteOp::Follow { member, company } => {
-                apply_follow(*member, *company);
-                follows.entry(*member).or_default().insert(*company);
-                followers.entry(*company).or_default().insert(*member);
-                follows_applied += 1;
+                platform.follow_company(*member, *company).map(|()| {
+                    follows[*member as usize].insert(*company);
+                    followers[*company as usize].insert(*member);
+                    follows_acked += 1;
+                })
             }
-            SiteOp::Activity { member, event } => {
-                let partition = (*member % ACTIVITY_PARTITIONS as u64) as u32;
-                let payload = Bytes::from(format!("{i}:{member}:{event}"));
-                let set = MessageSet::from_payloads([payload.clone()]);
-                match replicated.produce_with_ack("activity", partition, &set, AckMode::Leader) {
-                    Ok(receipt) => {
-                        let offset = receipt.base_offset.expect("a Leader ack carries the offset");
-                        produced_ok += 1;
-                        acked_activity.push((partition, offset, payload));
-                    }
-                    Err(e) => sched.note(format!("op {i}: activity produce failed: {e}")),
-                }
-            }
+            SiteOp::Activity { event, .. } => platform.track(event).map(|()| tracked += 1),
+        };
+        if let Err(e) = outcome {
+            sched.note(format!("op {i}: {} failed under faults: {e}", op.tier()));
         }
         if i % 6 == 0 {
-            // A window can fail mid-apply while a quorum is short; the
-            // checkpoint only advances on success, and the cacher's
-            // append-if-absent makes redelivery idempotent.
-            if let Err(e) = cacher.catch_up() {
-                sched.note(format!("op {i}: databus catch_up deferred: {e}"));
-            }
-            let _ = replicated.replicate();
-            for p in 0..ACTIVITY_PARTITIONS {
-                if let Ok((messages, next)) =
-                    replicated.fetch_committed("activity", p, next_offset[p as usize], usize::MAX)
-                {
-                    for (offset, message) in messages {
-                        consumed[p as usize].push((offset, message.payload.clone()));
-                    }
-                    next_offset[p as usize] = next;
-                }
+            // A stage can fail while a quorum is short or a master is
+            // moving; checkpoints only advance on success and the
+            // cacher's append-if-absent makes redelivery idempotent.
+            if let Err(e) = platform.pump() {
+                sched.note(format!("op {i}: pump deferred: {e}"));
             }
         }
         if i % 40 == 0 {
-            sched.note(format!(
-                "op {i}: follows_applied={follows_applied} produced_ok={produced_ok}"
-            ));
+            sched.note(format!("op {i}: follows_acked={follows_acked} tracked={tracked}"));
         }
     }
 
-    // Heal and drain every pipeline: Databus to the last SCN, hints to
-    // their owners, replication to the high watermark.
-    sched.quiesce(&hooks);
-    // The detector still bans the last-crashed node until probes run on
-    // advanced virtual time; interleave catch-up with the probe loop so
-    // Databus drains as soon as quorums re-form.
-    let mut caught_up = false;
+    // Heal, then let the platform recover on its own: virtual time passes
+    // and the pump runs — probes, hint replay, catch-up, mirror, loader.
+    // A round is one failure-detector window: samples taken under faults
+    // stop counting and a banned node comes due for its probe.
+    sched.quiesce(&**platform);
+    let voldemort = &platform.voldemort;
+    let round = FailureDetectorConfig::default().window + Duration::from_secs(1);
+    let mut last_pump = Ok(());
     for _ in 0..40 {
-        clock.advance(Duration::from_secs(6));
-        voldemort.run_failure_probes();
-        if !caught_up {
-            caught_up = cacher.catch_up().is_ok();
-        }
-        voldemort.deliver_hints();
-        if caught_up
-            && voldemort.pending_hints() == 0
+        clock.advance(round);
+        last_pump = platform.pump();
+        if last_pump.is_ok()
             && voldemort.detector().banned_nodes().is_empty()
+            && voldemort.pending_hints() == 0
+            && platform.warehouse_rows() == tracked
         {
             break;
         }
     }
-    cacher.catch_up().unwrap();
-    for _ in 0..10 {
-        if replicated.replicate().unwrap() == 0 {
-            break;
-        }
-    }
-    for p in 0..ACTIVITY_PARTITIONS {
-        let (messages, next) = replicated
-            .fetch_committed("activity", p, next_offset[p as usize], usize::MAX)
-            .unwrap();
-        for (offset, message) in messages {
-            consumed[p as usize].push((offset, message.payload.clone()));
-        }
-        next_offset[p as usize] = next;
-    }
+
+    // The PR 12 seam, measured: at W=1 a bounced replica is owed no hint,
+    // so an R=1 serving read that lands on it is stale until the key's
+    // next append or a read of every replica (the gate's own, below).
+    let served = |ids: Result<Vec<u64>, _>| ids.ok().map(BTreeSet::from_iter);
+    let stale = (0..members)
+        .filter(|m| served(platform.followed_companies(*m)).as_ref() != Some(&follows[*m as usize]))
+        .count()
+        + (0..companies)
+            .filter(|c| served(platform.followers(*c)).as_ref() != Some(&followers[*c as usize]))
+            .count();
     sched.note(format!(
-        "drained: follows_applied={follows_applied} produced_ok={produced_ok} \
-         pending_hints={} primary_scn={:?}",
-        voldemort.pending_hints(),
-        primary.last_scn()
+        "drained: follows_acked={follows_acked} tracked={tracked} primary_scn={:?}; serving \
+         reads at R=1 return {stale} of {} cached lists stale",
+        platform.primary.last_scn(),
+        members + companies
     ));
 
-    let company_reader = voldemort.client("company-followers").unwrap();
-    let follow_conservation = || -> Result<(), String> {
-        let check = |reader: &li_voldemort::StoreClient,
-                     key: &RowKey,
-                     expected: &BTreeSet<u64>,
-                     what: &str|
-         -> Result<(), String> {
-            let siblings = reader
+    if plant_violation {
+        let member = follows.iter().position(|set| !set.is_empty()).expect("a seeded follow");
+        let key = member_row_key(member as u64).to_string();
+        for id in voldemort.node_ids() {
+            let node = voldemort.node(id).unwrap();
+            for version in node.get("member-follows", key.as_bytes()).unwrap_or_default() {
+                let _ = node.delete("member-follows", key.as_bytes(), &version.clock);
+            }
+        }
+        sched.note(format!("PLANT: deleted acked cached list `{key}` on every replica"));
+    }
+
+    let recovery_drained = || -> Result<(), String> {
+        let (banned, hints) = (voldemort.detector().banned_nodes(), voldemort.pending_hints());
+        let (relay, primary) = (platform.relay.newest_scn(), platform.primary.last_scn());
+        if banned.is_empty() && hints == 0 && relay == primary {
+            return Ok(());
+        }
+        Err(format!(
+            "banned {banned:?}, {hints} hints pending, relay at {relay:?}, primary at {primary:?}"
+        ))
+    };
+    let read_all = |store: &str| {
+        let client = voldemort.client(store).unwrap();
+        let config = QuorumConfig {
+            read_fan_out: ReadFanOut::All,
+            ..client.quorum_config().clone()
+        };
+        client.with_quorum_config(config)
+    };
+    let (member_lists, company_lists) = (read_all("member-follows"), read_all("company-followers"));
+    let follow_no_acked_write_lost = || -> Result<(), String> {
+        let check = |lists: &StoreClient, key: RowKey, expected: &BTreeSet<u64>| {
+            let siblings = lists
                 .get(key.to_string().as_bytes())
-                .map_err(|e| format!("{what} {key}: read failed: {e}"))?;
-            if siblings.len() != 1 {
-                return Err(format!(
-                    "{what} {key}: {} versions after heal (want exactly one)",
-                    siblings.len()
-                ));
-            }
-            let got = decode_ids(&siblings[0].value).map_err(|e| format!("{what} {key}: {e}"))?;
-            let mut sorted = got.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != got.len() {
-                return Err(format!("{what} {key}: duplicated id in cached list {got:?}"));
-            }
-            let want: Vec<u64> = expected.iter().copied().collect();
-            if sorted != want {
-                return Err(format!(
-                    "{what} {key}: cached {sorted:?} != primary-derived {want:?}"
-                ));
+                .map_err(|e| format!("{key}: read failed: {e}"))?;
+            let got = union_ids(&siblings).map_err(|e| format!("{key}: {e}"))?;
+            let distinct: BTreeSet<u64> = got.iter().copied().collect();
+            if distinct != *expected || got.len() != expected.len() {
+                return Err(format!("{key}: replicas hold {got:?}, primary-derived {expected:?}"));
             }
             Ok(())
         };
-        for (member, expected) in &follows {
-            check(&member_reader, &member_row_key(*member), expected, "member")?;
+        for member in 0..members {
+            check(&member_lists, member_row_key(member), &follows[member as usize])?;
         }
-        for (company, expected) in &followers {
-            check(&company_reader, &company_row_key(*company), expected, "company")?;
+        for company in 0..companies {
+            check(&company_lists, company_row_key(company), &followers[company as usize])?;
         }
         Ok(())
     };
     let databus_drained = || -> Result<(), String> {
-        let primary_scn = primary.last_scn();
-        if relay.newest_scn() != primary_scn {
-            return Err(format!(
-                "relay at {:?}, primary at {primary_scn:?}",
-                relay.newest_scn()
-            ));
+        if let Err(e) = &last_pump {
+            return Err(format!("the last pump still failed: {e}"));
         }
-        if cacher.checkpoint() != primary_scn {
-            return Err(format!(
-                "consumer checkpoint {:?} behind primary {primary_scn:?}",
-                cacher.checkpoint()
-            ));
+        match platform.metrics_snapshot().gauge("databus.client.relay_lag_scns") {
+            Some(0) => Ok(()),
+            lag => Err(format!("subscriber lag {lag:?} scns behind the relay")),
         }
-        Ok(())
     };
-    let kafka_committed_exactly_once = || -> Result<(), String> {
-        for p in 0..ACTIVITY_PARTITIONS {
-            replicated.verify_replica_identity("activity", p)?;
-            let (all, end) = replicated
-                .fetch_committed("activity", p, 0, usize::MAX)
-                .map_err(|e| format!("refetch activity/{p}: {e}"))?;
-            // Committed reads stable: nothing a consumer saw may change.
-            for (offset, payload) in &consumed[p as usize] {
-                match all.iter().find(|(o, _)| o == offset) {
-                    Some((_, message)) if message.payload == *payload => {}
-                    Some(_) => {
-                        return Err(format!(
-                            "activity/{p} offset {offset}: committed read changed bytes"
-                        ))
-                    }
-                    None => {
-                        return Err(format!(
-                            "activity/{p} offset {offset}: committed read rolled back"
-                        ))
-                    }
-                }
-            }
-            // Acked payloads: at most once, and only at the acked offset.
-            for (partition, offset, payload) in &acked_activity {
-                if *partition != p {
-                    continue;
-                }
-                let hits: Vec<u64> = all
-                    .iter()
-                    .filter(|(_, m)| m.payload == *payload)
-                    .map(|(o, _)| *o)
-                    .collect();
-                if hits.len() > 1 {
-                    return Err(format!(
-                        "activity/{p}: acked payload duplicated at offsets {hits:?}"
-                    ));
-                }
-                if let Some(&at) = hits.first() {
-                    if at != *offset {
-                        return Err(format!(
-                            "activity/{p}: acked at {offset}, committed at {at}"
-                        ));
-                    }
-                }
-            }
-            // Lag drained: the consumer reached the high watermark.
-            if end != next_offset[p as usize] {
+    let profile_timeline = || -> Result<(), String> {
+        for member in 0..members {
+            let read = platform
+                .profile(member)
+                .map_err(|e| format!("member {member}: profile read failed: {e}"))?;
+            let allowed = &profiles[member as usize];
+            if !read.as_ref().is_some_and(|text| allowed.contains(text)) {
                 return Err(format!(
-                    "activity/{p}: consumer at {}, high watermark at {end}",
-                    next_offset[p as usize]
+                    "member {member}: reads {read:?}, last acked then later attempts {allowed:?}"
                 ));
             }
         }
         Ok(())
     };
+    let pymk_serves = || -> Result<(), String> {
+        for member in 0..members {
+            let stored = platform
+                .pymk_recommendations(member)
+                .map_err(|e| format!("member {member}: PYMK read failed: {e}"))?;
+            if stored.as_deref() != Some(&graph.pymk_of(member).to_bytes()[..]) {
+                return Err(format!("member {member}: PYMK serves {stored:?}, not its record"));
+            }
+        }
+        Ok(())
+    };
+    let kafka_conserved = || -> Result<(), String> {
+        let mut consumed = 0;
+        for partition in 0..platform.activity_partitions() {
+            let mut consumer = platform.activity_consumer(partition).map_err(|e| e.to_string())?;
+            while let Ok(batch @ [_, ..]) = consumer.poll().as_deref() {
+                consumed += batch.len();
+            }
+        }
+        let rows = platform.warehouse_rows();
+        if consumed != tracked || rows != tracked {
+            return Err(format!("tracked {tracked}, online {consumed}, warehouse rows {rows}"));
+        }
+        let audits = AuditReconciler::reconcile(&platform.kafka_offline, ACTIVITY_TOPIC)
+            .map_err(|e| format!("audit reconcile: {e}"))?;
+        match audits.iter().find(|w| !w.clean()) {
+            Some(w) => Err(format!(
+                "audit window {}: produced {}, mirrored {}",
+                w.window, w.produced, w.consumed
+            )),
+            None => Ok(()),
+        }
+    };
     sched.check(
         &[
-            ("follow-conservation", &follow_conservation),
+            ("recovery-drained", &recovery_drained),
+            ("follow-no-acked-write-lost", &follow_no_acked_write_lost),
             ("databus-lag-drained", &databus_drained),
-            ("kafka-committed-exactly-once", &kafka_committed_exactly_once),
+            ("profile-timeline", &profile_timeline),
+            ("pymk-serves", &pymk_serves),
+            ("kafka-conserved", &kafka_conserved),
         ],
         "cargo test --test chaos site_closed_loop",
     )?;
@@ -1398,7 +1303,7 @@ fn run_site_closed_loop(seed: u64) -> Result<String, ChaosFailure> {
 #[test]
 fn chaos_sweep_site_closed_loop() {
     for seed in sweep_seeds(5) {
-        if let Err(failure) = run_site_closed_loop(seed) {
+        if let Err(failure) = run_site_closed_loop(seed, false) {
             panic!("{failure}");
         }
     }
@@ -2055,8 +1960,8 @@ fn same_seed_yields_byte_identical_traces() {
     let a = run_sqlstore_replication(11).unwrap_or_else(|f| panic!("{f}"));
     let b = run_sqlstore_replication(11).unwrap_or_else(|f| panic!("{f}"));
     assert_eq!(a, b, "sqlstore trace diverged");
-    let a = run_site_closed_loop(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_site_closed_loop(11).unwrap_or_else(|f| panic!("{f}"));
+    let a = run_site_closed_loop(11, false).unwrap_or_else(|f| panic!("{f}"));
+    let b = run_site_closed_loop(11, false).unwrap_or_else(|f| panic!("{f}"));
     assert_eq!(a, b, "site closed-loop trace diverged");
     let a = run_migration_vs_donor_crash(11).unwrap_or_else(|f| panic!("{f}"));
     let b = run_migration_vs_donor_crash(11).unwrap_or_else(|f| panic!("{f}"));
@@ -2071,32 +1976,44 @@ fn same_seed_yields_byte_identical_traces() {
 
 /// A deliberately planted invariant violation is caught, reported with
 /// a `CHAOS_SEED=` repro line, and reproduces exactly when the seed is
-/// parsed back out of that line and re-run.
+/// parsed back out of that line and re-run — on one crate's cluster and
+/// on the assembled platform.
 #[test]
 fn planted_violation_is_caught_and_reproduces_from_printed_seed() {
-    let failure = run_voldemort_quorum(4242, true)
-        .expect_err("planted durability violation must be caught");
-    let message = failure.to_string();
-    assert!(
-        message.contains("invariant `quorum-durability` violated"),
-        "unexpected report:\n{message}"
-    );
-    assert!(
-        message.contains("CHAOS_SEED=4242 cargo test --test chaos voldemort"),
-        "missing repro line:\n{message}"
-    );
-    assert!(message.contains("PLANT: deleted acked key"), "trace missing:\n{message}");
+    type Scenario = fn(u64, bool) -> Result<String, ChaosFailure>;
+    let cases: [(Scenario, &str, &str, &str); 2] = [
+        (run_voldemort_quorum, "quorum-durability", "voldemort", "PLANT: deleted acked key"),
+        (
+            run_site_closed_loop,
+            "follow-no-acked-write-lost",
+            "site_closed_loop",
+            "PLANT: deleted acked cached list",
+        ),
+    ];
+    for (run, invariant, scenario, plant) in cases {
+        let failure = run(4242, true).expect_err("planted violation must be caught");
+        let message = failure.to_string();
+        assert!(
+            message.contains(&format!("invariant `{invariant}` violated")),
+            "unexpected report:\n{message}"
+        );
+        assert!(
+            message.contains(&format!("CHAOS_SEED=4242 cargo test --test chaos {scenario}")),
+            "missing repro line:\n{message}"
+        );
+        assert!(message.contains(plant), "trace missing:\n{message}");
 
-    // Act like an engineer reading the failure: parse the seed out of
-    // the printed repro line and re-run. The violation must reproduce
-    // with the identical trace.
-    let seed: u64 = message
-        .split("CHAOS_SEED=")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|s| s.parse().ok())
-        .expect("repro line carries a parseable seed");
-    let again = run_voldemort_quorum(seed, true).expect_err("repro run must fail identically");
-    assert_eq!(failure.violations, again.violations);
-    assert_eq!(failure.trace, again.trace);
+        // Act like an engineer reading the failure: parse the seed out of
+        // the printed repro line and re-run. The violation must reproduce
+        // with the identical trace.
+        let seed: u64 = message
+            .split("CHAOS_SEED=")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|s| s.parse().ok())
+            .expect("repro line carries a parseable seed");
+        let again = run(seed, true).expect_err("repro run must fail identically");
+        assert_eq!(failure.violations, again.violations);
+        assert_eq!(failure.trace, again.trace);
+    }
 }

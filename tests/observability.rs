@@ -238,10 +238,6 @@ const NOT_IN_A_SITE_RUN: &[(&str, &str)] = &[
         "Espresso builds its controller with Controller::new: a private registry",
     ),
     ("helix.<cluster>.rebalances", "as above"),
-    (
-        "voldemort.hints.dropped_obsolete",
-        "registered by deliver_hints, which the site loop never calls",
-    ),
 ];
 
 /// The catalog and the registry of a site run (one partition migrating)
