@@ -85,7 +85,7 @@ impl FailureDetector {
         }
     }
 
-    /// Records a successful operation against `node`.
+    /// Records a successful operation against `node`; never bans it.
     pub fn record_success(&self, node: NodeId) {
         self.record(node, true);
     }
@@ -112,10 +112,13 @@ impl FailureDetector {
             counts.failures = 0;
         }
         if success {
+            // A success only raises the ratio: judging it here would let
+            // a healed node's first success ban it for failures taken
+            // while it was down.
             counts.successes += 1;
-        } else {
-            counts.failures += 1;
+            return;
         }
+        counts.failures += 1;
         let total = counts.successes + counts.failures;
         if total >= self.config.min_samples {
             let ratio = counts.successes as f64 / total as f64;
@@ -240,6 +243,22 @@ mod tests {
         // 7/10 = 0.7 < 0.8 → banned.
         assert!(!fd.is_available(N1));
         assert_eq!(fd.banned_nodes(), vec![N1]);
+    }
+
+    #[test]
+    fn a_success_never_bans() {
+        let clock = SimClock::new();
+        let fd = detector(&clock);
+        // Nine failures under a fault, then the node heals: its first
+        // success is the tenth sample at a 0.1 ratio, and must not ban it.
+        for _ in 0..9 {
+            fd.record_failure(N1);
+        }
+        fd.record_success(N1);
+        assert!(fd.is_available(N1));
+        // The ratio is judged at the next failure.
+        fd.record_failure(N1);
+        assert!(!fd.is_available(N1));
     }
 
     #[test]

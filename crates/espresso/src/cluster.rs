@@ -12,7 +12,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use li_commons::exec::{fan_out, FanOutMode, FanOutOptions, FanOutPool, FanOutTask};
 use li_commons::metrics::{Counter, Histo, MetricsRegistry};
@@ -73,10 +73,9 @@ pub struct EspressoCluster {
     /// Deterministic (the default) runs them inline in node order —
     /// replayable; Parallel fans them out over [`Self::fan_out_pool`].
     fan_out_mode: RwLock<FanOutMode>,
-    /// Read-mostly handle to the router's shared fan-out pool, created
-    /// lazily on first Parallel multi-key request (Deterministic clusters
-    /// spawn no threads). Same idiom as the Voldemort quorum pool.
-    fan_out_pool: RwLock<Option<Arc<FanOutPool>>>,
+    /// The router's shared fan-out pool, built on the first Parallel
+    /// multi-key request (Deterministic clusters spawn no threads).
+    fan_out_pool: OnceLock<FanOutPool>,
     registry: Arc<MetricsRegistry>,
     metrics: EspressoMetrics,
 }
@@ -117,7 +116,7 @@ impl EspressoCluster {
             schemas: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
             fan_out_mode: RwLock::new(FanOutMode::Deterministic),
-            fan_out_pool: RwLock::new(None),
+            fan_out_pool: OnceLock::new(),
             metrics: EspressoMetrics::new(&registry),
             registry,
         });
@@ -384,17 +383,9 @@ impl EspressoCluster {
     }
 
     /// The shared pool behind Parallel multi-key fan-out, created lazily
-    /// so Deterministic clusters spawn no threads. Read-mostly after the
-    /// first acquisition.
-    fn fan_out_pool(&self) -> Arc<FanOutPool> {
-        if let Some(pool) = self.fan_out_pool.read().as_ref() {
-            return Arc::clone(pool);
-        }
-        Arc::clone(
-            self.fan_out_pool
-                .write()
-                .get_or_insert_with(|| Arc::new(FanOutPool::new(8))),
-        )
+    /// so Deterministic clusters spawn no threads.
+    fn fan_out_pool(&self) -> &FanOutPool {
+        self.fan_out_pool.get_or_init(|| FanOutPool::new(8))
     }
 
     /// Groups `keys` by their master node (input order preserved within
@@ -430,7 +421,7 @@ impl EspressoCluster {
             required,
             ..Default::default()
         };
-        let mut report = fan_out(pool.as_deref(), &opts, tasks, Vec::new(), None, None);
+        let mut report = fan_out(pool, &opts, tasks, Vec::new(), None, None);
         if let Some((_, err)) = report.fatal.take() {
             return Err(err);
         }
@@ -814,7 +805,7 @@ mod tests {
             .collect();
         cluster.multi_get(DB, "Profile", keys).unwrap();
         assert!(
-            cluster.fan_out_pool.read().is_none(),
+            cluster.fan_out_pool.get().is_none(),
             "Deterministic mode must not lazily create the fan-out pool"
         );
     }

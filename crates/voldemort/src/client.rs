@@ -40,12 +40,12 @@ pub use li_commons::exec::FanOutMode;
 use li_commons::exec::{fan_out, FanOutOptions, FanOutPool, FanOutTask, LateHandler};
 use li_commons::metrics::{Counter, Histo};
 use li_commons::ring::NodeId;
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cluster::VoldemortCluster;
 use crate::error::VoldemortError;
+use crate::migrate::JournaledWrite;
 use crate::server::{Hint, VoldemortNode};
 use crate::store::StoreDef;
 
@@ -221,6 +221,12 @@ struct ReplicaLink {
 }
 
 impl ReplicaLink {
+    /// The node exists and the failure detector has not banned it: the
+    /// one test of whether a request may be routed to `node`.
+    fn is_live(&self, node: NodeId) -> bool {
+        self.cluster.node(node).is_ok() && self.cluster.detector().is_available(node)
+    }
+
     /// Delivers one message to `node` and runs `op` on it, returning the
     /// simulated link latency with `op`'s value. Every outcome feeds the
     /// failure detector. A *timed* call is one the caller waits on (the
@@ -294,13 +300,12 @@ impl ReplicaLink {
     }
 
     /// The nodes that may hold a hint for a replica of `prefs`, in id
-    /// order: outside the preference list and not banned.
+    /// order: outside the preference list and live.
     fn hint_holders<'a>(&'a self, prefs: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
-        let detector = self.cluster.detector();
         self.cluster
             .node_ids()
             .into_iter()
-            .filter(move |n| !prefs.contains(n) && detector.is_available(*n))
+            .filter(move |n| !prefs.contains(n) && self.is_live(*n))
     }
 
     /// Hinted handoff: parks `value` for the unreachable `target` on the
@@ -408,18 +413,16 @@ impl StoreClient {
     }
 
     /// The worker pool, only when this client actually runs parallel.
-    fn pool(&self) -> Option<Arc<FanOutPool>> {
+    fn pool(&self) -> Option<&FanOutPool> {
         (self.config.mode == FanOutMode::Parallel).then(|| self.link.cluster.fan_out_pool())
     }
 
-    /// Preference-list nodes that exist and the failure detector considers
-    /// available, in preference order.
+    /// The live preference-list nodes, in preference order.
     fn available_replicas(&self, prefs: &[NodeId]) -> Vec<NodeId> {
-        let detector = self.link.cluster.detector();
         prefs
             .iter()
             .copied()
-            .filter(|&n| detector.is_available(n) && self.link.cluster.node(n).is_ok())
+            .filter(|&n| self.link.is_live(n))
             .collect()
     }
 
@@ -535,7 +538,7 @@ impl StoreClient {
                 .then(|| self.hedge_delay())
                 .flatten(),
         };
-        let report = fan_out(self.pool().as_deref(), &opts, primary, backups, None, late);
+        let report = fan_out(self.pool(), &opts, primary, backups, None, late);
         self.metrics.hedged.add(report.hedges as u64);
         self.metrics.hedge_won.add(report.hedge_wins as u64);
         for (_, (latency, _)) in report.successes() {
@@ -746,7 +749,6 @@ impl StoreClient {
         // routing while this put is in flight, the epoch moves and the
         // committed version is re-pushed to the new preference list.
         let epoch = self.link.cluster.topology_epoch();
-        let detector = self.link.cluster.detector();
         let required = self.store.required_writes;
         let mut acks = 0usize;
         let mut failed_replicas: Vec<NodeId> = Vec::new();
@@ -763,7 +765,7 @@ impl StoreClient {
         let mut committed_clock: Option<VectorClock> = None;
         let mut wave_start = prefs.len();
         for (i, &node) in prefs.iter().enumerate() {
-            if self.link.cluster.node(node).is_err() || !detector.is_available(node) {
+            if !self.link.is_live(node) {
                 failed_replicas.push(node);
                 continue;
             }
@@ -808,7 +810,7 @@ impl StoreClient {
         if committed && wave_start < prefs.len() {
             let mut tasks = Vec::new();
             for &node in &prefs[wave_start..] {
-                if self.link.cluster.node(node).is_err() || !detector.is_available(node) {
+                if !self.link.is_live(node) {
                     failed_replicas.push(node);
                     continue;
                 }
@@ -841,7 +843,7 @@ impl StoreClient {
                     )
                 };
                 let report = fan_out(
-                    self.pool().as_deref(),
+                    self.pool(),
                     &opts,
                     tasks,
                     Vec::new(),
@@ -898,7 +900,13 @@ impl StoreClient {
 
         // The write is acked: this is the zero-loss capture point for an
         // in-flight partition migration.
-        self.link.cluster.on_acked_put(&self.store, key, &versioned, self.link.origin);
+        self.link
+            .cluster
+            .on_acked(&self.store, key, self.link.origin, || JournaledWrite::Put {
+                store: self.store.name.clone(),
+                key: shared_key.clone(),
+                value: versioned.clone(),
+            });
         self.heal_routing_drift(&shared_key, &prefs, &versioned, epoch);
         Ok(versioned.clock)
     }
@@ -983,7 +991,7 @@ impl StoreClient {
             required,
             hedge_delay: None,
         };
-        let report = fan_out(self.pool().as_deref(), &opts, tasks, Vec::new(), None, None);
+        let report = fan_out(self.pool(), &opts, tasks, Vec::new(), None, None);
         let acks = report.quorum.len() + report.extras.len();
         if acks < required {
             return Err(VoldemortError::InsufficientWrites {
@@ -995,7 +1003,15 @@ impl StoreClient {
         // Acked-delete capture for an in-flight migration, plus the same
         // cutover-race heal as puts (replay the delete on any replica the
         // key just gained).
-        self.link.cluster.on_acked_delete(&self.store, key, clock, self.link.origin);
+        self.link
+            .cluster
+            .on_acked(&self.store, key, self.link.origin, || {
+                JournaledWrite::Delete {
+                    store: self.store.name.clone(),
+                    key: shared_key,
+                    clock: clock.clone(),
+                }
+            });
         if self.link.cluster.topology_epoch() != epoch {
             if let Ok(now_prefs) = self.preference_list(key) {
                 for node in now_prefs.into_iter().filter(|n| !prefs.contains(n)) {
@@ -1006,92 +1022,6 @@ impl StoreClient {
             }
         }
         Ok(any_deleted)
-    }
-
-    /// Batch get: one call, many keys (Voldemort's `getAll`). Keys are
-    /// batched by replica node — each node in the union of the keys'
-    /// quorum target sets is contacted exactly once with a multi-get —
-    /// instead of running an independent quorum per key. Keys that fail
-    /// their read quorum are simply absent from the result map, so a
-    /// partially degraded cluster still serves what it can.
-    pub fn get_all(
-        &self,
-        keys: &[&[u8]],
-    ) -> Result<std::collections::HashMap<Vec<u8>, Vec<Versioned<Bytes>>>, VoldemortError> {
-        self.enter()?;
-        let required = self.store.required_reads;
-        let mut out = std::collections::HashMap::with_capacity(keys.len());
-
-        // Plan: the first R available replicas of each key (or all N with
-        // ReadFanOut::All), grouped per node. BTreeMap keeps node contact
-        // order deterministic.
-        let mut key_targets: Vec<Vec<NodeId>> = Vec::with_capacity(keys.len());
-        let mut per_node: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let prefs = self.preference_list(key)?;
-            let available = self.available_replicas(&prefs);
-            let width = match self.config.read_fan_out {
-                ReadFanOut::Quorum => required.min(available.len()),
-                ReadFanOut::All => available.len(),
-            };
-            let targets = available[..width].to_vec();
-            for &node in &targets {
-                per_node.entry(node).or_default().push(i);
-            }
-            key_targets.push(targets);
-        }
-
-        // One multi-get task per node; each key is copied once, whichever
-        // nodes ask for it.
-        let shared_keys: Vec<Bytes> = keys.iter().map(|k| Bytes::copy_from_slice(k)).collect();
-        let mut tasks = Vec::new();
-        for (&node, indices) in &per_node {
-            let node_keys: Vec<Bytes> = indices.iter().map(|&i| shared_keys[i].clone()).collect();
-            tasks.push(self.link.task(node, move |server, store| {
-                server.get_many(store, &node_keys)
-            }));
-        }
-        let opts = FanOutOptions {
-            // Every node response matters for some key's quorum, so the
-            // batch waits for all of them.
-            mode: self.config.mode,
-            required: tasks.len(),
-            hedge_delay: None,
-        };
-        let report = fan_out(self.pool().as_deref(), &opts, tasks, Vec::new(), None, None);
-        let mut node_results: BTreeMap<NodeId, Vec<Vec<Versioned<Bytes>>>> = BTreeMap::new();
-        for (node, (_, versions)) in report.quorum.into_iter().chain(report.extras) {
-            node_results.insert(NodeId(node as u16), versions);
-        }
-
-        // Assemble per-key quorums from the per-node responses.
-        for (i, &key) in keys.iter().enumerate() {
-            let responses: Vec<(NodeId, Vec<Versioned<Bytes>>)> = key_targets[i]
-                .iter()
-                .filter_map(|node| {
-                    let lists = node_results.get(node)?;
-                    let slot = per_node[node].iter().position(|&j| j == i)?;
-                    Some((*node, lists[slot].clone()))
-                })
-                .collect();
-            if responses.len() < required {
-                continue; // quorum miss: key absent, like the per-key path
-            }
-            let mut merged: Vec<Versioned<Bytes>> = Vec::new();
-            for (_, versions) in &responses {
-                for version in versions {
-                    resolve_siblings(&mut merged, version.clone());
-                }
-            }
-            // Read repair stale responders, as the single-key path does.
-            for (node, versions) in &responses {
-                self.link.repair(*node, key, &merged, versions);
-            }
-            if !merged.is_empty() {
-                out.insert(key.to_vec(), merged);
-            }
-        }
-        Ok(out)
     }
 
     /// API method 5: `applyUpdate` — encapsulated read-modify-write with
@@ -1258,17 +1188,6 @@ mod tests {
             .apply_update(b"k", 3, &|_siblings| None)
             .unwrap();
         assert_eq!(client.get(b"k").unwrap()[0].value.as_ref(), b"keep");
-    }
-
-    #[test]
-    fn get_all_returns_present_keys_only() {
-        let (_cluster, client) = cluster_with_store(3, 2, 1, 1);
-        client.put_initial(b"a", Bytes::from_static(b"1")).unwrap();
-        client.put_initial(b"b", Bytes::from_static(b"2")).unwrap();
-        let got = client.get_all(&[b"a", b"b", b"missing"]).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[b"a".as_slice()][0].value.as_ref(), b"1");
-        assert!(!got.contains_key(b"missing".as_slice()));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The cluster runtime: nodes, topology, failure detection, admin service.
 
 use bytes::Bytes;
-use li_commons::clock::{resolve_siblings, Occurred, VectorClock, Versioned};
+use li_commons::clock::{resolve_siblings, Occurred, Versioned};
 use li_commons::exec::FanOutPool;
 use li_commons::failure::{FailureDetector, FailureDetectorConfig};
 use li_commons::fnv::fnv1a;
-use li_commons::metrics::MetricsRegistry;
+use li_commons::metrics::{Counter, MetricsRegistry};
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator};
 use li_commons::ring::{HashRing, NodeId, PartitionId, ZoneId};
 use li_commons::sim::{Clock, RealClock, SimNetwork};
@@ -13,7 +13,7 @@ use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::client::StoreClient;
 use crate::engine::{BdbLikeEngine, MemoryEngine, StorageEngine};
@@ -36,17 +36,15 @@ pub struct VoldemortCluster {
     detector: FailureDetector,
     clock: Arc<dyn Clock>,
     metrics: Arc<MetricsRegistry>,
-    /// Read-mostly handle to the shared fan-out pool: quorum ops take the
-    /// read lock (never the write path once initialized), so concurrent
-    /// clients don't serialize on a mutex just to clone the pool `Arc`.
-    fan_out_pool: RwLock<Option<Arc<FanOutPool>>>,
-    /// How many times `fan_out_pool()` fell through to the init (write)
-    /// path. Stays at 1 after first use — the proof that the per-op read
-    /// path acquires no exclusive lock.
-    pool_init_acquisitions: std::sync::atomic::AtomicU64,
-    /// The (at most one) in-flight partition migration. Client ack hooks
-    /// take the read side per acked write; cutover takes the write side,
-    /// so the final journal drain cannot race an in-flight append.
+    /// `voldemort.hints.dropped_obsolete`: hints `deliver_hints` dropped
+    /// because a replica already held a version at least as new.
+    hints_dropped_obsolete: Counter,
+    /// The shared fan-out pool, built on first use.
+    fan_out_pool: OnceLock<FanOutPool>,
+    /// The (at most one) in-flight partition migration. The client ack
+    /// hook (`on_acked`) takes the read side per acked write; cutover
+    /// takes the write side, so the final journal drain cannot race an
+    /// in-flight append.
     /// Lock order: this lock before `router`, everywhere.
     migration: RwLock<Option<Arc<ActiveMigration>>>,
     /// Bumped on every routing change (cutover flip, rebalance). Clients
@@ -118,9 +116,9 @@ impl VoldemortCluster {
             network,
             detector: FailureDetector::new(FailureDetectorConfig::default(), clock.clone()),
             clock,
+            hints_dropped_obsolete: metrics.scope("voldemort.hints").counter("dropped_obsolete"),
             metrics,
-            fan_out_pool: RwLock::new(None),
-            pool_init_acquisitions: std::sync::atomic::AtomicU64::new(0),
+            fan_out_pool: OnceLock::new(),
             migration: RwLock::new(None),
             topology_epoch: AtomicU64::new(0),
         }))
@@ -149,28 +147,9 @@ impl VoldemortCluster {
 
     /// The shared worker pool behind every client's parallel quorum
     /// fan-out. Created lazily on first use, so clusters that only ever
-    /// run the deterministic inline mode spawn no threads. After that
-    /// first call, every acquisition is a shared read-lock clone — no
-    /// exclusive lock on the per-operation path.
-    pub fn fan_out_pool(&self) -> Arc<FanOutPool> {
-        if let Some(pool) = self.fan_out_pool.read().as_ref() {
-            return Arc::clone(pool);
-        }
-        self.pool_init_acquisitions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Arc::clone(
-            self.fan_out_pool
-                .write()
-                .get_or_insert_with(|| Arc::new(FanOutPool::new(8))),
-        )
-    }
-
-    /// Times the slow (exclusive-lock) path of [`Self::fan_out_pool`] ran.
-    /// Settles at a small constant (1, absent a benign init race) no
-    /// matter how many quorum operations execute.
-    pub fn fan_out_pool_init_acquisitions(&self) -> u64 {
-        self.pool_init_acquisitions
-            .load(std::sync::atomic::Ordering::Relaxed)
+    /// run the deterministic inline mode spawn no threads.
+    pub fn fan_out_pool(&self) -> &FanOutPool {
+        self.fan_out_pool.get_or_init(|| FanOutPool::new(8))
     }
 
     /// A node handle.
@@ -327,10 +306,6 @@ impl VoldemortCluster {
     /// write could not be landed on (or confirmed at) any current replica
     /// is re-parked for a later round.
     pub fn deliver_hints(&self) -> usize {
-        let dropped_obsolete = self
-            .metrics
-            .scope("voldemort.hints")
-            .counter("dropped_obsolete");
         let mut delivered = 0;
         // Sorted so replay order (and any RNG the network consumes per
         // delivery) is deterministic run-to-run.
@@ -389,7 +364,7 @@ impl VoldemortCluster {
                 // repair converges the rest), so the hint is done.
                 if !landed {
                     if superseded {
-                        dropped_obsolete.inc();
+                        self.hints_dropped_obsolete.inc();
                     } else {
                         holder.store_hint(hint);
                     }
@@ -475,7 +450,7 @@ impl VoldemortCluster {
         Ok(Some(PartitionMigration::new(Arc::clone(self), state)))
     }
 
-    /// The in-flight migration's state, if any (client ack/shadow hooks).
+    /// The in-flight migration's state, if any (the client's shadow probe).
     pub(crate) fn active_migration(&self) -> Option<Arc<ActiveMigration>> {
         self.migration.read().clone()
     }
@@ -497,17 +472,19 @@ impl VoldemortCluster {
         self.abort_migration();
     }
 
-    /// Client ack hook: an acked put lands in the journal when the key's
-    /// placement changes at cutover, and mirrors synchronously to the
-    /// gaining nodes during dual-write. Called with no cluster locks held;
+    /// Client ack hook: an acked put or delete lands in the journal when
+    /// the key's placement changes at cutover, and mirrors synchronously to
+    /// the gaining nodes during dual-write. `write` builds the captured
+    /// write and runs only for such a key, so a write no migration covers
+    /// costs one read-lock probe. Called with no cluster locks held;
     /// routing decisions use the migration's ring snapshots, never the
     /// router lock.
-    pub(crate) fn on_acked_put(
+    pub(crate) fn on_acked(
         &self,
         def: &StoreDef,
         key: &[u8],
-        value: &Versioned<Bytes>,
         origin: NodeId,
+        write: impl FnOnce() -> JournaledWrite,
     ) {
         let guard = self.migration.read();
         let Some(m) = guard.as_ref() else {
@@ -517,11 +494,7 @@ impl VoldemortCluster {
         if gaining.is_empty() {
             return;
         }
-        m.journal.lock().push(JournaledWrite::Put {
-            store: def.name.clone(),
-            key: Bytes::copy_from_slice(key),
-            value: value.clone(),
-        });
+        let write = write();
         if m.dual_write_active() {
             // Best-effort synchronous mirror; the journal is the backstop
             // for any target the network refuses right now.
@@ -530,44 +503,11 @@ impl VoldemortCluster {
                     continue;
                 }
                 if let Ok(node) = self.node(t) {
-                    let _ = node.force_put(&def.name, key, value.clone());
+                    let _ = write.apply(&node);
                 }
             }
         }
-    }
-
-    /// Client ack hook for deletes (same contract as
-    /// [`Self::on_acked_put`]).
-    pub(crate) fn on_acked_delete(
-        &self,
-        def: &StoreDef,
-        key: &[u8],
-        clock: &VectorClock,
-        origin: NodeId,
-    ) {
-        let guard = self.migration.read();
-        let Some(m) = guard.as_ref() else {
-            return;
-        };
-        let gaining = m.moved_targets(key, def);
-        if gaining.is_empty() {
-            return;
-        }
-        m.journal.lock().push(JournaledWrite::Delete {
-            store: def.name.clone(),
-            key: Bytes::copy_from_slice(key),
-            clock: clock.clone(),
-        });
-        if m.dual_write_active() {
-            for t in gaining {
-                if self.network.deliver(origin, t).is_err() {
-                    continue;
-                }
-                if let Ok(node) = self.node(t) {
-                    let _ = node.delete(&def.name, key, clock);
-                }
-            }
-        }
+        m.journal.lock().push(write);
     }
 
     /// Drains the migration journal and replays every entry to the nodes
@@ -595,19 +535,10 @@ impl VoldemortCluster {
         m: &ActiveMigration,
         entry: &JournaledWrite,
     ) -> Result<(), VoldemortError> {
-        match entry {
-            JournaledWrite::Put { store, key, value } => {
-                let def = self.store_def(store)?;
-                for t in m.moved_targets(key, &def) {
-                    self.node(t)?.force_put(store, key, value.clone())?;
-                }
-            }
-            JournaledWrite::Delete { store, key, clock } => {
-                let def = self.store_def(store)?;
-                for t in m.moved_targets(key, &def) {
-                    self.node(t)?.delete(store, key, clock)?;
-                }
-            }
+        let (store, key) = entry.addr();
+        let def = self.store_def(store)?;
+        for t in m.moved_targets(key, &def) {
+            entry.apply(&*self.node(t)?)?;
         }
         Ok(())
     }
@@ -804,28 +735,6 @@ mod tests {
             cluster.delete_store("follows"),
             Err(VoldemortError::UnknownStore(_))
         ));
-    }
-
-    #[test]
-    fn fan_out_pool_reads_take_no_exclusive_lock_after_init() {
-        let cluster = VoldemortCluster::new(8, 2).unwrap();
-        assert_eq!(cluster.fan_out_pool_init_acquisitions(), 0, "lazy");
-        let first = cluster.fan_out_pool();
-        assert_eq!(cluster.fan_out_pool_init_acquisitions(), 1);
-        // 16 concurrent acquisitions all ride the read path.
-        let mut handles = Vec::new();
-        for _ in 0..16 {
-            let cluster = cluster.clone();
-            handles.push(std::thread::spawn(move || cluster.fan_out_pool()));
-        }
-        for h in handles {
-            assert!(Arc::ptr_eq(&h.join().unwrap(), &first), "one shared pool");
-        }
-        assert_eq!(
-            cluster.fan_out_pool_init_acquisitions(),
-            1,
-            "zero exclusive acquisitions on the read path"
-        );
     }
 
     #[test]

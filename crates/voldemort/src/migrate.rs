@@ -48,6 +48,7 @@ use std::sync::Arc;
 
 use crate::cluster::VoldemortCluster;
 use crate::error::VoldemortError;
+use crate::server::VoldemortNode;
 use crate::store::StoreDef;
 
 /// Virtual node id the migration admin service occupies on the simulated
@@ -76,9 +77,33 @@ pub(crate) enum JournaledWrite {
     },
 }
 
+impl JournaledWrite {
+    /// The store and key the write touched.
+    pub(crate) fn addr(&self) -> (&str, &[u8]) {
+        match self {
+            JournaledWrite::Put { store, key, .. } | JournaledWrite::Delete { store, key, .. } => {
+                (store, key)
+            }
+        }
+    }
+
+    /// Lands the write on `node`: the one way a captured write reaches a
+    /// gaining node, for the dual-write mirror and for journal replay
+    /// alike. A put is forced (the version was already acked); a delete
+    /// stays clock-checked, so it never removes a newer version.
+    pub(crate) fn apply(&self, node: &VoldemortNode) -> Result<(), VoldemortError> {
+        match self {
+            JournaledWrite::Put { store, key, value } => node.force_put(store, key, value.clone()),
+            JournaledWrite::Delete { store, key, clock } => {
+                node.delete(store, key, clock).map(|_| ())
+            }
+        }
+    }
+}
+
 /// Routing and capture state for one in-flight partition move. Lives in
-/// the cluster behind `RwLock<Option<Arc<..>>>`; the client's ack hooks
-/// take the read side, cutover takes the write side (so the final journal
+/// the cluster behind `RwLock<Option<Arc<..>>>`; the client's ack hook
+/// takes the read side, cutover takes the write side (so the final journal
 /// drain cannot race an in-flight append).
 ///
 /// Lock-ordering rule (vs the PR 7 commit points): the migration lock is

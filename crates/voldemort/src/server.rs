@@ -17,7 +17,6 @@ use crate::error::VoldemortError;
 #[derive(Debug, Clone)]
 struct NodeMetrics {
     gets: Counter,
-    multigets: Counter,
     puts: Counter,
     deletes: Counter,
     bytes_in: Counter,
@@ -36,7 +35,6 @@ impl NodeMetrics {
         let scope = node_scope(registry, id);
         NodeMetrics {
             gets: scope.counter("get.count"),
-            multigets: scope.counter("multiget.count"),
             puts: scope.counter("put.count"),
             deletes: scope.counter("delete.count"),
             bytes_in: scope.counter("bytes_in"),
@@ -144,27 +142,6 @@ impl VoldemortNode {
         Ok(versions)
     }
 
-    /// Server-side multi-get: the batched form behind the client's
-    /// `get_all`, answering many keys in one request. Results are
-    /// positionally aligned with `keys` (absent keys yield empty lists).
-    pub fn get_many(
-        &self,
-        store: &str,
-        keys: &[Bytes],
-    ) -> Result<Vec<Vec<Versioned<Bytes>>>, VoldemortError> {
-        self.metrics.multigets.inc();
-        let engine = self.engine(store)?;
-        let mut out = Vec::with_capacity(keys.len());
-        let mut bytes = 0usize;
-        for key in keys {
-            let versions = engine.get(key)?;
-            bytes += versions.iter().map(|v| v.value.len()).sum::<usize>();
-            out.push(versions);
-        }
-        self.metrics.bytes_out.add(bytes as u64);
-        Ok(out)
-    }
-
     /// Server-side put (vector-clock checked).
     pub fn put(
         &self,
@@ -204,16 +181,6 @@ impl VoldemortNode {
     pub fn store_hint(&self, hint: Hint) {
         self.hints.lock().push(hint);
         self.metrics.hints_pending.add(1);
-    }
-
-    /// Drains the hints whose target is `target` (handoff replay).
-    pub fn take_hints_for(&self, target: NodeId) -> Vec<Hint> {
-        let mut hints = self.hints.lock();
-        let (matched, rest): (Vec<Hint>, Vec<Hint>) =
-            hints.drain(..).partition(|h| h.target == target);
-        *hints = rest;
-        self.metrics.hints_pending.sub(matched.len() as i64);
-        matched
     }
 
     /// Drains every parked hint regardless of target. Delivery-time
@@ -278,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn hints_partition_by_target() {
+    fn take_all_hints_drains_every_target() {
         let node = node_with_store();
         for target in [2u16, 3, 2] {
             node.store_hint(Hint {
@@ -289,11 +256,9 @@ mod tests {
             });
         }
         assert_eq!(node.hint_count(), 3);
-        let for_2 = node.take_hints_for(NodeId(2));
-        assert_eq!(for_2.len(), 2);
-        assert_eq!(node.hint_count(), 1);
-        assert!(node.take_hints_for(NodeId(2)).is_empty());
-        assert_eq!(node.take_hints_for(NodeId(3)).len(), 1);
+        let targets: Vec<u16> = node.take_all_hints().iter().map(|h| h.target.0).collect();
+        assert_eq!(targets, [2, 3, 2]);
         assert_eq!(node.hint_count(), 0);
+        assert!(node.take_all_hints().is_empty());
     }
 }

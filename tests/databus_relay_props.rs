@@ -7,23 +7,13 @@
 //! each observe the dense SCN stream with no loss, duplication, or
 //! reordering.
 //!
-//! Case count defaults to 24 and is raised in CI with
-//! `RELAY_PROPTEST_CASES=64` (the vendored proptest has no env support of
-//! its own).
+//! Case count defaults to 24; CI raises it with `PROPTEST_CASES=64`.
 
 use bytes::Bytes;
 use li_databus::{Relay, ServerFilter, Window, WindowView};
 use li_sqlstore::{Op, Row, RowChange, RowKey, Scn};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn relay_cases() -> ProptestConfig {
-    let cases = std::env::var("RELAY_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(24);
-    ProptestConfig::with_cases(cases)
-}
 
 const TABLES: [&str; 4] = ["member", "company", "profile", "news"];
 
@@ -100,7 +90,7 @@ fn legacy_serve(
 }
 
 proptest! {
-    #![proptest_config(relay_cases())]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Zero-copy filtered serving ≡ legacy eager clone-then-filter, for
     /// random windows, filters, ingest batch splits, poll positions, and

@@ -30,7 +30,7 @@
 //! replica serves — appends logged as suffix records, hint replay, read
 //! repair and the sibling-union put included.
 //!
-//! Case count: `FOLLOW_VIEW_PROPTEST_CASES` (default 24; CI runs 64).
+//! Case count: 24 (CI runs 64 with `PROPTEST_CASES=64`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -54,14 +54,6 @@ use proptest::prelude::*;
 const MEMBERS: u64 = 12;
 const COMPANIES: u64 = 6;
 const NODES: u16 = 3;
-
-fn view_cases() -> ProptestConfig {
-    let cases = std::env::var("FOLLOW_VIEW_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    ProptestConfig::with_cases(cases)
-}
 
 type Lists = BTreeMap<u64, BTreeSet<u64>>;
 
@@ -299,7 +291,7 @@ fn run_case(
 }
 
 proptest! {
-    #![proptest_config(view_cases())]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn both_views_equal_the_set_union_however_the_stream_arrives(
@@ -413,7 +405,7 @@ fn a_bounced_replica_heals_at_the_next_follow_of_its_key() {
 }
 
 proptest! {
-    #![proptest_config(view_cases())]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Each op follows, after crashing a replica (when all are up) or
     /// restarting the one that is down.

@@ -9,9 +9,7 @@
 //! real concurrent producer threads and checks conservation, contiguity,
 //! and per-thread FIFO order.
 //!
-//! Case count defaults to 24; CI raises it with
-//! `KAFKA_INGEST_PROPTEST_CASES=64` (the vendored proptest has no env
-//! support compiled in, so the knob is read manually).
+//! Case count defaults to 24; CI raises it with `PROPTEST_CASES=64`.
 
 use li_commons::sim::SimClock;
 use li_kafka::log::{LogConfig, PartitionLog};
@@ -19,13 +17,6 @@ use li_kafka::message::MessageSet;
 use li_kafka::{AckMode, KafkaCluster};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn cases(default: u32) -> u32 {
-    std::env::var("KAFKA_INGEST_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn cluster_with(config: &LogConfig, partitions: u32) -> Arc<KafkaCluster> {
     let cluster = KafkaCluster::with_parts(1, config.clone(), Arc::new(SimClock::new())).unwrap();
@@ -53,7 +44,7 @@ fn batches_strategy(partitions: u32) -> impl Strategy<Value = Vec<SendBatch>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Grouped produce ≡ sequential appends, byte for byte. The same
     /// random batch sequence is replayed against bare partition logs

@@ -8,8 +8,7 @@
 //! never-migrated twin that saw the same traffic, with zero acked-write
 //! loss across the flip and zero shadow-verification refusals.
 //!
-//! Case count is env-tunable like the other proptest suites:
-//! `MIGRATION_PROPTEST_CASES=64 cargo test --test migration_props`.
+//! Case count defaults to 24; CI raises it with `PROPTEST_CASES=64`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,13 +20,6 @@ use li_commons::ring::{NodeId, PartitionId};
 use li_voldemort::migrate::ADMIN_NODE;
 use li_voldemort::{StoreClient, StoreDef, VoldemortCluster};
 use proptest::prelude::*;
-
-fn cases(default: u32) -> u32 {
-    std::env::var("MIGRATION_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 const NODES: u16 = 5;
 const PARTITIONS: u32 = 16;
@@ -160,7 +152,7 @@ fn assert_flipped_once(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The equivalence contract itself: random traffic interleaved with
     /// migration steps at random points (so snapshot, delta rounds,

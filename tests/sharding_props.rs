@@ -15,13 +15,6 @@ use li_commons::sim::SimClock;
 use li_sqlstore::{Database, RowKey};
 use proptest::prelude::*;
 
-fn cases(default: u32) -> u32 {
-    std::env::var("SHARDING_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// One randomly generated workload operation against a keyed row space
 /// wide enough (64 keys) that stripes actually share and split keys.
 #[derive(Debug, Clone)]
@@ -73,7 +66,7 @@ fn apply(db: &Database, ops: &[WorkloadOp]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Stripe layout must be invisible to every observer — replication,
     /// recovery and chaos trace comparison all ride on this: the striped

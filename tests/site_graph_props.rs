@@ -4,19 +4,10 @@
 //! of its seed — the benchmark's determinism and conservation gates all
 //! sit on these properties.
 //!
-//! Case count is tunable with `SITE_GRAPH_PROPTEST_CASES` (the vendored
-//! proptest has no env support of its own).
+//! Case count defaults to 32; `PROPTEST_CASES` overrides it.
 
 use li_workload::site::{SiteGraph, SiteGraphChunks, SiteGraphConfig, SiteMix, SiteOp, SiteWorkload};
 use proptest::prelude::*;
-
-fn graph_cases() -> ProptestConfig {
-    let cases = std::env::var("SITE_GRAPH_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    ProptestConfig::with_cases(cases)
-}
 
 fn arb_config() -> impl Strategy<Value = SiteGraphConfig> {
     (50u64..400, 4u64..40, 2usize..24, 1usize..8, any::<u64>()).prop_map(
@@ -31,7 +22,7 @@ fn arb_config() -> impl Strategy<Value = SiteGraphConfig> {
 }
 
 proptest! {
-    #![proptest_config(graph_cases())]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Self-consistency for every shape and seed: no dangling member or
     /// company ids, follow lists sorted and deduplicated, every member

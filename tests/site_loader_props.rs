@@ -12,19 +12,11 @@
 //! `chunk_members` would diverge.
 //!
 //! Every case builds four full platforms, so the case count stays small
-//! (tunable with `SITE_LOADER_PROPTEST_CASES`).
+//! (six; `PROPTEST_CASES` overrides it).
 
 use li_workload::site::SiteGraph;
 use linkedin_data_infra::{PlatformConfig, ShardMode, SiteBench, SiteBenchConfig};
 use proptest::prelude::*;
-
-fn loader_cases() -> ProptestConfig {
-    let cases = std::env::var("SITE_LOADER_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
-    ProptestConfig::with_cases(cases)
-}
 
 fn small_config(members: u64, seed: u64, chunk_members: usize, mode: ShardMode) -> SiteBenchConfig {
     let mut config = SiteBenchConfig::smoke(members, 1, 0, seed);
@@ -49,7 +41,7 @@ fn router_requests(bench: &SiteBench) -> u64 {
 }
 
 proptest! {
-    #![proptest_config(loader_cases())]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Prepare at any chunk size == prepare from a single chunk, in both
     /// shard modes: same primary commit stream (replay fingerprint), same

