@@ -86,6 +86,24 @@ fn bench_document_ops(c: &mut Criterion) {
             black_box(cluster.put("Music", "Album", key, &record).unwrap())
         })
     });
+    // What the hashed table costs: a collection GET is a filtered pass over
+    // every row the collection's master holds, so a 30-document collection
+    // is read out of a table of ~10^5 documents.
+    let large = seeded_cluster(100_000);
+    for i in 0..30u64 {
+        let record = Record::new()
+            .with("year", Value::Long(1980 + i as i64))
+            .with("genre", Value::Str("soul".into()));
+        let key = RowKey::new(["Collector".to_string(), format!("album-{i:02}")]);
+        large.put("Music", "Album", key, &record).unwrap();
+    }
+    group.bench_function("get_collection_in_large_table", |b| {
+        b.iter(|| {
+            let docs = large.get_uri("/Music/Album/Collector").unwrap();
+            assert_eq!(docs.len(), 30);
+            black_box(docs)
+        })
+    });
     group.finish();
 }
 

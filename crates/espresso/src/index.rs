@@ -11,15 +11,17 @@
 
 use li_commons::schema::Value;
 use li_sqlstore::RowKey;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
-/// An inverted index over one table's documents (per storage node).
+/// An inverted index over one table's documents (per storage node). Both
+/// maps are only probed by key, so they are hashed; a posting set stays
+/// ordered because a query intersects the sets and returns keys in order.
 #[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
     /// (field, token) -> document keys.
-    postings: BTreeMap<(String, String), BTreeSet<RowKey>>,
+    postings: HashMap<(String, String), BTreeSet<RowKey>>,
     /// Reverse map for unindexing on update/delete.
-    by_doc: BTreeMap<RowKey, Vec<(String, String)>>,
+    by_doc: HashMap<RowKey, Vec<(String, String)>>,
 }
 
 /// Lowercases and splits on non-alphanumerics — free-text tokenization for

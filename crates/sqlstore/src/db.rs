@@ -416,8 +416,9 @@ impl Database {
         Ok(stripe.get(table).and_then(|t| t.get(key)).cloned())
     }
 
-    /// Prefix scan returning cloned rows in key order (gathered across
-    /// all stripes, then merged).
+    /// Prefix scan returning cloned rows in key order: a filtered pass over
+    /// every row of the table, holding all row stripes, then one sort —
+    /// tables are hashed, so this is where a scan's order is made.
     pub fn scan_prefix(&self, table: &str, prefix: &RowKey) -> Result<Vec<(RowKey, Row)>, DbError> {
         if !self.tables.read().contains(table) {
             return Err(DbError::UnknownTable(table.into()));

@@ -11,8 +11,8 @@ pub type Scn = u64;
 
 /// A composite primary key, modelled as ordered string path elements —
 /// exactly how Espresso keys documents (`artist`, `album`, `song` in the
-/// paper's Song table). Ordering is lexicographic by element, which makes
-/// prefix scans ("all albums by artist X") natural.
+/// paper's Song table). Ordering is lexicographic by element, which keeps
+/// a prefix scan's rows ("all albums by artist X") together once sorted.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RowKey(pub Vec<String>);
 

@@ -1,15 +1,17 @@
 //! A single primary-keyed table.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use crate::row::{Row, RowKey};
 
-/// An ordered table mapping composite primary keys to rows. The BTreeMap
-//  gives point lookups plus the prefix scans Espresso's collection
-//  resources need (`/Music/Album/Cher/...` = scan keys starting `["Cher"]`).
+/// A hashed table mapping composite primary keys to rows. Every serving
+/// read is a point lookup, so the index is a `HashMap` and holds no key
+/// order: a prefix scan (Espresso's collection resources,
+/// `/Music/Album/Cher/...` = keys starting `["Cher"]`) is a filtered pass
+/// over every row, and the caller sorts what leaves the store.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
-    rows: BTreeMap<RowKey, Row>,
+    rows: HashMap<RowKey, Row>,
 }
 
 impl Table {
@@ -43,18 +45,16 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// All rows whose key begins with `prefix`, in key order. An empty
-    /// prefix scans the whole table.
+    /// All rows whose key begins with `prefix`, in no particular order. An
+    /// empty prefix scans the whole table.
     pub fn scan_prefix<'a>(
         &'a self,
         prefix: &'a RowKey,
     ) -> impl Iterator<Item = (&'a RowKey, &'a Row)> + 'a {
-        self.rows
-            .range(prefix.clone()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
+        self.rows.iter().filter(move |(k, _)| k.starts_with(prefix))
     }
 
-    /// Iterates every row in key order.
+    /// Iterates every row, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&RowKey, &Row)> {
         self.rows.iter()
     }
@@ -94,10 +94,11 @@ mod tests {
         ] {
             table.put(RowKey::new([artist, album]), row(album));
         }
-        let babyface: Vec<String> = table
+        let mut babyface: Vec<String> = table
             .scan_prefix(&RowKey::single("Babyface"))
             .map(|(k, _)| k.0[1].clone())
             .collect();
+        babyface.sort();
         assert_eq!(babyface, vec!["A_Closer_Look", "Face2Face", "Lovers"]);
         // Prefix must match whole elements, not string prefixes.
         assert_eq!(table.scan_prefix(&RowKey::single("Baby")).count(), 0);

@@ -2,12 +2,15 @@
 //!
 //! The paper's read-write stores run on "BerkeleyDB Java Edition (BDB)
 //! \[OBS99\]" (§II.B). BDB JE is itself a log-structured store: every write
-//! appends to a sequential log and an in-memory btree indexes the latest
+//! appends to a sequential log and an in-memory index holds the latest
 //! entries. This engine reproduces that shape — sequential append on
 //! write, indexed lookup on read, recovery by log replay, and periodic
 //! compaction — which is what gives the paper's read-write clusters their
 //! write-throughput/read-latency profile (benchmarked against the
-//! read-only engine in `li-bench`).
+//! read-only engine in `li-bench`). A store is only ever probed by key, so
+//! the index is a hash map; key order is made where data leaves the
+//! engine, by [`StorageEngine::entries`] and by `compact`, which writes
+//! its records in key order so equal contents compact to equal bytes.
 //!
 //! # The log
 //!
@@ -43,7 +46,7 @@ use li_commons::clock::{Occurred, VectorClock, Versioned};
 use li_commons::metrics::{Gauge, MetricsRegistry, MetricsScope};
 use li_commons::varint;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use super::{slot_delete, slot_put, StorageEngine};
 use crate::error::VoldemortError;
@@ -54,7 +57,7 @@ const OP_APPEND: u8 = 2;
 
 #[derive(Debug, Default)]
 struct Inner {
-    index: BTreeMap<Vec<u8>, Vec<Versioned<Bytes>>>,
+    index: HashMap<Vec<u8>, Vec<Versioned<Bytes>>>,
     log: Vec<u8>,
 }
 
@@ -119,7 +122,7 @@ fn read_slice<'a>(cursor: &mut &'a [u8]) -> Option<&'a [u8]> {
 /// The index as replay builds it: values in growable buffers, so a chain
 /// of suffix records extends its base in place (amortised O(suffix) each)
 /// and replay stays linear in log bytes.
-type ReplayIndex = BTreeMap<Vec<u8>, Vec<Versioned<Vec<u8>>>>;
+type ReplayIndex = HashMap<Vec<u8>, Vec<Versioned<Vec<u8>>>>;
 
 /// Applies one log record to `index`; `None` when it cannot be decoded or,
 /// for a suffix record, does not find its base.
@@ -227,11 +230,14 @@ impl BdbLikeEngine {
     /// from superseded writes (BDB JE's cleaner). The rewrite materialises:
     /// a compacted log holds one whole-value record per live version and no
     /// suffix records, which is what bounds the replay work of a long
-    /// chain of appends.
+    /// chain of appends. Records go out in key order, so two engines
+    /// holding the same versions compact to the same bytes.
     pub fn compact(&self) {
         let mut inner = self.inner.lock();
         let mut fresh = Vec::with_capacity(inner.log.len() / 2);
-        for (key, slot) in &inner.index {
+        let mut slots: Vec<_> = inner.index.iter().collect();
+        slots.sort_unstable_by_key(|&(key, _)| key);
+        for (key, slot) in slots {
             for version in slot {
                 bufio::write_frame_with(&mut fresh, |out| encode_put(out, key, version));
             }
@@ -288,12 +294,15 @@ impl StorageEngine for BdbLikeEngine {
     }
 
     fn entries(&self) -> Vec<(Bytes, Vec<Versioned<Bytes>>)> {
-        self.inner
+        let mut entries: Vec<_> = self
+            .inner
             .lock()
             .index
             .iter()
             .map(|(k, v)| (Bytes::copy_from_slice(k), v.clone()))
-            .collect()
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
     }
 
     fn key_count(&self) -> usize {
@@ -358,6 +367,33 @@ mod tests {
         // Data intact, including through recovery of the compacted log.
         let recovered = BdbLikeEngine::recover(&engine.log_bytes());
         assert_eq!(recovered.get(b"hot").unwrap()[0].value.as_ref(), b"v100");
+    }
+
+    #[test]
+    fn equal_contents_compact_to_equal_bytes_whatever_the_write_order() {
+        // The compacted log is the engine's durable artifact: its bytes
+        // must follow from the versions held, not from the order keys
+        // arrived in or the index's hash order. Per key the order is the
+        // same.
+        let key = |i: u32| format!("member:{i}");
+        let [forward, backward] = [BdbLikeEngine::new(), BdbLikeEngine::new()];
+        for (engine, order) in [
+            (&forward, (0..64).collect::<Vec<_>>()),
+            (&backward, (0..64).rev().collect()),
+        ] {
+            for &i in &order {
+                engine.put(key(i).as_bytes(), versioned(1, &key(i))).unwrap();
+            }
+            for &i in order.iter().filter(|&&i| i % 3 == 0) {
+                engine.put(key(i).as_bytes(), versioned(2, "again")).unwrap();
+            }
+        }
+        forward.compact();
+        backward.compact();
+        assert!(forward.log_bytes() == backward.log_bytes(), "compacted logs differ");
+        let recovered = [&forward, &backward].map(|e| BdbLikeEngine::recover(&e.log_bytes()));
+        assert_eq!(recovered[0].entries(), recovered[1].entries());
+        assert_eq!(recovered[0].entries(), forward.entries());
     }
 
     #[test]

@@ -10,7 +10,9 @@ use crate::error::VoldemortError;
 
 /// A BTreeMap-backed engine: the simplest conforming implementation, used
 /// for caches, tests, and as the mock the paper's pluggable design calls
-/// for.
+/// for. It stays ordered on purpose: it is the reference whose key order
+/// `tests/voldemort_engine_props.rs` holds the hashed BDB engine's
+/// `entries()` to.
 #[derive(Debug, Default)]
 pub struct MemoryEngine {
     map: RwLock<BTreeMap<Vec<u8>, Vec<Versioned<Bytes>>>>,
