@@ -134,8 +134,8 @@ pub fn recorded_platform(shard_mode: ShardMode) -> PlatformConfig {
 const QUANTUM: usize = 32;
 
 /// Activity-producer batching: messages and payload bytes buffered per
-/// partition before a publish request. Deterministic triggers only — the
-/// linger knob stays off so same-seed fingerprints hold.
+/// partition before a publish request. Both triggers follow the op
+/// stream, so same-seed fingerprints hold.
 const ACTIVITY_BATCH_MESSAGES: usize = 16;
 const ACTIVITY_BATCH_BYTES: usize = 16 << 10;
 

@@ -20,23 +20,6 @@ use crate::crc32::crc32;
 /// Bytes of framing overhead per record.
 pub const FRAME_HEADER: usize = 8;
 
-/// Outcome of attempting to read one frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// A complete, checksum-valid record.
-    Record {
-        /// The record payload.
-        payload: Vec<u8>,
-        /// Offset just past the record (the next read position).
-        next: usize,
-    },
-    /// Clean end of stream exactly at the read position.
-    End,
-    /// A torn or corrupt frame begins here — recovery should truncate to
-    /// the read position.
-    Corrupt,
-}
-
 /// Appends one frame to `out`, returning the number of bytes written.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) -> usize {
     write_frame_with(out, |out| out.extend_from_slice(payload))
@@ -129,18 +112,6 @@ pub fn frame_at(data: &[u8], offset: usize) -> FrameBounds {
     }
 }
 
-/// Reads the frame starting at `offset` in `data`, copying the payload.
-pub fn read_frame(data: &[u8], offset: usize) -> Frame {
-    match frame_at(data, offset) {
-        FrameBounds::End => Frame::End,
-        FrameBounds::Corrupt => Frame::Corrupt,
-        FrameBounds::Record { start, end } => Frame::Record {
-            payload: data[start..end].to_vec(),
-            next: end,
-        },
-    }
-}
-
 /// Scans all frames from the start of `data`, returning the valid payloads
 /// and the offset of the first invalid byte (== `data.len()` when clean).
 /// This is the crash-recovery entry point: callers truncate their file to
@@ -148,15 +119,11 @@ pub fn read_frame(data: &[u8], offset: usize) -> Frame {
 pub fn recover(data: &[u8]) -> (Vec<Vec<u8>>, usize) {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    loop {
-        match read_frame(data, offset) {
-            Frame::Record { payload, next } => {
-                records.push(payload);
-                offset = next;
-            }
-            Frame::End | Frame::Corrupt => return (records, offset),
-        }
+    while let FrameBounds::Record { start, end } = frame_at(data, offset) {
+        records.push(data[start..end].to_vec());
+        offset = end;
     }
+    (records, offset)
 }
 
 #[cfg(test)]

@@ -38,55 +38,24 @@ fn tables() -> &'static [[u32; 256]; 8] {
 
 /// Computes the CRC-32 of `data` in one shot.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut hasher = Crc32::new();
-    hasher.update(data);
-    hasher.finalize()
-}
-
-/// Incremental CRC-32 hasher for multi-part frames.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Creates a hasher in the initial state.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
+    let t = tables();
+    let mut state = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in words.by_ref() {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
+        state = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
     }
-
-    /// Feeds `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
-        let t = tables();
-        let mut state = self.state;
-        let mut words = data.chunks_exact(8);
-        for w in words.by_ref() {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
-            state = t[7][(lo & 0xff) as usize]
-                ^ t[6][((lo >> 8) & 0xff) as usize]
-                ^ t[5][((lo >> 16) & 0xff) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][w[4] as usize]
-                ^ t[2][w[5] as usize]
-                ^ t[1][w[6] as usize]
-                ^ t[0][w[7] as usize];
-        }
-        for &byte in words.remainder() {
-            state = (state >> 8) ^ t[0][((state ^ u32::from(byte)) & 0xff) as usize];
-        }
-        self.state = state;
+    for &byte in words.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ u32::from(byte)) & 0xff) as usize];
     }
-
-    /// Returns the final checksum value.
-    pub fn finalize(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
+    state ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -123,15 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut h = Crc32::new();
-        h.update(&data[..10]);
-        h.update(&data[10..]);
-        assert_eq!(h.finalize(), crc32(data));
-    }
-
-    #[test]
     fn corruption_is_detected() {
         let mut frame = b"kafka message payload".to_vec();
         let good = crc32(&frame);
@@ -143,24 +103,10 @@ mod tests {
         #[test]
         fn prop_sliced_matches_bytewise_at_every_alignment(
             buffer in proptest::collection::vec(any::<u8>(), 0..4104),
-            cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..4),
         ) {
             for skew in 0..8usize.min(buffer.len() + 1) {
                 let data = &buffer[skew..];
-                let want = bytewise(data);
-                prop_assert_eq!(crc32(data), want);
-                // Split `update` calls: the word loop restarts mid-stream
-                // at whatever offsets the cuts fall on.
-                let mut at: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
-                at.sort_unstable();
-                let mut hasher = Crc32::new();
-                let mut from = 0;
-                for cut in at {
-                    hasher.update(&data[from..cut]);
-                    from = cut;
-                }
-                hasher.update(&data[from..]);
-                prop_assert_eq!(hasher.finalize(), want);
+                prop_assert_eq!(crc32(data), bytewise(data));
             }
         }
     }

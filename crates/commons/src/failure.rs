@@ -55,7 +55,7 @@ struct WindowCounts {
 #[derive(Debug, Clone)]
 enum NodeState {
     Available(WindowCounts),
-    Banned { since: Duration, last_probe: Duration },
+    Banned { last_probe: Duration },
 }
 
 /// Thread-safe failure detector keyed by [`NodeId`]. Cloning shares state —
@@ -123,10 +123,7 @@ impl FailureDetector {
         if total >= self.config.min_samples {
             let ratio = counts.successes as f64 / total as f64;
             if ratio < self.config.threshold {
-                *state = NodeState::Banned {
-                    since: now,
-                    last_probe: now,
-                };
+                *state = NodeState::Banned { last_probe: now };
             }
         }
     }
@@ -146,7 +143,7 @@ impl FailureDetector {
         let mut due = Vec::new();
         let mut inner = self.inner.lock();
         for (&node, state) in inner.iter_mut() {
-            if let NodeState::Banned { last_probe, .. } = state {
+            if let NodeState::Banned { last_probe } = state {
                 if now.saturating_sub(*last_probe) >= self.config.probe_interval {
                     *last_probe = now;
                     due.push(node);
@@ -171,14 +168,6 @@ impl FailureDetector {
                 ..Default::default()
             }),
         );
-    }
-
-    /// When `node` was banned, if it is currently banned.
-    pub fn banned_since(&self, node: NodeId) -> Option<Duration> {
-        match self.inner.lock().get(&node) {
-            Some(NodeState::Banned { since, .. }) => Some(*since),
-            _ => None,
-        }
     }
 
     /// All currently banned nodes, in [`NodeId`] order.
@@ -329,7 +318,6 @@ mod tests {
             fd.record_failure(N1);
         }
         assert!(!fd.is_available(N1));
-        let banned_at = fd.banned_since(N1).unwrap();
 
         // The node "recovers" and flaps healthy for many windows: floods
         // of successes, window expiries, failed probes in between.
@@ -341,11 +329,6 @@ mod tests {
             assert!(
                 !fd.is_available(N1),
                 "window {window}: ratio alone readmitted a banned node"
-            );
-            assert_eq!(
-                fd.banned_since(N1),
-                Some(banned_at),
-                "ban epoch must be stable across windows"
             );
             // The async prober fires but the node answers sick.
             for node in fd.nodes_due_for_probe() {
@@ -359,7 +342,6 @@ mod tests {
         assert_eq!(fd.nodes_due_for_probe(), vec![N1]);
         fd.probe_result(N1, true);
         assert!(fd.is_available(N1));
-        assert!(fd.banned_since(N1).is_none());
 
         // And the restored window is fresh: it takes min_samples new
         // observations to re-ban the still-flapping node.

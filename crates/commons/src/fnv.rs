@@ -22,12 +22,6 @@ pub fn fnv1a(data: &[u8]) -> u64 {
     hash
 }
 
-/// Hashes `data` then folds to a 32-bit value (xor-fold keeps distribution).
-pub fn fnv1a_32(data: &[u8]) -> u32 {
-    let h = fnv1a(data);
-    ((h >> 32) ^ (h & 0xffff_ffff)) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,7 +37,6 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_hashes() {
         assert_ne!(fnv1a(b"member:1"), fnv1a(b"member:2"));
-        assert_ne!(fnv1a_32(b"member:1"), fnv1a_32(b"member:2"));
     }
 
     #[test]

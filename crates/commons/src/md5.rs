@@ -91,18 +91,14 @@ pub fn md5(data: &[u8]) -> Digest {
     out
 }
 
-/// Formats a digest as lowercase hex, the conventional presentation.
-pub fn to_hex(digest: &Digest) -> String {
-    let mut s = String::with_capacity(32);
-    for byte in digest {
-        s.push_str(&format!("{byte:02x}"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Formats a digest as lowercase hex, the form the RFC vectors take.
+    fn to_hex(digest: &Digest) -> String {
+        digest.iter().map(|byte| format!("{byte:02x}")).collect()
+    }
 
     #[test]
     fn rfc1321_vectors() {

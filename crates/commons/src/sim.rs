@@ -117,7 +117,6 @@ impl std::error::Error for NetError {}
 
 #[derive(Debug)]
 struct NetState {
-    default_latency: Duration,
     link_latency: HashMap<(NodeId, NodeId), Duration>,
     drop_probability: f64,
     down: HashSet<NodeId>,
@@ -148,7 +147,6 @@ impl SimNetwork {
     pub fn with_seed(seed: u64) -> Self {
         SimNetwork {
             state: Arc::new(Mutex::new(NetState {
-                default_latency: Duration::ZERO,
                 link_latency: HashMap::new(),
                 drop_probability: 0.0,
                 down: HashSet::new(),
@@ -157,11 +155,6 @@ impl SimNetwork {
                 rng: StdRng::seed_from_u64(seed),
             })),
         }
-    }
-
-    /// Sets the latency applied to every link without an override.
-    pub fn set_default_latency(&self, latency: Duration) {
-        self.state.lock().default_latency = latency;
     }
 
     /// Sets the latency for the directed link `from -> to`.
@@ -253,7 +246,7 @@ impl SimNetwork {
             .link_latency
             .get(&(from, to))
             .copied()
-            .unwrap_or(state.default_latency))
+            .unwrap_or(Duration::ZERO))
     }
 
     /// Read-only variant of [`SimNetwork::deliver`]: reports whether the
@@ -279,7 +272,7 @@ impl SimNetwork {
             .link_latency
             .get(&(from, to))
             .copied()
-            .unwrap_or(state.default_latency))
+            .unwrap_or(Duration::ZERO))
     }
 }
 
@@ -319,11 +312,10 @@ mod tests {
     #[test]
     fn latency_overrides() {
         let net = SimNetwork::reliable();
-        net.set_default_latency(Duration::from_micros(100));
         net.set_link_latency(A, C, Duration::from_millis(50)); // cross-DC link
-        assert_eq!(net.deliver(A, B), Ok(Duration::from_micros(100)));
+        assert_eq!(net.deliver(A, B), Ok(Duration::ZERO));
         assert_eq!(net.deliver(A, C), Ok(Duration::from_millis(50)));
-        assert_eq!(net.deliver(C, A), Ok(Duration::from_micros(100)), "directed");
+        assert_eq!(net.deliver(C, A), Ok(Duration::ZERO), "directed");
     }
 
     #[test]

@@ -77,22 +77,13 @@ pub fn read_i64<B: Buf>(buf: &mut B) -> Result<i64, VarintError> {
 
 /// Maps a signed integer onto an unsigned one so small magnitudes encode
 /// short: 0→0, -1→1, 1→2, -2→3, ...
-pub fn zigzag_encode(value: i64) -> u64 {
+fn zigzag_encode(value: i64) -> u64 {
     ((value << 1) ^ (value >> 63)) as u64
 }
 
 /// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(value: u64) -> i64 {
+fn zigzag_decode(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
-/// Number of bytes [`write_u64`] would produce for `value`.
-pub fn encoded_len(value: u64) -> usize {
-    if value == 0 {
-        1
-    } else {
-        (64 - value.leading_zeros() as usize).div_ceil(7)
-    }
 }
 
 /// Writes a length-prefixed byte slice.
@@ -119,20 +110,20 @@ mod tests {
 
     #[test]
     fn round_trips_boundary_values() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16_383,
-            16_384,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
+        for (v, len) in [
+            (0u64, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u32::MAX as u64, 5),
+            (u64::MAX - 1, 10),
+            (u64::MAX, 10),
         ] {
             let mut buf = Vec::new();
             write_u64(&mut buf, v);
-            assert_eq!(buf.len(), encoded_len(v), "len mismatch for {v}");
+            assert_eq!(buf.len(), len, "len mismatch for {v}");
             let mut slice = &buf[..];
             assert_eq!(read_u64(&mut slice).unwrap(), v);
             assert!(slice.is_empty());
@@ -194,7 +185,6 @@ mod tests {
         fn prop_u64_round_trip(v: u64) {
             let mut buf = Vec::new();
             write_u64(&mut buf, v);
-            prop_assert_eq!(buf.len(), encoded_len(v));
             let mut slice = &buf[..];
             prop_assert_eq!(read_u64(&mut slice).unwrap(), v);
         }

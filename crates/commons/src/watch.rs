@@ -152,14 +152,6 @@ impl<T: Clone> Receiver<T> {
     }
 }
 
-impl<T> Receiver<T> {
-    /// True when a version newer than the last observed one exists — a
-    /// single short lock, no clone (cheap staleness probe).
-    pub fn has_changed(&self) -> bool {
-        self.shared.slot.lock().0 > self.seen
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,7 +200,6 @@ mod tests {
         let (tx, _rx) = channel(0u32);
         tx.send(5);
         let mut fresh = tx.subscribe();
-        assert!(fresh.has_changed());
         assert_eq!(fresh.wait_newer(Duration::from_millis(10)), Some(5));
     }
 }

@@ -38,7 +38,7 @@ pub fn decode_ids(list: &[u8]) -> Result<Vec<u64>, String> {
 }
 
 /// Whether an [`encode_ids`] list holds `id`.
-pub fn contains_id(list: &[u8], id: u64) -> bool {
+fn contains_id(list: &[u8], id: u64) -> bool {
     list.chunks_exact(8).any(|w| w == id.to_le_bytes())
 }
 

@@ -76,9 +76,10 @@ pub struct BootstrapServer {
     /// bump per window, not a copy.
     log: Mutex<Vec<SharedWindow>>,
     snapshot: Mutex<SnapshotStorage>,
-    /// Test/diagnostic hook fired between the snapshot scan and the replay
-    /// phase of [`BootstrapServer::snapshot`] — the window where a mutable
-    /// snapshot would serve inconsistent data without replay.
+    /// Test hook fired between the snapshot scan and the replay phase of
+    /// [`BootstrapServer::snapshot`] — the window where a mutable snapshot
+    /// would serve inconsistent data without replay.
+    #[cfg(test)]
     #[allow(clippy::type_complexity)]
     mid_snapshot_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
@@ -105,6 +106,7 @@ impl BootstrapServer {
         BootstrapServer {
             log: Mutex::new(Vec::new()),
             snapshot: Mutex::new(SnapshotStorage::default()),
+            #[cfg(test)]
             mid_snapshot_hook: Mutex::new(None),
         }
     }
@@ -229,6 +231,7 @@ impl BootstrapServer {
 
         // The dangerous interval: new commits can land now (in production
         // the scan above streams for a long time).
+        #[cfg(test)]
         if let Some(hook) = self.mid_snapshot_hook.lock().take() {
             hook();
         }
@@ -263,7 +266,8 @@ impl BootstrapServer {
 
     /// Installs a one-shot hook fired between the snapshot scan and the
     /// replay phase (consistency testing).
-    pub fn set_mid_snapshot_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
+    #[cfg(test)]
+    fn set_mid_snapshot_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
         *self.mid_snapshot_hook.lock() = Some(hook);
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! "At LinkedIn, we employ two capture approaches, triggers or consuming
 //! from the database replication log" (§III.C). Both adapters speak to the
-//! `li-sqlstore` substrate, which exposes exactly the two interfaces the
-//! real databases do: a registrable commit trigger and a replayable binlog.
+//! `li-sqlstore` substrate through its replayable binlog: log shipping as a
+//! semi-synchronous shipper, and polling as the trigger path's analog.
 
 use std::sync::Arc;
 
-use li_sqlstore::{Database, Scn, TriggerFn};
+use li_sqlstore::{Database, Scn};
 use parking_lot::Mutex;
 
 use crate::event::Window;
@@ -44,8 +44,7 @@ impl LogShippingAdapter {
 }
 
 /// Polling capture (the trigger/log-mining path for the Oracle analog):
-/// periodically drains `binlog_after(last_seen)` into the relay. Also
-/// installable as a commit trigger for push-style delivery.
+/// periodically drains `binlog_after(last_seen)` into the relay.
 pub struct PollingAdapter {
     relay: Arc<Relay>,
     last_scn: Mutex<Scn>,
@@ -63,7 +62,7 @@ impl PollingAdapter {
     /// Pulls any new committed transactions from `db` into the relay as
     /// one batch: each entry is encoded once and the relay lock is taken
     /// once per poll, not per transaction. Entries the relay already has
-    /// (pushed ahead by a commit trigger) are reconciled away by the
+    /// (shipped ahead by a [`LogShippingAdapter`]) are reconciled away by the
     /// relay's SCN watermark. The batch is atomic — on error nothing is
     /// ingested and the capture position does not advance, so the next
     /// poll retries the same run. Returns the number of windows shipped.
@@ -87,19 +86,6 @@ impl PollingAdapter {
     /// The SCN up to which the source has been captured.
     pub fn last_scn(&self) -> Scn {
         *self.last_scn.lock()
-    }
-
-    /// Builds a commit trigger that pushes every committed entry into the
-    /// relay (the paper's trigger-based capture). Register the result with
-    /// [`Database::register_trigger`].
-    pub fn as_trigger(relay: Arc<Relay>, source_db: impl Into<String>) -> TriggerFn {
-        let source_db = source_db.into();
-        Arc::new(move |entry| {
-            // Trigger capture is best-effort push; a full relay surfaces
-            // when the poller reconciles. Ignore duplicate/ordering errors
-            // here (poll() is the authoritative path).
-            let _ = relay.ingest_binlog(&source_db, entry);
-        })
     }
 }
 
@@ -163,24 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn trigger_capture_pushes_commits() {
+    fn polling_after_shipping_does_not_duplicate() {
         let db = source();
         let relay = Arc::new(Relay::new("primary", 1 << 20));
-        db.register_trigger(PollingAdapter::as_trigger(relay.clone(), "primary"));
-        let mut txn = db.begin();
-        txn.put("member", RowKey::single("1"), &b"a"[..], 1);
-        txn.put("member", RowKey::single("2"), &b"b"[..], 1);
-        db.commit(txn).unwrap();
-        let windows = relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap();
-        assert_eq!(windows.len(), 1);
-        assert_eq!(windows[0].changes.len(), 2, "txn boundary preserved");
-    }
-
-    #[test]
-    fn polling_after_trigger_does_not_duplicate() {
-        let db = source();
-        let relay = Arc::new(Relay::new("primary", 1 << 20));
-        db.register_trigger(PollingAdapter::as_trigger(relay.clone(), "primary"));
+        LogShippingAdapter::attach(&db, relay.clone());
         let adapter = PollingAdapter::new(relay.clone(), 0);
         db.put_one("member", RowKey::single("1"), &b"v"[..], 1).unwrap();
         // Poll sees scn 1 already relayed; the relay's SCN watermark

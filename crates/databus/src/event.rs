@@ -36,15 +36,6 @@ impl Window {
         }
     }
 
-    /// Converts back to a binlog entry (what an Espresso slave applies).
-    pub fn to_binlog(&self) -> BinlogEntry {
-        BinlogEntry {
-            scn: self.scn,
-            timestamp: self.timestamp,
-            changes: self.changes.clone(),
-        }
-    }
-
     /// Serialized size estimate in bytes (buffer accounting).
     pub fn size_estimate(&self) -> usize {
         let changes: usize = self
@@ -107,7 +98,7 @@ impl FilterSummary {
     /// True when `filter` could match at least one change in the summarized
     /// window. A `false` here is definitive (O(1)-skip the window); a
     /// `true` means the per-change filter must run.
-    pub fn may_match(&self, filter: &ServerFilter) -> bool {
+    fn may_match(&self, filter: &ServerFilter) -> bool {
         if let Some(tables) = &filter.tables {
             if !tables
                 .iter()
@@ -201,7 +192,7 @@ pub enum WindowView {
 
 impl WindowView {
     /// The window data, wherever it lives.
-    pub fn as_window(&self) -> &Window {
+    fn as_window(&self) -> &Window {
         match self {
             WindowView::Shared(shared) => shared.window(),
             WindowView::Owned(window) => window,
@@ -416,8 +407,9 @@ mod tests {
             changes: vec![change("member", "42")],
         };
         let w = Window::from_binlog("primary", &entry);
-        assert_eq!(w.scn, 5);
-        assert_eq!(w.to_binlog(), entry);
+        assert_eq!(w.source_db, "primary");
+        assert_eq!((w.scn, w.timestamp), (entry.scn, entry.timestamp));
+        assert_eq!(w.changes, entry.changes);
     }
 
     #[test]

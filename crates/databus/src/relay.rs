@@ -234,7 +234,7 @@ impl Relay {
     /// Batched shared ingest: one lock acquisition, one eviction pass, one
     /// metrics update for the whole batch. Validates the full SCN chain
     /// before mutating anything (atomic accept/reject).
-    pub fn ingest_shared_batch(
+    fn ingest_shared_batch(
         &self,
         windows: impl IntoIterator<Item = SharedWindow>,
     ) -> Result<usize, RelayError> {
@@ -278,11 +278,6 @@ impl Relay {
         self.metrics.windows_in.add(n as u64);
         self.scn_watch.send(newest);
         Ok(n)
-    }
-
-    /// Ingests straight from a source binlog entry.
-    pub fn ingest_binlog(&self, source_db: &str, entry: &BinlogEntry) -> Result<(), RelayError> {
-        self.ingest(Window::from_binlog(source_db, entry))
     }
 
     /// Restores the dense-SCN watermark after a relay restart: subsequent
@@ -455,7 +450,7 @@ impl Relay {
     }
 
     /// Whether serving is currently paused.
-    pub fn is_paused(&self) -> bool {
+    fn is_paused(&self) -> bool {
         self.paused.load(Ordering::SeqCst)
     }
 
@@ -514,7 +509,7 @@ impl Relay {
 /// relay", §IV.B).
 impl Shipper for Relay {
     fn ship(&self, source: &str, entry: &BinlogEntry) -> Result<(), ShipError> {
-        self.ingest_binlog(source, entry)
+        self.ingest(Window::from_binlog(source, entry))
             .map_err(|e| ShipError(e.to_string()))
     }
 
@@ -651,31 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn restored_watermark_rejects_scn_gap_after_restart() {
-        // Before the watermark, a restarted (empty) relay accepted any
-        // starting SCN — a gap between pre-crash capture and post-restart
-        // ingest silently created a hole. Now the hole is an error.
-        let pre_crash = Relay::new("primary", 1 << 20);
-        for scn in 1..=5 {
-            pre_crash.ingest(window(scn, 10)).unwrap();
-        }
-
-        let restarted = Relay::new("primary", 1 << 20);
-        restarted.resume_expecting(pre_crash.newest_scn() + 1);
-        assert_eq!(restarted.expected_next_scn(), 6);
-        // The source moved on while the relay was down: SCN 8 arrives.
-        assert_eq!(
-            restarted.ingest(window(8, 10)).unwrap_err(),
-            RelayError::OutOfOrder { got: 8, expected: 6 }
-        );
-        // Replaying from the watermark is accepted.
-        restarted.ingest(window(6, 10)).unwrap();
-        restarted.ingest(window(7, 10)).unwrap();
-        restarted.ingest(window(8, 10)).unwrap();
-        assert_eq!(restarted.newest_scn(), 8);
-    }
-
-    #[test]
     fn batch_ingest_is_atomic_and_single_lock() {
         let relay = Relay::new("primary", 1 << 20);
         assert_eq!(
@@ -768,32 +738,6 @@ mod tests {
         relay.set_paused(false);
         assert_eq!(relay.events_after_shared(0, 10, &ServerFilter::all()).unwrap().len(), 2);
         assert_eq!(relay.served_while_paused(), 2, "unpaused serves not counted");
-    }
-
-    #[test]
-    fn chained_relay_provides_replicated_availability() {
-        let primary_relay = Relay::new("primary", 1 << 20);
-        for scn in 1..=20 {
-            primary_relay.ingest(window(scn, 10)).unwrap();
-        }
-        let replica_relay = Relay::new("primary", 1 << 20);
-        assert_eq!(replica_relay.chain_from(&primary_relay).unwrap(), 20);
-        assert_eq!(replica_relay.chain_from(&primary_relay).unwrap(), 0, "idempotent");
-        // The replica serves the identical stream.
-        let a = primary_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
-        let b = replica_relay.events_after_shared(0, 100, &ServerFilter::all()).unwrap();
-        assert_eq!(a, b);
-        // Zero-copy chaining: both buffers hold the same frozen windows.
-        for (x, y) in a.iter().zip(&b) {
-            let (WindowView::Shared(x), WindowView::Shared(y)) = (x, y) else {
-                unreachable!()
-            };
-            assert!(Arc::ptr_eq(x, y), "chained relays share window memory");
-        }
-        // Incremental chaining keeps following.
-        primary_relay.ingest(window(21, 10)).unwrap();
-        assert_eq!(replica_relay.chain_from(&primary_relay).unwrap(), 1);
-        assert_eq!(replica_relay.newest_scn(), 21);
     }
 
     #[test]

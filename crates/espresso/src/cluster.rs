@@ -378,7 +378,7 @@ impl EspressoCluster {
     }
 
     /// The current multi-key execution mode.
-    pub fn fan_out_mode(&self) -> FanOutMode {
+    fn fan_out_mode(&self) -> FanOutMode {
         *self.fan_out_mode.read()
     }
 
@@ -535,7 +535,7 @@ impl EspressoCluster {
 
     /// Secondary-index query over a collection resource (URI
     /// `/db/table/resource?query=field:term`).
-    pub fn query_uri(&self, uri: &str) -> Result<Vec<(RowKey, Record)>, EspressoError> {
+    fn query_uri(&self, uri: &str) -> Result<Vec<(RowKey, Record)>, EspressoError> {
         let path = ResourcePath::parse(uri)?;
         let (field, term) = path
             .query

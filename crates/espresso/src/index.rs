@@ -26,7 +26,7 @@ pub struct InvertedIndex {
 
 /// Lowercases and splits on non-alphanumerics — free-text tokenization for
 /// the paper's `lyrics:"Lucy in the sky"` example.
-pub fn tokenize(text: &str) -> Vec<String> {
+fn tokenize(text: &str) -> Vec<String> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
         .map(str::to_lowercase)

@@ -68,12 +68,6 @@ impl ResourcePath {
     pub fn row_key(&self) -> RowKey {
         RowKey(self.key.clone())
     }
-
-    /// True when this is the wildcard-table form used for transactional
-    /// multi-table POSTs.
-    pub fn is_wildcard_table(&self) -> bool {
-        self.table == "*"
-    }
 }
 
 impl std::fmt::Display for ResourcePath {
@@ -123,7 +117,7 @@ mod tests {
     #[test]
     fn parses_wildcard_table() {
         let p = ResourcePath::parse("/Music/*/Akon").unwrap();
-        assert!(p.is_wildcard_table());
+        assert_eq!(p.table, "*");
     }
 
     #[test]

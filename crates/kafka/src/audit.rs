@@ -10,7 +10,6 @@
 //! count the number of messages that they have received from a given topic
 //! and validate those counts with the monitoring events" (§V.D).
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,12 +26,12 @@ pub const AUDIT_TOPIC: &str = "_audit";
 
 /// An audited event: `server|window|payload` in the envelope, so each
 /// message "carries the timestamp and the server name".
-pub fn envelope(server: &str, window: u64, payload: &str) -> String {
+fn envelope(server: &str, window: u64, payload: &str) -> String {
     format!("{server}|{window}|{payload}")
 }
 
 /// Parses an audited event envelope into `(server, window, payload)`.
-pub fn parse_envelope(message: &Message) -> Option<(String, u64, String)> {
+fn parse_envelope(message: &Message) -> Option<(String, u64, String)> {
     let text = std::str::from_utf8(&message.payload).ok()?;
     let mut parts = text.splitn(3, '|');
     let server = parts.next()?.to_string();
@@ -190,11 +189,6 @@ impl AuditReconciler {
     }
 }
 
-/// Raw payload bytes helper for audited messages.
-pub fn audited_payload(message: &Message) -> Option<Bytes> {
-    parse_envelope(message).map(|(_, _, payload)| Bytes::from(payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,6 +283,5 @@ mod tests {
         assert_eq!(server, "srv");
         assert_eq!(window, 42);
         assert_eq!(payload, "payload|with|pipes");
-        assert_eq!(audited_payload(&m).unwrap().as_ref(), b"payload|with|pipes");
     }
 }

@@ -74,11 +74,6 @@ impl GroupConsumer {
         })
     }
 
-    /// This member's id.
-    pub fn consumer_id(&self) -> &str {
-        &self.consumer_id
-    }
-
     /// Currently-owned partitions.
     pub fn owned_partitions(&self) -> Vec<u32> {
         self.owned.iter().map(|(p, _)| *p).collect()
@@ -361,7 +356,7 @@ mod tests {
         }
         for m in &members {
             let owned = m.owned_partitions().len();
-            assert!((4..=6).contains(&owned), "{}: {owned}", m.consumer_id());
+            assert!((4..=6).contains(&owned), "{}: {owned}", m.consumer_id);
         }
     }
 }

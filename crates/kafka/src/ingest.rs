@@ -227,8 +227,10 @@ impl GroupQueue {
         }
     }
 
-    /// Groups currently waiting for a drainer (diagnostics / tests).
-    pub fn pending_groups(&self) -> usize {
+    /// Groups currently waiting for a drainer; the drain tests poll it to
+    /// observe a race.
+    #[cfg(test)]
+    fn pending_groups(&self) -> usize {
         self.inner.lock().pending.len()
     }
 

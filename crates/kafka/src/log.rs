@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use li_commons::sim::Clock;
 
-use crate::message::{FetchChunk, KafkaError, Message, MessageSet};
+use crate::message::{FetchChunk, KafkaError, Message};
 
 /// Log tuning knobs.
 #[derive(Debug, Clone)]
@@ -171,15 +171,6 @@ impl PartitionLog {
         message.encode(&mut frames);
         self.append_frames(&frames)
             .expect("freshly encoded frame is structurally valid")
-    }
-
-    /// Appends a whole message set under **one** lock acquisition,
-    /// returning the offset of its first message (== the log end when the
-    /// set is empty). The set is encoded once, outside the lock.
-    pub fn append_set(&self, set: &MessageSet) -> u64 {
-        let frames = set.encode();
-        self.append_frames(&frames)
-            .expect("freshly encoded set is structurally valid")
     }
 
     /// Appends pre-framed messages (a producer wire buffer, a mirrored or
@@ -583,16 +574,12 @@ impl PartitionLog {
         }
         deleted
     }
-
-    /// Number of segments.
-    pub fn segment_count(&self) -> usize {
-        self.inner.lock().segments.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::MessageSet;
     use li_commons::sim::SimClock;
 
     fn log_with(config: LogConfig) -> (PartitionLog, SimClock) {
@@ -714,7 +701,7 @@ mod tests {
         for i in 0..50 {
             offsets.push(log.append(&msg(&format!("event-{i}"))));
         }
-        assert!(log.segment_count() > 1);
+        assert!(log.inner.lock().segments.len() > 1);
         // Reads work across segment boundaries from any starting offset.
         for (i, &offset) in offsets.iter().enumerate() {
             let (messages, _) = read(&log, offset, usize::MAX).unwrap();
@@ -780,26 +767,6 @@ mod tests {
         assert_eq!(log.enforce_retention(), 1);
         assert_eq!(log.log_start(), log.log_end());
         assert!(read(&log, log.log_end(), 100).unwrap().0.is_empty());
-    }
-
-    #[test]
-    fn append_set_returns_base_offset_and_matches_singles() {
-        let (batched, _) = log_with(LogConfig::default());
-        let (single, _) = log_with(LogConfig::default());
-        let set = MessageSet {
-            messages: vec![msg("a"), msg("bb"), msg("ccc")],
-        };
-        let base = batched.append_set(&set);
-        assert_eq!(base, 0);
-        let base2 = batched.append_set(&set);
-        assert_eq!(base2, batched.log_end() / 2);
-        for m in set.messages.iter().chain(set.messages.iter()) {
-            single.append(m);
-        }
-        assert_eq!(batched.log_end(), single.log_end());
-        let a = read(&batched, 0, usize::MAX).unwrap();
-        let b = read(&single, 0, usize::MAX).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

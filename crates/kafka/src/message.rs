@@ -128,7 +128,7 @@ impl Message {
 
     /// Like [`Message::decode_at`] (CRC-validated) but the payload is a
     /// zero-copy sub-slice sharing `data`'s allocation.
-    pub fn decode_shared_at(
+    fn decode_shared_at(
         data: &Bytes,
         offset: usize,
     ) -> Result<Option<(Message, usize)>, KafkaError> {
@@ -306,7 +306,7 @@ impl MessageSet {
     /// zero-copy sub-slices of `data`'s allocation (CRC-validated — this
     /// is used on decompressed wrapper bodies, which cross the codec
     /// trust boundary).
-    pub fn decode_shared(data: &Bytes) -> Result<Self, KafkaError> {
+    fn decode_shared(data: &Bytes) -> Result<Self, KafkaError> {
         let mut messages = Vec::new();
         let mut offset = 0usize;
         while let Some((message, next)) = Message::decode_shared_at(data, offset)? {

@@ -47,8 +47,6 @@ pub struct ProducerStats {
 struct Batch {
     payloads: Vec<Bytes>,
     bytes: usize,
-    /// When the oldest buffered payload arrived (linger trigger anchor).
-    first_at: Option<std::time::Instant>,
 }
 
 /// Producer-side observability under `kafka.producer.`: publish request
@@ -79,14 +77,10 @@ pub struct Producer {
     ack: AckMode,
     batch_messages: usize,
     /// Size trigger: flush a partition batch once its buffered payload
-    /// bytes reach this (whichever of the three triggers fires first wins).
+    /// bytes reach this (whichever of the two triggers fires first wins).
+    /// There is no time trigger: flush timing follows the op stream, not
+    /// the wall clock.
     batch_bytes: usize,
-    /// Time trigger: flush when the oldest buffered payload has waited
-    /// this long, checked at the next send (no background timer thread —
-    /// a deterministic harness must own all its threads). `None` disables
-    /// it; deterministic runs leave it off because flush timing would
-    /// depend on wall clock, not the op stream.
-    linger: Option<std::time::Duration>,
     buffers: Mutex<HashMap<(String, u32), Batch>>,
     round_robin: Mutex<HashMap<String, u32>>,
     stats: Mutex<ProducerStats>,
@@ -105,7 +99,6 @@ impl Producer {
             ack: AckMode::default(),
             batch_messages: 1,
             batch_bytes: usize::MAX,
-            linger: None,
             buffers: Mutex::new(HashMap::new()),
             round_robin: Mutex::new(HashMap::new()),
             stats: Mutex::new(ProducerStats::default()),
@@ -122,20 +115,10 @@ impl Producer {
 
     /// Builder: payload bytes buffered per partition before a publish
     /// request (the ingestion-study size knob). Flushes on whichever of
-    /// the message-count, byte-size, or linger triggers fires first.
+    /// the message-count or byte-size triggers fires first.
     #[must_use]
     pub fn with_batch_bytes(mut self, bytes: usize) -> Self {
         self.batch_bytes = bytes.max(1);
-        self
-    }
-
-    /// Builder: flush a partition batch at the next send once its oldest
-    /// payload has waited `linger` (bounds the latency cost of large
-    /// batch sizes under a trickle of traffic). Checked send-side — call
-    /// [`Self::flush`] to drain a stream that has gone fully idle.
-    #[must_use]
-    pub fn with_linger(mut self, linger: std::time::Duration) -> Self {
-        self.linger = Some(linger);
         self
     }
 
@@ -215,15 +198,8 @@ impl Producer {
             let mut buffers = self.buffers.lock();
             let batch = buffers.entry((topic.to_string(), partition)).or_default();
             batch.bytes += payload_len;
-            batch
-                .first_at
-                .get_or_insert_with(std::time::Instant::now);
             batch.payloads.push(payload);
-            batch.payloads.len() >= self.batch_messages
-                || batch.bytes >= self.batch_bytes
-                || self.linger.zip(batch.first_at).is_some_and(
-                    |(linger, first_at)| first_at.elapsed() >= linger,
-                )
+            batch.payloads.len() >= self.batch_messages || batch.bytes >= self.batch_bytes
         };
         if flush_now {
             self.flush_partition(topic, partition)?;
@@ -416,20 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn none_ack_sends_become_visible_after_flush() {
-        let cluster = cluster();
-        let producer = Producer::new(cluster.clone())
-            .with_ack_mode(AckMode::None)
-            .with_batch_size(4)
-            .with_partitioner(Partitioner::Keyed);
-        for i in 0..16 {
-            producer.send_keyed("events", b"fire", format!("f{i}")).unwrap();
-        }
-        producer.flush().unwrap();
-        assert_eq!(drain_all(&cluster, "events").len(), 16);
-    }
-
-    #[test]
     fn full_isr_ack_round_trips_on_unreplicated_cluster() {
         let cluster = cluster();
         let producer = Producer::new(cluster.clone()).with_ack_mode(AckMode::FullIsr);
@@ -487,30 +449,11 @@ mod tests {
     }
 
     #[test]
-    fn linger_trigger_flushes_a_stale_batch_at_the_next_send() {
-        let cluster = cluster();
-        let producer = Producer::new(cluster.clone())
-            .with_batch_size(100)
-            .with_linger(std::time::Duration::from_millis(10))
-            .with_partitioner(Partitioner::Keyed);
-        producer.send_keyed("events", b"k", "first".to_string()).unwrap();
-        assert_eq!(producer.stats().requests, 0, "linger must not flush eagerly");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // The next send finds the batch past its linger and flushes both.
-        producer.send_keyed("events", b"k", "second".to_string()).unwrap();
-        let stats = producer.stats();
-        assert_eq!(stats.requests, 1);
-        assert_eq!(stats.messages, 2);
-        assert_eq!(drain_all(&cluster, "events").len(), 2);
-    }
-
-    #[test]
     fn message_count_trigger_still_wins_when_it_fires_first() {
         let cluster = cluster();
         let producer = Producer::new(cluster.clone())
             .with_batch_size(3)
             .with_batch_bytes(1 << 20)
-            .with_linger(std::time::Duration::from_secs(3600))
             .with_partitioner(Partitioner::Keyed);
         for i in 0..9 {
             producer.send_keyed("events", b"k", format!("m{i}")).unwrap();

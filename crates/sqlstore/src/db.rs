@@ -73,10 +73,6 @@ impl From<ShipError> for DbError {
     }
 }
 
-/// Trigger callback, invoked once per committed transaction with the full
-/// binlog entry — the paper's trigger-based capture hook.
-pub type TriggerFn = Arc<dyn Fn(&BinlogEntry) + Send + Sync>;
-
 /// A buffered transaction. Changes are invisible until
 /// [`Database::commit`]; aborting is just dropping the value.
 #[derive(Debug, Default)]
@@ -158,7 +154,6 @@ pub struct Database {
     /// table name → the subset of that table's rows hashing to it.
     rows: ShardedLock<HashMap<String, Table>>,
     commit_point: Mutex<CommitPoint>,
-    triggers: Mutex<Vec<TriggerFn>>,
     shipper: Mutex<Option<Arc<dyn Shipper>>>,
     clock: Arc<dyn Clock>,
     registry: Arc<MetricsRegistry>,
@@ -203,7 +198,6 @@ impl Database {
                 binlog: Binlog::new(),
                 applied_scn: 0,
             }),
-            triggers: Mutex::new(Vec::new()),
             shipper: Mutex::new(None),
             clock,
             registry: Arc::clone(registry),
@@ -232,7 +226,7 @@ impl Database {
     }
 
     /// Lists table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
+    fn table_names(&self) -> Vec<String> {
         self.tables.read().iter().cloned().collect()
     }
 
@@ -252,12 +246,6 @@ impl Database {
         self.rows.stripe_of(&(table, key))
     }
 
-    /// Registers a commit trigger (capture hook). Triggers fire after the
-    /// transaction is durable and visible, in registration order.
-    pub fn register_trigger(&self, trigger: TriggerFn) {
-        self.triggers.lock().push(trigger);
-    }
-
     /// Installs the semi-synchronous shipper. Subsequent commits block
     /// until the shipper acknowledges the binlog entry; a shipping failure
     /// aborts the commit. This is the paper's "each change is written to
@@ -273,7 +261,7 @@ impl Database {
 
     /// Commits a transaction: assigns the next SCN, stamps row metadata,
     /// appends to the binlog, ships semi-synchronously (if configured),
-    /// applies to tables, then fires triggers. Returns the commit SCN.
+    /// then applies to tables. Returns the commit SCN.
     ///
     /// Concurrency: the transaction's row stripes are held from before
     /// SCN assignment until after apply, so per-row visibility follows
@@ -352,9 +340,6 @@ impl Database {
         drop(guards);
 
         self.metrics.commits.inc();
-        for trigger in self.triggers.lock().iter() {
-            trigger(&entry);
-        }
         Ok(entry.scn)
     }
 
@@ -636,7 +621,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as PMutex;
 
     fn db() -> Database {
         let db = Database::new("primary");
@@ -724,22 +708,6 @@ mod tests {
             db.get("member", &key).unwrap().unwrap().value.as_ref(),
             b"v2"
         );
-    }
-
-    #[test]
-    fn triggers_fire_per_commit_with_boundaries() {
-        let db = db();
-        let seen: Arc<PMutex<Vec<(Scn, usize)>>> = Arc::new(PMutex::new(Vec::new()));
-        let sink = seen.clone();
-        db.register_trigger(Arc::new(move |entry| {
-            sink.lock().push((entry.scn, entry.changes.len()));
-        }));
-        db.put_one("member", RowKey::single("1"), &b"x"[..], 1).unwrap();
-        let mut txn = db.begin();
-        txn.put("member", RowKey::single("2"), &b"y"[..], 1);
-        txn.delete("member", RowKey::single("1"));
-        db.commit(txn).unwrap();
-        assert_eq!(*seen.lock(), vec![(1, 1), (2, 2)]);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!    each stamped with a commit sequence number (SCN) and carrying its
 //!    transaction boundary,
 //! 4. **semi-synchronous shipping**: a commit is acknowledged only after
-//!    the binlog entry reaches a second home (the Databus relay), and
-//! 5. **triggers**: user callbacks invoked with each committed change
-//!    (the paper's alternative capture path for Oracle).
+//!    the binlog entry reaches a second home (the Databus relay).
+//!
+//! The paper's other capture path, Oracle triggers, is Databus's polling
+//! adapter reading the binlog; the store itself runs no callbacks.
 //!
 //! This crate implements exactly that contract (see the substitution table
 //! in DESIGN.md). Rows carry the metadata columns of the paper's
@@ -32,7 +33,7 @@ mod row;
 mod table;
 
 pub use binlog::{Binlog, BinlogEntry};
-pub use db::{Database, DbError, Transaction, TriggerFn};
+pub use db::{Database, DbError, Transaction};
 pub use replication::{ShipError, Shipper};
 pub use row::{Op, Row, RowChange, RowKey, Scn};
 pub use table::Table;

@@ -1146,22 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn transforms_run_server_side() {
-        let (_cluster, client) = cluster_with_store(3, 2, 2, 2);
-        let c1 = client
-            .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
-            .unwrap();
-        let c2 = client
-            .put_with_transform(b"follows", &c1, Bytes::from_static(b"msft"), &ListAppend)
-            .unwrap();
-        let full = client.get(b"follows").unwrap();
-        assert_eq!(full[0].value.as_ref(), b"li,msft");
-        let tail = client.get_with_transform(b"follows", &ListAppend).unwrap();
-        assert_eq!(tail[0].value.as_ref(), b"msft");
-        let _ = c2;
-    }
-
-    #[test]
     fn apply_update_implements_counters() {
         let (_cluster, client) = cluster_with_store(3, 3, 2, 2);
         for _ in 0..10 {
@@ -1188,26 +1172,6 @@ mod tests {
             .apply_update(b"k", 3, &|_siblings| None)
             .unwrap();
         assert_eq!(client.get(b"k").unwrap()[0].value.as_ref(), b"keep");
-    }
-
-    #[test]
-    fn server_side_routing_same_semantics_extra_hop() {
-        let (cluster, _direct) = cluster_with_store(3, 2, 2, 2);
-        let coordinator = NodeId(0);
-        let client = cluster.client("s").unwrap().with_server_routing(coordinator);
-        let c1 = client.put_initial(b"k", Bytes::from_static(b"v1")).unwrap();
-        assert_eq!(client.get(b"k").unwrap()[0].value.as_ref(), b"v1");
-        client.put(b"k", &c1, Bytes::from_static(b"v2")).unwrap();
-        assert_eq!(client.get(b"k").unwrap()[0].value.as_ref(), b"v2");
-        // The coordinator is a single point for this client: losing it
-        // fails requests (client-side routing would route around it).
-        cluster.network().crash(coordinator);
-        assert!(matches!(
-            client.get(b"k"),
-            Err(VoldemortError::Net(node, _)) if node == coordinator
-        ));
-        let direct = cluster.client("s").unwrap();
-        assert!(direct.get(b"k").is_ok(), "client-side routing unaffected");
     }
 
     #[test]

@@ -249,18 +249,6 @@ impl VoldemortCluster {
         Ok(handles)
     }
 
-    /// Deletes a store from every node (admin "delete store").
-    pub fn delete_store(&self, name: &str) -> Result<(), VoldemortError> {
-        let mut stores = self.stores.write();
-        stores
-            .remove(name)
-            .ok_or_else(|| VoldemortError::UnknownStore(name.into()))?;
-        for node in self.nodes.read().values() {
-            node.remove_store(name)?;
-        }
-        Ok(())
-    }
-
     /// The definition of `store`.
     pub fn store_def(&self, store: &str) -> Result<StoreDef, VoldemortError> {
         self.stores
@@ -722,18 +710,12 @@ mod tests {
     use bytes::Bytes;
 
     #[test]
-    fn add_and_delete_stores() {
+    fn duplicate_store_rejected() {
         let cluster = VoldemortCluster::new(16, 3).unwrap();
         cluster.add_store(StoreDef::read_write("follows")).unwrap();
         assert!(matches!(
             cluster.add_store(StoreDef::read_write("follows")),
             Err(VoldemortError::DuplicateStore(_))
-        ));
-        cluster.delete_store("follows").unwrap();
-        assert!(cluster.store_def("follows").is_err());
-        assert!(matches!(
-            cluster.delete_store("follows"),
-            Err(VoldemortError::UnknownStore(_))
         ));
     }
 

@@ -55,6 +55,9 @@ pub struct ReadOnlyStore {
     dir: PathBuf,
     current: RwLock<Option<Arc<LoadedVersion>>>,
     history: Mutex<Vec<Arc<LoadedVersion>>>,
+    /// Source files in the order they were pulled; the tests assert
+    /// data-before-index.
+    #[cfg(test)]
     pull_log: Mutex<Vec<PathBuf>>,
     listeners: Mutex<Vec<Sender<StoreEvent>>>,
 }
@@ -76,6 +79,7 @@ impl ReadOnlyStore {
             dir,
             current: RwLock::new(None),
             history: Mutex::new(Vec::new()),
+            #[cfg(test)]
             pull_log: Mutex::new(Vec::new()),
             listeners: Mutex::new(Vec::new()),
         })
@@ -137,6 +141,7 @@ impl ReadOnlyStore {
                 }
             }
             fs::write(version_dir.join(name), &bytes)?;
+            #[cfg(test)]
             self.pull_log.lock().push(src.clone());
         }
         Ok(())
@@ -193,11 +198,6 @@ impl ReadOnlyStore {
         Ok(version)
     }
 
-    /// The currently-serving version, if any.
-    pub fn current_version(&self) -> Option<u64> {
-        self.current.read().as_ref().map(|v| v.version)
-    }
-
     /// The replica partition (served by this node) that should hold `key`,
     /// if this node is in the key's preference list.
     pub fn locate(&self, key: &[u8]) -> Option<PartitionId> {
@@ -220,14 +220,8 @@ impl ReadOnlyStore {
         format::search(index, data, &md5(key))
     }
 
-    /// Order in which source files were pulled (tests assert
-    /// data-before-index).
-    pub fn pull_order(&self) -> Vec<PathBuf> {
-        self.pull_log.lock().clone()
-    }
-
     /// Total indexed entries in the serving version (all partitions).
-    pub fn serving_entry_count(&self) -> usize {
+    fn serving_entry_count(&self) -> usize {
         self.current
             .read()
             .as_ref()
@@ -395,9 +389,11 @@ mod tests {
     fn swap_replaces_and_rollback_restores() {
         let p = pipeline(1, 1);
         run_cycle(&p, records(100, "old"), 1);
-        assert_eq!(p.stores[0].current_version(), Some(1));
+        assert_eq!(
+            p.stores[0].get(b"member:7").unwrap().as_ref(),
+            b"old:7"
+        );
         run_cycle(&p, records(100, "new"), 2);
-        assert_eq!(p.stores[0].current_version(), Some(2));
         assert_eq!(
             p.stores[0].get(b"member:7").unwrap().as_ref(),
             b"new:7"
@@ -416,7 +412,7 @@ mod tests {
     fn pull_copies_data_files_before_index_files() {
         let p = pipeline(1, 1);
         run_cycle(&p, records(60, "v"), 1);
-        let order = p.stores[0].pull_order();
+        let order = p.stores[0].pull_log.lock().clone();
         assert!(!order.is_empty());
         let first_index = order
             .iter()
@@ -442,7 +438,6 @@ mod tests {
     fn get_before_any_swap_is_none() {
         let p = pipeline(1, 1);
         assert!(p.stores[0].get(b"member:1").is_none());
-        assert_eq!(p.stores[0].current_version(), None);
     }
 
     #[test]

@@ -154,12 +154,6 @@ impl StoreDef {
         }
         Ok(())
     }
-
-    /// True when R + W > N, i.e. read and write quorums always intersect
-    /// and reads see the latest committed write in the absence of failures.
-    pub fn is_strictly_consistent(&self) -> bool {
-        self.required_reads + self.required_writes > self.replication
-    }
 }
 
 #[cfg(test)]
@@ -179,11 +173,5 @@ mod tests {
         assert!(StoreDef::read_write("s").with_quorum(2, 1, 3).validate().is_err());
         assert!(StoreDef::read_write("s").with_quorum(2, 0, 1).validate().is_err());
         assert!(StoreDef::read_write("s").with_zones(0).validate().is_err());
-    }
-
-    #[test]
-    fn consistency_predicate() {
-        assert!(StoreDef::read_write("s").with_quorum(3, 2, 2).is_strictly_consistent());
-        assert!(!StoreDef::read_write("s").with_quorum(2, 1, 1).is_strictly_consistent());
     }
 }

@@ -26,17 +26,6 @@ const PAGES: [&str; 8] = [
     "/settings/privacy",
 ];
 
-/// Generates one activity-event log line.
-pub fn activity_event(rng: &mut impl Rng, member_space: u64) -> String {
-    let event = EVENT_TYPES[rng.random_range(0..EVENT_TYPES.len())];
-    let page = PAGES[rng.random_range(0..PAGES.len())];
-    let member = rng.random_range(0..member_space);
-    let session = rng.random_range(0..1_000_000u64);
-    format!(
-        "event={event} member={member:09} page={page} session={session:06} ua=browser/linkedin-web dc=ela4"
-    )
-}
-
 /// Generates a batch of events with a Zipfian member distribution (a few
 /// very active members), the shape online consumers see.
 pub fn activity_batch(rng: &mut impl Rng, zipf: &Zipfian, count: usize) -> Vec<String> {
@@ -60,9 +49,10 @@ mod tests {
     #[test]
     fn events_have_the_expected_fields() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let line = activity_event(&mut rng, 1000);
-        for field in ["event=", "member=", "page=", "session=", "dc="] {
-            assert!(line.contains(field), "{line}");
+        for line in activity_batch(&mut rng, &Zipfian::ycsb(1000), 10) {
+            for field in ["event=", "member=", "page=", "dc="] {
+                assert!(line.contains(field), "{line}");
+            }
         }
     }
 

@@ -160,11 +160,6 @@ impl SiteGraphChunks {
         }
     }
 
-    /// Total chunks this generator will yield.
-    pub fn chunk_count(&self) -> usize {
-        (self.config.members as usize).div_ceil(self.chunk_members)
-    }
-
     /// Generates one member. Pure function of `(config, member)`.
     fn generate_member(&self, member: u64) -> (Vec<u64>, String, PymkRecord) {
         let config = &self.config;
@@ -559,7 +554,6 @@ mod tests {
         let mut seen = 0u64;
         let mut total_chunks = 0usize;
         let chunks = SiteGraphChunks::new(&config, 13);
-        assert_eq!(chunks.chunk_count(), 8);
         for chunk in chunks {
             assert!(chunk.len() <= 13 && !chunk.is_empty());
             for (member, follows, profile, pymk) in chunk.rows() {

@@ -12,7 +12,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -34,7 +33,6 @@ impl Zipfian {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -65,12 +63,6 @@ impl Zipfian {
     /// The exact probability mass of rank `k` (for tests / analysis).
     pub fn mass(&self, k: u64) -> f64 {
         1.0 / ((k + 1) as f64).powf(self.theta) / self.zetan
-    }
-
-    /// Internal zeta(2) accessor kept for diagnostics.
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 

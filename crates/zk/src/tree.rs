@@ -682,26 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn data_watch_fires_once() {
-        let (_zk, s) = zk_and_session();
-        s.create("/n", b"".as_slice(), CreateMode::Persistent).unwrap();
-        let rx = s.watch_data("/n").unwrap();
-        s.set("/n", b"1".as_slice(), None).unwrap();
-        assert_eq!(rx.try_recv().unwrap().kind, WatchEventKind::NodeDataChanged);
-        // One-shot: second change doesn't fire.
-        s.set("/n", b"2".as_slice(), None).unwrap();
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
-    fn exists_watch_sees_creation() {
-        let (_zk, s) = zk_and_session();
-        let rx = s.watch_exists("/future").unwrap();
-        s.create("/future", b"".as_slice(), CreateMode::Persistent).unwrap();
-        assert_eq!(rx.try_recv().unwrap().kind, WatchEventKind::NodeCreated);
-    }
-
-    #[test]
     fn children_watch_fires_on_membership_change() {
         let (_zk, s) = zk_and_session();
         s.create("/group", b"".as_slice(), CreateMode::Persistent).unwrap();
@@ -789,15 +769,6 @@ mod tests {
             .create("/locks/lock-", b"".as_slice(), CreateMode::EphemeralSequential)
             .unwrap();
         assert!(c > b);
-    }
-
-    #[test]
-    fn exists_watch_fires_on_delete_too() {
-        let (_zk, s) = zk_and_session();
-        s.create("/x", b"".as_slice(), CreateMode::Persistent).unwrap();
-        let rx = s.watch_exists("/x").unwrap();
-        s.delete("/x", None).unwrap();
-        assert_eq!(rx.try_recv().unwrap().kind, WatchEventKind::NodeDeleted);
     }
 
     #[test]

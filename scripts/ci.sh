@@ -92,6 +92,37 @@ if grep -n 'BTreeMap' crates/sqlstore/src/table.rs crates/voldemort/src/engine/b
   exit 1
 fi
 
+# No public function without a caller: every `pub fn` of the library is
+# named by a second file among the library, its tests, examples, the
+# benchmark and the root package, or is listed with its reason in
+# scripts/pub_fn_allow.txt. A listed name that gained a second file is
+# stale and must leave the list.
+allow=scripts/pub_fn_allow.txt
+if awk '!/^[[:space:]]*(#|$)/ && NF < 2' "$allow" | grep .; then
+  echo "ci.sh: $allow lines above give no reason" >&2
+  exit 1
+fi
+allowed="$(awk '!/^[[:space:]]*(#|$)/ {print $1}' "$allow" | sort -u)"
+single="$(for name in $(git grep -ohE 'pub fn [a-z_0-9]+' -- crates ':!crates/bench' | sed 's/^pub fn //' | sort -u); do
+  if [ "$(git grep -lw "$name" -- crates tests examples benchmark/src src | wc -l)" -eq 1 ]; then
+    echo "$name"
+  fi
+done)"
+unlisted="$(comm -23 <(echo "$single") <(echo "$allowed") | grep . || true)"
+stale="$(comm -13 <(echo "$single") <(echo "$allowed") | grep . || true)"
+if [ -n "$unlisted" ] || [ -n "$stale" ]; then
+  [ -z "$unlisted" ] || echo "ci.sh: pub fn named in one file only (demote, delete, call it from outside, or list it in $allow): $unlisted" >&2
+  [ -z "$stale" ] || echo "ci.sh: stale $allow entries, now named in more than one file: $stale" >&2
+  exit 1
+fi
+# ...and the knobs only tests set, and the admin calls only tests made,
+# stay gone: the producer's linger and the client's retry builder, store
+# deletion, the quorum-consistency predicate and the default link latency.
+if git grep -nwE 'with_(linger|retries)|delete_(store)|is_strictly_(consistent)|set_default_(latency)' -- crates tests examples; then
+  echo "ci.sh: a deleted test-only knob or call is back (matches above)" >&2
+  exit 1
+fi
+
 echo "== cargo test -q (root package: examples + integration tests) =="
 cargo test -q
 

@@ -1,5 +1,8 @@
 //! Integration tests for the future-work features the paper names and
-//! this reproduction implements (see DESIGN.md §"Extensions").
+//! this reproduction implements (see DESIGN.md §"Extensions"), and for the
+//! optional mechanisms beside the site's own paths: relay chaining, Kafka
+//! ack modes and ZooKeeper data/exists watches, each through its crate's
+//! public API.
 
 use bytes::Bytes;
 use li_commons::ring::NodeId;
@@ -233,4 +236,133 @@ fn helix_health_reflects_espresso_cluster_state() {
         .alerts
         .iter()
         .all(|a| a.severity == Severity::Warning), "degraded but serving: {:?}", report.alerts);
+}
+
+#[test]
+fn databus_chained_relay_serves_the_upstream_windows() {
+    use li_databus::{LogShippingAdapter, Relay, ServerFilter, WindowView};
+    use li_sqlstore::Database;
+
+    // §III.C: relays are "connected directly to the database, or to other
+    // relays to provide replicated availability of the change stream".
+    let primary = Database::new("primary");
+    primary.create_table("member").unwrap();
+    let upstream = Arc::new(Relay::new("primary", 1 << 20));
+    LogShippingAdapter::attach(&primary, upstream.clone());
+    for i in 0..20 {
+        primary
+            .put_one("member", RowKey::single(format!("{i}")), &b"v"[..], 1)
+            .unwrap();
+    }
+    let chained = Relay::new("primary", 1 << 20);
+    assert_eq!(chained.chain_from(&upstream).unwrap(), 20);
+    assert_eq!(chained.chain_from(&upstream).unwrap(), 0, "idempotent");
+    let all = ServerFilter::all();
+    let served = upstream.events_after_shared(0, 100, &all).unwrap();
+    let relayed = chained.events_after_shared(0, 100, &all).unwrap();
+    assert_eq!(served, relayed);
+    // Zero-copy: both buffers hold the same frozen windows.
+    for (a, b) in served.iter().zip(&relayed) {
+        let (WindowView::Shared(a), WindowView::Shared(b)) = (a, b) else {
+            panic!("pass-all views are shared");
+        };
+        assert!(Arc::ptr_eq(a, b), "chained relays share window memory");
+    }
+    // Later commits follow incrementally.
+    primary
+        .put_one("member", RowKey::single("late"), &b"v"[..], 1)
+        .unwrap();
+    assert_eq!(chained.chain_from(&upstream).unwrap(), 1);
+    assert_eq!(chained.newest_scn(), 21);
+}
+
+#[test]
+fn databus_restarted_relay_resumes_at_its_watermark() {
+    use li_databus::{Relay, RelayError, Window};
+    use li_sqlstore::Database;
+
+    let primary = Database::new("primary");
+    primary.create_table("member").unwrap();
+    for i in 0..8 {
+        primary
+            .put_one("member", RowKey::single(format!("{i}")), &b"v"[..], 1)
+            .unwrap();
+    }
+    let binlog = primary.binlog_after(0);
+    let window = |scn: u64| Window::from_binlog("primary", &binlog[scn as usize - 1]);
+    // The relay captured through SCN 5 before it crashed; restarted empty,
+    // it must not open a hole when the source has moved on.
+    let restarted = Relay::new("primary", 1 << 20);
+    restarted.resume_expecting(6);
+    assert_eq!(
+        restarted.ingest(window(8)).unwrap_err(),
+        RelayError::OutOfOrder { got: 8, expected: 6 }
+    );
+    for scn in 6..=8 {
+        restarted.ingest(window(scn)).unwrap();
+    }
+    assert_eq!(restarted.newest_scn(), 8);
+}
+
+#[test]
+fn kafka_ack_modes_trade_waiting_for_durability() {
+    use li_kafka::{Producer, SimpleConsumer};
+
+    // A producer that does not wait for acks: its sends are visible once
+    // it flushes on close.
+    let cluster = KafkaCluster::new(2).unwrap();
+    cluster.create_topic("events", 1).unwrap();
+    let producer = Producer::new(cluster.clone())
+        .with_ack_mode(AckMode::None)
+        .with_batch_size(4);
+    for i in 0..16 {
+        producer.send("events", format!("f{i}")).unwrap();
+    }
+    producer.flush().unwrap();
+    let mut consumer = SimpleConsumer::new(cluster, "events", 0).unwrap();
+    assert_eq!(consumer.poll().unwrap().len(), 16);
+
+    // On a replicated partition, `None` returns without an offset and
+    // `FullIsr` waits for every in-sync replica, which shrinks when a
+    // follower fails.
+    let rc = ReplicatedCluster::new(KafkaCluster::new(3).unwrap());
+    rc.create_topic("t", 1, 3).unwrap();
+    let fire = MessageSet::from_payloads(["fire"]);
+    assert_eq!(rc.produce_with_ack("t", 0, &fire, AckMode::None).unwrap().base_offset, None);
+    rc.flush_ingest();
+    assert_eq!(rc.isr_of("t", 0).unwrap(), vec![0, 1, 2]);
+    let leader = rc.leader_of("t", 0).unwrap();
+    let follower = (0..3).find(|&b| b != leader).unwrap();
+    rc.fail_broker(follower).unwrap();
+    assert!(!rc.isr_of("t", 0).unwrap().contains(&follower));
+    let durable = MessageSet::from_payloads(["durable"]);
+    let receipt = rc.produce_with_ack("t", 0, &durable, AckMode::FullIsr).unwrap();
+    let offset = receipt.base_offset.expect("FullIsr reports where it appended");
+    // Committed the moment the call returns, with no replication pump.
+    let (messages, _) = rc.fetch_committed("t", 0, offset, usize::MAX).unwrap();
+    assert_eq!(messages.len(), 1);
+    assert_eq!(messages[0].1.payload.as_ref(), b"durable");
+}
+
+#[test]
+fn zk_data_and_exists_watches_fire_once() {
+    use li_zk::{CreateMode, WatchEventKind, ZooKeeper};
+
+    let zk = ZooKeeper::new();
+    let s = zk.connect();
+    // A data watch needs the node and fires on its next change only.
+    assert!(s.watch_data("/n").is_err());
+    s.create("/n", b"".as_slice(), CreateMode::Persistent).unwrap();
+    let data = s.watch_data("/n").unwrap();
+    s.set("/n", b"1".as_slice(), None).unwrap();
+    assert_eq!(data.try_recv().unwrap().kind, WatchEventKind::NodeDataChanged);
+    s.set("/n", b"2".as_slice(), None).unwrap();
+    assert!(data.try_recv().is_err(), "one-shot");
+    // An exists watch may precede the node, and sees creation and deletion.
+    let created = s.watch_exists("/future").unwrap();
+    s.create("/future", b"".as_slice(), CreateMode::Persistent).unwrap();
+    assert_eq!(created.try_recv().unwrap().kind, WatchEventKind::NodeCreated);
+    let deleted = s.watch_exists("/future").unwrap();
+    s.delete("/future", None).unwrap();
+    assert_eq!(deleted.try_recv().unwrap().kind, WatchEventKind::NodeDeleted);
 }

@@ -4,7 +4,8 @@
 
 use bytes::Bytes;
 use li_databus::{
-    BootstrapServer, ConsumerCallback, DatabusClient, LogShippingAdapter, Relay, Window,
+    BootstrapServer, ConsumerCallback, DatabusClient, LogShippingAdapter, Relay, ServerFilter,
+    Window,
 };
 use li_sqlstore::{Database, Op, RowKey};
 use parking_lot::Mutex;
@@ -85,6 +86,35 @@ fn multi_row_transactions_arrive_whole_and_ordered() {
         "transaction boundaries preserved"
     );
     assert_eq!(consumer.state.lock().len(), 40);
+}
+
+/// A scaled consumer group partitions the stream server-side by resource
+/// id: each member sees a disjoint share, and together they rebuild the
+/// primary.
+#[test]
+fn partitioned_consumers_divide_the_stream_and_together_rebuild_it() {
+    let db = primary_with_table();
+    let relay = Arc::new(Relay::new("primary", 1 << 20));
+    LogShippingAdapter::attach(&db, relay.clone());
+    for i in 0..100 {
+        db.put_one("t", RowKey::single(format!("resource-{i}")), &b"v"[..], 1)
+            .unwrap();
+    }
+    let members = 4u32;
+    let mut union = HashMap::new();
+    for id in 0..members {
+        let consumer = Arc::new(ViewConsumer::default());
+        DatabusClient::new(relay.clone(), None, consumer.clone())
+            .with_filter(ServerFilter::for_partition(members, id))
+            .catch_up()
+            .unwrap();
+        let share = consumer.state.lock().clone();
+        assert!(!share.is_empty(), "member {id} got no work");
+        for (key, value) in share {
+            assert!(union.insert(key, value).is_none(), "a row reached two members");
+        }
+    }
+    assert_eq!(union, primary_view(&db));
 }
 
 #[test]

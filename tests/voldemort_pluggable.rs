@@ -6,7 +6,7 @@ use bytes::Bytes;
 use li_commons::clock::VectorClock;
 use li_commons::ring::NodeId;
 use li_voldemort::readonly::{ReadOnlyBuilder, ScratchDir};
-use li_voldemort::{EngineKind, StoreDef, VoldemortCluster, VoldemortError};
+use li_voldemort::{EngineKind, StoreDef, Transform, VoldemortCluster, VoldemortError};
 use std::sync::Arc;
 
 /// The same client-visible behaviour must hold over any engine — the
@@ -193,4 +193,68 @@ fn failure_detector_routes_around_flapping_node_and_probes_back() {
     clock.advance(Duration::from_secs(6));
     cluster.run_failure_probes();
     assert!(cluster.detector().is_available(NodeId(1)), "probe readmitted");
+}
+
+/// Server-side routing (§II.B): the same reads and writes through a
+/// coordinator node, which pays the extra hop and runs the replica fan-out.
+#[test]
+fn server_side_routing_reads_what_client_routing_reads() {
+    let cluster = VoldemortCluster::new(32, 3).unwrap();
+    cluster
+        .add_store(StoreDef::read_write("s").with_quorum(2, 2, 2))
+        .unwrap();
+    let coordinator = NodeId(0);
+    let routed = cluster.client("s").unwrap().with_server_routing(coordinator);
+    let direct = cluster.client("s").unwrap();
+    let c1 = routed.put_initial(b"k", Bytes::from_static(b"v1")).unwrap();
+    assert_eq!(routed.get(b"k").unwrap(), direct.get(b"k").unwrap());
+    routed.put(b"k", &c1, Bytes::from_static(b"v2")).unwrap();
+    assert_eq!(routed.get(b"k").unwrap()[0].value.as_ref(), b"v2");
+    assert_eq!(routed.get(b"k").unwrap(), direct.get(b"k").unwrap());
+    // The coordinator is a single point for this client: losing it fails
+    // requests, while client-side routing routes around it.
+    cluster.network().crash(coordinator);
+    assert!(matches!(
+        routed.get(b"k"),
+        Err(VoldemortError::Net(node, _)) if node == coordinator
+    ));
+    assert!(direct.get(b"k").is_ok(), "client-side routing unaffected");
+}
+
+/// A comma-separated list whose transformed put appends and whose
+/// transformed get returns the last element — the paper's sub-list example.
+struct ListAppend;
+
+impl Transform for ListAppend {
+    fn on_get(&self, value: &[u8]) -> Bytes {
+        let list = std::str::from_utf8(value).unwrap_or("");
+        Bytes::copy_from_slice(list.rsplit(',').next().unwrap_or("").as_bytes())
+    }
+
+    fn on_put(&self, current: Option<&[u8]>, input: &[u8]) -> Bytes {
+        match current {
+            Some(existing) if !existing.is_empty() => Bytes::from([existing, b",", input].concat()),
+            _ => Bytes::copy_from_slice(input),
+        }
+    }
+}
+
+/// API method 3, the transformed get: the transform runs on each replica,
+/// so only the list's tail crosses the network.
+#[test]
+fn transformed_get_returns_the_list_tail() {
+    let cluster = VoldemortCluster::new(32, 3).unwrap();
+    cluster
+        .add_store(StoreDef::read_write("s").with_quorum(2, 2, 2))
+        .unwrap();
+    let client = cluster.client("s").unwrap();
+    let c1 = client
+        .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
+        .unwrap();
+    client
+        .put_with_transform(b"follows", &c1, Bytes::from_static(b"msft"), &ListAppend)
+        .unwrap();
+    assert_eq!(client.get(b"follows").unwrap()[0].value.as_ref(), b"li,msft");
+    let tail = client.get_with_transform(b"follows", &ListAppend).unwrap();
+    assert_eq!(tail[0].value.as_ref(), b"msft");
 }
