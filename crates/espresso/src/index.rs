@@ -12,16 +12,87 @@
 use li_commons::schema::Value;
 use li_sqlstore::RowKey;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-/// An inverted index over one table's documents (per storage node). Both
-/// maps are only probed by key, so they are hashed; a posting set stays
-/// ordered because a query intersects the sets and returns keys in order.
+/// An inverted index over one table's documents (per storage node).
+///
+/// Lucene-style, it works on document numbers: each key and each
+/// (field, token) term is stored once and numbered, postings are ordered
+/// sets of document numbers, and a document's reverse entry lists term
+/// numbers. A removed document's number and key, and a term no document
+/// holds any more, are released for reuse. Keys are sorted only where a
+/// query's matches leave the index.
 #[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
-    /// (field, token) -> document keys.
-    postings: HashMap<(String, String), BTreeSet<RowKey>>,
-    /// Reverse map for unindexing on update/delete.
-    by_doc: HashMap<RowKey, Vec<(String, String)>>,
+    /// Document number -> the document's key and term numbers.
+    docs: Slots<Doc>,
+    /// Key -> document number; shares each key with `docs`.
+    doc_numbers: HashMap<Arc<[String]>, u32>,
+    /// Field number -> the field's name and its token -> term number map.
+    fields: Vec<(String, HashMap<Arc<str>, u32>)>,
+    /// Term number -> the term and its posting.
+    terms: Slots<Term>,
+}
+
+#[derive(Debug, Clone)]
+struct Doc {
+    key: Arc<[String]>,
+    /// Sorted and distinct, so each posting is left once on removal.
+    terms: Box<[u32]>,
+}
+
+#[derive(Debug, Clone)]
+struct Term {
+    field: u32,
+    token: Arc<str>,
+    /// Numbers of the documents whose field holds the token.
+    docs: BTreeSet<u32>,
+}
+
+/// Values addressed by dense `u32` numbers; a removed value's number is
+/// handed out again by the next insert.
+#[derive(Debug, Clone)]
+struct Slots<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(number) => {
+                self.items[number as usize] = Some(item);
+                number
+            }
+            None => {
+                self.items.push(Some(item));
+                u32::try_from(self.items.len() - 1).expect("more than u32::MAX index entries")
+            }
+        }
+    }
+
+    fn remove(&mut self, number: u32) -> T {
+        let item = self.items[number as usize].take().expect("removed a free number");
+        self.free.push(number);
+        item
+    }
+
+    fn get(&self, number: u32) -> &T {
+        self.items[number as usize].as_ref().expect("read a free number")
+    }
+
+    fn get_mut(&mut self, number: u32) -> &mut T {
+        self.items[number as usize].as_mut().expect("wrote a free number")
+    }
 }
 
 /// Lowercases and splits on non-alphanumerics — free-text tokenization for
@@ -57,68 +128,110 @@ impl InvertedIndex {
         fields: impl IntoIterator<Item = (&'a str, &'a Value)>,
     ) {
         self.remove_document(key);
-        let mut entries = Vec::new();
+        let mut terms = Vec::new();
         for (field, value) in fields {
+            let field = self.field_number(field);
             for token in tokens_for(value) {
-                let posting = (field.to_string(), token);
-                self.postings
-                    .entry(posting.clone())
-                    .or_default()
-                    .insert(key.clone());
-                entries.push(posting);
+                terms.push(self.term_number(field, token));
             }
         }
-        if !entries.is_empty() {
-            self.by_doc.insert(key.clone(), entries);
+        if terms.is_empty() {
+            return;
         }
+        terms.sort_unstable();
+        terms.dedup();
+        let key: Arc<[String]> = key.0.as_slice().into();
+        let doc = self.docs.insert(Doc {
+            key: key.clone(),
+            terms: terms.into_boxed_slice(),
+        });
+        for &term in self.docs.get(doc).terms.iter() {
+            self.terms.get_mut(term).docs.insert(doc);
+        }
+        self.doc_numbers.insert(key, doc);
+    }
+
+    /// The number of `field`, which is numbered on first sight.
+    fn field_number(&mut self, field: &str) -> u32 {
+        let number = match self.fields.iter().position(|(name, _)| name == field) {
+            Some(number) => number,
+            None => {
+                self.fields.push((field.to_string(), HashMap::new()));
+                self.fields.len() - 1
+            }
+        };
+        number as u32
+    }
+
+    /// The number of the term (`field`, `token`), which is numbered (with
+    /// an empty posting) on first sight.
+    fn term_number(&mut self, field: u32, token: String) -> u32 {
+        let by_token = &mut self.fields[field as usize].1;
+        if let Some(&term) = by_token.get(token.as_str()) {
+            return term;
+        }
+        let token: Arc<str> = token.into();
+        let term = self.terms.insert(Term {
+            field,
+            token: token.clone(),
+            docs: BTreeSet::new(),
+        });
+        by_token.insert(token, term);
+        term
     }
 
     /// Removes a document from the index.
     pub fn remove_document(&mut self, key: &RowKey) {
-        if let Some(entries) = self.by_doc.remove(key) {
-            for posting in entries {
-                if let Some(set) = self.postings.get_mut(&posting) {
-                    set.remove(key);
-                    if set.is_empty() {
-                        self.postings.remove(&posting);
-                    }
-                }
+        let Some(doc) = self.doc_numbers.remove(key.0.as_slice()) else {
+            return;
+        };
+        for &term in self.docs.remove(doc).terms.iter() {
+            let posting = &mut self.terms.get_mut(term).docs;
+            posting.remove(&doc);
+            if posting.is_empty() {
+                let Term { field, token, .. } = self.terms.remove(term);
+                self.fields[field as usize].1.remove(&token);
             }
         }
     }
 
     /// Documents whose `field` contains every token of `term` (free-text
-    /// AND query), optionally restricted to keys under `collection`.
+    /// AND query), optionally restricted to keys under `collection`, in
+    /// key order.
     pub fn query(&self, field: &str, term: &str, collection: Option<&RowKey>) -> Vec<RowKey> {
-        let tokens = tokenize(term);
-        if tokens.is_empty() {
+        let Some((_, by_token)) = self.fields.iter().find(|(name, _)| name == field) else {
             return Vec::new();
-        }
-        let mut result: Option<BTreeSet<RowKey>> = None;
-        for token in tokens {
-            let posting = self
-                .postings
-                .get(&(field.to_string(), token))
-                .cloned()
-                .unwrap_or_default();
-            result = Some(match result {
-                None => posting,
-                Some(acc) => acc.intersection(&posting).cloned().collect(),
-            });
-            if result.as_ref().is_some_and(BTreeSet::is_empty) {
-                return Vec::new();
+        };
+        let mut postings = Vec::new();
+        for token in tokenize(term) {
+            match by_token.get(token.as_str()) {
+                Some(&term) => postings.push(&self.terms.get(term).docs),
+                None => return Vec::new(),
             }
         }
-        result
-            .unwrap_or_default()
+        // Start from the smallest posting and probe the others, smallest
+        // first, for the documents still matching.
+        postings.sort_unstable_by_key(|posting| posting.len());
+        let Some((smallest, others)) = postings.split_first() else {
+            return Vec::new();
+        };
+        let mut docs: Vec<u32> = smallest.iter().copied().collect();
+        for posting in others {
+            docs.retain(|doc| posting.contains(doc));
+        }
+        let mut keys: Vec<RowKey> = docs
             .into_iter()
-            .filter(|key| collection.is_none_or(|prefix| key.starts_with(prefix)))
-            .collect()
+            .map(|doc| &*self.docs.get(doc).key)
+            .filter(|key| collection.is_none_or(|prefix| key.starts_with(&prefix.0)))
+            .map(|key| RowKey(key.to_vec()))
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Number of indexed documents.
     pub fn doc_count(&self) -> usize {
-        self.by_doc.len()
+        self.doc_numbers.len()
     }
 }
 
@@ -215,5 +328,52 @@ mod tests {
         let index = InvertedIndex::new();
         assert!(index.query("nope", "x", None).is_empty());
         assert!(index.query("nope", "  ", None).is_empty());
+    }
+
+    #[test]
+    fn query_intersects_in_key_order_whatever_the_token_order() {
+        // Postings of 100, 50 and 20 documents, where the smallest is not
+        // inside the next ("rare" holds odd numbers), named in either order.
+        // Indexed backwards, so document numbers run against key order.
+        let mut index = InvertedIndex::new();
+        for i in (0..100).rev() {
+            let even = if i % 2 == 0 { " even" } else { "" };
+            let rare = if i % 5 == 0 { " rare" } else { "" };
+            let text = Value::Str(format!("common{even}{rare}"));
+            index.index_document(&RowKey::single(format!("{i:03}")), [("text", &text)]);
+        }
+        let tens: Vec<RowKey> = (0..100)
+            .step_by(10)
+            .map(|i| RowKey::single(format!("{i:03}")))
+            .collect();
+        assert_eq!(index.query("text", "common even rare", None), tens);
+        assert_eq!(index.query("text", "rare common even", None), tens);
+        assert_eq!(index.query("text", "even common", None).len(), 50);
+    }
+
+    #[test]
+    fn removed_numbers_and_terms_are_reused() {
+        // Every text has a token of its own, as a profile's member id does.
+        const KEYS: usize = 50;
+        let mut index = InvertedIndex::new();
+        for round in 0..4 {
+            for i in 0..KEYS {
+                let text = Value::Str(format!("shared r{round}k{i}"));
+                index.index_document(&song("A", "B", &i.to_string()), [("text", &text)]);
+            }
+            for i in (0..KEYS).step_by(3) {
+                index.remove_document(&song("A", "B", &i.to_string()));
+            }
+            assert!(index.docs.items.len() <= KEYS, "round {round}: {}", index.docs.items.len());
+            // "shared" plus one term per live document.
+            assert!(index.terms.items.len() <= KEYS + 1, "round {round}");
+        }
+        for i in 0..KEYS {
+            index.remove_document(&song("A", "B", &i.to_string()));
+        }
+        assert_eq!(index.doc_count(), 0);
+        assert!(index.fields.iter().all(|(_, by_token)| by_token.is_empty()));
+        assert_eq!(index.docs.free.len(), index.docs.items.len());
+        assert_eq!(index.terms.free.len(), index.terms.items.len());
     }
 }

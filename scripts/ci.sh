@@ -91,6 +91,12 @@ if grep -n 'BTreeMap' crates/sqlstore/src/table.rs crates/voldemort/src/engine/b
   echo "ci.sh: an ordered index is back under a point-lookup store, or the reference lost its order" >&2
   exit 1
 fi
+# Postings by document number: the inverted index stores each key and each
+# (field, token) term once, and its postings and reverse map hold numbers.
+if grep -nE 'BTreeSet<RowKey>|HashMap<\(String, String\)' crates/espresso/src/index.rs; then
+  echo "ci.sh: the inverted index keeps keys or terms per posting again (matches above)" >&2
+  exit 1
+fi
 
 # No public function without a caller: every `pub fn` of the library is
 # named by a second file among the library, its tests, examples, the
@@ -160,6 +166,12 @@ echo "== follow view proptests: 64 cases (default is 24) =="
 # inline and push-dispatched delivery; and with a Voldemort replica down for
 # part of the stream nothing is lost and a replay converges every replica.
 PROPTEST_CASES=64 cargo test -q --test follow_view_props
+
+echo "== inverted index proptests: 64 cases (default is 24) =="
+# The document-numbered index against a naive map of each key's (field,
+# token) set: identical query results in key order and identical doc counts
+# under random index, re-index, remove and query sequences.
+PROPTEST_CASES=64 cargo test -q --test inverted_index_props
 
 echo "== chaos sweep: 20 seeds x 10 scenarios (10 min budget) =="
 # Wider seed sweep than the per-test default of 5. Deterministic — only
