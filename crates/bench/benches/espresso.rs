@@ -167,9 +167,9 @@ fn vm_rss_mb() -> f64 {
 }
 
 fn bench_people_search(c: &mut Criterion) {
-    println!("\n=== People search: the inverted index behind the SearchIndexer ===");
+    println!("\n=== People search: the inverted index behind the profile global index ===");
     // The site population's profile text (`member <id>` plus four of 18
-    // words), keyed as the legacy `member_profile` rows the indexer reads.
+    // words), keyed as the Espresso profile documents people search indexes.
     // The chunks stay alive so the build reuses none of their memory.
     const MEMBERS: u64 = 100_000;
     let chunks: Vec<_> = SiteGraphChunks::new(&SiteGraphConfig::smoke(MEMBERS, 7), 4096).collect();

@@ -4,13 +4,10 @@
 //! §I.A).
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use li_commons::clock::{VectorClock, Versioned};
 use li_databus::{ConsumerCallback, Window};
-use li_espresso::InvertedIndex;
 use li_sqlstore::{Op, RowKey};
 use li_voldemort::{QuorumConfig, ReadFanOut, StoreClient, Transform, VoldemortError};
 
@@ -170,64 +167,6 @@ impl ConsumerCallback for CompanyFollowCacher {
             Self::append_if_absent(&self.company_store, &company_row_key(company), member)?;
         }
         Ok(())
-    }
-}
-
-/// A people-search indexer fed by profile changes (the People Search Index
-/// subscriber of §III.A), built on the same inverted-index substrate as
-/// Espresso's local indexes.
-#[derive(Default)]
-pub struct SearchIndexer {
-    index: Mutex<InvertedIndex>,
-}
-
-impl SearchIndexer {
-    /// Creates an empty indexer.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Members whose profile text matches every token of `term`.
-    pub fn search(&self, term: &str) -> Vec<String> {
-        self.index
-            .lock()
-            .query("profile", term, None)
-            .into_iter()
-            .map(|key| key.to_string())
-            .collect()
-    }
-
-    /// Number of indexed profiles.
-    pub fn indexed_count(&self) -> usize {
-        self.index.lock().doc_count()
-    }
-}
-
-impl ConsumerCallback for SearchIndexer {
-    fn on_window(&self, window: &Window) -> Result<(), String> {
-        for change in &window.changes {
-            if change.table != "member_profile" {
-                continue;
-            }
-            match &change.op {
-                Op::Put(row) => {
-                    let text = String::from_utf8_lossy(&row.value).into_owned();
-                    self.index.lock().index_document(
-                        &change.key,
-                        [(
-                            "profile",
-                            &li_commons::schema::Value::Str(text),
-                        )],
-                    );
-                }
-                Op::Delete => self.index.lock().remove_document(&change.key),
-            }
-        }
-        Ok(())
-    }
-
-    fn on_snapshot_start(&self) {
-        *self.index.lock() = InvertedIndex::new();
     }
 }
 

@@ -3,9 +3,10 @@
 //! Re-exports the four systems of *Data Infrastructure at LinkedIn*
 //! (ICDE 2012) and provides [`platform::DataPlatform`], an in-process
 //! assembly of Figure I.1: a primary database whose changes flow through
-//! Databus into derived-data systems (a Voldemort cache and a search
-//! index), while activity events flow through Kafka into online consumers
-//! and a mirrored offline cluster feeding a warehouse loader.
+//! Databus into a derived-data system (a Voldemort cache), an Espresso
+//! profile store whose update stream feeds a people-search index, and
+//! activity events flowing through Kafka into online consumers and a
+//! mirrored offline cluster feeding a warehouse loader.
 //! [`population`] seeds that assembly with a member population.
 //!
 //! ```

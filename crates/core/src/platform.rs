@@ -1,4 +1,5 @@
 //! The Figure I.1 assembly: primary store → Databus → derived systems;
+//! profile documents → Espresso's update stream → people search;
 //! activity events → Kafka → online consumers + offline warehouse.
 
 use std::sync::{Arc, OnceLock};
@@ -11,7 +12,7 @@ use li_commons::ring::{HashRing, NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
 use li_commons::sim::{Clock, RealClock, SimNetwork};
 use li_databus::{BootstrapServer, DatabusClient, LogShippingAdapter, Relay, StreamDispatcher};
-use li_espresso::{DatabaseSchema, EspressoCluster, TableSchema};
+use li_espresso::{DatabaseSchema, EspressoCluster, GlobalIndex, TableSchema};
 use li_kafka::audit::{AuditedProducer, AUDIT_TOPIC};
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::{MirrorMaker, WarehouseLoader};
@@ -23,7 +24,7 @@ use parking_lot::Mutex;
 
 use crate::consumers::{
     company_row_key, follow_edge_row, member_row_key, union_ids, CompanyFollowCacher,
-    SearchIndexer, FOLLOW_EDGES_TABLE,
+    FOLLOW_EDGES_TABLE,
 };
 
 /// Name of the activity-event topic.
@@ -127,14 +128,14 @@ pub struct DataPlatform {
     pub kafka_live: Arc<KafkaCluster>,
     /// Offline (analytics datacenter) Kafka cluster.
     pub kafka_offline: Arc<KafkaCluster>,
-    /// The people-search index subscriber.
-    pub search: Arc<SearchIndexer>,
     /// The Espresso cluster serving member profile documents.
     pub espresso: Arc<EspressoCluster>,
 
     metrics: Arc<MetricsRegistry>,
     follow_cacher: Arc<DatabusClient>,
-    search_client: Arc<DatabusClient>,
+    /// People search: a global index over the profile documents' `text`,
+    /// fed by Espresso's update stream (§IV.A's global secondary index).
+    search: GlobalIndex,
     event_producer: AuditedProducer,
     mirror: MirrorMaker,
     warehouse: WarehouseLoader,
@@ -193,7 +194,6 @@ impl DataPlatform {
             "member_follows",
             "company_followers",
             FOLLOW_EDGES_TABLE,
-            "member_profile",
         ] {
             primary.create_table(table).map_err(wrap)?;
         }
@@ -239,13 +239,6 @@ impl DataPlatform {
                 voldemort.client("member-follows").map_err(wrap)?,
                 voldemort.client("company-followers").map_err(wrap)?,
             )),
-        ));
-
-        let search = SearchIndexer::new();
-        let search_client = Arc::new(DatabusClient::new(
-            relay.clone(),
-            Some(bootstrap.clone()),
-            search.clone(),
         ));
 
         // Kafka tier: live cluster + offline mirror + warehouse loader.
@@ -302,6 +295,7 @@ impl DataPlatform {
         )
         .map_err(wrap)?;
         espresso.create_database(profile_schema).map_err(wrap)?;
+        let search = GlobalIndex::new(espresso.clone(), PROFILE_DB, PROFILE_TABLE, "text");
         espresso.set_fan_out_mode(match shard_mode {
             ShardMode::Parallel => li_commons::exec::FanOutMode::Parallel,
             ShardMode::Deterministic => li_commons::exec::FanOutMode::Deterministic,
@@ -314,11 +308,10 @@ impl DataPlatform {
             voldemort,
             kafka_live,
             kafka_offline,
-            search,
             espresso,
             metrics,
             follow_cacher,
-            search_client,
+            search,
             event_producer,
             mirror,
             warehouse,
@@ -330,18 +323,14 @@ impl DataPlatform {
         })
     }
 
-    /// Starts push-style dispatch of the primary's change stream to the
-    /// Databus subscribers (follow cacher + search indexer): the relay's
-    /// SCN watch wakes one worker per client instead of every consumer
-    /// polling. Safe alongside [`Self::pump`] / [`Self::pump_streams`] —
-    /// each client serializes whole poll cycles, so no window is delivered
-    /// twice. Stop (or drop) the returned dispatcher to shut the threads
-    /// down and drain.
+    /// Starts push-style dispatch of the primary's change stream to its
+    /// Databus subscriber, the follow cacher: the relay's SCN watch wakes
+    /// a worker instead of the consumer polling. Safe alongside
+    /// [`Self::pump`] / [`Self::pump_streams`] — the client serializes
+    /// whole poll cycles, so no window is delivered twice. Stop (or drop)
+    /// the returned dispatcher to shut the thread down and drain.
     pub fn start_stream_dispatch(&self) -> StreamDispatcher {
-        StreamDispatcher::start(
-            self.relay.clone(),
-            vec![self.follow_cacher.clone(), self.search_client.clone()],
-        )
+        StreamDispatcher::start(self.relay.clone(), vec![self.follow_cacher.clone()])
     }
 
     /// A user follows a company: one put-if-absent of a tiny edge row
@@ -356,10 +345,9 @@ impl DataPlatform {
         }
     }
 
-    /// Updates a member's profile text. Dual-write, the paper's
-    /// migration-era shape: Espresso is the serving store for profile
-    /// reads, while the legacy primary row still feeds the search index
-    /// through Databus.
+    /// Updates a member's profile text in Espresso, the one store of
+    /// profiles: reads are served from it, and people search follows its
+    /// update stream.
     pub fn update_profile(&self, member: u64, text: &str) -> Result<(), PlatformError> {
         self.espresso
             .put(
@@ -367,14 +355,6 @@ impl DataPlatform {
                 PROFILE_TABLE,
                 member_row_key(member),
                 &Record::new().with("text", Value::Str(text.into())),
-            )
-            .map_err(wrap)?;
-        self.primary
-            .put_one(
-                "member_profile",
-                member_row_key(member),
-                text.as_bytes().to_vec(),
-                1,
             )
             .map_err(wrap)?;
         Ok(())
@@ -418,11 +398,8 @@ impl DataPlatform {
 
     /// Batched write path for the population loader: lands one chunk of
     /// profile documents in Espresso through the router's multi-key
-    /// fan-out (grouped per master node). The loader dual-writes the
-    /// legacy primary rows itself, strictly per member, so the primary's
-    /// commit stream depends only on member order — never on how callers
-    /// chunk (router request accounting is per-document for the same
-    /// reason).
+    /// fan-out (grouped per master node). Router request accounting is
+    /// per document, so it never depends on how callers chunk.
     pub fn seed_profile_documents(
         &self,
         profiles: &[(u64, String)],
@@ -498,6 +475,17 @@ impl DataPlatform {
         Ok(versions.into_iter().next().map(|v| v.value))
     }
 
+    /// People search: the members whose profile text holds every word of
+    /// `words`, as member keys in key order. The index follows Espresso's
+    /// update stream, so an update is found once a pump has run.
+    pub fn search_profiles(&self, words: &str) -> Vec<String> {
+        self.search
+            .query(words)
+            .into_iter()
+            .map(|key| key.to_string())
+            .collect()
+    }
+
     /// Cache read path: companies a member follows (from Voldemort).
     pub fn followed_companies(&self, member: u64) -> Result<Vec<u64>, PlatformError> {
         Self::cached_ids(&self.member_follows, &member_row_key(member))
@@ -537,8 +525,9 @@ impl DataPlatform {
 
     /// One pump of every asynchronous pipeline stage: the bootstrap
     /// server follows the relay, Voldemort probes banned nodes and
-    /// replays hinted handoffs, Databus subscribers catch up, Espresso
-    /// replicates, producers flush, the mirror copies, and the warehouse
+    /// replays hinted handoffs, the Databus subscriber catches up,
+    /// Espresso replicates, people search follows Espresso's update
+    /// stream, producers flush, the mirror copies, and the warehouse
     /// loader ticks. Production runs these continuously; examples and
     /// tests call it at interesting moments (determinism over threads).
     /// A failing stage does not stop the ones after it; the first error
@@ -548,9 +537,9 @@ impl DataPlatform {
     }
 
     /// [`Self::pump`] without the audit flush: only the data-tier streams
-    /// (Databus subscribers, bootstrap, Voldemort recovery, Espresso
-    /// replication, mirror, warehouse). The closed-loop benchmark's
-    /// background pump thread uses this — the audit producer buckets by
+    /// (Databus subscriber, bootstrap, Voldemort recovery, Espresso
+    /// replication, people search, mirror, warehouse). The closed-loop
+    /// benchmark's background pump thread uses this — the audit producer buckets by
     /// wall-clock window, which would make a seeded run's metrics
     /// timing-dependent.
     pub fn pump_streams(&self) -> Result<(), PlatformError> {
@@ -575,8 +564,8 @@ impl DataPlatform {
         let stages = [
             bootstrap,
             self.follow_cacher.catch_up().map(drop).map_err(wrap),
-            self.search_client.catch_up().map(drop).map_err(wrap),
             self.espresso.pump_replication().map(drop).map_err(wrap),
+            self.search.pump().map(drop).map_err(wrap),
             if flush_audit {
                 self.event_producer.publish_audit_and_flush().map_err(wrap)
             } else {
@@ -726,13 +715,13 @@ mod tests {
         platform.update_profile(1, "distributed systems engineer").unwrap();
         platform.update_profile(2, "sales leader enterprise").unwrap();
         platform.pump().unwrap();
-        assert_eq!(platform.search.search("distributed systems"), vec!["member:000000001"]);
-        assert_eq!(platform.search.indexed_count(), 2);
+        assert_eq!(platform.search_profiles("distributed systems"), vec!["member:000000001"]);
+        assert_eq!(platform.search_profiles("sales"), vec!["member:000000002"]);
         // Update re-indexes.
         platform.update_profile(1, "machine learning researcher").unwrap();
         platform.pump().unwrap();
-        assert!(platform.search.search("distributed").is_empty());
-        assert_eq!(platform.search.search("machine learning"), vec!["member:000000001"]);
+        assert!(platform.search_profiles("distributed").is_empty());
+        assert_eq!(platform.search_profiles("machine learning"), vec!["member:000000001"]);
     }
 
     #[test]
@@ -745,9 +734,11 @@ mod tests {
             platform.profile(5).unwrap().as_deref(),
             Some("storage systems engineer")
         );
-        // ... while the legacy primary row still feeds search via Databus.
+        // Search follows Espresso's update stream, so it finds the member
+        // once a pump has run.
+        assert!(platform.search_profiles("storage").is_empty());
         platform.pump().unwrap();
-        assert_eq!(platform.search.search("storage"), vec!["member:000000005"]);
+        assert_eq!(platform.search_profiles("storage"), vec!["member:000000005"]);
     }
 
     #[test]
@@ -871,7 +862,7 @@ mod tests {
         platform.track("page_view member=1").unwrap();
         assert!(platform.pump().is_err());
         // Search, the audit flush, the mirror and the loader ran anyway.
-        assert_eq!(platform.search.indexed_count(), 1);
+        assert_eq!(platform.search_profiles("storage"), vec!["member:000000001"]);
         assert_eq!(platform.force_warehouse_load().unwrap(), 1);
         assert_eq!(platform.warehouse_rows(), 1);
     }

@@ -98,10 +98,10 @@ const PREPARE_PIPELINE_DEPTH: usize = 4;
 ///
 /// * Espresso profile documents land per batch through the router's
 ///   multi-key fan-out (never touches the primary);
-/// * per member, in order: the legacy `member_profile` primary row, then
-///   the member's follow row into a buffer that commits as a bulk-load
-///   transaction at every [`SEED_BATCH`]th buffered row — a boundary
-///   determined by member order alone, never by chunk size;
+/// * per member, in order: the member's follow row into a buffer that
+///   commits as a bulk-load transaction at every [`SEED_BATCH`]th
+///   buffered row — a boundary determined by member order alone, never
+///   by chunk size;
 /// * company inverted lists and PYMK records accumulate and flush in
 ///   [`finish`](Self::finish) (the RO build is an offline job — it needs
 ///   the full record set, like its Hadoop analog).
@@ -159,16 +159,7 @@ impl<'a> PopulationLoader<'a> {
             .map(|(member, _, text, _)| (*member, text.to_string()))
             .collect();
         self.platform.seed_profile_documents(&documents)?;
-        for (member, follows, text, pymk) in rows {
-            self.platform
-                .primary
-                .put_one(
-                    "member_profile",
-                    member_row_key(member),
-                    text.as_bytes().to_vec(),
-                    1,
-                )
-                .map_err(|e| PlatformError(e.to_string()))?;
+        for (member, follows, _, pymk) in rows {
             if !follows.is_empty() {
                 self.follows_buffer.push((member, encode_ids(follows)));
                 if self.follows_buffer.len() >= SEED_BATCH {
@@ -221,8 +212,8 @@ impl SiteBench {
     /// Builds the platform and seeds the population into every tier —
     /// streaming: a generator thread yields deterministic member chunks
     /// through a bounded channel while this thread loads them (profiles
-    /// into Espresso through the router's batched fan-out + legacy
-    /// primary rows for search, the follow graph into the primary as
+    /// into Espresso through the router's batched fan-out, where people
+    /// search follows them, the follow graph into the primary as
     /// bulk-load transactions, PYMK accumulating toward the RO build).
     /// Generation cost overlaps loading instead of forming a serial
     /// wall; when the platform runs sharded, push-style Databus dispatch

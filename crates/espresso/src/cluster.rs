@@ -259,6 +259,19 @@ impl EspressoCluster {
             .ok_or_else(|| EspressoError::Cluster(format!("no relay {id}")))
     }
 
+    /// Every storage node's relay, in node order — including nodes added
+    /// since the caller last asked.
+    pub(crate) fn relays(&self) -> Vec<(NodeId, Arc<Relay>)> {
+        let mut relays: Vec<(NodeId, Arc<Relay>)> = self
+            .relays
+            .read()
+            .iter()
+            .map(|(id, relay)| (*id, relay.clone()))
+            .collect();
+        relays.sort_unstable_by_key(|(id, _)| *id);
+        relays
+    }
+
     /// The Helix controller (diagnostics / advanced operations).
     pub fn controller(&self) -> &Controller {
         &self.controller

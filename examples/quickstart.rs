@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("company 1001 followers : {:?}", platform.followers(1001)?);
     println!(
         "search 'distributed'   : {:?}",
-        platform.search.search("distributed")
+        platform.search_profiles("distributed")
     );
 
     // The activity events reached the live cluster...

@@ -5,7 +5,8 @@
 //!
 //! 1. user actions commit to the **primary data store** (live storage);
 //! 2. **Databus** transports the changes to subscribers — the Voldemort
-//!    **cache stores** and the people-**search** index;
+//!    **cache stores** — and Espresso's update stream feeds the
+//!    people-**search** index;
 //! 3. activity events stream through **Kafka** to online consumers;
 //! 4. the offline mirror + warehouse loader stand in for the **batch**
 //!    (Hadoop/warehouse) tier;
@@ -55,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         platform.relay.window_count(),
         platform.bootstrap.applied_scn());
     println!("company 2's followers (Voldemort cache): {:?}", platform.followers(2)?);
-    println!("search 'engineer systems' hits: {}", platform.search.search("engineer systems").len());
+    println!("search 'engineer systems' hits: {}", platform.search_profiles("engineer systems").len());
 
     // -- 3. Activity events stream through Kafka -------------------------
     for member in 0..50u64 {

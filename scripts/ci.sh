@@ -98,6 +98,14 @@ if grep -nE 'BTreeSet<RowKey>|HashMap<\(String, String\)' crates/espresso/src/in
   exit 1
 fi
 
+# People search follows Espresso's update stream: the legacy profile copy
+# in the primary and the Databus indexer that read it stay gone from the
+# site (examples/read_replica.rs keeps an unrelated table of that name).
+if git grep -nE 'member_profile|SearchIndexer' -- crates/core crates/bench/src examples/quickstart.rs examples/site_architecture.rs; then
+  echo "ci.sh: the legacy member_profile copy or its SearchIndexer is back (matches above)" >&2
+  exit 1
+fi
+
 # No public function without a caller: every `pub fn` of the library is
 # named by a second file among the library, its tests, examples, the
 # benchmark and the root package, or is listed with its reason in

@@ -1023,6 +1023,15 @@ fn chaos_sweep_sqlstore_replication() {
 // Scenario 5: the assembled site under the full fault menu.
 // ---------------------------------------------------------------------
 
+/// The invariant scenario 5 breaks after its drain, to prove a gate.
+#[derive(Debug, Clone, Copy)]
+enum SitePlant {
+    /// One acked cached follow list deleted from every replica.
+    CachedList,
+    /// One member's superseded profile text back in people search.
+    SupersededText,
+}
+
 /// The real [`DataPlatform`] — the recorded 3/2/3/8/4 shape at the follow
 /// stores' N=2, R=W=1 — built on the scheduler's network and clock,
 /// seeded by the one population loader, and driven by one seeded site op
@@ -1043,13 +1052,17 @@ fn chaos_sweep_sqlstore_replication() {
 /// * **profile-timeline** — an updated member reads its last acked text
 ///   or a later attempt that was not acked, every other member its
 ///   seeded text (§IV timeline consistency across Espresso failover);
+/// * **search-converged** — people search, which follows Espresso's
+///   update stream across the same failovers, finds every member by one
+///   of the texts profile-timeline allows, and no member by a word that
+///   only a superseded text held;
 /// * **pymk-serves** — every member's read-only record is served;
 /// * **kafka-conserved** — tracked = consumed online = warehouse rows,
 ///   and every audit window reconciles on the offline mirror.
 ///
-/// With `plant_violation`, one acked cached list is deleted from every
-/// replica after the drain — the no-loss gate must catch it.
-fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, ChaosFailure> {
+/// A [`SitePlant`] breaks one invariant after the drain, and its gate
+/// must catch it.
+fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, ChaosFailure> {
     let config = ChaosConfig {
         max_down: 1,
         ..ChaosConfig::default()
@@ -1084,6 +1097,9 @@ fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, Chao
     // Espresso half may have committed all the same.
     let mut profiles: Vec<Vec<String>> =
         (0..members).map(|m| vec![graph.profile_of(m).to_string()]).collect();
+    // The texts an acked update superseded: search must not find a member
+    // by a word only these held.
+    let mut superseded: Vec<BTreeSet<String>> = vec![BTreeSet::new(); members as usize];
 
     let workload = SiteWorkload::new(
         members,
@@ -1111,7 +1127,10 @@ fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, Chao
                     let text = format!("member {m} rewrote this at op {i}");
                     let outcome = platform.update_profile(*m, &text);
                     match outcome {
-                        Ok(()) => profiles[*m as usize] = vec![text],
+                        Ok(()) => {
+                            let before = std::mem::replace(&mut profiles[*m as usize], vec![text]);
+                            superseded[*m as usize].extend(before);
+                        }
                         Err(_) => profiles[*m as usize].push(text),
                     }
                     outcome
@@ -1179,16 +1198,31 @@ fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, Chao
         members + companies
     ));
 
-    if plant_violation {
-        let member = follows.iter().position(|set| !set.is_empty()).expect("a seeded follow");
-        let key = member_row_key(member as u64).to_string();
-        for id in voldemort.node_ids() {
-            let node = voldemort.node(id).unwrap();
-            for version in node.get("member-follows", key.as_bytes()).unwrap_or_default() {
-                let _ = node.delete("member-follows", key.as_bytes(), &version.clock);
+    match plant {
+        None => {}
+        Some(SitePlant::CachedList) => {
+            let member = follows.iter().position(|set| !set.is_empty()).expect("a seeded follow");
+            let key = member_row_key(member as u64).to_string();
+            for id in voldemort.node_ids() {
+                let node = voldemort.node(id).unwrap();
+                for version in node.get("member-follows", key.as_bytes()).unwrap_or_default() {
+                    let _ = node.delete("member-follows", key.as_bytes(), &version.clock);
+                }
             }
+            sched.note(format!("PLANT: deleted acked cached list `{key}` on every replica"));
         }
-        sched.note(format!("PLANT: deleted acked cached list `{key}` on every replica"));
+        Some(SitePlant::SupersededText) => {
+            // Index the old text, then write the last acked one back
+            // without a pump: Espresso serves an allowed text, search
+            // holds a superseded one.
+            let member = superseded.iter().position(|texts| !texts.is_empty()).expect("an update");
+            let old = superseded[member].first().expect("a superseded text").clone();
+            let current = profiles[member][0].clone();
+            platform.update_profile(member as u64, &old).unwrap();
+            platform.pump().unwrap();
+            platform.update_profile(member as u64, &current).unwrap();
+            sched.note(format!("PLANT: re-indexed member {member}'s superseded text {old:?}"));
+        }
     }
 
     let recovery_drained = || -> Result<(), String> {
@@ -1253,6 +1287,33 @@ fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, Chao
         }
         Ok(())
     };
+    let words = |text: &str| -> BTreeSet<String> {
+        text.split(|c: char| !c.is_alphanumeric())
+            .filter(|word| !word.is_empty())
+            .map(str::to_lowercase)
+            .collect()
+    };
+    let search_converged = || -> Result<(), String> {
+        for member in 0..members {
+            let key = member_row_key(member).to_string();
+            let allowed = &profiles[member as usize];
+            if !allowed.iter().any(|text| platform.search_profiles(text).contains(&key)) {
+                return Err(format!("member {member}: found by none of its texts {allowed:?}"));
+            }
+            let current: BTreeSet<String> = allowed.iter().flat_map(|text| words(text)).collect();
+            for text in &superseded[member as usize] {
+                for word in words(text).difference(&current) {
+                    if platform.search_profiles(word).contains(&key) {
+                        return Err(format!(
+                            "member {member}: found by `{word}`, which only its superseded \
+                             text {text:?} held"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    };
     let pymk_serves = || -> Result<(), String> {
         for member in 0..members {
             let stored = platform
@@ -1292,6 +1353,7 @@ fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, Chao
             ("follow-no-acked-write-lost", &follow_no_acked_write_lost),
             ("databus-lag-drained", &databus_drained),
             ("profile-timeline", &profile_timeline),
+            ("search-converged", &search_converged),
             ("pymk-serves", &pymk_serves),
             ("kafka-conserved", &kafka_conserved),
         ],
@@ -1303,7 +1365,7 @@ fn run_site_closed_loop(seed: u64, plant_violation: bool) -> Result<String, Chao
 #[test]
 fn chaos_sweep_site_closed_loop() {
     for seed in sweep_seeds(5) {
-        if let Err(failure) = run_site_closed_loop(seed, false) {
+        if let Err(failure) = run_site_closed_loop(seed, None) {
             panic!("{failure}");
         }
     }
@@ -1960,8 +2022,8 @@ fn same_seed_yields_byte_identical_traces() {
     let a = run_sqlstore_replication(11).unwrap_or_else(|f| panic!("{f}"));
     let b = run_sqlstore_replication(11).unwrap_or_else(|f| panic!("{f}"));
     assert_eq!(a, b, "sqlstore trace diverged");
-    let a = run_site_closed_loop(11, false).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_site_closed_loop(11, false).unwrap_or_else(|f| panic!("{f}"));
+    let a = run_site_closed_loop(11, None).unwrap_or_else(|f| panic!("{f}"));
+    let b = run_site_closed_loop(11, None).unwrap_or_else(|f| panic!("{f}"));
     assert_eq!(a, b, "site closed-loop trace diverged");
     let a = run_migration_vs_donor_crash(11).unwrap_or_else(|f| panic!("{f}"));
     let b = run_migration_vs_donor_crash(11).unwrap_or_else(|f| panic!("{f}"));
@@ -1981,13 +2043,19 @@ fn same_seed_yields_byte_identical_traces() {
 #[test]
 fn planted_violation_is_caught_and_reproduces_from_printed_seed() {
     type Scenario = fn(u64, bool) -> Result<String, ChaosFailure>;
-    let cases: [(Scenario, &str, &str, &str); 2] = [
+    let cases: [(Scenario, &str, &str, &str); 3] = [
         (run_voldemort_quorum, "quorum-durability", "voldemort", "PLANT: deleted acked key"),
         (
-            run_site_closed_loop,
+            |seed, plant| run_site_closed_loop(seed, plant.then_some(SitePlant::CachedList)),
             "follow-no-acked-write-lost",
             "site_closed_loop",
             "PLANT: deleted acked cached list",
+        ),
+        (
+            |seed, plant| run_site_closed_loop(seed, plant.then_some(SitePlant::SupersededText)),
+            "search-converged",
+            "site_closed_loop",
+            "PLANT: re-indexed member",
         ),
     ];
     for (run, invariant, scenario, plant) in cases {

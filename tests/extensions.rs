@@ -55,17 +55,12 @@ fn espresso_global_index_survives_storage_failover() {
     let schema = DatabaseSchema::new("Music", 6, 2)
         .with_table(
             TableSchema::new("Song", ["artist", "album", "song"]),
-            RecordSchema::new(
-                "Song",
-                1,
-                vec![Field::new("lyrics", FieldType::Str).indexed()],
-            )
-            .unwrap(),
+            RecordSchema::new("Song", 1, vec![Field::new("lyrics", FieldType::Str)]).unwrap(),
         )
         .unwrap();
     let cluster = EspressoCluster::new(3).unwrap();
     cluster.create_database(schema).unwrap();
-    let global = GlobalIndex::new(cluster.clone(), "Music", vec![NodeId(0), NodeId(1), NodeId(2)]);
+    let global = GlobalIndex::new(cluster.clone(), "Music", "Song", "lyrics");
 
     cluster
         .put(
@@ -92,8 +87,51 @@ fn espresso_global_index_survives_storage_failover() {
         )
         .unwrap();
     global.pump().unwrap();
-    let hits = global.query("Song", "lyrics", "sun");
+    let hits = global.query("sun");
     assert_eq!(hits.len(), 2, "{hits:?}");
+}
+
+/// People search held to a model: after a seeded population, seeded
+/// random profile updates and a pump, searching any profile word finds
+/// exactly the members whose current Espresso text holds it.
+/// `tests/inverted_index_props.rs` pins the index; this pins what feeds
+/// it.
+#[test]
+fn people_search_finds_exactly_the_current_profile_texts() {
+    use linkedin_data_infra::consumers::member_row_key;
+    use linkedin_data_infra::{SiteBench, SiteBenchConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    // Seeded profiles hold `member <id>` and four words of the
+    // population's vocabulary; updates mix some of it with new words.
+    const WORDS: &[&str] = &["member", "engineer", "storage", "streams", "kafka", "espresso"];
+    let bench = SiteBench::prepare(SiteBenchConfig::smoke(2_000, 1, 0, 31)).unwrap();
+    let platform = bench.platform();
+    let members = bench.graph().member_count();
+    let mut rng = StdRng::seed_from_u64(31);
+    for _ in 0..600 {
+        let member = rng.random_range(0..members);
+        let words: Vec<&str> = (0..3).map(|_| WORDS[rng.random_range(0..WORDS.len())]).collect();
+        platform.update_profile(member, &words.join(" ")).unwrap();
+    }
+    platform.pump().unwrap();
+
+    let all: Vec<u64> = (0..members).collect();
+    let mut holders: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for (member, text) in all.iter().zip(platform.profiles(&all).unwrap()) {
+        let text = text.expect("every member has a profile");
+        for word in text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()) {
+            let key = member_row_key(*member).to_string();
+            holders.entry(word.to_lowercase()).or_default().insert(key);
+        }
+    }
+    assert!(holders.len() > 1_000, "member ids are words too: {}", holders.len());
+    for (word, expected) in &holders {
+        let expected: Vec<String> = expected.iter().cloned().collect();
+        assert_eq!(platform.search_profiles(word), expected, "search `{word}`");
+    }
 }
 
 #[test]
