@@ -589,9 +589,9 @@ impl DriverState {
     }
 
     /// The PYMK page the way the site serves it: the Voldemort lookup for
-    /// the recommendation list, then one multi-key Espresso read fanning
-    /// the profile cards out across the partition masters — the op's
-    /// latency covers the whole composite page.
+    /// the recommendation list, then one multi-key Espresso read of the
+    /// profile cards, one pass per partition master — the op's latency
+    /// covers the whole composite page.
     fn pymk_page(&self, member: u64) -> Result<(), String> {
         let Some(bytes) = self
             .platform

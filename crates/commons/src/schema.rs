@@ -628,17 +628,21 @@ pub fn decode(schema: &RecordSchema, mut data: &[u8]) -> Result<Record, SchemaEr
 
 /// Reads binary data written under `writer` into the shape of `reader`:
 /// fields the reader lacks are dropped, fields the writer lacks take the
-/// reader's default, and Long→Double promotion is applied.
+/// reader's default, and Long→Double promotion is applied. When writer
+/// and reader are the same schema, the decoded record is the answer.
 pub fn resolve(
     writer: &RecordSchema,
     reader: &RecordSchema,
     data: &[u8],
 ) -> Result<Record, SchemaError> {
-    let raw = decode(writer, data)?;
+    let mut raw = decode(writer, data)?;
+    if std::ptr::eq(writer, reader) {
+        return Ok(raw);
+    }
     let mut record = Record::new();
     for field in &reader.fields {
-        let value = match raw.fields.get(&field.name) {
-            Some(v) => v.clone().promote(&field.ty),
+        let value = match raw.fields.remove(&field.name) {
+            Some(v) => v.promote(&field.ty),
             None => match (&field.default, &field.ty) {
                 (Some(d), _) => d.clone(),
                 (None, FieldType::Optional(_)) => Value::Null,
@@ -758,7 +762,11 @@ mod tests {
         let schema = profile_v1();
         let record = sample();
         let bytes = encode(&schema, &record).unwrap();
-        assert_eq!(decode(&schema, &bytes).unwrap(), record);
+        let decoded = decode(&schema, &bytes).unwrap();
+        assert_eq!(decoded, record);
+        // Same schema on both sides, and an equal one built apart.
+        assert_eq!(resolve(&schema, &schema, &bytes).unwrap(), decoded);
+        assert_eq!(resolve(&schema, &profile_v1(), &bytes).unwrap(), decoded);
     }
 
     #[test]

@@ -172,7 +172,28 @@ impl ConsumerCallback for CompanyFollowCacher {
 
 /// Helper: the row key used for members in the primary store.
 pub fn member_row_key(member: u64) -> RowKey {
-    RowKey::single(format!("member:{member:09}"))
+    RowKey::single(member_key(member))
+}
+
+/// The one element of [`member_row_key`], `member:` and the id in at
+/// least nine digits, built without the formatting machinery: every
+/// profile read and PYMK lookup starts here.
+pub(crate) fn member_key(member: u64) -> String {
+    const PREFIX: &str = "member:";
+    // `u64::MAX` has 20 digits; the buffer starts as zeros, the padding.
+    let mut digits = [b'0'; 20];
+    let mut rest = member;
+    let mut start = digits.len();
+    while rest > 0 {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    let start = start.min(digits.len() - 9);
+    let mut key = String::with_capacity(PREFIX.len() + digits.len() - start);
+    key.push_str(PREFIX);
+    key.extend(digits[start..].iter().copied().map(char::from));
+    key
 }
 
 /// Helper: the row key used for companies in the primary store.
@@ -188,4 +209,24 @@ pub fn follow_edge_row(member: u64, company: u64) -> (RowKey, Vec<u8>) {
         company_row_key(company).to_string(),
     ]);
     (key, encode_ids(&[member, company]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn member_key_pads_to_nine_digits_like_format() {
+        for member in [
+            0,
+            5,
+            42,
+            999_999_999,
+            1_000_000_000,
+            123_456_789_012,
+            u64::MAX,
+        ] {
+            assert_eq!(member_key(member), format!("member:{member:09}"));
+        }
+    }
 }

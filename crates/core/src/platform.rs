@@ -17,13 +17,13 @@ use li_kafka::audit::{AuditedProducer, AUDIT_TOPIC};
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::{MirrorMaker, WarehouseLoader};
 use li_kafka::{KafkaCluster, Producer, SimpleConsumer};
-use li_sqlstore::{Database, DbError, RowKey};
+use li_sqlstore::{Database, DbError, Row, RowKey};
 use li_voldemort::readonly::{ReadOnlyBuilder, ReadOnlyStore, ScratchDir};
 use li_voldemort::{StoreClient, StoreDef, VoldemortCluster};
 use parking_lot::Mutex;
 
 use crate::consumers::{
-    company_row_key, follow_edge_row, member_row_key, union_ids, CompanyFollowCacher,
+    company_row_key, follow_edge_row, member_key, member_row_key, union_ids, CompanyFollowCacher,
     FOLLOW_EDGES_TABLE,
 };
 
@@ -56,6 +56,14 @@ fn wrap<E: std::fmt::Display>(e: E) -> PlatformError {
     PlatformError(e.to_string())
 }
 
+/// The text of a profile document, moved out of the decoded record.
+fn profile_text((mut record, _row): (Record, Row)) -> Option<String> {
+    match record.fields.remove("text") {
+        Some(Value::Str(text)) => Some(text),
+        _ => None,
+    }
+}
+
 /// How many threads drive a site run, and nothing else: no structure
 /// below the platform reads it (stripe counts are constants, every
 /// produce is a group commit).
@@ -64,11 +72,12 @@ pub enum ShardMode {
     /// One driving thread, so a seeded run replays byte for byte:
     /// [`crate::SiteBench::prepare`] and `li_bench::site` start no push
     /// dispatcher, `li_bench::site` runs its drivers one after the other
-    /// on the calling thread, and Espresso's multi-key requests run
+    /// on the calling thread, and Espresso's multi-key writes run
     /// inline ([`li_commons::exec::FanOutMode::Deterministic`]).
     Deterministic,
     /// Push-dispatch threads, a driver worker pool, and Espresso's
-    /// multi-key requests on its fan-out pool (`FanOutMode::Parallel`).
+    /// multi-key writes on its fan-out pool (`FanOutMode::Parallel`).
+    /// Espresso's multi-key reads run inline in either mode.
     #[default]
     Parallel,
 }
@@ -367,18 +376,15 @@ impl DataPlatform {
             .espresso
             .get(PROFILE_DB, PROFILE_TABLE, &member_row_key(member))
             .map_err(wrap)?;
-        Ok(doc.and_then(|(record, _row)| match record.get("text") {
-            Some(Value::Str(text)) => Some(text.clone()),
-            _ => None,
-        }))
+        Ok(doc.and_then(profile_text))
     }
 
     /// Serving read path for many members' profile texts in one request:
     /// the Espresso router groups the keys by partition master against
-    /// its watch-cached assignment and fans the per-node sub-batches out
-    /// (parallel when the platform runs sharded). A PYMK page renders
-    /// its recommendation cards through this — one routed request, not
-    /// one per card. Results come back in `members` order.
+    /// its watch-cached assignment and reads each master's keys in one
+    /// pass. A PYMK page renders its recommendation cards through this —
+    /// one routed request, not one per card. Results come back in
+    /// `members` order.
     pub fn profiles(&self, members: &[u64]) -> Result<Vec<Option<String>>, PlatformError> {
         let keys = members.iter().map(|m| member_row_key(*m)).collect();
         let docs = self
@@ -387,12 +393,7 @@ impl DataPlatform {
             .map_err(wrap)?;
         Ok(docs
             .into_iter()
-            .map(|doc| {
-                doc.and_then(|(record, _row)| match record.get("text") {
-                    Some(Value::Str(text)) => Some(text.clone()),
-                    _ => None,
-                })
-            })
+            .map(|doc| doc.and_then(profile_text))
             .collect())
     }
 
@@ -470,7 +471,7 @@ impl DataPlatform {
         let Some(client) = self.pymk_client.get() else {
             return Ok(None);
         };
-        let key = member_row_key(member).to_string().into_bytes();
+        let key = member_key(member).into_bytes();
         let versions = client.get(&key).map_err(wrap)?;
         Ok(versions.into_iter().next().map(|v| v.value))
     }

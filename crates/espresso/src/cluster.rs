@@ -11,6 +11,7 @@
 //! the Databus relay and propagated to other storage nodes").
 
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -29,7 +30,7 @@ use crate::uri::ResourcePath;
 
 /// One master node's slice of a multi-key request: `(original index,
 /// key, payload)` per document, input order preserved.
-type MasterBatch<T> = Vec<(usize, RowKey, T)>;
+type MasterBatch<K, T> = Vec<(usize, K, T)>;
 
 /// Relay buffer budget per storage node (bytes).
 const RELAY_BUFFER_BYTES: usize = 8 << 20;
@@ -69,12 +70,14 @@ pub struct EspressoCluster {
     /// plus JSON parse per request; the Helix controller pushes every
     /// rebalanced view into the watch.
     views: RwLock<HashMap<String, li_commons::watch::Receiver<Arc<li_helix::Assignment>>>>,
-    /// How multi-key requests execute their per-master-node sub-batches.
+    /// How [`Self::multi_put`] executes its per-master-node sub-batches.
     /// Deterministic (the default) runs them inline in node order —
     /// replayable; Parallel fans them out over [`Self::fan_out_pool`].
+    /// Reads ignore it: [`Self::multi_get`] always reads inline.
     fan_out_mode: RwLock<FanOutMode>,
     /// The router's shared fan-out pool, built on the first Parallel
-    /// multi-key request (Deterministic clusters spawn no threads).
+    /// multi-key write (reads and Deterministic clusters spawn no
+    /// threads).
     fan_out_pool: OnceLock<FanOutPool>,
     registry: Arc<MetricsRegistry>,
     metrics: EspressoMetrics,
@@ -309,8 +312,19 @@ impl EspressoCluster {
     /// Routes a resource id to `(partition, master node)`.
     pub fn route(&self, db: &str, resource_id: &str) -> Result<(u32, NodeId), EspressoError> {
         let schema = self.schema(db)?;
-        let partition = schema.read().partition_of(resource_id);
         let view = self.cached_view(db)?;
+        let schema = schema.read();
+        Self::master_of(&schema, &view, resource_id)
+    }
+
+    /// The routing function (`schema`) and routing table (`view`) applied
+    /// to one resource id: `(partition, master node)`.
+    fn master_of(
+        schema: &DatabaseSchema,
+        view: &li_helix::Assignment,
+        resource_id: &str,
+    ) -> Result<(u32, NodeId), EspressoError> {
+        let partition = schema.partition_of(resource_id);
         let master = view
             .master_of(PartitionId(partition))
             .ok_or(EspressoError::NoMaster { partition })?;
@@ -384,43 +398,51 @@ impl EspressoCluster {
         })
     }
 
-    /// Sets how multi-key requests execute (Deterministic by default;
+    /// Sets how [`Self::multi_put`] executes (Deterministic by default;
     /// the site platform picks per its configured run mode).
     pub fn set_fan_out_mode(&self, mode: FanOutMode) {
         *self.fan_out_mode.write() = mode;
     }
 
-    /// The current multi-key execution mode.
+    /// The current multi-key write execution mode.
     fn fan_out_mode(&self) -> FanOutMode {
         *self.fan_out_mode.read()
     }
 
-    /// The shared pool behind Parallel multi-key fan-out, created lazily
+    /// The shared pool behind Parallel multi-key writes, created lazily
     /// so Deterministic clusters spawn no threads.
     fn fan_out_pool(&self) -> &FanOutPool {
         self.fan_out_pool.get_or_init(|| FanOutPool::new(8))
     }
 
-    /// Groups `keys` by their master node (input order preserved within
-    /// each group; groups in node order, so Deterministic replays are
-    /// stable) against the watch-cached assignment.
-    fn group_by_master<T>(
+    /// Groups `items` by their keys' master node (input order preserved
+    /// within each group; groups in node order, so Deterministic replays
+    /// are stable) against the watch-cached assignment. The schema and
+    /// the view are read once for the whole request.
+    fn group_by_master<K: Borrow<RowKey>, T>(
         &self,
         db: &str,
-        items: Vec<(RowKey, T)>,
-    ) -> Result<BTreeMap<NodeId, MasterBatch<T>>, EspressoError> {
-        let mut groups: BTreeMap<NodeId, MasterBatch<T>> = BTreeMap::new();
+        items: impl IntoIterator<Item = (K, T)>,
+    ) -> Result<BTreeMap<NodeId, MasterBatch<K, T>>, EspressoError> {
+        let schema = self.schema(db)?;
+        let view = self.cached_view(db)?;
+        let schema = schema.read();
+        let mut groups: BTreeMap<NodeId, MasterBatch<K, T>> = BTreeMap::new();
         for (index, (key, payload)) in items.into_iter().enumerate() {
-            let (_, master) = self.route(db, Self::resource_of(&key)?)?;
-            groups.entry(master).or_default().push((index, key, payload));
+            let (_, master) = Self::master_of(&schema, &view, Self::resource_of(key.borrow())?)?;
+            groups
+                .entry(master)
+                .or_default()
+                .push((index, key, payload));
         }
         Ok(groups)
     }
 
-    /// Runs one already-built fan-out: one task per master node, each
-    /// returning its sub-batch results tagged with original indices.
-    /// Requires every task to succeed (a multi-key request has no quorum
-    /// semantics — a failed sub-batch fails the request).
+    /// Runs one already-built [`Self::multi_put`] fan-out: one task per
+    /// master node, each returning its sub-batch results tagged with
+    /// original indices. Requires every task to succeed (a multi-key
+    /// write has no quorum semantics — a failed sub-batch fails the
+    /// request).
     fn run_grouped<T: Send + 'static>(
         &self,
         tasks: Vec<FanOutTask<Vec<(usize, T)>, EspressoError>>,
@@ -458,10 +480,11 @@ impl EspressoCluster {
     }
 
     /// GET many documents in one routed request: keys are grouped by
-    /// master node against the watch-cached assignment and each node's
-    /// sub-batch runs as one fan-out task (parallel across nodes when the
-    /// cluster is in Parallel mode). Results come back in input order.
-    /// Requests are counted per document, so router accounting is
+    /// master node against the watch-cached assignment, and each node's
+    /// keys are read with one [`StorageNode::get_documents`] call on the
+    /// calling thread, whatever the fan-out mode — an in-process read is
+    /// cheaper than a hand-off to the pool. Results come back in input
+    /// order. Requests are counted per document, so router accounting is
     /// invariant to how callers batch.
     pub fn multi_get(
         &self,
@@ -469,34 +492,28 @@ impl EspressoCluster {
         table: &str,
         keys: Vec<RowKey>,
     ) -> Result<Vec<Option<(Record, Row)>>, EspressoError> {
-        let total = keys.len();
-        self.metrics.requests.add(total as u64);
+        self.metrics.requests.add(keys.len() as u64);
         let _timer = self.metrics.request_latency.start_timer();
-        let groups = self.group_by_master(db, keys.into_iter().map(|k| (k, ())).collect())?;
-        let mut tasks = Vec::with_capacity(groups.len());
-        for (node_id, group) in groups {
+        let mut docs = vec![None; keys.len()];
+        for (node_id, group) in self.group_by_master(db, keys.iter().map(|key| (key, ())))? {
             let node = self.node(node_id)?;
-            let db = db.to_string();
-            let table = table.to_string();
-            tasks.push(FanOutTask::new(u64::from(node_id.0), move || {
-                group
-                    .into_iter()
-                    .map(|(index, key, ())| {
-                        node.get_document(&db, &table, &key).map(|doc| (index, doc))
-                    })
-                    .collect()
-            }));
+            let found = node.get_documents(db, table, group.iter().map(|(_, key, ())| *key))?;
+            for ((index, ..), doc) in group.into_iter().zip(found) {
+                docs[index] = doc;
+            }
         }
-        self.run_grouped(tasks, total)
+        Ok(docs)
     }
 
     /// PUT many documents in one routed request — the streaming
-    /// population loader's batched write path. Same grouping and
-    /// execution as [`Self::multi_get`]; returns the new etags in input
-    /// order. Documents for *different* master nodes land independently
-    /// (no cross-node transaction — a failed sub-batch fails the call,
-    /// but sub-batches that already applied stay applied, exactly like
-    /// issuing the PUTs singly).
+    /// population loader's batched write path. Keys are grouped by master
+    /// node as in [`Self::multi_get`], and each node's sub-batch runs as
+    /// one fan-out task (parallel across nodes when the cluster is in
+    /// Parallel mode). Returns the new etags in input order. Documents
+    /// for *different* master nodes land independently (no cross-node
+    /// transaction — a failed sub-batch fails the call, but sub-batches
+    /// that already applied stay applied, exactly like issuing the PUTs
+    /// singly).
     pub fn multi_put(
         &self,
         db: &str,
@@ -811,15 +828,19 @@ mod tests {
 
     #[test]
     fn deterministic_multi_key_requests_spawn_no_pool() {
-        let cluster = cluster_with_db(2);
-        seed_members(&cluster, 10);
-        let keys: Vec<RowKey> = (0..10)
-            .map(|m| RowKey::new([format!("member-{m}").as_str()]))
-            .collect();
-        cluster.multi_get(DB, "Profile", keys).unwrap();
-        assert!(
-            cluster.fan_out_pool.get().is_none(),
-            "Deterministic mode must not lazily create the fan-out pool"
-        );
+        // Reads never use the pool, in either mode.
+        for mode in [FanOutMode::Deterministic, FanOutMode::Parallel] {
+            let cluster = cluster_with_db(2);
+            cluster.set_fan_out_mode(mode);
+            seed_members(&cluster, 10);
+            let keys: Vec<RowKey> = (0..10)
+                .map(|m| RowKey::new([format!("member-{m}").as_str()]))
+                .collect();
+            cluster.multi_get(DB, "Profile", keys).unwrap();
+            assert!(
+                cluster.fan_out_pool.get().is_none(),
+                "a {mode:?} multi_get must not lazily create the fan-out pool"
+            );
+        }
     }
 }

@@ -177,6 +177,33 @@ impl StorageNode {
         index.index_document(key, fields);
     }
 
+    /// Tables of `db` whose replicated rows are decoded to keep the local
+    /// index: the latest document schema indexes a field, or the index
+    /// still holds documents. A row of any other table would decode only
+    /// to index no term.
+    fn tables_to_index(&self, db: &str) -> HashSet<String> {
+        let Ok(schema) = self.schema(db) else {
+            return HashSet::new();
+        };
+        let schema = schema.read();
+        let indexes = self.indexes.lock();
+        schema
+            .tables
+            .keys()
+            .filter(|table| {
+                let indexes_a_field = schema
+                    .documents
+                    .latest(table)
+                    .is_ok_and(|doc| doc.indexed_fields().next().is_some());
+                let holds_documents = indexes
+                    .get(&qualified(db, table))
+                    .is_some_and(|index| index.doc_count() > 0);
+                indexes_a_field || holds_documents
+            })
+            .cloned()
+            .collect()
+    }
+
     fn unindex(&self, db: &str, table: &str, key: &RowKey) {
         if let Some(index) = self.indexes.lock().get_mut(&qualified(db, table)) {
             index.remove_document(key);
@@ -322,13 +349,37 @@ impl StorageNode {
         table: &str,
         key: &RowKey,
     ) -> Result<Option<(Record, Row)>, EspressoError> {
-        match self.store.get(&qualified(db, table), key)? {
-            None => Ok(None),
-            Some(row) => {
-                let record = self.decode_document(db, table, &row)?;
+        Ok(self.get_documents(db, table, [key])?.pop().flatten())
+    }
+
+    /// Reads documents of one table plus their metadata rows, in `keys`
+    /// order. The table name is qualified, the schema read-locked and the
+    /// reader schema looked up once per call; a writer schema is looked up
+    /// only for a row stored under an older version.
+    pub fn get_documents<'k>(
+        &self,
+        db: &str,
+        table: &str,
+        keys: impl IntoIterator<Item = &'k RowKey>,
+    ) -> Result<Vec<Option<(Record, Row)>>, EspressoError> {
+        let name = qualified(db, table);
+        let schema = self.schema(db)?;
+        let schema = schema.read();
+        let reader = schema.documents.latest(table)?;
+        keys.into_iter()
+            .map(|key| {
+                let Some(row) = self.store.get(&name, key)? else {
+                    return Ok(None);
+                };
+                let record = if row.schema_version == reader.version {
+                    li_commons::schema::decode(&reader, &row.value)?
+                } else {
+                    let writer = schema.documents.get(table, row.schema_version)?;
+                    li_commons::schema::resolve(&writer, &reader, &row.value)?
+                };
                 Ok(Some((record, row)))
-            }
-        }
+            })
+            .collect()
     }
 
     /// Reads a collection: every document under `prefix`, in key order.
@@ -422,7 +473,8 @@ impl StorageNode {
             })
             .collect();
         self.store.apply_changes(&changes)?;
-        for (table, key, row) in &rows {
+        let to_index = self.tables_to_index(db);
+        for (table, key, row) in rows.iter().filter(|(table, ..)| to_index.contains(table)) {
             if let Ok(record) = self.decode_document(db, table, row) {
                 self.index_record(db, table, key, &record);
             }
@@ -479,6 +531,10 @@ impl StorageNode {
         let windows = source_relay
             .events_after_shared(checkpoint, usize::MAX, &filter)
             .map_err(|e| EspressoError::Replication(e.to_string()))?;
+        if windows.is_empty() {
+            return Ok(0);
+        }
+        let to_index = self.tables_to_index(db);
         let mut applied = 0;
         for window in &windows {
             self.store.apply_changes(&window.changes)?;
@@ -488,11 +544,12 @@ impl StorageNode {
                     continue;
                 };
                 match &change.op {
-                    Op::Put(row) => {
+                    Op::Put(row) if to_index.contains(table) => {
                         if let Ok(record) = self.decode_document(db_name, table, row) {
                             self.index_record(db_name, table, &change.key, &record);
                         }
                     }
+                    Op::Put(_) => {}
                     Op::Delete => self.unindex(db_name, table, &change.key),
                 }
             }

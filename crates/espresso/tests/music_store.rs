@@ -6,6 +6,7 @@ use li_commons::ring::{NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
 use li_espresso::{DatabaseSchema, EspressoCluster, EspressoError, TableSchema};
 use li_sqlstore::RowKey;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn artist_schema() -> RecordSchema {
@@ -328,6 +329,15 @@ fn schema_evolution_reads_old_documents() {
     let cluster = cluster(2, 4, 1);
     let key = RowKey::new(["Akon", "Trouble"]);
     cluster.put("Music", "Album", key.clone(), &album(2004)).unwrap();
+    let debuts: Vec<RowKey> = ["Babyface", "Coolio", "Dido", "Eminem", "Fugees", "Garbage"]
+        .into_iter()
+        .map(|artist| RowKey::new([artist, "Debut"]))
+        .collect();
+    for debut in &debuts {
+        cluster
+            .put("Music", "Album", debut.clone(), &album(1999))
+            .unwrap();
+    }
 
     // Evolve: add a rating field with a default.
     {
@@ -342,6 +352,40 @@ fn schema_evolution_reads_old_documents() {
     // Old document resolves under the new schema with the default.
     let hits = cluster.get_uri("/Music/Album/Akon/Trouble").unwrap();
     assert_eq!(hits[0].1.get("rating"), Some(&Value::Long(0)));
+
+    // One multi_get over a v1 row, a v2 row, a missing key and keys on
+    // every master reads, slot by slot, exactly what `get` reads.
+    let v2_key = RowKey::new(["Dido", "Second"]);
+    let v2_album = album(2001).with("rating", Value::Long(3));
+    cluster
+        .put("Music", "Album", v2_key.clone(), &v2_album)
+        .unwrap();
+    let mut request = vec![
+        key.clone(),
+        v2_key.clone(),
+        RowKey::new(["Nobody", "Nothing"]),
+    ];
+    request.extend(debuts.iter().cloned());
+    let masters: BTreeSet<NodeId> = request
+        .iter()
+        .map(|k| cluster.route("Music", k.resource_id().unwrap()).unwrap().1)
+        .collect();
+    assert_eq!(masters, BTreeSet::from([NodeId(0), NodeId(1)]));
+    let docs = cluster
+        .multi_get("Music", "Album", request.clone())
+        .unwrap();
+    assert_eq!(docs.len(), request.len());
+    for (k, doc) in request.iter().zip(&docs) {
+        assert_eq!(doc, &cluster.get("Music", "Album", k).unwrap(), "key {k:?}");
+    }
+    let (v1_doc, v1_row) = docs[0].as_ref().unwrap();
+    assert_eq!(
+        (v1_row.schema_version, v1_doc.get("rating")),
+        (1, Some(&Value::Long(0)))
+    );
+    let (v2_doc, v2_row) = docs[1].as_ref().unwrap();
+    assert_eq!((v2_row.schema_version, v2_doc), (2, &v2_album));
+    assert!(docs[2].is_none());
 
     // New writes carry the new version and can set the field.
     let v2_doc = album(2004).with("rating", Value::Long(5));

@@ -392,13 +392,20 @@ impl Database {
         self.put_one(table, key, value, schema_version)
     }
 
-    /// Point read of the committed row image.
+    /// Point read of the committed row image. The row stripe is probed
+    /// first; the table registry is read only when the stripe holds no
+    /// such table, to tell an unknown table from a missing row.
     pub fn get(&self, table: &str, key: &RowKey) -> Result<Option<Row>, DbError> {
+        {
+            let stripe = self.rows.lock(&(table, key));
+            if let Some(rows) = stripe.get(table) {
+                return Ok(rows.get(key).cloned());
+            }
+        }
         if !self.tables.read().contains(table) {
             return Err(DbError::UnknownTable(table.into()));
         }
-        let stripe = self.rows.lock(&(table, key));
-        Ok(stripe.get(table).and_then(|t| t.get(key)).cloned())
+        Ok(None)
     }
 
     /// Prefix scan returning cloned rows in key order: a filtered pass over

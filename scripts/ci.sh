@@ -54,6 +54,15 @@ if [ "$(grep -c 'FanOutTask::new' <<<"$client_seam")" -ne 1 ] \
   echo "ci.sh: voldemort client.rs reaches a replica outside ReplicaLink" >&2
   exit 1
 fi
+# Espresso reads stay inline: outside its test module the router builds
+# fan-out tasks in one place, `multi_put`; `multi_get` reads each master's
+# keys on the calling thread.
+espresso_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/espresso/src/cluster.rs)"
+if [ "$(grep -c 'FanOutTask::new' <<<"$espresso_seam")" -ne 1 ] \
+  || [ "$(sed -n '/pub fn multi_put(/,/^    }$/p' <<<"$espresso_seam" | grep -c 'FanOutTask::new')" -ne 1 ]; then
+  echo "ci.sh: espresso cluster.rs builds a fan-out task outside multi_put" >&2
+  exit 1
+fi
 
 # One site: the chaos sweep runs the real `DataPlatform`, so no second
 # site is assembled by hand in tests/chaos.rs, and the platform builds no
