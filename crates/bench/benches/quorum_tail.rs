@@ -1,44 +1,43 @@
 //! Experiment C-22 (DESIGN.md / EXPERIMENTS.md): quorum tail latency —
-//! serial walk vs parallel fan-out vs hedged reads.
+//! quorum width vs fan-out to all vs hedged reads.
 //!
 //! Paper §II.B: Voldemort reads are quorum reads against the key's
-//! preference list. A client that walks replicas *serially* puts one
-//! slow replica on the whole request's critical path. The fan-out
-//! executor contacts replicas concurrently and completes at R acks; a
-//! hedged read keeps the contact budget at R and launches one backup
-//! request only after a quantile-derived delay (Dean & Barroso's
-//! "tail at scale" scheme).
+//! preference list. A read that contacts only R replicas puts a slow one
+//! among them on the request's critical path. Contacting every replica
+//! and completing at the R earliest replies masks it; a hedged read keeps
+//! the contact budget at R and launches one backup request only after a
+//! quantile-derived delay (Dean & Barroso's "tail at scale" scheme).
 //!
 //! Workload: a 6-node cluster (N=3, R=2, W=2), client→replica links at
 //! 100µs, with **one replica that stalls at 2ms for a seeded 10% of
 //! requests** (a GC-pause / hiccup model — rare enough that the latency
 //! histogram's p95, which sets the hedge delay, stays fast). All three
-//! modes replay the identical stall schedule with real sleeps
-//! (`simulate_latency`), so completion order is decided by link latency.
+//! modes replay the identical stall schedule. Each row is the client's
+//! own simulated critical path (`QuorumStats::sim_latency`: when the
+//! R-th earliest reply completed), so the numbers are exact and the same
+//! on every host.
 //!
-//! * **serial** — `FanOutMode::Deterministic`, quorum width: R replicas
-//!   contacted inline, one after the other, each link slept in turn.
-//! * **parallel** — `FanOutMode::Parallel`, `ReadFanOut::All`: contact
-//!   every replica, return at R. Masks the stall at +N/R× replica load.
-//! * **hedged** — `FanOutMode::Parallel`, quorum width + `HedgeConfig`:
-//!   masks the stall for ~the price of the stall rate in extra load.
+//! * **quorum** — quorum width, no hedge: R replicas contacted.
+//! * **parallel** — `ReadFanOut::All`: contact every replica, return at
+//!   R. Masks the stall at +N/R× replica load.
+//! * **hedged** — quorum width + `HedgeConfig`: masks the stall for
+//!   ~the price of the stall rate in extra load.
 //!
-//! Acceptance: parallel p99 ≥ 2× better than serial; hedged p999 ≥ 2×
-//! better than serial with ≤ ~5% mean replica load increase over serial.
-//! Prints a JSON line; EXPERIMENTS.md C-22 records a single shot of it
-//! (1-core host, 2026-08-06).
+//! Acceptance: parallel p99 ≥ 2× better than quorum width; hedged p999
+//! ≥ 2× better than quorum width with ≤ ~5% mean replica load increase.
+//! Prints a JSON line, which EXPERIMENTS.md C-22 records.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use li_commons::ring::{HashRing, NodeId};
 use li_commons::sim::{SimClock, SimNetwork};
 use li_voldemort::{
-    FanOutMode, HedgeConfig, QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster,
+    HedgeConfig, QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster,
 };
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const NODES: u16 = 6;
 const KEYS: usize = 64;
@@ -67,8 +66,8 @@ fn build_cluster() -> (Arc<VoldemortCluster>, Vec<Vec<u8>>) {
             .network()
             .set_link_latency(StoreClient::CLIENT_NODE, *node, BASE_LATENCY);
     }
-    // Seed every key on its full preference list before any timing: the
-    // Deterministic mode replicates the whole wave inline.
+    // Seed every key on its full preference list before any reads: a put
+    // attempts every replica.
     let writer = cluster.client("s").unwrap();
     let keys: Vec<Vec<u8>> = (0..KEYS).map(|j| format!("q{j}").into_bytes()).collect();
     for key in &keys {
@@ -114,25 +113,21 @@ fn run_mode(
             if on { STALL_LATENCY } else { BASE_LATENCY },
         );
     };
-    // Warm the replica-latency histogram (it derives the hedge delay) and
-    // the pool before timing anything.
+    // Warm the replica-latency histogram (it derives the hedge delay)
+    // before measuring anything.
     for i in 0..WARMUP {
         stall(rng.random::<f64>() < STALL_PROBABILITY);
         client.get(&keys[i % keys.len()]).unwrap();
     }
-    cluster.fan_out_pool().wait_idle();
 
     let before = cluster.metrics().snapshot();
     let mut latencies: Vec<Duration> = Vec::with_capacity(SAMPLES);
     for i in 0..SAMPLES {
         stall(rng.random::<f64>() < STALL_PROBABILITY);
-        let key = &keys[i % keys.len()];
-        let start = Instant::now();
-        black_box(client.get(key).unwrap());
-        latencies.push(start.elapsed());
+        let (_, stats) = client.get_with_stats(&keys[i % keys.len()]).unwrap();
+        latencies.push(stats.sim_latency);
     }
     stall(false);
-    cluster.fan_out_pool().wait_idle();
     let delta = cluster.metrics().snapshot().delta(&before);
 
     let replica_gets: u64 = (0..NODES)
@@ -162,50 +157,13 @@ fn bench_quorum_tail(c: &mut Criterion) {
     );
     let (cluster, keys) = build_cluster();
 
-    let serial = run_mode(
-        &cluster,
-        &keys,
-        "serial",
-        QuorumConfig {
-            mode: FanOutMode::Deterministic,
-            simulate_latency: true,
-            ..QuorumConfig::default()
-        },
-    );
-    let parallel = run_mode(
-        &cluster,
-        &keys,
-        "parallel",
-        QuorumConfig {
-            mode: FanOutMode::Parallel,
-            read_fan_out: ReadFanOut::All,
-            simulate_latency: true,
-            ..QuorumConfig::default()
-        },
-    );
-    let hedged = run_mode(
-        &cluster,
-        &keys,
-        "hedged",
-        QuorumConfig {
-            mode: FanOutMode::Parallel,
-            hedge: Some(HedgeConfig {
-                // 4x the base link latency: far enough above real-sleep
-                // scheduling jitter that hedges fire on genuine stalls, not
-                // on thread wake-up noise; still 5x under the 2ms stall.
-                min_delay: Duration::from_micros(400),
-                ..HedgeConfig::default()
-            }),
-            simulate_latency: true,
-            ..QuorumConfig::default()
-        },
-    );
-
+    let [quorum, parallel, hedged] =
+        modes().map(|(label, config)| run_mode(&cluster, &keys, label, config));
     println!(
         "{:<10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10}",
         "mode", "p50", "p99", "p999", "mean", "load/rd", "hedges", "hedge_won"
     );
-    for stats in [&serial, &parallel, &hedged] {
+    for stats in [&quorum, &parallel, &hedged] {
         println!(
             "{:<10} {:>10.1?} {:>10.1?} {:>10.1?} {:>10.1?} {:>8.2} {:>8} {:>10}",
             stats.label,
@@ -219,15 +177,15 @@ fn bench_quorum_tail(c: &mut Criterion) {
         );
     }
     println!(
-        "\nacceptance: parallel p99 {:.1}x serial (need >= 2), hedged p999 {:.1}x serial \
-         (need >= 2) at {:+.1}% replica load vs serial (need <= ~5%)\n",
-        serial.p99.as_secs_f64() / parallel.p99.as_secs_f64().max(1e-9),
-        serial.p999.as_secs_f64() / hedged.p999.as_secs_f64().max(1e-9),
-        (hedged.load_per_read / serial.load_per_read - 1.0) * 100.0
+        "\nacceptance: parallel p99 {:.1}x quorum width (need >= 2), hedged p999 {:.1}x \
+         quorum width (need >= 2) at {:+.1}% replica load (need <= ~5%)\n",
+        quorum.p99.as_secs_f64() / parallel.p99.as_secs_f64().max(1e-9),
+        quorum.p999.as_secs_f64() / hedged.p999.as_secs_f64().max(1e-9),
+        (hedged.load_per_read / quorum.load_per_read - 1.0) * 100.0
     );
     // Machine-readable snapshot.
     print!("{{\"results\":[");
-    for (i, stats) in [&serial, &parallel, &hedged].iter().enumerate() {
+    for (i, stats) in [&quorum, &parallel, &hedged].iter().enumerate() {
         if i > 0 {
             print!(",");
         }
@@ -247,7 +205,7 @@ fn bench_quorum_tail(c: &mut Criterion) {
     println!("]}}\n");
 
     // A small criterion group so the three paths also show up in the
-    // standard report (fast key, no stalls — steady-state overhead only).
+    // standard report: the CPU cost of one read (fast key, no stalls).
     let mut group = c.benchmark_group("quorum_tail");
     group.sample_size(20);
     let fast_key = keys
@@ -261,44 +219,34 @@ fn bench_quorum_tail(c: &mut Criterion) {
         })
         .cloned()
         .unwrap_or_else(|| keys[0].clone());
-    for (label, config) in [
-        (
-            "serial",
-            QuorumConfig {
-                mode: FanOutMode::Deterministic,
-                simulate_latency: true,
-                ..QuorumConfig::default()
-            },
-        ),
-        (
-            "parallel_all",
-            QuorumConfig {
-                mode: FanOutMode::Parallel,
-                read_fan_out: ReadFanOut::All,
-                simulate_latency: true,
-                ..QuorumConfig::default()
-            },
-        ),
-        (
-            "hedged",
-            QuorumConfig {
-                mode: FanOutMode::Parallel,
-                hedge: Some(HedgeConfig {
-                    min_delay: Duration::from_micros(400),
-                    ..HedgeConfig::default()
-                }),
-                simulate_latency: true,
-                ..QuorumConfig::default()
-            },
-        ),
-    ] {
+    for (label, config) in modes() {
         let client = cluster.client("s").unwrap().with_quorum_config(config);
         group.bench_function(label, |b| {
             b.iter(|| black_box(client.get(&fast_key).unwrap()))
         });
     }
     group.finish();
-    cluster.fan_out_pool().wait_idle();
+}
+
+/// The three read configurations compared, in table order.
+fn modes() -> [(&'static str, QuorumConfig); 3] {
+    [
+        ("quorum", QuorumConfig::default()),
+        (
+            "parallel",
+            QuorumConfig {
+                read_fan_out: ReadFanOut::All,
+                ..QuorumConfig::default()
+            },
+        ),
+        (
+            "hedged",
+            QuorumConfig {
+                hedge: Some(HedgeConfig::default()),
+                ..QuorumConfig::default()
+            },
+        ),
+    ]
 }
 
 criterion_group! {

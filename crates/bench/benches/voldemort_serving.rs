@@ -90,7 +90,7 @@ fn bench_readonly_vs_readwrite_reads(c: &mut Criterion) {
     let build = t.elapsed();
     let t = std::time::Instant::now();
     for store in &ro_stores {
-        store.pull(&out.node_dir(store.node()), 1, None).unwrap();
+        store.pull(&out.node_dir(store.node()), 1).unwrap();
     }
     let pull = t.elapsed();
     let t = std::time::Instant::now();

@@ -453,7 +453,7 @@ impl DataPlatform {
             .map_err(wrap)?;
         for store in &tier.stores {
             store
-                .pull(&out.node_dir(store.node()), version, None)
+                .pull(&out.node_dir(store.node()), version)
                 .map_err(wrap)?;
         }
         for store in &tier.stores {

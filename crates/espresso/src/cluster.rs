@@ -15,7 +15,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock, Weak};
 
-use li_commons::exec::{fan_out, FanOutMode, FanOutOptions, FanOutPool, FanOutTask};
+use li_commons::exec::{run_all, FanOutMode, FanOutPool, FanOutTask};
 use li_commons::metrics::{Counter, Histo, MetricsRegistry};
 use li_commons::ring::{NodeId, PartitionId};
 use li_commons::schema::Record;
@@ -438,47 +438,6 @@ impl EspressoCluster {
         Ok(groups)
     }
 
-    /// Runs one already-built [`Self::multi_put`] fan-out: one task per
-    /// master node, each returning its sub-batch results tagged with
-    /// original indices. Requires every task to succeed (a multi-key
-    /// write has no quorum semantics — a failed sub-batch fails the
-    /// request).
-    fn run_grouped<T: Send + 'static>(
-        &self,
-        tasks: Vec<FanOutTask<Vec<(usize, T)>, EspressoError>>,
-        total: usize,
-    ) -> Result<Vec<T>, EspressoError> {
-        let mode = self.fan_out_mode();
-        let required = tasks.len();
-        let pool = matches!(mode, FanOutMode::Parallel).then(|| self.fan_out_pool());
-        let opts = FanOutOptions {
-            mode,
-            required,
-            ..Default::default()
-        };
-        let mut report = fan_out(pool, &opts, tasks, Vec::new(), None, None);
-        if let Some((_, err)) = report.fatal.take() {
-            return Err(err);
-        }
-        if let Some((_, err)) = report.failures.into_iter().next() {
-            return Err(err);
-        }
-        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(total).collect();
-        for (_, group) in report.quorum.into_iter().chain(report.extras) {
-            for (index, value) in group {
-                slots[index] = Some(value);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.ok_or_else(|| {
-                    EspressoError::Cluster("multi-key fan-out dropped a sub-batch".into())
-                })
-            })
-            .collect()
-    }
-
     /// GET many documents in one routed request: keys are grouped by
     /// master node against the watch-cached assignment, and each node's
     /// keys are read with one [`StorageNode::get_documents`] call on the
@@ -529,17 +488,26 @@ impl EspressoCluster {
             let node = self.node(node_id)?;
             let db = db.to_string();
             let table = table.to_string();
-            tasks.push(FanOutTask::new(u64::from(node_id.0), move || {
+            tasks.push(FanOutTask::new(move || {
                 group
                     .into_iter()
                     .map(|(index, key, record)| {
                         node.put_document(&db, &table, key, &record)
                             .map(|etag| (index, etag))
                     })
-                    .collect()
+                    .collect::<Result<Vec<_>, EspressoError>>()
             }));
         }
-        self.run_grouped(tasks, total)
+        // Every sub-batch runs; a failed one fails the request (a
+        // multi-key write has no quorum semantics).
+        let pool = matches!(self.fan_out_mode(), FanOutMode::Parallel).then(|| self.fan_out_pool());
+        let mut etags = vec![0; total];
+        for group in run_all(pool, tasks) {
+            for (index, etag) in group? {
+                etags[index] = etag;
+            }
+        }
+        Ok(etags)
     }
 
     /// GET a collection resource.

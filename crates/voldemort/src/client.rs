@@ -14,33 +14,30 @@
 //! performs read repair on stale replicas, and parks hinted-handoff writes
 //! on fallback nodes when replicas are unreachable.
 //!
-//! # Parallel quorum I/O
+//! # Quorums on simulated time
 //!
-//! Replica requests go through the [`li_commons::exec`] fan-out executor:
-//! the call completes as soon as R (or W) replicas acknowledge, and
-//! stragglers are demoted to background read repair (gets) or hinted
-//! handoff (puts) instead of adding their latency to the caller. The
-//! execution strategy is chosen per client via [`QuorumConfig`]:
-//!
-//! * [`FanOutMode::Deterministic`] (default) — replayable inline
-//!   execution; simulated latencies overlap by accounting (the reported
-//!   [`QuorumStats::sim_latency`] is the R-th fastest replica, not the
-//!   sum), which is what the chaos harness replays byte-identically.
-//! * [`FanOutMode::Parallel`] — real worker threads from the cluster's
-//!   shared pool, with optional per-node deadlines
-//!   ([`QuorumConfig::per_node_timeout`], fed into the failure detector as
-//!   failures so slow nodes back off to banned) and *hedged reads*
-//!   ([`QuorumConfig::hedge`]: after a quantile-derived delay, one backup
-//!   request goes to the next replica; `get.hedged` / `get.hedge_won`
-//!   count the rate and usefulness).
+//! A quorum completes at the R (or W) fastest replicas, as in the paper:
+//! a slow replica is masked by the quorum instead of adding its latency
+//! to every request. The client computes that race rather than running
+//! it. Every replica call of a wave runs inline on the calling thread, in
+//! preference order, and each reply carries its simulated completion time
+//! (the link latency from [`li_commons::sim::SimNetwork`], offset by when
+//! the call started). The R earliest successes form the quorum, and the
+//! R-th of them is the request's [`QuorumStats::sim_latency`]. A reply
+//! that completes later is a straggler and goes where the paper sends it:
+//! a get straggler is read-repaired, and a put straggler that failed
+//! parks a hinted handoff. A failure pulls in the next replica as a
+//! backup, started when the failure completed, and a hedged read
+//! ([`QuorumConfig::hedge`]) starts one backup at its delay if the quorum
+//! is still unmet by then. Because nothing sleeps and nothing runs on
+//! another thread, a run is a pure function of its inputs and the
+//! network's seed, which is what the chaos harness replays.
 
 use bytes::Bytes;
 use li_commons::clock::{resolve_siblings, VectorClock, Versioned};
-pub use li_commons::exec::FanOutMode;
-use li_commons::exec::{fan_out, FanOutOptions, FanOutPool, FanOutTask, LateHandler};
 use li_commons::metrics::{Counter, Histo};
 use li_commons::ring::NodeId;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cluster::VoldemortCluster;
@@ -69,10 +66,6 @@ pub trait Transform: Send + Sync {
 /// `None` to abort.
 pub type UpdateAction<'a> = &'a dyn Fn(&[Versioned<Bytes>]) -> Option<Bytes>;
 
-/// Late-straggler handler for a fan-out of [`ReplicaLink::task`]s, whose
-/// replies are the simulated link latency plus the op's value.
-type LateReplyHandler<T> = LateHandler<(Duration, T), VoldemortError>;
-
 /// Which side coordinates requests. "Voldemort supports both server and
 /// client side routing by moving the routing and associated modules"
 /// (§II.B): with client-side routing the client talks to every replica
@@ -99,10 +92,9 @@ pub enum ReadFanOut {
     All,
 }
 
-/// Hedged-read tuning: if the quorum is unmet after a delay derived from
-/// the observed replica latency distribution, one backup request goes to
-/// the next untried replica. Only meaningful under
-/// [`FanOutMode::Parallel`].
+/// Hedged-read tuning: if the quorum is still unmet at a simulated delay
+/// derived from the observed replica latency distribution, one backup
+/// request goes to the next untried replica, started at that delay.
 #[derive(Debug, Clone)]
 pub struct HedgeConfig {
     /// Latency quantile the delay is derived from (e.g. 0.95: hedge when
@@ -125,42 +117,34 @@ impl Default for HedgeConfig {
     }
 }
 
-/// Per-client quorum I/O tuning. The default — deterministic inline
-/// fan-out, quorum-sized read fan-out, no deadlines, no hedging, no
-/// latency sleeping — reproduces the exact request sequence of the
-/// pre-parallel client, which is what seeded chaos replays depend on.
+/// Per-client quorum I/O tuning. The default — quorum-sized read fan-out,
+/// no deadlines, no hedging — contacts exactly the replicas the quorum
+/// needs.
 #[derive(Debug, Clone, Default)]
 pub struct QuorumConfig {
-    /// Execution strategy (see [`FanOutMode`]).
-    pub mode: FanOutMode,
     /// Read fan-out width (see [`ReadFanOut`]).
     pub read_fan_out: ReadFanOut,
     /// Per-node deadline: a replica whose simulated latency exceeds this
-    /// counts as failed (`VoldemortError::Timeout`) and is reported to the
-    /// failure detector, so persistently slow nodes get banned and backed
-    /// off exactly like dead ones.
+    /// counts as failed (`VoldemortError::Timeout`, completing at the
+    /// deadline) and is reported to the failure detector, so persistently
+    /// slow nodes get banned and backed off exactly like dead ones.
     pub per_node_timeout: Option<Duration>,
-    /// Hedged-read tuning (Parallel mode only).
+    /// Hedged-read tuning (see [`HedgeConfig`]).
     pub hedge: Option<HedgeConfig>,
-    /// Sleep the simulated per-link latency on each replica call (used by
-    /// benchmarks so wall-clock percentiles reflect the simulated
-    /// network; tests leave this off and read the accounted
-    /// [`QuorumStats::sim_latency`] instead).
-    pub simulate_latency: bool,
 }
 
 /// What one quorum operation observed — the accounting the chaos harness
 /// checks its R-th-fastest-replica bound against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuorumStats {
-    /// Simulated completion latency: the R-th smallest replica latency
-    /// among the successes (replicas overlap).
+    /// Simulated completion latency: when the R-th earliest success
+    /// completed.
     pub sim_latency: Duration,
     /// Replica requests launched (primaries + backups + hedges).
     pub contacted: usize,
     /// Hedge requests launched.
     pub hedges: usize,
-    /// Hedge requests whose response completed the quorum.
+    /// Hedge requests whose reply was among the R earliest successes.
     pub hedge_wins: usize,
 }
 
@@ -207,9 +191,7 @@ impl ClientMetrics {
 /// The one way a client reaches a replica: what every replica request of a
 /// client shares, fixed once the client is built
 /// ([`StoreClient::with_server_routing`] and
-/// [`StoreClient::with_quorum_config`] are the only writers). Held in an
-/// `Arc`, so a fan-out task captures one refcount.
-#[derive(Clone)]
+/// [`StoreClient::with_quorum_config`] are the only writers).
 struct ReplicaLink {
     cluster: Arc<VoldemortCluster>,
     store: String,
@@ -217,7 +199,48 @@ struct ReplicaLink {
     /// coordinator under server-side routing.
     origin: NodeId,
     per_node_timeout: Option<Duration>,
-    simulate_latency: bool,
+}
+
+/// One replica's reply on a quorum wave's simulated timeline.
+struct Reply<T> {
+    node: NodeId,
+    /// When the reply completed, measured from the start of the wave.
+    done: Duration,
+    /// Whether this was the wave's hedge request.
+    hedge: bool,
+    /// The link latency with the op's value, or the failure.
+    outcome: Result<(Duration, T), VoldemortError>,
+}
+
+/// What one quorum wave observed.
+struct Wave<T> {
+    /// Every launched call's reply, in launch order — which is preference
+    /// order, since backups are launched in the order they were passed.
+    replies: Vec<Reply<T>>,
+    /// When the `required`-th earliest success completed: the wave's
+    /// simulated critical path. `None` when fewer replies succeeded.
+    quorum_at: Option<Duration>,
+    /// Whether the hedge's reply was among the `required` earliest
+    /// successes.
+    hedge_won: bool,
+}
+
+impl<T> Wave<T> {
+    /// A reply that completed after the quorum: the caller did not wait
+    /// for it.
+    fn is_straggler(&self, reply: &Reply<T>) -> bool {
+        self.quorum_at.is_some_and(|at| reply.done > at)
+    }
+}
+
+/// An application-level rejection: a property of the store or of the
+/// version being written, not of the replica, so no other replica would
+/// answer differently and the wave stops.
+fn is_fatal(e: &VoldemortError) -> bool {
+    matches!(
+        e,
+        VoldemortError::ObsoleteVersion | VoldemortError::UnsupportedOperation(_)
+    )
 }
 
 impl ReplicaLink {
@@ -231,8 +254,7 @@ impl ReplicaLink {
     /// simulated link latency with `op`'s value. Every outcome feeds the
     /// failure detector. A *timed* call is one the caller waits on (the
     /// coordinator hop, the quorum waves): it enforces the per-node
-    /// deadline and sleeps the link when latency is simulated. Repairs,
-    /// hints, heals and shadow probes are untimed.
+    /// deadline. Repairs, hints, heals and shadow probes are untimed.
     fn call<T>(
         &self,
         node: NodeId,
@@ -245,20 +267,12 @@ impl ReplicaLink {
             detector.record_failure(node);
             VoldemortError::Net(node, net)
         })?;
-        if timed {
-            if let Some(deadline) = self.per_node_timeout.filter(|d| latency > *d) {
-                // The caller gives up at the deadline (sleep only that
-                // long) and the slow node is penalized like a dead one, so
-                // the detector's ban/backoff covers chronic stragglers too.
-                if self.simulate_latency {
-                    std::thread::sleep(deadline);
-                }
-                detector.record_failure(node);
-                return Err(VoldemortError::Timeout(node));
-            }
-            if self.simulate_latency {
-                std::thread::sleep(latency);
-            }
+        if timed && self.per_node_timeout.is_some_and(|deadline| latency > deadline) {
+            // The caller gives up at the deadline and the slow node is
+            // penalized like a dead one, so the detector's ban/backoff
+            // covers chronic stragglers too.
+            detector.record_failure(node);
+            return Err(VoldemortError::Timeout(node));
         }
         let result = op(&server);
         // An application-level rejection (e.g. ObsoleteVersion) is a
@@ -267,18 +281,103 @@ impl ReplicaLink {
         result.map(|value| (latency, value))
     }
 
-    /// The fan-out task that runs `op` (handed the store name) on `node`
-    /// as a timed call. `'static` because Parallel mode stragglers may
-    /// outlive the operation that launched them.
-    fn task<T>(
-        self: &Arc<Self>,
-        node: NodeId,
-        op: impl FnOnce(&VoldemortNode, &str) -> Result<T, VoldemortError> + Send + 'static,
-    ) -> FanOutTask<(Duration, T), VoldemortError> {
-        let link = Arc::clone(self);
-        FanOutTask::new(u64::from(node.0), move || {
-            link.call(node, true, |server| op(server, &link.store))
-        })
+    /// Runs `op` (handed the store name) on replicas as one quorum wave on
+    /// simulated time. Every call is a timed [`Self::call`] made inline, so
+    /// the network's RNG is consumed in an order fixed by the inputs.
+    ///
+    /// `primary` all start at 0. A failure that completes before
+    /// `required` successes have pulls in the next of `backups`, started
+    /// when the failure completed: a `Net` error completes at 0 and a
+    /// `Timeout` at the deadline. With a `hedge` delay, one backup starts
+    /// at that delay if the quorum is still unmet by then. A fatal reply
+    /// ([`is_fatal`]) stops the wave.
+    fn wave<T>(
+        &self,
+        primary: &[NodeId],
+        backups: &[NodeId],
+        required: usize,
+        hedge: Option<Duration>,
+        op: impl Fn(&VoldemortNode, &str) -> Result<T, VoldemortError>,
+    ) -> Wave<T> {
+        let reply = |node: NodeId, start: Duration, hedge: bool| {
+            let outcome = self.call(node, true, |server| op(server, &self.store));
+            let took = match &outcome {
+                Ok((latency, _)) => *latency,
+                Err(VoldemortError::Timeout(_)) => self.per_node_timeout.unwrap_or_default(),
+                Err(_) => Duration::ZERO,
+            };
+            Reply {
+                node,
+                done: start + took,
+                hedge,
+                outcome,
+            }
+        };
+        let stopped = |replies: &[Reply<T>]| {
+            replies
+                .last()
+                .is_some_and(|last| last.outcome.as_ref().is_err_and(is_fatal))
+        };
+        let mut replies: Vec<Reply<T>> = Vec::new();
+        for &node in primary {
+            if stopped(&replies) {
+                break;
+            }
+            replies.push(reply(node, Duration::ZERO, false));
+        }
+
+        // Failures and the hedge are events on the timeline, taken in time
+        // order; each one that finds the quorum unmet launches the next
+        // backup. A backup completes no earlier than the event that
+        // launched it, so the failures already handled stay the earliest.
+        let mut backups = backups.iter().copied();
+        let mut hedge_at = hedge;
+        let mut handled = 0;
+        while !stopped(&replies) {
+            let mut failures: Vec<(Duration, usize)> = replies
+                .iter()
+                .enumerate()
+                .filter(|(_, reply)| reply.outcome.is_err())
+                .map(|(i, reply)| (reply.done, i))
+                .collect();
+            failures.sort_unstable();
+            let (at, is_hedge) = match (failures.get(handled), hedge_at) {
+                (Some(&(failed, _)), Some(h)) if h < failed => (h, true),
+                (Some(&(failed, _)), _) => (failed, false),
+                (None, Some(h)) => (h, true),
+                (None, None) => break,
+            };
+            if is_hedge {
+                hedge_at = None;
+            } else {
+                handled += 1;
+            }
+            let met = replies
+                .iter()
+                .filter(|reply| reply.outcome.is_ok() && reply.done <= at)
+                .count()
+                >= required;
+            if met {
+                break;
+            }
+            let Some(node) = backups.next() else { break };
+            replies.push(reply(node, at, is_hedge));
+        }
+
+        // The quorum is the `required` earliest successes; launch order
+        // breaks ties.
+        let mut ranked: Vec<&Reply<T>> = replies.iter().filter(|r| r.outcome.is_ok()).collect();
+        ranked.sort_by_key(|reply| reply.done);
+        let quorum_at = match required {
+            0 => Some(Duration::ZERO),
+            n => ranked.get(n - 1).map(|reply| reply.done),
+        };
+        let hedge_won = ranked.iter().take(required).any(|reply| reply.hedge);
+        Wave {
+            replies,
+            quorum_at,
+            hedge_won,
+        }
     }
 
     /// Read repair: pushes every version of `merged` that `node` answered
@@ -339,7 +438,7 @@ pub struct StoreClient {
     routing: RoutingMode,
     config: QuorumConfig,
     metrics: ClientMetrics,
-    link: Arc<ReplicaLink>,
+    link: ReplicaLink,
 }
 
 impl StoreClient {
@@ -349,13 +448,12 @@ impl StoreClient {
     pub(crate) fn new(cluster: Arc<VoldemortCluster>, store: StoreDef) -> Self {
         let metrics = ClientMetrics::new(&cluster);
         let config = QuorumConfig::default();
-        let link = Arc::new(ReplicaLink {
+        let link = ReplicaLink {
             cluster,
             store: store.name.clone(),
             origin: Self::CLIENT_NODE,
             per_node_timeout: config.per_node_timeout,
-            simulate_latency: config.simulate_latency,
-        });
+        };
         StoreClient {
             store,
             routing: RoutingMode::ClientSide,
@@ -372,17 +470,15 @@ impl StoreClient {
     #[must_use]
     pub fn with_server_routing(mut self, coordinator: NodeId) -> Self {
         self.routing = RoutingMode::ServerSide(coordinator);
-        Arc::make_mut(&mut self.link).origin = coordinator;
+        self.link.origin = coordinator;
         self
     }
 
-    /// Replaces the quorum I/O configuration (fan-out mode, read width,
-    /// per-node deadline, hedging).
+    /// Replaces the quorum I/O configuration (read width, per-node
+    /// deadline, hedging).
     #[must_use]
     pub fn with_quorum_config(mut self, config: QuorumConfig) -> Self {
-        let link = Arc::make_mut(&mut self.link);
-        link.per_node_timeout = config.per_node_timeout;
-        link.simulate_latency = config.simulate_latency;
+        self.link.per_node_timeout = config.per_node_timeout;
         self.config = config;
         self
     }
@@ -412,11 +508,6 @@ impl StoreClient {
         self.link.cluster.route(&self.store, key)
     }
 
-    /// The worker pool, only when this client actually runs parallel.
-    fn pool(&self) -> Option<&FanOutPool> {
-        (self.config.mode == FanOutMode::Parallel).then(|| self.link.cluster.fan_out_pool())
-    }
-
     /// The live preference-list nodes, in preference order.
     fn available_replicas(&self, prefs: &[NodeId]) -> Vec<NodeId> {
         prefs
@@ -427,11 +518,8 @@ impl StoreClient {
     }
 
     /// The hedge delay for this moment, derived from the replica-latency
-    /// histogram (Parallel mode with hedging configured only).
+    /// histogram (hedging configured only).
     fn hedge_delay(&self) -> Option<Duration> {
-        if self.config.mode != FanOutMode::Parallel {
-            return None;
-        }
         let cfg = self.config.hedge.as_ref()?;
         let observed = self.metrics.replica_latency.snapshot();
         let delay = if observed.count() == 0 {
@@ -505,71 +593,44 @@ impl StoreClient {
             ReadFanOut::Quorum => required.min(available.len()),
             ReadFanOut::All => available.len(),
         };
-        // One copy of the key per operation; each task shares it.
-        let shared_key = Bytes::copy_from_slice(key);
-        let get_task = |&node: &NodeId| {
-            let key = shared_key.clone();
-            self.link.task(node, move |server, store| server.get(store, &key))
-        };
-        let primary: Vec<_> = available[..width].iter().map(get_task).collect();
-        let backups: Vec<_> = available[width..].iter().map(get_task).collect();
-
-        // Stragglers that answer after we've returned get repaired in the
-        // background against the merged set published here. Best-effort: a
-        // straggler racing the publish is skipped, exactly like a replica
-        // that missed this read entirely — the next read repairs it.
-        let merged_latch: Arc<OnceLock<Vec<Versioned<Bytes>>>> = Arc::new(OnceLock::new());
-        let late = (self.config.mode == FanOutMode::Parallel).then(|| {
-            let (link, key) = (Arc::clone(&self.link), shared_key.clone());
-            let latch = Arc::clone(&merged_latch);
-            let handler: LateReplyHandler<Vec<Versioned<Bytes>>> =
-                Arc::new(move |node, outcome| {
-                    if let (Ok((_, held)), Some(merged)) = (outcome, latch.get()) {
-                        link.repair(NodeId(node as u16), &key, merged, &held);
-                    }
-                });
-            handler
-        });
-
-        let opts = FanOutOptions {
-            mode: self.config.mode,
-            required,
-            hedge_delay: (!backups.is_empty())
-                .then(|| self.hedge_delay())
-                .flatten(),
-        };
-        let report = fan_out(self.pool(), &opts, primary, backups, None, late);
-        self.metrics.hedged.add(report.hedges as u64);
-        self.metrics.hedge_won.add(report.hedge_wins as u64);
-        for (_, (latency, _)) in report.successes() {
-            self.metrics.replica_latency.record(latency.as_nanos() as u64);
-        }
-        if !report.satisfied() {
-            let _ = merged_latch.set(Vec::new());
+        let (primary, backups) = available.split_at(width);
+        let hedge = self.hedge_delay().filter(|_| !backups.is_empty());
+        let wave = self
+            .link
+            .wave(primary, backups, required, hedge, |server, store| {
+                server.get(store, key)
+            });
+        let hedges = wave.replies.iter().filter(|reply| reply.hedge).count();
+        self.metrics.hedged.add(hedges as u64);
+        self.metrics.hedge_won.add(u64::from(wave.hedge_won));
+        let contacted = wave.replies.len();
+        // Every responder counts, stragglers too: they are merged and
+        // read-repaired like the quorum. Replies are in preference order.
+        let responses: Vec<(NodeId, Vec<Versioned<Bytes>>)> = wave
+            .replies
+            .into_iter()
+            .filter_map(|reply| {
+                let (latency, versions) = reply.outcome.ok()?;
+                self.metrics
+                    .replica_latency
+                    .record(latency.as_nanos() as u64);
+                Some((reply.node, versions))
+            })
+            .collect();
+        let Some(sim_latency) = wave.quorum_at else {
             return Err(VoldemortError::InsufficientReads {
                 required,
-                got: report.quorum.len(),
+                got: responses.len(),
             });
-        }
-
-        // Collect responses and order them by preference-list position so
-        // the merge and repair sequence is independent of completion order.
-        let mut responses: Vec<(NodeId, Duration, Vec<Versioned<Bytes>>)> = report
-            .quorum
-            .into_iter()
-            .chain(report.extras)
-            .map(|(id, (latency, versions))| (NodeId(id as u16), latency, versions))
-            .collect();
-        responses.sort_by_key(|(node, _, _)| prefs.iter().position(|p| p == node));
+        };
 
         // Merge all observed versions into the live sibling set.
         let mut merged: Vec<Versioned<Bytes>> = Vec::new();
-        for (_, _, versions) in &responses {
+        for (_, versions) in &responses {
             for version in versions {
                 resolve_siblings(&mut merged, version.clone());
             }
         }
-        let _ = merged_latch.set(merged.clone());
 
         // During a migration's dual-write phase, shadow-read the gaining
         // node(s) and compare against the quorum-merged image
@@ -579,22 +640,15 @@ impl StoreClient {
         self.shadow_read_probe(key, &merged);
 
         // Read repair: push missing versions back to stale responders.
-        for (node, _, versions) in &responses {
+        for (node, versions) in &responses {
             self.link.repair(*node, key, &merged, versions);
         }
 
-        let mut latencies: Vec<Duration> =
-            responses.iter().map(|(_, latency, _)| *latency).collect();
-        latencies.sort();
-        let sim_latency = latencies
-            .get(required.saturating_sub(1))
-            .copied()
-            .unwrap_or_default();
         let stats = QuorumStats {
             sim_latency,
-            contacted: report.launched,
-            hedges: report.hedges,
-            hedge_wins: report.hedge_wins,
+            contacted,
+            hedges,
+            hedge_wins: usize::from(wave.hedge_won),
         };
 
         let merged = match transform {
@@ -761,7 +815,7 @@ impl StoreClient {
         // sharing a replica collide on the optimistic lock. Fanning the
         // clock-stamping write out in parallel would let disjoint writers
         // mint *identical* clocks, silently losing one write — so this hop
-        // stays serial in every mode.
+        // completes before the replication wave starts.
         let mut committed_clock: Option<VectorClock> = None;
         let mut wave_start = prefs.len();
         for (i, &node) in prefs.iter().enumerate() {
@@ -778,14 +832,10 @@ impl StoreClient {
                     wave_start = i + 1;
                     break;
                 }
-                // Optimistic lock: someone committed a newer version.
-                Err(VoldemortError::ObsoleteVersion) => {
-                    return Err(VoldemortError::ObsoleteVersion)
-                }
-                // An engine-level rejection is a property of the store, not
-                // of this replica — no other replica (or hint) will accept
-                // it either.
-                Err(e @ VoldemortError::UnsupportedOperation(_)) => return Err(e),
+                // Optimistic lock (someone committed a newer version) or an
+                // engine-level rejection: no other replica (or hint) will
+                // accept the write either.
+                Err(e) if is_fatal(&e) => return Err(e),
                 Err(_) => failed_replicas.push(node),
             }
         }
@@ -804,80 +854,45 @@ impl StoreClient {
         let shared_key = Bytes::copy_from_slice(key);
 
         // Phase 2 — replicate the committed version to the remaining
-        // preference-list replicas, in parallel, waiting only for the
-        // W−1 further acks the quorum still needs. Stragglers keep running;
-        // a late failure parks a hint asynchronously.
+        // preference-list replicas as one wave. Every replica is attempted;
+        // the put waits, on simulated time, only for the W−1 further acks
+        // the quorum still needs.
+        let mut stragglers: Vec<NodeId> = Vec::new();
         if committed && wave_start < prefs.len() {
-            let mut tasks = Vec::new();
-            for &node in &prefs[wave_start..] {
-                if !self.link.is_live(node) {
-                    failed_replicas.push(node);
-                    continue;
+            let (live, down): (Vec<NodeId>, Vec<NodeId>) = prefs[wave_start..]
+                .iter()
+                .partition(|&&node| self.link.is_live(node));
+            failed_replicas.extend(down);
+            let wave = self.link.wave(
+                &live,
+                &[],
+                required.saturating_sub(acks),
+                None,
+                |server, store| server.put(store, key, versioned.clone()),
+            );
+            sim_latency += wave.quorum_at.unwrap_or_default();
+            for reply in &wave.replies {
+                match &reply.outcome {
+                    Ok((latency, ())) => {
+                        acks += 1;
+                        self.metrics
+                            .replica_latency
+                            .record(latency.as_nanos() as u64);
+                    }
+                    Err(e) if is_fatal(e) => return Err(e.clone()),
+                    Err(_) if wave.is_straggler(reply) => stragglers.push(reply.node),
+                    Err(_) => failed_replicas.push(reply.node),
                 }
-                let (key, versioned) = (shared_key.clone(), versioned.clone());
-                tasks.push(self.link.task(node, move |server, store| {
-                    server.put(store, &key, versioned)
-                }));
-            }
-            if !tasks.is_empty() {
-                let late = (self.config.mode == FanOutMode::Parallel)
-                    .then(|| self.late_hint_handler(&shared_key, &prefs, &versioned));
-                // Replication is not optional: every replica must be
-                // attempted. Inline runs the whole wave; only Parallel
-                // returns at W acks and leaves the rest replicating in
-                // the background.
-                let wave_required = match self.config.mode {
-                    FanOutMode::Parallel => required.saturating_sub(acks),
-                    FanOutMode::Deterministic => tasks.len(),
-                };
-                let opts = FanOutOptions {
-                    mode: self.config.mode,
-                    required: wave_required,
-                    hedge_delay: None,
-                };
-                let is_fatal = |e: &VoldemortError| {
-                    matches!(
-                        e,
-                        VoldemortError::ObsoleteVersion
-                            | VoldemortError::UnsupportedOperation(_)
-                    )
-                };
-                let report = fan_out(
-                    self.pool(),
-                    &opts,
-                    tasks,
-                    Vec::new(),
-                    Some(&is_fatal),
-                    late,
-                );
-                if let Some((_, e)) = report.fatal {
-                    return Err(e);
-                }
-                let mut wave_latencies: Vec<Duration> = Vec::new();
-                for (_, (latency, ())) in report.successes() {
-                    acks += 1;
-                    wave_latencies.push(*latency);
-                    self.metrics.replica_latency.record(latency.as_nanos() as u64);
-                }
-                for (node, _) in &report.failures {
-                    failed_replicas.push(NodeId(*node as u16));
-                }
-                wave_latencies.sort();
-                sim_latency += opts
-                    .required
-                    .checked_sub(1)
-                    .and_then(|i| wave_latencies.get(i))
-                    .copied()
-                    .unwrap_or_default();
             }
         }
         self.metrics
             .put_sim_latency
             .record(sim_latency.as_nanos() as u64);
 
-        // Hinted handoff (sloppy quorum): each failed replica's write parks
-        // on the next holder that accepts it. The failed replicas share one
-        // walk over the holders, so W acks are W distinct nodes.
+        // Hinted handoff (sloppy quorum): each replica that failed before
+        // the quorum parks its write on the next holder that accepts it.
+        // Those replicas share one walk over the holders, so W acks are W
+        // distinct nodes.
         if acks < required && !failed_replicas.is_empty() {
             let mut holders = self.link.hint_holders(&prefs);
             for &target in &failed_replicas {
@@ -887,6 +902,17 @@ impl StoreClient {
                     break;
                 }
                 acks += 1;
+                self.metrics.hinted_writes.inc();
+            }
+        }
+        // A wave replica that failed after the quorum completed still owes
+        // its write: it parks a hint with a walk of its own.
+        for &target in &stragglers {
+            let mut holders = self.link.hint_holders(&prefs);
+            if self
+                .link
+                .park_hint(&mut holders, target, &shared_key, &versioned)
+            {
                 self.metrics.hinted_writes.inc();
             }
         }
@@ -944,27 +970,6 @@ impl StoreClient {
         }
     }
 
-    /// Builds the background hinted-handoff handler for put stragglers
-    /// that fail after the quorum already returned.
-    fn late_hint_handler(
-        &self,
-        key: &Bytes,
-        prefs: &[NodeId],
-        versioned: &Versioned<Bytes>,
-    ) -> LateReplyHandler<()> {
-        let link = Arc::clone(&self.link);
-        let (key, prefs, versioned) = (key.clone(), prefs.to_vec(), versioned.clone());
-        let hinted = self.metrics.hinted_writes.clone();
-        Arc::new(move |node, outcome| {
-            let target = NodeId(node as u16);
-            if outcome.is_err()
-                && link.park_hint(&mut link.hint_holders(&prefs), target, &key, &versioned)
-            {
-                hinted.inc();
-            }
-        })
-    }
-
     /// Quorum delete at version `clock`. All N replicas are contacted; the
     /// call completes at W acknowledgements.
     pub fn delete(&self, key: &[u8], clock: &VectorClock) -> Result<bool, VoldemortError> {
@@ -975,31 +980,27 @@ impl StoreClient {
         // Banned replicas are contacted like any other: a delete parks no
         // hint, so a replica it skipped would keep the value for read
         // repair to bring back.
-        let shared_key = Bytes::copy_from_slice(key);
-        let mut tasks = Vec::new();
-        for &node in &prefs {
-            if self.link.cluster.node(node).is_err() {
-                continue;
-            }
-            let (key, clock) = (shared_key.clone(), clock.clone());
-            tasks.push(self.link.task(node, move |server, store| {
-                server.delete(store, &key, &clock)
-            }));
-        }
-        let opts = FanOutOptions {
-            mode: self.config.mode,
-            required,
-            hedge_delay: None,
-        };
-        let report = fan_out(self.pool(), &opts, tasks, Vec::new(), None, None);
-        let acks = report.quorum.len() + report.extras.len();
-        if acks < required {
+        let nodes: Vec<NodeId> = prefs
+            .iter()
+            .copied()
+            .filter(|&node| self.link.cluster.node(node).is_ok())
+            .collect();
+        let wave = self
+            .link
+            .wave(&nodes, &[], required, None, |server, store| {
+                server.delete(store, key, clock)
+            });
+        let deleted: Vec<bool> = wave
+            .replies
+            .iter()
+            .filter_map(|reply| reply.outcome.as_ref().ok().map(|(_, deleted)| *deleted))
+            .collect();
+        if deleted.len() < required {
             return Err(VoldemortError::InsufficientWrites {
                 required,
-                got: acks,
+                got: deleted.len(),
             });
         }
-        let any_deleted = report.successes().any(|(_, (_, deleted))| *deleted);
         // Acked-delete capture for an in-flight migration, plus the same
         // cutover-race heal as puts (replay the delete on any replica the
         // key just gained).
@@ -1008,7 +1009,7 @@ impl StoreClient {
             .on_acked(&self.store, key, self.link.origin, || {
                 JournaledWrite::Delete {
                     store: self.store.name.clone(),
-                    key: shared_key,
+                    key: Bytes::copy_from_slice(key),
                     clock: clock.clone(),
                 }
             });
@@ -1021,7 +1022,7 @@ impl StoreClient {
                 }
             }
         }
-        Ok(any_deleted)
+        Ok(deleted.contains(&true))
     }
 
     /// API method 5: `applyUpdate` — encapsulated read-modify-write with
@@ -1331,15 +1332,13 @@ mod tests {
     fn late_hint_walks_past_an_unreachable_holder_and_tells_the_detector() {
         let (cluster, client) = cluster_with_store(5, 3, 1, 2);
         let client = client.with_quorum_config(QuorumConfig {
-            mode: FanOutMode::Parallel,
             per_node_timeout: Some(Duration::from_millis(100)),
-            simulate_latency: true,
             ..QuorumConfig::default()
         });
         let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
         let holders = non_replicas(&cluster, &prefs);
-        // prefs[2] times out long after prefs[0] and prefs[1] made W=2, so
-        // its hint is placed by the late-straggler handler.
+        // prefs[2] times out at 100ms, after prefs[0] and prefs[1] made W=2
+        // at 0ms: a straggler, whose hint takes a walk of its own.
         cluster.network().set_link_latency(
             StoreClient::CLIENT_NODE,
             prefs[2],
@@ -1347,7 +1346,6 @@ mod tests {
         );
         cluster.network().crash(holders[0]);
         client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
-        cluster.fan_out_pool().wait_idle();
         assert_eq!(cluster.node(holders[1]).unwrap().hint_count(), 1);
         // The failed delivery to holders[0] is one failure sample: nine
         // more reach the detector's ten-sample minimum and ban it.
@@ -1472,6 +1470,51 @@ mod tests {
     }
 
     #[test]
+    fn an_obsolete_wave_reply_stops_the_put() {
+        let (cluster, client) = cluster_with_store(5, 3, 2, 2);
+        let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
+        // prefs[1] alone holds a version newer than the clock prefs[0] is
+        // about to stamp, so the wave's first reply is ObsoleteVersion.
+        let newer = VectorClock::new()
+            .incremented(prefs[0].0)
+            .incremented(prefs[0].0);
+        let held = Versioned::new(newer, Bytes::from_static(b"newer"));
+        cluster
+            .node(prefs[1])
+            .unwrap()
+            .force_put("s", b"k", held)
+            .unwrap();
+        let err = client
+            .put_initial(b"k", Bytes::from_static(b"v"))
+            .unwrap_err();
+        assert_eq!(err, VoldemortError::ObsoleteVersion);
+        let untried = cluster.node(prefs[2]).unwrap().get("s", b"k").unwrap();
+        assert!(untried.is_empty(), "the wave stopped before prefs[2]");
+    }
+
+    #[test]
+    fn a_timed_out_replicas_backup_starts_at_the_deadline() {
+        let (cluster, client) = cluster_with_store(5, 3, 2, 2);
+        let client = client.with_quorum_config(QuorumConfig {
+            per_node_timeout: Some(Duration::from_millis(5)),
+            ..QuorumConfig::default()
+        });
+        client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
+        let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
+        let ms = Duration::from_millis;
+        for (node, latency) in [(prefs[0], ms(50)), (prefs[1], ms(2)), (prefs[2], ms(1))] {
+            cluster
+                .network()
+                .set_link_latency(StoreClient::CLIENT_NODE, node, latency);
+        }
+        // prefs[0] times out at 5ms, and prefs[2] replaces it from then.
+        let (versions, stats) = client.get_with_stats(b"k").unwrap();
+        assert_eq!(versions[0].value.as_ref(), b"v");
+        assert_eq!(stats.contacted, 3);
+        assert_eq!(stats.sim_latency, ms(5 + 1));
+    }
+
+    #[test]
     fn per_node_timeout_feeds_failure_detector() {
         let (cluster, client) = cluster_with_store(4, 3, 2, 2);
         let client = client.with_quorum_config(QuorumConfig {
@@ -1497,10 +1540,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_serves_quorum_reads_and_writes() {
+    fn read_fan_out_all_serves_quorum_reads_and_writes() {
         let (cluster, client) = cluster_with_store(5, 3, 2, 2);
         let client = client.with_quorum_config(QuorumConfig {
-            mode: FanOutMode::Parallel,
             read_fan_out: ReadFanOut::All,
             ..QuorumConfig::default()
         });
@@ -1513,8 +1555,7 @@ mod tests {
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].value.as_ref(), i.to_string().as_bytes());
         }
-        // Stragglers (N−W late acks per put) finish on the shared pool.
-        cluster.fan_out_pool().wait_idle();
+        // Every put attempted all N replicas, not just the W it waited for.
         let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
         for node in prefs {
             let versions = cluster.node(node).unwrap().get("s", b"k").unwrap();
@@ -1525,39 +1566,72 @@ mod tests {
     #[test]
     fn hedged_read_recovers_tail_latency_and_counts() {
         let (cluster, client) = cluster_with_store(5, 3, 1, 1);
+        let hedge_delay = Duration::from_millis(2);
         let client = client.with_quorum_config(QuorumConfig {
-            mode: FanOutMode::Parallel,
             read_fan_out: ReadFanOut::Quorum,
             hedge: Some(HedgeConfig {
                 quantile: 0.95,
-                min_delay: Duration::from_millis(2),
-                max_delay: Duration::from_millis(2),
+                min_delay: hedge_delay,
+                max_delay: hedge_delay,
             }),
-            simulate_latency: true,
             ..QuorumConfig::default()
         });
         client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
         let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
         // R=1 with Quorum fan-out contacts only prefs[0] — make it slow so
-        // the hedge to prefs[1] wins the race.
-        cluster.network().set_link_latency(
+        // the hedge to prefs[1] completes first.
+        let network = cluster.network();
+        network.set_link_latency(
             StoreClient::CLIENT_NODE,
             prefs[0],
             Duration::from_millis(250),
         );
-        let start = Instant::now();
+        network.set_link_latency(StoreClient::CLIENT_NODE, prefs[1], Duration::from_millis(3));
         let (versions, stats) = client.get_with_stats(b"k").unwrap();
-        let elapsed = start.elapsed();
         assert_eq!(versions[0].value.as_ref(), b"v");
         assert_eq!(stats.hedges, 1, "hedge fired");
         assert_eq!(stats.hedge_wins, 1, "hedge supplied the quorum answer");
-        assert!(
-            elapsed < Duration::from_millis(200),
-            "hedged read returned before the slow replica ({elapsed:?})"
+        assert_eq!(stats.contacted, 2);
+        assert_eq!(
+            stats.sim_latency,
+            hedge_delay
+                + network
+                    .peek_latency(StoreClient::CLIENT_NODE, prefs[1])
+                    .unwrap(),
+            "the hedge started at its delay and completed after prefs[1]'s link"
         );
         let snapshot = cluster.metrics().snapshot();
         assert_eq!(snapshot.counter("voldemort.client.get.hedged"), Some(1));
         assert_eq!(snapshot.counter("voldemort.client.get.hedge_won"), Some(1));
-        cluster.fan_out_pool().wait_idle();
+    }
+
+    #[test]
+    fn put_waits_for_the_w_minus_1th_wave_ack_not_the_slowest() {
+        let (cluster, client) = cluster_with_store(5, 3, 2, 2);
+        let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
+        let network = cluster.network();
+        let ms = Duration::from_millis;
+        // prefs[0] coordinates; the wave's W−1 = 1 ack comes from prefs[1],
+        // and prefs[2] is a slow straggler the put does not wait for.
+        for (node, latency) in [(prefs[0], ms(3)), (prefs[1], ms(1)), (prefs[2], ms(40))] {
+            network.set_link_latency(StoreClient::CLIENT_NODE, node, latency);
+        }
+        client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
+        let put = cluster.metrics().snapshot();
+        let put = put
+            .histogram("voldemort.client.put.sim_latency_ns")
+            .unwrap();
+        assert_eq!(put.count, 1);
+        assert_eq!(put.max, ms(3 + 1).as_nanos() as u64);
+        // The straggler was still written.
+        assert_eq!(
+            cluster
+                .node(prefs[2])
+                .unwrap()
+                .get("s", b"k")
+                .unwrap()
+                .len(),
+            1
+        );
     }
 }

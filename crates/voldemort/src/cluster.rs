@@ -2,7 +2,6 @@
 
 use bytes::Bytes;
 use li_commons::clock::{resolve_siblings, Occurred, Versioned};
-use li_commons::exec::FanOutPool;
 use li_commons::failure::{FailureDetector, FailureDetectorConfig};
 use li_commons::fnv::fnv1a;
 use li_commons::metrics::{Counter, MetricsRegistry};
@@ -13,7 +12,7 @@ use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::client::StoreClient;
 use crate::engine::{BdbLikeEngine, MemoryEngine, StorageEngine};
@@ -39,8 +38,6 @@ pub struct VoldemortCluster {
     /// `voldemort.hints.dropped_obsolete`: hints `deliver_hints` dropped
     /// because a replica already held a version at least as new.
     hints_dropped_obsolete: Counter,
-    /// The shared fan-out pool, built on first use.
-    fan_out_pool: OnceLock<FanOutPool>,
     /// The (at most one) in-flight partition migration. The client ack
     /// hook (`on_acked`) takes the read side per acked write; cutover
     /// takes the write side, so the final journal drain cannot race an
@@ -118,7 +115,6 @@ impl VoldemortCluster {
             clock,
             hints_dropped_obsolete: metrics.scope("voldemort.hints").counter("dropped_obsolete"),
             metrics,
-            fan_out_pool: OnceLock::new(),
             migration: RwLock::new(None),
             topology_epoch: AtomicU64::new(0),
         }))
@@ -143,13 +139,6 @@ impl VoldemortCluster {
     /// The cluster clock.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
-    }
-
-    /// The shared worker pool behind every client's parallel quorum
-    /// fan-out. Created lazily on first use, so clusters that only ever
-    /// run the deterministic inline mode spawn no threads.
-    pub fn fan_out_pool(&self) -> &FanOutPool {
-        self.fan_out_pool.get_or_init(|| FanOutPool::new(8))
     }
 
     /// A node handle.

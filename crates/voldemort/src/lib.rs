@@ -22,7 +22,7 @@
 //! * [`readonly`] — the custom read-only engine and its three-phase
 //!   build → pull → swap data cycle from Hadoop (Figure II.3), including
 //!   MD5-keyed sorted index files, binary search, versioned directories,
-//!   instantaneous rollback, throttled pulls, and index-after-data fetch
+//!   instantaneous rollback, and index-after-data fetch
 //!   ordering.
 //! * [`cluster`] / [`server`] — the node runtime: per-store engines, a
 //!   success-ratio failure detector with async recovery probes, hint
@@ -64,8 +64,8 @@ pub mod server;
 pub mod store;
 
 pub use client::{
-    FanOutMode, HedgeConfig, QuorumConfig, QuorumStats, ReadFanOut, RoutingMode, StoreClient,
-    Transform, UpdateAction,
+    HedgeConfig, QuorumConfig, QuorumStats, ReadFanOut, RoutingMode, StoreClient, Transform,
+    UpdateAction,
 };
 pub use cluster::VoldemortCluster;
 pub use error::VoldemortError;

@@ -12,7 +12,7 @@
 //!   per-destination-node index + data files. "An index file is a compact
 //!   list of sorted MD5 of key and offset to data into the data file."
 //! * **Pull** ([`store::ReadOnlyStore::pull`]) — each node fetches its
-//!   files into a new versioned directory, throttled, data files before
+//!   files into a new versioned directory, data files before
 //!   index files ("pulling the index files after all the data files to
 //!   achieve cache-locality post-swap").
 //! * **Swap** ([`store::ReadOnlyStore::swap`]) — an atomic switch to the

@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use super::format;
 use crate::engine::StorageEngine;
@@ -105,14 +104,8 @@ impl ReadOnlyStore {
 
     /// Pull phase: fetches this node's build output into a new versioned
     /// directory. Data files are copied before index files (the paper's
-    /// cache-locality optimization) and the copy rate can be throttled to
-    /// protect live serving ("throttling the pulls").
-    pub fn pull(
-        &self,
-        build_node_dir: &Path,
-        version: u64,
-        throttle_bytes_per_sec: Option<u64>,
-    ) -> Result<(), VoldemortError> {
+    /// cache-locality optimization).
+    pub fn pull(&self, build_node_dir: &Path, version: u64) -> Result<(), VoldemortError> {
         let version_dir = self.dir.join(format!("version-{version}"));
         fs::create_dir_all(&version_dir)?;
 
@@ -134,12 +127,6 @@ impl ReadOnlyStore {
         for src in data_files.iter().chain(index_files.iter()) {
             let name = src.file_name().expect("file has name");
             let bytes = fs::read(src)?;
-            if let Some(rate) = throttle_bytes_per_sec {
-                if rate > 0 {
-                    let secs = bytes.len() as f64 / rate as f64;
-                    std::thread::sleep(Duration::from_secs_f64(secs.min(0.25)));
-                }
-            }
             fs::write(version_dir.join(name), &bytes)?;
             #[cfg(test)]
             self.pull_log.lock().push(src.clone());
@@ -346,7 +333,7 @@ mod tests {
     fn run_cycle(p: &Pipeline, data: Vec<(Bytes, Bytes)>, version: u64) {
         let out = p.builder.build(data, version, &p.hdfs_path).unwrap();
         for store in &p.stores {
-            store.pull(&out.node_dir(store.node), version, None).unwrap();
+            store.pull(&out.node_dir(store.node), version).unwrap();
             store.swap(version).unwrap();
         }
     }

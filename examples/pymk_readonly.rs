@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let t = Instant::now();
     for store in &stores {
-        store.pull(&out.node_dir(store_node(store)), 1, None)?;
+        store.pull(&out.node_dir(store_node(store)), 1)?;
     }
     println!("pull  v1: fetched (data files before index files) in {:?}", t.elapsed());
     let t = Instant::now();
@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ----- Run 2: scores change between runs ---------------------------
     let out2 = builder.build(records_for_run(2), 2, hdfs.path())?;
     for store in &stores {
-        store.pull(&out2.node_dir(store_node(store)), 2, None)?;
+        store.pull(&out2.node_dir(store_node(store)), 2)?;
         store.swap(2)?;
     }
     let probe = member_key(123);

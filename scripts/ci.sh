@@ -45,13 +45,22 @@ if git grep -nE 'replica_deliver|ReplicaApplier|TrySendError|dispatch-notify' --
   exit 1
 fi
 # ...and the seam stays closed: outside its test module the quorum client
-# builds fan-out tasks and parks hints in one place each (`ReplicaLink`),
-# and delivers from two (the link and `enter()`'s client -> coordinator hop).
+# builds quorum replies and parks hints in one place each (`ReplicaLink`'s
+# `wave` and `park_hint`), and delivers from two (the link and `enter()`'s
+# client -> coordinator hop).
 client_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/voldemort/src/client.rs)"
-if [ "$(grep -c 'FanOutTask::new' <<<"$client_seam")" -ne 1 ] \
+if [ "$(grep -c 'Reply {' <<<"$client_seam")" -ne 1 ] \
   || [ "$(grep -c 'store_hint(' <<<"$client_seam")" -ne 1 ] \
   || [ "$(grep -c '\.deliver(' <<<"$client_seam")" -gt 2 ]; then
   echo "ci.sh: voldemort client.rs reaches a replica outside ReplicaLink" >&2
+  exit 1
+fi
+# Quorums run on simulated time: no Voldemort path sleeps a latency, runs
+# a replica call on another thread or hands a straggler to a late handler,
+# and `li_commons::exec` keeps only the pool and its run-all call.
+if git grep -nE 'thread::sleep|simulate_latency|late_hint_handler|LateHandler|LateReplyHandler|fan_out_pool|FanOutOptions|FanOutReport|run_parallel' -- crates/voldemort crates/commons/src/exec.rs \
+  || git grep -nw FanOutMode -- crates/voldemort crates/bench tests; then
+  echo "ci.sh: a wall-clock quorum path is back (matches above)" >&2
   exit 1
 fi
 # Espresso reads stay inline: outside its test module the router builds
@@ -191,11 +200,11 @@ echo "== inverted index proptests: 64 cases (default is 24) =="
 PROPTEST_CASES=64 cargo test -q --test inverted_index_props
 
 echo "== chaos sweep: 20 seeds x 10 scenarios (10 min budget) =="
-# Wider seed sweep than the per-test default of 5. Deterministic — only
-# the tail-fanout scenario sleeps (it replays simulated link latencies
-# in real time so completion order follows the network model) — so the
-# timeout is a tripwire for accidental wall-clock dependencies, not a
-# flakiness allowance. On failure each scenario prints its own
+# Wider seed sweep than the per-test default of 5. Deterministic — every
+# scenario runs on simulated time, the tail-fanout one included (its
+# quorums rank replies by simulated completion time instead of sleeping
+# them) — so the timeout is a tripwire for accidental wall-clock
+# dependencies, not a flakiness allowance. On failure each scenario prints its own
 # CHAOS_SEED=<n> repro line.
 CHAOS_SEEDS=20 timeout 600 cargo test -q --test chaos -- chaos_sweep_
 

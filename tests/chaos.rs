@@ -30,9 +30,7 @@ use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use li_sqlstore::{Database, RowKey};
-use li_voldemort::{
-    FanOutMode, QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster,
-};
+use li_voldemort::{QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster};
 use li_workload::{SiteMix, SiteOp, SiteWorkload};
 use linkedin_data_infra::consumers::{company_row_key, member_row_key, union_ids};
 use linkedin_data_infra::platform::ACTIVITY_TOPIC;
@@ -174,13 +172,13 @@ fn chaos_sweep_voldemort_quorum() {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 1b: Voldemort parallel fan-out tail latency under slow links.
+// Scenario 1b: Voldemort fan-out tail latency under slow links.
 // ---------------------------------------------------------------------
 
-/// Drives a 5-node Voldemort cluster (N=3, R=2, W=2) with the **parallel**
-/// quorum path through a seeded schedule of crashes and slow node↔node
-/// links, while a deterministically rotating client→replica link is made
-/// slow as well. Invariants at quiesce:
+/// Drives a 5-node Voldemort cluster (N=3, R=2, W=2) whose reads fan out
+/// to every replica through a seeded schedule of crashes and slow
+/// node↔node links, while a deterministically rotating client→replica
+/// link is made slow as well. Invariants at quiesce:
 ///
 /// * **tail-bound** — every successful quorum read completed within the
 ///   R-th-fastest live replica's link latency (the whole point of fanning
@@ -189,11 +187,14 @@ fn chaos_sweep_voldemort_quorum() {
 /// * **hints-drained-to-owners** — after `heal_all` + recovery, no hint is
 ///   pending and every preference-list owner of every acked key holds a
 ///   version descending from the acked clock.
-fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
+///
+/// With `plant_violation`, one read goes out at quorum width while the
+/// slow replica is among the first R: its latency is the slow link's, and
+/// the tail-bound gate must catch it.
+fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String, ChaosFailure> {
     let nodes: Vec<NodeId> = (0..5).map(NodeId).collect();
-    // Crash + slow-link faults only: drops would burn the shared network
-    // RNG from pool threads in nondeterministic order, and partitions can
-    // leave no quorum to measure.
+    // Crash + slow-link faults only: a dropped reply would leave fewer than
+    // R replies to bound, and partitions can leave no quorum to measure.
     let config = ChaosConfig {
         partitions: false,
         asym_links: false,
@@ -209,16 +210,13 @@ fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
     cluster
         .add_store(StoreDef::read_write("s").with_quorum(3, 2, 2))
         .unwrap();
-    // `simulate_latency` makes pool threads actually sleep each link's
-    // simulated latency, so completion order — and therefore which replies
-    // form the quorum — is decided by the fault schedule, not by OS thread
-    // scheduling. Injected latencies (10–25ms) dwarf scheduling jitter.
+    // Replies are ranked by their simulated completion times, so which of
+    // them form the quorum is decided by the fault schedule alone.
     let client = cluster.client("s").unwrap().with_quorum_config(QuorumConfig {
-        mode: FanOutMode::Parallel,
         read_fan_out: ReadFanOut::All,
-        simulate_latency: true,
         ..QuorumConfig::default()
     });
+    let mut plant = plant_violation.then(|| cluster.client("s").unwrap());
     let required_reads = 2usize;
 
     // The scheduler only slows node↔node links; the client's own links are
@@ -265,10 +263,6 @@ fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
                 }
             }
         }
-        // Parallel puts ack at W and finish replicating on pool threads;
-        // quiesce so the fault schedule (not thread timing) decides what
-        // the next op observes, keeping the trace a pure function of seed.
-        cluster.fan_out_pool().wait_idle();
 
         // Tail bound: the R-th smallest client→replica latency over live,
         // detector-available owners is the worst a fanned-out read may
@@ -286,7 +280,20 @@ fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
             .collect();
         reachable.sort();
         if let Some(&bound) = reachable.get(required_reads - 1) {
-            match client.get_with_stats(key.as_bytes()) {
+            // The plant reads at quorum width once every owner is live, so
+            // the first R owners are the ones it contacts, and the slow
+            // replica is among them while a fast third owner sets the bound.
+            let slow_in_first_r = reachable.len() == prefs.len()
+                && slow_replica.is_some_and(|slow| prefs[..required_reads].contains(&slow));
+            let planted = plant.take_if(|_| slow_in_first_r);
+            if planted.is_some() {
+                sched.note(format!("PLANT: quorum-width read of `{key}` at op {i}"));
+            }
+            match planted
+                .as_ref()
+                .unwrap_or(&client)
+                .get_with_stats(key.as_bytes())
+            {
                 Ok((_, stats)) => {
                     if stats.sim_latency > bound {
                         tail_violations.push(format!(
@@ -297,7 +304,6 @@ fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
                 }
                 Err(e) => sched.note(format!("op {i}: read failed under faults: {e}")),
             }
-            cluster.fan_out_pool().wait_idle();
         }
         if i % 20 == 0 {
             sched.note(format!("op {i}: acked_total={}", acked.len()));
@@ -362,7 +368,6 @@ fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
                 cluster.pending_hints()
             ));
         }
-        cluster.fan_out_pool().wait_idle();
         for (key, _, write_clock) in &acked {
             let prefs = cluster.ring().preference_list(key.as_bytes(), 3).unwrap();
             for owner in prefs {
@@ -394,7 +399,7 @@ fn run_voldemort_tail_fanout(seed: u64) -> Result<String, ChaosFailure> {
 #[test]
 fn chaos_sweep_voldemort_tail_fanout() {
     for seed in sweep_seeds(5) {
-        if let Err(failure) = run_voldemort_tail_fanout(seed) {
+        if let Err(failure) = run_voldemort_tail_fanout(seed, false) {
             panic!("{failure}");
         }
     }
@@ -2005,8 +2010,8 @@ fn same_seed_yields_byte_identical_traces() {
         assert!(!a.is_empty());
     }
     for seed in [7u64, 23] {
-        let a = run_voldemort_tail_fanout(seed).unwrap_or_else(|f| panic!("{f}"));
-        let b = run_voldemort_tail_fanout(seed).unwrap_or_else(|f| panic!("{f}"));
+        let a = run_voldemort_tail_fanout(seed, false).unwrap_or_else(|f| panic!("{f}"));
+        let b = run_voldemort_tail_fanout(seed, false).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(a, b, "voldemort tail-fanout trace diverged for seed {seed}");
         assert!(!a.is_empty());
     }
@@ -2043,8 +2048,9 @@ fn same_seed_yields_byte_identical_traces() {
 #[test]
 fn planted_violation_is_caught_and_reproduces_from_printed_seed() {
     type Scenario = fn(u64, bool) -> Result<String, ChaosFailure>;
-    let cases: [(Scenario, &str, &str, &str); 3] = [
+    let cases: [(Scenario, &str, &str, &str); 4] = [
         (run_voldemort_quorum, "quorum-durability", "voldemort", "PLANT: deleted acked key"),
+        (run_voldemort_tail_fanout, "tail-bound", "tail_fanout", "PLANT: quorum-width read"),
         (
             |seed, plant| run_site_closed_loop(seed, plant.then_some(SitePlant::CachedList)),
             "follow-no-acked-write-lost",

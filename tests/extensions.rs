@@ -157,7 +157,7 @@ fn readonly_update_stream_drives_a_dependent_cache() {
             Bytes::from(format!("v{version}")),
         )];
         let out = builder.build(records, version, hdfs.path()).unwrap();
-        store.pull(&out.node_dir(NodeId(0)), version, None).unwrap();
+        store.pull(&out.node_dir(NodeId(0)), version).unwrap();
         store.swap(version).unwrap();
         match events.try_recv().unwrap() {
             StoreEvent::Swapped { version } => cache_version = Some(version),

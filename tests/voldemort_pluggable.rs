@@ -113,7 +113,7 @@ fn read_only_cycle_through_cluster_store() {
     let builder = ReadOnlyBuilder::new(cluster.ring(), 2, 3);
     let out = builder.build(records, 1, hdfs.path()).unwrap();
     for store in &stores {
-        store.pull(&out.node_dir(store.node()), 1, None).unwrap();
+        store.pull(&out.node_dir(store.node()), 1).unwrap();
         store.swap(1).unwrap();
     }
 
