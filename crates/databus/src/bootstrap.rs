@@ -5,121 +5,118 @@
 //! for new rows in the Log storage and applies those to the Snapshot
 //! storage where only the last event for a given row/key is stored."
 //!
-//! Two query types (§III.C):
+//! Snapshot storage keeps, per row, that last event together with the SCN
+//! of the window that wrote it (a delete leaves a tombstone carrying its
+//! SCN), and the log keeps only the windows the applier has not folded in.
+//! Both query types of §III.C are then one read,
+//! [`BootstrapServer::changes_since`]:
 //!
 //! * **Consolidated delta since T** — for clients that fell behind the
-//!   relay: "only the last of multiple updates to the same row/key are
-//!   returned. This has the effect of 'fast playback' of time."
-//! * **Consistent snapshot at U** — for stateless (new) clients: serve the
-//!   snapshot storage, then "the Server replays all changes that have
-//!   happened since the start of the snapshot phase" to repair the rows
-//!   that moved while the (long) scan was running.
+//!   relay: the rows changed after T, so "only the last of multiple
+//!   updates to the same row/key are returned. This has the effect of
+//!   'fast playback' of time."
+//! * **Consistent snapshot** — for stateless (new) clients: the same read
+//!   at T = 0, limited to live rows. After the scan, "the Server replays
+//!   all changes that have happened since the start of the snapshot phase"
+//!   to repair the rows that moved while the (long) scan was running.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
 
-use li_sqlstore::{Op, Row, RowChange, RowKey, Scn};
+use li_sqlstore::{Op, RowChange, RowKey, Scn};
 
 use crate::event::{FrozenWindow, ServerFilter, SharedWindow, Window};
 use crate::relay::{Relay, RelayError};
 
-/// A consolidated delta: the final state of every row touched after `since`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaResult {
-    /// Final change per touched row, in (table, key) order.
-    pub changes: Vec<RowChange>,
-    /// The SCN the client should resume relay consumption from.
-    pub as_of_scn: Scn,
-    /// How many raw events the consolidation collapsed (the "fast
-    /// playback" numerator: raw / changes.len()).
-    pub raw_events: usize,
-}
+/// Rows a query has gathered: the last event per row, in (table, key)
+/// order.
+type Gathered = BTreeMap<(String, RowKey), Op>;
 
-/// A consistent snapshot: every live row, at a single SCN.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotResult {
-    /// Live rows as (table, key, row image), in (table, key) order.
-    pub rows: Vec<(String, RowKey, Row)>,
-    /// The SCN the client should resume relay consumption from.
-    pub as_of_scn: Scn,
+/// The last event for one row (a delete is kept as a tombstone) and the
+/// SCN of the window that wrote it.
+#[derive(Debug)]
+struct Entry {
+    scn: Scn,
+    op: Op,
 }
 
 #[derive(Debug, Default)]
 struct SnapshotStorage {
-    /// (table, key) -> last row image; deletes remove the entry.
-    rows: HashMap<(String, RowKey), Row>,
+    rows: HashMap<(String, RowKey), Entry>,
     applied_scn: Scn,
 }
 
 impl SnapshotStorage {
     fn apply(&mut self, window: &Window) {
         for change in &window.changes {
-            let slot = (change.table.clone(), change.key.clone());
-            match &change.op {
-                Op::Put(row) => {
-                    self.rows.insert(slot, row.clone());
-                }
-                Op::Delete => {
-                    self.rows.remove(&slot);
-                }
-            }
+            let entry = Entry { scn: window.scn, op: change.op.clone() };
+            self.rows.insert((change.table.clone(), change.key.clone()), entry);
         }
         self.applied_scn = window.scn;
+    }
+
+    /// Gathers the entries written after `since` that pass `filter`. A
+    /// fresh read (`since` = 0) skips tombstones: it serves live rows only.
+    fn gather_after(&self, since: Scn, filter: &ServerFilter, into: &mut Gathered) {
+        let changed = self.rows.iter().filter(|((table, key), entry)| {
+            let live = matches!(entry.op, Op::Put(_));
+            entry.scn > since && (since > 0 || live) && filter.matches_row(table, key)
+        });
+        for (slot, entry) in changed {
+            into.insert(slot.clone(), entry.op.clone());
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct LogStorage {
+    /// Linked windows the applier has not folded in yet, in SCN order.
+    windows: Vec<SharedWindow>,
+    /// The log tail: the newest SCN ever linked, kept across applies.
+    linked_scn: Scn,
+}
+
+impl LogStorage {
+    fn link(&mut self, window: SharedWindow) {
+        self.linked_scn = window.scn;
+        self.windows.push(window);
     }
 }
 
 /// The bootstrap server. Thread-safe; share via `Arc`.
+#[derive(Default)]
 pub struct BootstrapServer {
-    /// Append-only log storage (complete history). Entries are the same
-    /// frozen windows the relay buffers: following a relay is a refcount
-    /// bump per window, not a copy.
-    log: Mutex<Vec<SharedWindow>>,
+    /// Log storage. Entries are the same frozen windows the relay buffers:
+    /// following a relay is a refcount bump per window, not a copy.
+    log: Mutex<LogStorage>,
     snapshot: Mutex<SnapshotStorage>,
-    /// Test hook fired between the snapshot scan and the replay phase of
-    /// [`BootstrapServer::snapshot`] — the window where a mutable snapshot
-    /// would serve inconsistent data without replay.
+    /// Test hook fired between the scan and the replay phase of
+    /// [`BootstrapServer::changes_since`] — the window where a mutable
+    /// snapshot would serve inconsistent data without replay.
     #[cfg(test)]
     #[allow(clippy::type_complexity)]
-    mid_snapshot_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    mid_scan_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl std::fmt::Debug for BootstrapServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BootstrapServer")
-            .field("log_windows", &self.log.lock().len())
+            .field("log_windows", &self.log.lock().windows.len())
             .field("snapshot_rows", &self.snapshot.lock().rows.len())
             .field("applied_scn", &self.snapshot.lock().applied_scn)
             .finish()
     }
 }
 
-impl Default for BootstrapServer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BootstrapServer {
     /// Creates an empty bootstrap server.
     pub fn new() -> Self {
-        BootstrapServer {
-            log: Mutex::new(Vec::new()),
-            snapshot: Mutex::new(SnapshotStorage::default()),
-            #[cfg(test)]
-            mid_snapshot_hook: Mutex::new(None),
-        }
+        Self::default()
     }
 
-    /// The log writer: appends windows arriving from the relay.
+    /// The log writer: appends a window arriving from the relay.
     pub fn ingest(&self, window: Window) {
-        self.ingest_shared(FrozenWindow::freeze(window));
-    }
-
-    /// The zero-copy log writer: appends an already-frozen window (shared
-    /// with the relay buffer that served it).
-    pub fn ingest_shared(&self, window: SharedWindow) {
-        self.log.lock().push(window);
+        self.log.lock().link(FrozenWindow::freeze(window));
     }
 
     /// Catches the bootstrap server up from a relay (its own consumer
@@ -132,40 +129,35 @@ impl BootstrapServer {
     /// two callers observing the same tail would double-append and break
     /// the log's SCN order. After linking, the relay's eviction floor
     /// advances to the new tail: everything below it is now durable in
-    /// log storage, everything above it stays pinned in the relay buffer.
+    /// bootstrap storage, everything above it stays pinned in the relay
+    /// buffer.
     pub fn catch_up_from(&self, relay: &Relay) -> Result<usize, RelayError> {
         let mut log = self.log.lock();
-        let last = log.last().map_or(0, |w| w.scn);
-        let views = relay.events_after_shared(last, usize::MAX, &ServerFilter::all())?;
+        let views = relay.events_after_shared(log.linked_scn, usize::MAX, &ServerFilter::all())?;
         let n = views.len();
         for view in views {
-            log.push(view.into_shared().expect("pass-all views are shared"));
+            log.link(view.into_shared().expect("pass-all views are shared"));
         }
-        relay.set_eviction_floor(log.last().map_or(last, |w| w.scn));
+        relay.set_eviction_floor(log.linked_scn);
         Ok(n)
     }
 
-    /// The log applier: folds un-applied log windows into snapshot storage.
-    /// Returns the number of windows applied. The log is append-only in
-    /// SCN order, so the un-applied windows are exactly the suffix past
-    /// `applied_scn` — binary-search the boundary instead of rescanning
-    /// the whole log (a million-window log pumped every few SCNs made the
-    /// full scan the site benchmark's hottest path).
+    /// The log applier: folds every log window into snapshot storage and
+    /// takes it out of the log, which then holds only what was linked
+    /// after this call. Returns the number of windows applied.
     pub fn apply_log(&self) -> usize {
-        let log = self.log.lock();
+        let mut log = self.log.lock();
         let mut snapshot = self.snapshot.lock();
-        let start = log.partition_point(|w| w.scn <= snapshot.applied_scn);
-        let mut applied = 0;
-        for window in &log[start..] {
-            snapshot.apply(window);
-            applied += 1;
+        let applied = log.windows.len();
+        for window in log.windows.drain(..) {
+            snapshot.apply(&window);
         }
         applied
     }
 
-    /// Newest SCN in log storage.
+    /// The log tail: newest SCN linked.
     pub fn log_scn(&self) -> Scn {
-        self.log.lock().last().map_or(0, |w| w.scn)
+        self.log.lock().linked_scn
     }
 
     /// SCN up to which snapshot storage has been built.
@@ -173,127 +165,63 @@ impl BootstrapServer {
         self.snapshot.lock().applied_scn
     }
 
-    /// Query 1: consolidated delta since `since_scn` — the last change per
-    /// row among all changes after `since_scn`, served from the append-only
-    /// log (always consistent).
-    pub fn consolidated_delta(
-        &self,
-        since_scn: Scn,
-        filter: &ServerFilter,
-    ) -> DeltaResult {
-        let log = self.log.lock();
-        let mut last_change: HashMap<(String, RowKey), RowChange> = HashMap::new();
-        let mut as_of = since_scn;
-        let mut raw_events = 0usize;
-        // Append-only SCN order: the relevant windows are the suffix past
-        // `since_scn`. A fallen-behind consumer re-deltas under write
-        // pressure, so this runs hot — binary-search the boundary rather
-        // than rescanning a million-window log per cycle.
-        let start = log.partition_point(|w| w.scn <= since_scn);
-        for window in &log[start..] {
-            for change in window.changes.iter().filter(|c| filter.matches(c)) {
-                raw_events += 1;
-                last_change.insert((change.table.clone(), change.key.clone()), change.clone());
-            }
-            as_of = as_of.max(window.scn);
-        }
-        let mut changes: Vec<RowChange> = last_change.into_values().collect();
-        changes.sort_by(|a, b| (&a.table, &a.key).cmp(&(&b.table, &b.key)));
-        DeltaResult {
-            changes,
-            as_of_scn: as_of,
-            raw_events,
-        }
-    }
-
-    /// Query 2: consistent snapshot. Scans snapshot storage (phase 1),
-    /// then replays every log window that committed during the scan
-    /// (phase 2), yielding a state consistent at the returned SCN.
-    pub fn snapshot(&self, filter: &ServerFilter) -> SnapshotResult {
-        // Phase 1: scan the snapshot storage at whatever SCN it has.
-        let (mut rows, start_scn) = {
+    /// The one bootstrap query: the last change to every row touched after
+    /// `since`, in (table, key) order, as one window whose `scn` is the SCN
+    /// the client resumes the relay from. A fallen-behind client asks with
+    /// its checkpoint (the consolidated delta, deletes included); a fresh
+    /// client asks with 0 and gets every live row (the consistent
+    /// snapshot). `source_db` is left empty: the caller names its source.
+    ///
+    /// Phase 1 scans snapshot storage and notes the SCN it had reached.
+    /// Phase 2 replays what landed since — entries applied after the scan
+    /// and the unapplied log suffix — so the result is consistent at its
+    /// SCN even when the applier ran in between.
+    pub fn changes_since(&self, since: Scn, filter: &ServerFilter) -> Window {
+        let mut gathered = Gathered::new();
+        let scanned_scn = {
             let snapshot = self.snapshot.lock();
-            let rows: HashMap<(String, RowKey), Row> = snapshot
-                .rows
-                .iter()
-                .filter(|((table, key), _)| {
-                    // Reuse filter.matches via a synthetic change view.
-                    filter.matches(&RowChange {
-                        table: table.clone(),
-                        key: key.clone(),
-                        op: Op::Delete,
-                    })
-                })
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            (rows, snapshot.applied_scn)
+            snapshot.gather_after(since, filter, &mut gathered);
+            snapshot.applied_scn
         };
 
-        // The dangerous interval: new commits can land now (in production
-        // the scan above streams for a long time).
+        // The dangerous interval: new commits can land and be applied now
+        // (in production the scan above streams for a long time).
         #[cfg(test)]
-        if let Some(hook) = self.mid_snapshot_hook.lock().take() {
+        if let Some(hook) = self.mid_scan_hook.lock().take() {
             hook();
         }
 
-        // Phase 2: replay changes since the scan started.
+        // Phase 2, in `apply_log`'s lock order: the log's windows and the
+        // snapshot's entries cannot move while both are held.
         let log = self.log.lock();
-        let mut as_of = start_scn;
-        for window in log.iter().filter(|w| w.scn > start_scn) {
+        let snapshot = self.snapshot.lock();
+        if snapshot.applied_scn > scanned_scn {
+            snapshot.gather_after(since.max(scanned_scn), filter, &mut gathered);
+        }
+        for window in log.windows.iter().filter(|w| w.scn > since) {
             for change in window.changes.iter().filter(|c| filter.matches(c)) {
-                let slot = (change.table.clone(), change.key.clone());
-                match &change.op {
-                    Op::Put(row) => {
-                        rows.insert(slot, row.clone());
-                    }
-                    Op::Delete => {
-                        rows.remove(&slot);
-                    }
-                }
+                gathered.insert((change.table.clone(), change.key.clone()), change.op.clone());
             }
-            as_of = as_of.max(window.scn);
         }
-        let mut rows: Vec<(String, RowKey, Row)> = rows
+        // A fresh read serves live rows only.
+        let changes = gathered
             .into_iter()
-            .map(|((table, key), row)| (table, key, row))
+            .filter(|(_, op)| since > 0 || matches!(op, Op::Put(_)))
+            .map(|((table, key), op)| RowChange { table, key, op })
             .collect();
-        rows.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        SnapshotResult {
-            rows,
-            as_of_scn: as_of,
+        Window {
+            source_db: String::new(),
+            scn: since.max(log.linked_scn),
+            timestamp: 0,
+            changes,
         }
     }
 
-    /// Installs a one-shot hook fired between the snapshot scan and the
-    /// replay phase (consistency testing).
+    /// Installs a one-shot hook fired between the scan and the replay
+    /// phase (consistency testing).
     #[cfg(test)]
-    fn set_mid_snapshot_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        *self.mid_snapshot_hook.lock() = Some(hook);
-    }
-}
-
-/// Convenience: a fully-wired bootstrap pipeline (log writer following a
-/// relay + log applier), advanced manually by tests and the client library.
-pub struct BootstrapPipeline {
-    /// The server.
-    pub server: Arc<BootstrapServer>,
-    relay: Arc<Relay>,
-}
-
-impl BootstrapPipeline {
-    /// Wires a bootstrap server to follow `relay`.
-    pub fn new(relay: Arc<Relay>) -> Self {
-        BootstrapPipeline {
-            server: Arc::new(BootstrapServer::new()),
-            relay,
-        }
-    }
-
-    /// One pump: log writer catch-up + log applier pass.
-    pub fn pump(&self) -> Result<(), RelayError> {
-        self.server.catch_up_from(&self.relay)?;
-        self.server.apply_log();
-        Ok(())
+    fn set_mid_scan_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
+        *self.mid_scan_hook.lock() = Some(hook);
     }
 }
 
@@ -301,6 +229,8 @@ impl BootstrapPipeline {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use li_sqlstore::Row;
+    use std::sync::Arc;
 
     fn put(table: &str, key: &str, value: &str) -> RowChange {
         RowChange {
@@ -327,12 +257,22 @@ mod tests {
         }
     }
 
-    fn value_of(result: &SnapshotResult, table: &str, key: &str) -> Option<String> {
-        result
-            .rows
+    /// The op a result carries for `key` of `table`: `Some(value)` for a
+    /// put, `None` for a delete; panics when the row is absent.
+    fn op_of(result: &Window, table: &str, key: &str) -> Option<String> {
+        let change = result
+            .changes
             .iter()
-            .find(|(t, k, _)| t == table && *k == RowKey::single(key))
-            .map(|(_, _, row)| String::from_utf8_lossy(&row.value).into_owned())
+            .find(|c| c.table == table && c.key == RowKey::single(key))
+            .unwrap_or_else(|| panic!("{table}/{key} missing from {result:?}"));
+        match &change.op {
+            Op::Put(row) => Some(String::from_utf8_lossy(&row.value).into_owned()),
+            Op::Delete => None,
+        }
+    }
+
+    fn has_row(result: &Window, table: &str, key: &str) -> bool {
+        result.changes.iter().any(|c| c.table == table && c.key == RowKey::single(key))
     }
 
     #[test]
@@ -343,10 +283,10 @@ mod tests {
         server.ingest(window(3, vec![delete("t", "b")]));
         assert_eq!(server.apply_log(), 3);
         assert_eq!(server.applied_scn(), 3);
-        let snap = server.snapshot(&ServerFilter::all());
-        assert_eq!(snap.rows.len(), 1);
-        assert_eq!(value_of(&snap, "t", "a").unwrap(), "2");
-        assert_eq!(snap.as_of_scn, 3);
+        let fresh = server.changes_since(0, &ServerFilter::all());
+        assert_eq!(fresh.changes.len(), 1, "the deleted row's tombstone is not served");
+        assert_eq!(op_of(&fresh, "t", "a").unwrap(), "2");
+        assert_eq!(fresh.scn, 3);
         // Applier is incremental.
         server.ingest(window(4, vec![put("t", "c", "1")]));
         assert_eq!(server.apply_log(), 1);
@@ -355,23 +295,20 @@ mod tests {
     #[test]
     fn consolidated_delta_collapses_updates() {
         let server = BootstrapServer::new();
-        // 100 updates to one hot key + 1 to a cold key.
+        // 100 updates to one hot key + 1 to a cold key, half of them
+        // applied to snapshot storage and half still in the log.
         for scn in 1..=100 {
             server.ingest(window(scn, vec![put("t", "hot", &format!("v{scn}"))]));
+            if scn == 50 {
+                server.apply_log();
+            }
         }
         server.ingest(window(101, vec![put("t", "cold", "x")]));
-        let delta = server.consolidated_delta(0, &ServerFilter::all());
-        assert_eq!(delta.changes.len(), 2, "one change per key");
-        assert_eq!(delta.raw_events, 101);
-        assert_eq!(delta.as_of_scn, 101);
-        let hot = delta
-            .changes
-            .iter()
-            .find(|c| c.key == RowKey::single("hot"))
-            .unwrap();
-        match &hot.op {
-            Op::Put(row) => assert_eq!(row.value.as_ref(), b"v100"),
-            Op::Delete => panic!("expected put"),
+        for since in [0, 1, 49, 50] {
+            let delta = server.changes_since(since, &ServerFilter::all());
+            assert_eq!(delta.changes.len(), 2, "one change per key since {since}");
+            assert_eq!(delta.scn, 101);
+            assert_eq!(op_of(&delta, "t", "hot").unwrap(), "v100");
         }
     }
 
@@ -381,44 +318,97 @@ mod tests {
         for scn in 1..=10 {
             server.ingest(window(scn, vec![put("t", &format!("k{scn}"), "v")]));
         }
-        let delta = server.consolidated_delta(7, &ServerFilter::all());
+        server.apply_log();
+        let delta = server.changes_since(7, &ServerFilter::all());
         assert_eq!(delta.changes.len(), 3);
-        assert_eq!(delta.as_of_scn, 10);
+        assert_eq!(delta.scn, 10);
         // Fully caught-up client gets an empty delta.
-        let empty = server.consolidated_delta(10, &ServerFilter::all());
+        let empty = server.changes_since(10, &ServerFilter::all());
         assert!(empty.changes.is_empty());
-        assert_eq!(empty.as_of_scn, 10);
+        assert_eq!(empty.scn, 10);
     }
 
     #[test]
     fn delta_reports_deletes() {
         let server = BootstrapServer::new();
         server.ingest(window(1, vec![put("t", "a", "1")]));
+        server.apply_log();
         server.ingest(window(2, vec![delete("t", "a")]));
-        let delta = server.consolidated_delta(0, &ServerFilter::all());
-        assert_eq!(delta.changes.len(), 1);
-        assert!(matches!(delta.changes[0].op, Op::Delete));
+        // From the log suffix, then from the tombstone once applied.
+        for apply in [false, true] {
+            if apply {
+                assert_eq!(server.apply_log(), 1);
+            }
+            let delta = server.changes_since(1, &ServerFilter::all());
+            assert_eq!(delta.changes.len(), 1);
+            assert!(matches!(delta.changes[0].op, Op::Delete));
+            let fresh = server.changes_since(0, &ServerFilter::all());
+            assert!(fresh.changes.is_empty(), "a fresh read never carries a delete");
+        }
     }
 
     #[test]
     fn snapshot_replays_changes_landing_mid_scan() {
-        let server = Arc::new(BootstrapServer::new());
-        server.ingest(window(1, vec![put("t", "a", "old"), put("t", "doomed", "x")]));
-        server.apply_log();
+        // While the scan "streams", a commit updating one row and deleting
+        // another lands in the log — and, when `applied`, the applier folds
+        // it into snapshot storage and out of the log, so replaying the log
+        // alone would miss it. Both a fresh read and a delta must show the
+        // update and the delete.
+        for (applied, since) in [(false, 0), (false, 1), (true, 0), (true, 1)] {
+            let server = Arc::new(BootstrapServer::new());
+            server.ingest(window(1, vec![put("t", "a", "old"), put("t", "doomed", "x")]));
+            server.apply_log();
+            let hook_server = server.clone();
+            server.set_mid_scan_hook(Box::new(move || {
+                hook_server.ingest(window(2, vec![put("t", "a", "new"), delete("t", "doomed")]));
+                if applied {
+                    assert_eq!(hook_server.apply_log(), 1);
+                }
+            }));
 
-        // While the snapshot scan "streams", two more commits land in the
-        // log (but NOT in snapshot storage — the applier hasn't run).
-        let hook_server = server.clone();
-        server.set_mid_snapshot_hook(Box::new(move || {
-            hook_server.ingest(window(2, vec![put("t", "a", "new")]));
-            hook_server.ingest(window(3, vec![delete("t", "doomed")]));
-        }));
+            let result = server.changes_since(since, &ServerFilter::all());
+            let case = format!("applied mid-scan: {applied}, since {since}");
+            assert_eq!(op_of(&result, "t", "a").unwrap(), "new", "{case}");
+            if since == 0 {
+                assert!(!has_row(&result, "t", "doomed"), "{case}");
+                assert!(result.changes.iter().all(|c| matches!(c.op, Op::Put(_))), "{case}");
+            } else {
+                assert_eq!(op_of(&result, "t", "doomed"), None, "{case}: the delete is reported");
+            }
+            assert_eq!(result.scn, 2, "{case}");
+        }
+    }
 
-        let snap = server.snapshot(&ServerFilter::all());
-        // Replay repaired both: the update is visible, the delete applied.
-        assert_eq!(value_of(&snap, "t", "a").unwrap(), "new");
-        assert!(value_of(&snap, "t", "doomed").is_none());
-        assert_eq!(snap.as_of_scn, 3);
+    #[test]
+    fn log_holds_only_unapplied_windows() {
+        // 10,000 updates over 10 keys, applied every 100 windows; deltas
+        // are checked right after each apply and halfway between applies.
+        let server = BootstrapServer::new();
+        for scn in 1..=10_000u64 {
+            server.ingest(window(scn, vec![put("t", &format!("k{}", scn % 10), &format!("v{scn}"))]));
+            if scn % 100 == 0 {
+                assert_eq!(server.apply_log(), 100);
+                assert_eq!(server.log.lock().windows.len(), 0, "the log keeps only the unapplied");
+                assert_eq!(server.snapshot.lock().rows.len(), 10);
+            }
+            if scn % 50 != 0 {
+                continue;
+            }
+            for since in [0, scn / 2, scn - 7, scn - 1, scn] {
+                // Replay: the last write per key among the raw events after
+                // `since`.
+                let replay: BTreeMap<String, String> =
+                    (since + 1..=scn).map(|s| (format!("k{}", s % 10), format!("v{s}"))).collect();
+                let delta = server.changes_since(since, &ServerFilter::all());
+                let served: BTreeMap<String, String> = delta
+                    .changes
+                    .iter()
+                    .map(|c| (c.key.0[0].clone(), op_of(&delta, "t", &c.key.0[0]).unwrap()))
+                    .collect();
+                assert_eq!(served, replay, "delta since {since} at {scn}");
+                assert_eq!(delta.scn, scn);
+            }
+        }
     }
 
     #[test]
@@ -426,13 +416,14 @@ mod tests {
         let server = BootstrapServer::new();
         server.ingest(window(1, vec![put("member", "a", "1"), put("company", "c", "2")]));
         server.apply_log();
+        server.ingest(window(2, vec![put("member", "b", "1"), put("company", "d", "2")]));
         let filter = ServerFilter::for_tables(["member"]);
-        let delta = server.consolidated_delta(0, &filter);
+        let delta = server.changes_since(1, &filter);
         assert_eq!(delta.changes.len(), 1);
-        assert_eq!(delta.changes[0].table, "member");
-        let snap = server.snapshot(&filter);
-        assert_eq!(snap.rows.len(), 1);
-        assert_eq!(snap.rows[0].0, "member");
+        assert_eq!(op_of(&delta, "member", "b").unwrap(), "1");
+        let snap = server.changes_since(0, &filter);
+        assert_eq!(snap.changes.len(), 2);
+        assert!(snap.changes.iter().all(|c| c.table == "member"));
     }
 
     #[test]
@@ -451,21 +442,29 @@ mod tests {
         // Linked windows are evictable again on the next ingest pass.
         relay.ingest(window(51, vec![put("t", "k51", "v")])).unwrap();
         assert!(relay.oldest_scn() > 1, "eviction resumed below the floor");
-        // The evicted prefix survives in log storage.
-        let delta = server.consolidated_delta(0, &ServerFilter::all());
+        // The evicted prefix survives in the log, then in the snapshot.
+        let delta = server.changes_since(0, &ServerFilter::all());
         assert_eq!(delta.changes.len(), 50, "every linked window retained");
+        server.apply_log();
+        assert_eq!(server.changes_since(0, &ServerFilter::all()), delta);
+        // Applying drains the log but not the tail the floor follows.
+        assert_eq!(server.catch_up_from(&relay).unwrap(), 1);
+        assert_eq!(server.apply_log(), 1);
+        assert_eq!(server.log_scn(), 51);
+        assert_eq!(relay.eviction_floor(), Some(51));
     }
 
     #[test]
     fn pipeline_follows_relay() {
         let relay = Arc::new(Relay::new("primary", 1 << 20));
-        let pipeline = BootstrapPipeline::new(relay.clone());
+        let server = BootstrapServer::new();
         for scn in 1..=5 {
             relay.ingest(window(scn, vec![put("t", &format!("k{scn}"), "v")])).unwrap();
         }
-        pipeline.pump().unwrap();
-        assert_eq!(pipeline.server.log_scn(), 5);
-        assert_eq!(pipeline.server.applied_scn(), 5);
-        assert_eq!(pipeline.server.snapshot(&ServerFilter::all()).rows.len(), 5);
+        server.catch_up_from(&relay).unwrap();
+        server.apply_log();
+        assert_eq!(server.log_scn(), 5);
+        assert_eq!(server.applied_scn(), 5);
+        assert_eq!(server.changes_since(0, &ServerFilter::all()).changes.len(), 5);
     }
 }

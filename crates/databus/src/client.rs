@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
-use li_sqlstore::{Op, RowChange, Scn};
+use li_sqlstore::Scn;
 
 use crate::bootstrap::BootstrapServer;
 use crate::event::{ServerFilter, Window};
@@ -273,61 +273,36 @@ impl DatabusClient {
                 // it advances when pumped — and the pump may be parked on
                 // *this client's* drive lock (its own catch-up pass runs
                 // behind ours). Serving from the stale log would hand back
-                // an `as_of` still below the relay's buffered range, and
+                // a resume SCN still below the relay's buffered range, and
                 // the next cycle would fall behind again, forever. After
-                // the tug the delta/snapshot is current as of now, so the
+                // the tug the bootstrap read is current as of now, so the
                 // client lands at the relay head and resumes cleanly. This
                 // also advances the relay's eviction floor, re-bounding
                 // the buffer while the pump is blocked.
                 bootstrap.catch_up_from(&self.relay).map_err(DatabusError::Relay)?;
-                if checkpoint == 0 {
-                    // Fresh client: consistent snapshot at U.
+                // One query either way: a fresh client (checkpoint 0) gets
+                // every live row and re-initializes its state first; a
+                // fallen-behind one gets the consolidated delta since its
+                // checkpoint.
+                let fresh = checkpoint == 0;
+                if fresh {
                     self.consumer.on_snapshot_start();
-                    let snapshot = bootstrap.snapshot(&self.filter);
-                    let as_of = snapshot.as_of_scn;
-                    let window = Window {
-                        source_db: self.relay.source_db().to_string(),
-                        scn: as_of,
-                        timestamp: 0,
-                        changes: snapshot
-                            .rows
-                            .into_iter()
-                            .map(|(table, key, row)| RowChange {
-                                table,
-                                key,
-                                op: Op::Put(row),
-                            })
-                            .collect(),
-                    };
-                    self.deliver(&window)?;
-                    *self.checkpoint.lock() = as_of;
-                    let mut stats = self.stats.lock();
-                    stats.snapshots += 1;
-                    stats.windows_from_bootstrap += 1;
-                    drop(stats);
-                    self.metrics.windows_processed.inc();
-                    self.refresh_lag();
-                    Ok(1)
-                } else {
-                    // Fallen-behind client: consolidated delta since T.
-                    let delta = bootstrap.consolidated_delta(checkpoint, &self.filter);
-                    let as_of = delta.as_of_scn;
-                    let window = Window {
-                        source_db: self.relay.source_db().to_string(),
-                        scn: as_of,
-                        timestamp: 0,
-                        changes: delta.changes,
-                    };
-                    self.deliver(&window)?;
-                    *self.checkpoint.lock() = as_of;
-                    let mut stats = self.stats.lock();
-                    stats.deltas += 1;
-                    stats.windows_from_bootstrap += 1;
-                    drop(stats);
-                    self.metrics.windows_processed.inc();
-                    self.refresh_lag();
-                    Ok(1)
                 }
+                let mut window = bootstrap.changes_since(checkpoint, &self.filter);
+                window.source_db = self.relay.source_db().to_string();
+                self.deliver(&window)?;
+                *self.checkpoint.lock() = window.scn;
+                let mut stats = self.stats.lock();
+                if fresh {
+                    stats.snapshots += 1;
+                } else {
+                    stats.deltas += 1;
+                }
+                stats.windows_from_bootstrap += 1;
+                drop(stats);
+                self.metrics.windows_processed.inc();
+                self.refresh_lag();
+                Ok(1)
             }
             Err(e) => Err(DatabusError::Relay(e)),
         }
@@ -354,7 +329,7 @@ impl DatabusClient {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use li_sqlstore::{Row, RowKey};
+    use li_sqlstore::{Op, Row, RowChange, RowKey};
     use parking_lot::Mutex as PMutex;
 
     /// Consumer that folds windows into a map, tracking window boundaries.

@@ -2,7 +2,7 @@
 //! server-side filters.
 
 use li_commons::fnv::fnv1a;
-use li_sqlstore::{BinlogEntry, RowChange, Scn};
+use li_sqlstore::{BinlogEntry, RowChange, RowKey, Scn};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -245,12 +245,11 @@ impl PartialEq<Window> for WindowView {
     }
 }
 
-/// The partition of a row change: a stable hash of the key's first path
-/// element (the partitioning axis — Espresso's `resource_id`), mod the
-/// subscriber group's partition count.
-pub fn partition_of(change: &RowChange, num_partitions: u32) -> u32 {
-    let basis = change
-        .key
+/// The partition of a row: a stable hash of the key's first path element
+/// (the partitioning axis — Espresso's `resource_id`), mod the subscriber
+/// group's partition count.
+pub fn partition_of(key: &RowKey, num_partitions: u32) -> u32 {
+    let basis = key
         .resource_id()
         .map(str::as_bytes)
         .unwrap_or(b"");
@@ -303,13 +302,18 @@ impl ServerFilter {
 
     /// True when `change` passes the filter.
     pub fn matches(&self, change: &RowChange) -> bool {
+        self.matches_row(&change.table, &change.key)
+    }
+
+    /// True when a change to row `key` of `table` passes the filter.
+    pub fn matches_row(&self, table: &str, key: &RowKey) -> bool {
         if let Some(tables) = &self.tables {
-            if !tables.iter().any(|t| t == &change.table) {
+            if !tables.iter().any(|t| t == table) {
                 return false;
             }
         }
         if let Some((num_partitions, ids)) = &self.partitions {
-            let p = partition_of(change, *num_partitions);
+            let p = partition_of(key, *num_partitions);
             if !ids.contains(&p) {
                 return false;
             }
@@ -431,8 +435,8 @@ mod tests {
         let k = 4u32;
         let mut seen = vec![0usize; k as usize];
         for c in &changes {
-            let p = partition_of(c, k);
-            assert_eq!(p, partition_of(c, k), "stable");
+            let p = partition_of(&c.key, k);
+            assert_eq!(p, partition_of(&c.key, k), "stable");
             seen[p as usize] += 1;
         }
         assert!(seen.iter().all(|&c| c > 0), "all partitions used: {seen:?}");
@@ -461,7 +465,7 @@ mod tests {
             key: RowKey::new(["Akon", "Trouble", "Locked_Up"]),
             op: Op::Delete,
         };
-        assert_eq!(partition_of(&a, 16), partition_of(&b, 16));
+        assert_eq!(partition_of(&a.key, 16), partition_of(&b.key, 16));
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //!   buffer's tail gets [`relay::RelayError::ScnNotFound`] and must
 //!   bootstrap.
 //! * [`bootstrap`] — "listen\[s\] to the stream of Databus events and
-//!   provide\[s\] long-term storage for them", with the two query types of
-//!   Figure III.3: **consolidated delta since T** (only the last update per
-//!   row — "fast playback") and **consistent snapshot at U** (scan the
-//!   snapshot storage, then replay the log entries that landed during the
-//!   scan).
+//!   provide\[s\] long-term storage for them". The two query types of
+//!   Figure III.3 are one read of snapshot storage, which keeps each row's
+//!   last event with its SCN: **consolidated delta since T** (the rows
+//!   changed after T — "fast playback") and **consistent snapshot** (the
+//!   same read at T = 0, live rows only), each followed by a replay of
+//!   what landed during the scan.
 //! * [`client`] — the client library: consumer callbacks with transaction-
 //!   window granularity, progress checkpointing, automatic
 //!   relay → bootstrap → relay switchover, and bounded retry on consumer
@@ -75,7 +76,7 @@ pub mod event;
 pub mod relay;
 pub mod transform;
 
-pub use bootstrap::{BootstrapServer, DeltaResult, SnapshotResult};
+pub use bootstrap::BootstrapServer;
 pub use capture::{LogShippingAdapter, PollingAdapter};
 pub use client::{ConsumerCallback, DatabusClient, DatabusError};
 pub use dispatch::{DispatchStats, StreamDispatcher};

@@ -213,13 +213,8 @@ impl Relay {
     /// Ingests one committed transaction. SCNs must be dense and
     /// increasing.
     pub fn ingest(&self, window: Window) -> Result<(), RelayError> {
-        self.ingest_shared(FrozenWindow::freeze(window))
-    }
-
-    /// Ingests an already-frozen window (zero-copy chaining: the upstream
-    /// relay, this relay, and every consumer share one allocation).
-    pub fn ingest_shared(&self, window: SharedWindow) -> Result<(), RelayError> {
-        self.ingest_shared_batch(std::iter::once(window)).map(|_| ())
+        self.ingest_shared_batch(std::iter::once(FrozenWindow::freeze(window)))
+            .map(|_| ())
     }
 
     /// Batched ingest: freezes each window once and takes the buffer lock

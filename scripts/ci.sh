@@ -124,6 +124,15 @@ if git grep -nE 'member_profile|SearchIndexer' -- crates/core crates/bench/src e
   exit 1
 fi
 
+# One bootstrap query: snapshot entries carry the SCN that last wrote
+# them, so the consolidated delta and the consistent snapshot are one
+# read (`changes_since`); the second query, its two result types, the
+# raw-event tally and the pump wrapper stay gone.
+if git grep -nwE 'consolidated_delta|DeltaResult|SnapshotResult|BootstrapPipeline|raw_events' -- crates tests examples; then
+  echo "ci.sh: a second bootstrap query or its scaffolding is back (matches above)" >&2
+  exit 1
+fi
+
 # No public function without a caller: every `pub fn` of the library is
 # named by a second file among the library, its tests, examples, the
 # benchmark and the root package, or is listed with its reason in

@@ -5,8 +5,7 @@
 //! duplicates, no SCN regressions across the switchover.
 
 use bytes::Bytes;
-use li_databus::bootstrap::BootstrapPipeline;
-use li_databus::{ConsumerCallback, DatabusClient, LogShippingAdapter, Relay, Window};
+use li_databus::{BootstrapServer, ConsumerCallback, DatabusClient, LogShippingAdapter, Relay, Window};
 use li_sqlstore::{Database, Op, RowKey, Scn};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -57,18 +56,27 @@ impl ConsumerCallback for Materializer {
 struct Rig {
     db: Database,
     relay: Arc<Relay>,
-    bootstrap: BootstrapPipeline,
+    bootstrap: Arc<BootstrapServer>,
+}
+
+impl Rig {
+    /// One bootstrap pump, as the platform runs it: the log writer links
+    /// what the relay buffered, then the log applier folds it in.
+    fn pump(&self) {
+        self.bootstrap.catch_up_from(&self.relay).unwrap();
+        self.bootstrap.apply_log();
+    }
 }
 
 /// A primary with semi-sync log shipping into a deliberately tiny relay
-/// buffer (so sustained writes evict the tail) and a bootstrap pipeline
+/// buffer (so sustained writes evict the tail) and a bootstrap server
 /// following that relay.
 fn rig() -> Rig {
     let db = Database::new("member_db");
     db.create_table("members").unwrap();
     let relay = Arc::new(Relay::new("member_db", 2_000));
     LogShippingAdapter::attach(&db, relay.clone());
-    let bootstrap = BootstrapPipeline::new(relay.clone());
+    let bootstrap = Arc::new(BootstrapServer::new());
     Rig { db, relay, bootstrap }
 }
 
@@ -92,20 +100,20 @@ fn lagging_consumer_switchover_matches_always_connected_consumer() {
     let reference = Arc::new(Materializer::default());
     let reference_client = DatabusClient::new(
         rig.relay.clone(),
-        Some(rig.bootstrap.server.clone()),
+        Some(rig.bootstrap.clone()),
         reference.clone(),
     );
     let lagging = Arc::new(Materializer::default());
     let lagging_client = DatabusClient::new(
         rig.relay.clone(),
-        Some(rig.bootstrap.server.clone()),
+        Some(rig.bootstrap.clone()),
         lagging.clone(),
     );
 
     // Phase 1: both consumers live and keeping up.
     for i in 0..30u64 {
         commit(&rig.db, i);
-        rig.bootstrap.pump().unwrap();
+        rig.pump();
         reference_client.catch_up().unwrap();
         lagging_client.catch_up().unwrap();
     }
@@ -115,7 +123,7 @@ fn lagging_consumer_switchover_matches_always_connected_consumer() {
     // its checkpoint is evicted from the relay's circular buffer.
     for i in 30..230u64 {
         commit(&rig.db, i);
-        rig.bootstrap.pump().unwrap();
+        rig.pump();
         reference_client.catch_up().unwrap();
     }
     assert!(
@@ -162,14 +170,14 @@ fn fresh_consumer_bootstraps_via_snapshot_then_goes_live() {
     let reference = Arc::new(Materializer::default());
     let reference_client = DatabusClient::new(
         rig.relay.clone(),
-        Some(rig.bootstrap.server.clone()),
+        Some(rig.bootstrap.clone()),
         reference.clone(),
     );
 
     // Long-running stream: the relay has long evicted SCN 1 by the end.
     for i in 0..150u64 {
         commit(&rig.db, i);
-        rig.bootstrap.pump().unwrap();
+        rig.pump();
         reference_client.catch_up().unwrap();
     }
     assert!(rig.relay.oldest_scn() > 1, "history must be evicted");
@@ -179,7 +187,7 @@ fn fresh_consumer_bootstraps_via_snapshot_then_goes_live() {
     let fresh = Arc::new(Materializer::default());
     let fresh_client = DatabusClient::new(
         rig.relay.clone(),
-        Some(rig.bootstrap.server.clone()),
+        Some(rig.bootstrap.clone()),
         fresh.clone(),
     );
     fresh_client.catch_up().unwrap();
@@ -190,7 +198,7 @@ fn fresh_consumer_bootstraps_via_snapshot_then_goes_live() {
     // More live traffic: both stay in lockstep off the relay.
     for i in 150..180u64 {
         commit(&rig.db, i);
-        rig.bootstrap.pump().unwrap();
+        rig.pump();
         reference_client.catch_up().unwrap();
         fresh_client.catch_up().unwrap();
     }

@@ -209,11 +209,15 @@ proptest! {
     }
 
     /// Consolidated delta ≡ full replay: folding the delta over the state
-    /// at T gives the same view as replaying every event after T.
+    /// at T gives the same view as replaying every event after T — whether
+    /// the log applier ran before the split (the delta comes from the log
+    /// suffix), after it (from snapshot entries, plus the log suffix unless
+    /// it ran last) or never (from the log alone).
     #[test]
     fn prop_consolidated_delta_equals_replay(
         ops in proptest::collection::vec((0u8..3, 0u8..8, 0u16..100), 2..80),
         at in 1usize..79,
+        apply_at in 0usize..100,
     ) {
         let split = at.min(ops.len().saturating_sub(1)).max(1);
         let db = primary_with_table();
@@ -231,6 +235,11 @@ proptest! {
             if i + 1 == split {
                 scn_at_split = db.last_scn();
             }
+            // Past the last op, the applier never runs.
+            if i == apply_at {
+                bootstrap.catch_up_from(&relay).unwrap();
+                bootstrap.apply_log();
+            }
         }
         bootstrap.catch_up_from(&relay).unwrap();
 
@@ -240,7 +249,7 @@ proptest! {
         replay_client.catch_up().unwrap();
 
         // Delta path: state at T + consolidated delta since T.
-        let delta = bootstrap.consolidated_delta(scn_at_split, &li_databus::ServerFilter::all());
+        let delta = bootstrap.changes_since(scn_at_split, &li_databus::ServerFilter::all());
         // Rebuild state at T from the relay.
         let at_t = Arc::new(ViewConsumer::default());
         {
@@ -270,7 +279,9 @@ proptest! {
             }
         }
         prop_assert_eq!(state, primary_view(&db));
+        prop_assert_eq!(delta.scn, db.last_scn());
         // Fast playback: the delta never has more events than the raw tail.
-        prop_assert!(delta.changes.len() <= delta.raw_events);
+        let raw: usize = db.binlog_after(scn_at_split).iter().map(|e| e.changes.len()).sum();
+        prop_assert!(delta.changes.len() <= raw);
     }
 }
