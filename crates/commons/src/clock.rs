@@ -9,7 +9,7 @@
 //! already-written clock fails with a special error — is implemented in
 //! `li-voldemort` on top of [`Occurred`].
 
-use serde::{get_field, object, DeError, Deserialize, JsonValue, Serialize};
+use serde::{get_field, object, DeError, Deserialize, JsonKey, JsonValue, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -37,24 +37,35 @@ pub enum Occurred {
 /// A vector clock: a map from writer node id to a monotonically increasing
 /// counter of writes that node has coordinated for the tuple.
 ///
-/// Stored as a sorted map so serialization is canonical — two equal clocks
+/// Stored as a flat array of `(writer, counter)` pairs, sorted by writer
+/// with each writer once, so serialization is canonical — two equal clocks
 /// always serialize to identical bytes, which Voldemort's read-repair
-/// relies on when comparing replica responses.
+/// relies on when comparing replica responses. A clock names a handful of
+/// writers, so one small array (one allocation, none when empty) holds it
+/// more cheaply than a tree, and every stored version carries one.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct VectorClock {
-    entries: BTreeMap<WriterId, u64>,
+    entries: Vec<(WriterId, u64)>,
 }
 
 impl Serialize for VectorClock {
     fn to_json_value(&self) -> JsonValue {
-        object(vec![("entries", self.entries.to_json_value())])
+        let entries = self
+            .entries
+            .iter()
+            .map(|(writer, counter)| (writer.to_key(), counter.to_json_value()))
+            .collect();
+        object(vec![("entries", JsonValue::Object(entries))])
     }
 }
 
 impl Deserialize for VectorClock {
     fn from_json_value(value: &JsonValue) -> Result<Self, DeError> {
+        // Read through a map, so a non-canonical object is made canonical
+        // exactly as the map-backed clock made it.
+        let map: BTreeMap<WriterId, u64> = get_field(value, "entries")?;
         Ok(VectorClock {
-            entries: get_field(value, "entries")?,
+            entries: map.into_iter().collect(),
         })
     }
 }
@@ -67,9 +78,22 @@ impl VectorClock {
 
     /// Creates a clock with a single entry, convenient in tests.
     pub fn with(writer: WriterId, counter: u64) -> Self {
-        let mut clock = Self::new();
-        clock.entries.insert(writer, counter);
-        clock
+        VectorClock {
+            entries: vec![(writer, counter)],
+        }
+    }
+
+    /// The counter slot of `writer`, inserted at zero in writer order when
+    /// the clock has none.
+    fn slot(&mut self, writer: WriterId) -> &mut u64 {
+        let at = match self.entries.binary_search_by_key(&writer, |&(w, _)| w) {
+            Ok(at) => at,
+            Err(at) => {
+                self.entries.insert(at, (writer, 0));
+                at
+            }
+        };
+        &mut self.entries[at].1
     }
 
     /// Records one more write coordinated by `writer`, returning the
@@ -78,13 +102,13 @@ impl VectorClock {
     #[must_use]
     pub fn incremented(&self, writer: WriterId) -> Self {
         let mut next = self.clone();
-        *next.entries.entry(writer).or_insert(0) += 1;
+        next.increment(writer);
         next
     }
 
     /// Increments this clock in place.
     pub fn increment(&mut self, writer: WriterId) {
-        *self.entries.entry(writer).or_insert(0) += 1;
+        *self.slot(writer) += 1;
     }
 
     /// Number of distinct writers recorded.
@@ -158,9 +182,9 @@ impl VectorClock {
     #[must_use]
     pub fn merged(&self, other: &VectorClock) -> Self {
         let mut merged = self.clone();
-        for (&writer, &counter) in &other.entries {
-            let entry = merged.entries.entry(writer).or_insert(0);
-            *entry = (*entry).max(counter);
+        for &(writer, counter) in &other.entries {
+            let slot = merged.slot(writer);
+            *slot = (*slot).max(counter);
         }
         merged
     }
@@ -168,27 +192,31 @@ impl VectorClock {
     /// Serializes the clock to a compact canonical byte form.
     pub fn encode(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.entries.len() as u64);
-        for (&writer, &counter) in &self.entries {
+        for &(writer, counter) in &self.entries {
             varint::write_u64(out, u64::from(writer));
             varint::write_u64(out, counter);
         }
     }
 
-    /// Decodes a clock produced by [`VectorClock::encode`].
+    /// Decodes a clock produced by [`VectorClock::encode`]. Input that is
+    /// not canonical is made so: writers are sorted, and a writer named
+    /// twice keeps its last counter.
     pub fn decode(buf: &mut impl Buf) -> Result<Self, varint::VarintError> {
         let n = varint::read_u64(buf)? as usize;
-        let mut entries = BTreeMap::new();
+        let mut clock = VectorClock {
+            entries: Vec::with_capacity(n.min(16)),
+        };
         for _ in 0..n {
             let writer = varint::read_u64(buf)? as WriterId;
             let counter = varint::read_u64(buf)?;
-            entries.insert(writer, counter);
+            *clock.slot(writer) = counter;
         }
-        Ok(VectorClock { entries })
+        Ok(clock)
     }
 
     /// Iterates over `(writer, counter)` pairs in writer order.
     pub fn iter(&self) -> impl Iterator<Item = (WriterId, u64)> + '_ {
-        self.entries.iter().map(|(&w, &c)| (w, c))
+        self.entries.iter().copied()
     }
 }
 
@@ -362,8 +390,106 @@ mod tests {
     }
 
     fn arb_clock() -> impl Strategy<Value = VectorClock> {
-        proptest::collection::btree_map(0u16..8, 0u64..16, 0..6)
-            .prop_map(|entries| VectorClock { entries })
+        proptest::collection::btree_map(0u16..8, 0u64..16, 0..6).prop_map(|entries| VectorClock {
+            entries: entries.into_iter().collect(),
+        })
+    }
+
+    /// The map-backed clock this one replaced, kept as the reference
+    /// model: `incremented`, `merged`, `encode` and the JSON value are the
+    /// old code over a `BTreeMap`, and `compare` is happens-before spelled
+    /// pointwise over the union of writers.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct ModelClock(BTreeMap<WriterId, u64>);
+
+    impl ModelClock {
+        fn incremented(&self, writer: WriterId) -> Self {
+            let mut next = self.clone();
+            *next.0.entry(writer).or_insert(0) += 1;
+            next
+        }
+
+        fn merged(&self, other: &ModelClock) -> Self {
+            let mut merged = self.clone();
+            for (&writer, &counter) in &other.0 {
+                let entry = merged.0.entry(writer).or_insert(0);
+                *entry = (*entry).max(counter);
+            }
+            merged
+        }
+
+        fn compare(&self, other: &ModelClock) -> Occurred {
+            // A writer one side names and the other does not counts for
+            // the side naming it, even at counter 0.
+            let mut self_bigger = false;
+            let mut other_bigger = false;
+            let writers: std::collections::BTreeSet<_> =
+                self.0.keys().chain(other.0.keys()).collect();
+            for writer in writers {
+                match (self.0.get(writer), other.0.get(writer)) {
+                    (Some(_), None) => self_bigger = true,
+                    (None, Some(_)) => other_bigger = true,
+                    (Some(a), Some(b)) => {
+                        self_bigger |= a > b;
+                        other_bigger |= a < b;
+                    }
+                    (None, None) => unreachable!("writer drawn from one side"),
+                }
+            }
+            match (self_bigger, other_bigger) {
+                (true, true) => Occurred::Concurrent,
+                (true, false) => Occurred::After,
+                (false, true) => Occurred::Before,
+                (false, false) => Occurred::Equal,
+            }
+        }
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            varint::write_u64(out, self.0.len() as u64);
+            for (&writer, &counter) in &self.0 {
+                varint::write_u64(out, u64::from(writer));
+                varint::write_u64(out, counter);
+            }
+        }
+
+        fn to_json_value(&self) -> JsonValue {
+            object(vec![("entries", self.0.to_json_value())])
+        }
+    }
+
+    /// One step of a random history over three clocks.
+    #[derive(Debug, Clone)]
+    enum ClockOp {
+        Increment(usize, WriterId),
+        Merge(usize, usize),
+    }
+
+    fn arb_history() -> impl Strategy<Value = Vec<ClockOp>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0usize..3, 0u16..6).prop_map(|(at, writer)| ClockOp::Increment(at, writer)),
+                (0usize..3, 0usize..3).prop_map(|(at, from)| ClockOp::Merge(at, from)),
+            ],
+            0..24,
+        )
+    }
+
+    /// Checks `clock` against `model` on every observable: entries, the
+    /// encoded bytes, the JSON value and its round trip.
+    fn assert_matches_model(clock: &VectorClock, model: &ModelClock) -> TestCaseResult {
+        let entries: Vec<(WriterId, u64)> = model.0.iter().map(|(&w, &c)| (w, c)).collect();
+        prop_assert_eq!(clock.iter().collect::<Vec<_>>(), entries);
+        prop_assert_eq!(clock.len(), model.0.len());
+        let (mut bytes, mut model_bytes) = (Vec::new(), Vec::new());
+        clock.encode(&mut bytes);
+        model.encode(&mut model_bytes);
+        prop_assert_eq!(&bytes, &model_bytes);
+        let json = clock.to_json_value();
+        prop_assert_eq!(&json, &model.to_json_value());
+        prop_assert_eq!(&VectorClock::from_json_value(&json).unwrap(), clock);
+        let text = serde_json::to_string(clock).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<VectorClock>(&text).unwrap(), clock);
+        Ok(())
     }
 
     proptest! {
@@ -445,6 +571,57 @@ mod tests {
         fn prop_concurrent_iff_neither_descends(a in arb_clock(), b in arb_clock()) {
             let concurrent = a.compare(&b) == Occurred::Concurrent;
             prop_assert_eq!(concurrent, !a.descends_from(&b) && !b.descends_from(&a));
+        }
+
+        #[test]
+        fn prop_matches_map_model_over_random_histories(history in arb_history()) {
+            let mut clocks = vec![VectorClock::new(); 3];
+            let mut models = vec![ModelClock::default(); 3];
+            for op in history {
+                match op {
+                    ClockOp::Increment(at, writer) => {
+                        let next = clocks[at].incremented(writer);
+                        let model_next = models[at].incremented(writer);
+                        assert_matches_model(&next, &model_next)?;
+                        clocks[at].increment(writer);
+                        prop_assert_eq!(&clocks[at], &next);
+                        models[at] = model_next;
+                    }
+                    ClockOp::Merge(at, from) => {
+                        clocks[at] = clocks[at].merged(&clocks[from]);
+                        models[at] = models[at].merged(&models[from]);
+                    }
+                }
+                for (clock, model) in clocks.iter().zip(&models) {
+                    assert_matches_model(clock, model)?;
+                }
+                for a in 0..3 {
+                    for b in 0..3 {
+                        prop_assert_eq!(clocks[a].compare(&clocks[b]), models[a].compare(&models[b]));
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn prop_decode_canonicalizes_like_map_insert(
+            raw in proptest::collection::vec((0u16..6, 0u64..16), 0..10)
+        ) {
+            // Unsorted, possibly repeated writers: the map-backed decoder
+            // sorted them and kept each writer's last counter.
+            let mut bytes = Vec::new();
+            varint::write_u64(&mut bytes, raw.len() as u64);
+            for &(writer, counter) in &raw {
+                varint::write_u64(&mut bytes, u64::from(writer));
+                varint::write_u64(&mut bytes, counter);
+            }
+            let decoded = VectorClock::decode(&mut &bytes[..]).unwrap();
+            let model = ModelClock(raw.into_iter().collect());
+            assert_matches_model(&decoded, &model)?;
+            // Zeros must round-trip too: a named writer at 0 is not absent.
+            let mut reencoded = Vec::new();
+            decoded.encode(&mut reencoded);
+            prop_assert_eq!(VectorClock::decode(&mut &reencoded[..]).unwrap(), decoded);
         }
 
         #[test]

@@ -403,7 +403,12 @@ mod tests {
                 let served: BTreeMap<String, String> = delta
                     .changes
                     .iter()
-                    .map(|c| (c.key.0[0].clone(), op_of(&delta, "t", &c.key.0[0]).unwrap()))
+                    .map(|c| {
+                        (
+                            c.key.parts()[0].clone(),
+                            op_of(&delta, "t", &c.key.parts()[0]).unwrap(),
+                        )
+                    })
                     .collect();
                 assert_eq!(served, replay, "delta since {since} at {scn}");
                 assert_eq!(delta.scn, scn);

@@ -42,7 +42,7 @@ impl Window {
             .changes
             .iter()
             .map(|c| {
-                let key: usize = c.key.0.iter().map(String::len).sum();
+                let key: usize = c.key.parts().iter().map(String::len).sum();
                 let value = match &c.op {
                     li_sqlstore::Op::Put(row) => row.value.len() + 24,
                     li_sqlstore::Op::Delete => 0,

@@ -93,9 +93,8 @@ impl Transformation {
                 }
                 TransformRule::PrefixKeys { table, prefix } => {
                     if change.table == *table {
-                        let mut parts = vec![prefix.clone()];
-                        parts.extend(change.key.0.iter().cloned());
-                        change.key = RowKey(parts);
+                        let parts = std::iter::once(prefix).chain(change.key.parts());
+                        change.key = RowKey::new(parts.cloned());
                     }
                 }
             }

@@ -26,8 +26,9 @@ use std::sync::Arc;
 pub struct InvertedIndex {
     /// Document number -> the document's key and term numbers.
     docs: Slots<Doc>,
-    /// Key -> document number; shares each key with `docs`.
-    doc_numbers: HashMap<Arc<[String]>, u32>,
+    /// Key -> document number; shares each key with `docs` and with the
+    /// row it indexes.
+    doc_numbers: HashMap<RowKey, u32>,
     /// Field number -> the field's name and its token -> term number map.
     fields: Vec<(String, HashMap<Arc<str>, u32>)>,
     /// Term number -> the term and its posting.
@@ -36,7 +37,7 @@ pub struct InvertedIndex {
 
 #[derive(Debug, Clone)]
 struct Doc {
-    key: Arc<[String]>,
+    key: RowKey,
     /// Sorted and distinct, so each posting is left once on removal.
     terms: Box<[u32]>,
 }
@@ -140,7 +141,6 @@ impl InvertedIndex {
         }
         terms.sort_unstable();
         terms.dedup();
-        let key: Arc<[String]> = key.0.as_slice().into();
         let doc = self.docs.insert(Doc {
             key: key.clone(),
             terms: terms.into_boxed_slice(),
@@ -148,7 +148,7 @@ impl InvertedIndex {
         for &term in self.docs.get(doc).terms.iter() {
             self.terms.get_mut(term).docs.insert(doc);
         }
-        self.doc_numbers.insert(key, doc);
+        self.doc_numbers.insert(key.clone(), doc);
     }
 
     /// The number of `field`, which is numbered on first sight.
@@ -182,7 +182,7 @@ impl InvertedIndex {
 
     /// Removes a document from the index.
     pub fn remove_document(&mut self, key: &RowKey) {
-        let Some(doc) = self.doc_numbers.remove(key.0.as_slice()) else {
+        let Some(doc) = self.doc_numbers.remove(key) else {
             return;
         };
         for &term in self.docs.remove(doc).terms.iter() {
@@ -221,9 +221,9 @@ impl InvertedIndex {
         }
         let mut keys: Vec<RowKey> = docs
             .into_iter()
-            .map(|doc| &*self.docs.get(doc).key)
-            .filter(|key| collection.is_none_or(|prefix| key.starts_with(&prefix.0)))
-            .map(|key| RowKey(key.to_vec()))
+            .map(|doc| &self.docs.get(doc).key)
+            .filter(|key| collection.is_none_or(|prefix| key.starts_with(prefix)))
+            .cloned()
             .collect();
         keys.sort_unstable();
         keys

@@ -147,11 +147,11 @@ impl StorageNode {
         key: &RowKey,
     ) -> Result<(), EspressoError> {
         let table_schema = schema.table(table)?;
-        if key.0.len() != table_schema.key_depth() {
+        if key.parts().len() != table_schema.key_depth() {
             return Err(EspressoError::BadRequest(format!(
                 "table `{table}` keys have {} elements, got {}",
                 table_schema.key_depth(),
-                key.0.len()
+                key.parts().len()
             )));
         }
         Ok(())

@@ -66,7 +66,7 @@ impl ResourcePath {
 
     /// The key as a storage row key.
     pub fn row_key(&self) -> RowKey {
-        RowKey(self.key.clone())
+        RowKey::new(self.key.iter().cloned())
     }
 }
 

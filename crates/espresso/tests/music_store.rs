@@ -265,7 +265,7 @@ fn replication_is_timeline_consistent_and_failover_preserves_data() {
     let (_, new_master) = cluster.route("Music", "Akon").unwrap();
     assert_ne!(new_master, master);
     let albums = cluster.get_uri("/Music/Album/Akon").unwrap();
-    let titles: Vec<&str> = albums.iter().map(|(k, _)| k.0[1].as_str()).collect();
+    let titles: Vec<&str> = albums.iter().map(|(k, _)| k.parts()[1].as_str()).collect();
     assert!(titles.contains(&"Trouble"));
     assert!(titles.contains(&"Stadium"));
     assert!(

@@ -327,15 +327,7 @@ impl Database {
         for change in &entry.changes {
             let stripe = self.stripe_of(&change.table, &change.key);
             let slot = stripe_ids.binary_search(&stripe).expect("stripe acquired");
-            let table = guards[slot].entry(change.table.clone()).or_default();
-            match &change.op {
-                Op::Put(row) => {
-                    table.put(change.key.clone(), row.clone());
-                }
-                Op::Delete => {
-                    table.delete(&change.key);
-                }
-            }
+            apply_change(&mut guards[slot], change);
         }
         drop(guards);
 
@@ -480,15 +472,7 @@ impl Database {
         for change in &entry.changes {
             let stripe = self.stripe_of(&change.table, &change.key);
             let slot = stripe_ids.binary_search(&stripe).expect("stripe acquired");
-            let table = guards[slot].entry(change.table.clone()).or_default();
-            match &change.op {
-                Op::Put(row) => {
-                    table.put(change.key.clone(), row.clone());
-                }
-                Op::Delete => {
-                    table.delete(&change.key);
-                }
-            }
+            apply_change(&mut guards[slot], change);
         }
         Ok(true)
     }
@@ -513,15 +497,7 @@ impl Database {
         for change in changes {
             let stripe = self.stripe_of(&change.table, &change.key);
             let slot = stripe_ids.binary_search(&stripe).expect("stripe acquired");
-            let table = guards[slot].entry(change.table.clone()).or_default();
-            match &change.op {
-                Op::Put(row) => {
-                    table.put(change.key.clone(), row.clone());
-                }
-                Op::Delete => {
-                    table.delete(&change.key);
-                }
-            }
+            apply_change(&mut guards[slot], change);
         }
         Ok(())
     }
@@ -564,7 +540,7 @@ impl Database {
                 .collect();
             rows.sort_by(|a, b| a.0.cmp(b.0));
             for (key, row) in rows {
-                for part in &key.0 {
+                for part in key.parts() {
                     bytes.extend_from_slice(part.as_bytes());
                     bytes.push(0);
                 }
@@ -608,20 +584,30 @@ impl Database {
                 for change in &entry.changes {
                     tables.insert(change.table.clone());
                     let mut stripe = db.rows.lock(&(change.table.as_str(), &change.key));
-                    let table = stripe.entry(change.table.clone()).or_default();
-                    match &change.op {
-                        Op::Put(row) => {
-                            table.put(change.key.clone(), row.clone());
-                        }
-                        Op::Delete => {
-                            table.delete(&change.key);
-                        }
-                    }
+                    apply_change(&mut stripe, change);
                 }
             }
         }
         db.commit_point.lock().binlog = log;
         db
+    }
+}
+
+/// Applies one change to the tables of its row stripe. The stripe's map
+/// is probed first, so the table name is copied only for the table's
+/// first row in the stripe; the key clone shares the change's allocation.
+fn apply_change(tables: &mut HashMap<String, Table>, change: &RowChange) {
+    let table = match tables.get_mut(&change.table) {
+        Some(table) => table,
+        None => tables.entry(change.table.clone()).or_default(),
+    };
+    match &change.op {
+        Op::Put(row) => {
+            table.put(change.key.clone(), row.clone());
+        }
+        Op::Delete => {
+            table.delete(&change.key);
+        }
     }
 }
 

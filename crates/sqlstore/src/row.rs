@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use li_commons::varint::{self, VarintError};
+use std::sync::Arc;
 
 /// Commit sequence number: the position of a transaction in the database's
 /// total commit order. Databus's entire consistency story hangs off this
@@ -13,11 +14,18 @@ pub type Scn = u64;
 /// exactly how Espresso keys documents (`artist`, `album`, `song` in the
 /// paper's Song table). Ordering is lexicographic by element, which keeps
 /// a prefix scan's rows ("all albums by artist X") together once sorted.
+///
+/// The parts are immutable and held behind one `Arc`, so a clone is a
+/// refcount bump: the table, the binlog, a relay window, the bootstrap
+/// snapshot and an Espresso slave all share one allocation per key.
+/// Equality, ordering and hashing are those of the slice of parts, so
+/// stripe placement and scan order depend only on the key's elements.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct RowKey(pub Vec<String>);
+pub struct RowKey(Arc<[String]>);
 
 impl RowKey {
-    /// Builds a key from path elements.
+    /// Builds a key from path elements, collected straight into the
+    /// shared allocation.
     pub fn new<I, S>(parts: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -28,12 +36,17 @@ impl RowKey {
 
     /// Single-element key.
     pub fn single(part: impl Into<String>) -> Self {
-        RowKey(vec![part.into()])
+        RowKey(Arc::new([part.into()]))
+    }
+
+    /// The key's path elements, in order.
+    pub fn parts(&self) -> &[String] {
+        &self.0
     }
 
     /// True when `self` begins with all elements of `prefix`.
     pub fn starts_with(&self, prefix: &RowKey) -> bool {
-        self.0.len() >= prefix.0.len() && self.0[..prefix.0.len()] == prefix.0[..]
+        self.0.starts_with(&prefix.0)
     }
 
     /// The first path element, if any (Espresso's `resource_id`, which
@@ -44,7 +57,7 @@ impl RowKey {
 
     fn encode(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.0.len() as u64);
-        for part in &self.0 {
+        for part in self.0.iter() {
             varint::write_bytes(out, part.as_bytes());
         }
     }
@@ -56,7 +69,7 @@ impl RowKey {
             let raw = varint::read_bytes(buf)?;
             parts.push(String::from_utf8(raw).map_err(|_| VarintError::UnexpectedEof)?);
         }
-        Ok(RowKey(parts))
+        Ok(RowKey::new(parts))
     }
 }
 

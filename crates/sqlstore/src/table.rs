@@ -96,7 +96,7 @@ mod tests {
         }
         let mut babyface: Vec<String> = table
             .scan_prefix(&RowKey::single("Babyface"))
-            .map(|(k, _)| k.0[1].clone())
+            .map(|(k, _)| k.parts()[1].clone())
             .collect();
         babyface.sort();
         assert_eq!(babyface, vec!["A_Closer_Look", "Face2Face", "Lovers"]);

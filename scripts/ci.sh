@@ -133,6 +133,14 @@ if git grep -nwE 'consolidated_delta|DeltaResult|SnapshotResult|BootstrapPipelin
   exit 1
 fi
 
+# Keys and clocks held once: a row key keeps its parts behind one shared
+# allocation (every hop's clone is a refcount bump), and a vector clock is
+# a flat sorted array, not a tree node per stored version.
+if git grep -nE 'pub struct RowKey\(pub|entries: BTreeMap' -- crates; then
+  echo "ci.sh: a deep-copied row key or a tree-backed vector clock is back (matches above)" >&2
+  exit 1
+fi
+
 # No public function without a caller: every `pub fn` of the library is
 # named by a second file among the library, its tests, examples, the
 # benchmark and the root package, or is listed with its reason in

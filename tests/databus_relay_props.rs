@@ -10,8 +10,8 @@
 //! Case count defaults to 24; CI raises it with `PROPTEST_CASES=64`.
 
 use bytes::Bytes;
-use li_databus::{Relay, ServerFilter, Window, WindowView};
-use li_sqlstore::{Op, Row, RowChange, RowKey, Scn};
+use li_databus::{BootstrapServer, Relay, ServerFilter, Window, WindowView};
+use li_sqlstore::{Database, Op, Row, RowChange, RowKey, Scn};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -227,6 +227,43 @@ fn served_payloads_alias_relay_buffer_memory() {
         panic!("expected put");
     };
     assert!(row.value.shares_allocation(&originals[0]));
+}
+
+/// A row key is one allocation wherever its change travels: the primary's
+/// table and binlog, the relay window a consumer is served, and the
+/// bootstrap snapshot all hold the key the committing caller built, by
+/// refcount, never a copy of its parts.
+#[test]
+fn row_key_shares_one_allocation_from_commit_to_bootstrap() {
+    let db = Database::new("primary");
+    db.create_table("member").unwrap();
+    let relay = Arc::new(Relay::new("primary", 1 << 20));
+    db.set_shipper(relay.clone());
+    let key = RowKey::new(["member-42", "profile"]);
+    let origin = key.parts().as_ptr();
+    db.put_one("member", key, Bytes::from_static(b"v"), 1)
+        .unwrap();
+
+    let bootstrap = BootstrapServer::new();
+    assert_eq!(bootstrap.catch_up_from(&relay).unwrap(), 1);
+    assert_eq!(bootstrap.apply_log(), 1);
+
+    let served = relay
+        .events_after_shared(0, 10, &ServerFilter::all())
+        .unwrap();
+    let snapshot = bootstrap.changes_since(0, &ServerFilter::all());
+    let rows = db.scan_prefix("member", &RowKey::default()).unwrap();
+    let binlog = db.binlog_after(0);
+    let holders = [
+        ("relay view", &served[0].changes[0].key),
+        ("bootstrap changes_since(0)", &snapshot.changes[0].key),
+        ("table scan_prefix", &rows[0].0),
+        ("binlog", &binlog[0].changes[0].key),
+    ];
+    for (holder, held) in holders {
+        assert_eq!(held.parts(), ["member-42", "profile"], "{holder}");
+        assert_eq!(held.parts().as_ptr(), origin, "{holder} copied the key");
+    }
 }
 
 /// Lock-contention smoke test: 8 consumers polling flat out while an

@@ -161,7 +161,7 @@ fn model_query(model: &Model, field: &str, term: &str, collection: Option<&RowKe
     model
         .iter()
         .filter(|(key, terms)| {
-            collection.is_none_or(|prefix| key.0.starts_with(&prefix.0))
+            collection.is_none_or(|prefix| key.parts().starts_with(prefix.parts()))
                 && wanted
                     .iter()
                     .all(|token| terms.contains(&(field.to_string(), token.clone())))

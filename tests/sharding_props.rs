@@ -60,14 +60,14 @@ impl Scan {
     fn prefix(&self, key: &RowKey) -> RowKey {
         match self {
             Scan::Empty => RowKey::default(),
-            Scan::FirstElement => RowKey::new(key.0.iter().take(1).cloned()),
+            Scan::FirstElement => RowKey::new(key.parts().iter().take(1).cloned()),
             Scan::WholeKey => key.clone(),
             Scan::StringPrefix => {
-                let mut parts = key.0.clone();
+                let mut parts = key.parts().to_vec();
                 if let Some(last) = parts.last_mut() {
                     last.retain(|c| !c.is_ascii_digit());
                 }
-                RowKey(parts)
+                RowKey::new(parts)
             }
         }
     }
