@@ -6,7 +6,7 @@
 //!   `DataPlatform`: SLO and conservation gates, the run report (C-24,
 //!   C-25; `benches/site_scale.rs`, `tests/site_scale.rs`).
 //! * [`sched`] — the M:N scheduler multiplexing [`site`]'s logical
-//!   drivers onto a bounded worker pool.
+//!   drivers onto a bounded set of scoped worker threads.
 //! * [`chord`] — a Chord-style finger-table overlay, the O(log N) side of
 //!   C-4 (`benches/routing.rs`).
 //! * [`traditional_mq`] — a conventional message queue (per-message ids,

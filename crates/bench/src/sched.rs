@@ -1,10 +1,10 @@
 //! M:N scheduling of logical closed-loop drivers onto bounded workers.
 //!
 //! N logical drivers — each a resumable state machine over its
-//! pre-split op stream — multiplex onto the W workers of a
-//! [`FanOutPool`]: every worker repeatedly pops a runnable driver from a
-//! shared FIFO, runs one quantum of its ops, and requeues it until the
-//! stream is exhausted. Hundreds of drivers run on a handful of OS
+//! pre-split op stream — multiplex onto W scoped worker threads
+//! ([`std::thread::scope`]): every worker repeatedly pops a runnable
+//! driver from a shared FIFO, runs one quantum of its ops, and requeues
+//! it until the stream is exhausted. Hundreds of drivers run on a handful of OS
 //! threads, and the FIFO round-robins quanta — one quantum per turn — so
 //! all drivers progress together (closed-loop fairness: no driver's
 //! offered load starves behind another's).
@@ -19,9 +19,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use li_commons::exec::FanOutPool;
 use parking_lot::{Condvar, Mutex};
 
 /// A resumable driver state machine.
@@ -42,33 +40,36 @@ struct SchedShared<S> {
     remaining: AtomicUsize,
 }
 
-/// Runs every state machine to completion across the pool's workers,
-/// one quantum at a time. Returns the machines in their original order.
-/// A machine that panics mid-step poisons nothing — [`worker_loop`]
-/// contains the panic and still counts the machine finished, so the
-/// pool drains — but its slot comes back `None`, which this function
-/// surfaces by panicking with the count of lost drivers (a benchmark
-/// must never silently drop load).
-pub fn run_on_pool<S: Resumable + 'static>(pool: &FanOutPool, states: Vec<S>) -> Vec<S> {
+/// Runs every state machine to completion on `workers` scoped threads
+/// (at least one), one quantum at a time. Returns the machines in their
+/// original order. A machine that panics mid-step poisons nothing —
+/// [`worker_loop`] contains the panic and still counts the machine
+/// finished, so the workers drain — but its slot comes back `None`,
+/// which this function surfaces by panicking with the count of lost
+/// drivers (a benchmark must never silently drop load).
+pub fn run_on_pool<S: Resumable>(workers: usize, states: Vec<S>) -> Vec<S> {
     let total = states.len();
     if total == 0 {
         return states;
     }
-    let shared = Arc::new(SchedShared {
+    let shared = SchedShared {
         runnable: Mutex::new(states.into_iter().enumerate().collect()),
         wake: Condvar::new(),
         finished: Mutex::new(std::iter::repeat_with(|| None).take(total).collect()),
         remaining: AtomicUsize::new(total),
+    };
+    std::thread::scope(|scope| {
+        for i in 0..workers.max(1) {
+            std::thread::Builder::new()
+                .name(format!("driver-{i}"))
+                .spawn_scoped(scope, || worker_loop(&shared))
+                .expect("spawn driver worker");
+        }
     });
-    for _ in 0..pool.workers() {
-        let shared = Arc::clone(&shared);
-        pool.submit(move || worker_loop(&shared));
-    }
-    pool.wait_idle();
-    let mut finished = shared.finished.lock();
+    let finished = shared.finished.into_inner();
     let lost = finished.iter().filter(|slot| slot.is_none()).count();
     assert!(lost == 0, "{lost} driver(s) lost to a panicked step");
-    finished.iter_mut().map(|slot| slot.take().unwrap()).collect()
+    finished.into_iter().map(Option::unwrap).collect()
 }
 
 fn worker_loop<S: Resumable>(shared: &SchedShared<S>) {
@@ -100,7 +101,7 @@ fn worker_loop<S: Resumable>(shared: &SchedShared<S>) {
             Err(_) => {
                 // The machine is lost to the panic: its slot stays `None`,
                 // which `run_on_pool` turns into the lost-driver panic
-                // once the pool drains. It still counts as finished here —
+                // once the workers drain. It still counts as finished here —
                 // otherwise `remaining` never reaches 0 and every other
                 // worker parks forever behind the corpse.
                 finish_one(shared);
@@ -113,7 +114,8 @@ fn worker_loop<S: Resumable>(shared: &SchedShared<S>) {
 /// lock before notifying: workers check `remaining` and park while
 /// holding that lock, so serializing the wake on it closes the window
 /// where the notify fires between a worker's check and its wait (a
-/// lost wakeup that would park the worker — and `wait_idle` — forever).
+/// lost wakeup that would park the worker — and the scope's join —
+/// forever).
 fn finish_one<S>(shared: &SchedShared<S>) {
     if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
         let _runnable = shared.runnable.lock();
@@ -134,6 +136,7 @@ pub fn run_serial<S: Resumable>(mut states: Vec<S>) -> Vec<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     struct CountTo {
         at: u64,
@@ -165,9 +168,8 @@ mod tests {
 
     #[test]
     fn pool_runs_many_more_machines_than_workers_to_completion() {
-        let pool = FanOutPool::new(3);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let done = run_on_pool(&pool, machines(128, &log));
+        let done = run_on_pool(3, machines(128, &log));
         assert_eq!(done.len(), 128);
         for (id, m) in done.iter().enumerate() {
             assert_eq!(m.at, m.target, "machine {id} stopped early");
@@ -193,17 +195,15 @@ mod tests {
     fn pool_schedule_round_robins_quanta() {
         // With one worker the FIFO is fully deterministic: quanta rotate
         // 0,1,2,0,1,2,... until streams run dry.
-        let pool = FanOutPool::new(1);
         let log = Arc::new(Mutex::new(Vec::new()));
-        run_on_pool(&pool, machines(3, &log));
+        run_on_pool(1, machines(3, &log));
         let log = log.lock();
         assert_eq!(&log[..6], &[0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn empty_input_is_a_no_op() {
-        let pool = FanOutPool::new(2);
-        let done: Vec<CountTo> = run_on_pool(&pool, Vec::new());
+        let done: Vec<CountTo> = run_on_pool(2, Vec::new());
         assert!(done.is_empty());
     }
 
@@ -213,10 +213,9 @@ mod tests {
         // final finish must wake every one of them (the lost-wakeup race
         // lived exactly here: notify firing between a parked worker's
         // `remaining` check and its wait). Iterate to give the race room.
-        let pool = FanOutPool::new(8);
         for _ in 0..200 {
             let log = Arc::new(Mutex::new(Vec::new()));
-            let done = run_on_pool(&pool, machines(2, &log));
+            let done = run_on_pool(8, machines(2, &log));
             assert_eq!(done.len(), 2);
         }
     }
@@ -237,14 +236,14 @@ mod tests {
 
     #[test]
     fn panicking_step_drains_the_pool_and_reports_the_lost_driver() {
-        let pool = FanOutPool::new(3);
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut states: Vec<Trip> = machines(5, &log).into_iter().map(Trip::Counts).collect();
         states.insert(2, Trip::Panics);
-        // The panicked machine must not wedge the others: the pool drains
-        // and run_on_pool raises the lost-driver panic instead of hanging.
+        // The panicked machine must not wedge the others: the workers
+        // drain and run_on_pool raises the lost-driver panic instead of
+        // hanging.
         let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_on_pool(&pool, states)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_on_pool(3, states)));
         let Err(payload) = result else {
             panic!("a lost driver must not pass silently");
         };

@@ -34,7 +34,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use li_commons::exec::FanOutPool;
 use li_commons::hist::Histogram;
 use li_commons::metrics::{Counter, HistogramSummary, MetricValue, MetricsSnapshot};
 use li_kafka::{Partitioner, Producer};
@@ -246,8 +245,8 @@ impl Drop for StopOnDrop<'_> {
 }
 
 /// Drives the closed loop over a prepared platform: multiplexes the
-/// logical drivers onto the bounded worker pool (or the serial twin in
-/// `Deterministic` mode) alongside a watch-driven stream pump, drains
+/// logical drivers onto bounded scoped worker threads (or the serial twin
+/// in `Deterministic` mode) alongside a watch-driven stream pump, drains
 /// every pipeline, snapshots the registry, and evaluates the SLO gates.
 /// Run once per [`SiteBench`]: the run consumes the platform's "fresh"
 /// state.
@@ -364,17 +363,18 @@ pub fn run(bench: SiteBench, options: &RunOptions) -> Result<SiteBenchReport, Pl
         });
         let load_start = Instant::now();
         // M:N dispatch: hundreds of logical drivers multiplex onto a
-        // bounded worker pool, each advancing one quantum of its op
-        // stream per turn. Deterministic mode collapses to the serial
-        // twin — identical per-driver streams, fully sequential schedule
-        // — so same-seed conservation fingerprints stay byte-identical.
+        // bounded set of scoped worker threads, each advancing one
+        // quantum of its op stream per turn. Deterministic mode collapses
+        // to the serial twin — identical per-driver streams, fully
+        // sequential schedule — so same-seed conservation fingerprints
+        // stay byte-identical.
         let finished = match config.platform.shard_mode {
             ShardMode::Parallel => {
                 let workers = match options.workers {
                     0 => config.drivers.clamp(1, 8),
                     w => w,
                 };
-                run_on_pool(&FanOutPool::named("driver", workers), states)
+                run_on_pool(workers, states)
             }
             ShardMode::Deterministic => run_serial(states),
         };

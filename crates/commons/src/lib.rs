@@ -25,9 +25,8 @@
 //! * [`md5`], [`crc32`], [`fnv`], [`varint`] — the low-level codecs the
 //!   paper's systems assume (MD5-keyed read-only indexes, CRC-framed log
 //!   entries, hash routing, compact integer framing).
-//! * [`exec`] — a bounded worker pool and a run-all call that runs a batch
-//!   on it, or inline and replayable when no pool is passed (Espresso's
-//!   multi-key writes).
+//! * [`exec`] — an inert fan-out mode name the site benchmark still
+//!   imports; the library runs no worker pool.
 //! * [`hist`] — a latency histogram for the benchmark harness.
 //! * [`metrics`] — the unified metrics registry (counters, gauges,
 //!   histograms) every system exports its observability through.

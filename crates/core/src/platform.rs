@@ -66,18 +66,17 @@ fn profile_text((mut record, _row): (Record, Row)) -> Option<String> {
 
 /// How many threads drive a site run, and nothing else: no structure
 /// below the platform reads it (stripe counts are constants, every
-/// produce is a group commit).
+/// produce is a group commit, Espresso's multi-key requests run inline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
     /// One driving thread, so a seeded run replays byte for byte:
     /// [`crate::SiteBench::prepare`] and `li_bench::site` start no push
-    /// dispatcher, `li_bench::site` runs its drivers one after the other
-    /// on the calling thread, and Espresso's multi-key writes run
-    /// inline ([`li_commons::exec::FanOutMode::Deterministic`]).
+    /// dispatcher, and `li_bench::site` runs its drivers one after the
+    /// other on the calling thread.
     Deterministic,
-    /// Push-dispatch threads, a driver worker pool, and Espresso's
-    /// multi-key writes on its fan-out pool (`FanOutMode::Parallel`).
-    /// Espresso's multi-key reads run inline in either mode.
+    /// [`crate::SiteBench::prepare`] and `li_bench::site` start the push
+    /// dispatcher, and `li_bench::site` runs its drivers on scheduler
+    /// threads.
     #[default]
     Parallel,
 }
@@ -191,7 +190,8 @@ impl DataPlatform {
             espresso_nodes,
             espresso_partitions,
             activity_partitions,
-            shard_mode,
+            // Read by the prepare and the site harness, not by any tier.
+            shard_mode: _,
         } = config;
         // One registry for the whole site: every tier below reports into
         // it, so a single snapshot shows the full pipeline.
@@ -305,10 +305,6 @@ impl DataPlatform {
         .map_err(wrap)?;
         espresso.create_database(profile_schema).map_err(wrap)?;
         let search = GlobalIndex::new(espresso.clone(), PROFILE_DB, PROFILE_TABLE, "text");
-        espresso.set_fan_out_mode(match shard_mode {
-            ShardMode::Parallel => li_commons::exec::FanOutMode::Parallel,
-            ShardMode::Deterministic => li_commons::exec::FanOutMode::Deterministic,
-        });
 
         Ok(DataPlatform {
             primary,

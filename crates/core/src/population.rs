@@ -238,26 +238,32 @@ impl SiteBench {
         };
         let platform = Arc::new(platform);
         let prepare_start = Instant::now();
+        // The push dispatcher drains the seeded follow stream into the
+        // Voldemort caches while later chunks still load. It earns its
+        // thread: set-up ran 13–24% slower without it (EXPERIMENTS.md,
+        // "One way to start a thread").
         let dispatcher = match config.platform.shard_mode {
             ShardMode::Parallel => Some(platform.start_stream_dispatch()),
             ShardMode::Deterministic => None,
         };
         let (chunk_tx, chunk_rx) = mpsc::sync_channel::<SiteChunk>(PREPARE_PIPELINE_DEPTH);
         let graph_config = config.graph.clone();
-        let generator_builder = std::thread::Builder::new().name("site-gen".into());
-        let generator = generator_builder.spawn(move || -> Duration {
-            let mut generate_wall = Duration::ZERO;
-            let mut chunks = SiteGraphChunks::new(&graph_config, chunk_members);
-            loop {
-                let started = Instant::now();
-                let Some(chunk) = chunks.next() else { break };
-                generate_wall += started.elapsed();
-                if chunk_tx.send(chunk).is_err() {
-                    break; // loader bailed; unwind quietly
+        let generator = std::thread::Builder::new()
+            .name("site-gen".into())
+            .spawn(move || -> Duration {
+                let mut generate_wall = Duration::ZERO;
+                let mut chunks = SiteGraphChunks::new(&graph_config, chunk_members);
+                loop {
+                    let started = Instant::now();
+                    let Some(chunk) = chunks.next() else { break };
+                    generate_wall += started.elapsed();
+                    if chunk_tx.send(chunk).is_err() {
+                        break; // loader bailed; unwind quietly
+                    }
                 }
-            }
-            generate_wall
-        }).expect("spawn population generator");
+                generate_wall
+            })
+            .map_err(|e| PlatformError(format!("spawn population generator: {e}")))?;
         let mut loader = PopulationLoader::new(&platform, config.graph.companies);
         let mut collected: Vec<SiteChunk> = Vec::new();
         let mut load_wall = Duration::ZERO;
@@ -271,7 +277,9 @@ impl SiteBench {
             Ok(())
         })();
         drop(chunk_rx);
-        let generate_wall = generator.join().expect("population generator panicked");
+        let generate_wall = generator
+            .join()
+            .map_err(|_| PlatformError("population generator panicked".into()))?;
         load_result?;
         let started = Instant::now();
         loader.finish()?;

@@ -13,9 +13,9 @@
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
-use li_commons::exec::{run_all, FanOutMode, FanOutPool, FanOutTask};
+use li_commons::exec::FanOutMode;
 use li_commons::metrics::{Counter, Histo, MetricsRegistry};
 use li_commons::ring::{NodeId, PartitionId};
 use li_commons::schema::Record;
@@ -70,15 +70,6 @@ pub struct EspressoCluster {
     /// plus JSON parse per request; the Helix controller pushes every
     /// rebalanced view into the watch.
     views: RwLock<HashMap<String, li_commons::watch::Receiver<Arc<li_helix::Assignment>>>>,
-    /// How [`Self::multi_put`] executes its per-master-node sub-batches.
-    /// Deterministic (the default) runs them inline in node order —
-    /// replayable; Parallel fans them out over [`Self::fan_out_pool`].
-    /// Reads ignore it: [`Self::multi_get`] always reads inline.
-    fan_out_mode: RwLock<FanOutMode>,
-    /// The router's shared fan-out pool, built on the first Parallel
-    /// multi-key write (reads and Deterministic clusters spawn no
-    /// threads).
-    fan_out_pool: OnceLock<FanOutPool>,
     registry: Arc<MetricsRegistry>,
     metrics: EspressoMetrics,
 }
@@ -118,8 +109,6 @@ impl EspressoCluster {
             participants: Mutex::new(HashMap::new()),
             schemas: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
-            fan_out_mode: RwLock::new(FanOutMode::Deterministic),
-            fan_out_pool: OnceLock::new(),
             metrics: EspressoMetrics::new(&registry),
             registry,
         });
@@ -398,27 +387,15 @@ impl EspressoCluster {
         })
     }
 
-    /// Sets how [`Self::multi_put`] executes (Deterministic by default;
-    /// the site platform picks per its configured run mode).
-    pub fn set_fan_out_mode(&self, mode: FanOutMode) {
-        *self.fan_out_mode.write() = mode;
-    }
-
-    /// The current multi-key write execution mode.
-    fn fan_out_mode(&self) -> FanOutMode {
-        *self.fan_out_mode.read()
-    }
-
-    /// The shared pool behind Parallel multi-key writes, created lazily
-    /// so Deterministic clusters spawn no threads.
-    fn fan_out_pool(&self) -> &FanOutPool {
-        self.fan_out_pool.get_or_init(|| FanOutPool::new(8))
-    }
+    /// Selects nothing: [`Self::multi_get`] and [`Self::multi_put`] run
+    /// inline in every mode. It stays only because the site benchmark
+    /// calls it, and goes with `FanOutMode` in ROADMAP item 6 step 0.
+    pub fn set_fan_out_mode(&self, _mode: FanOutMode) {}
 
     /// Groups `items` by their keys' master node (input order preserved
-    /// within each group; groups in node order, so Deterministic replays
-    /// are stable) against the watch-cached assignment. The schema and
-    /// the view are read once for the whole request.
+    /// within each group; groups in node order, so replays are stable)
+    /// against the watch-cached assignment. The schema and the view are
+    /// read once for the whole request.
     fn group_by_master<K: Borrow<RowKey>, T>(
         &self,
         db: &str,
@@ -441,10 +418,9 @@ impl EspressoCluster {
     /// GET many documents in one routed request: keys are grouped by
     /// master node against the watch-cached assignment, and each node's
     /// keys are read with one [`StorageNode::get_documents`] call on the
-    /// calling thread, whatever the fan-out mode — an in-process read is
-    /// cheaper than a hand-off to the pool. Results come back in input
-    /// order. Requests are counted per document, so router accounting is
-    /// invariant to how callers batch.
+    /// calling thread. Results come back in input order. Requests are
+    /// counted per document, so router accounting is invariant to how
+    /// callers batch.
     pub fn multi_get(
         &self,
         db: &str,
@@ -466,13 +442,12 @@ impl EspressoCluster {
 
     /// PUT many documents in one routed request — the streaming
     /// population loader's batched write path. Keys are grouped by master
-    /// node as in [`Self::multi_get`], and each node's sub-batch runs as
-    /// one fan-out task (parallel across nodes when the cluster is in
-    /// Parallel mode). Returns the new etags in input order. Documents
-    /// for *different* master nodes land independently (no cross-node
-    /// transaction — a failed sub-batch fails the call, but sub-batches
-    /// that already applied stay applied, exactly like issuing the PUTs
-    /// singly).
+    /// node as in [`Self::multi_get`], and each node's sub-batch is
+    /// written on the calling thread, in node order. Returns the new
+    /// etags in input order. Documents for *different* master nodes land
+    /// independently (no cross-node transaction): every sub-batch runs,
+    /// the first failed one in node order fails the call, and sub-batches
+    /// that applied stay applied, exactly like issuing the PUTs singly.
     pub fn multi_put(
         &self,
         db: &str,
@@ -482,32 +457,22 @@ impl EspressoCluster {
         let total = documents.len();
         self.metrics.requests.add(total as u64);
         let _timer = self.metrics.request_latency.start_timer();
-        let groups = self.group_by_master(db, documents)?;
-        let mut tasks = Vec::with_capacity(groups.len());
-        for (node_id, group) in groups {
-            let node = self.node(node_id)?;
-            let db = db.to_string();
-            let table = table.to_string();
-            tasks.push(FanOutTask::new(move || {
-                group
-                    .into_iter()
-                    .map(|(index, key, record)| {
-                        node.put_document(&db, &table, key, &record)
-                            .map(|etag| (index, etag))
-                    })
-                    .collect::<Result<Vec<_>, EspressoError>>()
-            }));
-        }
-        // Every sub-batch runs; a failed one fails the request (a
-        // multi-key write has no quorum semantics).
-        let pool = matches!(self.fan_out_mode(), FanOutMode::Parallel).then(|| self.fan_out_pool());
         let mut etags = vec![0; total];
-        for group in run_all(pool, tasks) {
-            for (index, etag) in group? {
-                etags[index] = etag;
+        let mut first_error = None;
+        for (node_id, group) in self.group_by_master(db, documents)? {
+            // A failed sub-batch does not stop the others (a multi-key
+            // write has no quorum semantics).
+            let written = self.node(node_id).and_then(|node| {
+                for (index, key, record) in group {
+                    etags[index] = node.put_document(db, table, key, &record)?;
+                }
+                Ok(())
+            });
+            if let Err(error) = written {
+                first_error.get_or_insert(error);
             }
         }
-        Ok(etags)
+        first_error.map_or(Ok(etags), Err)
     }
 
     /// GET a collection resource.
@@ -721,47 +686,75 @@ mod tests {
 
     #[test]
     fn multi_get_matches_singleton_gets_in_input_order() {
-        for mode in [FanOutMode::Deterministic, FanOutMode::Parallel] {
-            let cluster = cluster_with_db(3);
-            cluster.set_fan_out_mode(mode);
-            let keys = seed_members(&cluster, 40);
-            // Shuffle-ish order plus a miss in the middle.
-            let mut request: Vec<RowKey> = keys.iter().rev().cloned().collect();
-            request.insert(7, RowKey::new(["member-nope"]));
-            let batched = cluster.multi_get(DB, "Profile", request.clone()).unwrap();
-            assert_eq!(batched.len(), request.len());
-            for (key, got) in request.iter().zip(&batched) {
-                let single = cluster.get(DB, "Profile", key).unwrap();
-                assert_eq!(
-                    single.as_ref().map(|(r, _)| r),
-                    got.as_ref().map(|(r, _)| r),
-                    "mode {mode:?}, key {key:?}"
-                );
-            }
-            assert!(batched[7].is_none());
+        let cluster = cluster_with_db(3);
+        let keys = seed_members(&cluster, 40);
+        // Shuffle-ish order plus a miss in the middle.
+        let mut request: Vec<RowKey> = keys.iter().rev().cloned().collect();
+        request.insert(7, RowKey::new(["member-nope"]));
+        let batched = cluster.multi_get(DB, "Profile", request.clone()).unwrap();
+        assert_eq!(batched.len(), request.len());
+        for (key, got) in request.iter().zip(&batched) {
+            let single = cluster.get(DB, "Profile", key).unwrap();
+            assert_eq!(
+                single.as_ref().map(|(r, _)| r),
+                got.as_ref().map(|(r, _)| r),
+                "key {key:?}"
+            );
         }
+        assert!(batched[7].is_none());
+    }
+
+    fn bulk_documents(count: u64) -> Vec<(RowKey, Record)> {
+        (0..count)
+            .map(|m| {
+                (
+                    RowKey::new([format!("member-{m}").as_str()]),
+                    profile(&format!("bulk {m}")),
+                )
+            })
+            .collect()
     }
 
     #[test]
     fn multi_put_lands_documents_and_returns_etags_in_input_order() {
-        for mode in [FanOutMode::Deterministic, FanOutMode::Parallel] {
-            let cluster = cluster_with_db(3);
-            cluster.set_fan_out_mode(mode);
-            let documents: Vec<(RowKey, Record)> = (0..30)
-                .map(|m| {
-                    (
-                        RowKey::new([format!("member-{m}").as_str()]),
-                        profile(&format!("bulk {m}")),
-                    )
-                })
-                .collect();
-            let etags = cluster.multi_put(DB, "Profile", documents.clone()).unwrap();
-            assert_eq!(etags.len(), documents.len());
-            for ((key, record), etag) in documents.iter().zip(&etags) {
-                let (got, row) = cluster.get(DB, "Profile", key).unwrap().unwrap();
-                assert_eq!(&got, record);
-                assert_eq!(row.etag, *etag, "etag mismatch for {key:?} in {mode:?}");
-            }
+        let cluster = cluster_with_db(3);
+        let documents = bulk_documents(30);
+        let etags = cluster.multi_put(DB, "Profile", documents.clone()).unwrap();
+        assert_eq!(etags.len(), documents.len());
+        for ((key, record), etag) in documents.iter().zip(&etags) {
+            let (got, row) = cluster.get(DB, "Profile", key).unwrap().unwrap();
+            assert_eq!(&got, record);
+            assert_eq!(row.etag, *etag, "etag mismatch for {key:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_sub_batch_fails_multi_put_but_the_other_masters_still_land() {
+        let cluster = cluster_with_db(3);
+        let mut documents = bulk_documents(30);
+        let master = |key: &RowKey| cluster.route(DB, key.resource_id().unwrap()).unwrap().1;
+        let last_master = documents.iter().map(|(key, _)| master(key)).max().unwrap();
+        // The bad document's master is not last in node order, so a loop
+        // that stopped at the first failed sub-batch would skip a later one.
+        let bad = documents
+            .iter()
+            .position(|(key, _)| master(key) != last_master)
+            .expect("30 keys spread over more than one master");
+        let bad_master = master(&documents[bad].0);
+        let resource = documents[bad].0.resource_id().unwrap().to_string();
+        // One element too many: the storage node's `validate_key` rejects it.
+        documents[bad].0 = RowKey::new([resource.as_str(), "extra"]);
+        assert_eq!(master(&documents[bad].0), bad_master);
+
+        let result = cluster.multi_put(DB, "Profile", documents.clone());
+        assert!(
+            matches!(result, Err(EspressoError::BadRequest(_))),
+            "expected BadRequest, got {result:?}"
+        );
+        let others = documents.iter().filter(|(key, _)| master(key) != bad_master);
+        for (key, record) in others {
+            let landed = cluster.get(DB, "Profile", key).unwrap().map(|(got, _)| got);
+            assert_eq!(landed.as_ref(), Some(record), "{key:?} did not land");
         }
     }
 
@@ -792,23 +785,5 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(requests(&singly), requests(&batched));
-    }
-
-    #[test]
-    fn deterministic_multi_key_requests_spawn_no_pool() {
-        // Reads never use the pool, in either mode.
-        for mode in [FanOutMode::Deterministic, FanOutMode::Parallel] {
-            let cluster = cluster_with_db(2);
-            cluster.set_fan_out_mode(mode);
-            seed_members(&cluster, 10);
-            let keys: Vec<RowKey> = (0..10)
-                .map(|m| RowKey::new([format!("member-{m}").as_str()]))
-                .collect();
-            cluster.multi_get(DB, "Profile", keys).unwrap();
-            assert!(
-                cluster.fan_out_pool.get().is_none(),
-                "a {mode:?} multi_get must not lazily create the fan-out pool"
-            );
-        }
     }
 }
