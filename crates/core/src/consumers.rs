@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use li_commons::clock::{VectorClock, Versioned};
 use li_databus::{ConsumerCallback, Window};
 use li_sqlstore::{Op, RowKey};
-use li_voldemort::{QuorumConfig, ReadFanOut, StoreClient, Transform, VoldemortError};
+use li_voldemort::{StoreClient, Transform, VoldemortError};
 
 /// Primary table of follow edges: one [`follow_edge_row`] per follow. The
 /// two list tables (`member_follows`, `company_followers`) hold only the
@@ -80,20 +80,13 @@ pub struct CompanyFollowCacher {
 }
 
 impl CompanyFollowCacher {
-    /// Wires the cacher to the two stores. As the view's writer it reads
-    /// every available replica (serving reads stay at R), so a replica that
-    /// missed appends while down is read-repaired at its key's next append.
+    /// Wires the cacher to the two stores. It reads at each store's own R,
+    /// like the serving reads: a replica that missed appends while down is
+    /// owed a hint for each, delivered to it once it is back.
     pub fn new(member_store: StoreClient, company_store: StoreClient) -> Self {
-        let read_all = |store: StoreClient| {
-            let config = QuorumConfig {
-                read_fan_out: ReadFanOut::All,
-                ..store.quorum_config().clone()
-            };
-            store.with_quorum_config(config)
-        };
         CompanyFollowCacher {
-            member_store: read_all(member_store),
-            company_store: read_all(company_store),
+            member_store,
+            company_store,
         }
     }
 

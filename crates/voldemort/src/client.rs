@@ -23,11 +23,12 @@
 //! preference order, and each reply carries its simulated completion time
 //! (the link latency from [`li_commons::sim::SimNetwork`], offset by when
 //! the call started). The R earliest successes form the quorum, and the
-//! R-th of them is the request's [`QuorumStats::sim_latency`]. A reply
-//! that completes later is a straggler and goes where the paper sends it:
-//! a get straggler is read-repaired, and a put straggler that failed
-//! parks a hinted handoff. A failure pulls in the next replica as a
-//! backup, started when the failure completed, and a hedged read
+//! R-th of them is the request's [`QuorumStats::sim_latency`]. A get
+//! reply that completes later is a straggler and is read-repaired like
+//! the quorum. A put owes every preference-list replica that did not ack
+//! it one hinted handoff, whenever its failure completed. A failure pulls
+//! in the next replica as a backup, started when the failure completed,
+//! and a hedged read
 //! ([`QuorumConfig::hedge`]) starts one backup at its delay if the quorum
 //! is still unmet by then. Because nothing sleeps and nothing runs on
 //! another thread, a run is a pure function of its inputs and the
@@ -122,7 +123,7 @@ impl Default for HedgeConfig {
 /// needs.
 #[derive(Debug, Clone, Default)]
 pub struct QuorumConfig {
-    /// Read fan-out width (see [`ReadFanOut`]).
+    /// Read fan-out width: the quorum's R, or all N replicas.
     pub read_fan_out: ReadFanOut,
     /// Per-node deadline: a replica whose simulated latency exceeds this
     /// counts as failed (`VoldemortError::Timeout`, completing at the
@@ -150,7 +151,7 @@ pub struct QuorumStats {
 
 /// Client-side observability under the cluster registry's
 /// `voldemort.client.` prefix: end-to-end latency per API call, quorum
-/// outcomes, writes that needed a hint to meet W (sloppy quorum), and the
+/// outcomes, hints parked and hints that found no holder, and the
 /// hedged-read counters.
 #[derive(Debug, Clone)]
 struct ClientMetrics {
@@ -161,6 +162,7 @@ struct ClientMetrics {
     quorum_read_failures: Counter,
     quorum_write_failures: Counter,
     hinted_writes: Counter,
+    hints_unplaced: Counter,
     hedged: Counter,
     hedge_won: Counter,
     get_sim_latency: Histo,
@@ -179,6 +181,7 @@ impl ClientMetrics {
             quorum_read_failures: scope.counter("quorum.read_failures"),
             quorum_write_failures: scope.counter("quorum.write_failures"),
             hinted_writes: scope.counter("put.hinted"),
+            hints_unplaced: scope.counter("put.hint_unplaced"),
             hedged: scope.counter("get.hedged"),
             hedge_won: scope.counter("get.hedge_won"),
             get_sim_latency: scope.histogram("get.sim_latency_ns"),
@@ -223,14 +226,6 @@ struct Wave<T> {
     /// Whether the hedge's reply was among the `required` earliest
     /// successes.
     hedge_won: bool,
-}
-
-impl<T> Wave<T> {
-    /// A reply that completed after the quorum: the caller did not wait
-    /// for it.
-    fn is_straggler(&self, reply: &Reply<T>) -> bool {
-        self.quorum_at.is_some_and(|at| reply.done > at)
-    }
 }
 
 /// An application-level rejection: a property of the store or of the
@@ -405,30 +400,6 @@ impl ReplicaLink {
             .node_ids()
             .into_iter()
             .filter(move |n| !prefs.contains(n) && self.is_live(*n))
-    }
-
-    /// Hinted handoff: parks `value` for the unreachable `target` on the
-    /// first of `holders` that accepts it, walking past holders that are
-    /// unreachable themselves. False when the walk runs out of holders.
-    fn park_hint(
-        &self,
-        holders: &mut impl Iterator<Item = NodeId>,
-        target: NodeId,
-        key: &Bytes,
-        value: &Versioned<Bytes>,
-    ) -> bool {
-        holders.any(|holder| {
-            self.call(holder, false, |server| {
-                server.store_hint(Hint {
-                    store: self.store.clone(),
-                    target,
-                    key: key.clone(),
-                    value: value.clone(),
-                });
-                Ok(())
-            })
-            .is_ok()
-        })
     }
 }
 
@@ -805,7 +776,9 @@ impl StoreClient {
         let epoch = self.link.cluster.topology_epoch();
         let required = self.store.required_writes;
         let mut acks = 0usize;
-        let mut failed_replicas: Vec<NodeId> = Vec::new();
+        // The replicas that did not ack the committed version: skipped,
+        // failed at the coordinator hop, or failed in the wave.
+        let mut owed: Vec<NodeId> = Vec::new();
         let mut sim_latency = Duration::ZERO;
 
         // Phase 1 — coordinator hop, always serial: the first replica that
@@ -817,10 +790,11 @@ impl StoreClient {
         // mint *identical* clocks, silently losing one write — so this hop
         // completes before the replication wave starts.
         let mut committed_clock: Option<VectorClock> = None;
+        let mut coordinator: Option<NodeId> = None;
         let mut wave_start = prefs.len();
         for (i, &node) in prefs.iter().enumerate() {
             if !self.link.is_live(node) {
-                failed_replicas.push(node);
+                owed.push(node);
                 continue;
             }
             match self.put_coordinator(node, key, clock, &value, transform) {
@@ -828,6 +802,7 @@ impl StoreClient {
                     sim_latency += latency;
                     value = stored;
                     committed_clock = Some(stamped);
+                    coordinator = Some(node);
                     acks = 1;
                     wave_start = i + 1;
                     break;
@@ -836,10 +811,10 @@ impl StoreClient {
                 // engine-level rejection: no other replica (or hint) will
                 // accept the write either.
                 Err(e) if is_fatal(&e) => return Err(e),
-                Err(_) => failed_replicas.push(node),
+                Err(_) => owed.push(node),
             }
         }
-        let committed = committed_clock.is_some();
+        let committed = coordinator.is_some();
         if transform.is_some() && !committed {
             // No replica ran the transform, so there is no stored value to
             // park as a hint: the raw input is not one.
@@ -857,12 +832,11 @@ impl StoreClient {
         // preference-list replicas as one wave. Every replica is attempted;
         // the put waits, on simulated time, only for the W−1 further acks
         // the quorum still needs.
-        let mut stragglers: Vec<NodeId> = Vec::new();
         if committed && wave_start < prefs.len() {
             let (live, down): (Vec<NodeId>, Vec<NodeId>) = prefs[wave_start..]
                 .iter()
                 .partition(|&&node| self.link.is_live(node));
-            failed_replicas.extend(down);
+            owed.extend(down);
             let wave = self.link.wave(
                 &live,
                 &[],
@@ -880,8 +854,7 @@ impl StoreClient {
                             .record(latency.as_nanos() as u64);
                     }
                     Err(e) if is_fatal(e) => return Err(e.clone()),
-                    Err(_) if wave.is_straggler(reply) => stragglers.push(reply.node),
-                    Err(_) => failed_replicas.push(reply.node),
+                    Err(_) => owed.push(reply.node),
                 }
             }
         }
@@ -889,32 +862,12 @@ impl StoreClient {
             .put_sim_latency
             .record(sim_latency.as_nanos() as u64);
 
-        // Hinted handoff (sloppy quorum): each replica that failed before
-        // the quorum parks its write on the next holder that accepts it.
-        // Those replicas share one walk over the holders, so W acks are W
-        // distinct nodes.
-        if acks < required && !failed_replicas.is_empty() {
-            let mut holders = self.link.hint_holders(&prefs);
-            for &target in &failed_replicas {
-                if acks >= required
-                    || !self.link.park_hint(&mut holders, target, &shared_key, &versioned)
-                {
-                    break;
-                }
-                acks += 1;
-                self.metrics.hinted_writes.inc();
-            }
-        }
-        // A wave replica that failed after the quorum completed still owes
-        // its write: it parks a hint with a walk of its own.
-        for &target in &stragglers {
-            let mut holders = self.link.hint_holders(&prefs);
-            if self
-                .link
-                .park_hint(&mut holders, target, &shared_key, &versioned)
-            {
-                self.metrics.hinted_writes.inc();
-            }
+        // Every replica that missed the write is owed a hint, whether or
+        // not W is met; a fault-free put builds no holder list.
+        if !owed.is_empty() {
+            let holders = self.link.hint_holders(&prefs);
+            let needed = required.saturating_sub(acks);
+            acks += self.hand_off(holders, &owed, needed, coordinator, &shared_key, &versioned);
         }
 
         if acks < required {
@@ -933,20 +886,63 @@ impl StoreClient {
                 key: shared_key.clone(),
                 value: versioned.clone(),
             });
-        self.heal_routing_drift(&shared_key, &prefs, &versioned, epoch);
+        self.heal_routing_drift(&shared_key, &prefs, coordinator, &versioned, epoch);
         Ok(versioned.clock)
+    }
+
+    /// Hinted handoff, the one rule: each replica in `owed` missed
+    /// `versioned` and is owed one hint, parked on the first of `holders`
+    /// that accepts it. The hints share one walk over the holders, so the
+    /// first `needed` — the ones that count toward W (sloppy quorum) — sit
+    /// on distinct nodes. A hint beyond those counts toward nothing, so
+    /// once the walk runs out the put's `coordinator` may hold it. Returns
+    /// how many hints counted.
+    fn hand_off(
+        &self,
+        mut holders: impl Iterator<Item = NodeId>,
+        owed: &[NodeId],
+        needed: usize,
+        coordinator: Option<NodeId>,
+        key: &Bytes,
+        versioned: &Versioned<Bytes>,
+    ) -> usize {
+        let mut counted = 0;
+        for &target in owed {
+            let counts = counted < needed;
+            let last_resort = coordinator.filter(|_| !counts);
+            let parked = holders.by_ref().chain(last_resort).any(|holder| {
+                let park = |server: &VoldemortNode| {
+                    server.store_hint(Hint {
+                        store: self.store.name.clone(),
+                        target,
+                        key: key.clone(),
+                        value: versioned.clone(),
+                    });
+                    Ok(())
+                };
+                self.link.call(holder, false, park).is_ok()
+            });
+            if parked {
+                counted += usize::from(counts);
+                self.metrics.hinted_writes.inc();
+            } else {
+                self.metrics.hints_unplaced.inc();
+            }
+        }
+        counted
     }
 
     /// If the topology changed while this put was in flight (a cutover
     /// flip raced the quorum), the acked version may live only on the old
     /// replica set. Re-route and push the committed version to any node
     /// that just became a replica, so a flip cannot orphan an acked write.
-    /// Unreachable new replicas get the write parked as a hint —
-    /// `deliver_hints` routes via the current ring, so it lands there.
+    /// An unreachable new replica is owed a hint like any replica the put
+    /// missed; it counts toward nothing.
     fn heal_routing_drift(
         &self,
         key: &Bytes,
         prefs: &[NodeId],
+        coordinator: Option<NodeId>,
         versioned: &Versioned<Bytes>,
         epoch_before: u64,
     ) {
@@ -956,17 +952,17 @@ impl StoreClient {
         let Ok(now_prefs) = self.preference_list(key) else {
             return;
         };
-        for node in now_prefs.iter().copied().filter(|n| !prefs.contains(n)) {
-            let push = |server: &VoldemortNode| {
-                server.force_put(&self.store.name, key, versioned.clone())
-            };
-            if self.link.call(node, false, push).is_ok() {
-                continue;
-            }
-            let mut holders = self.link.hint_holders(&now_prefs);
-            if self.link.park_hint(&mut holders, node, key, versioned) {
-                self.metrics.hinted_writes.inc();
-            }
+        let push = |server: &VoldemortNode| {
+            server.force_put(&self.store.name, key, versioned.clone())
+        };
+        let owed: Vec<NodeId> = now_prefs
+            .iter()
+            .copied()
+            .filter(|n| !prefs.contains(n) && self.link.call(*n, false, push).is_err())
+            .collect();
+        if !owed.is_empty() {
+            let holders = self.link.hint_holders(&now_prefs);
+            self.hand_off(holders, &owed, 0, coordinator, key, versioned);
         }
     }
 
@@ -1338,7 +1334,7 @@ mod tests {
         let prefs = cluster.ring().preference_list(b"k", 3).unwrap();
         let holders = non_replicas(&cluster, &prefs);
         // prefs[2] times out at 100ms, after prefs[0] and prefs[1] made W=2
-        // at 0ms: a straggler, whose hint takes a walk of its own.
+        // at 0ms: a hint beyond W, owed all the same.
         cluster.network().set_link_latency(
             StoreClient::CLIENT_NODE,
             prefs[2],
@@ -1406,6 +1402,11 @@ mod tests {
         cluster.network().crash(prefs[1]);
         let err = client.put_initial(b"k", Bytes::from_static(b"v")).unwrap_err();
         assert!(matches!(err, VoldemortError::InsufficientWrites { got: 1, .. }));
+        // The hint would have counted toward W, so the coordinator, which
+        // already acked, may not hold it.
+        assert_eq!(cluster.pending_hints(), 0);
+        let snapshot = cluster.metrics().snapshot();
+        assert_eq!(snapshot.counter("voldemort.client.put.hint_unplaced"), Some(1));
     }
 
     #[test]
@@ -1633,5 +1634,35 @@ mod tests {
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn a_replica_a_w1_put_missed_is_owed_a_hint() {
+        let (cluster, client) = cluster_with_store(4, 2, 1, 1);
+        let prefs = cluster.ring().preference_list(b"k", 2).unwrap();
+        cluster.network().crash(prefs[1]);
+        // W=1 is met by the coordinator alone; prefs[1] is owed the write.
+        client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
+        let snapshot = cluster.metrics().snapshot();
+        assert_eq!(snapshot.counter("voldemort.client.put.hinted"), Some(1));
+        cluster.network().restart(prefs[1]);
+        assert_eq!(cluster.deliver_hints(), 1);
+        let bounced = cluster.node(prefs[1]).unwrap().engine("s").unwrap().get(b"k").unwrap();
+        assert_eq!(bounced.len(), 1);
+        assert_eq!(bounced[0].value.as_ref(), b"v");
+    }
+
+    #[test]
+    fn a_hint_beyond_w_falls_back_to_the_coordinator() {
+        // 2 nodes, N=2: no holder exists outside the preference list.
+        let (cluster, client) = cluster_with_store(2, 2, 1, 1);
+        let prefs = cluster.ring().preference_list(b"k", 2).unwrap();
+        cluster.network().crash(prefs[1]);
+        client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
+        assert_eq!(cluster.node(prefs[0]).unwrap().hint_count(), 1);
+        cluster.network().restart(prefs[1]);
+        assert_eq!(cluster.deliver_hints(), 1);
+        let bounced = cluster.node(prefs[1]).unwrap().get("s", b"k").unwrap();
+        assert_eq!(bounced[0].value.as_ref(), b"v");
     }
 }

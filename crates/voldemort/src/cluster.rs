@@ -268,20 +268,19 @@ impl VoldemortCluster {
     /// Replays hinted-handoff hints whose targets are reachable again.
     /// Returns the number of replica force-puts performed.
     ///
-    /// Hints are routed via the ring *as it is now*, not the ring at park
-    /// time: a partition move can cut over while hints are pending, and
-    /// replaying to the old preference-list owner would strand the write
-    /// on a node no longer serving the key. The hint's original target is
-    /// tried first when it is still a replica; every other current replica
-    /// missing the version also gets it.
+    /// A hint is owed to its target and is delivered there, to no other
+    /// replica: it stays parked until the target is reachable from its
+    /// holder. Only when a migration has moved the key off the target
+    /// (routing *as it is now*, not at park time) does the hint go to the
+    /// key's current replicas instead, so a partition move cannot strand
+    /// the write on a node no longer serving the key.
     ///
     /// A hint can race a concurrent client put: a replica may already hold
-    /// a version that supersedes (or equals) the parked write. Such hints
-    /// are dropped instead of replayed — force-putting them would
-    /// resurrect an overwritten version as a spurious sibling. Dropped
-    /// hints count under `voldemort.hints.dropped_obsolete`. A hint whose
-    /// write could not be landed on (or confirmed at) any current replica
-    /// is re-parked for a later round.
+    /// a version that supersedes (or equals) the parked write. Such a hint
+    /// is not replayed there — force-putting it would resurrect an
+    /// overwritten version as a spurious sibling — and a hint that landed
+    /// nowhere for that reason counts under
+    /// `voldemort.hints.dropped_obsolete`.
     pub fn deliver_hints(&self) -> usize {
         let mut delivered = 0;
         // Sorted so replay order (and any RNG the network consumes per
@@ -290,61 +289,42 @@ impl VoldemortCluster {
         holders.sort_by_key(|n| n.id());
         for holder in &holders {
             for hint in holder.take_all_hints() {
-                let Ok(def) = self.store_def(&hint.store) else {
+                let routed = self.store_def(&hint.store).and_then(|def| self.route(&def, &hint.key));
+                let Ok(prefs) = routed else {
                     holder.store_hint(hint);
                     continue;
                 };
-                let Ok(prefs) = self.route(&def, &hint.key) else {
-                    holder.store_hint(hint);
-                    continue;
-                };
-                let mut candidates: Vec<NodeId> = Vec::with_capacity(prefs.len());
-                if prefs.contains(&hint.target) {
-                    candidates.push(hint.target);
-                }
-                candidates.extend(prefs.iter().copied().filter(|n| *n != hint.target));
-                let mut landed = false;
-                let mut superseded = false;
-                for &target in &candidates {
-                    let Ok(target_node) = self.node(target) else {
+                let targets = if prefs.contains(&hint.target) { vec![hint.target] } else { prefs };
+                let (mut landed, mut unreached) = (false, false);
+                for target in targets {
+                    let reachable = target == holder.id()
+                        || self.network.deliver(holder.id(), target).is_ok();
+                    let Some(node) = self.node(target).ok().filter(|_| reachable) else {
+                        unreached = true;
                         continue;
                     };
-                    if target != holder.id()
-                        && self.network.deliver(holder.id(), target).is_err()
-                    {
-                        continue;
-                    }
-                    let obsolete = target_node
-                        .get(&hint.store, &hint.key)
-                        .map(|current| {
-                            current.iter().any(|v| {
-                                matches!(
-                                    v.clock.compare(&hint.value.clock),
-                                    Occurred::After | Occurred::Equal
-                                )
-                            })
+                    let obsolete = node.get(&hint.store, &hint.key).is_ok_and(|current| {
+                        current.iter().any(|v| {
+                            matches!(
+                                v.clock.compare(&hint.value.clock),
+                                Occurred::After | Occurred::Equal
+                            )
                         })
-                        .unwrap_or(false);
+                    });
                     if obsolete {
-                        superseded = true;
                         continue;
                     }
-                    if target_node
-                        .force_put(&hint.store, &hint.key, hint.value.clone())
-                        .is_ok()
-                    {
+                    if node.force_put(&hint.store, &hint.key, hint.value.clone()).is_ok() {
                         delivered += 1;
                         landed = true;
+                    } else {
+                        unreached = true;
                     }
                 }
-                // `landed` means a current replica holds it now (read
-                // repair converges the rest), so the hint is done.
-                if !landed {
-                    if superseded {
-                        self.hints_dropped_obsolete.inc();
-                    } else {
-                        holder.store_hint(hint);
-                    }
+                if unreached {
+                    holder.store_hint(hint);
+                } else if !landed {
+                    self.hints_dropped_obsolete.inc();
                 }
             }
         }
@@ -861,6 +841,38 @@ mod tests {
         let got = client.get(key).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].value.as_ref(), b"hinted-value");
+    }
+
+    #[test]
+    fn a_hint_waits_for_its_target_even_when_another_replica_has_it() {
+        let cluster = VoldemortCluster::new(16, 4).unwrap();
+        cluster
+            .add_store(StoreDef::read_write("s").with_quorum(2, 1, 2))
+            .unwrap();
+        let client = cluster.client("s").unwrap();
+        let prefs = cluster.ring().preference_list(b"k", 2).unwrap();
+        cluster.network().crash(prefs[1]);
+        client.put_initial(b"k", Bytes::from_static(b"v")).unwrap();
+        let holder = cluster
+            .node_ids()
+            .into_iter()
+            .find(|n| cluster.node(*n).unwrap().hint_count() == 1)
+            .unwrap();
+        // prefs[0] coordinated the put and holds the version; prefs[1] is
+        // back but out of the holder's reach.
+        cluster.network().restart(prefs[1]);
+        cluster.network().block_link(holder, prefs[1]);
+        assert_eq!(cluster.deliver_hints(), 0);
+        assert_eq!(cluster.pending_hints(), 1, "the hint waits for its target");
+        let dropped = || cluster.metrics().snapshot().counter("voldemort.hints.dropped_obsolete");
+        assert_eq!(dropped(), Some(0));
+
+        cluster.network().unblock_link(holder, prefs[1]);
+        assert_eq!(cluster.deliver_hints(), 1);
+        assert_eq!(cluster.pending_hints(), 0);
+        let landed = cluster.node(prefs[1]).unwrap().get("s", b"k").unwrap();
+        assert_eq!(landed[0].value.as_ref(), b"v");
+        assert_eq!(dropped(), Some(0));
     }
 
     #[test]

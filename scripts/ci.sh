@@ -46,13 +46,36 @@ if git grep -nE 'replica_deliver|ReplicaApplier|TrySendError|dispatch-notify' --
 fi
 # ...and the seam stays closed: outside its test module the quorum client
 # builds quorum replies and parks hints in one place each (`ReplicaLink`'s
-# `wave` and `park_hint`), and delivers from two (the link and `enter()`'s
-# client -> coordinator hop).
+# `wave` and `StoreClient::hand_off`), and delivers from two (the link and
+# `enter()`'s client -> coordinator hop).
 client_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/voldemort/src/client.rs)"
 if [ "$(grep -c 'Reply {' <<<"$client_seam")" -ne 1 ] \
   || [ "$(grep -c 'store_hint(' <<<"$client_seam")" -ne 1 ] \
   || [ "$(grep -c '\.deliver(' <<<"$client_seam")" -gt 2 ]; then
   echo "ci.sh: voldemort client.rs reaches a replica outside ReplicaLink" >&2
+  exit 1
+fi
+# One hint rule: every replica a put missed is owed a hint, delivered to
+# that replica. The post-quorum straggler's walk of its own stays gone, the
+# follow cacher reads at its store's R, and outside the test modules
+# `ReadFanOut` is named in the library only by its enum, the config field,
+# the re-export and `get_quorum`'s width match.
+read_fan_out="$(for f in $(git grep -lw 'ReadFanOut\|is_straggler' -- crates/core crates/voldemort/src); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nw 'ReadFanOut\|is_straggler' | sed "s|^|$f:|"
+done | grep -vE '^crates/voldemort/src/lib\.rs:|pub enum ReadFanOut \{|pub read_fan_out: ReadFanOut,|ReadFanOut::(Quorum|All) =>' || true)"
+if [ -n "$read_fan_out" ]; then
+  echo "ci.sh: a second hint rule or a read-all client is back: $read_fan_out" >&2
+  exit 1
+fi
+# ...and a fault-free put builds no holder list: outside its test module
+# client.rs calls `hint_holders(` only inside an `if !owed.is_empty()` block.
+hint_holder_calls="$(awk '
+  /if !owed\.is_empty\(\) \{/ && !depth { guarded = 1 }
+  /hint_holders\(/ { print (depth ? "guarded" : "UNGUARDED " FNR ": " $0) }
+  guarded { line = $0; depth += gsub(/\{/, "", line) - gsub(/\}/, "", line); if (depth <= 0) { depth = 0; guarded = 0 } }
+' <<<"$client_seam")"
+if grep UNGUARDED <<<"$hint_holder_calls" || ! grep -q guarded <<<"$hint_holder_calls"; then
+  echo "ci.sh: voldemort client.rs builds hint holders outside an owed-hint branch" >&2
   exit 1
 fi
 # Quorums run on simulated time: no Voldemort path sleeps a latency, runs

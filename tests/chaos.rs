@@ -359,8 +359,8 @@ fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String,
         Ok(())
     };
     // Runs after `durability`, whose all-replica reads have already
-    // read-repaired any owner the hint path could legitimately skip (a
-    // banned owner with W live acks parks no hint).
+    // read-repaired any owner the hint path could legitimately miss (a
+    // hint that found no holder).
     let hints_to_owners = || -> Result<(), String> {
         if cluster.pending_hints() != 0 {
             return Err(format!(
@@ -1033,6 +1033,10 @@ fn chaos_sweep_sqlstore_replication() {
 enum SitePlant {
     /// One acked cached follow list deleted from every replica.
     CachedList,
+    /// Acked cached follow lists deleted from their first preference
+    /// replica only, the one an R=1 serving read lands on: one list more
+    /// than follow-serving-read-fresh lets go stale.
+    ServingList,
     /// One member's superseded profile text back in people search.
     SupersededText,
 }
@@ -1049,10 +1053,13 @@ enum SitePlant {
 ///
 /// * **recovery-drained** — no banned node, no pending hint, the relay at
 ///   the primary's SCN;
+/// * **follow-serving-read-fresh** — an R=1 *serving* read returns the
+///   primary-derived set for every cached list but at most one list per
+///   hint that found no holder (`voldemort.client.put.hint_unplaced`):
+///   every replica a put missed is owed a hint, delivered to it after
+///   heal;
 /// * **follow-no-acked-write-lost** — every cached list, as the union
-///   over all its replicas, equals the primary-derived set, no id twice
-///   (how many lists an R=1 *serving* read still returns stale is
-///   recorded in the trace first, not asserted);
+///   over all its replicas, equals the primary-derived set, no id twice;
 /// * **databus-lag-drained** — both subscribers at the relay's head;
 /// * **profile-timeline** — an updated member reads its last acked text
 ///   or a later attempt that was not acked, every other member its
@@ -1186,21 +1193,29 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
         }
     }
 
-    // The PR 12 seam, measured: at W=1 a bounced replica is owed no hint,
-    // so an R=1 serving read that lands on it is stale until the key's
-    // next append or a read of every replica (the gate's own, below).
+    // What a serving read (R=1, so one replica) returns stale, against the
+    // hints that found no holder: a replica that missed a write is owed a
+    // hint, so only a hint that could not be parked leaves one behind.
     let served = |ids: Result<Vec<u64>, _>| ids.ok().map(BTreeSet::from_iter);
-    let stale = (0..members)
-        .filter(|m| served(platform.followed_companies(*m)).as_ref() != Some(&follows[*m as usize]))
-        .count()
-        + (0..companies)
-            .filter(|c| served(platform.followers(*c)).as_ref() != Some(&followers[*c as usize]))
-            .count();
+    let stale_lists = || {
+        let stale_follows = (0..members)
+            .filter(|m| served(platform.followed_companies(*m)).as_ref() != Some(&follows[*m as usize]));
+        let stale_followers = (0..companies)
+            .filter(|c| served(platform.followers(*c)).as_ref() != Some(&followers[*c as usize]));
+        stale_follows.count() + stale_followers.count()
+    };
+    let unplaced = || {
+        let snapshot = platform.metrics_snapshot();
+        snapshot.counter("voldemort.client.put.hint_unplaced").unwrap_or_default()
+    };
+    let hinted = platform.metrics_snapshot().counter("voldemort.client.put.hinted");
     sched.note(format!(
         "drained: follows_acked={follows_acked} tracked={tracked} primary_scn={:?}; serving \
-         reads at R=1 return {stale} of {} cached lists stale",
+         reads at R=1 return {} of {} cached lists stale; hints parked {hinted:?}, unplaced {}",
         platform.primary.last_scn(),
-        members + companies
+        stale_lists(),
+        members + companies,
+        unplaced()
     ));
 
     match plant {
@@ -1215,6 +1230,23 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
                 }
             }
             sched.note(format!("PLANT: deleted acked cached list `{key}` on every replica"));
+        }
+        Some(SitePlant::ServingList) => {
+            let over = (unplaced() + 1).saturating_sub(stale_lists() as u64) as usize;
+            let fresh = (0..members).filter(|m| {
+                let expected = &follows[*m as usize];
+                let read = served(platform.followed_companies(*m));
+                !expected.is_empty() && read.as_ref() == Some(expected)
+            });
+            for member in fresh.take(over) {
+                let key = member_row_key(member).to_string();
+                let first = voldemort.ring().preference_list(key.as_bytes(), 2).unwrap()[0];
+                let node = voldemort.node(first).unwrap();
+                for version in node.get("member-follows", key.as_bytes()).unwrap_or_default() {
+                    let _ = node.delete("member-follows", key.as_bytes(), &version.clock);
+                }
+                sched.note(format!("PLANT: deleted acked cached list `{key}` on {first} only"));
+            }
         }
         Some(SitePlant::SupersededText) => {
             // Index the old text, then write the last acked one back
@@ -1247,6 +1279,16 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
             ..client.quorum_config().clone()
         };
         client.with_quorum_config(config)
+    };
+    let follow_serving_read_fresh = || -> Result<(), String> {
+        let (stale, unplaced) = (stale_lists() as u64, unplaced());
+        if stale > unplaced {
+            return Err(format!(
+                "serving reads at R=1 return {stale} cached lists stale, but only {unplaced} \
+                 hints found no holder"
+            ));
+        }
+        Ok(())
     };
     let (member_lists, company_lists) = (read_all("member-follows"), read_all("company-followers"));
     let follow_no_acked_write_lost = || -> Result<(), String> {
@@ -1355,6 +1397,9 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
     sched.check(
         &[
             ("recovery-drained", &recovery_drained),
+            // Ahead of the read-all below, whose read repair would mend a
+            // stale first replica before a serving read could see it.
+            ("follow-serving-read-fresh", &follow_serving_read_fresh),
             ("follow-no-acked-write-lost", &follow_no_acked_write_lost),
             ("databus-lag-drained", &databus_drained),
             ("profile-timeline", &profile_timeline),
@@ -2048,12 +2093,18 @@ fn same_seed_yields_byte_identical_traces() {
 #[test]
 fn planted_violation_is_caught_and_reproduces_from_printed_seed() {
     type Scenario = fn(u64, bool) -> Result<String, ChaosFailure>;
-    let cases: [(Scenario, &str, &str, &str); 4] = [
+    let cases: [(Scenario, &str, &str, &str); 5] = [
         (run_voldemort_quorum, "quorum-durability", "voldemort", "PLANT: deleted acked key"),
         (run_voldemort_tail_fanout, "tail-bound", "tail_fanout", "PLANT: quorum-width read"),
         (
             |seed, plant| run_site_closed_loop(seed, plant.then_some(SitePlant::CachedList)),
             "follow-no-acked-write-lost",
+            "site_closed_loop",
+            "PLANT: deleted acked cached list",
+        ),
+        (
+            |seed, plant| run_site_closed_loop(seed, plant.then_some(SitePlant::ServingList)),
+            "follow-serving-read-fresh",
             "site_closed_loop",
             "PLANT: deleted acked cached list",
         ),

@@ -393,8 +393,8 @@ fn a_bounced_replica_heals_at_the_next_follow_of_its_key() {
     view.cluster.network().crash(prefs[0]);
     follow_and_pump(2);
     view.restart(prefs[0]);
-    let stale = view.cluster.node(prefs[0]).unwrap().get("company-followers", key.as_bytes());
-    assert_eq!(decode_ids(&stale.unwrap()[0].value).unwrap(), [1], "W=1 parked no hint");
+    let healed = view.cluster.node(prefs[0]).unwrap().get("company-followers", key.as_bytes());
+    assert_eq!(decode_ids(&healed.unwrap()[0].value).unwrap(), [1, 2], "the hint landed");
     for member in 3..=5 {
         follow_and_pump(member);
     }

@@ -1,7 +1,7 @@
 //! Property tests for Voldemort's quorum coordination: with R+W>N, a
 //! quorum read at either read width observes every committed write no
-//! matter which replicas crashed or slowed; hint and replay never
-//! resurrects an overwritten version.
+//! matter which replicas crashed or slowed, and after heal so does each
+//! replica alone; hint and replay never resurrects an overwritten version.
 //!
 //! Case count defaults to 24; CI raises it with `PROPTEST_CASES=64`.
 
@@ -125,6 +125,20 @@ proptest! {
         // from the crash epoch would otherwise combine with the first
         // post-heal success to trip the ratio ban mid-verification.
         clock.advance(Duration::from_secs(30));
+
+        // Every acked write is held by each replica alone, before any read
+        // repairs it: every replica a put missed was owed a hint, delivered
+        // to it after heal.
+        for (key, write_clock) in &acked {
+            for node in cluster.ring().preference_list(key, n).unwrap() {
+                let held = cluster.node(node).unwrap().get("s", key).unwrap();
+                prop_assert!(
+                    held.iter().any(|v| v.clock.descends_from(write_clock)),
+                    "replica {} misses an acked write (clock {:?}, holds {:?})",
+                    node, write_clock, held
+                );
+            }
+        }
 
         // Every acked write is observed, at every read width.
         for width in [ReadFanOut::Quorum, ReadFanOut::All] {
