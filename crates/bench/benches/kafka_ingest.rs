@@ -12,7 +12,8 @@
 //! * **grouped** — `ReplicatedCluster::produce_with_ack`: producers
 //!   enqueue pre-encoded frame groups into the partition's
 //!   [`GroupQueue`]; one drainer commits every pending group with a
-//!   single log-lock acquisition (`append_frames_multi`), and for
+//!   single log-lock acquisition (`PartitionLog::append_chunks`, each
+//!   group's buffer moved in by reference), and for
 //!   `AckMode::FullIsr` a single replication ship covers the whole
 //!   batch.
 //!
@@ -26,6 +27,7 @@
 //! parallel appends. Prints a JSON line; EXPERIMENTS.md C-26 records a
 //! single shot of it (1-core host, 2026-08-09).
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use li_commons::sim::RealClock;
 use li_kafka::log::LogConfig;
@@ -84,7 +86,7 @@ fn fresh_cluster(partitions: u32) -> (Arc<KafkaCluster>, Arc<ReplicatedCluster>)
 }
 
 /// The per-request baseline: resolve the partition's leader, then append
-/// the encoded set straight to its log.
+/// the encoded set straight to its log as one chunk.
 fn per_request_produce(
     cluster: &KafkaCluster,
     rc: &ReplicatedCluster,
@@ -93,7 +95,7 @@ fn per_request_produce(
 ) {
     let leader = rc.leader_of("ingest", partition).unwrap();
     let log = cluster.brokers()[leader as usize].log("ingest", partition).unwrap();
-    log.append_frames(&set.encode()).unwrap();
+    log.append_chunks(&[Bytes::from(set.encode())]).unwrap();
 }
 
 fn percentile(sorted: &[u64], q: f64) -> f64 {

@@ -517,7 +517,7 @@ impl DataPlatform {
 
     /// Rows loaded into the warehouse so far.
     pub fn warehouse_rows(&self) -> usize {
-        self.warehouse.rows().len()
+        self.warehouse.row_count()
     }
 
     /// One pump of every asynchronous pipeline stage: the bootstrap

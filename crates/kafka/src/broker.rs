@@ -6,6 +6,7 @@
 //! index. The striping is semantics-free — the index is read-mostly and
 //! each [`PartitionLog`] has its own interior locking.
 
+use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -151,7 +152,8 @@ impl Broker {
     /// `ack`; a standalone broker has no followers, so
     /// [`AckMode::FullIsr`] degenerates to [`AckMode::Leader`] here (the
     /// replicated contract lives in
-    /// `ReplicatedCluster::produce_with_ack`).
+    /// `ReplicatedCluster::produce_with_ack`). The encoded `frames` buffer
+    /// moves into the log as one chunk; its bytes are not copied again.
     pub fn produce_frames_grouped(
         &self,
         topic: &str,
@@ -166,21 +168,25 @@ impl Broker {
             metrics: &self.metrics,
             entry: &entry,
         };
-        entry
-            .queue
-            .produce(&sink, frames, messages, payload_bytes as u64, ack)
+        let group = GroupFrames {
+            frames: Bytes::from(frames),
+            messages,
+            payload_bytes: payload_bytes as u64,
+        };
+        entry.queue.produce(&sink, group, ack)
     }
 
     /// Appends a drained batch of frame groups to the hosted partition
-    /// log under **one** lock acquisition, updating produce metrics — the
-    /// sink primitive shared by this broker's own group-commit queue, the
-    /// replicated cluster's leader append and the mirror's verbatim chunk
-    /// copy. Returns the base offset of the batch's first buffer.
+    /// log by reference under **one** lock acquisition, updating produce
+    /// metrics — the sink primitive shared by this broker's own
+    /// group-commit queue, the replicated cluster's leader append and the
+    /// mirror's append of the source's chunks. Returns the base offset of
+    /// the batch's first chunk.
     pub fn append_groups_local(
         &self,
         topic: &str,
         partition: u32,
-        groups: &[GroupFrames<'_>],
+        groups: &[GroupFrames],
     ) -> Result<u64, KafkaError> {
         let entry = self.entry(topic, partition)?;
         let sink = BrokerSink {
@@ -283,9 +289,10 @@ impl Broker {
     }
 }
 
-/// [`IngestSink`] over one broker-hosted partition: a drained batch lands
-/// via `PartitionLog::append_frames_multi` (one lock acquisition for the
-/// whole batch), then metrics and the `log_end` gauge update once.
+/// [`IngestSink`] over one broker-hosted partition: a drained batch's
+/// chunks land by reference via `PartitionLog::append_chunks` (one lock
+/// acquisition for the whole batch), then metrics and the `log_end` gauge
+/// update once.
 /// `ship` keeps the no-op default — a standalone broker has no replicas.
 struct BrokerSink<'a> {
     metrics: &'a BrokerMetrics,
@@ -293,9 +300,9 @@ struct BrokerSink<'a> {
 }
 
 impl IngestSink for BrokerSink<'_> {
-    fn append_groups(&self, groups: &[GroupFrames<'_>]) -> Result<u64, KafkaError> {
-        let buffers: Vec<&[u8]> = groups.iter().map(|g| g.frames).collect();
-        let base = self.entry.log.append_frames_multi(&buffers)?;
+    fn append_groups(&self, groups: &[GroupFrames]) -> Result<u64, KafkaError> {
+        let chunks: Vec<Bytes> = groups.iter().map(|g| g.frames.clone()).collect();
+        let base = self.entry.log.append_chunks(&chunks)?;
         let (mut messages, mut payload_bytes) = (0u64, 0u64);
         for group in groups {
             messages += group.messages;
@@ -379,6 +386,22 @@ mod tests {
         assert_eq!(bare.log_end(), log.log_end());
         assert_eq!(bare.content_fingerprint(), log.content_fingerprint());
         assert_eq!(grouped.metrics.produce_groups.value(), 10);
+    }
+
+    #[test]
+    fn grouped_produce_moves_the_encoded_buffer_into_the_log() {
+        // The write side pays one copy, the encode: the producer's buffer
+        // is the chunk the log stores and serves.
+        let b = broker();
+        b.create_partition("t", 0);
+        let set = MessageSet::from_payloads(["held", "once"]);
+        let frames = set.encode();
+        let encoded_at = frames.as_ptr();
+        b.produce_frames_grouped("t", 0, frames, 2, set.payload_bytes(), AckMode::Leader)
+            .unwrap();
+        let (chunks, _) = b.fetch_chunks("t", 0, 0, usize::MAX).unwrap();
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].data.as_ptr(), encoded_at);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! most one drainer is active per partition: it claims *every* pending
 //! group, commits them with a single [`IngestSink::append_groups`] call
 //! (one partition-lock acquisition, one flush-policy check, one consumer
-//! wakeup — see `PartitionLog::append_frames_multi`), ships the batch to
+//! wakeup — see `PartitionLog::append_chunks`; each group's encoded
+//! buffer is moved into the log as a chunk, never copied), ships the batch to
 //! replicas at most once, completes each group's [`GroupSlot`], and loops
 //! while more groups arrived during the commit. Producers that lost the
 //! drainer race block on their slot according to their [`AckMode`] — so
@@ -32,6 +33,7 @@
 //! after every in-sync replica holds them — the contracts the chaos
 //! scenario `chaos_sweep_kafka_ack_durability` kills leaders to verify.
 
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -70,12 +72,13 @@ pub struct ProduceReceipt {
     pub base_offset: Option<u64>,
 }
 
-/// One drained group as handed to an [`IngestSink`]: the pre-encoded wire
+/// One frame group as handed to an [`IngestSink`]: the pre-encoded wire
 /// frames plus the counts the sink needs for metrics.
 #[derive(Debug)]
-pub struct GroupFrames<'a> {
-    /// Pre-encoded `[len][crc][attributes][payload]` frames, back-to-back.
-    pub frames: &'a [u8],
+pub struct GroupFrames {
+    /// Pre-encoded `[len][crc][attributes][payload]` frames, back-to-back;
+    /// the sink appends this chunk to the log by reference.
+    pub frames: Bytes,
     /// Number of messages in `frames`.
     pub messages: u64,
     /// Sum of payload bytes across those messages.
@@ -86,11 +89,11 @@ pub struct GroupFrames<'a> {
 /// over one partition log; [`crate::ReplicatedCluster`] implements it over
 /// the partition's current leader plus a replication ship.
 pub trait IngestSink {
-    /// Appends the groups' frame buffers back-to-back under **one**
+    /// Appends the groups' frame chunks back-to-back under **one**
     /// partition-lock acquisition, returning the base offset of the first
-    /// buffer. An error must leave the log unmutated (the whole batch is
+    /// chunk. An error must leave the log unmutated (the whole batch is
     /// rejected atomically).
-    fn append_groups(&self, groups: &[GroupFrames<'_>]) -> Result<u64, KafkaError>;
+    fn append_groups(&self, groups: &[GroupFrames]) -> Result<u64, KafkaError>;
 
     /// Pushes every byte appended so far out to all in-sync replicas.
     /// Called at most once per drained batch, and only when at least one
@@ -164,9 +167,7 @@ impl GroupSlot {
 
 /// A group waiting in the queue for a drainer.
 struct PendingGroup {
-    frames: Vec<u8>,
-    messages: u64,
-    payload_bytes: u64,
+    group: GroupFrames,
     ack: AckMode,
     slot: Arc<GroupSlot>,
 }
@@ -240,16 +241,12 @@ impl GroupQueue {
     pub fn produce(
         &self,
         sink: &dyn IngestSink,
-        frames: Vec<u8>,
-        messages: u64,
-        payload_bytes: u64,
+        group: GroupFrames,
         ack: AckMode,
     ) -> Result<ProduceReceipt, KafkaError> {
         let slot = Arc::new(GroupSlot::new());
         self.admit(PendingGroup {
-            frames,
-            messages,
-            payload_bytes,
+            group,
             ack,
             slot: slot.clone(),
         });
@@ -272,13 +269,13 @@ impl GroupQueue {
     /// no drainer is active the group is admitted even past the byte cap
     /// (the caller's own `drain_with` is the next progress step, and
     /// blocking here with nobody committed to waking us would wedge).
-    fn admit(&self, group: PendingGroup) {
-        let len = group.frames.len();
+    fn admit(&self, pending: PendingGroup) {
+        let len = pending.group.frames.len();
         let mut inner = self.inner.lock();
         loop {
             let fits = inner.pending_bytes + len <= self.capacity_bytes;
             if fits || inner.pending.is_empty() || !inner.draining {
-                inner.pending.push_back(group);
+                inner.pending.push_back(pending);
                 inner.pending_bytes += len;
                 return;
             }
@@ -305,9 +302,9 @@ impl GroupQueue {
             self.vacancy.notify_all();
             drop(inner);
 
-            Self::commit(sink, &batch);
             stats.commits += 1;
             stats.groups += batch.len() as u64;
+            Self::commit(sink, batch);
 
             inner = self.inner.lock();
             inner.draining = false;
@@ -321,57 +318,46 @@ impl GroupQueue {
     /// Commits one claimed batch: one sink append for the whole batch,
     /// per-group base offsets by prefix sums, at most one ship, and every
     /// slot completed or failed.
-    fn commit(sink: &dyn IngestSink, batch: &[PendingGroup]) {
-        let frames: Vec<GroupFrames<'_>> = batch
-            .iter()
-            .map(|g| GroupFrames {
-                frames: &g.frames,
-                messages: g.messages,
-                payload_bytes: g.payload_bytes,
-            })
-            .collect();
-        let base = match sink.append_groups(&frames) {
+    fn commit(sink: &dyn IngestSink, batch: Vec<PendingGroup>) {
+        let (groups, waiters): (Vec<GroupFrames>, Vec<(AckMode, Arc<GroupSlot>)>) = batch
+            .into_iter()
+            .map(|pending| (pending.group, (pending.ack, pending.slot)))
+            .unzip();
+        let base = match sink.append_groups(&groups) {
             Ok(base) => base,
             Err(err) => {
-                for group in batch {
-                    group.slot.set(SlotState::Failed(err.clone()));
+                for (_, slot) in &waiters {
+                    slot.set(SlotState::Failed(err.clone()));
                 }
                 return;
             }
         };
         let mut offset = base;
-        let mut offsets = Vec::with_capacity(batch.len());
-        for group in batch {
+        let mut offsets = Vec::with_capacity(groups.len());
+        for group in &groups {
             offsets.push(offset);
             offset += group.frames.len() as u64;
         }
         // Leader / None contracts are met by the local append alone.
         let mut needs_ship = false;
-        for (group, &base_offset) in batch.iter().zip(&offsets) {
-            if group.ack == AckMode::FullIsr {
+        for ((ack, slot), &base_offset) in waiters.iter().zip(&offsets) {
+            if *ack == AckMode::FullIsr {
                 needs_ship = true;
             } else {
-                group.slot.set(SlotState::Appended(base_offset));
+                slot.set(SlotState::Appended(base_offset));
             }
         }
         if !needs_ship {
             return;
         }
         // One ship covers every FullIsr group in the batch.
-        match sink.ship() {
-            Ok(()) => {
-                for (group, &base_offset) in batch.iter().zip(&offsets) {
-                    if group.ack == AckMode::FullIsr {
-                        group.slot.set(SlotState::Shipped(base_offset));
-                    }
-                }
-            }
-            Err(err) => {
-                for group in batch {
-                    if group.ack == AckMode::FullIsr {
-                        group.slot.set(SlotState::Failed(err.clone()));
-                    }
-                }
+        let shipped = sink.ship();
+        for ((ack, slot), &base_offset) in waiters.iter().zip(&offsets) {
+            if *ack == AckMode::FullIsr {
+                slot.set(match &shipped {
+                    Ok(()) => SlotState::Shipped(base_offset),
+                    Err(err) => SlotState::Failed(err.clone()),
+                });
             }
         }
     }
@@ -409,13 +395,13 @@ mod tests {
     }
 
     impl IngestSink for LogSink {
-        fn append_groups(&self, groups: &[GroupFrames<'_>]) -> Result<u64, KafkaError> {
+        fn append_groups(&self, groups: &[GroupFrames]) -> Result<u64, KafkaError> {
             if let Some(gate) = &self.gate {
                 gate.lock().recv().expect("gate sender alive");
             }
             self.appends.fetch_add(1, Ordering::SeqCst);
-            let buffers: Vec<&[u8]> = groups.iter().map(|g| g.frames).collect();
-            self.log.append_frames_multi(&buffers)
+            let chunks: Vec<Bytes> = groups.iter().map(|g| g.frames.clone()).collect();
+            self.log.append_chunks(&chunks)
         }
 
         fn ship(&self) -> Result<(), KafkaError> {
@@ -428,15 +414,23 @@ mod tests {
         MessageSet::from_payloads(payloads.iter().map(|p| p.as_bytes().to_vec())).encode()
     }
 
+    fn grouped(frames: Vec<u8>, messages: u64, payload_bytes: u64) -> GroupFrames {
+        GroupFrames {
+            frames: frames.into(),
+            messages,
+            payload_bytes,
+        }
+    }
+
     #[test]
     fn one_producer_commits_inline_and_gets_its_offset() {
         let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         let r1 = queue
-            .produce(&sink, encode(&["a"]), 1, 1, AckMode::Leader)
+            .produce(&sink, grouped(encode(&["a"]), 1, 1), AckMode::Leader)
             .unwrap();
         let r2 = queue
-            .produce(&sink, encode(&["bb"]), 1, 2, AckMode::Leader)
+            .produce(&sink, grouped(encode(&["bb"]), 1, 2), AckMode::Leader)
             .unwrap();
         assert_eq!(r1.base_offset, Some(0));
         assert_eq!(r2.base_offset, Some(encode(&["a"]).len() as u64));
@@ -450,17 +444,17 @@ mod tests {
         let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         let receipt = queue
-            .produce(&sink, Vec::new(), 0, 0, AckMode::Leader)
+            .produce(&sink, grouped(Vec::new(), 0, 0), AckMode::Leader)
             .unwrap();
         assert_eq!(receipt.base_offset, Some(0));
         assert_eq!(sink.log.log_end(), 0);
         // And an empty group after real data reports the current end.
         queue
-            .produce(&sink, encode(&["x"]), 1, 1, AckMode::Leader)
+            .produce(&sink, grouped(encode(&["x"]), 1, 1), AckMode::Leader)
             .unwrap();
         let end = sink.log.log_end();
         let receipt = queue
-            .produce(&sink, Vec::new(), 0, 0, AckMode::Leader)
+            .produce(&sink, grouped(Vec::new(), 0, 0), AckMode::Leader)
             .unwrap();
         assert_eq!(receipt.base_offset, Some(end));
     }
@@ -470,7 +464,11 @@ mod tests {
         let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         let receipt = queue
-            .produce(&sink, encode(&["fire", "forget"]), 2, 10, AckMode::None)
+            .produce(
+                &sink,
+                grouped(encode(&["fire", "forget"]), 2, 10),
+                AckMode::None,
+            )
             .unwrap();
         assert_eq!(receipt.base_offset, None);
         // Single-threaded: the caller was its own drainer, so the bytes
@@ -484,11 +482,11 @@ mod tests {
         let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         queue
-            .produce(&sink, encode(&["d"]), 1, 1, AckMode::FullIsr)
+            .produce(&sink, grouped(encode(&["d"]), 1, 1), AckMode::FullIsr)
             .unwrap();
         assert_eq!(sink.ships.load(Ordering::SeqCst), 1);
         queue
-            .produce(&sink, encode(&["e"]), 1, 1, AckMode::Leader)
+            .produce(&sink, grouped(encode(&["e"]), 1, 1), AckMode::Leader)
             .unwrap();
         assert_eq!(sink.ships.load(Ordering::SeqCst), 1, "Leader batch does not ship");
     }
@@ -499,11 +497,11 @@ mod tests {
         let sink = LogSink::new();
         let mut torn = encode(&["torn"]);
         torn.truncate(torn.len() - 1);
-        let err = queue.produce(&sink, torn, 1, 4, AckMode::Leader);
+        let err = queue.produce(&sink, grouped(torn, 1, 4), AckMode::Leader);
         assert!(err.is_err());
         // Queue still serves the next producer.
         let ok = queue
-            .produce(&sink, encode(&["fine"]), 1, 4, AckMode::Leader)
+            .produce(&sink, grouped(encode(&["fine"]), 1, 4), AckMode::Leader)
             .unwrap();
         assert_eq!(ok.base_offset, Some(0), "failed group left no bytes behind");
     }
@@ -526,9 +524,7 @@ mod tests {
                 queue
                     .produce(
                         &*sink,
-                        encode(&[&format!("msg-{i}")]),
-                        1,
-                        5,
+                        grouped(encode(&[&format!("msg-{i}")]), 1, 5),
                         AckMode::Leader,
                     )
                     .unwrap()
@@ -576,7 +572,7 @@ mod tests {
         // Producer A: becomes the drainer, wedges inside append.
         let a = {
             let (queue, sink, group) = (queue.clone(), sink.clone(), group.clone());
-            std::thread::spawn(move || queue.produce(&*sink, group, 1, 5, AckMode::Leader))
+            std::thread::spawn(move || queue.produce(&*sink, grouped(group, 1, 5), AckMode::Leader))
         };
         while !queue.inner.lock().draining {
             std::thread::sleep(Duration::from_millis(1));
@@ -584,7 +580,7 @@ mod tests {
         // Producer B: fills the queue to capacity (admitted: queue empty).
         let b = {
             let (queue, sink, group) = (queue.clone(), sink.clone(), group.clone());
-            std::thread::spawn(move || queue.produce(&*sink, group, 1, 5, AckMode::Leader))
+            std::thread::spawn(move || queue.produce(&*sink, grouped(group, 1, 5), AckMode::Leader))
         };
         while queue.pending_groups() < 1 {
             std::thread::sleep(Duration::from_millis(1));
@@ -592,7 +588,7 @@ mod tests {
         // Producer C: queue full + drainer active → must block in admit.
         let c = {
             let (queue, sink, group) = (queue.clone(), sink.clone(), group.clone());
-            std::thread::spawn(move || queue.produce(&*sink, group, 1, 5, AckMode::Leader))
+            std::thread::spawn(move || queue.produce(&*sink, grouped(group, 1, 5), AckMode::Leader))
         };
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(
@@ -618,7 +614,11 @@ mod tests {
         let sink = LogSink::new();
         for i in 0..5 {
             queue
-                .produce(&sink, encode(&[&format!("d-{i}")]), 1, 3, AckMode::Leader)
+                .produce(
+                    &sink,
+                    grouped(encode(&[&format!("d-{i}")]), 1, 3),
+                    AckMode::Leader,
+                )
                 .unwrap();
         }
         assert_eq!(
@@ -636,7 +636,9 @@ mod tests {
         let queue = GroupQueue::new(1 << 20);
         let sink = LogSink::new();
         for ack in [AckMode::None, AckMode::Leader, AckMode::FullIsr] {
-            queue.produce(&sink, encode(&["z"]), 1, 1, ack).unwrap();
+            queue
+                .produce(&sink, grouped(encode(&["z"]), 1, 1), ack)
+                .unwrap();
         }
         let stats = queue.drain_with(&sink);
         assert_eq!(stats.commits, 0, "nothing left for the closing drain");

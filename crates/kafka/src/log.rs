@@ -13,16 +13,18 @@
 //!
 //! ## Zero-copy data path
 //!
-//! A segment is a list of frozen, immutable [`Bytes`] chunks plus a plain
-//! `Vec<u8>` append tail. Appends go into the tail under the partition
-//! mutex; a flush (or a segment roll) *freezes* the tail into a shared
-//! `Bytes` chunk — a move, not a copy. [`PartitionLog::read_chunks`] then
-//! only computes `(segment, chunk, range)` under the lock and returns
-//! cheap `Bytes` views of those chunks; frame walking, decoding, and
-//! decompression all happen outside the mutex, and consumer-visible
-//! payloads are `Bytes::slice` sub-views of the segment allocation — the
-//! in-process analog of serving straight from the page cache via
-//! `sendfile` (§V.B "avoids byte copying").
+//! A segment is a list of immutable, frame-aligned [`Bytes`] chunks, and a
+//! chunk is the log's only unit of append: [`PartitionLog::append_chunks`]
+//! pushes the caller's chunks by reference under the partition mutex. A
+//! producer's encoded batch becomes a chunk by move, and the mirror and
+//! replica followers append the chunks they fetched from their source, so
+//! one allocation serves every log that holds those bytes.
+//! [`PartitionLog::read_chunks`] only computes `(segment, chunk, range)`
+//! under the lock and returns cheap `Bytes` views of those chunks; frame
+//! walking, decoding, and decompression all happen outside the mutex, and
+//! consumer-visible payloads are `Bytes::slice` sub-views of the segment
+//! allocation — the in-process analog of serving straight from the page
+//! cache via `sendfile` (§V.B "avoids byte copying").
 
 use bytes::Bytes;
 use li_commons::bufio;
@@ -78,13 +80,11 @@ impl Default for LogConfig {
 #[derive(Debug)]
 struct Segment {
     base_offset: u64,
-    /// Frozen frame-aligned chunks as `(start byte relative to
-    /// base_offset, data)`; starts are strictly increasing.
+    /// Frame-aligned chunks as `(start byte relative to base_offset,
+    /// data)`; starts are strictly increasing and no chunk is empty.
     chunks: Vec<(usize, Bytes)>,
     /// Total bytes across `chunks`.
-    frozen_len: usize,
-    /// Append tail not yet frozen; only the newest segment has one.
-    active: Vec<u8>,
+    len: usize,
     last_append: Duration,
 }
 
@@ -93,26 +93,9 @@ impl Segment {
         Segment {
             base_offset,
             chunks: Vec::new(),
-            frozen_len: 0,
-            active: Vec::new(),
+            len: 0,
             last_append: now,
         }
-    }
-
-    fn len(&self) -> usize {
-        self.frozen_len + self.active.len()
-    }
-
-    /// Freezes the append tail into an immutable shared chunk (a move of
-    /// the `Vec`'s allocation — no bytes are copied). Invariant: every
-    /// consumer-visible byte is frozen, so reads never touch `active`.
-    fn freeze_active(&mut self) {
-        if self.active.is_empty() {
-            return;
-        }
-        let start = self.frozen_len;
-        self.frozen_len += self.active.len();
-        self.chunks.push((start, Bytes::from(std::mem::take(&mut self.active))));
     }
 }
 
@@ -169,49 +152,56 @@ impl PartitionLog {
     pub fn append(&self, message: &Message) -> u64 {
         let mut frames = Vec::with_capacity(message.framed_len());
         message.encode(&mut frames);
-        self.append_frames(&frames)
+        self.append_chunks(&[Bytes::from(frames)])
             .expect("freshly encoded frame is structurally valid")
     }
 
-    /// Appends pre-framed messages (a producer wire buffer, a mirrored or
-    /// replicated chunk) verbatim under one lock acquisition, returning
-    /// the base offset. Frame structure is validated and messages are
-    /// counted *before* the lock is taken; torn or misaligned input is
-    /// rejected without mutating the log.
+    /// Appends borrowed pre-framed messages: copies them into one chunk
+    /// and appends that with [`Self::append_chunks`], returning the base
+    /// offset.
     pub fn append_frames(&self, frames: &[u8]) -> Result<u64, KafkaError> {
-        let messages = Self::validate_frames(frames)?;
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-        let offset = self.append_one_locked(&mut inner, frames, messages, now);
-        self.flush_if_due_locked(&mut inner, now);
-        Ok(offset)
+        self.append_chunks(&[Bytes::copy_from_slice(frames)])
     }
 
-    /// Appends several pre-framed buffers — one producer group's worth —
-    /// under **one** lock acquisition, returning the base offset of the
-    /// first buffer. This is the group-commit primitive: each buffer is
-    /// validated outside the lock exactly like [`Self::append_frames`],
-    /// then all of them land in the log back-to-back with a single flush
-    /// policy check at the end, so `N` concurrent producers cost one mutex
-    /// round-trip, one flush, and one `data_ready` broadcast instead of
-    /// `N` of each. Byte content and the final visible end are identical
-    /// to appending the buffers sequentially; only mid-drain visibility
-    /// differs (intermediate flush points are skipped). Any torn buffer
-    /// rejects the whole group without mutating the log.
-    pub fn append_frames_multi(&self, buffers: &[&[u8]]) -> Result<u64, KafkaError> {
+    /// Appends frame-aligned chunks — a producer group's encoded batches,
+    /// or the chunks a mirror or follower fetched from its source — by
+    /// reference, under **one** lock acquisition, returning the base
+    /// offset of the first. No byte is copied: each chunk is stored as
+    /// the caller's `Bytes` view. Every chunk's frames are validated and
+    /// counted *before* the lock is taken, and a torn or misaligned chunk
+    /// rejects the whole call without mutating the log. Under the lock the
+    /// chunks land back-to-back, rolling segments as they fill, with a
+    /// single flush-policy check at the end, so `N` concurrent producers
+    /// cost one mutex round-trip, one flush, and one `data_ready`
+    /// broadcast instead of `N` of each. Byte content and the final
+    /// visible end are identical to appending the chunks one by one; only
+    /// mid-call visibility differs (intermediate flush points are
+    /// skipped).
+    pub fn append_chunks(&self, chunks: &[Bytes]) -> Result<u64, KafkaError> {
         let mut messages = 0u64;
-        for buffer in buffers {
-            messages += Self::validate_frames(buffer)?;
+        for chunk in chunks {
+            messages += Self::validate_frames(chunk)?;
         }
         let now = self.clock.now();
         let mut inner = self.inner.lock();
         let base = inner.log_end;
-        for buffer in buffers {
-            // Message counts were validated up front; charge them once below.
-            self.append_one_locked(&mut inner, buffer, 0, now);
+        for chunk in chunks.iter().filter(|chunk| !chunk.is_empty()) {
+            let offset = inner.log_end;
+            let roll = inner
+                .segments
+                .last()
+                .is_none_or(|s| s.len >= self.config.segment_bytes);
+            if roll {
+                inner.segments.push(Segment::new(offset, now));
+            }
+            let active = inner.segments.last_mut().expect("active segment");
+            active.chunks.push((active.len, chunk.clone()));
+            active.len += chunk.len();
+            active.last_append = now;
+            inner.log_end = offset + chunk.len() as u64;
         }
         inner.unflushed_messages += messages;
-        if !buffers.is_empty() {
+        if !chunks.is_empty() {
             self.flush_if_due_locked(&mut inner, now);
         }
         Ok(base)
@@ -238,35 +228,6 @@ impl PartitionLog {
         Ok(messages)
     }
 
-    /// Appends one validated buffer under an already-held lock: roll
-    /// check, tail extend, offset advance. Returns the buffer's base
-    /// offset. Flush policy is the caller's job.
-    fn append_one_locked(
-        &self,
-        inner: &mut LogInner,
-        frames: &[u8],
-        messages: u64,
-        now: Duration,
-    ) -> u64 {
-        let offset = inner.log_end;
-        let roll = inner
-            .segments
-            .last()
-            .is_none_or(|s| s.len() >= self.config.segment_bytes);
-        if roll {
-            if let Some(sealed) = inner.segments.last_mut() {
-                sealed.freeze_active();
-            }
-            inner.segments.push(Segment::new(offset, now));
-        }
-        let active = inner.segments.last_mut().expect("active segment");
-        active.active.extend_from_slice(frames);
-        active.last_append = now;
-        inner.log_end = offset + frames.len() as u64;
-        inner.unflushed_messages += messages;
-        offset
-    }
-
     fn flush_if_due_locked(&self, inner: &mut LogInner, now: Duration) {
         let flush_due = inner.unflushed_messages >= self.config.flush_interval_messages
             || now.saturating_sub(inner.last_flush) >= self.config.flush_interval;
@@ -278,9 +239,6 @@ impl PartitionLog {
     fn flush_locked(&self, inner: &mut LogInner, now: Duration) {
         if self.config.flush_latency > Duration::ZERO {
             std::thread::sleep(self.config.flush_latency);
-        }
-        if let Some(active) = inner.segments.last_mut() {
-            active.freeze_active();
         }
         inner.visible_end = inner.log_end;
         inner.unflushed_messages = 0;
@@ -399,7 +357,7 @@ impl PartitionLog {
     /// consumption begins and a maximum number of bytes to fetch"), plus
     /// the offset to resume from. Under a short lock hold this only
     /// *locates* the data — binary search for the segment,
-    /// then for the frozen chunk holding `offset` — and snapshots cheap
+    /// then for the chunk holding `offset` — and snapshots cheap
     /// `Bytes` views clamped to the flush horizon. The lock is dropped
     /// before any frame is examined; the returned chunks are then trimmed
     /// to `max_bytes` at a message boundary by walking frame length
@@ -455,25 +413,19 @@ impl PartitionLog {
                     if taken >= max_bytes {
                         break 'collect;
                     }
+                    // Never serve past the flush horizon. A chunk never
+                    // straddles it: a flush makes everything up to
+                    // `log_end`, a chunk end, visible.
                     let abs = segment.base_offset + *chunk_start as u64;
                     if abs >= inner.visible_end {
                         break 'collect;
                     }
-                    // Never serve past the flush horizon (frame-aligned
-                    // by construction: flushes land on message bounds).
-                    let visible_len =
-                        ((inner.visible_end - abs) as usize).min(data.len());
                     let skip = rel.saturating_sub(*chunk_start);
-                    if skip >= visible_len {
+                    if skip >= data.len() {
                         continue; // chunk entirely before `offset`
                     }
-                    let view = if visible_len == data.len() {
-                        data.clone()
-                    } else {
-                        data.slice(..visible_len)
-                    };
-                    views.push((abs, view));
-                    taken += visible_len - skip;
+                    views.push((abs, data.clone()));
+                    taken += data.len() - skip;
                 }
             }
         }
@@ -565,7 +517,7 @@ impl PartitionLog {
         // A single expired segment is truncated in place by rolling.
         if inner.segments.len() == 1 {
             let expired = now.saturating_sub(inner.segments[0].last_append) > self.config.retention
-                && inner.segments[0].len() != 0;
+                && inner.segments[0].len != 0;
             if expired {
                 let end = inner.log_end;
                 inner.segments[0] = Segment::new(end, now);
@@ -770,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn append_frames_multi_matches_sequential_appends() {
+    fn append_chunks_matches_sequential_appends() {
         for segment_bytes in [64usize, 1 << 20] {
             let (grouped, _) = log_with(LogConfig {
                 segment_bytes,
@@ -780,19 +732,19 @@ mod tests {
                 segment_bytes,
                 ..LogConfig::default()
             });
-            let buffers: Vec<Vec<u8>> = (0..7)
+            let chunks: Vec<Bytes> = (0..7)
                 .map(|i| {
                     MessageSet::from_payloads(
                         (0..=i).map(|j| format!("m-{i}-{j}").into_bytes()),
                     )
                     .encode()
+                    .into()
                 })
                 .collect();
-            let views: Vec<&[u8]> = buffers.iter().map(|b| b.as_slice()).collect();
-            let base = grouped.append_frames_multi(&views).unwrap();
+            let base = grouped.append_chunks(&chunks).unwrap();
             assert_eq!(base, 0);
-            for buffer in &buffers {
-                single.append_frames(buffer).unwrap();
+            for chunk in &chunks {
+                single.append_frames(chunk).unwrap();
             }
             grouped.flush();
             single.flush();
@@ -802,25 +754,33 @@ mod tests {
                 grouped.verify_contiguity().unwrap(),
                 single.verify_contiguity().unwrap()
             );
+            // The grouped log stored the callers' chunks, not copies.
+            let (stored, _) = grouped.read_chunks(0, usize::MAX).unwrap();
+            assert_eq!(stored.len(), chunks.len());
+            for (read, appended) in stored.iter().zip(&chunks) {
+                assert!(read.data.shares_allocation(appended));
+            }
         }
     }
 
     #[test]
-    fn append_frames_multi_empty_group_is_a_no_op() {
+    fn append_chunks_empty_group_is_a_no_op() {
         let (log, _) = log_with(LogConfig::default());
         log.append(&msg("x"));
         let end = log.log_end();
-        assert_eq!(log.append_frames_multi(&[]).unwrap(), end);
+        assert_eq!(log.append_chunks(&[]).unwrap(), end);
+        assert_eq!(log.append_chunks(&[Bytes::new()]).unwrap(), end);
         assert_eq!(log.log_end(), end);
+        assert_eq!(log.read_chunks(0, usize::MAX).unwrap().0.len(), 1);
     }
 
     #[test]
-    fn append_frames_multi_rejects_any_torn_buffer_atomically() {
+    fn append_chunks_rejects_any_torn_chunk_atomically() {
         let (log, _) = log_with(LogConfig::default());
         let good = MessageSet { messages: vec![msg("good")] }.encode();
         let mut torn = MessageSet { messages: vec![msg("torn")] }.encode();
         torn.truncate(torn.len() - 2);
-        assert!(log.append_frames_multi(&[&good, &torn]).is_err());
+        assert!(log.append_chunks(&[good.into(), torn.into()]).is_err());
         assert_eq!(log.log_end(), 0, "whole group rejected");
     }
 
@@ -836,7 +796,7 @@ mod tests {
     #[test]
     fn fetched_chunks_alias_segment_memory() {
         // The zero-copy proof at the log layer: the Bytes handed to a
-        // reader share the frozen chunk's allocation with a later read of
+        // reader share the stored chunk's allocation with a later read of
         // the same range — no copy was made for either.
         let (log, _) = log_with(LogConfig::default());
         for i in 0..8 {

@@ -7,8 +7,10 @@
 //! Hadoop and our data warehouse ... the end-to-end latency for the
 //! complete pipeline is about 10 seconds on average" (§V.D).
 //!
-//! [`MirrorMaker`] is the embedded-consumer stage (it copies *stored*
-//! messages, wrappers included, so compression survives the hop);
+//! [`MirrorMaker`] is the embedded-consumer stage (it mirrors *stored*
+//! messages, wrappers included, so compression survives the hop, and it
+//! appends the source's chunks by reference, so the offline log holds the
+//! live log's allocations rather than a second copy of their bytes);
 //! [`WarehouseLoader`] is the batch load job, draining the mirror on a
 //! period — the stage that dominates the paper's ~10 s end-to-end latency.
 
@@ -59,14 +61,15 @@ impl MirrorMaker {
         })
     }
 
-    /// One mirroring pass: copies every new stored message. Returns
-    /// messages copied (compressed wrappers count as one — they are
+    /// One mirroring pass: mirrors every new stored message. Returns
+    /// messages mirrored (compressed wrappers count as one — they are
     /// mirrored without being expanded).
     ///
-    /// Zero-decode: the source's [`crate::message::FetchChunk`]s are
-    /// appended to the target byte-verbatim — frames are never decoded,
-    /// decompressed, or re-encoded on the hop, so compression survives it
-    /// and the only per-message work is the target's structural frame walk.
+    /// Zero-copy: the source's [`crate::message::FetchChunk`]s are
+    /// appended to the target by reference, one call per partition —
+    /// frames are never decoded, decompressed, re-encoded or copied on the
+    /// hop, so compression survives it and the only per-message work is
+    /// the target's structural frame walk.
     pub fn pump(&self) -> Result<usize, KafkaError> {
         let mut copied = 0;
         for topic in &self.topics {
@@ -79,19 +82,21 @@ impl MirrorMaker {
                 if chunks.is_empty() {
                     continue;
                 }
-                let target_broker = self.target.broker_for(topic, partition)?;
-                for chunk in &chunks {
-                    target_broker.append_groups_local(
-                        topic,
-                        partition,
-                        &[GroupFrames {
-                            frames: &chunk.data,
-                            messages: chunk.messages,
-                            payload_bytes: chunk.payload_bytes() as u64,
-                        }],
-                    )?;
-                    copied += chunk.messages as usize;
-                }
+                let groups: Vec<GroupFrames> = chunks
+                    .into_iter()
+                    .map(|chunk| GroupFrames {
+                        messages: chunk.messages,
+                        payload_bytes: chunk.payload_bytes() as u64,
+                        frames: chunk.data,
+                    })
+                    .collect();
+                self.target
+                    .broker_for(topic, partition)?
+                    .append_groups_local(topic, partition, &groups)?;
+                copied += groups
+                    .iter()
+                    .map(|group| group.messages as usize)
+                    .sum::<usize>();
                 self.offsets.lock().insert(key, next);
             }
         }
@@ -191,6 +196,11 @@ impl WarehouseLoader {
     pub fn rows(&self) -> Vec<WarehouseRow> {
         self.warehouse.lock().clone()
     }
+
+    /// Rows loaded so far, counted without cloning them.
+    pub fn row_count(&self) -> usize {
+        self.warehouse.lock().len()
+    }
 }
 
 #[cfg(test)]
@@ -273,7 +283,7 @@ mod tests {
         assert_eq!(loader.tick().unwrap(), 0);
         clock.advance(Duration::from_secs(7));
         assert_eq!(loader.tick().unwrap(), 1);
-        assert_eq!(loader.rows().len(), 2);
+        assert_eq!(loader.row_count(), 2);
     }
 
     #[test]

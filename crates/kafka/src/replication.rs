@@ -21,6 +21,7 @@
 //! * a recovered broker whose log diverged (it led writes that were never
 //!   committed) is reset and re-replicated from the new leader.
 
+use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -168,20 +169,18 @@ impl ReplicatedCluster {
         set: &MessageSet,
         ack: AckMode,
     ) -> Result<ProduceReceipt, KafkaError> {
-        let frames = set.encode();
+        let group = GroupFrames {
+            frames: Bytes::from(set.encode()),
+            messages: set.messages.len() as u64,
+            payload_bytes: set.payload_bytes() as u64,
+        };
         let queue = self.queue(topic, partition)?;
         let sink = ReplicaSink {
             rc: self,
             topic,
             partition,
         };
-        queue.produce(
-            &sink,
-            frames,
-            set.messages.len() as u64,
-            set.payload_bytes() as u64,
-            ack,
-        )
+        queue.produce(&sink, group, ack)
     }
 
     /// Drains every partition's group-commit queue (flush-on-close for
@@ -253,15 +252,17 @@ impl ReplicatedCluster {
                 follower_log = brokers[f as usize].log(topic, partition)?;
                 from = 0;
             }
-            // Pull the leader's stored bytes verbatim: appending the
-            // frame-aligned chunks untouched keeps logical offsets
-            // identical on every replica without decoding a single
-            // message.
+            // Pull the leader's stored chunks and append them by
+            // reference, in one call: the follower holds the leader's own
+            // allocations, and logical offsets stay identical on every
+            // replica without decoding or copying a single message.
             let (chunks, _) = leader_log.read_chunks(from, usize::MAX)?;
-            for chunk in &chunks {
-                follower_log.append_frames(&chunk.data)?;
-                copied += chunk.messages as usize;
-            }
+            let data: Vec<Bytes> = chunks.iter().map(|chunk| chunk.data.clone()).collect();
+            follower_log.append_chunks(&data)?;
+            copied += chunks
+                .iter()
+                .map(|chunk| chunk.messages as usize)
+                .sum::<usize>();
             if follower_log.log_end() >= target {
                 synced.push(f);
             }
@@ -479,7 +480,7 @@ struct ReplicaSink<'a> {
 }
 
 impl IngestSink for ReplicaSink<'_> {
-    fn append_groups(&self, groups: &[GroupFrames<'_>]) -> Result<u64, KafkaError> {
+    fn append_groups(&self, groups: &[GroupFrames]) -> Result<u64, KafkaError> {
         let assignment = self.rc.assignment(self.topic, self.partition)?;
         if self.rc.down.read().contains(&assignment.leader) {
             return Err(KafkaError::Group(format!(

@@ -169,6 +169,19 @@ if git grep -nE 'pub struct RowKey\(pub|entries: BTreeMap' -- crates; then
   exit 1
 fi
 
+# Kafka bytes held once: a frame-aligned `Bytes` chunk is the partition
+# log's only unit of append. The log keeps no `Vec<u8>` append tail to
+# freeze, the multi-buffer copying append stays gone, and the mirror and
+# replica followers append their source's chunks by reference, never
+# through a copying append.
+log_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/kafka/src/log.rs)"
+if git grep -nE 'freeze_active|append_frames_multi' -- crates tests \
+  || grep -nE '^\s*(pub )?[a-z_]+: Vec<u8>,' <<<"$log_seam" \
+  || grep -nE 'append_frames(_multi)?\(' crates/kafka/src/mirror.rs crates/kafka/src/replication.rs; then
+  echo "ci.sh: a Kafka log append tail or a copying mirror/replica append is back (matches above)" >&2
+  exit 1
+fi
+
 # No public function without a caller: every `pub fn` of the library is
 # named by a second file among the library, its tests, examples, the
 # benchmark and the root package, or is listed with its reason in

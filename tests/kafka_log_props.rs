@@ -6,7 +6,11 @@
 use bytes::Bytes;
 use li_commons::sim::SimClock;
 use li_kafka::log::{LogConfig, PartitionLog};
-use li_kafka::{KafkaCluster, Message, Producer, SimpleConsumer};
+use li_kafka::mirror::MirrorMaker;
+use li_kafka::{
+    AckMode, FetchChunk, KafkaCluster, Message, MessageSet, Producer, ReplicatedCluster,
+    SimpleConsumer,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -41,6 +45,76 @@ fn fetched_payloads_point_into_broker_segment_storage() {
         assert!(
             chunks.iter().any(|c| message.payload.shares_allocation(&c.data)),
             "payload must hold a refcount on the segment allocation"
+        );
+    }
+}
+
+/// Whether every chunk in `served` is a view of some chunk in `source`'s
+/// allocations — bytes held once, not copied.
+fn all_share_allocation(served: &[FetchChunk], source: &[FetchChunk]) -> bool {
+    served
+        .iter()
+        .all(|chunk| source.iter().any(|s| chunk.data.shares_allocation(&s.data)))
+}
+
+/// The zero-copy proof across the hop: after a mirror pass and after a
+/// replica follower's catch-up, every chunk the offline broker or the
+/// follower serves is a view of a chunk the live broker or the leader
+/// holds. Mirroring and replication append the source's chunks by
+/// reference, so a log's second holder costs no second copy of its bytes.
+#[test]
+fn mirrored_and_replicated_chunks_share_the_source_allocation() {
+    let live = KafkaCluster::new(1).unwrap();
+    let offline = KafkaCluster::new(1).unwrap();
+    for cluster in [&live, &offline] {
+        cluster.create_topic("t", 2).unwrap();
+    }
+    let producer = Producer::new(live.clone()).with_batch_size(16);
+    for i in 0..96 {
+        producer.send("t", format!("payload-{i}")).unwrap();
+    }
+    producer.flush().unwrap();
+    let mirror = MirrorMaker::new(live.clone(), offline.clone(), ["t"]).unwrap();
+    assert_eq!(mirror.pump().unwrap(), 96);
+    for partition in 0..2 {
+        let fetch = |cluster: &KafkaCluster| {
+            let broker = cluster.broker_for("t", partition).unwrap();
+            broker
+                .fetch_chunks("t", partition, 0, usize::MAX)
+                .unwrap()
+                .0
+        };
+        let (source, mirrored) = (fetch(&live), fetch(&offline));
+        assert!(!mirrored.is_empty());
+        assert!(
+            all_share_allocation(&mirrored, &source),
+            "offline partition {partition} holds a copy of the live bytes"
+        );
+    }
+
+    let cluster = KafkaCluster::new(3).unwrap();
+    let replicated = ReplicatedCluster::new(cluster.clone());
+    replicated.create_topic("r", 1, 3).unwrap();
+    for (i, ack) in [AckMode::Leader, AckMode::FullIsr, AckMode::Leader]
+        .into_iter()
+        .enumerate()
+    {
+        let set = MessageSet::from_payloads((0..8).map(|j| format!("m-{i}-{j}")));
+        replicated.produce_with_ack("r", 0, &set, ack).unwrap();
+    }
+    replicated.replicate().unwrap();
+    let leader = replicated.leader_of("r", 0).unwrap();
+    let chunks = |broker: u16| {
+        let log = cluster.brokers()[broker as usize].log("r", 0).unwrap();
+        log.read_chunks(0, usize::MAX).unwrap().0
+    };
+    let source = chunks(leader);
+    for follower in (0..3).filter(|&b| b != leader) {
+        let held = chunks(follower);
+        assert_eq!(held.iter().map(|c| c.messages).sum::<u64>(), 24);
+        assert!(
+            all_share_allocation(&held, &source),
+            "follower {follower} holds a copy of the leader's bytes"
         );
     }
 }
@@ -191,9 +265,14 @@ proptest! {
         }
     }
 
+    /// Chunks appended past `visible_end` stay invisible until a flush,
+    /// whether a message was copied in by `append` or a multi-message
+    /// chunk was appended by reference; the flush then exposes the very
+    /// allocations that were appended.
     #[test]
     fn prop_flush_boundary_never_exposes_partial_data(
-        payloads in proptest::collection::vec("[a-z]{1,16}", 1..40),
+        appends in proptest::collection::vec(
+            (proptest::collection::vec("[a-z]{1,16}", 1..4), any::<bool>()), 1..40),
         flush_every in 1u64..8,
     ) {
         let clock = Arc::new(SimClock::new());
@@ -205,18 +284,41 @@ proptest! {
             },
             clock,
         );
-        for (i, p) in payloads.iter().enumerate() {
-            log.append(&Message::new(Bytes::from(p.clone())));
-            // Visible count is always a multiple of the flush interval
-            // (until a final explicit flush).
-            let (visible, _) = read(&log, 0, usize::MAX);
-            let appended = i as u64 + 1;
-            prop_assert_eq!(
-                visible.len() as u64,
-                (appended / flush_every) * flush_every
-            );
+        let (mut appended, mut flushed) = (0u64, 0u64);
+        let mut by_reference = Vec::new();
+        for (payloads, by_ref) in &appends {
+            if *by_ref {
+                let chunk = Bytes::from(MessageSet::from_payloads(payloads.clone()).encode());
+                log.append_chunks(std::slice::from_ref(&chunk)).unwrap();
+                by_reference.push(chunk);
+            } else {
+                for p in payloads {
+                    log.append(&Message::new(Bytes::from(p.clone())));
+                }
+            }
+            // The count policy flushes once the unflushed messages reach
+            // the interval; an append call is never split by a flush.
+            let calls = if *by_ref {
+                vec![payloads.len() as u64]
+            } else {
+                vec![1; payloads.len()]
+            };
+            for messages in calls {
+                appended += messages;
+                if appended - flushed >= flush_every {
+                    flushed = appended;
+                }
+            }
+            let (visible, next) = read(&log, 0, usize::MAX);
+            prop_assert_eq!(visible.len() as u64, flushed);
+            prop_assert_eq!(next, log.visible_end());
+            prop_assert!(log.visible_end() <= log.log_end());
         }
         log.flush();
-        prop_assert_eq!(read(&log, 0, usize::MAX).0.len(), payloads.len());
+        prop_assert_eq!(read(&log, 0, usize::MAX).0.len() as u64, appended);
+        let (served, _) = log.read_chunks(0, usize::MAX).unwrap();
+        for chunk in &by_reference {
+            prop_assert!(served.iter().any(|s| s.data.shares_allocation(chunk)));
+        }
     }
 }
