@@ -36,9 +36,10 @@ fn main() {
     let bench = SiteBench::prepare(config).expect("streaming prepare");
     let stats = bench.prepare_stats();
     eprintln!(
-        "[site_point] prepared in {:.2?} (generate {:.2?}, load {:.2?}, {} chunks)",
+        "[site_point] prepared in {:.2?} (generate {:.2?}, espresso {:.2?}, load {:.2?}, {} chunks)",
         start.elapsed(),
         stats.generate_wall,
+        stats.espresso_wall,
         stats.load_wall,
         stats.chunks
     );

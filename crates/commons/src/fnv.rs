@@ -12,14 +12,43 @@ const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Hashes `data` with 64-bit FNV-1a.
+/// Hashes `data` with 64-bit FNV-1a: the one-shot form of [`Fnv1a`].
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = OFFSET_BASIS;
-    for &byte in data {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
+    let mut hasher = Fnv1a::new();
+    hasher.write(data);
+    hasher.finish()
+}
+
+/// Incremental 64-bit FNV-1a: writing a byte string in any split hashes
+/// equal to [`fnv1a`] of the whole, so a fingerprint can walk stored
+/// chunks or rows in place instead of concatenating them first.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the offset basis (the hash of no bytes).
+    pub fn new() -> Self {
+        Fnv1a(OFFSET_BASIS)
     }
-    hash
+
+    /// Feeds `data` into the hash.
+    pub fn write(&mut self, data: &[u8]) {
+        for &byte in data {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]
@@ -32,6 +61,22 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn any_split_hashes_equal_to_the_whole() {
+        let data: Vec<u8> = (0..=255u8).chain(b"member:42".iter().copied()).collect();
+        let whole = fnv1a(&data);
+        for first in 0..=data.len() {
+            for second in first..=data.len() {
+                let mut hasher = Fnv1a::new();
+                hasher.write(&data[..first]);
+                hasher.write(&data[first..second]);
+                hasher.write(&data[second..]);
+                assert_eq!(hasher.finish(), whole, "split at {first}, {second}");
+            }
+        }
+        assert_eq!(Fnv1a::default().finish(), fnv1a(b""));
     }
 
     #[test]

@@ -396,17 +396,18 @@ impl DataPlatform {
     /// Batched write path for the population loader: lands one chunk of
     /// profile documents in Espresso through the router's multi-key
     /// fan-out (grouped per master node). Router request accounting is
-    /// per document, so it never depends on how callers chunk.
-    pub fn seed_profile_documents(
+    /// per document, so it never depends on how callers chunk. Each text
+    /// is copied once, into its document's `Value::Str`.
+    pub fn seed_profile_documents<'t>(
         &self,
-        profiles: &[(u64, String)],
+        profiles: impl IntoIterator<Item = (u64, &'t str)>,
     ) -> Result<(), PlatformError> {
         let documents = profiles
-            .iter()
+            .into_iter()
             .map(|(member, text)| {
                 (
-                    member_row_key(*member),
-                    Record::new().with("text", Value::Str(text.clone())),
+                    member_row_key(member),
+                    Record::new().with("text", Value::Str(text.to_owned())),
                 )
             })
             .collect();
@@ -543,7 +544,22 @@ impl DataPlatform {
         self.pump_stages(false)
     }
 
+    /// The three stage groups in order, every one run: a cacher short of a
+    /// quorum must not starve search, replication or the warehouse.
     fn pump_stages(&self, flush_audit: bool) -> Result<(), PlatformError> {
+        let groups = [
+            self.pump_primary_streams(),
+            self.pump_espresso_streams(),
+            self.pump_kafka_streams(flush_audit),
+        ];
+        groups.into_iter().collect()
+    }
+
+    /// The primary's streams: the bootstrap server follows the relay,
+    /// Voldemort recovers, and the follow cacher catches up. Every stage
+    /// runs; the first error is returned. The population loader pumps
+    /// these alone while another thread drives Espresso's.
+    pub(crate) fn pump_primary_streams(&self) -> Result<(), PlatformError> {
         // Bootstrap first: it is the fallen-behind escape hatch for every
         // subscriber, and it reads the relay directly (no drive lock). If
         // it ran after the subscriber catch-ups, a subscriber evicted off
@@ -556,13 +572,28 @@ impl DataPlatform {
         // so a replica that is back rejoins before its quorum is needed.
         self.voldemort.run_failure_probes();
         self.voldemort.deliver_hints();
-        // Evaluated in order, every one: a cacher short of a quorum must
-        // not starve search, replication or the warehouse.
         let stages = [
             bootstrap,
             self.follow_cacher.catch_up().map(drop).map_err(wrap),
+        ];
+        stages.into_iter().collect()
+    }
+
+    /// Espresso's streams: slaves replicate from their masters' relays,
+    /// then people search follows the update stream. Both run; the first
+    /// error is returned.
+    pub(crate) fn pump_espresso_streams(&self) -> Result<(), PlatformError> {
+        let stages = [
             self.espresso.pump_replication().map(drop).map_err(wrap),
             self.search.pump().map(drop).map_err(wrap),
+        ];
+        stages.into_iter().collect()
+    }
+
+    /// Kafka's streams: the audit flush (when asked), the mirror, the
+    /// warehouse loader. Every stage runs; the first error is returned.
+    pub(crate) fn pump_kafka_streams(&self, flush_audit: bool) -> Result<(), PlatformError> {
+        let stages = [
             if flush_audit {
                 self.event_producer.publish_audit_and_flush().map_err(wrap)
             } else {

@@ -6,15 +6,21 @@
 //! — the Voldemort follow caches, PYMK records in the Voldemort
 //! read-only store. [`SiteBench::prepare`] returns with every stream
 //! drained, so a load generator (none lives in this crate) starts its
-//! clock on a platform at rest. The population is a pure function of
-//! [`SiteGraphConfig`] and the primary's commit stream of member order —
-//! never of `chunk_members` or thread timing.
+//! clock on a platform at rest.
+//!
+//! The load is split by tier across two threads, as Figure 1 splits the
+//! systems: Espresso and people search share nothing with the primary →
+//! Databus → Voldemort chain, so the `site-gen` thread seeds each chunk's
+//! profile documents and pumps Espresso's streams before handing the
+//! chunk on, while the calling thread loads the primary's half. Each half
+//! is a pure function of member order on its own thread, so the
+//! population is a function of [`SiteGraphConfig`] alone — never of
+//! `chunk_members` or thread timing.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use li_workload::datasets::PymkRecord;
 use li_workload::site::{split_seed, SiteChunk, SiteGraph, SiteGraphChunks, SiteGraphConfig};
 
 use crate::consumers::{company_row_key, encode_ids, member_row_key};
@@ -30,7 +36,7 @@ pub struct SiteBenchConfig {
     pub platform: PlatformConfig,
     /// Members per streaming-loader chunk in [`SiteBench::prepare`]
     /// (`0` = 4096). Any value produces the identical platform state —
-    /// the loader's commit stream depends only on member order.
+    /// each tier's load depends only on member order.
     pub chunk_members: usize,
     /// Op-stream seed (split per driver; independent of the graph seed).
     pub seed: u64,
@@ -55,18 +61,23 @@ impl SiteBenchConfig {
     }
 }
 
-/// Wall-clock split of the prepare phase: how much time generation and
-/// loading each took. The two overlap (generation streams into the
-/// loader), so `generate_wall + load_wall` exceeding `wall` is the
-/// direct evidence of that overlap.
+/// Wall-clock split of the prepare phase. Each of the three walls is one
+/// thread's busy time: the `site-gen` thread generates and then seeds
+/// Espresso, the calling thread loads the primary's half. The threads
+/// overlap, so `generate_wall + espresso_wall + load_wall` exceeding
+/// `wall` is the direct evidence of that overlap.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepareStats {
     /// End-to-end prepare wall clock.
     pub wall: Duration,
-    /// Time spent inside the population generator.
+    /// Time the `site-gen` thread spent inside the population generator.
     pub generate_wall: Duration,
-    /// Time spent loading batches into the platform tiers (including the
-    /// final follow/PYMK flush and stream drain).
+    /// Time the `site-gen` thread spent seeding Espresso's profile
+    /// documents and pumping Espresso's streams (replication, people
+    /// search).
+    pub espresso_wall: Duration,
+    /// Time the calling thread spent loading the primary's half (follow
+    /// commits, the final follower-list/PYMK flush, the stream drain).
     pub load_wall: Duration,
     /// Chunks the loader consumed.
     pub chunks: usize,
@@ -91,17 +102,51 @@ const SEED_BATCH: usize = 64;
 /// generator instead of materializing the whole population.
 const PREPARE_PIPELINE_DEPTH: usize = 4;
 
-/// The canonical population loader: at any chunk size, member rows
-/// funnel through this exact sequence, so the primary's commit stream
-/// (and with it the primary's `logical_fingerprint`) is a pure function
-/// of member order:
+/// Members loaded between in-flight stream pumps. The Databus relay
+/// buffers a bounded byte window; a million-member seed outruns it long
+/// before the end-of-prepare drain, evicting SCNs the bootstrap consumer
+/// still needs. Pumping every N *members* keeps consumers within a few
+/// thousand SCNs of the head — and the boundary is a pure function of
+/// member order, so every chunk size pumps at the identical points.
+/// Espresso's relays are pumped at the same cadence by the `site-gen`
+/// thread.
+const PUMP_EVERY_MEMBERS: usize = 4096;
+
+/// Espresso's half of the population load, run on the `site-gen` thread
+/// as each chunk leaves the generator: the chunk's profile documents land
+/// through the router's multi-key fan-out, then — at every
+/// [`PUMP_EVERY_MEMBERS`]th member — slaves replicate and people search
+/// follows the update stream. Nothing here touches the primary.
+struct EspressoLoader<'a> {
+    platform: &'a DataPlatform,
+    members_since_pump: usize,
+}
+
+impl EspressoLoader<'_> {
+    fn load_chunk(&mut self, chunk: &SiteChunk) -> Result<(), PlatformError> {
+        self.platform
+            .seed_profile_documents(chunk.rows().map(|(member, _, text, _)| (member, text)))?;
+        self.members_since_pump += chunk.len();
+        while self.members_since_pump >= PUMP_EVERY_MEMBERS {
+            self.members_since_pump -= PUMP_EVERY_MEMBERS;
+            self.platform.pump_espresso_streams()?;
+        }
+        Ok(())
+    }
+}
+
+/// The primary's half of the population load, on the calling thread: at
+/// any chunk size, member rows funnel through this exact sequence, so the
+/// primary's commit stream (and with it the primary's
+/// `logical_fingerprint`) is a pure function of member order:
 ///
-/// * Espresso profile documents land per batch through the router's
-///   multi-key fan-out (never touches the primary);
 /// * per member, in order: the member's follow row into a buffer that
 ///   commits as a bulk-load transaction at every [`SEED_BATCH`]th
 ///   buffered row — a boundary determined by member order alone, never
 ///   by chunk size;
+/// * every [`PUMP_EVERY_MEMBERS`] members, the primary's streams pump
+///   (bootstrap, Voldemort recovery, follow cacher) — never Espresso's,
+///   which the `site-gen` thread drives;
 /// * company inverted lists and PYMK records accumulate and flush in
 ///   [`finish`](Self::finish) (the RO build is an offline job — it needs
 ///   the full record set, like its Hadoop analog).
@@ -112,14 +157,6 @@ struct PopulationLoader<'a> {
     pymk_records: Vec<(Bytes, Bytes)>,
     members_since_pump: usize,
 }
-
-/// Members loaded between in-flight stream pumps. The Databus relay
-/// buffers a bounded byte window; a million-member seed outruns it long
-/// before the end-of-prepare drain, evicting SCNs the bootstrap consumer
-/// still needs. Pumping every N *members* keeps consumers within a few
-/// thousand SCNs of the head — and the boundary is a pure function of
-/// member order, so every chunk size pumps at the identical points.
-const PUMP_EVERY_MEMBERS: usize = 4096;
 
 impl<'a> PopulationLoader<'a> {
     fn new(platform: &'a DataPlatform, companies: u64) -> Self {
@@ -147,19 +184,10 @@ impl<'a> PopulationLoader<'a> {
         Ok(())
     }
 
-    /// Loads one batch of member rows (must arrive in member order,
-    /// gap-free across calls).
-    fn load_rows<'r>(
-        &mut self,
-        rows: impl Iterator<Item = (u64, &'r [u64], &'r str, &'r PymkRecord)>,
-    ) -> Result<(), PlatformError> {
-        let rows: Vec<(u64, &[u64], &str, &PymkRecord)> = rows.collect();
-        let documents: Vec<(u64, String)> = rows
-            .iter()
-            .map(|(member, _, text, _)| (*member, text.to_string()))
-            .collect();
-        self.platform.seed_profile_documents(&documents)?;
-        for (member, follows, _, pymk) in rows {
+    /// Loads one chunk's primary-side rows (chunks must arrive in member
+    /// order, gap-free across calls).
+    fn load_chunk(&mut self, chunk: &SiteChunk) -> Result<(), PlatformError> {
+        for (member, follows, _, pymk) in chunk.rows() {
             if !follows.is_empty() {
                 self.follows_buffer.push((member, encode_ids(follows)));
                 if self.follows_buffer.len() >= SEED_BATCH {
@@ -175,7 +203,7 @@ impl<'a> PopulationLoader<'a> {
             ));
             self.members_since_pump += 1;
             if self.members_since_pump >= PUMP_EVERY_MEMBERS {
-                self.platform.pump_streams()?;
+                self.platform.pump_primary_streams()?;
                 self.members_since_pump = 0;
             }
         }
@@ -210,15 +238,17 @@ impl<'a> PopulationLoader<'a> {
 
 impl SiteBench {
     /// Builds the platform and seeds the population into every tier —
-    /// streaming: a generator thread yields deterministic member chunks
-    /// through a bounded channel while this thread loads them (profiles
-    /// into Espresso through the router's batched fan-out, where people
-    /// search follows them, the follow graph into the primary as
-    /// bulk-load transactions, PYMK accumulating toward the RO build).
-    /// Generation cost overlaps loading instead of forming a serial
-    /// wall; when the platform runs sharded, push-style Databus dispatch
-    /// additionally drains the seeded follow stream into the Voldemort
-    /// caches while later chunks are still generating. The resulting
+    /// streaming, on two threads split by tier. The `site-gen` thread
+    /// generates deterministic member chunks, seeds each one's profile
+    /// documents into Espresso (where people search follows them) and
+    /// only then sends it through a bounded channel to this thread, which
+    /// loads the primary's half: the follow graph as bulk-load
+    /// transactions, PYMK accumulating toward the RO build. Generation
+    /// and the Espresso seed overlap the primary's load instead of
+    /// forming a serial wall; when the platform runs sharded, push-style
+    /// Databus dispatch additionally drains the seeded follow stream into
+    /// the Voldemort caches while later chunks still load. A failure on
+    /// either thread stops the other and is returned. The resulting
     /// platform state is byte-identical at any chunk size
     /// (`tests/site_loader_props.rs`).
     pub fn prepare(config: SiteBenchConfig) -> Result<Self, PlatformError> {
@@ -248,20 +278,30 @@ impl SiteBench {
         };
         let (chunk_tx, chunk_rx) = mpsc::sync_channel::<SiteChunk>(PREPARE_PIPELINE_DEPTH);
         let graph_config = config.graph.clone();
+        let espresso_platform = Arc::clone(&platform);
         let generator = std::thread::Builder::new()
             .name("site-gen".into())
-            .spawn(move || -> Duration {
-                let mut generate_wall = Duration::ZERO;
+            .spawn(move || -> Result<(Duration, Duration), PlatformError> {
+                let mut espresso = EspressoLoader {
+                    platform: &espresso_platform,
+                    members_since_pump: 0,
+                };
+                let (mut generate_wall, mut espresso_wall) = (Duration::ZERO, Duration::ZERO);
                 let mut chunks = SiteGraphChunks::new(&graph_config, chunk_members);
                 loop {
                     let started = Instant::now();
                     let Some(chunk) = chunks.next() else { break };
                     generate_wall += started.elapsed();
+                    let started = Instant::now();
+                    // On error, returning drops the sender: the loader's
+                    // receive loop ends and the join reports this error.
+                    espresso.load_chunk(&chunk)?;
+                    espresso_wall += started.elapsed();
                     if chunk_tx.send(chunk).is_err() {
                         break; // loader bailed; unwind quietly
                     }
                 }
-                generate_wall
+                Ok((generate_wall, espresso_wall))
             })
             .map_err(|e| PlatformError(format!("spawn population generator: {e}")))?;
         let mut loader = PopulationLoader::new(&platform, config.graph.companies);
@@ -270,17 +310,19 @@ impl SiteBench {
         let load_result: Result<(), PlatformError> = (|| {
             for chunk in &chunk_rx {
                 let started = Instant::now();
-                loader.load_rows(chunk.rows().map(|(m, f, p, r)| (m, f.as_slice(), p, r)))?;
+                loader.load_chunk(&chunk)?;
                 load_wall += started.elapsed();
                 collected.push(chunk);
             }
             Ok(())
         })();
+        // A generator blocked on a full channel wakes to a failed send.
         drop(chunk_rx);
-        let generate_wall = generator
+        let generated = generator
             .join()
             .map_err(|_| PlatformError("population generator panicked".into()))?;
         load_result?;
+        let (generate_wall, espresso_wall) = generated?;
         let started = Instant::now();
         loader.finish()?;
         if let Some(dispatcher) = dispatcher {
@@ -292,7 +334,8 @@ impl SiteBench {
                 )));
             }
         }
-        // Fan the seeded state out before the clock starts.
+        // Fan the seeded state out before the clock starts: every stream,
+        // Espresso's included, drains here.
         platform.pump_streams()?;
         load_wall += started.elapsed();
         let chunks = collected.len();
@@ -300,6 +343,7 @@ impl SiteBench {
         let prepare_stats = PrepareStats {
             wall: prepare_start.elapsed(),
             generate_wall,
+            espresso_wall,
             load_wall,
             chunks,
             chunk_members,
@@ -337,6 +381,9 @@ impl SiteBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use li_commons::ring::NodeId;
+    use li_sqlstore::{BinlogEntry, ShipError};
+    use li_workload::datasets::PymkRecord;
 
     /// What a load generator assumes when it starts its clock: every tier
     /// serves the seeded population and the change stream is at rest.
@@ -365,6 +412,62 @@ mod tests {
             let newest = snapshot.gauge("databus.relay.primary.newest_scn");
             assert!(newest.is_some_and(|scn| scn > 0));
             assert_eq!(newest, snapshot.gauge("sqlstore.db.primary.last_scn"));
+        }
+    }
+
+    /// A failure on `site-gen` (Espresso's half) reaches the caller as
+    /// that error: the loader's receive loop ends when the generator drops
+    /// its sender, and the join hands the error back.
+    #[test]
+    fn an_espresso_failure_on_site_gen_is_returned() {
+        for shard_mode in [ShardMode::Deterministic, ShardMode::Parallel] {
+            let mut config = SiteBenchConfig::smoke(400, 1, 0, 23);
+            config.platform.shard_mode = shard_mode;
+            config.chunk_members = 8;
+            let platform = DataPlatform::with_config(config.platform.clone()).unwrap();
+            for node in 0..config.platform.espresso_nodes {
+                platform.espresso.crash_node(NodeId(node)).unwrap();
+            }
+            let started = Instant::now();
+            let error = SiteBench::prepare_on(platform, config)
+                .err()
+                .expect("prepare must fail");
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "{shard_mode:?}"
+            );
+            assert!(
+                error.0.contains("no master for partition"),
+                "{shard_mode:?}: {error}"
+            );
+        }
+    }
+
+    /// A failure on the loader's side (a primary commit the semi-sync
+    /// shipper refuses) reaches the caller too, and does not leave
+    /// `site-gen` blocked on a full channel: 50 chunks of 8 members are
+    /// far more than the pipeline holds when the first commit fails.
+    #[test]
+    fn a_primary_failure_on_the_loader_does_not_wedge_site_gen() {
+        for shard_mode in [ShardMode::Deterministic, ShardMode::Parallel] {
+            let mut config = SiteBenchConfig::smoke(400, 1, 0, 29);
+            config.platform.shard_mode = shard_mode;
+            config.chunk_members = 8;
+            let platform = DataPlatform::with_config(config.platform.clone()).unwrap();
+            platform
+                .primary
+                .set_shipper(Arc::new(|_: &str, _: &BinlogEntry| {
+                    Err(ShipError("relay refused".into()))
+                }));
+            let started = Instant::now();
+            let error = SiteBench::prepare_on(platform, config)
+                .err()
+                .expect("prepare must fail");
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "{shard_mode:?}"
+            );
+            assert!(error.0.contains("relay refused"), "{shard_mode:?}: {error}");
         }
     }
 }

@@ -464,7 +464,10 @@ impl EspressoCluster {
             // write has no quorum semantics).
             let written = self.node(node_id).and_then(|node| {
                 for (index, key, record) in group {
-                    etags[index] = node.put_document(db, table, key, &record)?;
+                    // The owned record moves into the node's write: one
+                    // document, one transaction, as `put_document` writes.
+                    let document = vec![(table.to_string(), key, record)];
+                    etags[index] = node.put_transactional(db, document)?;
                 }
                 Ok(())
             });

@@ -310,12 +310,17 @@ impl StorageNode {
         let mut encoded = Vec::with_capacity(documents.len());
         {
             let schema = schema.read();
-            for (table, key, record) in &documents {
-                Self::validate_key(&schema, table, key)?;
-                let doc_schema = schema.documents.latest(table)?;
-                let bytes = li_commons::schema::encode(&doc_schema, record)?;
-                txn.put(qualified(db, table), key.clone(), bytes, doc_schema.version);
-                encoded.push((table.clone(), key.clone(), record.clone()));
+            for (table, key, record) in documents {
+                Self::validate_key(&schema, &table, &key)?;
+                let doc_schema = schema.documents.latest(&table)?;
+                let bytes = li_commons::schema::encode(&doc_schema, &record)?;
+                txn.put(
+                    qualified(db, &table),
+                    key.clone(),
+                    bytes,
+                    doc_schema.version,
+                );
+                encoded.push((table, key, record));
             }
         }
         let scn = self.store.commit(txn)?;

@@ -28,6 +28,7 @@
 
 use bytes::Bytes;
 use li_commons::bufio;
+use li_commons::fnv::Fnv1a;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::Duration;
@@ -314,7 +315,8 @@ impl PartitionLog {
         Ok(messages)
     }
 
-    /// Fingerprint of every visible byte (FNV-1a over the stored frames).
+    /// Fingerprint of every visible byte (FNV-1a over the stored frames,
+    /// walked chunk by chunk in place).
     /// Two logs with equal fingerprints and equal
     /// [`PartitionLog::log_start`] hold byte-identical data — the
     /// mirror/replica byte-identity invariant.
@@ -323,11 +325,11 @@ impl PartitionLog {
         let (chunks, _) = self
             .read_chunks(start, usize::MAX)
             .unwrap_or((Vec::new(), start));
-        let mut bytes = Vec::new();
+        let mut hasher = Fnv1a::new();
         for chunk in &chunks {
-            bytes.extend_from_slice(&chunk.data);
+            hasher.write(&chunk.data);
         }
-        li_commons::fnv::fnv1a(&bytes)
+        hasher.finish()
     }
 
     /// FNV-1a fingerprint of the visible bytes below `end`. This is the
@@ -340,15 +342,15 @@ impl PartitionLog {
         let (chunks, _) = self
             .read_chunks(start, usize::MAX)
             .unwrap_or((Vec::new(), start));
-        let mut bytes = Vec::new();
+        let mut hasher = Fnv1a::new();
         for chunk in &chunks {
             if chunk.base_offset >= end {
                 break;
             }
             let take = ((end - chunk.base_offset) as usize).min(chunk.data.len());
-            bytes.extend_from_slice(&chunk.data[..take]);
+            hasher.write(&chunk.data[..take]);
         }
-        li_commons::fnv::fnv1a(&bytes)
+        hasher.finish()
     }
 
     /// Chunk-based fetch, the zero-copy read path: views of the stored

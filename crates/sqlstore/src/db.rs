@@ -16,6 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use li_commons::fnv::Fnv1a;
 use li_commons::metrics::{Counter, Gauge, MetricsRegistry};
 use li_commons::shard::ShardedLock;
 use li_commons::sim::{Clock, RealClock};
@@ -529,10 +530,12 @@ impl Database {
     fn fingerprint(&self, include_timestamps: bool) -> u64 {
         let names = self.table_names();
         let guards = self.rows.lock_all();
-        let mut bytes = Vec::new();
+        // The rows are walked in place, in key order per table: the hash
+        // is FNV-1a over the same byte string a concatenation would build.
+        let mut hasher = Fnv1a::new();
         for name in names {
-            bytes.extend_from_slice(name.as_bytes());
-            bytes.push(0);
+            hasher.write(name.as_bytes());
+            hasher.write(&[0]);
             let mut rows: Vec<(&RowKey, &Row)> = guards
                 .iter()
                 .filter_map(|g| g.get(&name))
@@ -541,19 +544,19 @@ impl Database {
             rows.sort_by(|a, b| a.0.cmp(b.0));
             for (key, row) in rows {
                 for part in key.parts() {
-                    bytes.extend_from_slice(part.as_bytes());
-                    bytes.push(0);
+                    hasher.write(part.as_bytes());
+                    hasher.write(&[0]);
                 }
-                bytes.push(1);
-                bytes.extend_from_slice(&row.value);
-                bytes.extend_from_slice(&row.schema_version.to_le_bytes());
-                bytes.extend_from_slice(&row.etag.to_le_bytes());
+                hasher.write(&[1]);
+                hasher.write(&row.value);
+                hasher.write(&row.schema_version.to_le_bytes());
+                hasher.write(&row.etag.to_le_bytes());
                 if include_timestamps {
-                    bytes.extend_from_slice(&row.timestamp.to_le_bytes());
+                    hasher.write(&row.timestamp.to_le_bytes());
                 }
             }
         }
-        li_commons::fnv::fnv1a(&bytes)
+        hasher.finish()
     }
 
     /// Chaos invariant checker — binlog replay equivalence: recovering a

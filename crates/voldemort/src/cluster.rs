@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use li_commons::clock::{resolve_siblings, Occurred, Versioned};
 use li_commons::failure::{FailureDetector, FailureDetectorConfig};
-use li_commons::fnv::fnv1a;
+use li_commons::fnv::Fnv1a;
 use li_commons::metrics::{Counter, MetricsRegistry};
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator};
 use li_commons::ring::{HashRing, NodeId, PartitionId, ZoneId};
@@ -525,12 +525,12 @@ impl VoldemortCluster {
     /// node that stamps a clock depends on routing history, so a migrated
     /// cluster and a never-migrated twin agree on values but not clocks.
     pub fn state_fingerprint(&self) -> u64 {
-        let mut buf: Vec<u8> = Vec::new();
+        let mut hasher = Fnv1a::new();
         let mut holders: Vec<Arc<VoldemortNode>> = self.nodes.read().values().cloned().collect();
         holders.sort_by_key(|n| n.id());
         for def in self.rw_store_defs() {
-            buf.extend_from_slice(def.name.as_bytes());
-            buf.push(0);
+            hasher.write(def.name.as_bytes());
+            hasher.write(&[0]);
             let mut keys: BTreeSet<Bytes> = BTreeSet::new();
             for node in &holders {
                 if let Ok(engine) = node.engine(&def.name) {
@@ -563,16 +563,16 @@ impl VoldemortCluster {
                 }
                 let mut values: Vec<&Bytes> = merged.iter().map(|v| &v.value).collect();
                 values.sort();
-                buf.extend_from_slice(&(key.len() as u64).to_le_bytes());
-                buf.extend_from_slice(&key);
-                buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
+                hasher.write(&(key.len() as u64).to_le_bytes());
+                hasher.write(&key);
+                hasher.write(&(values.len() as u64).to_le_bytes());
                 for value in values {
-                    buf.extend_from_slice(&(value.len() as u64).to_le_bytes());
-                    buf.extend_from_slice(value);
+                    hasher.write(&(value.len() as u64).to_le_bytes());
+                    hasher.write(value);
                 }
             }
         }
-        fnv1a(&buf)
+        hasher.finish()
     }
 
     /// Admin: migrates one logical partition to `to` for all read-write

@@ -78,12 +78,15 @@ pub struct PymkRecord {
 impl PymkRecord {
     /// Serializes as the read-only store value.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.recommendations
-            .iter()
-            .map(|(id, score)| format!("{id}:{score:.4}"))
-            .collect::<Vec<_>>()
-            .join(",")
-            .into_bytes()
+        use std::io::Write;
+        let mut out = Vec::with_capacity(self.recommendations.len() * 16);
+        for (i, (id, score)) in self.recommendations.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            write!(out, "{id}:{score:.4}").expect("writing to a Vec cannot fail");
+        }
+        out
     }
 
     /// Parses a stored value.
@@ -177,6 +180,20 @@ mod tests {
         let a = pymk_dataset(&mut run1, 20, 5);
         let b = pymk_dataset(&mut run2, 20, 5);
         assert_ne!(a[0].recommendations, b[0].recommendations);
+    }
+
+    #[test]
+    fn pymk_wire_form_is_comma_joined_id_colon_score() {
+        let record = PymkRecord {
+            member: 3,
+            recommendations: vec![(17, 0.5), (4, 0.123_456), (900_001, 1e-5)],
+        };
+        assert_eq!(record.to_bytes(), b"17:0.5000,4:0.1235,900001:0.0000");
+        let empty = PymkRecord {
+            member: 3,
+            recommendations: Vec::new(),
+        };
+        assert_eq!(empty.to_bytes(), b"");
     }
 
     #[test]

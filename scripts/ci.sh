@@ -182,6 +182,19 @@ if git grep -nE 'freeze_active|append_frames_multi' -- crates tests \
   exit 1
 fi
 
+# Set-up on both cores: the population load is split by tier across two
+# threads. Outside its test module population.rs pumps every stream
+# (`pump_streams(` or the whole `.pump()`) exactly once, in the final drain
+# after the generator's join, so the loader never drives Espresso's
+# streams while `site-gen` does.
+population_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/population.rs)"
+drains="$(awk '/\.join\(\)/ { joined = 1 }
+  /pump_streams\(|\.pump\(\)/ { print (joined ? "drain" : "EARLY " FNR ": " $0) }' <<<"$population_seam")"
+if [ "$drains" != "drain" ]; then
+  echo "ci.sh: population.rs pumps every stream outside its one final drain: ${drains:-no drain}" >&2
+  exit 1
+fi
+
 # No public function without a caller: every `pub fn` of the library is
 # named by a second file among the library, its tests, examples, the
 # benchmark and the root package, or is listed with its reason in
@@ -314,12 +327,14 @@ SITE_SMOKE_WORKERS=4 \
 SITE_SMOKE_OPS=40 \
   timeout 300 cargo test -q --test site_scale site_smoke_clears_all_slo_gates
 
-echo "== site loader proptests: prepare is chunk-size invariant (default cases) =="
+echo "== site loader proptests: prepare is chunk-size invariant: 24 cases (default is 6) =="
 # The chunk-invariance contract the pipelined prepare rides on: the
 # streaming loader must land the byte-identical primary commit stream
 # and router accounting at any chunk size as from one whole-population
-# chunk, in both shard modes, and stream the graph `generate` builds.
-cargo test -q --test site_loader_props
+# chunk, in both shard modes, with every Espresso node holding the same
+# documents and people search giving the same answers (Espresso's half
+# loads on the generator thread), and stream the graph `generate` builds.
+PROPTEST_CASES=24 cargo test -q --test site_loader_props
 
 echo "== site smoke with migration in flight: online resharding mid-load (5 min budget) =="
 # The closed loop with two Voldemort partitions plus an Espresso profile

@@ -9,13 +9,18 @@
 //! and the Espresso router's request counter pins the fan-out accounting
 //! the conservation fingerprint rides on — if either ever becomes a
 //! function of chunk boundaries, same-seed benchmark runs at different
-//! `chunk_members` would diverge.
+//! `chunk_members` would diverge. Espresso's half of the load runs on
+//! the generator thread, so every Espresso node's document count and
+//! people search's answers for words of the generated profiles are
+//! pinned too.
 //!
 //! Every case builds four full platforms, so the case count stays small
 //! (six; `PROPTEST_CASES` overrides it).
 
 use li_workload::site::SiteGraph;
-use linkedin_data_infra::{PlatformConfig, ShardMode, SiteBench, SiteBenchConfig};
+use linkedin_data_infra::commons::ring::NodeId;
+use linkedin_data_infra::platform::{PROFILE_DB, PROFILE_TABLE};
+use linkedin_data_infra::{DataPlatform, PlatformConfig, ShardMode, SiteBench, SiteBenchConfig};
 use proptest::prelude::*;
 
 fn small_config(members: u64, seed: u64, chunk_members: usize, mode: ShardMode) -> SiteBenchConfig {
@@ -97,6 +102,44 @@ proptest! {
                 "espresso.router.requests depends on chunk size (mode {:?})",
                 mode
             );
+            // Espresso's half loads on the `site-gen` thread: every node,
+            // master and slave, holds the same documents, and people
+            // search finds the same members, whatever the chunk size.
+            let (s, b) = (streamed.platform(), single.platform());
+            for node in 0..config.platform.espresso_nodes {
+                let docs = |platform: &DataPlatform| {
+                    let node = platform.espresso.node(NodeId(node)).unwrap();
+                    node.doc_count(PROFILE_DB, PROFILE_TABLE).unwrap()
+                };
+                prop_assert_eq!(
+                    docs(s),
+                    docs(b),
+                    "Espresso node {} doc count depends on chunk size (mode {:?})",
+                    node,
+                    mode
+                );
+            }
+            let graph = streamed.graph();
+            let words: Vec<&str> = [0, members / 2, members - 1]
+                .into_iter()
+                .flat_map(|m| {
+                    let text = graph.profile_of(m);
+                    let mut words = text.split_whitespace();
+                    [words.next(), text.split_whitespace().last()]
+                })
+                .flatten()
+                .collect();
+            for word in words {
+                let found = s.search_profiles(word);
+                prop_assert!(!found.is_empty(), "{:?} finds nothing (mode {:?})", word, mode);
+                prop_assert_eq!(
+                    found,
+                    b.search_profiles(word),
+                    "search for {:?} depends on chunk size (mode {:?})",
+                    word,
+                    mode
+                );
+            }
         }
     }
 }
