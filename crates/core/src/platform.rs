@@ -242,6 +242,7 @@ impl DataPlatform {
         let company_followers = voldemort.client("company-followers").map_err(wrap)?;
 
         let follow_cacher = Arc::new(DatabusClient::new(
+            "follow-cacher",
             relay.clone(),
             Some(bootstrap.clone()),
             Arc::new(CompanyFollowCacher::new(

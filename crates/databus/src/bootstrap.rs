@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use li_sqlstore::{Op, RowChange, RowKey, Scn};
 
+use crate::client::{DatabusError, Fallback, FallbackWindow};
 use crate::event::{FrozenWindow, ServerFilter, SharedWindow, Window};
 use crate::relay::{Relay, RelayError};
 
@@ -125,7 +126,7 @@ impl BootstrapServer {
     ///
     /// Concurrency-safe: the log lock is held across the read-tail /
     /// fetch / append sequence, because both the stream pump and a
-    /// fallen-behind client (see `DatabusClient::poll_once`) drive this —
+    /// fallen-behind client (through this server's [`Fallback`]) drive this —
     /// two callers observing the same tail would double-append and break
     /// the log's SCN order. After linking, the relay's eviction floor
     /// advances to the new tail: everything below it is now durable in
@@ -222,6 +223,31 @@ impl BootstrapServer {
     #[cfg(test)]
     fn set_mid_scan_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
         *self.mid_scan_hook.lock() = Some(hook);
+    }
+}
+
+/// The primary's consumers fall back here: a fresh client (checkpoint 0)
+/// gets the consistent snapshot, a fallen-behind one the consolidated
+/// delta since its checkpoint.
+impl Fallback for BootstrapServer {
+    fn window(
+        &self,
+        relay: &Relay,
+        checkpoint: Scn,
+        filter: &ServerFilter,
+    ) -> Result<FallbackWindow, DatabusError> {
+        // Tug the log writer first: it advances only when pumped, and the
+        // pump may be parked on the asking client's drive lock. A stale log
+        // would resume the client below the relay's buffered range, and it
+        // would fall behind again forever. The tug also advances the
+        // relay's eviction floor, re-bounding the buffer meanwhile.
+        self.catch_up_from(relay).map_err(DatabusError::Relay)?;
+        let mut window = self.changes_since(checkpoint, filter);
+        window.source_db = relay.source_db().to_string();
+        Ok(FallbackWindow {
+            window,
+            full_image: checkpoint == 0,
+        })
     }
 }
 

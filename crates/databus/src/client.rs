@@ -10,15 +10,19 @@
 //! Delivery is at-least-once with transaction-window granularity: the
 //! checkpoint only advances after the consumer acknowledges a window, so a
 //! crash between processing and checkpointing re-delivers the window.
+//!
+//! What the relay cannot serve comes from the client's [`Fallback`], passed
+//! in: the bootstrap server, an Espresso source's partition image, or a
+//! re-read of the indexed table. The switchover rule is the client's alone.
 
-use li_commons::metrics::{Counter, Gauge};
+use li_commons::metrics::{Counter, Gauge, MetricsScope};
 use parking_lot::Mutex;
 use std::fmt;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use li_sqlstore::Scn;
 
-use crate::bootstrap::BootstrapServer;
 use crate::event::{ServerFilter, Window};
 use crate::relay::{Relay, RelayError};
 use crate::transform::Transformation;
@@ -38,14 +42,15 @@ pub enum DatabusError {
         /// Last error message from the consumer.
         last_error: String,
     },
-    /// The client fell behind the relay and no bootstrap server is
-    /// configured.
+    /// The client fell behind the relay and has no fall-back.
     FellBehindNoBootstrap {
         /// The SCN the client was at.
         checkpoint: Scn,
         /// Oldest SCN still on the relay.
         oldest: Scn,
     },
+    /// The fall-back could not serve its window.
+    Fallback(String),
     /// Relay-level failure.
     Relay(RelayError),
 }
@@ -58,8 +63,9 @@ impl fmt::Display for DatabusError {
             }
             DatabusError::FellBehindNoBootstrap { checkpoint, oldest } => write!(
                 f,
-                "checkpoint {checkpoint} evicted (relay oldest {oldest}) and no bootstrap server"
+                "checkpoint {checkpoint} evicted (relay oldest {oldest}) and no fall-back"
             ),
+            DatabusError::Fallback(e) => write!(f, "fall-back failed: {e}"),
             DatabusError::Relay(e) => write!(f, "relay error: {e}"),
         }
     }
@@ -74,10 +80,38 @@ pub trait ConsumerCallback: Send + Sync {
     /// Processes one transaction window. Returning `Err` triggers retry.
     fn on_window(&self, window: &Window) -> Result<(), String>;
 
-    /// Called when the client switches to bootstrap-snapshot mode so the
-    /// consumer can reset its state ("all clients need to re-initialize
-    /// their state").
-    fn on_snapshot_start(&self) {}
+    /// Called before each batch (one relay read, or one fall-back window),
+    /// so a consumer derives once what the batch's windows share.
+    fn on_batch_start(&self) {}
+
+    /// Called before a full image from the fall-back, so the consumer can
+    /// reset its state ("all clients need to re-initialize their state").
+    fn on_snapshot_start(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// Where a client goes for what its relay cannot serve: §III.C's
+/// switchover target, passed to [`DatabusClient::new`].
+pub trait Fallback: Send + Sync {
+    /// One window that brings a consumer at `checkpoint` up to date with
+    /// `relay`'s source; its `scn` is where the client resumes the relay.
+    fn window(
+        &self,
+        relay: &Relay,
+        checkpoint: Scn,
+        filter: &ServerFilter,
+    ) -> Result<FallbackWindow, DatabusError>;
+}
+
+/// What a [`Fallback`] serves.
+#[derive(Debug, Clone)]
+pub struct FallbackWindow {
+    /// The rows, and in `scn` where the client resumes the relay.
+    pub window: Window,
+    /// True when `window` is the consumer's whole state (the consumer
+    /// resets first), false when it is a delta since the checkpoint.
+    pub full_image: bool,
 }
 
 /// Statistics about how a client has been served.
@@ -85,30 +119,28 @@ pub trait ConsumerCallback: Send + Sync {
 pub struct ClientStats {
     /// Windows delivered from the relay (hot path).
     pub windows_from_relay: u64,
-    /// Windows synthesized from bootstrap results (catch-up path).
+    /// Windows served by the fall-back (catch-up path).
     pub windows_from_bootstrap: u64,
-    /// Bootstrap snapshot loads.
+    /// Full images loaded from the fall-back.
     pub snapshots: u64,
-    /// Consolidated-delta catch-ups.
+    /// Deltas loaded from the fall-back.
     pub deltas: u64,
     /// Consumer retries performed.
     pub retries: u64,
 }
 
-/// Client-side observability under `databus.client.` in the relay's
-/// registry: windows processed, switchovers to the bootstrap service, and
-/// the current relay lag in SCNs (newest relay SCN minus checkpoint).
+/// Windows processed, switchovers to the fall-back, and the relay lag in
+/// SCNs (newest relay SCN minus checkpoint), under one scope.
 #[derive(Debug, Clone)]
-struct DatabusClientMetrics {
+struct ClientMetrics {
     windows_processed: Counter,
     bootstrap_switchovers: Counter,
     relay_lag_scns: Gauge,
 }
 
-impl DatabusClientMetrics {
-    fn new(relay: &Relay) -> Self {
-        let scope = relay.metrics().scope("databus.client");
-        DatabusClientMetrics {
+impl ClientMetrics {
+    fn new(scope: &MetricsScope) -> Self {
+        ClientMetrics {
             windows_processed: scope.counter("windows_processed"),
             bootstrap_switchovers: scope.counter("bootstrap_switchovers"),
             relay_lag_scns: scope.gauge("relay_lag_scns"),
@@ -119,7 +151,7 @@ impl DatabusClientMetrics {
 /// A Databus client bound to one consumer.
 pub struct DatabusClient {
     relay: Arc<Relay>,
-    bootstrap: Option<Arc<BootstrapServer>>,
+    fallback: Option<Arc<dyn Fallback>>,
     consumer: Arc<dyn ConsumerCallback>,
     filter: ServerFilter,
     transformation: Transformation,
@@ -131,20 +163,31 @@ pub struct DatabusClient {
     drive: Mutex<()>,
     batch_windows: usize,
     stats: Mutex<ClientStats>,
-    metrics: DatabusClientMetrics,
+    /// `databus.client.<name>.*` in the relay's registry.
+    own: ClientMetrics,
+    /// `databus.client.*`: every client's sum, so the total lag reads 0
+    /// exactly when every client of the registry has drained.
+    total: ClientMetrics,
+    /// This client's share of the total lag: the lag it last published.
+    lag: AtomicI64,
 }
 
 impl DatabusClient {
-    /// Creates a client at checkpoint 0 (a brand-new consumer).
+    /// Creates a client at checkpoint 0 (a brand-new consumer), reporting
+    /// under `databus.client.<name>.` in the relay's registry. The name
+    /// identifies the client as a relay's source names the relay.
     pub fn new(
+        name: &str,
         relay: Arc<Relay>,
-        bootstrap: Option<Arc<BootstrapServer>>,
+        fallback: Option<Arc<dyn Fallback>>,
         consumer: Arc<dyn ConsumerCallback>,
     ) -> Self {
-        let metrics = DatabusClientMetrics::new(&relay);
+        let scope = relay.metrics().scope("databus.client");
         DatabusClient {
+            own: ClientMetrics::new(&scope.scope(name)),
+            total: ClientMetrics::new(&scope),
             relay,
-            bootstrap,
+            fallback,
             consumer,
             filter: ServerFilter::all(),
             transformation: Transformation::new(),
@@ -152,7 +195,7 @@ impl DatabusClient {
             drive: Mutex::new(()),
             batch_windows: 64,
             stats: Mutex::new(ClientStats::default()),
-            metrics,
+            lag: AtomicI64::new(0),
         }
     }
 
@@ -160,7 +203,20 @@ impl DatabusClient {
     /// past the newest buffered SCN reads as zero).
     fn refresh_lag(&self) {
         let lag = self.relay.newest_scn().saturating_sub(self.checkpoint());
-        self.metrics.relay_lag_scns.set(lag as i64);
+        self.publish_lag(lag as i64);
+    }
+
+    /// Sets this client's lag and moves the total by the change (refreshes
+    /// run under the drive lock, so changes never interleave).
+    fn publish_lag(&self, lag: i64) {
+        let before = self.lag.swap(lag, Ordering::Relaxed);
+        self.own.relay_lag_scns.set(lag);
+        self.total.relay_lag_scns.add(lag - before);
+    }
+
+    fn count_windows(&self, windows: u64) {
+        self.own.windows_processed.add(windows);
+        self.total.windows_processed.add(windows);
     }
 
     /// Builder: server-side filter (the partitioning axis for scaled
@@ -230,8 +286,7 @@ impl DatabusClient {
     }
 
     /// One poll cycle: pull from the relay; on falling behind, switch to
-    /// the bootstrap server (consolidated delta, or full snapshot for a
-    /// fresh client), then resume the relay. Returns windows processed.
+    /// the fall-back, then resume the relay. Returns windows processed.
     /// Safe to call from multiple threads — cycles serialize on the drive
     /// lock, so no window is ever delivered twice.
     pub fn poll_once(&self) -> Result<usize, DatabusError> {
@@ -240,72 +295,81 @@ impl DatabusClient {
     }
 
     fn poll_once_locked(&self) -> Result<usize, DatabusError> {
-        let checkpoint = self.checkpoint();
-        match self
-            .relay
-            .events_after_shared(checkpoint, self.batch_windows, &self.filter)
-        {
-            Ok(views) => {
-                // Shared views deref to `&Window`: an unfiltered consumer
-                // reads straight out of relay buffer memory — no clone
-                // between ingest and callback.
-                let mut processed = 0;
-                for view in &views {
-                    self.deliver(view)?;
-                    *self.checkpoint.lock() = view.scn;
-                    processed += 1;
-                }
-                self.stats.lock().windows_from_relay += processed as u64;
-                self.metrics.windows_processed.add(processed as u64);
-                self.refresh_lag();
-                Ok(processed)
-            }
-            Err(RelayError::ScnNotFound { oldest, .. }) => {
-                let Some(bootstrap) = &self.bootstrap else {
-                    return Err(DatabusError::FellBehindNoBootstrap {
-                        checkpoint,
-                        oldest,
-                    });
-                };
-                self.metrics.bootstrap_switchovers.inc();
-                // Tug the bootstrap's log writer before being served: in
-                // production it follows the relay continuously, but here
-                // it advances when pumped — and the pump may be parked on
-                // *this client's* drive lock (its own catch-up pass runs
-                // behind ours). Serving from the stale log would hand back
-                // a resume SCN still below the relay's buffered range, and
-                // the next cycle would fall behind again, forever. After
-                // the tug the bootstrap read is current as of now, so the
-                // client lands at the relay head and resumes cleanly. This
-                // also advances the relay's eviction floor, re-bounding
-                // the buffer while the pump is blocked.
-                bootstrap.catch_up_from(&self.relay).map_err(DatabusError::Relay)?;
-                // One query either way: a fresh client (checkpoint 0) gets
-                // every live row and re-initializes its state first; a
-                // fallen-behind one gets the consolidated delta since its
-                // checkpoint.
-                let fresh = checkpoint == 0;
-                if fresh {
-                    self.consumer.on_snapshot_start();
-                }
-                let mut window = bootstrap.changes_since(checkpoint, &self.filter);
-                window.source_db = self.relay.source_db().to_string();
-                self.deliver(&window)?;
-                *self.checkpoint.lock() = window.scn;
-                let mut stats = self.stats.lock();
-                if fresh {
-                    stats.snapshots += 1;
-                } else {
-                    stats.deltas += 1;
-                }
-                stats.windows_from_bootstrap += 1;
-                drop(stats);
-                self.metrics.windows_processed.inc();
-                self.refresh_lag();
-                Ok(1)
-            }
-            Err(e) => Err(DatabusError::Relay(e)),
+        let views = match self.relay.events_after_shared(
+            self.checkpoint(),
+            self.batch_windows,
+            &self.filter,
+        ) {
+            Ok(views) => views,
+            Err(RelayError::ScnNotFound { .. }) => return self.bootstrap_locked(),
+            Err(e) => return Err(DatabusError::Relay(e)),
+        };
+        if !views.is_empty() {
+            self.consumer.on_batch_start();
         }
+        // Shared views deref to `&Window`: an unfiltered consumer reads
+        // straight out of relay buffer memory — no clone between ingest
+        // and callback.
+        let mut processed = 0;
+        for view in &views {
+            self.deliver(view)?;
+            *self.checkpoint.lock() = view.scn;
+            processed += 1;
+        }
+        self.stats.lock().windows_from_relay += processed;
+        self.count_windows(processed);
+        self.refresh_lag();
+        Ok(processed as usize)
+    }
+
+    /// Serves the consumer one window from its fall-back and resumes the
+    /// relay at that window's SCN: a full image resets the consumer first,
+    /// a delta applies over its state at the checkpoint.
+    fn bootstrap_locked(&self) -> Result<usize, DatabusError> {
+        let checkpoint = self.checkpoint();
+        let Some(fallback) = &self.fallback else {
+            return Err(DatabusError::FellBehindNoBootstrap {
+                checkpoint,
+                oldest: self.relay.oldest_scn(),
+            });
+        };
+        self.own.bootstrap_switchovers.inc();
+        self.total.bootstrap_switchovers.inc();
+        let FallbackWindow { window, full_image } =
+            fallback.window(&self.relay, checkpoint, &self.filter)?;
+        if full_image {
+            self.consumer
+                .on_snapshot_start()
+                .map_err(|last_error| DatabusError::ConsumerFailed {
+                    scn: window.scn,
+                    retries: 0,
+                    last_error,
+                })?;
+        }
+        self.consumer.on_batch_start();
+        self.deliver(&window)?;
+        *self.checkpoint.lock() = window.scn;
+        let mut stats = self.stats.lock();
+        if full_image {
+            stats.snapshots += 1;
+        } else {
+            stats.deltas += 1;
+        }
+        stats.windows_from_bootstrap += 1;
+        drop(stats);
+        self.count_windows(1);
+        self.refresh_lag();
+        Ok(1)
+    }
+
+    /// Serves the consumer from its fall-back now, whatever the relay
+    /// still holds, and resumes the relay where that window ends. A
+    /// consumer whose relay does not begin at its own origin starts this
+    /// way: an Espresso slave's source relays only the commits it
+    /// mastered, not the partition it holds.
+    pub fn bootstrap(&self) -> Result<usize, DatabusError> {
+        let _drive = self.drive.lock();
+        self.bootstrap_locked()
     }
 
     /// Polls until fully caught up with the relay. Returns total windows
@@ -325,9 +389,17 @@ impl DatabusClient {
     }
 }
 
+/// A dropped client leaves the total lag: its share goes to zero.
+impl Drop for DatabusClient {
+    fn drop(&mut self) {
+        self.publish_lag(0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::BootstrapServer;
     use bytes::Bytes;
     use li_sqlstore::{Op, Row, RowChange, RowKey};
     use parking_lot::Mutex as PMutex;
@@ -367,9 +439,10 @@ mod tests {
             Ok(())
         }
 
-        fn on_snapshot_start(&self) {
+        fn on_snapshot_start(&self) -> Result<(), String> {
             self.state.lock().clear();
             *self.snapshot_resets.lock() += 1;
+            Ok(())
         }
     }
 
@@ -397,7 +470,7 @@ mod tests {
             relay.ingest(window(scn, vec![put(&format!("k{scn}"), "v")])).unwrap();
         }
         let consumer = Arc::new(MapConsumer::default());
-        let client = DatabusClient::new(relay.clone(), None, consumer.clone());
+        let client = DatabusClient::new("test", relay.clone(), None, consumer.clone());
         assert_eq!(client.catch_up().unwrap(), 10);
         assert_eq!(client.checkpoint(), 10);
         let seen = consumer.windows_seen.lock().clone();
@@ -413,7 +486,7 @@ mod tests {
         relay.ingest(window(1, vec![put("k", "v")])).unwrap();
         let consumer = Arc::new(MapConsumer::default());
         *consumer.fail_next.lock() = 2;
-        let client = DatabusClient::new(relay, None, consumer.clone());
+        let client = DatabusClient::new("test", relay, None, consumer.clone());
         assert_eq!(client.poll_once().unwrap(), 1);
         assert_eq!(client.stats().retries, 2);
         assert_eq!(client.checkpoint(), 1);
@@ -426,7 +499,7 @@ mod tests {
         let consumer = Arc::new(MapConsumer::default());
         // Exactly exhausts the budget: 1 attempt + 3 retries, all failing.
         *consumer.fail_next.lock() = 4;
-        let client = DatabusClient::new(relay, None, consumer.clone());
+        let client = DatabusClient::new("test", relay, None, consumer.clone());
         let err = client.poll_once().unwrap_err();
         assert!(matches!(err, DatabusError::ConsumerFailed { scn: 1, retries: 3, .. }));
         assert_eq!(client.checkpoint(), 0, "no progress on failure");
@@ -442,7 +515,7 @@ mod tests {
         let bootstrap = Arc::new(BootstrapServer::new());
         let consumer = Arc::new(MapConsumer::default());
         let client =
-            DatabusClient::new(relay.clone(), Some(bootstrap.clone()), consumer.clone());
+            DatabusClient::new("test", relay.clone(), Some(bootstrap.clone()), consumer.clone());
 
         // Client processes scn 1..3 from the relay.
         for scn in 1..=3u64 {
@@ -495,7 +568,7 @@ mod tests {
         let bootstrap = Arc::new(BootstrapServer::new());
         let consumer = Arc::new(MapConsumer::default());
         let client =
-            DatabusClient::new(relay.clone(), Some(bootstrap.clone()), consumer.clone());
+            DatabusClient::new("test", relay.clone(), Some(bootstrap.clone()), consumer.clone());
         for scn in 1..=3u64 {
             relay.ingest(window(scn, vec![put(&format!("k{scn}"), "v1")])).unwrap();
         }
@@ -541,7 +614,7 @@ mod tests {
         assert!(relay.oldest_scn() > 1);
 
         let consumer = Arc::new(MapConsumer::default());
-        let client = DatabusClient::new(relay, Some(bootstrap), consumer.clone());
+        let client = DatabusClient::new("test", relay, Some(bootstrap), consumer.clone());
         assert_eq!(client.poll_once().unwrap(), 1);
         assert_eq!(*consumer.snapshot_resets.lock(), 1);
         assert_eq!(client.stats().snapshots, 1);
@@ -559,7 +632,7 @@ mod tests {
             relay.ingest(window(scn, vec![put(&format!("k{scn}"), "v")])).unwrap();
         }
         let consumer = Arc::new(MapConsumer::default());
-        let client = DatabusClient::new(relay, None, consumer);
+        let client = DatabusClient::new("test", relay, None, consumer);
         let err = client.poll_once().unwrap_err();
         assert!(matches!(err, DatabusError::FellBehindNoBootstrap { .. }));
     }
@@ -571,7 +644,7 @@ mod tests {
             relay.ingest(window(scn, vec![put(&format!("k{scn}"), "v")])).unwrap();
         }
         let consumer = Arc::new(MapConsumer::default());
-        let client = DatabusClient::new(relay, None, consumer.clone());
+        let client = DatabusClient::new("test", relay, None, consumer.clone());
         client.catch_up().unwrap();
         client.set_checkpoint(2);
         client.catch_up().unwrap();
@@ -597,7 +670,7 @@ mod tests {
             ))
             .unwrap();
         let consumer = Arc::new(MapConsumer::default());
-        let client = DatabusClient::new(relay, None, consumer.clone()).with_transformation(
+        let client = DatabusClient::new("test", relay, None, consumer.clone()).with_transformation(
             Transformation::new()
                 .with(TransformRule::RedactValues {
                     table: "salary".into(),
@@ -622,7 +695,7 @@ mod tests {
         let registry = li_commons::metrics::MetricsRegistry::new();
         let relay = Arc::new(Relay::with_metrics("primary", 1 << 20, &registry));
         let consumer = Arc::new(MapConsumer::default());
-        let client = DatabusClient::new(relay.clone(), None, consumer);
+        let client = DatabusClient::new("test", relay.clone(), None, consumer);
         for scn in 1..=3u64 {
             relay.ingest(window(scn, vec![put(&format!("k{scn}"), "v")])).unwrap();
         }
@@ -650,4 +723,31 @@ mod tests {
         assert_eq!(client.catch_up().unwrap(), 3);
         assert_eq!(lag(), 0, "drains after unpause");
     }
+
+    #[test]
+    fn each_client_reports_by_name_and_the_totals_sum_them() {
+        let registry = li_commons::metrics::MetricsRegistry::new();
+        let relay = Arc::new(Relay::with_metrics("primary", 1 << 20, &registry));
+        let ahead = DatabusClient::new("ahead", relay.clone(), None, Arc::new(MapConsumer::default()));
+        let behind = DatabusClient::new("behind", relay.clone(), None, Arc::new(MapConsumer::default()))
+            .with_batch(1);
+        for scn in 1..=5u64 {
+            relay.ingest(window(scn, vec![put(&format!("k{scn}"), "v")])).unwrap();
+        }
+        ahead.catch_up().unwrap();
+        behind.poll_once().unwrap();
+        let snapshot = registry.snapshot();
+        let lag = |name: &str| snapshot.gauge(&format!("databus.client.{name}relay_lag_scns"));
+        let windows = |name: &str| snapshot.counter(&format!("databus.client.{name}windows_processed"));
+        assert_eq!((lag("ahead."), lag("behind."), lag("")), (Some(0), Some(4), Some(4)));
+        assert_eq!((windows("ahead."), windows("behind."), windows("")), (Some(5), Some(1), Some(6)));
+
+        // A dropped client leaves the total: it is 0 once every live
+        // client has drained, whoever refreshed last.
+        drop(behind);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.gauge("databus.client.behind.relay_lag_scns"), Some(0));
+        assert_eq!(snapshot.gauge("databus.client.relay_lag_scns"), Some(0));
+    }
 }
+

@@ -173,7 +173,7 @@ mod tests {
     fn dispatch_delivers_without_explicit_polling() {
         let relay = Arc::new(Relay::new("primary", 1 << 20));
         let consumer = Arc::new(CountingConsumer(AtomicUsize::new(0)));
-        let client = Arc::new(DatabusClient::new(relay.clone(), None, consumer.clone()));
+        let client = Arc::new(DatabusClient::new("test", relay.clone(), None, consumer.clone()));
         let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()]);
 
         for scn in 1..=50 {
@@ -193,7 +193,7 @@ mod tests {
     fn stop_drains_pending_windows() {
         let relay = Arc::new(Relay::new("primary", 1 << 20));
         let consumer = Arc::new(CountingConsumer(AtomicUsize::new(0)));
-        let client = Arc::new(DatabusClient::new(relay.clone(), None, consumer.clone()));
+        let client = Arc::new(DatabusClient::new("test", relay.clone(), None, consumer.clone()));
         let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()]);
         for scn in 1..=20 {
             relay.ingest(window(scn)).unwrap();
@@ -210,7 +210,7 @@ mod tests {
         // the dispatcher runs must not double-deliver any window.
         let relay = Arc::new(Relay::new("primary", 1 << 20));
         let consumer = Arc::new(CountingConsumer(AtomicUsize::new(0)));
-        let client = Arc::new(DatabusClient::new(relay.clone(), None, consumer.clone()));
+        let client = Arc::new(DatabusClient::new("test", relay.clone(), None, consumer.clone()));
         let dispatcher = StreamDispatcher::start(relay.clone(), vec![client.clone()]);
         let pump_client = client.clone();
         let pumping = Arc::new(AtomicBool::new(true));

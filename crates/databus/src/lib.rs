@@ -25,8 +25,8 @@
 //!   what landed during the scan.
 //! * [`client`] — the client library: consumer callbacks with transaction-
 //!   window granularity, progress checkpointing, automatic
-//!   relay → bootstrap → relay switchover, and bounded retry on consumer
-//!   failure.
+//!   relay → fall-back → relay switchover (the fall-back is a parameter:
+//!   the bootstrap server is one), and bounded retry on consumer failure.
 //!
 //! [`capture`] holds the two capture adapters the paper describes: binlog
 //! shipping (MySQL-style, also the semi-sync hook Espresso uses) and
@@ -57,7 +57,7 @@
 //!     }
 //! }
 //! let counter = Arc::new(Counter(AtomicUsize::new(0)));
-//! let client = DatabusClient::new(relay, None, counter.clone());
+//! let client = DatabusClient::new("counter", relay, None, counter.clone());
 //!
 //! db.put_one("member", RowKey::single("42"), &b"profile"[..], 1)?;
 //! client.catch_up().unwrap();
@@ -78,7 +78,7 @@ pub mod transform;
 
 pub use bootstrap::BootstrapServer;
 pub use capture::{LogShippingAdapter, PollingAdapter};
-pub use client::{ConsumerCallback, DatabusClient, DatabusError};
+pub use client::{ConsumerCallback, DatabusClient, DatabusError, Fallback, FallbackWindow};
 pub use dispatch::{DispatchStats, StreamDispatcher};
 pub use event::{FilterSummary, FrozenWindow, ServerFilter, SharedWindow, Window, WindowView};
 pub use relay::{Relay, RelayError};

@@ -61,7 +61,6 @@ pub struct EspressoCluster {
     zk: ZooKeeper,
     controller: Controller,
     nodes: RwLock<HashMap<NodeId, Arc<StorageNode>>>,
-    relays: RwLock<HashMap<NodeId, Arc<Relay>>>,
     participants: Mutex<HashMap<NodeId, Participant>>,
     schemas: RwLock<HashMap<String, SchemaHandle>>,
     /// Cached external views, one watch receiver per database. The hot
@@ -105,7 +104,6 @@ impl EspressoCluster {
             zk,
             controller,
             nodes: RwLock::new(HashMap::new()),
-            relays: RwLock::new(HashMap::new()),
             participants: Mutex::new(HashMap::new()),
             schemas: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
@@ -125,13 +123,12 @@ impl EspressoCluster {
             RELAY_BUFFER_BYTES,
             &self.registry,
         ));
-        let node = Arc::new(StorageNode::new(id, relay.clone()));
+        let node = Arc::new(StorageNode::new(id, relay));
         // Existing databases get provisioned on the newcomer.
         for schema in self.schemas.read().values() {
             node.create_database(schema.clone())?;
         }
         self.nodes.write().insert(id, node.clone());
-        self.relays.write().insert(id, relay);
         let participant = Participant::join(&self.zk, "espresso", id)?;
         self.participants.lock().insert(id, participant);
         let weak: Weak<EspressoCluster> = Arc::downgrade(self);
@@ -161,46 +158,35 @@ impl EspressoCluster {
             (ReplicaState::Slave, ReplicaState::Master) => {
                 // "The slave partition first consumes all outstanding
                 // changes to the partition from the Databus relay, and then
-                // becomes a master partition."
+                // becomes a master partition." A node that cannot resume
+                // the previous master's current term from its relay (one
+                // returning from a crash) takes its image first, if it is
+                // alive to serve it.
                 let prev_master = self.controller.external_view(db)?.master_of(t.partition);
+                let prev_master = prev_master.filter(|prev| *prev != node.id());
                 if let Some(prev) = prev_master {
-                    if prev != node.id() {
-                        // A returning node (e.g. restarted after a crash)
-                        // may never have followed the interim master: seed
-                        // a stream with a snapshot first, if the previous
-                        // master is still alive to serve one.
-                        if !node.has_stream(prev, db, partition)
-                            && self.controller.live_nodes()?.contains(&prev)
-                        {
-                            let prev_node = self.node(prev)?;
-                            let (rows, checkpoint) =
-                                prev_node.snapshot_partition(db, partition)?;
-                            node.bootstrap_partition(db, partition, prev, rows, checkpoint)?;
-                        }
-                        if node.has_stream(prev, db, partition) {
-                            let relay = self
-                                .relays
-                                .read()
-                                .get(&prev)
-                                .cloned()
-                                .ok_or_else(|| EspressoError::Replication(format!(
-                                    "no relay for {prev}"
-                                )))?;
-                            node.sync_partition(db, partition, prev, &relay)?;
-                        }
+                    let prev = self.node(prev)?;
+                    if node.resumes(db, partition, &prev)
+                        || self.controller.live_nodes()?.contains(&prev.id())
+                    {
+                        node.follow(db, partition, &prev)?;
                     }
                 }
-                node.set_master(db, partition, true);
+                node.promote(db, partition, prev_master);
                 Ok(())
             }
             (ReplicaState::Master, ReplicaState::Slave) => {
-                node.set_master(db, partition, false);
+                node.demote(db, partition);
                 Ok(())
             }
-            // Offline→Slave bootstrapping happens lazily in
-            // `pump_replication` (the stream source is only knowable once a
-            // master is published); Slave→Offline keeps local data, which a
-            // later re-bootstrap simply overwrites.
+            // A node that no longer hosts the partition stops following
+            // it and keeps its rows, which a later stream's image replaces.
+            (ReplicaState::Slave, ReplicaState::Offline) => {
+                node.drop_stream(db, partition);
+                Ok(())
+            }
+            // Offline→Slave streams lazily in `pump_replication` (the
+            // source is only knowable once a master is published).
             _ => Ok(()),
         }
     }
@@ -244,22 +230,14 @@ impl EspressoCluster {
 
     /// The relay of a storage node (alive even when the node is down).
     pub fn relay(&self, id: NodeId) -> Result<Arc<Relay>, EspressoError> {
-        self.relays
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| EspressoError::Cluster(format!("no relay {id}")))
+        Ok(self.node(id)?.relay().clone())
     }
 
     /// Every storage node's relay, in node order — including nodes added
     /// since the caller last asked.
     pub(crate) fn relays(&self) -> Vec<(NodeId, Arc<Relay>)> {
-        let mut relays: Vec<(NodeId, Arc<Relay>)> = self
-            .relays
-            .read()
-            .iter()
-            .map(|(id, relay)| (*id, relay.clone()))
-            .collect();
+        let nodes = self.nodes.read();
+        let mut relays: Vec<_> = nodes.iter().map(|(id, n)| (*id, n.relay().clone())).collect();
         relays.sort_unstable_by_key(|(id, _)| *id);
         relays
     }
@@ -537,9 +515,9 @@ impl EspressoCluster {
         }
     }
 
-    /// One replication pump: for every database and partition, slaves
-    /// bootstrap (if needed) and catch up from the current master's relay.
-    /// In production this runs continuously; tests and examples call it at
+    /// One replication pump: every slave partition catches up through its
+    /// stream from the current master (`StorageNode::follow`). In
+    /// production this runs continuously; tests and examples call it at
     /// interesting moments. Returns windows applied.
     pub fn pump_replication(&self) -> Result<usize, EspressoError> {
         let mut applied = 0;
@@ -556,17 +534,9 @@ impl EspressoCluster {
                 let Some(master) = view.master_of(pid) else {
                     continue;
                 };
-                let master_node = self.node(master)?;
-                let master_relay = self.relay(master)?;
+                let master = self.node(master)?;
                 for slave in view.slaves_of(pid) {
-                    let slave_node = self.node(slave)?;
-                    if !slave_node.has_stream(master, &db, partition) {
-                        let (rows, checkpoint) = master_node.snapshot_partition(&db, partition)?;
-                        slave_node.bootstrap_partition(
-                            &db, partition, master, rows, checkpoint,
-                        )?;
-                    }
-                    applied += slave_node.sync_partition(&db, partition, master, &master_relay)?;
+                    applied += self.node(slave)?.follow(&db, partition, &master)?;
                 }
             }
         }
@@ -592,7 +562,8 @@ impl EspressoCluster {
     }
 
     /// Brings a crashed node back: rejoins the cluster and rebalances. Its
-    /// stale partitions re-bootstrap on the next replication pump.
+    /// slave partitions resume their streams on the next replication pump,
+    /// or restart from an image where the source changed meanwhile.
     pub fn restart_node(&self, id: NodeId) -> Result<(), EspressoError> {
         if !self.nodes.read().contains_key(&id) {
             return Err(EspressoError::Cluster(format!("unknown node {id}")));
@@ -789,4 +760,82 @@ mod tests {
         };
         assert_eq!(requests(&singly), requests(&batched));
     }
+
+    /// A cluster of three nodes holding every partition on all three, and
+    /// a key whose partition prefers nodes 0, 1, 2 in that order: the first
+    /// live one masters it.
+    fn cluster_and_key() -> (Arc<EspressoCluster>, RowKey) {
+        let schema = DatabaseSchema::new(DB, 8, 3)
+            .with_table(
+                TableSchema::new("Profile", ["member"]),
+                RecordSchema::new("Profile", 1, vec![Field::new("text", FieldType::Str)]).unwrap(),
+            )
+            .unwrap();
+        let cluster = EspressoCluster::new(3).unwrap();
+        cluster.create_database(schema).unwrap();
+        let key = (0..64)
+            .map(|m| RowKey::new([format!("m{m}").as_str()]))
+            .find(|key| {
+                let (partition, _) = cluster.route(DB, key.resource_id().unwrap()).unwrap();
+                let preference = cluster.controller().preference_list(DB, PartitionId(partition));
+                preference.unwrap() == [NodeId(0), NodeId(1), NodeId(2)]
+            })
+            .expect("a key on a partition node 0 masters");
+        (cluster, key)
+    }
+
+    fn master_of(cluster: &EspressoCluster, key: &RowKey) -> NodeId {
+        cluster.route(DB, key.resource_id().unwrap()).unwrap().1
+    }
+
+    #[test]
+    fn a_rebootstrap_replaces_the_partition_instead_of_overlaying_it() {
+        let (cluster, key) = cluster_and_key();
+        cluster.put(DB, "Profile", key.clone(), &profile("deleted later")).unwrap();
+        cluster.pump_replication().unwrap();
+        cluster.crash_node(NodeId(1)).unwrap();
+        cluster.delete(DB, "Profile", key.clone()).unwrap();
+        cluster.pump_replication().unwrap();
+        cluster.crash_node(NodeId(0)).unwrap();
+        assert_eq!(master_of(&cluster, &key), NodeId(2));
+        // Node 1 still holds the row: the stream it takes from node 2 when
+        // it returns must install node 2's image as the whole partition.
+        cluster.restart_node(NodeId(1)).unwrap();
+        cluster.pump_replication().unwrap();
+        cluster.crash_node(NodeId(2)).unwrap();
+        assert_eq!(master_of(&cluster, &key), NodeId(1));
+        let got = cluster.get(DB, "Profile", &key).unwrap();
+        assert!(got.is_none(), "the deleted document came back: {got:?}");
+    }
+
+    #[test]
+    fn a_source_that_regained_mastership_is_not_resumed() {
+        let (m, s, t) = (NodeId(0), NodeId(1), NodeId(2));
+        let (cluster, key) = cluster_and_key();
+        let text = |cluster: &EspressoCluster| {
+            let (record, _) = cluster.get(DB, "Profile", &key).unwrap().unwrap();
+            record.get("text").cloned()
+        };
+        cluster.put(DB, "Profile", key.clone(), &profile("v0")).unwrap();
+        cluster.pump_replication().unwrap();
+        cluster.crash_node(s).unwrap();
+        cluster.put(DB, "Profile", key.clone(), &profile("v1")).unwrap();
+        cluster.pump_replication().unwrap();
+        cluster.crash_node(m).unwrap();
+        assert_eq!(master_of(&cluster, &key), t);
+        cluster.put(DB, "Profile", key.clone(), &profile("v2")).unwrap();
+        // S returns ahead of T and takes T's image, v2.
+        cluster.restart_node(s).unwrap();
+        assert_eq!(master_of(&cluster, &key), s);
+        cluster.pump_replication().unwrap();
+        // Mastership returns to M, whose relay holds v1 but not T's v2: S
+        // must not resume its stream from M's earlier term.
+        cluster.restart_node(m).unwrap();
+        assert_eq!(master_of(&cluster, &key), m);
+        cluster.pump_replication().unwrap();
+        cluster.crash_node(m).unwrap();
+        assert_eq!(master_of(&cluster, &key), s);
+        assert_eq!(text(&cluster), Some(Value::Str("v2".into())), "the acked v2 was lost");
+    }
 }
+

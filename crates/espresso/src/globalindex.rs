@@ -14,49 +14,71 @@
 //! by the pump interval — the standard trade-off for cross-partition
 //! queries.
 //!
-//! Relays are read one after the other, in node order, so once a
-//! partition's mastership has moved, its new master's newer writes can be
-//! read before its old master's older ones. The listener therefore keeps,
-//! per partition, the relay that last delivered a change for it, and
-//! indexes from the stream only what that relay delivers. A change that
-//! arrives from any other relay is not indexed as read: its key is
-//! re-read through the router once the relays are read, and the document
-//! found there (or its absence) is what the index holds.
+//! The listener reads each relay through a [`DatabusClient`] of its own,
+//! one after the other, in node order, so once a partition's mastership
+//! has moved, its new master's newer writes can be read before its old
+//! master's older ones. The listener therefore keeps, per partition, the
+//! relay that last delivered a change for it, and indexes from the stream
+//! only what that relay delivers. A change that arrives from any other
+//! relay is not indexed as read: its key is re-read through the router
+//! once the relays are read, and the document found there (or its
+//! absence) is what the index holds. A key stays pending until a re-read
+//! succeeds.
+//!
+//! A client that falls off its relay re-reads the whole table from each
+//! partition's master and resumes the relay at its newest SCN, read before
+//! the scan; the index is rebuilt from that image under the same rule.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use li_commons::ring::NodeId;
-use li_commons::schema::{Record, Value};
-use li_databus::ServerFilter;
-use li_sqlstore::{Op, RowKey, Scn};
+use li_commons::ring::{NodeId, PartitionId};
+use li_commons::schema::{Record, RecordSchema, Value};
+use li_databus::{
+    ConsumerCallback, DatabusClient, DatabusError, Fallback, FallbackWindow, Relay, ServerFilter,
+    Window,
+};
+use li_sqlstore::{Op, RowChange, RowKey, Scn};
 
 use crate::cluster::EspressoCluster;
 use crate::index::InvertedIndex;
+use crate::node::SchemaHandle;
 use crate::schema::EspressoError;
 
 /// A cluster-wide secondary index over one field of one table, fed by
 /// the update stream of every storage node.
 pub struct GlobalIndex {
+    listener: Arc<Listener>,
+    /// One client per storage-node relay, in node order. Held for a whole
+    /// pump, so pumps take turns.
+    clients: Mutex<BTreeMap<NodeId, DatabusClient>>,
+}
+
+/// Every client's consumer, and its fall-back.
+struct Listener {
     cluster: Arc<EspressoCluster>,
     db: String,
     table: String,
     field: String,
-    index: Mutex<InvertedIndex>,
-    /// Held for a whole pump, so pumps take turns.
-    stream: Mutex<StreamState>,
+    state: Mutex<State>,
 }
 
-/// Where the listener stands in the update stream. A pump works on a
-/// copy and stores it only once its re-reads have succeeded, so a failed
-/// pump is repeated in full by the next.
-#[derive(Debug, Clone, Default)]
-struct StreamState {
-    /// Consumption progress per storage-node relay.
-    checkpoints: HashMap<NodeId, Scn>,
+#[derive(Default)]
+struct State {
+    index: InvertedIndex,
+    /// The relay whose windows are being delivered.
+    relay: Option<NodeId>,
     /// Partition -> the relay that last delivered a change for it.
     sources: HashMap<u32, NodeId>,
+    /// Partition -> the relay it is indexed from in the pump under way:
+    /// its last source, or the first relay to bring it a change.
+    streaming: HashMap<u32, NodeId>,
+    /// Keys a relay other than their partition's source changed, to be
+    /// re-read through the router.
+    rereads: BTreeSet<RowKey>,
+    /// The database and reader schemas, looked up once per batch.
+    schemas: Option<(SchemaHandle, Arc<RecordSchema>)>,
 }
 
 impl GlobalIndex {
@@ -64,88 +86,33 @@ impl GlobalIndex {
     /// the head of history (SCN 0 on every relay), so create it before
     /// writing, or call [`GlobalIndex::pump`] to catch up.
     pub fn new(cluster: Arc<EspressoCluster>, db: &str, table: &str, field: &str) -> Self {
-        GlobalIndex {
-            cluster,
-            db: db.to_string(),
-            table: table.to_string(),
-            field: field.to_string(),
-            index: Mutex::new(InvertedIndex::new()),
-            stream: Mutex::new(StreamState::default()),
-        }
-    }
-
-    /// The indexed field of `record`, as [`InvertedIndex::index_document`]
-    /// takes it.
-    fn field_of<'a>(&'a self, record: &'a Record) -> Option<(&'a str, &'a Value)> {
-        record.get(&self.field).map(|value| (self.field.as_str(), value))
+        let (db, table, field) = (db.to_string(), table.to_string(), field.to_string());
+        let state = Mutex::default();
+        let listener = Arc::new(Listener { cluster, db, table, field, state });
+        GlobalIndex { listener, clients: Mutex::default() }
     }
 
     /// Consumes new update-stream windows from every node's relay and
     /// folds them into the global index. Returns windows applied.
     pub fn pump(&self) -> Result<usize, EspressoError> {
-        let mut stream = self.stream.lock();
-        let mut next = stream.clone();
-        // The relay each partition is indexed from in this pump: its last
-        // source, or the first relay to bring it a change.
-        let mut streaming: HashMap<u32, NodeId> = HashMap::new();
-        let mut rereads = Vec::new();
-        let schema = self.cluster.schema(&self.db)?;
-        let filter = ServerFilter::for_tables([format!("{}.{}", self.db, self.table)]);
+        let listener = &self.listener;
+        let mut clients = self.clients.lock();
+        for (node, relay) in listener.cluster.relays() {
+            clients.entry(node).or_insert_with(|| {
+                let (table, field) = (&listener.table, &listener.field);
+                let name = format!("global-index-{table}-{field}-node-{}", node.0);
+                DatabusClient::new(&name, relay, Some(listener.clone()), listener.clone())
+                    .with_filter(ServerFilter::for_tables([format!("{}.{table}", listener.db)]))
+                    .with_batch(usize::MAX)
+            });
+        }
+        listener.state.lock().streaming.clear();
         let mut applied = 0;
-        for (node, relay) in self.cluster.relays() {
-            let checkpoint = stream.checkpoints.get(&node).copied().unwrap_or(0);
-            let windows = relay
-                .events_after_shared(checkpoint, usize::MAX, &filter)
-                .map_err(|e| EspressoError::Replication(e.to_string()))?;
-            let schema = schema.read();
-            let reader = schema.documents.latest(&self.table)?;
-            let mut index = self.index.lock();
-            for window in &windows {
-                for change in &window.changes {
-                    let partition = schema.partition_of(change.key.resource_id().unwrap_or(""));
-                    next.sources.insert(partition, node);
-                    let source = *streaming
-                        .entry(partition)
-                        .or_insert_with(|| stream.sources.get(&partition).copied().unwrap_or(node));
-                    if source != node {
-                        rereads.push(change.key.clone());
-                        continue;
-                    }
-                    match &change.op {
-                        Op::Put(row) => {
-                            // Decode under the writer schema, resolve to
-                            // latest, index the field.
-                            let Ok(writer) = schema.documents.get(&self.table, row.schema_version)
-                            else {
-                                continue;
-                            };
-                            let Ok(record) =
-                                li_commons::schema::resolve(&writer, &reader, &row.value)
-                            else {
-                                continue;
-                            };
-                            index.index_document(&change.key, self.field_of(&record));
-                        }
-                        Op::Delete => index.remove_document(&change.key),
-                    }
-                }
-                next.checkpoints.insert(node, window.scn);
-                applied += 1;
-            }
+        for (node, client) in clients.iter() {
+            listener.state.lock().relay = Some(*node);
+            applied += client.catch_up()?;
         }
-        if !rereads.is_empty() {
-            rereads.sort_unstable();
-            rereads.dedup();
-            let documents = self.cluster.multi_get(&self.db, &self.table, rereads.clone())?;
-            let mut index = self.index.lock();
-            for (key, document) in rereads.iter().zip(documents) {
-                match document {
-                    Some((record, _)) => index.index_document(key, self.field_of(&record)),
-                    None => index.remove_document(key),
-                }
-            }
-        }
-        *stream = next;
+        listener.reread()?;
         Ok(applied)
     }
 
@@ -154,7 +121,119 @@ impl GlobalIndex {
     /// serve. Returns the keys in key order; fetch the documents through
     /// the router as usual.
     pub fn query(&self, words: &str) -> Vec<RowKey> {
-        self.index.lock().query(&self.field, words, None)
+        let state = self.listener.state.lock();
+        state.index.query(&self.listener.field, words, None)
+    }
+}
+
+impl Listener {
+    /// The indexed field of `record`, as [`InvertedIndex::index_document`]
+    /// takes it.
+    fn field_of<'a>(&'a self, record: &'a Record) -> Option<(&'a str, &'a Value)> {
+        record.get(&self.field).map(|value| (self.field.as_str(), value))
+    }
+
+    /// Re-reads the pending keys through the router and indexes what it
+    /// finds there; on failure they stay pending for the next pump.
+    fn reread(&self) -> Result<(), EspressoError> {
+        let keys: Vec<RowKey> = self.state.lock().rereads.iter().cloned().collect();
+        if keys.is_empty() {
+            return Ok(());
+        }
+        let documents = self.cluster.multi_get(&self.db, &self.table, keys.clone())?;
+        let mut state = self.state.lock();
+        for (key, document) in keys.iter().zip(documents) {
+            match document {
+                Some((record, _)) => state.index.index_document(key, self.field_of(&record)),
+                None => state.index.remove_document(key),
+            }
+            state.rereads.remove(key);
+        }
+        Ok(())
+    }
+
+    /// Every row of the table, read from each partition's master.
+    fn table_image(&self) -> Result<Vec<RowChange>, EspressoError> {
+        let num_partitions = self.cluster.schema(&self.db)?.read().num_partitions;
+        let view = self.cluster.controller().external_view(&self.db)?;
+        let table = format!("{}.{}", self.db, self.table);
+        let mut changes = Vec::new();
+        for partition in 0..num_partitions {
+            let master = view.master_of(PartitionId(partition));
+            let master = master.ok_or(EspressoError::NoMaster { partition })?;
+            let image = self.cluster.node(master)?.snapshot_partition(&self.db, partition)?;
+            changes.extend(image.changes.into_iter().filter(|change| change.table == table));
+        }
+        Ok(changes)
+    }
+}
+
+/// A client that fell off its relay gets the whole table from each
+/// partition's master, and resumes at the relay's newest SCN read before
+/// the scan: what the relay holds past it is newer than the scan.
+impl Fallback for Listener {
+    fn window(
+        &self,
+        relay: &Relay,
+        _checkpoint: Scn,
+        _filter: &ServerFilter,
+    ) -> Result<FallbackWindow, DatabusError> {
+        let scn = relay.newest_scn();
+        let changes = self.table_image().map_err(|e| DatabusError::Fallback(e.to_string()))?;
+        let window = Window { source_db: relay.source_db().to_string(), scn, timestamp: 0, changes };
+        Ok(FallbackWindow { window, full_image: true })
+    }
+}
+
+impl ConsumerCallback for Listener {
+    fn on_batch_start(&self) {
+        let schemas = self.cluster.schema(&self.db).ok().and_then(|schema| {
+            let reader = schema.read().documents.latest(&self.table).ok()?;
+            Some((schema, reader))
+        });
+        self.state.lock().schemas = schemas;
+    }
+
+    /// The image's changes then go through the same per-partition rule.
+    fn on_snapshot_start(&self) -> Result<(), String> {
+        self.state.lock().index = InvertedIndex::new();
+        Ok(())
+    }
+
+    fn on_window(&self, window: &Window) -> Result<(), String> {
+        let mut state = self.state.lock();
+        let State { index, relay, sources, streaming, rereads, schemas } = &mut *state;
+        let (Some(node), Some((schema, reader))) = (*relay, schemas) else {
+            return Err(format!("no schema for {}.{}", self.db, self.table));
+        };
+        let schema = schema.read();
+        for change in &window.changes {
+            let partition = schema.partition_of(change.key.resource_id().unwrap_or(""));
+            let source = *streaming
+                .entry(partition)
+                .or_insert_with(|| sources.get(&partition).copied().unwrap_or(node));
+            sources.insert(partition, node);
+            if source != node {
+                rereads.insert(change.key.clone());
+                continue;
+            }
+            match &change.op {
+                Op::Put(row) => {
+                    // Decode under the writer schema, resolve to latest,
+                    // index the field.
+                    let Ok(writer) = schema.documents.get(&self.table, row.schema_version) else {
+                        continue;
+                    };
+                    let Ok(record) = li_commons::schema::resolve(&writer, reader, &row.value)
+                    else {
+                        continue;
+                    };
+                    index.index_document(&change.key, self.field_of(&record));
+                }
+                Op::Delete => index.remove_document(&change.key),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -297,4 +376,50 @@ mod tests {
         global.pump().unwrap();
         assert_eq!(global.query("needle").len(), 1);
     }
+
+    #[test]
+    fn a_slave_and_the_index_fallen_off_a_relay_catch_up_through_their_fall_backs() {
+        let cluster = cluster_with_songs();
+        let global = lyrics_index(&cluster);
+        let keys: Vec<RowKey> = (0..)
+            .map(|i| RowKey::new([format!("A{i}"), "B".into(), "s".into()]))
+            .filter(|key| cluster.route("Music", key.resource_id().unwrap()).unwrap().1 == NodeId(0))
+            .take(160)
+            .collect();
+        cluster.put("Music", "Song", keys[0].clone(), &song("first")).unwrap();
+        cluster.pump_replication().unwrap();
+        global.pump().unwrap();
+
+        // ~64 KB documents past node 0's 8 MB relay, with nothing pumped.
+        let filler = "x".repeat(64 << 10);
+        for (i, key) in keys.iter().enumerate() {
+            cluster.put("Music", "Song", key.clone(), &song(&format!("fat{i} {filler}"))).unwrap();
+        }
+        assert!(cluster.relay(NodeId(0)).unwrap().oldest_scn() > 2, "nothing was evicted");
+        cluster.pump_replication().unwrap();
+        global.pump().unwrap();
+
+        let snapshot = cluster.metrics().snapshot();
+        let switchovers = |client: &str| {
+            snapshot.counter(&format!("databus.client.{client}.bootstrap_switchovers"))
+        };
+        assert_eq!(switchovers("global-index-Song-lyrics-node-0"), Some(1));
+        let view = cluster.controller().external_view("Music").unwrap();
+        for partition in (0..8).filter(|p| view.master_of(PartitionId(*p)) == Some(NodeId(0))) {
+            let master = cluster.node(NodeId(0)).unwrap().snapshot_partition("Music", partition);
+            for slave in view.slaves_of(PartitionId(partition)) {
+                // The stream's first image, then the one it fell back to.
+                let client = format!("espresso-node-{}-Music-p{partition}", slave.0);
+                assert_eq!(switchovers(&client), Some(2), "{client}");
+                let copy = cluster.node(slave).unwrap().snapshot_partition("Music", partition);
+                assert_eq!(copy.unwrap().changes, master.as_ref().unwrap().changes, "{client}");
+            }
+        }
+        assert_eq!(snapshot.gauge("databus.client.relay_lag_scns"), Some(0));
+        assert!(global.query("first").is_empty());
+        for i in [0, 80, 159] {
+            assert_eq!(global.query(&format!("fat{i}")), vec![keys[i].clone()]);
+        }
+    }
 }
+

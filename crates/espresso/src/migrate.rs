@@ -6,11 +6,11 @@
 //! a phased, never-blocking migration of a *single* partition to a node
 //! that does not currently host it:
 //!
-//! 1. **Snapshot** — copy the partition's rows from the current master to
-//!    the target ([`StorageNode::bootstrap_partition`]), recording the
-//!    relay checkpoint taken *before* the copy.
-//! 2. **Delta catch-up** — replay binlog windows from the master's relay
-//!    ([`StorageNode::sync_partition`]) until a round applies nothing.
+//! 1. **Snapshot** — start the target's stream for the partition from the
+//!    current master (`StorageNode::follow`): the donor's image, taken
+//!    after reading the relay SCN the stream resumes at.
+//! 2. **Delta catch-up** — catch that stream up from the donor's relay
+//!    until a round applies nothing.
 //! 3. **Dual-write** — a no-op switch here: every master commit already
 //!    ships semi-synchronously to the relay the target is subscribed to,
 //!    so the replication stream *is* the dual write.
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use li_commons::migrate::{MigrationConfig, MigrationCoordinator, MigrationDriver, VerifyReport};
 use li_commons::ring::{NodeId, PartitionId};
 use li_helix::ReplicaState;
-use li_sqlstore::{Row, RowKey};
+use li_sqlstore::{Op, RowKey};
 
 use crate::cluster::EspressoCluster;
 use crate::node::StorageNode;
@@ -60,28 +60,17 @@ impl std::fmt::Debug for EspressoPartitionMigration {
 }
 
 impl EspressoPartitionMigration {
-    /// Database being migrated.
-    pub fn db(&self) -> &str {
-        &self.db
-    }
-
-    /// Partition being migrated.
-    pub fn partition(&self) -> u32 {
-        self.partition
-    }
-
-    /// The donor (master at begin time).
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// The node gaining the partition.
-    pub fn target(&self) -> NodeId {
-        self.to
-    }
-
     fn endpoints(&self) -> Result<(Arc<StorageNode>, Arc<StorageNode>), EspressoError> {
         Ok((self.cluster.node(self.source)?, self.cluster.node(self.to)?))
+    }
+
+    /// The target's stream for the partition from the donor, caught up.
+    /// Returns windows applied, the donor's image counting as one.
+    fn follow(&self) -> Result<u64, String> {
+        let (src, dst) = self.endpoints().map_err(|e| e.to_string())?;
+        dst.follow(&self.db, self.partition, &src)
+            .map(|applied| applied as u64)
+            .map_err(|e| e.to_string())
     }
 
     /// The partition's full image on `node`, keyed for order-insensitive
@@ -89,53 +78,38 @@ impl EspressoPartitionMigration {
     fn partition_image(
         &self,
         node: &StorageNode,
-    ) -> Result<BTreeMap<(String, RowKey), Row>, EspressoError> {
-        let (rows, _) = node.snapshot_partition(&self.db, self.partition)?;
-        Ok(rows
+    ) -> Result<BTreeMap<(String, RowKey), Op>, EspressoError> {
+        let image = node.snapshot_partition(&self.db, self.partition)?;
+        Ok(image
+            .changes
             .into_iter()
-            .map(|(table, key, row)| ((table, key), row))
+            .map(|change| ((change.table, change.key), change.op))
             .collect())
     }
 }
 
 impl MigrationDriver for EspressoPartitionMigration {
     fn snapshot(&self) -> Result<u64, String> {
-        let (src, dst) = self.endpoints().map_err(|e| e.to_string())?;
-        // Idempotent: a retried step after a partial earlier attempt that
-        // did record the checkpoint just resumes from the relay.
-        if dst.has_stream(self.source, &self.db, self.partition) {
-            return Ok(0);
-        }
-        let (rows, checkpoint) = src
-            .snapshot_partition(&self.db, self.partition)
-            .map_err(|e| e.to_string())?;
-        let copied = rows.len() as u64;
-        dst.bootstrap_partition(&self.db, self.partition, self.source, rows, checkpoint)
-            .map_err(|e| e.to_string())?;
-        Ok(copied)
+        // Idempotent: a retried step resumes the stream an earlier attempt
+        // started.
+        self.follow()
     }
 
     fn delta_round(&self) -> Result<u64, String> {
-        let (_, dst) = self.endpoints().map_err(|e| e.to_string())?;
-        let relay = self.cluster.relay(self.source).map_err(|e| e.to_string())?;
-        dst.sync_partition(&self.db, self.partition, self.source, &relay)
-            .map(|applied| applied as u64)
-            .map_err(|e| e.to_string())
+        self.follow()
     }
 
     fn begin_dual_write(&self) -> Result<(), String> {
         // Every commit the master acks is already in its relay ("each
         // change is written to two places before being committed") and the
-        // target holds a checkpointed subscription — the stream is the
-        // dual write, so there is nothing to switch on.
+        // target holds a stream on it — the stream is the dual write, so
+        // there is nothing to switch on.
         Ok(())
     }
 
     fn verify_round(&self) -> Result<VerifyReport, String> {
+        self.follow()?;
         let (src, dst) = self.endpoints().map_err(|e| e.to_string())?;
-        let relay = self.cluster.relay(self.source).map_err(|e| e.to_string())?;
-        dst.sync_partition(&self.db, self.partition, self.source, &relay)
-            .map_err(|e| e.to_string())?;
         let source_rows = self.partition_image(&src).map_err(|e| e.to_string())?;
         let target_rows = self.partition_image(&dst).map_err(|e| e.to_string())?;
         let mut compared = 0;
@@ -161,7 +135,7 @@ impl MigrationDriver for EspressoPartitionMigration {
     fn cutover(&self) -> Result<(), String> {
         // Helix installs the target partition map and drives the flip
         // through the safety phases; the target's Slave→Master handler
-        // drains the relay after the donor demoted, so the handoff is the
+        // drains its stream after the donor demoted, so the handoff is the
         // final delta round.
         self.cluster
             .controller()
@@ -176,9 +150,11 @@ impl MigrationDriver for EspressoPartitionMigration {
     }
 
     fn abort(&self) {
-        // Nothing to unwind: the donor stayed authoritative throughout,
-        // and the target's slave copy is simply overwritten by any later
-        // re-bootstrap.
+        // The donor stayed authoritative throughout: the target only stops
+        // following, and a later stream's image replaces its copy.
+        if let Ok(target) = self.cluster.node(self.to) {
+            target.drop_stream(&self.db, self.partition);
+        }
     }
 }
 
@@ -313,7 +289,7 @@ mod tests {
         let driver = cluster
             .begin_partition_migration(DB, partition, target)
             .unwrap();
-        assert_eq!(driver.source(), source);
+        assert_eq!(driver.source, source);
         let coordinator =
             MigrationCoordinator::new(cluster.metrics(), MigrationConfig::default());
 

@@ -12,27 +12,31 @@
 //! Writes are accepted only for partitions this node currently *masters*
 //! (normally one writer per partition exists cluster-wide); every commit
 //! ships semi-synchronously to the node's Databus relay before it is
-//! acknowledged. Slave partitions are fed by [`StorageNode::bootstrap_partition`]
-//! (snapshot copy) plus [`StorageNode::sync_partition`] (relay catch-up),
-//! applied in commit order — timeline consistency.
+//! acknowledged. Each slave partition is fed by one Databus client on its
+//! source's relay (`StorageNode::follow`), applied in commit order —
+//! timeline consistency. A new stream starts from the source's full image
+//! of the partition, which replaces the local copy, and a stream whose
+//! source changes (another node, or a later mastership term of the same
+//! one) is dropped and started anew, since a relay holds only what its
+//! node committed as master.
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use li_commons::ring::NodeId;
 use li_commons::schema::{Record, SchemaVersion};
-use li_databus::{Relay, ServerFilter};
-use li_sqlstore::{Database, Op, Row, RowKey, Scn};
+use li_databus::{
+    ConsumerCallback, DatabusClient, DatabusError, Fallback, FallbackWindow, Relay, ServerFilter,
+    Window,
+};
+use li_sqlstore::{Database, Op, Row, RowChange, RowKey, Scn};
 
 use crate::index::InvertedIndex;
 use crate::schema::{DatabaseSchema, EspressoError};
 
 /// Shared, evolvable database schema handle.
 pub type SchemaHandle = Arc<RwLock<DatabaseSchema>>;
-
-/// Rows of one partition: `(table, key, row)` triples.
-pub type PartitionSnapshot = Vec<(String, RowKey, Row)>;
 
 fn qualified(db: &str, table: &str) -> String {
     format!("{db}.{table}")
@@ -47,8 +51,33 @@ pub struct StorageNode {
     indexes: Mutex<HashMap<String, InvertedIndex>>,
     /// (database, partition) pairs this node currently masters.
     mastered: RwLock<HashSet<(String, u32)>>,
-    /// Replication progress per (source node, database, partition).
-    checkpoints: Mutex<HashMap<(NodeId, String, u32), Scn>>,
+    /// The latest mastership term per (database, partition).
+    terms: Mutex<HashMap<(String, u32), Term>>,
+    /// The replication stream of each slave partition.
+    streams: Mutex<HashMap<(String, u32), Stream>>,
+}
+
+/// One term of a node's mastership of a partition. A follower tells the
+/// current term from an earlier one, whose relay lacks what another
+/// master wrote in between.
+#[derive(Debug, Clone, Copy, Default)]
+struct Term {
+    /// Counts the node's promotions for the partition; 0 before the first.
+    number: u64,
+    /// The node's relay SCN at promotion: every commit of the term is newer.
+    start: Scn,
+    /// The master the node took the partition over from. Its copy holds
+    /// all the node held at `start`, so it follows the term from `start`
+    /// without an image.
+    predecessor: Option<NodeId>,
+}
+
+/// A slave partition's replication stream: one Databus client on its
+/// source's relay.
+struct Stream {
+    /// The source node and its term number when the stream started.
+    from: (NodeId, u64),
+    client: DatabusClient,
 }
 
 impl std::fmt::Debug for StorageNode {
@@ -73,7 +102,8 @@ impl StorageNode {
             schemas: RwLock::new(HashMap::new()),
             indexes: Mutex::new(HashMap::new()),
             mastered: RwLock::new(HashSet::new()),
-            checkpoints: Mutex::new(HashMap::new()),
+            terms: Mutex::new(HashMap::new()),
+            streams: Mutex::new(HashMap::new()),
         }
     }
 
@@ -116,15 +146,32 @@ impl StorageNode {
             .ok_or_else(|| EspressoError::UnknownDatabase(db.into()))
     }
 
-    /// Marks this node master for `(db, partition)` — called by the Helix
-    /// transition handler on Slave→Master.
-    pub fn set_master(&self, db: &str, partition: u32, master: bool) {
-        let mut mastered = self.mastered.write();
-        if master {
-            mastered.insert((db.to_string(), partition));
-        } else {
-            mastered.remove(&(db.to_string(), partition));
-        }
+    /// Makes this node master of `(db, partition)`, taking it over from
+    /// `predecessor` — called by the Helix transition handler on
+    /// Slave→Master. A promotion starts a new term, and a master follows
+    /// no one: its stream goes.
+    pub(crate) fn promote(&self, db: &str, partition: u32, predecessor: Option<NodeId>) {
+        let key = (db.to_string(), partition);
+        self.drop_stream(db, partition);
+        let mut terms = self.terms.lock();
+        let term = terms.entry(key.clone()).or_default();
+        *term = Term {
+            number: term.number + 1,
+            start: self.store.last_scn(),
+            predecessor,
+        };
+        self.mastered.write().insert(key);
+    }
+
+    /// Ends this node's mastership of `(db, partition)` (Master→Slave).
+    pub(crate) fn demote(&self, db: &str, partition: u32) {
+        self.mastered.write().remove(&(db.to_string(), partition));
+    }
+
+    /// This node's latest mastership term for `(db, partition)`.
+    fn term(&self, db: &str, partition: u32) -> Term {
+        let terms = self.terms.lock();
+        terms.get(&(db.to_string(), partition)).copied().unwrap_or_default()
     }
 
     /// True when this node masters `(db, partition)`.
@@ -428,144 +475,185 @@ impl StorageNode {
             .collect()
     }
 
-    /// Snapshot of every row of `(db, partition)` across all tables —
-    /// the bootstrap source for a new slave. Returns the rows plus the
-    /// SCN to start relay consumption from.
-    pub fn snapshot_partition(
-        &self,
-        db: &str,
-        partition: u32,
-    ) -> Result<(PartitionSnapshot, Scn), EspressoError> {
+    /// Every row of `(db, partition)` across all tables, as one window of
+    /// puts whose `scn` is where a follower resumes this node's relay —
+    /// the full image a new stream starts from.
+    pub fn snapshot_partition(&self, db: &str, partition: u32) -> Result<Window, EspressoError> {
         let schema = self.schema(db)?;
         let schema = schema.read();
-        // Read the SCN *before* copying: replaying (checkpoint, now] over
-        // the copy is idempotent, so at-least-once is safe; reading it
-        // after could miss commits that landed mid-copy.
-        let checkpoint = self.store.last_scn();
-        let mut rows = Vec::new();
+        // Read the SCN *before* copying: replaying (scn, now] over the copy
+        // is idempotent, so at-least-once is safe; reading it after could
+        // miss commits that landed mid-copy.
+        let scn = self.store.last_scn();
+        let mut changes = Vec::new();
         for table in schema.tables.keys() {
-            for (key, row) in self.store.scan_prefix(&qualified(db, table), &RowKey::default())? {
-                let Some(resource) = key.resource_id() else {
-                    continue;
-                };
-                if schema.partition_of(resource) == partition {
-                    rows.push((table.clone(), key, row));
+            let table = qualified(db, table);
+            for (key, row) in self.store.scan_prefix(&table, &RowKey::default())? {
+                if key.resource_id().is_some_and(|r| schema.partition_of(r) == partition) {
+                    changes.push(RowChange { table: table.clone(), key, op: Op::Put(row) });
                 }
             }
         }
-        Ok((rows, checkpoint))
+        let source_db = self.relay.source_db().to_string();
+        Ok(Window { source_db, scn, timestamp: 0, changes })
     }
 
-    /// Installs a bootstrap snapshot for `(db, partition)` from `source`
-    /// and records the relay checkpoint — phase 1 of "we first bootstrap
-    /// the new partition from a snapshot taken from the original master
-    /// partition, and then apply any changes since the snapshot from the
-    /// Databus Relay".
-    pub fn bootstrap_partition(
-        &self,
+    /// Catches `(db, partition)` up from `source` through this node's one
+    /// stream for it ("we first bootstrap the new partition from a
+    /// snapshot taken from the original master partition, and then apply
+    /// any changes since the snapshot from the Databus Relay"). A stream
+    /// from another source, or from an earlier term of this one, is
+    /// dropped first; the new one starts from `source`'s image, or from its
+    /// term's start when `source` took the partition over from this node.
+    /// Returns windows applied, an image counting as one.
+    pub(crate) fn follow(
+        self: &Arc<Self>,
         db: &str,
         partition: u32,
-        source: NodeId,
-        rows: PartitionSnapshot,
-        checkpoint: Scn,
-    ) -> Result<(), EspressoError> {
-        let changes: Vec<li_sqlstore::RowChange> = rows
-            .iter()
-            .map(|(table, key, row)| li_sqlstore::RowChange {
-                table: qualified(db, table),
-                key: key.clone(),
-                op: Op::Put(row.clone()),
-            })
-            .collect();
-        self.store.apply_changes(&changes)?;
-        let to_index = self.tables_to_index(db);
-        for (table, key, row) in rows.iter().filter(|(table, ..)| to_index.contains(table)) {
-            if let Ok(record) = self.decode_document(db, table, row) {
-                self.index_record(db, table, key, &record);
-            }
-        }
-        self.checkpoints
-            .lock()
-            .insert((source, db.to_string(), partition), checkpoint);
-        Ok(())
-    }
-
-    /// True when this node has a replication checkpoint for
-    /// `(source, db, partition)` — i.e. it has bootstrapped that stream.
-    pub fn has_stream(&self, source: NodeId, db: &str, partition: u32) -> bool {
-        self.checkpoints
-            .lock()
-            .contains_key(&(source, db.to_string(), partition))
-    }
-
-    /// Pulls and applies new windows for `(db, partition)` from the
-    /// master's relay, in commit order. Returns windows applied. Passing
-    /// the same call again is safe (at-least-once, idempotent puts).
-    pub fn sync_partition(
-        &self,
-        db: &str,
-        partition: u32,
-        source: NodeId,
-        source_relay: &Relay,
+        source: &Arc<StorageNode>,
     ) -> Result<usize, EspressoError> {
-        let key = (source, db.to_string(), partition);
-        let checkpoint = *self
-            .checkpoints
-            .lock()
-            .get(&key)
-            .ok_or_else(|| EspressoError::Replication(format!(
-                "no bootstrap for {db}/p{partition} from {source}"
-            )))?;
-        let schema = self.schema(db)?;
-        let (num_partitions, tables) = {
-            let s = schema.read();
-            (
-                s.num_partitions,
-                s.tables
-                    .keys()
-                    .map(|t| qualified(db, t))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let filter = ServerFilter {
-            tables: Some(tables),
-            partitions: Some((num_partitions, vec![partition])),
-        };
-        // Shared views: matching windows are read in place from the relay
-        // buffer; only partially-matching windows are trimmed into copies.
-        let windows = source_relay
-            .events_after_shared(checkpoint, usize::MAX, &filter)
-            .map_err(|e| EspressoError::Replication(e.to_string()))?;
-        if windows.is_empty() {
-            return Ok(0);
+        let term = source.term(db, partition);
+        let from = (source.id, term.number);
+        let key = (db.to_string(), partition);
+        let mut streams = self.streams.lock();
+        if let Some(stream) = streams.get(&key).filter(|stream| stream.from == from) {
+            return Ok(stream.client.catch_up()?);
         }
-        let to_index = self.tables_to_index(db);
-        let mut applied = 0;
-        for window in &windows {
-            self.store.apply_changes(&window.changes)?;
-            for change in &window.changes {
-                // Maintain the local index from the replicated stream.
-                let Some((db_name, table)) = change.table.split_once('.') else {
-                    continue;
-                };
-                match &change.op {
-                    Op::Put(row) if to_index.contains(table) => {
-                        if let Ok(record) = self.decode_document(db_name, table, row) {
-                            self.index_record(db_name, table, &change.key, &record);
-                        }
-                    }
-                    Op::Put(_) => {}
-                    Op::Delete => self.unindex(db_name, table, &change.key),
-                }
+        streams.remove(&key);
+        let filter = {
+            let schema = self.schema(db)?;
+            let schema = schema.read();
+            ServerFilter {
+                tables: Some(schema.tables.keys().map(|t| qualified(db, t)).collect()),
+                partitions: Some((schema.num_partitions, vec![partition])),
             }
-            self.checkpoints.lock().insert(key.clone(), window.scn);
-            applied += 1;
-        }
+        };
+        let ends = Arc::new(StreamEnds {
+            target: Arc::downgrade(self),
+            source: Arc::downgrade(source),
+            db: db.to_string(),
+            partition,
+            to_index: Mutex::default(),
+        });
+        let name = format!("espresso-node-{}-{db}-p{partition}", self.id.0);
+        let client = DatabusClient::new(&name, source.relay.clone(), Some(ends.clone()), ends)
+            .with_filter(filter)
+            .with_batch(usize::MAX);
+        let imaged = if term.predecessor == Some(self.id) {
+            client.set_checkpoint(term.start);
+            0
+        } else {
+            client.bootstrap()?
+        };
+        let applied = imaged + client.catch_up()?;
+        streams.insert(key, Stream { from, client });
         Ok(applied)
+    }
+
+    /// True when this node can catch `(db, partition)` up from `source`'s
+    /// relay alone, even with `source` down: it follows `source`'s current
+    /// term, or `source` took the partition over from it.
+    pub(crate) fn resumes(&self, db: &str, partition: u32, source: &StorageNode) -> bool {
+        let term = source.term(db, partition);
+        let streams = self.streams.lock();
+        let stream = streams.get(&(db.to_string(), partition));
+        term.predecessor == Some(self.id)
+            || stream.is_some_and(|stream| stream.from == (source.id, term.number))
+    }
+
+    /// Stops following `(db, partition)`.
+    pub(crate) fn drop_stream(&self, db: &str, partition: u32) {
+        self.streams.lock().remove(&(db.to_string(), partition));
+    }
+
+    /// Applies one replicated window in commit order and keeps the local
+    /// index, decoding only rows of the `to_index` tables.
+    fn apply_replicated(
+        &self,
+        window: &Window,
+        to_index: &HashSet<String>,
+    ) -> Result<(), EspressoError> {
+        self.store.apply_changes(&window.changes)?;
+        for change in &window.changes {
+            let Some((db, table)) = change.table.split_once('.') else {
+                continue;
+            };
+            match &change.op {
+                Op::Put(row) if to_index.contains(table) => {
+                    if let Ok(record) = self.decode_document(db, table, row) {
+                        self.index_record(db, table, &change.key, &record);
+                    }
+                }
+                Op::Put(_) => {}
+                Op::Delete => self.unindex(db, table, &change.key),
+            }
+        }
+        Ok(())
     }
 
     /// Number of documents stored for `(db, table)` (diagnostics).
     pub fn doc_count(&self, db: &str, table: &str) -> Result<usize, EspressoError> {
         Ok(self.store.row_count(&qualified(db, table))?)
+    }
+}
+
+/// The two ends of a slave partition's stream: as the consumer it applies
+/// windows to `target`; as the fall-back it serves `source`'s image, which
+/// replaces the partition on `target` rather than overlaying it. Weak, so
+/// two nodes following each other do not keep each other alive.
+struct StreamEnds {
+    target: Weak<StorageNode>,
+    source: Weak<StorageNode>,
+    db: String,
+    partition: u32,
+    /// The tables whose rows are decoded for the local index, derived once
+    /// per batch.
+    to_index: Mutex<HashSet<String>>,
+}
+
+fn upgrade(node: &Weak<StorageNode>) -> Result<Arc<StorageNode>, String> {
+    node.upgrade().ok_or_else(|| "storage node dropped".to_string())
+}
+
+impl ConsumerCallback for StreamEnds {
+    fn on_batch_start(&self) {
+        if let Some(target) = self.target.upgrade() {
+            *self.to_index.lock() = target.tables_to_index(&self.db);
+        }
+    }
+
+    fn on_snapshot_start(&self) -> Result<(), String> {
+        let target = upgrade(&self.target)?;
+        let mut local = target
+            .snapshot_partition(&self.db, self.partition)
+            .map_err(|e| e.to_string())?;
+        for change in &mut local.changes {
+            change.op = Op::Delete;
+        }
+        target
+            .apply_replicated(&local, &HashSet::new())
+            .map_err(|e| e.to_string())
+    }
+
+    fn on_window(&self, window: &Window) -> Result<(), String> {
+        upgrade(&self.target)?
+            .apply_replicated(window, &self.to_index.lock())
+            .map_err(|e| e.to_string())
+    }
+}
+
+impl Fallback for StreamEnds {
+    fn window(
+        &self,
+        _relay: &Relay,
+        _checkpoint: Scn,
+        _filter: &ServerFilter,
+    ) -> Result<FallbackWindow, DatabusError> {
+        let image = upgrade(&self.source)
+            .and_then(|source| {
+                source.snapshot_partition(&self.db, self.partition).map_err(|e| e.to_string())
+            })
+            .map_err(DatabusError::Fallback)?;
+        Ok(FallbackWindow { window: image, full_image: true })
     }
 }

@@ -266,6 +266,12 @@ impl From<li_sqlstore::DbError> for EspressoError {
     }
 }
 
+impl From<li_databus::DatabusError> for EspressoError {
+    fn from(e: li_databus::DatabusError) -> Self {
+        EspressoError::Replication(e.to_string())
+    }
+}
+
 impl From<li_helix::HelixError> for EspressoError {
     fn from(e: li_helix::HelixError) -> Self {
         EspressoError::Cluster(e.to_string())

@@ -59,11 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Replica 1: full read replica (serves read traffic near the edge).
     let replica = ReplicaConsumer::new("read-replica-1", &["member_profile", "salary"]);
-    let replica_client = DatabusClient::new(relay.clone(), Some(bootstrap.clone()), replica.clone());
+    let replica_client = DatabusClient::new("replica", relay.clone(), Some(bootstrap.clone()), replica.clone());
 
     // Replica 2: analytics replica behind a privacy transformation.
     let analytics = ReplicaConsumer::new("analytics", &["member_profile", "salary"]);
-    let analytics_client = DatabusClient::new(relay.clone(), Some(bootstrap.clone()), analytics.clone())
+    let analytics_client = DatabusClient::new("analytics", relay.clone(), Some(bootstrap.clone()), analytics.clone())
         .with_transformation(Transformation::new().with(TransformRule::RedactValues {
             table: "salary".into(),
         }));

@@ -33,8 +33,9 @@ impl ConsumerCallback for LateReplica {
         *self.rows_seen.lock() += window.changes.len();
         Ok(())
     }
-    fn on_snapshot_start(&self) {
+    fn on_snapshot_start(&self) -> Result<(), String> {
         *self.snapshots.lock() += 1;
+        Ok(())
     }
 }
 
@@ -76,6 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -- 5. A brand-new subscriber bootstraps from a snapshot ------------
     let replica = Arc::new(LateReplica::default());
     let late_client = DatabusClient::new(
+        "late-replica",
         platform.relay.clone(),
         Some(platform.bootstrap.clone()),
         replica.clone(),

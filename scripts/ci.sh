@@ -161,6 +161,17 @@ if git grep -nwE 'consolidated_delta|DeltaResult|SnapshotResult|BootstrapPipelin
   exit 1
 fi
 
+# One relay consumer: outside crates/databus no library code reads a relay
+# itself. Espresso's slave streams and people search are `DatabusClient`s
+# with their fall-back passed in, and the slave's private checkpoint map
+# and its readers stay gone. (The pathspec needs its trailing `/*`: git
+# matches a wildcard pathspec against whole paths.)
+relay_readers="$(git grep -l events_after_shared -- 'crates/*/src/*' | grep -v '^crates/databus/src/' || true)"
+if [ -n "$relay_readers" ] || git grep -nwE 'has_stream|sync_partition' -- crates; then
+  echo "ci.sh: a relay is read outside crates/databus (${relay_readers:-none}) or a slave checkpoint reader is back" >&2
+  exit 1
+fi
+
 # Keys and clocks held once: a row key keeps its parts behind one shared
 # allocation (every hop's clone is a refcount bump), and a vector clock is
 # a flat sorted array, not a tree node per stored version.

@@ -47,9 +47,10 @@ impl ConsumerCallback for Materializer {
         Ok(())
     }
 
-    fn on_snapshot_start(&self) {
+    fn on_snapshot_start(&self) -> Result<(), String> {
         // "All clients need to re-initialize their state."
         self.rows.lock().clear();
+        Ok(())
     }
 }
 
@@ -99,12 +100,14 @@ fn lagging_consumer_switchover_matches_always_connected_consumer() {
     let rig = rig();
     let reference = Arc::new(Materializer::default());
     let reference_client = DatabusClient::new(
+        "reference",
         rig.relay.clone(),
         Some(rig.bootstrap.clone()),
         reference.clone(),
     );
     let lagging = Arc::new(Materializer::default());
     let lagging_client = DatabusClient::new(
+        "lagging",
         rig.relay.clone(),
         Some(rig.bootstrap.clone()),
         lagging.clone(),
@@ -169,6 +172,7 @@ fn fresh_consumer_bootstraps_via_snapshot_then_goes_live() {
     let rig = rig();
     let reference = Arc::new(Materializer::default());
     let reference_client = DatabusClient::new(
+        "reference",
         rig.relay.clone(),
         Some(rig.bootstrap.clone()),
         reference.clone(),
@@ -186,6 +190,7 @@ fn fresh_consumer_bootstraps_via_snapshot_then_goes_live() {
     // live off the relay.
     let fresh = Arc::new(Materializer::default());
     let fresh_client = DatabusClient::new(
+        "fresh",
         rig.relay.clone(),
         Some(rig.bootstrap.clone()),
         fresh.clone(),

@@ -209,7 +209,7 @@ fn databus_transformation_feeds_a_sanitized_replica() {
     }
 
     let replica = Arc::new(Replica::default());
-    let client = DatabusClient::new(relay, None, replica.clone()).with_transformation(
+    let client = DatabusClient::new("sanitized-replica", relay, None, replica.clone()).with_transformation(
         Transformation::new()
             .with(TransformRule::RedactValues {
                 table: "salary".into(),

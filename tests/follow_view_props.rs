@@ -94,7 +94,7 @@ impl View {
             cluster.client("member-follows").unwrap(),
             cluster.client("company-followers").unwrap(),
         );
-        let client = DatabusClient::new(relay.clone(), Some(bootstrap.clone()), Arc::new(cacher));
+        let client = DatabusClient::new("follow-cacher", relay.clone(), Some(bootstrap.clone()), Arc::new(cacher));
         View {
             cluster,
             registry,

@@ -73,7 +73,7 @@ fn run_pipeline(registry: &Arc<MetricsRegistry>) -> (DatabusClient, Arc<KafkaClu
     let forwarder = Arc::new(KafkaForwarder {
         producer: Producer::new(kafka.clone()),
     });
-    let client = DatabusClient::new(relay, None, forwarder);
+    let client = DatabusClient::new("kafka-forwarder", relay, None, forwarder);
 
     let mut acked = 0;
     for i in 0..WRITES {

@@ -46,8 +46,9 @@ impl ConsumerCallback for ViewConsumer {
         Ok(())
     }
 
-    fn on_snapshot_start(&self) {
+    fn on_snapshot_start(&self) -> Result<(), String> {
         self.state.lock().clear();
+        Ok(())
     }
 }
 
@@ -79,7 +80,7 @@ fn multi_row_transactions_arrive_whole_and_ordered() {
         db.commit(txn).unwrap();
     }
     let consumer = Arc::new(ViewConsumer::default());
-    let client = DatabusClient::new(relay, None, consumer.clone());
+    let client = DatabusClient::new("view", relay, None, consumer.clone());
     client.catch_up().unwrap();
     assert!(
         consumer.window_sizes.lock().iter().all(|&n| n == 2),
@@ -104,7 +105,7 @@ fn partitioned_consumers_divide_the_stream_and_together_rebuild_it() {
     let mut union = HashMap::new();
     for id in 0..members {
         let consumer = Arc::new(ViewConsumer::default());
-        DatabusClient::new(relay.clone(), None, consumer.clone())
+        DatabusClient::new("partition", relay.clone(), None, consumer.clone())
             .with_filter(ServerFilter::for_partition(members, id))
             .catch_up()
             .unwrap();
@@ -140,7 +141,7 @@ fn derived_view_converges_to_primary_through_bootstrap() {
     assert!(relay.oldest_scn() > 1, "relay must have evicted history");
 
     let consumer = Arc::new(ViewConsumer::default());
-    let client = DatabusClient::new(relay.clone(), Some(bootstrap), consumer.clone());
+    let client = DatabusClient::new("bootstrapped", relay.clone(), Some(bootstrap), consumer.clone());
     client.catch_up().unwrap();
     assert_eq!(*consumer.state.lock(), primary_view(&db), "views converge");
 
@@ -159,7 +160,7 @@ fn at_least_once_redelivery_is_idempotent() {
         db.put_one("t", RowKey::single(format!("k{i}")), &b"v"[..], 1).unwrap();
     }
     let consumer = Arc::new(ViewConsumer::default());
-    let client = DatabusClient::new(relay, None, consumer.clone());
+    let client = DatabusClient::new("view", relay, None, consumer.clone());
     client.catch_up().unwrap();
     let before = consumer.state.lock().clone();
     // Simulate a crash before checkpoint persistence: rewind + reprocess.
@@ -186,7 +187,7 @@ proptest! {
         LogShippingAdapter::attach(&db, relay.clone());
         let bootstrap = Arc::new(BootstrapServer::new());
         let consumer = Arc::new(ViewConsumer::default());
-        let client = DatabusClient::new(relay.clone(), Some(bootstrap.clone()), consumer.clone());
+        let client = DatabusClient::new("converging", relay.clone(), Some(bootstrap.clone()), consumer.clone());
 
         for (i, (kind, key, val)) in ops.iter().enumerate() {
             let key = RowKey::single(format!("k{key}"));
@@ -245,7 +246,7 @@ proptest! {
 
         // Replay path: state at T + every window after T.
         let replay_consumer = Arc::new(ViewConsumer::default());
-        let replay_client = DatabusClient::new(relay.clone(), None, replay_consumer.clone());
+        let replay_client = DatabusClient::new("replay", relay.clone(), None, replay_consumer.clone());
         replay_client.catch_up().unwrap();
 
         // Delta path: state at T + consolidated delta since T.
@@ -253,7 +254,7 @@ proptest! {
         // Rebuild state at T from the relay.
         let at_t = Arc::new(ViewConsumer::default());
         {
-            let c = DatabusClient::new(relay.clone(), None, at_t.clone());
+            let c = DatabusClient::new("at-t", relay.clone(), None, at_t.clone());
             // consume windows up to scn_at_split only
             loop {
                 let before = c.checkpoint();
