@@ -247,6 +247,12 @@ impl DatabusClient {
         *self.checkpoint.lock()
     }
 
+    /// True while the relay still holds every window past the checkpoint,
+    /// so catching up needs no fall-back.
+    pub fn on_relay(&self) -> bool {
+        self.checkpoint() + 1 >= self.relay.oldest_scn()
+    }
+
     /// Rewinds (or fast-forwards) the checkpoint — e.g. to reprocess after
     /// an application bug fix.
     pub fn set_checkpoint(&self, scn: Scn) {

@@ -137,14 +137,9 @@ pub struct Relay {
     /// whose serving threads are stalled in GC. Consumers simply see no
     /// progress and fall behind (possibly off the buffer).
     paused: std::sync::atomic::AtomicBool,
-    /// Monotonic counters for the source-isolation experiment: how many
+    /// Monotonic counter for the source-isolation experiment: how many
     /// client reads the relay absorbed (that never touched the source DB).
     reads_served: AtomicU64,
-    windows_ingested: AtomicU64,
-    /// Reads answered while serving was paused: the signal that lets a
-    /// consumer (or an operator) tell "relay stalled" apart from "stream
-    /// idle" — both look like an empty response on the wire.
-    served_while_paused: AtomicU64,
     /// High-water-mark watch: published once per ingest batch with the
     /// newest buffered SCN, so dispatchers sleep on a change notification
     /// instead of polling `newest_scn()` in a loop.
@@ -186,8 +181,6 @@ impl Relay {
             buffer: Mutex::new(Buffer::default()),
             paused: std::sync::atomic::AtomicBool::new(false),
             reads_served: AtomicU64::new(0),
-            windows_ingested: AtomicU64::new(0),
-            served_while_paused: AtomicU64::new(0),
             scn_watch: li_commons::watch::channel(0).0,
             registry: Arc::clone(registry),
         }
@@ -269,7 +262,6 @@ impl Relay {
         self.metrics.newest_scn.set(newest as i64);
         drop(buffer);
         let n = windows.len();
-        self.windows_ingested.fetch_add(n as u64, Ordering::Relaxed);
         self.metrics.windows_in.add(n as u64);
         self.scn_watch.send(newest);
         Ok(n)
@@ -351,7 +343,6 @@ impl Relay {
         filter: &ServerFilter,
     ) -> Result<Vec<WindowView>, RelayError> {
         if self.is_paused() {
-            self.served_while_paused.fetch_add(1, Ordering::Relaxed);
             self.metrics.served_while_paused.inc();
             return Ok(Vec::new());
         }
@@ -427,14 +418,14 @@ impl Relay {
     /// Number of windows ingested from the source (the *only* per-source
     /// cost, independent of consumer count).
     pub fn windows_ingested(&self) -> u64 {
-        self.windows_ingested.load(Ordering::Relaxed)
+        self.metrics.windows_in.value()
     }
 
     /// Number of reads answered (with an empty result) while serving was
     /// paused. A growing value alongside growing client lag means the
     /// relay is stalled, not idle.
     pub fn served_while_paused(&self) -> u64 {
-        self.served_while_paused.load(Ordering::Relaxed)
+        self.metrics.served_while_paused.value()
     }
 
     /// Chaos pause hook: while paused the relay ingests but serves

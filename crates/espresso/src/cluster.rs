@@ -32,6 +32,9 @@ use crate::uri::ResourcePath;
 /// key, payload)` per document, input order preserved.
 type MasterBatch<K, T> = Vec<(usize, K, T)>;
 
+/// A partition's mastership term: its master and the term's number.
+type Term = (NodeId, u64);
+
 /// Relay buffer budget per storage node (bytes).
 const RELAY_BUFFER_BYTES: usize = 8 << 20;
 
@@ -69,6 +72,10 @@ pub struct EspressoCluster {
     /// plus JSON parse per request; the Helix controller pushes every
     /// rebalanced view into the watch.
     views: RwLock<HashMap<String, li_commons::watch::Receiver<Arc<li_helix::Assignment>>>>,
+    /// Each partition's current mastership term: one timeline per
+    /// partition that outlives every node. The number rises whenever the
+    /// master changes.
+    terms: Mutex<HashMap<(String, u32), Term>>,
     registry: Arc<MetricsRegistry>,
     metrics: EspressoMetrics,
 }
@@ -107,9 +114,14 @@ impl EspressoCluster {
             participants: Mutex::new(HashMap::new()),
             schemas: RwLock::new(HashMap::new()),
             views: RwLock::new(HashMap::new()),
+            terms: Mutex::new(HashMap::new()),
             metrics: EspressoMetrics::new(&registry),
             registry,
         });
+        let weak = Arc::downgrade(&cluster);
+        cluster.controller.set_election_test(Arc::new(move |db, partition, node| {
+            weak.upgrade().is_some_and(|cluster| cluster.electable(db, partition.0, node))
+        }));
         for i in 0..node_count {
             cluster.attach_node(NodeId(i))?;
         }
@@ -158,21 +170,15 @@ impl EspressoCluster {
             (ReplicaState::Slave, ReplicaState::Master) => {
                 // "The slave partition first consumes all outstanding
                 // changes to the partition from the Databus relay, and then
-                // becomes a master partition." A node that cannot resume
-                // the previous master's current term from its relay (one
-                // returning from a crash) takes its image first, if it is
-                // alive to serve it.
-                let prev_master = self.controller.external_view(db)?.master_of(t.partition);
-                let prev_master = prev_master.filter(|prev| *prev != node.id());
-                if let Some(prev) = prev_master {
-                    let prev = self.node(prev)?;
-                    if node.resumes(db, partition, &prev)
-                        || self.controller.live_nodes()?.contains(&prev.id())
-                    {
-                        node.follow(db, partition, &prev)?;
-                    }
+                // becomes a master partition." Helix elected this node only
+                // if it can (`electable`); a new master starts a new term.
+                let term = self.term(db, partition);
+                if term.map(|(master, _)| master) != Some(node.id()) {
+                    self.follow_term(node, db, partition)?;
+                    let number = term.map_or(1, |(_, number)| number + 1);
+                    self.terms.lock().insert((db.clone(), partition), (node.id(), number));
                 }
-                node.promote(db, partition, prev_master);
+                node.promote(db, partition);
                 Ok(())
             }
             (ReplicaState::Master, ReplicaState::Slave) => {
@@ -185,8 +191,8 @@ impl EspressoCluster {
                 node.drop_stream(db, partition);
                 Ok(())
             }
-            // Offline→Slave streams lazily in `pump_replication` (the
-            // source is only knowable once a master is published).
+            // Offline→Slave streams from the next `pump_replication`, which
+            // ends every cluster call that rebalances.
             _ => Ok(()),
         }
     }
@@ -201,13 +207,44 @@ impl EspressoCluster {
             node.create_database(handle.clone())?;
         }
         self.schemas.write().insert(name.clone(), handle);
-        let node_ids: Vec<NodeId> = {
-            let mut ids: Vec<NodeId> = self.nodes.read().keys().copied().collect();
-            ids.sort();
-            ids
-        };
+        let node_ids: Vec<NodeId> = self.relays().into_iter().map(|(id, _)| id).collect();
         self.controller.add_resource(config, &node_ids)?;
+        self.pump_replication()?;
         Ok(())
+    }
+
+    /// The current mastership term of `(db, partition)`, `(master,
+    /// number)`; `None` before its first master.
+    fn term(&self, db: &str, partition: u32) -> Option<Term> {
+        self.terms.lock().get(&(db.to_string(), partition)).copied()
+    }
+
+    /// Helix's election rule: a live `node` may master `(db, partition)`
+    /// only if it can drain all the term master committed — it masters the
+    /// term, its stream was opened on the term and has not fallen off the
+    /// master's relay (which outlives the master), or the term's master is
+    /// live to serve its image.
+    fn electable(&self, db: &str, partition: u32, node: NodeId) -> bool {
+        self.term(db, partition).is_none_or(|term @ (master, _)| {
+            master == node
+                || self.participants.lock().contains_key(&master)
+                || self.node(node).is_ok_and(|node| node.follows(db, partition, term))
+        })
+    }
+
+    /// Catches `node`'s copy of `(db, partition)` up through its stream
+    /// from the term master (`StorageNode::follow`), if the partition has
+    /// had a master. Returns windows applied.
+    pub(crate) fn follow_term(
+        &self,
+        node: &Arc<StorageNode>,
+        db: &str,
+        partition: u32,
+    ) -> Result<usize, EspressoError> {
+        let Some((master, number)) = self.term(db, partition) else {
+            return Ok(0);
+        };
+        node.follow(db, partition, &self.node(master)?, number)
     }
 
     /// The schema handle for `db`.
@@ -266,7 +303,7 @@ impl EspressoCluster {
     /// The latest external view for `db`, from the local watch cache —
     /// no coordination-service round trip on the request path. The first
     /// call per database subscribes to the controller's view watch.
-    fn cached_view(&self, db: &str) -> Result<Arc<li_helix::Assignment>, EspressoError> {
+    pub(crate) fn cached_view(&self, db: &str) -> Result<Arc<li_helix::Assignment>, EspressoError> {
         if let Some(rx) = self.views.read().get(db) {
             return Ok(rx.get());
         }
@@ -528,15 +565,11 @@ impl EspressoCluster {
             .map(|(name, handle)| (name.clone(), handle.read().num_partitions))
             .collect();
         for (db, num_partitions) in databases {
-            let view = self.controller.external_view(&db)?;
-            for partition in 0..num_partitions {
-                let pid = PartitionId(partition);
-                let Some(master) = view.master_of(pid) else {
-                    continue;
-                };
-                let master = self.node(master)?;
+            let view = self.cached_view(&db)?;
+            let partitions = (0..num_partitions).map(PartitionId);
+            for pid in partitions.filter(|pid| view.master_of(*pid).is_some()) {
                 for slave in view.slaves_of(pid) {
-                    applied += self.node(slave)?.follow(&db, partition, &master)?;
+                    applied += self.follow_term(&self.node(slave)?, &db, pid.0)?;
                 }
             }
         }
@@ -544,33 +577,30 @@ impl EspressoCluster {
     }
 
     /// Simulates a storage-node crash: its Helix session expires (ephemeral
-    /// liveness gone) and the controller fails over. The node's relay
-    /// stays up — the fault-tolerance property the paper relies on.
+    /// liveness gone), its store serves no image, the controller fails over
+    /// and a pump follows. The node's relay stays up — the fault-tolerance
+    /// property the paper relies on.
     pub fn crash_node(&self, id: NodeId) -> Result<(), EspressoError> {
-        let session = {
-            let participants = self.participants.lock();
-            participants
-                .get(&id)
-                .map(Participant::session_id)
-                .ok_or_else(|| EspressoError::Cluster(format!("{id} not joined")))?
-        };
-        self.zk.expire(session);
-        self.participants.lock().remove(&id);
+        let participant = self.participants.lock().remove(&id);
+        let participant =
+            participant.ok_or_else(|| EspressoError::Cluster(format!("{id} not joined")))?;
+        self.zk.expire(participant.session_id());
+        self.node(id)?.set_up(false);
         self.controller.rebalance_all()?;
         self.metrics.failovers.inc();
+        self.pump_replication()?;
         Ok(())
     }
 
-    /// Brings a crashed node back: rejoins the cluster and rebalances. Its
-    /// slave partitions resume their streams on the next replication pump,
-    /// or restart from an image where the source changed meanwhile.
+    /// Brings a crashed node back: rejoins the cluster, rebalances and
+    /// pumps. Its slave partitions resume their streams where the term is
+    /// unchanged, or restart from the term master's image.
     pub fn restart_node(&self, id: NodeId) -> Result<(), EspressoError> {
-        if !self.nodes.read().contains_key(&id) {
-            return Err(EspressoError::Cluster(format!("unknown node {id}")));
-        }
+        self.node(id)?.set_up(true);
         let participant = Participant::join(&self.zk, "espresso", id)?;
         self.participants.lock().insert(id, participant);
         self.controller.rebalance_all()?;
+        self.pump_replication()?;
         Ok(())
     }
 
@@ -582,20 +612,12 @@ impl EspressoCluster {
             return Err(EspressoError::Cluster(format!("{id} already exists")));
         }
         self.attach_node(id)?;
-        let node_ids: Vec<NodeId> = {
-            let mut ids: Vec<NodeId> = self.nodes.read().keys().copied().collect();
-            ids.sort();
-            ids
-        };
-        // Seed replicas before mastership can move: pump so the newcomer
-        // can bootstrap once the controller assigns it slave roles.
+        let node_ids: Vec<NodeId> = self.relays().into_iter().map(|(id, _)| id).collect();
+        // A newcomer elected master drains the term master's image first;
+        // the pump opens the streams of the newcomer's slave partitions.
         let databases: Vec<String> = self.schemas.read().keys().cloned().collect();
         for db in &databases {
             self.controller.expand_resource(db, &node_ids)?;
-            self.pump_replication()?;
-            // A second rebalance lets any mastership handoffs planned
-            // against now-bootstrapped slaves settle.
-            self.controller.rebalance(db)?;
             self.pump_replication()?;
         }
         Ok(())

@@ -26,8 +26,8 @@
 //! succeeds.
 //!
 //! A client that falls off its relay re-reads the whole table from each
-//! partition's master and resumes the relay at its newest SCN, read before
-//! the scan; the index is rebuilt from that image under the same rule.
+//! partition's master and continues on the relay from its newest SCN, read
+//! before the scan; the index is rebuilt from that image under the same rule.
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -155,7 +155,7 @@ impl Listener {
     /// Every row of the table, read from each partition's master.
     fn table_image(&self) -> Result<Vec<RowChange>, EspressoError> {
         let num_partitions = self.cluster.schema(&self.db)?.read().num_partitions;
-        let view = self.cluster.controller().external_view(&self.db)?;
+        let view = self.cluster.cached_view(&self.db)?;
         let table = format!("{}.{}", self.db, self.table);
         let mut changes = Vec::new();
         for partition in 0..num_partitions {
@@ -169,8 +169,8 @@ impl Listener {
 }
 
 /// A client that fell off its relay gets the whole table from each
-/// partition's master, and resumes at the relay's newest SCN read before
-/// the scan: what the relay holds past it is newer than the scan.
+/// partition's master, and continues from the relay's newest SCN read
+/// before the scan: what the relay holds past it is newer than the scan.
 impl Fallback for Listener {
     fn window(
         &self,

@@ -32,7 +32,7 @@ pub struct InvertedIndex {
     /// Field number -> the field's name and its token -> term number map.
     fields: Vec<(String, HashMap<Arc<str>, u32>)>,
     /// Term number -> the term and its posting.
-    terms: Slots<Term>,
+    terms: Slots<Posting>,
 }
 
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ struct Doc {
 }
 
 #[derive(Debug, Clone)]
-struct Term {
+struct Posting {
     field: u32,
     token: Arc<str>,
     /// Numbers of the documents whose field holds the token.
@@ -171,7 +171,7 @@ impl InvertedIndex {
             return term;
         }
         let token: Arc<str> = token.into();
-        let term = self.terms.insert(Term {
+        let term = self.terms.insert(Posting {
             field,
             token: token.clone(),
             docs: BTreeSet::new(),
@@ -189,7 +189,7 @@ impl InvertedIndex {
             let posting = &mut self.terms.get_mut(term).docs;
             posting.remove(&doc);
             if posting.is_empty() {
-                let Term { field, token, .. } = self.terms.remove(term);
+                let Posting { field, token, .. } = self.terms.remove(term);
                 self.fields[field as usize].1.remove(&token);
             }
         }

@@ -8,7 +8,7 @@
 //!
 //! 1. **Snapshot** — start the target's stream for the partition from the
 //!    current master (`StorageNode::follow`): the donor's image, taken
-//!    after reading the relay SCN the stream resumes at.
+//!    after reading the relay SCN the stream continues from.
 //! 2. **Delta catch-up** — catch that stream up from the donor's relay
 //!    until a round applies nothing.
 //! 3. **Dual-write** — a no-op switch here: every master commit already
@@ -60,15 +60,13 @@ impl std::fmt::Debug for EspressoPartitionMigration {
 }
 
 impl EspressoPartitionMigration {
-    fn endpoints(&self) -> Result<(Arc<StorageNode>, Arc<StorageNode>), EspressoError> {
-        Ok((self.cluster.node(self.source)?, self.cluster.node(self.to)?))
-    }
-
-    /// The target's stream for the partition from the donor, caught up.
-    /// Returns windows applied, the donor's image counting as one.
+    /// The target's stream for the partition from its master (the donor
+    /// while no failover moves it), caught up. Returns windows applied, the
+    /// master's image counting as one.
     fn follow(&self) -> Result<u64, String> {
-        let (src, dst) = self.endpoints().map_err(|e| e.to_string())?;
-        dst.follow(&self.db, self.partition, &src)
+        let dst = self.cluster.node(self.to).map_err(|e| e.to_string())?;
+        self.cluster
+            .follow_term(&dst, &self.db, self.partition)
             .map(|applied| applied as u64)
             .map_err(|e| e.to_string())
     }
@@ -90,8 +88,8 @@ impl EspressoPartitionMigration {
 
 impl MigrationDriver for EspressoPartitionMigration {
     fn snapshot(&self) -> Result<u64, String> {
-        // Idempotent: a retried step resumes the stream an earlier attempt
-        // started.
+        // Idempotent: a retried step continues the stream an earlier
+        // attempt started.
         self.follow()
     }
 
@@ -109,7 +107,8 @@ impl MigrationDriver for EspressoPartitionMigration {
 
     fn verify_round(&self) -> Result<VerifyReport, String> {
         self.follow()?;
-        let (src, dst) = self.endpoints().map_err(|e| e.to_string())?;
+        let node = |id| self.cluster.node(id).map_err(|e| e.to_string());
+        let (src, dst) = (node(self.source)?, node(self.to)?);
         let source_rows = self.partition_image(&src).map_err(|e| e.to_string())?;
         let target_rows = self.partition_image(&dst).map_err(|e| e.to_string())?;
         let mut compared = 0;
@@ -145,8 +144,11 @@ impl MigrationDriver for EspressoPartitionMigration {
                 self.source,
                 self.to,
             )
-            .map(|_| ())
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        // The other slaves' streams move to the new master's term now, not at
+        // a caller's first pump; a pump that fails here is retried by the next.
+        let _ = self.cluster.pump_replication();
+        Ok(())
     }
 
     fn abort(&self) {
@@ -353,6 +355,25 @@ mod tests {
             .get_document(DB, "Album", &RowKey::new([artists[0].as_str(), "d"]))
             .unwrap()
             .is_some());
+    }
+
+    #[test]
+    fn the_other_replica_follows_the_new_master_from_the_cutover() {
+        let cluster = cluster_with_db();
+        let (partition, artists) = same_partition_artists(&cluster, 1);
+        let key = RowKey::new([artists[0].as_str(), "x"]);
+        cluster.put(DB, "Album", key.clone(), &album(1999)).unwrap();
+        let view = cluster.controller().external_view(DB).unwrap();
+        let target = (0..3)
+            .map(NodeId)
+            .find(|&n| view.state_of(PartitionId(partition), n) == ReplicaState::Offline)
+            .unwrap();
+        cluster.migrate_partition(DB, partition, target).unwrap();
+        // No pump since the cutover: the other replica is electable only if
+        // its stream already follows the new master's term.
+        cluster.crash_node(target).unwrap();
+        let (record, _) = cluster.get(DB, "Album", &key).unwrap().expect("acked row lost");
+        assert_eq!(record.get("year"), Some(&Value::Long(1999)));
     }
 
     #[test]

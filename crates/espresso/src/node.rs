@@ -22,6 +22,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use li_commons::ring::NodeId;
@@ -51,31 +52,17 @@ pub struct StorageNode {
     indexes: Mutex<HashMap<String, InvertedIndex>>,
     /// (database, partition) pairs this node currently masters.
     mastered: RwLock<HashSet<(String, u32)>>,
-    /// The latest mastership term per (database, partition).
-    terms: Mutex<HashMap<(String, u32), Term>>,
     /// The replication stream of each slave partition.
     streams: Mutex<HashMap<(String, u32), Stream>>,
-}
-
-/// One term of a node's mastership of a partition. A follower tells the
-/// current term from an earlier one, whose relay lacks what another
-/// master wrote in between.
-#[derive(Debug, Clone, Copy, Default)]
-struct Term {
-    /// Counts the node's promotions for the partition; 0 before the first.
-    number: u64,
-    /// The node's relay SCN at promotion: every commit of the term is newer.
-    start: Scn,
-    /// The master the node took the partition over from. Its copy holds
-    /// all the node held at `start`, so it follows the term from `start`
-    /// without an image.
-    predecessor: Option<NodeId>,
+    /// False while the node is crashed: its relay serves on, its store
+    /// serves no image.
+    up: AtomicBool,
 }
 
 /// A slave partition's replication stream: one Databus client on its
 /// source's relay.
 struct Stream {
-    /// The source node and its term number when the stream started.
+    /// The term the stream was opened on: its source and the term's number.
     from: (NodeId, u64),
     client: DatabusClient,
 }
@@ -102,8 +89,8 @@ impl StorageNode {
             schemas: RwLock::new(HashMap::new()),
             indexes: Mutex::new(HashMap::new()),
             mastered: RwLock::new(HashSet::new()),
-            terms: Mutex::new(HashMap::new()),
             streams: Mutex::new(HashMap::new()),
+            up: AtomicBool::new(true),
         }
     }
 
@@ -146,32 +133,22 @@ impl StorageNode {
             .ok_or_else(|| EspressoError::UnknownDatabase(db.into()))
     }
 
-    /// Makes this node master of `(db, partition)`, taking it over from
-    /// `predecessor` — called by the Helix transition handler on
-    /// Slave→Master. A promotion starts a new term, and a master follows
-    /// no one: its stream goes.
-    pub(crate) fn promote(&self, db: &str, partition: u32, predecessor: Option<NodeId>) {
-        let key = (db.to_string(), partition);
+    /// Makes this node master of `(db, partition)` — called by the Helix
+    /// transition handler on Slave→Master. A master follows no one: its
+    /// stream goes.
+    pub(crate) fn promote(&self, db: &str, partition: u32) {
         self.drop_stream(db, partition);
-        let mut terms = self.terms.lock();
-        let term = terms.entry(key.clone()).or_default();
-        *term = Term {
-            number: term.number + 1,
-            start: self.store.last_scn(),
-            predecessor,
-        };
-        self.mastered.write().insert(key);
+        self.mastered.write().insert((db.to_string(), partition));
+    }
+
+    /// Marks the node crashed (`false`) or running again.
+    pub(crate) fn set_up(&self, up: bool) {
+        self.up.store(up, Ordering::Relaxed);
     }
 
     /// Ends this node's mastership of `(db, partition)` (Master→Slave).
     pub(crate) fn demote(&self, db: &str, partition: u32) {
         self.mastered.write().remove(&(db.to_string(), partition));
-    }
-
-    /// This node's latest mastership term for `(db, partition)`.
-    fn term(&self, db: &str, partition: u32) -> Term {
-        let terms = self.terms.lock();
-        terms.get(&(db.to_string(), partition)).copied().unwrap_or_default()
     }
 
     /// True when this node masters `(db, partition)`.
@@ -476,9 +453,13 @@ impl StorageNode {
     }
 
     /// Every row of `(db, partition)` across all tables, as one window of
-    /// puts whose `scn` is where a follower resumes this node's relay —
-    /// the full image a new stream starts from.
+    /// puts whose `scn` is where a follower continues on this node's relay —
+    /// the full image a new stream starts from. Fails while the node is
+    /// crashed.
     pub fn snapshot_partition(&self, db: &str, partition: u32) -> Result<Window, EspressoError> {
+        if !self.up.load(Ordering::Relaxed) {
+            return Err(EspressoError::Cluster(format!("{} is down", self.id)));
+        }
         let schema = self.schema(db)?;
         let schema = schema.read();
         // Read the SCN *before* copying: replaying (scn, now] over the copy
@@ -498,22 +479,21 @@ impl StorageNode {
         Ok(Window { source_db, scn, timestamp: 0, changes })
     }
 
-    /// Catches `(db, partition)` up from `source` through this node's one
-    /// stream for it ("we first bootstrap the new partition from a
-    /// snapshot taken from the original master partition, and then apply
-    /// any changes since the snapshot from the Databus Relay"). A stream
-    /// from another source, or from an earlier term of this one, is
-    /// dropped first; the new one starts from `source`'s image, or from its
-    /// term's start when `source` took the partition over from this node.
-    /// Returns windows applied, an image counting as one.
+    /// Catches `(db, partition)` up from `source`, master of the term
+    /// numbered `term`, through this node's one stream for it ("we first
+    /// bootstrap the new partition from a snapshot taken from the original
+    /// master partition, and then apply any changes since the snapshot
+    /// from the Databus Relay"). A stream opened on another term is
+    /// dropped first; the new one starts from `source`'s image. Returns
+    /// windows applied, an image counting as one.
     pub(crate) fn follow(
         self: &Arc<Self>,
         db: &str,
         partition: u32,
         source: &Arc<StorageNode>,
+        term: u64,
     ) -> Result<usize, EspressoError> {
-        let term = source.term(db, partition);
-        let from = (source.id, term.number);
+        let from = (source.id, term);
         let key = (db.to_string(), partition);
         let mut streams = self.streams.lock();
         if let Some(stream) = streams.get(&key).filter(|stream| stream.from == from) {
@@ -539,26 +519,18 @@ impl StorageNode {
         let client = DatabusClient::new(&name, source.relay.clone(), Some(ends.clone()), ends)
             .with_filter(filter)
             .with_batch(usize::MAX);
-        let imaged = if term.predecessor == Some(self.id) {
-            client.set_checkpoint(term.start);
-            0
-        } else {
-            client.bootstrap()?
-        };
-        let applied = imaged + client.catch_up()?;
+        let applied = client.bootstrap()? + client.catch_up()?;
         streams.insert(key, Stream { from, client });
         Ok(applied)
     }
 
-    /// True when this node can catch `(db, partition)` up from `source`'s
-    /// relay alone, even with `source` down: it follows `source`'s current
-    /// term, or `source` took the partition over from it.
-    pub(crate) fn resumes(&self, db: &str, partition: u32, source: &StorageNode) -> bool {
-        let term = source.term(db, partition);
+    /// True when this node's stream for `(db, partition)` was opened on
+    /// `term`, `(master, number)`, and the master's relay, which outlives
+    /// the master, still holds everything the stream has yet to apply.
+    pub(crate) fn follows(&self, db: &str, partition: u32, term: (NodeId, u64)) -> bool {
         let streams = self.streams.lock();
         let stream = streams.get(&(db.to_string(), partition));
-        term.predecessor == Some(self.id)
-            || stream.is_some_and(|stream| stream.from == (source.id, term.number))
+        stream.is_some_and(|stream| stream.from == term && stream.client.on_relay())
     }
 
     /// Stops following `(db, partition)`.

@@ -42,26 +42,25 @@ pub fn ideal_state(
 }
 
 /// Computes the BESTPOSSIBLESTATE: for each partition, the first *live*
-/// node in its preference list masters it and the following live nodes
-/// slave it. With every node live this equals the ideal assignment; with
-/// none live the partition is simply unassigned.
+/// node in its preference list that `electable` accepts masters it and the
+/// other live nodes slave it. With every node live and electable this
+/// equals the ideal assignment; with none electable the partition has no
+/// master, and with none live it is unassigned.
 pub fn best_possible_state(
     preference_lists: &[PartitionAssignment],
     live: &BTreeSet<NodeId>,
+    electable: impl Fn(PartitionId, NodeId) -> bool,
 ) -> Assignment {
     let mut assignment = Assignment::new();
     for (p, prefs) in preference_lists.iter().enumerate() {
         let partition = PartitionId(p as u32);
         let mut placed_master = false;
-        for &node in prefs {
-            if !live.contains(&node) {
-                continue;
-            }
-            let state = if placed_master {
-                ReplicaState::Slave
-            } else {
+        for &node in prefs.iter().filter(|node| live.contains(node)) {
+            let state = if !placed_master && electable(partition, node) {
                 placed_master = true;
                 ReplicaState::Master
+            } else {
+                ReplicaState::Slave
             };
             assignment.set_state(partition, node, state);
         }
@@ -196,7 +195,7 @@ mod tests {
     fn best_possible_equals_ideal_when_all_live() {
         let config = ResourceConfig::new("db", 8, 2);
         let (prefs, ideal) = ideal_state(&config, &nodes(4));
-        let best = best_possible_state(&prefs, &live(&[0, 1, 2, 3]));
+        let best = best_possible_state(&prefs, &live(&[0, 1, 2, 3]), |_, _| true);
         assert_eq!(best, ideal);
     }
 
@@ -210,16 +209,36 @@ mod tests {
             .find(|&p| ideal.master_of(p) == Some(NodeId(0)))
             .unwrap();
         let slave = ideal.slaves_of(p)[0];
-        let best = best_possible_state(&prefs, &live(&[1, 2, 3]));
+        let best = best_possible_state(&prefs, &live(&[1, 2, 3]), |_, _| true);
         assert_eq!(best.master_of(p), Some(slave));
         assert_eq!(best.state_of(p, NodeId(0)), ReplicaState::Offline);
+    }
+
+    #[test]
+    fn an_unelectable_first_preference_is_passed_over_for_the_next() {
+        let config = ResourceConfig::new("db", 1, 3);
+        let (prefs, _) = ideal_state(&config, &nodes(3));
+        let best = best_possible_state(&prefs, &live(&[0, 1, 2]), |_, node| node != NodeId(0));
+        let p = PartitionId(0);
+        assert_eq!(best.master_of(p), Some(NodeId(1)));
+        assert_eq!(best.slaves_of(p), vec![NodeId(0), NodeId(2)]);
+    }
+
+    #[test]
+    fn no_electable_node_means_no_master() {
+        let config = ResourceConfig::new("db", 1, 3);
+        let (prefs, _) = ideal_state(&config, &nodes(3));
+        let best = best_possible_state(&prefs, &live(&[1, 2]), |_, node| node == NodeId(0));
+        let p = PartitionId(0);
+        assert_eq!(best.master_of(p), None);
+        assert_eq!(best.slaves_of(p), vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn no_live_nodes_means_unassigned() {
         let config = ResourceConfig::new("db", 2, 2);
         let (prefs, _) = ideal_state(&config, &nodes(2));
-        let best = best_possible_state(&prefs, &BTreeSet::new());
+        let best = best_possible_state(&prefs, &BTreeSet::new(), |_, _| true);
         assert!(best.partitions.is_empty());
     }
 
@@ -227,7 +246,7 @@ mod tests {
     fn transitions_for_failover_demote_before_promote() {
         let config = ResourceConfig::new("db", 1, 2);
         let (prefs, ideal) = ideal_state(&config, &nodes(2));
-        let best = best_possible_state(&prefs, &live(&[1]));
+        let best = best_possible_state(&prefs, &live(&[1]), |_, _| true);
         let plan = compute_transitions("db", &ideal, &best);
         // Node 0 (dead master): Master->Slave then Slave->Offline.
         // Node 1: Slave->Master.
@@ -309,6 +328,7 @@ mod tests {
             node_count in 1u16..8,
             replicas in 1usize..4,
             dead in proptest::collection::btree_set(0u16..8, 0..8),
+            unelectable in proptest::collection::btree_set((0u32..16, 0u16..8), 0..32),
         ) {
             let config = ResourceConfig::new("db", num_partitions, replicas);
             let all = nodes(node_count);
@@ -318,7 +338,13 @@ mod tests {
                 .copied()
                 .filter(|n| !dead.contains(&n.0))
                 .collect();
-            let best = best_possible_state(&prefs, &live);
+            let electable = |p: PartitionId, n: NodeId| !unelectable.contains(&(p.0, n.0));
+            let best = best_possible_state(&prefs, &live, electable);
+            for (&p, states) in &best.partitions {
+                for (&n, &state) in states {
+                    prop_assert!(state != ReplicaState::Master || electable(p, n));
+                }
+            }
             let plan = compute_transitions("db", &ideal, &best);
             let reached = simulate(&plan, &ideal);
             prop_assert_eq!(reached, best);
@@ -337,12 +363,12 @@ mod tests {
             let (prefs, ideal) = ideal_state(&config, &all);
             let degraded_live: BTreeSet<NodeId> =
                 all.iter().copied().filter(|n| n.0 != dead).collect();
-            let degraded = best_possible_state(&prefs, &degraded_live);
+            let degraded = best_possible_state(&prefs, &degraded_live, |_, _| true);
             let down_plan = compute_transitions("db", &ideal, &degraded);
             let mid = simulate(&down_plan, &ideal);
             prop_assert_eq!(&mid, &degraded);
             let full_live: BTreeSet<NodeId> = all.iter().copied().collect();
-            let restored = best_possible_state(&prefs, &full_live);
+            let restored = best_possible_state(&prefs, &full_live, |_, _| true);
             let up_plan = compute_transitions("db", &degraded, &restored);
             let end = simulate(&up_plan, &degraded);
             prop_assert_eq!(end, restored);

@@ -21,7 +21,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use li_commons::metrics::{Counter, MetricsRegistry};
-use li_commons::ring::NodeId;
+use li_commons::ring::{NodeId, PartitionId};
 use li_commons::watch;
 use li_zk::{CreateMode, Session, SessionId, WatchEvent, ZooKeeper};
 
@@ -31,6 +31,10 @@ use crate::model::{Assignment, HelixError, PartitionAssignment, ResourceConfig, 
 /// Callback a participant registers to execute transition tasks. Returning
 /// `Err` tells the controller the replica is not in the target state.
 pub type TransitionHandler = Arc<dyn Fn(&Transition) -> Result<(), String> + Send + Sync>;
+
+/// The application's election rule: whether a live node may master a
+/// partition of a resource (see [`Controller::set_election_test`]).
+pub type ElectionTest = Arc<dyn Fn(&str, PartitionId, NodeId) -> bool + Send + Sync>;
 
 struct ResourceMeta {
     config: ResourceConfig,
@@ -119,6 +123,7 @@ pub struct Controller {
     session: Session,
     cluster: String,
     handlers: Mutex<HashMap<NodeId, TransitionHandler>>,
+    electable: Mutex<ElectionTest>,
     /// Per-resource external-view watch channels: each rebalance publishes
     /// the achieved view here as well as to the coordination service, so
     /// routers hold a locally cached copy instead of doing a ZK get + JSON
@@ -156,6 +161,7 @@ impl Controller {
             session,
             cluster: cluster.to_string(),
             handlers: Mutex::new(HashMap::new()),
+            electable: Mutex::new(Arc::new(|_, _, _| true)),
             view_watch: Mutex::new(HashMap::new()),
             registry: Arc::clone(registry),
             metrics: ControllerMetrics::new(registry, cluster),
@@ -172,6 +178,12 @@ impl Controller {
     /// call into the participant's state machine.
     pub fn register_handler(&self, node: NodeId, handler: TransitionHandler) {
         self.handlers.lock().insert(node, handler);
+    }
+
+    /// Sets the rule BESTPOSSIBLESTATE elects masters by (every live node
+    /// is electable until this is called).
+    pub fn set_election_test(&self, test: ElectionTest) {
+        *self.electable.lock() = test;
     }
 
     /// Adds a managed resource over `nodes` (its configured node set) and
@@ -219,7 +231,7 @@ impl Controller {
     pub fn preference_list(
         &self,
         resource: &str,
-        partition: li_commons::ring::PartitionId,
+        partition: PartitionId,
     ) -> Result<PartitionAssignment, HelixError> {
         let path = format!("/helix/{}/resources/{resource}", self.cluster);
         let (data, _) = self
@@ -245,7 +257,7 @@ impl Controller {
     pub fn retarget_partition(
         &self,
         resource: &str,
-        partition: li_commons::ring::PartitionId,
+        partition: PartitionId,
         from: NodeId,
         to: NodeId,
     ) -> Result<Vec<Transition>, HelixError> {
@@ -335,7 +347,10 @@ impl Controller {
         self.metrics.rebalances.inc();
         let live = self.live_nodes()?;
         let current = self.external_view(resource)?;
-        let target = best_possible_state(&meta.preference_lists, &live);
+        let electable = self.electable.lock().clone();
+        let target = best_possible_state(&meta.preference_lists, &live, |partition, node| {
+            electable(resource, partition, node)
+        });
         let plan = compute_transitions(resource, &current, &target);
 
         let mut achieved = current;
@@ -402,7 +417,6 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::model::ReplicaState;
-    use li_commons::ring::PartitionId;
     use parking_lot::Mutex as PMutex;
 
     fn nodes(n: u16) -> Vec<NodeId> {

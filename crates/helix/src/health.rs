@@ -165,7 +165,7 @@ mod tests {
     fn fully_up_cluster_is_healthy() {
         let config = ResourceConfig::new("db", 8, 2);
         let (prefs, _) = ideal_state(&config, &nodes(4));
-        let view = best_possible_state(&prefs, &live(&[0, 1, 2, 3]));
+        let view = best_possible_state(&prefs, &live(&[0, 1, 2, 3]), |_, _| true);
         let report = check_health(
             &SlaConfig::default(),
             &nodes(4),
@@ -182,7 +182,7 @@ mod tests {
     fn one_node_down_warns_under_replication() {
         let config = ResourceConfig::new("db", 8, 2);
         let (prefs, _) = ideal_state(&config, &nodes(4));
-        let view = best_possible_state(&prefs, &live(&[0, 1, 2]));
+        let view = best_possible_state(&prefs, &live(&[0, 1, 2]), |_, _| true);
         let report = check_health(
             &SlaConfig::default(),
             &nodes(4),
@@ -200,7 +200,7 @@ mod tests {
     fn majority_loss_is_critical() {
         let config = ResourceConfig::new("db", 4, 2);
         let (prefs, _) = ideal_state(&config, &nodes(4));
-        let view = best_possible_state(&prefs, &live(&[0]));
+        let view = best_possible_state(&prefs, &live(&[0]), |_, _| true);
         let report = check_health(&SlaConfig::default(), &nodes(4), &live(&[0]), 4, &view);
         assert!(report
             .alerts
@@ -213,7 +213,7 @@ mod tests {
     fn total_loss_flags_masterless_partitions() {
         let config = ResourceConfig::new("db", 4, 2);
         let (prefs, _) = ideal_state(&config, &nodes(2));
-        let view = best_possible_state(&prefs, &BTreeSet::new());
+        let view = best_possible_state(&prefs, &BTreeSet::new(), |_, _| true);
         let report = check_health(&SlaConfig::default(), &nodes(2), &BTreeSet::new(), 4, &view);
         assert_eq!(report.masterless.len(), 4);
         assert_eq!(report.mastered_partitions, 0);

@@ -62,7 +62,7 @@ pub mod model;
 pub use compute::{
     best_possible_state, compute_transitions, ideal_state, retarget_preference_lists,
 };
-pub use controller::{Controller, Participant, TransitionHandler};
+pub use controller::{Controller, ElectionTest, Participant, TransitionHandler};
 pub use health::{check_health, Alert, HealthReport, Severity, SlaConfig};
 pub use model::{
     Assignment, HelixError, PartitionAssignment, ReplicaState, ResourceConfig, Transition,

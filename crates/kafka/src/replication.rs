@@ -17,9 +17,10 @@
 //!   out-of-sync replica is never elected (no unclean leader election),
 //!   so a partition with no eligible replica goes offline until one
 //!   returns, and `AckMode::FullIsr` acknowledgements survive any crash
-//!   sequence the single-failure budget allows;
+//!   sequence with up to two of three replicas down;
 //! * a recovered broker whose log diverged (it led writes that were never
-//!   committed) is reset and re-replicated from the new leader.
+//!   committed) is reset and re-replicated from the leader before it
+//!   rejoins the ISR.
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -237,6 +238,8 @@ impl ReplicatedCluster {
         let brokers = self.cluster.brokers();
         let leader_log = brokers[replicas.leader as usize].log(topic, partition)?;
         let target = leader_log.visible_end();
+        let key = (topic.to_string(), partition);
+        let in_isr = |f: u16| self.isr.read().get(&key).is_some_and(|isr| isr.contains(&f));
         let mut copied = 0;
         let mut synced: Vec<u16> = vec![replicas.leader];
         for &f in &replicas.followers {
@@ -244,14 +247,22 @@ impl ReplicatedCluster {
                 continue;
             }
             let mut follower_log = brokers[f as usize].log(topic, partition)?;
-            let mut from = follower_log.log_end();
-            if from > leader_log.log_end() {
-                // Divergent follower (was a leader with an uncommitted
-                // tail): reset and re-replicate from scratch.
-                brokers[f as usize].reset_partition(topic, partition);
-                follower_log = brokers[f as usize].log(topic, partition)?;
-                from = 0;
+            // A follower outside the ISR may have diverged: a former leader
+            // with an uncommitted tail its successor overwrote, possibly
+            // with records of the same framed length. It is compared with
+            // the leader of this moment by byte-prefix fingerprint, not
+            // length, and reset on a mismatch. An ISR member only ever
+            // copied from its leaders, so it is a prefix and is not hashed.
+            if !in_isr(f) {
+                let end = follower_log.log_end();
+                if end > leader_log.log_end()
+                    || follower_log.prefix_fingerprint(end) != leader_log.prefix_fingerprint(end)
+                {
+                    brokers[f as usize].reset_partition(topic, partition);
+                    follower_log = brokers[f as usize].log(topic, partition)?;
+                }
             }
+            let from = follower_log.log_end();
             // Pull the leader's stored chunks and append them by
             // reference, in one call: the follower holds the leader's own
             // allocations, and logical offsets stay identical on every
@@ -270,7 +281,7 @@ impl ReplicatedCluster {
         // Replicas that reached the leader's visible end (re)join the ISR
         // — the only gate through which a recovered broker becomes
         // electable again.
-        if let Some(isr) = self.isr.write().get_mut(&(topic.to_string(), partition)) {
+        if let Some(isr) = self.isr.write().get_mut(&key) {
             isr.extend(synced);
         }
         Ok(copied)
@@ -394,43 +405,11 @@ impl ReplicatedCluster {
         Ok(elections)
     }
 
-    /// Brings a broker back; it rejoins as a follower everywhere. Any
-    /// partition whose local log has diverged from the current leader is
-    /// reset here so the next [`ReplicatedCluster::replicate`] recopies
-    /// it from scratch. Divergence is detected by byte-prefix
-    /// fingerprint, not length: a crashed leader can rejoin with an
-    /// uncommitted tail its successor overwrote with different records
-    /// of the *same* framed length, which a length-only check (and the
-    /// high watermark, which counts this replica again the moment it is
-    /// live) would silently accept.
+    /// Brings a broker back; it rejoins as a follower everywhere, outside
+    /// the ISR until a catch-up (which first resets a log that diverged
+    /// from the leader of that moment) brings it level with its leader.
     pub fn recover_broker(&self, broker: u16) {
         self.down.write().remove(&broker);
-        let down = self.down.read().clone();
-        let brokers = self.cluster.brokers();
-        for ((topic, partition), replicas) in self.assignments.read().iter() {
-            if replicas.leader == broker
-                || down.contains(&replicas.leader)
-                || !replicas.followers.contains(&broker)
-            {
-                continue;
-            }
-            let Ok(local) = brokers[broker as usize].log(topic, *partition) else {
-                continue;
-            };
-            let end = local.log_end();
-            if end == 0 {
-                continue;
-            }
-            let Ok(leader_log) = brokers[replicas.leader as usize].log(topic, *partition) else {
-                continue;
-            };
-            let overlap = end.min(leader_log.log_end());
-            if end > leader_log.log_end()
-                || local.prefix_fingerprint(overlap) != leader_log.prefix_fingerprint(overlap)
-            {
-                brokers[broker as usize].reset_partition(topic, *partition);
-            }
-        }
     }
 
     /// Chaos invariant checker: every *live* replica of the partition
@@ -667,6 +646,32 @@ mod tests {
         rc.replicate().unwrap();
         rc.verify_replica_identity("t", 0).unwrap();
         assert_eq!(payloads(&rc, 0), vec!["base", "BBBB"]);
+    }
+
+    #[test]
+    fn a_broker_recovered_while_its_leader_is_down_is_checked_before_rejoining() {
+        // Found by the Kafka walk with two brokers down: broker 0 returns
+        // with an uncommitted `a` while the partition is offline, so no
+        // leader is there to compare it with. Once the leader returns, a
+        // length-only catch-up let it back into the ISR with `a` where the
+        // committed log holds `b` (same framed length), and the next
+        // election made committed offset 0 read `a`.
+        let (_c, rc) = replicated();
+        produce(&rc, MessageSet::from_payloads(["a"])).unwrap();
+        rc.fail_broker(1).unwrap();
+        rc.fail_broker(0).unwrap();
+        assert_eq!(rc.leader_of("t", 0).unwrap(), 2);
+        produce(&rc, MessageSet::from_payloads(["b"])).unwrap();
+        assert_eq!(payloads(&rc, 0), vec!["b"]);
+        rc.recover_broker(1);
+        rc.fail_broker(2).unwrap();
+        assert_eq!(rc.leader_of("t", 0).unwrap(), 2, "broker 1 is stale: offline");
+        rc.recover_broker(0);
+        rc.recover_broker(2);
+        rc.replicate().unwrap();
+        assert_eq!(rc.isr_of("t", 0).unwrap(), vec![0, 1, 2]);
+        rc.fail_broker(2).unwrap();
+        assert_eq!(payloads(&rc, 0), vec!["b"]);
     }
 
     #[test]

@@ -188,7 +188,7 @@ fn helix_converges_back_to_ideal_after_churn() {
         (0..5).map(NodeId).collect(),
     ];
     for live in &phases {
-        let target = best_possible_state(&prefs, live);
+        let target = best_possible_state(&prefs, live, |_, _| true);
         let plan = compute_transitions("r", &current, &target);
         // Execute the plan (simulate handlers that always succeed).
         for step in plan {
