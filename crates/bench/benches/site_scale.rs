@@ -16,9 +16,9 @@
 //! * **population sweep** — fixed load, population swept from 2K members
 //!   toward a million, each point seeded by the *streaming* prepare
 //!   (the generator thread seeds Espresso's half while the loader loads
-//!   the primary's) with each thread's busy wall recorded —
-//!   `generate + espresso + load > wall` is the direct evidence the two
-//!   threads overlapped.
+//!   the primary's) with each thread's busy wall recorded and split into
+//!   its phases — `generate + espresso + load > wall` is the direct
+//!   evidence the two threads overlapped.
 //!
 //! Every load point re-runs the full SLO gate set of `li_bench::site`
 //! (per-tier p99, Databus/Kafka lag drained to zero, cross-tier write
@@ -241,14 +241,38 @@ fn prepare_overlap(stats: &PrepareStats) -> f64 {
 fn prepare_json(stats: &PrepareStats) -> String {
     format!(
         "{{ \"wall_s\": {:.3}, \"generate_wall_s\": {:.3}, \"espresso_wall_s\": {:.3}, \
-         \"load_wall_s\": {:.3}, \"overlap_s\": {:.3}, \"chunks\": {}, \"chunk_members\": {} }}",
+         \"espresso_seed_wall_s\": {:.3}, \"espresso_pump_wall_s\": {:.3}, \
+         \"load_wall_s\": {:.3}, \"chunk_load_wall_s\": {:.3}, \"follower_lists_wall_s\": {:.3}, \
+         \"pymk_publish_wall_s\": {:.3}, \"drain_wall_s\": {:.3}, \"overlap_s\": {:.3}, \
+         \"chunks\": {}, \"chunk_members\": {} }}",
         secs(stats.wall),
         secs(stats.generate_wall),
         secs(stats.espresso_wall),
+        secs(stats.espresso_seed_wall),
+        secs(stats.espresso_pump_wall),
         secs(stats.load_wall),
+        secs(stats.chunk_load_wall),
+        secs(stats.follower_lists_wall),
+        secs(stats.pymk_publish_wall),
+        secs(stats.drain_wall),
         prepare_overlap(stats),
         stats.chunks,
         stats.chunk_members
+    )
+}
+
+/// Each prepare thread's busy time split into its phases.
+fn prepare_phases(stats: &PrepareStats) -> String {
+    format!(
+        "site-gen: generate {:.2}s + Espresso seed {:.2}s + Espresso pumps {:.2}s; \
+         loader: chunk loads {:.2}s + follower lists {:.2}s + PYMK publish {:.2}s + drain {:.2}s",
+        secs(stats.generate_wall),
+        secs(stats.espresso_seed_wall),
+        secs(stats.espresso_pump_wall),
+        secs(stats.chunk_load_wall),
+        secs(stats.follower_lists_wall),
+        secs(stats.pymk_publish_wall),
+        secs(stats.drain_wall),
     )
 }
 
@@ -316,6 +340,7 @@ fn sweep_population() -> String {
             p99_ms(&report, "profile_read"),
             slo_ok
         );
+        println!("{:>10} {}", "", prepare_phases(&stats));
         if !slo_ok {
             for failure in report.gate_failures() {
                 println!("         gate {}: {}", failure.name, failure.detail);

@@ -18,7 +18,7 @@ use li_kafka::log::LogConfig;
 use li_kafka::mirror::{MirrorMaker, WarehouseLoader};
 use li_kafka::{KafkaCluster, Producer, SimpleConsumer};
 use li_sqlstore::{Database, DbError, Row, RowKey};
-use li_voldemort::readonly::{ReadOnlyBuilder, ReadOnlyStore, ScratchDir};
+use li_voldemort::readonly::{BuildJob, ReadOnlyBuilder, ReadOnlyStore, ScratchDir};
 use li_voldemort::{StoreClient, StoreDef, VoldemortCluster};
 use parking_lot::Mutex;
 
@@ -154,7 +154,7 @@ pub struct DataPlatform {
     company_followers: StoreClient,
     pymk: Mutex<Option<PymkTier>>,
     /// Read client of the PYMK store, held like the two above: set once
-    /// by the first [`Self::load_pymk`], read without the tier mutex.
+    /// by the first [`Self::start_pymk_build`], read without the tier mutex.
     pymk_client: OnceLock<StoreClient>,
 }
 
@@ -418,12 +418,11 @@ impl DataPlatform {
         Ok(())
     }
 
-    /// Loads (or refreshes) the PYMK read-only store from an offline
-    /// "Hadoop job run": build → pull (data before index) → atomic swap,
-    /// exactly the Figure II.3 cycle. `records` are `(key, value)` pairs
-    /// keyed like [`Self::pymk_recommendations`] expects. Returns the
-    /// swapped-in version.
-    pub fn load_pymk(&self, records: Vec<(Bytes, Bytes)>) -> Result<u64, PlatformError> {
+    /// Starts an offline PYMK "Hadoop job run" (Figure II.3): the caller
+    /// maps each `(key, value)` record into the returned job as it arrives
+    /// ([`BuildJob::map`], keys as [`Self::pymk_recommendations`] looks
+    /// them up), then [`Self::publish_pymk`] builds, pulls and swaps it.
+    pub fn start_pymk_build(&self) -> Result<BuildJob, PlatformError> {
         let mut tier = self.pymk.lock();
         if tier.is_none() {
             let hdfs = ScratchDir::new("platform-pymk-hdfs").map_err(wrap)?;
@@ -442,13 +441,20 @@ impl DataPlatform {
                 version: 0,
             });
         }
-        let tier = tier.as_mut().expect("pymk tier initialized above");
         let def = self.voldemort.store_def(PYMK_STORE).map_err(wrap)?;
+        Ok(ReadOnlyBuilder::new(self.voldemort.ring(), def.replication, 4).start())
+    }
+
+    /// Finishes a PYMK run begun by [`Self::start_pymk_build`]: reduce
+    /// (sort and write the files) → pull (data before index) → atomic
+    /// swap. Returns the swapped-in version.
+    pub fn publish_pymk(&self, job: BuildJob) -> Result<u64, PlatformError> {
+        let mut tier = self.pymk.lock();
+        let tier = tier
+            .as_mut()
+            .ok_or_else(|| PlatformError("no PYMK build was started".into()))?;
         let version = tier.version + 1;
-        let builder = ReadOnlyBuilder::new(self.voldemort.ring(), def.replication, 4);
-        let out = builder
-            .build(records, version, tier.hdfs.path())
-            .map_err(wrap)?;
+        let out = job.reduce(version, tier.hdfs.path()).map_err(wrap)?;
         for store in &tier.stores {
             store
                 .pull(&out.node_dir(store.node()), version)
@@ -774,29 +780,22 @@ mod tests {
     fn pymk_build_pull_swap_serves_lookups() {
         let platform = DataPlatform::new(3, 1).unwrap();
         assert_eq!(platform.pymk_recommendations(1).unwrap(), None);
-        let records: Vec<(bytes::Bytes, bytes::Bytes)> = (0..100u64)
-            .map(|m| {
-                (
-                    bytes::Bytes::from(member_row_key(m).to_string()),
-                    bytes::Bytes::from(format!("{}:0.9", (m + 1) % 100)),
-                )
-            })
-            .collect();
-        assert_eq!(platform.load_pymk(records).unwrap(), 1);
+        let run = |next: u64, score: &str| {
+            let mut job = platform.start_pymk_build().unwrap();
+            for m in 0..100u64 {
+                let value = format!("{}:{score}", (m + next) % 100);
+                job.map(member_key(m).as_bytes(), bytes::Bytes::from(value))
+                    .unwrap();
+            }
+            platform.publish_pymk(job).unwrap()
+        };
+        assert_eq!(run(1, "0.9"), 1);
         assert_eq!(
             platform.pymk_recommendations(7).unwrap(),
             Some(bytes::Bytes::from("8:0.9"))
         );
         // A second "job run" swaps in new scores atomically.
-        let rerun: Vec<(bytes::Bytes, bytes::Bytes)> = (0..100u64)
-            .map(|m| {
-                (
-                    bytes::Bytes::from(member_row_key(m).to_string()),
-                    bytes::Bytes::from(format!("{}:0.1", (m + 2) % 100)),
-                )
-            })
-            .collect();
-        assert_eq!(platform.load_pymk(rerun).unwrap(), 2);
+        assert_eq!(run(2, "0.1"), 2);
         assert_eq!(
             platform.pymk_recommendations(7).unwrap(),
             Some(bytes::Bytes::from("9:0.1"))

@@ -21,9 +21,10 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use li_voldemort::readonly::BuildJob;
 use li_workload::site::{split_seed, SiteChunk, SiteGraph, SiteGraphChunks, SiteGraphConfig};
 
-use crate::consumers::{company_row_key, encode_ids, member_row_key};
+use crate::consumers::{company_row_key, encode_ids, member_key, member_row_key};
 use crate::platform::{DataPlatform, PlatformConfig, PlatformError, ShardMode};
 
 /// What [`SiteBench::prepare`] builds, plus the load shape a generator
@@ -61,11 +62,19 @@ impl SiteBenchConfig {
     }
 }
 
-/// Wall-clock split of the prepare phase. Each of the three walls is one
-/// thread's busy time: the `site-gen` thread generates and then seeds
-/// Espresso, the calling thread loads the primary's half. The threads
-/// overlap, so `generate_wall + espresso_wall + load_wall` exceeding
-/// `wall` is the direct evidence of that overlap.
+/// Wall-clock split of the prepare phase. Each thread's busy time is
+/// measured around its work and split into phases timed inside it:
+///
+/// * `site-gen`: `generate_wall + espresso_wall`, split into
+///   `generate_wall`, `espresso_seed_wall` and `espresso_pump_wall`;
+/// * the loader (the calling thread): `load_wall`, split into
+///   `chunk_load_wall`, `follower_lists_wall`, `pymk_publish_wall` and
+///   `drain_wall`.
+///
+/// Neither thread's busy time counts its waits on the other (a full or an
+/// empty chunk channel, the join). The threads overlap, so
+/// `generate_wall + espresso_wall + load_wall` exceeding `wall` is the
+/// direct evidence of that overlap.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepareStats {
     /// End-to-end prepare wall clock.
@@ -76,9 +85,27 @@ pub struct PrepareStats {
     /// documents and pumping Espresso's streams (replication, people
     /// search).
     pub espresso_wall: Duration,
+    /// Of `espresso_wall`: writing the profile documents.
+    pub espresso_seed_wall: Duration,
+    /// Of `espresso_wall`: the pumps of Espresso's streams every
+    /// [`PUMP_EVERY_MEMBERS`] members (slave replication, people search).
+    pub espresso_pump_wall: Duration,
     /// Time the calling thread spent loading the primary's half (follow
-    /// commits, the final follower-list/PYMK flush, the stream drain).
+    /// commits, the final follower-list flush and PYMK build, the stream
+    /// drain).
     pub load_wall: Duration,
+    /// Of `load_wall`: the chunk loads (follow commits, the mid-load
+    /// pumps of the primary's streams, the PYMK build's map step).
+    pub chunk_load_wall: Duration,
+    /// Of `load_wall`: the tail follow commit and the company follower
+    /// lists, after the join.
+    pub follower_lists_wall: Duration,
+    /// Of `load_wall`: the PYMK build's start (the read-only store's
+    /// set-up, before the first chunk), then its reduce, the pull and the
+    /// swap.
+    pub pymk_publish_wall: Duration,
+    /// Of `load_wall`: the final drain of every stream.
+    pub drain_wall: Duration,
     /// Chunks the loader consumed.
     pub chunks: usize,
     /// Members per chunk.
@@ -120,16 +147,22 @@ const PUMP_EVERY_MEMBERS: usize = 4096;
 struct EspressoLoader<'a> {
     platform: &'a DataPlatform,
     members_since_pump: usize,
+    seed_wall: Duration,
+    pump_wall: Duration,
 }
 
 impl EspressoLoader<'_> {
     fn load_chunk(&mut self, chunk: &SiteChunk) -> Result<(), PlatformError> {
+        let started = Instant::now();
         self.platform
             .seed_profile_documents(chunk.rows().map(|(member, _, text, _)| (member, text)))?;
+        self.seed_wall += started.elapsed();
         self.members_since_pump += chunk.len();
         while self.members_since_pump >= PUMP_EVERY_MEMBERS {
             self.members_since_pump -= PUMP_EVERY_MEMBERS;
+            let started = Instant::now();
             self.platform.pump_espresso_streams()?;
+            self.pump_wall += started.elapsed();
         }
         Ok(())
     }
@@ -147,24 +180,29 @@ impl EspressoLoader<'_> {
 /// * every [`PUMP_EVERY_MEMBERS`] members, the primary's streams pump
 ///   (bootstrap, Voldemort recovery, follow cacher) — never Espresso's,
 ///   which the `site-gen` thread drives;
-/// * company inverted lists and PYMK records accumulate and flush in
-///   [`finish`](Self::finish) (the RO build is an offline job — it needs
-///   the full record set, like its Hadoop analog).
+/// * per member, the PYMK build's map step: the member's record is
+///   routed to its read-only partitions as it arrives, since mapping needs
+///   one record at a time;
+/// * company inverted lists accumulate and flush in
+///   [`finish_follows`](Self::finish_follows) after the join, and the PYMK
+///   build's reduce step runs then too
+///   ([`DataPlatform::publish_pymk`]): keeping the last record per key
+///   needs the full record set, like its Hadoop analog's reducers.
 struct PopulationLoader<'a> {
     platform: &'a DataPlatform,
     follows_buffer: Vec<(u64, Vec<u8>)>,
     follower_lists: Vec<Vec<u64>>,
-    pymk_records: Vec<(Bytes, Bytes)>,
+    pymk: BuildJob,
     members_since_pump: usize,
 }
 
 impl<'a> PopulationLoader<'a> {
-    fn new(platform: &'a DataPlatform, companies: u64) -> Self {
+    fn new(platform: &'a DataPlatform, companies: u64, pymk: BuildJob) -> Self {
         PopulationLoader {
             platform,
             follows_buffer: Vec::with_capacity(SEED_BATCH),
             follower_lists: vec![Vec::new(); companies as usize],
-            pymk_records: Vec::new(),
+            pymk,
             members_since_pump: 0,
         }
     }
@@ -197,10 +235,9 @@ impl<'a> PopulationLoader<'a> {
             for &company in follows {
                 self.follower_lists[company as usize].push(member);
             }
-            self.pymk_records.push((
-                Bytes::from(member_row_key(member).to_string()),
-                Bytes::from(pymk.to_bytes()),
-            ));
+            self.pymk
+                .map(member_key(member).as_bytes(), Bytes::from(pymk.to_bytes()))
+                .map_err(|e| PlatformError(e.to_string()))?;
             self.members_since_pump += 1;
             if self.members_since_pump >= PUMP_EVERY_MEMBERS {
                 self.platform.pump_primary_streams()?;
@@ -210,9 +247,9 @@ impl<'a> PopulationLoader<'a> {
         Ok(())
     }
 
-    /// Flushes the tail follow buffer, bulk-loads the company inverted
-    /// lists, and runs the PYMK build → pull → swap.
-    fn finish(mut self) -> Result<(), PlatformError> {
+    /// Flushes the tail follow buffer and bulk-loads the company inverted
+    /// lists.
+    fn finish_follows(&mut self) -> Result<(), PlatformError> {
         self.flush_follows()?;
         let followed: Vec<(usize, &Vec<u64>)> = self
             .follower_lists
@@ -231,7 +268,6 @@ impl<'a> PopulationLoader<'a> {
                 .commit(txn)
                 .map_err(|e| PlatformError(e.to_string()))?;
         }
-        self.platform.load_pymk(std::mem::take(&mut self.pymk_records))?;
         Ok(())
     }
 }
@@ -243,7 +279,8 @@ impl SiteBench {
     /// documents into Espresso (where people search follows them) and
     /// only then sends it through a bounded channel to this thread, which
     /// loads the primary's half: the follow graph as bulk-load
-    /// transactions, PYMK accumulating toward the RO build. Generation
+    /// transactions, each PYMK record mapped into the RO build as it
+    /// arrives. Generation
     /// and the Espresso seed overlap the primary's load instead of
     /// forming a serial wall; when the platform runs sharded, push-style
     /// Databus dispatch additionally drains the seeded follow stream into
@@ -268,6 +305,8 @@ impl SiteBench {
         };
         let platform = Arc::new(platform);
         let prepare_start = Instant::now();
+        let pymk = platform.start_pymk_build()?;
+        let pymk_start_wall = prepare_start.elapsed();
         // The push dispatcher drains the seeded follow stream into the
         // Voldemort caches while later chunks still load. It earns its
         // thread: set-up ran 13–24% slower without it (EXPERIMENTS.md,
@@ -281,37 +320,42 @@ impl SiteBench {
         let espresso_platform = Arc::clone(&platform);
         let generator = std::thread::Builder::new()
             .name("site-gen".into())
-            .spawn(move || -> Result<(Duration, Duration), PlatformError> {
+            // Returns the `site-gen` half of the stats.
+            .spawn(move || -> Result<PrepareStats, PlatformError> {
                 let mut espresso = EspressoLoader {
                     platform: &espresso_platform,
                     members_since_pump: 0,
+                    seed_wall: Duration::ZERO,
+                    pump_wall: Duration::ZERO,
                 };
-                let (mut generate_wall, mut espresso_wall) = (Duration::ZERO, Duration::ZERO);
+                let mut walls = PrepareStats::default();
                 let mut chunks = SiteGraphChunks::new(&graph_config, chunk_members);
                 loop {
                     let started = Instant::now();
                     let Some(chunk) = chunks.next() else { break };
-                    generate_wall += started.elapsed();
+                    walls.generate_wall += started.elapsed();
                     let started = Instant::now();
                     // On error, returning drops the sender: the loader's
                     // receive loop ends and the join reports this error.
                     espresso.load_chunk(&chunk)?;
-                    espresso_wall += started.elapsed();
+                    walls.espresso_wall += started.elapsed();
                     if chunk_tx.send(chunk).is_err() {
                         break; // loader bailed; unwind quietly
                     }
                 }
-                Ok((generate_wall, espresso_wall))
+                walls.espresso_seed_wall = espresso.seed_wall;
+                walls.espresso_pump_wall = espresso.pump_wall;
+                Ok(walls)
             })
             .map_err(|e| PlatformError(format!("spawn population generator: {e}")))?;
-        let mut loader = PopulationLoader::new(&platform, config.graph.companies);
+        let mut loader = PopulationLoader::new(&platform, config.graph.companies, pymk);
         let mut collected: Vec<SiteChunk> = Vec::new();
-        let mut load_wall = Duration::ZERO;
+        let mut chunk_load_wall = Duration::ZERO;
         let load_result: Result<(), PlatformError> = (|| {
             for chunk in &chunk_rx {
                 let started = Instant::now();
                 loader.load_chunk(&chunk)?;
-                load_wall += started.elapsed();
+                chunk_load_wall += started.elapsed();
                 collected.push(chunk);
             }
             Ok(())
@@ -322,9 +366,14 @@ impl SiteBench {
             .join()
             .map_err(|_| PlatformError("population generator panicked".into()))?;
         load_result?;
-        let (generate_wall, espresso_wall) = generated?;
+        let site_gen = generated?;
+        let finish_started = Instant::now();
+        loader.finish_follows()?;
+        let follower_lists_wall = finish_started.elapsed();
         let started = Instant::now();
-        loader.finish()?;
+        platform.publish_pymk(loader.pymk)?;
+        let pymk_publish_wall = pymk_start_wall + started.elapsed();
+        let started = Instant::now();
         if let Some(dispatcher) = dispatcher {
             let stats = dispatcher.stop();
             if stats.errors > 0 {
@@ -337,16 +386,20 @@ impl SiteBench {
         // Fan the seeded state out before the clock starts: every stream,
         // Espresso's included, drains here.
         platform.pump_streams()?;
-        load_wall += started.elapsed();
+        let drain_wall = started.elapsed();
+        let load_wall = pymk_start_wall + chunk_load_wall + finish_started.elapsed();
         let chunks = collected.len();
         let graph = Arc::new(SiteGraph::from_chunks(&config.graph, collected));
         let prepare_stats = PrepareStats {
             wall: prepare_start.elapsed(),
-            generate_wall,
-            espresso_wall,
             load_wall,
+            chunk_load_wall,
+            follower_lists_wall,
+            pymk_publish_wall,
+            drain_wall,
             chunks,
             chunk_members,
+            ..site_gen
         };
 
         Ok(SiteBench {
@@ -412,6 +465,36 @@ mod tests {
             let newest = snapshot.gauge("databus.relay.primary.newest_scn");
             assert!(newest.is_some_and(|scn| scn > 0));
             assert_eq!(newest, snapshot.gauge("sqlstore.db.primary.last_scn"));
+        }
+    }
+
+    /// Each prepare thread's phases add up to its busy time within 10%:
+    /// `site-gen`'s generation, Espresso seed and Espresso pumps to
+    /// `generate_wall + espresso_wall`, the loader's chunk loads, follower
+    /// lists, PYMK publish and final drain to `load_wall`.
+    #[test]
+    fn prepare_phases_sum_to_each_threads_busy_time() {
+        let mut config = SiteBenchConfig::smoke(2_000, 1, 0, 31);
+        config.chunk_members = 256;
+        let stats = SiteBench::prepare(config).unwrap().prepare_stats();
+        let site_gen = (
+            stats.generate_wall + stats.espresso_wall,
+            stats.generate_wall + stats.espresso_seed_wall + stats.espresso_pump_wall,
+        );
+        let loader = (
+            stats.load_wall,
+            stats.chunk_load_wall
+                + stats.follower_lists_wall
+                + stats.pymk_publish_wall
+                + stats.drain_wall,
+        );
+        for (thread, (wall, phases)) in [("site-gen", site_gen), ("loader", loader)] {
+            let (wall, phases) = (wall.as_secs_f64(), phases.as_secs_f64());
+            assert!(wall > 0.0, "{thread}: no busy time");
+            assert!(
+                (phases - wall).abs() <= 0.1 * wall,
+                "{thread}: phases sum to {phases:.4} s, busy time {wall:.4} s"
+            );
         }
     }
 

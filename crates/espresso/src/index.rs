@@ -11,6 +11,7 @@
 
 use li_commons::schema::Value;
 use li_sqlstore::RowKey;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -96,23 +97,31 @@ impl<T> Slots<T> {
     }
 }
 
-/// Lowercases and splits on non-alphanumerics — free-text tokenization for
-/// the paper's `lyrics:"Lucy in the sky"` example.
-fn tokenize(text: &str) -> Vec<String> {
+/// Splits on non-alphanumerics and lowercases — free-text tokenization
+/// for the paper's `lyrics:"Lucy in the sky"` example, the one tokenizer
+/// of both indexing and queries. A token already in lower-case ASCII is
+/// borrowed from `text`; only another token is lowercased into a `String`.
+fn tokenize(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
-        .map(str::to_lowercase)
-        .collect()
+        .map(|t| {
+            if t.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()) {
+                Cow::Borrowed(t)
+            } else {
+                Cow::Owned(t.to_lowercase())
+            }
+        })
 }
 
-fn tokens_for(value: &Value) -> Vec<String> {
+/// Calls `each` with every token of `value`.
+fn for_each_token<'v>(value: &'v Value, each: &mut impl FnMut(Cow<'v, str>)) {
     match value {
-        Value::Str(s) => tokenize(s),
-        Value::Long(v) => vec![v.to_string()],
-        Value::Double(v) => vec![v.to_string()],
-        Value::Bool(b) => vec![b.to_string()],
-        Value::Array(items) => items.iter().flat_map(tokens_for).collect(),
-        Value::Bytes(_) | Value::Null => Vec::new(),
+        Value::Str(s) => tokenize(s).for_each(each),
+        Value::Long(v) => each(Cow::Owned(v.to_string())),
+        Value::Double(v) => each(Cow::Owned(v.to_string())),
+        Value::Bool(b) => each(Cow::Owned(b.to_string())),
+        Value::Array(items) => items.iter().for_each(|item| for_each_token(item, each)),
+        Value::Bytes(_) | Value::Null => {}
     }
 }
 
@@ -132,9 +141,7 @@ impl InvertedIndex {
         let mut terms = Vec::new();
         for (field, value) in fields {
             let field = self.field_number(field);
-            for token in tokens_for(value) {
-                terms.push(self.term_number(field, token));
-            }
+            for_each_token(value, &mut |token| terms.push(self.term_number(field, &token)));
         }
         if terms.is_empty() {
             return;
@@ -165,9 +172,9 @@ impl InvertedIndex {
 
     /// The number of the term (`field`, `token`), which is numbered (with
     /// an empty posting) on first sight.
-    fn term_number(&mut self, field: u32, token: String) -> u32 {
+    fn term_number(&mut self, field: u32, token: &str) -> u32 {
         let by_token = &mut self.fields[field as usize].1;
-        if let Some(&term) = by_token.get(token.as_str()) {
+        if let Some(&term) = by_token.get(token) {
             return term;
         }
         let token: Arc<str> = token.into();
@@ -204,7 +211,7 @@ impl InvertedIndex {
         };
         let mut postings = Vec::new();
         for token in tokenize(term) {
-            match by_token.get(token.as_str()) {
+            match by_token.get(&*token) {
                 Some(&term) => postings.push(&self.terms.get(term).docs),
                 None => return Vec::new(),
             }
@@ -349,6 +356,58 @@ mod tests {
         assert_eq!(index.query("text", "common even rare", None), tens);
         assert_eq!(index.query("text", "rare common even", None), tens);
         assert_eq!(index.query("text", "even common", None).len(), 50);
+    }
+
+    /// The one tokenizer, borrowing lower-case ASCII tokens, against a
+    /// reference that lowercases every token with `str::to_lowercase`:
+    /// the same tokens, and so the same query answers, for mixed-case
+    /// ASCII, non-ASCII letters whose lowercase differs in length or
+    /// spelling, digits and punctuation.
+    #[test]
+    fn the_tokenizer_matches_lowercasing_every_token() {
+        fn reference(text: &str) -> Vec<String> {
+            text.split(|c: char| !c.is_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .map(str::to_lowercase)
+                .collect()
+        }
+        let texts = [
+            "Lucy in the SKY with Diamonds",
+            "ÉCOLE école Ecole",
+            "Straße STRASSE strasse",
+            "İstanbul istanbul ISTANBUL",
+            "route66 R2D2, c-3po; x86_64 (v1.2)",
+            "ΣΊΣΥΦΟΣ ΣΟΦΌΣ",
+            "   ...!!! ",
+            "naïve café déjà-vu ÆSIR",
+        ];
+        let mut index = InvertedIndex::new();
+        for (i, text) in texts.iter().enumerate() {
+            let tokens: Vec<String> = tokenize(text).map(Cow::into_owned).collect();
+            assert_eq!(tokens, reference(text), "{text:?}");
+            let value = Value::Str(text.to_string());
+            index.index_document(&RowKey::single(i.to_string()), [("text", &value)]);
+        }
+        // Every word of every text, in its own case and as typed above
+        // upper-cased, finds exactly the texts the reference's tokens say.
+        let words = texts
+            .iter()
+            .flat_map(|text| text.split_whitespace())
+            .flat_map(|word| [word.to_string(), word.to_uppercase()]);
+        for word in words {
+            let query = reference(&word);
+            let mut expected: Vec<RowKey> = texts
+                .iter()
+                .enumerate()
+                .filter(|(_, text)| {
+                    let tokens = reference(text);
+                    !query.is_empty() && query.iter().all(|t| tokens.contains(t))
+                })
+                .map(|(i, _)| RowKey::single(i.to_string()))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(index.query("text", &word, None), expected, "{word:?}");
+        }
     }
 
     #[test]

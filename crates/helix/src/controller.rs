@@ -334,7 +334,9 @@ impl Controller {
 
     /// Recomputes BESTPOSSIBLESTATE for `resource`, executes the transition
     /// plan, and publishes the achieved external view. Returns the
-    /// transitions that were successfully executed.
+    /// transitions that were successfully executed. A failed transition
+    /// stops the plan: the view then publishes the steps executed before
+    /// it, so it never lags the nodes, and the failure is returned.
     pub fn rebalance(&self, resource: &str) -> Result<Vec<Transition>, HelixError> {
         let meta_path = format!("/helix/{}/resources/{resource}", self.cluster);
         let (data, _) = self
@@ -355,6 +357,7 @@ impl Controller {
 
         let mut achieved = current;
         let mut executed = Vec::with_capacity(plan.len());
+        let mut failed = None;
         let handlers = self.handlers.lock().clone();
         for step in plan {
             let outcome = match handlers.get(&step.node) {
@@ -372,7 +375,8 @@ impl Controller {
                 Err(msg) => {
                     // Leave the replica where it was; the next rebalance
                     // will retry. Surface the failure to the caller.
-                    return Err(HelixError::TransitionFailed(format!("{step}: {msg}")));
+                    failed = Some(HelixError::TransitionFailed(format!("{step}: {msg}")));
+                    break;
                 }
             }
         }
@@ -390,7 +394,10 @@ impl Controller {
         if let Some(sender) = self.view_watch.lock().get(resource) {
             sender.send(Arc::new(achieved));
         }
-        Ok(executed)
+        match failed {
+            Some(error) => Err(error),
+            None => Ok(executed),
+        }
     }
 
     /// Rebalances every managed resource (the controller's reaction to a
@@ -582,6 +589,46 @@ mod tests {
         // Nothing published as mastered.
         let view = controller.external_view("db").unwrap();
         assert_eq!(view.master_of(PartitionId(0)), None);
+    }
+
+    #[test]
+    fn a_failed_transition_still_publishes_the_steps_executed_before_it() {
+        let (zk, controller, parts, _log) = cluster_with(3);
+        controller
+            .add_resource(ResourceConfig::new("db", 6, 2), &nodes(3))
+            .unwrap();
+        let rx = controller.watch_external_view("db").unwrap();
+        let before = controller.external_view("db").unwrap();
+        // Node 1 refuses every step from now on.
+        controller.register_handler(
+            NodeId(1),
+            Arc::new(|_t: &Transition| Err("disk full".into())),
+        );
+        let executed = Arc::new(PMutex::new(Vec::new()));
+        for node in [NodeId(0), NodeId(2)] {
+            controller.register_handler(node, recording_handler(executed.clone()));
+        }
+        // Node 0 crashes: each partition it mastered promotes a slave,
+        // and node 1's promotions fail.
+        zk.expire(parts[0].session_id());
+        let err = controller.rebalance("db").unwrap_err();
+        assert!(matches!(err, HelixError::TransitionFailed(_)), "{err}");
+
+        // The plan drops the dead node's replicas (phases 0 and 1) before
+        // any live node steps, so the published view is the old one with
+        // node 0 gone and node 2's executed steps applied; node 1 keeps
+        // its old states.
+        let mut expected = before.clone();
+        for p in (0..6).map(PartitionId) {
+            expected.set_state(p, NodeId(0), ReplicaState::Offline);
+        }
+        for step in executed.lock().iter() {
+            expected.set_state(step.partition, step.node, step.to);
+        }
+        let view = controller.external_view("db").unwrap();
+        assert_eq!(view, expected);
+        assert_ne!(view, before);
+        assert_eq!(*rx.get(), view, "the watch-cached view lags the published one");
     }
 
     #[test]

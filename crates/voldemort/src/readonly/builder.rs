@@ -19,8 +19,9 @@ use std::path::{Path, PathBuf};
 use super::format;
 use crate::error::VoldemortError;
 
-/// One reducer work item: a partition and its digest-sorted entries.
-type PartitionWork = (PartitionId, Vec<(Digest, Bytes)>);
+/// One mapped record: its key's digest, its place in the input (a later
+/// record of the same key wins) and its value.
+type Mapped = (Digest, u64, Bytes);
 
 /// Result manifest of a build: where the files are and what they contain.
 #[derive(Debug, Clone)]
@@ -61,9 +62,21 @@ impl ReadOnlyBuilder {
         }
     }
 
-    /// Runs the build: partitions `records`, sorts each partition by MD5
-    /// in reducer threads, and writes per-node index/data files under
-    /// `out_dir/version-<version>/node-<id>/`.
+    /// Starts a build whose records arrive one by one
+    /// ([`BuildJob::map`]); [`BuildJob::reduce`] writes it.
+    pub fn start(&self) -> BuildJob {
+        let partitions = self.ring.num_partitions() as usize;
+        BuildJob {
+            builder: self.clone(),
+            partitions: (0..partitions).map(|_| Vec::new()).collect(),
+            routes: vec![None; partitions],
+            mapped: 0,
+        }
+    }
+
+    /// Runs the build: maps every record to its replica partitions, then
+    /// sorts each partition by MD5 in reducer threads and writes per-node
+    /// index/data files under `out_dir/version-<version>/node-<id>/`.
     ///
     /// Later duplicates of a key win, matching "most of the scores change
     /// between runs" semantics where the job output is the truth.
@@ -73,89 +86,105 @@ impl ReadOnlyBuilder {
         version: u64,
         out_dir: &Path,
     ) -> Result<BuildOutput, VoldemortError> {
-        // Map phase: route each record to the replica partitions (and thus
-        // destination nodes) that must store it.
-        // (partition -> key digest -> (sequence, value)) with last-wins.
-        let mut partitions: BTreeMap<PartitionId, BTreeMap<Digest, (usize, Bytes)>> =
-            BTreeMap::new();
-        for (seq, (key, value)) in records.into_iter().enumerate() {
-            let digest = md5(&key);
-            let master = self.ring.master_partition(&key);
-            let replicas = self
-                .ring
-                .replica_partitions(master, self.replication)
-                .map_err(|e| VoldemortError::ReadOnly(e.to_string()))?;
-            for partition in replicas {
-                let slot = partitions.entry(partition).or_default();
-                match slot.get(&digest) {
-                    Some(&(existing_seq, _)) if existing_seq > seq => {}
-                    _ => {
-                        slot.insert(digest, (seq, value.clone()));
-                    }
-                }
-            }
+        let mut job = self.start();
+        for (key, value) in records {
+            job.map(&key, value)?;
         }
+        job.reduce(version, out_dir)
+    }
+}
 
-        // Reduce phase: sort (BTreeMap is already digest-sorted) and write
-        // files, parallelized across reducer threads by partition.
+/// A build between its two steps: the records mapped so far, routed to
+/// the partitions that store them. Mapping needs one record at a time, so
+/// it runs as the input arrives; only the reduce needs the full set.
+#[derive(Debug)]
+pub struct BuildJob {
+    builder: ReadOnlyBuilder,
+    /// Partition number -> the records routed to it, in input order.
+    partitions: Vec<Vec<Mapped>>,
+    /// Master partition number -> its replica partitions, routed once.
+    routes: Vec<Option<Vec<PartitionId>>>,
+    mapped: u64,
+}
+
+impl BuildJob {
+    /// Map step: routes one record to the replica partitions (and thus
+    /// destination nodes) that must store it. A later record of the same
+    /// key replaces this one in the output.
+    pub fn map(&mut self, key: &[u8], value: Bytes) -> Result<(), VoldemortError> {
+        let ring = &self.builder.ring;
+        let master = ring.master_partition(key);
+        let route = match &mut self.routes[master.0 as usize] {
+            Some(route) => route,
+            slot => slot.insert(
+                ring.replica_partitions(master, self.builder.replication)
+                    .map_err(|e| VoldemortError::ReadOnly(e.to_string()))?,
+            ),
+        };
+        let (digest, seq) = (md5(key), self.mapped);
+        self.mapped += 1;
+        for partition in route.iter() {
+            self.partitions[partition.0 as usize].push((digest, seq, value.clone()));
+        }
+        Ok(())
+    }
+
+    /// Reduce step: each reducer thread sorts its partitions by digest,
+    /// keeps the last record of each key and writes the partition's files
+    /// under `out_dir/version-<version>/node-<id>/`. A partition no record
+    /// reached gets no files.
+    pub fn reduce(self, version: u64, out_dir: &Path) -> Result<BuildOutput, VoldemortError> {
         let version_dir = out_dir.join(format!("version-{version}"));
         fs::create_dir_all(&version_dir)?;
 
-        let work: Vec<PartitionWork> = partitions
-            .into_iter()
-            .map(|(p, slot)| {
-                (
-                    p,
-                    slot.into_iter().map(|(d, (_, v))| (d, v)).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let replica_records: usize = work.iter().map(|(_, entries)| entries.len()).sum();
+        let ring = &self.builder.ring;
+        let reducers = self.builder.reducers;
+        let mut node_partitions: BTreeMap<NodeId, Vec<PartitionId>> = BTreeMap::new();
+        let mut chunks: Vec<Vec<(PartitionId, Vec<Mapped>)>> =
+            (0..reducers).map(|_| Vec::new()).collect();
+        let routed = self.partitions.into_iter().enumerate();
+        for (i, (partition, records)) in routed.filter(|(_, r)| !r.is_empty()).enumerate() {
+            let partition = PartitionId(partition as u32);
+            node_partitions
+                .entry(ring.owner_of(partition))
+                .or_default()
+                .push(partition);
+            chunks[i % reducers].push((partition, records));
+        }
 
-        let chunks: Vec<Vec<PartitionWork>> = {
-            let mut chunks: Vec<Vec<_>> = (0..self.reducers).map(|_| Vec::new()).collect();
-            for (i, item) in work.into_iter().enumerate() {
-                chunks[i % self.reducers].push(item);
-            }
-            chunks
-        };
-
-        let ring = &self.ring;
         let dir = &version_dir;
-        std::thread::scope(|scope| -> Result<(), VoldemortError> {
-            let mut handles = Vec::new();
-            for chunk in &chunks {
-                handles.push(scope.spawn(move || -> Result<(), VoldemortError> {
-                    for (partition, entries) in chunk {
-                        let (index, data) = format::write_partition(entries);
-                        let owner = ring.owner_of(*partition);
-                        let node_dir = dir.join(format!("node-{}", owner.0));
-                        fs::create_dir_all(&node_dir)?;
-                        fs::write(node_dir.join(format!("{}.data", partition.0)), &data)?;
-                        fs::write(node_dir.join(format!("{}.index", partition.0)), &index)?;
-                    }
-                    Ok(())
-                }));
-            }
+        let replica_records = std::thread::scope(|scope| -> Result<usize, VoldemortError> {
+            let handles: Vec<_> = chunks
+                .into_iter()
+                .map(|chunk| {
+                    scope.spawn(move || -> Result<usize, VoldemortError> {
+                        let mut written = 0;
+                        for (partition, mut records) in chunk {
+                            // Digest order, the latest record of a key first;
+                            // the dedup then keeps it.
+                            records.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+                            records.dedup_by_key(|record| record.0);
+                            let entries: Vec<(Digest, Bytes)> =
+                                records.into_iter().map(|(d, _, v)| (d, v)).collect();
+                            written += entries.len();
+                            let (index, data) = format::write_partition(&entries);
+                            let owner = ring.owner_of(partition);
+                            let node_dir = dir.join(format!("node-{}", owner.0));
+                            fs::create_dir_all(&node_dir)?;
+                            fs::write(node_dir.join(format!("{}.data", partition.0)), &data)?;
+                            fs::write(node_dir.join(format!("{}.index", partition.0)), &index)?;
+                        }
+                        Ok(written)
+                    })
+                })
+                .collect();
+            let mut written = 0;
             for handle in handles {
-                handle.join().expect("reducer thread panicked")?;
+                written += handle.join().expect("reducer thread panicked")?;
             }
-            Ok(())
+            Ok(written)
         })?;
 
-        // Manifest.
-        let mut node_partitions: BTreeMap<NodeId, Vec<PartitionId>> = BTreeMap::new();
-        for chunk in &chunks {
-            for (partition, _) in chunk {
-                node_partitions
-                    .entry(ring.owner_of(*partition))
-                    .or_default()
-                    .push(*partition);
-            }
-        }
-        for parts in node_partitions.values_mut() {
-            parts.sort();
-        }
         Ok(BuildOutput {
             dir: version_dir,
             version,
@@ -240,6 +269,65 @@ mod tests {
                     assert!(w[0][..16] < w[1][..16], "unsorted index {path:?}");
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The two-step build against a last-wins map per partition, each
+        /// written with `format::write_partition`: byte-identical files,
+        /// none missing and none extra, and the same manifest.
+        #[test]
+        fn build_matches_a_last_wins_model(
+            records in proptest::collection::vec((0u16..40, 0u32..1000), 0..200),
+            replication in 1usize..3,
+            reducers in 1usize..5,
+        ) {
+            let ring = HashRing::balanced(8, &nodes(3)).unwrap();
+            let input: Vec<(Bytes, Bytes)> = records
+                .iter()
+                .map(|(k, v)| (Bytes::from(format!("key:{k}")), Bytes::from(format!("value:{v}"))))
+                .collect();
+            let mut model: BTreeMap<PartitionId, BTreeMap<Digest, Bytes>> = BTreeMap::new();
+            for (key, value) in &input {
+                let master = ring.master_partition(key);
+                for partition in ring.replica_partitions(master, replication).unwrap() {
+                    model.entry(partition).or_default().insert(md5(key), value.clone());
+                }
+            }
+
+            let scratch = ScratchDir::new("model").unwrap();
+            let builder = ReadOnlyBuilder::new(ring.clone(), replication, reducers);
+            let out = builder.build(input, 1, scratch.path()).unwrap();
+
+            let mut expected = BTreeMap::new();
+            let mut expected_partitions: BTreeMap<NodeId, Vec<PartitionId>> = BTreeMap::new();
+            for (partition, entries) in &model {
+                let entries: Vec<(Digest, Bytes)> =
+                    entries.iter().map(|(d, v)| (*d, v.clone())).collect();
+                let (index, data) = format::write_partition(&entries);
+                let owner = ring.owner_of(*partition);
+                expected_partitions.entry(owner).or_default().push(*partition);
+                let dir = out.node_dir(owner);
+                expected.insert(dir.join(format!("{}.index", partition.0)), index);
+                expected.insert(dir.join(format!("{}.data", partition.0)), data);
+            }
+            let mut written = BTreeMap::new();
+            for node in nodes(3) {
+                let Ok(entries) = std::fs::read_dir(out.node_dir(node)) else {
+                    continue;
+                };
+                for entry in entries {
+                    let path = entry.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    written.insert(path, bytes);
+                }
+            }
+            proptest::prop_assert_eq!(written, expected);
+            proptest::prop_assert_eq!(out.node_partitions, expected_partitions);
+            proptest::prop_assert_eq!(
+                out.replica_records,
+                model.values().map(BTreeMap::len).sum::<usize>()
+            );
         }
     }
 

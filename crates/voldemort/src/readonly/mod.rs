@@ -8,9 +8,11 @@
 //!
 //! The three phases:
 //!
-//! * **Build** ([`builder`]) — partition and sort the job output into
-//!   per-destination-node index + data files. "An index file is a compact
-//!   list of sorted MD5 of key and offset to data into the data file."
+//! * **Build** ([`builder`]) — a map step routes each record of the job
+//!   output to its replica partitions as it arrives; a reduce step sorts
+//!   each partition in reducer threads and writes per-destination-node
+//!   index + data files. "An index file is a compact list of sorted MD5 of
+//!   key and offset to data into the data file."
 //! * **Pull** ([`store::ReadOnlyStore::pull`]) — each node fetches its
 //!   files into a new versioned directory, data files before
 //!   index files ("pulling the index files after all the data files to
@@ -26,7 +28,7 @@ pub mod builder;
 pub mod format;
 pub mod store;
 
-pub use builder::{BuildOutput, ReadOnlyBuilder};
+pub use builder::{BuildJob, BuildOutput, ReadOnlyBuilder};
 pub use store::{ReadOnlyEngine, ReadOnlyStore, StoreEvent};
 
 use std::path::PathBuf;

@@ -126,8 +126,7 @@ impl ReadOnlyStore {
 
         for src in data_files.iter().chain(index_files.iter()) {
             let name = src.file_name().expect("file has name");
-            let bytes = fs::read(src)?;
-            fs::write(version_dir.join(name), &bytes)?;
+            fs::copy(src, version_dir.join(name))?;
             #[cfg(test)]
             self.pull_log.lock().push(src.clone());
         }

