@@ -490,17 +490,25 @@ impl ChaosScheduler {
 /// runs 20); otherwise `default_count` seeds. Seeds are `1..=k` — the
 /// diversity comes from the splitmix64 seeding inside `StdRng`.
 pub fn sweep_seeds(default_count: u64) -> Vec<u64> {
-    if let Ok(s) = std::env::var("CHAOS_SEED") {
-        if let Ok(seed) = s.trim().parse::<u64>() {
-            return vec![seed];
-        }
+    match (seed_var("CHAOS_SEED"), seed_var("CHAOS_SEEDS")) {
+        (Some(seed), _) => vec![seed],
+        (None, count) => (1..=count.unwrap_or(default_count).max(1)).collect(),
     }
-    let count = std::env::var("CHAOS_SEEDS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(default_count)
-        .max(1);
-    (1..=count).collect()
+}
+
+/// The seed setting `name` from the environment, `None` when unset.
+pub fn seed_var(name: &str) -> Option<u64> {
+    let value = std::env::var_os(name)?;
+    Some(parse_seed(name, &value.to_string_lossy()))
+}
+
+/// A value that is not a `u64` panics with the setting's name and value:
+/// a mistyped repro line must fail, not quietly run another sweep.
+fn parse_seed(name: &str, value: &str) -> u64 {
+    value
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("{name}={value:?} is not a seed (a u64)"))
 }
 
 #[cfg(test)]
@@ -632,6 +640,17 @@ mod tests {
         // Not set in the test environment: default count applies.
         if std::env::var("CHAOS_SEED").is_err() && std::env::var("CHAOS_SEEDS").is_err() {
             assert_eq!(sweep_seeds(3), vec![1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn seed_settings_parse_or_name_the_bad_value() {
+        assert_eq!(parse_seed("CHAOS_SEED", "42"), 42);
+        assert_eq!(parse_seed("WALK_SEEDS", " 7\n"), 7);
+        for bad in ["abc", "", "-1", "4.2"] {
+            let panic = std::panic::catch_unwind(|| parse_seed("CHAOS_SEED", bad)).unwrap_err();
+            let message = panic.downcast_ref::<String>().unwrap();
+            assert_eq!(*message, format!("CHAOS_SEED={bad:?} is not a seed (a u64)"));
         }
     }
 }

@@ -112,6 +112,17 @@ if grep -nE 'SiteHooks|LogShippingAdapter|CompanyFollowCacher::new' tests/chaos.
   exit 1
 fi
 
+# One model per contract: the Espresso key timeline and the Kafka log
+# model live in tests/contracts/, shared by the chaos scenarios and the
+# replication walks, and each chaos-only gate is one function in
+# tests/chaos.rs. Neither suite writes its own copy of a gate closure or
+# of a model again.
+if grep -nE 'let (durability|readable|single_master|commit_order|contiguity|replica_identity|hints_drained) = \|\|' tests/chaos.rs tests/replication_walks.rs \
+  || git grep -nE 'struct (KeyModel|LogModel)\b' -- tests ':!tests/contracts'; then
+  echo "ci.sh: a copied chaos gate closure or a private KeyModel/LogModel is back (matches above)" >&2
+  exit 1
+fi
+
 # One quorum read and one acked-write capture: the second read path, its
 # node-side multi-get, the uncalled per-target hint drain, the mirrored
 # put/delete capture hooks and the hand-rolled pool-init counter stay gone.

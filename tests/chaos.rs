@@ -10,15 +10,27 @@
 //! byte (asserted by `same_seed_yields_byte_identical_traces` below, and
 //! exercised end-to-end by the planted-violation test).
 //!
+//! Each contract has one checker: the Espresso key timeline and the Kafka
+//! log model live in `tests/contracts/`, shared with the random walks of
+//! `tests/replication_walks.rs`, and each gate only chaos runs is one
+//! function below, called by every scenario that checks it. A scenario's
+//! own closures check only what is its alone.
+//!
 //! Default sweep is 5 seeds per scenario; CI widens it with
-//! `CHAOS_SEEDS=20` and a repro pins one with `CHAOS_SEED=<n>`.
+//! `CHAOS_SEEDS=20`, a repro pins one with `CHAOS_SEED=<n>`, and
+//! `CHAOS_TRACE_DIR=<dir>` writes each sweep run's trace to
+//! `<dir>/<scenario>-<seed>.trace`.
+
+mod contracts;
 
 use bytes::Bytes;
+use contracts::{KeyModel, LogModel};
 use li_bench::site::recorded_platform;
 use li_commons::chaos::{sweep_seeds, ChaosConfig, ChaosFailure, ChaosScheduler, NetworkOnlyHooks};
 use li_commons::clock::VectorClock;
 use li_commons::failure::FailureDetectorConfig;
-use li_commons::migrate::{MigrationConfig, MigrationCoordinator, MigrationPhase};
+use li_commons::metrics::MetricsRegistry;
+use li_commons::migrate::{MigrationConfig, MigrationCoordinator, MigrationDriver, MigrationPhase};
 use li_commons::ring::{HashRing, NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
 use li_commons::sim::SimClock;
@@ -27,17 +39,356 @@ use li_kafka::audit::AuditReconciler;
 use li_kafka::log::LogConfig;
 use li_kafka::mirror::MirrorMaker;
 use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use li_sqlstore::{Database, RowKey};
 use li_voldemort::{QuorumConfig, ReadFanOut, StoreClient, StoreDef, VoldemortCluster};
 use li_workload::{SiteMix, SiteOp, SiteWorkload};
 use linkedin_data_infra::consumers::{company_row_key, member_row_key, union_ids};
 use linkedin_data_infra::platform::ACTIVITY_TOPIC;
 use linkedin_data_infra::{DataPlatform, ShardMode, SiteBench, SiteBenchConfig};
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A scheduler of crash/restart faults only, delivered through the hooks,
+/// over `nodes` with at most `max_down` of them down at once.
+fn hooks_only(seed: u64, nodes: Vec<NodeId>, max_down: usize) -> ChaosScheduler {
+    let config = ChaosConfig {
+        max_down,
+        ..ChaosConfig::hooks_only()
+    };
+    ChaosScheduler::new(seed, nodes, config)
+}
+
+// ---------------------------------------------------------------------
+// Voldemort: the shared harness and gates.
+// ---------------------------------------------------------------------
+
+/// A write the client saw acked: key, value and the write's clock.
+type Acked = (String, Bytes, VectorClock);
+
+/// A Voldemort cluster on the scheduler's network and clock, with one
+/// store, `s`, at N=3, R=2, W=2.
+fn quorum_store(sched: &ChaosScheduler, ring: HashRing) -> Arc<VoldemortCluster> {
+    let cluster =
+        VoldemortCluster::with_parts(ring, sched.network(), Arc::new(sched.clock())).unwrap();
+    cluster
+        .add_store(StoreDef::read_write("s").with_quorum(3, 2, 2))
+        .unwrap();
+    cluster
+}
+
+/// Writes `value` to `key` the way an application retries:
+/// `apply_update` re-reads at quorum and re-writes with a dominating
+/// clock, so a success is W acks of the *current* write. Between attempts,
+/// virtual time passes, the async recovery path (failure probes) runs and
+/// the schedule steps. Returns the write if it was acked.
+fn put_retrying(
+    sched: &mut ChaosScheduler,
+    cluster: &VoldemortCluster,
+    client: &StoreClient,
+    (key, value): (String, Bytes),
+    attempts: usize,
+) -> Option<Acked> {
+    for _attempt in 0..attempts {
+        match client.apply_update(key.as_bytes(), 5, &|_| Some(value.clone())) {
+            Ok(write_clock) => return Some((key, value, write_clock)),
+            Err(_) => {
+                sched.clock().advance(Duration::from_secs(6));
+                cluster.run_failure_probes();
+                sched.step(cluster);
+            }
+        }
+    }
+    None
+}
+
+/// Twenty-four acked writes before any fault, so a migration's snapshot
+/// phase has an image to copy.
+fn preload(client: &StoreClient) -> Vec<Acked> {
+    (0..24u32)
+        .map(|i| {
+            let (key, value) = (format!("k{i}"), Bytes::from(format!("seed-{i}")));
+            let write_clock = client
+                .apply_update(key.as_bytes(), 5, &|_| Some(value.clone()))
+                .unwrap();
+            (key, value, write_clock)
+        })
+        .collect()
+}
+
+/// Drains the recovery machinery after a heal: up to 40 rounds of six
+/// virtual seconds, each probing banned nodes and replaying hints, until no
+/// hint is pending and, with `until_unbanned`, no node is banned.
+fn drain_recovery(sched: &ChaosScheduler, cluster: &VoldemortCluster, until_unbanned: bool) {
+    for _ in 0..40 {
+        sched.clock().advance(Duration::from_secs(6));
+        cluster.run_failure_probes();
+        cluster.deliver_hints();
+        if cluster.pending_hints() == 0
+            && (!until_unbanned || cluster.detector().banned_nodes().is_empty())
+        {
+            break;
+        }
+    }
+}
+
+/// quorum-durability: every acked write reads back non-empty, dominated by
+/// a surviving version's clock, and with its own bytes at an equal clock.
+fn acked_not_lost(client: &StoreClient, acked: &[Acked]) -> Result<(), String> {
+    for (key, value, write_clock) in acked {
+        let siblings = client
+            .get(key.as_bytes())
+            .map_err(|e| format!("read of acked `{key}` failed: {e}"))?;
+        if siblings.is_empty() {
+            return Err(format!("acked key `{key}` unreadable (write lost)"));
+        }
+        if !siblings.iter().any(|v| v.clock.descends_from(write_clock)) {
+            return Err(format!(
+                "acked write to `{key}` not covered by any surviving version"
+            ));
+        }
+        if siblings
+            .iter()
+            .any(|v| v.clock == *write_clock && v.value != *value)
+        {
+            return Err(format!("acked key `{key}` returned wrong bytes"));
+        }
+    }
+    Ok(())
+}
+
+/// hints-drained: no hint is still pending.
+fn hints_drained(cluster: &VoldemortCluster) -> Result<(), String> {
+    match cluster.pending_hints() {
+        0 => Ok(()),
+        n => Err(format!("{n} hints still pending after recovery")),
+    }
+}
+
+/// Every preference-list owner of each acked key holds a version that
+/// descends from the acked clock — with `only`, just that node, for the
+/// keys it owns.
+fn owners_hold(
+    cluster: &VoldemortCluster,
+    acked: &[Acked],
+    only: Option<NodeId>,
+) -> Result<(), String> {
+    for (key, _, write_clock) in acked {
+        let prefs = cluster
+            .ring()
+            .preference_list(key.as_bytes(), 3)
+            .map_err(|e| e.to_string())?;
+        for owner in prefs.into_iter().filter(|o| only.is_none_or(|n| n == *o)) {
+            let held = cluster
+                .node(owner)
+                .map_err(|e| e.to_string())?
+                .get("s", key.as_bytes())
+                .map_err(|e| format!("owner {owner} read of `{key}`: {e}"))?;
+            if !held.iter().any(|v| v.clock.descends_from(write_clock)) {
+                return Err(format!("owner {owner} of `{key}` misses the acked write"));
+            }
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Online migration: the shared harness and gate.
+// ---------------------------------------------------------------------
+
+/// The phased coordinator with a generous verify budget: divergence while
+/// an endpoint crash-loops or is cut off is lag, not corruption — refusal
+/// is reserved for real divergence (see the planted shadow-mismatch test
+/// in the voldemort crate).
+fn migration_coordinator(metrics: &Arc<MetricsRegistry>) -> MigrationCoordinator {
+    let config = MigrationConfig {
+        verify_retries: 10_000,
+        ..MigrationConfig::default()
+    };
+    MigrationCoordinator::new(metrics, config)
+}
+
+/// Steps an unfinished migration once and notes a phase change. A phase
+/// that a crashed or cut-off endpoint fails is retried at the next op.
+fn step_migration(
+    sched: &mut ChaosScheduler,
+    coordinator: &MigrationCoordinator,
+    driver: &dyn MigrationDriver,
+    phase: &mut MigrationPhase,
+    i: u64,
+) {
+    if coordinator.phase() == MigrationPhase::Done {
+        return;
+    }
+    if let Ok(next) = coordinator.step(driver) {
+        if next != *phase {
+            *phase = next;
+            sched.note(format!("op {i}: migration phase -> {next}"));
+        }
+    }
+}
+
+/// After the heal, runs a migration the faults left unfinished to its end.
+fn finish_migration(
+    sched: &mut ChaosScheduler,
+    coordinator: &MigrationCoordinator,
+    driver: &dyn MigrationDriver,
+) {
+    if coordinator.phase() != MigrationPhase::Done {
+        if let Err(e) = coordinator.run(driver, 10_000) {
+            sched.note(format!("migration did not complete after heal: {e}"));
+        }
+    }
+}
+
+/// The migration is done with exactly one cutover flip and no refusal (lag
+/// misread as corruption). Each scenario checks its own ownership.
+fn migrated_once(
+    coordinator: &MigrationCoordinator,
+    metrics: &MetricsRegistry,
+) -> Result<(), String> {
+    if coordinator.phase() != MigrationPhase::Done {
+        return Err(format!("migration stuck in phase {}", coordinator.phase()));
+    }
+    let snapshot = metrics.snapshot();
+    match (
+        snapshot.counter("migration.cutover_flips"),
+        snapshot.counter("migration.cutover_refusals"),
+    ) {
+        (Some(1), Some(0)) => Ok(()),
+        (flips, refusals) => Err(format!(
+            "cutover flips {flips:?} and refusals {refusals:?}, want exactly 1 and 0"
+        )),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Espresso: the shared harness and gates.
+// ---------------------------------------------------------------------
+
+/// Albums acked through the router, each on its own key's timeline.
+type Albums = Vec<(RowKey, KeyModel<Record>)>;
+
+fn tiny_music(partitions: u32, replication: usize) -> DatabaseSchema {
+    DatabaseSchema::new("Music", partitions, replication)
+        .with_table(
+            TableSchema::new("Album", ["artist", "album"]),
+            RecordSchema::new("Album", 1, vec![Field::new("year", FieldType::Long)]).unwrap(),
+        )
+        .unwrap()
+}
+
+/// Puts album `i` through the router; an acked put starts its key's
+/// timeline in `acked`.
+fn put_album(sched: &mut ChaosScheduler, cluster: &EspressoCluster, acked: &mut Albums, i: u64) {
+    let key = RowKey::new([format!("artist-{}", i % 7), format!("album-{i}")]);
+    let album = Record::new().with("year", Value::Long(1990 + i as i64));
+    match cluster.put("Music", "Album", key.clone(), &album) {
+        Ok(_etag) => {
+            let mut timeline = KeyModel::new();
+            timeline.write(Some(album), true);
+            acked.push((key, timeline));
+        }
+        Err(_) => sched.note(format!("put {i} rejected (no live master)")),
+    }
+}
+
+/// Pumps every relay four times after a quiesce, failures ignored.
+fn pump_espresso(cluster: &EspressoCluster) {
+    for _ in 0..4 {
+        let _ = cluster.pump_replication();
+    }
+}
+
+/// acked-docs-readable: every acked album reads as its timeline allows.
+fn acked_docs_readable(cluster: &EspressoCluster, acked: &Albums) -> Result<(), String> {
+    for (key, timeline) in acked {
+        let got = cluster
+            .get("Music", "Album", key)
+            .map_err(|e| format!("read of acked {key:?} failed: {e}"))?;
+        timeline
+            .check(&got.map(|(record, _row)| record), 0)
+            .map_err(|e| format!("acked document {key:?}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// single-master-per-partition: no partition of `Music` has two masters.
+fn single_master(cluster: &EspressoCluster) -> Result<(), String> {
+    let view = cluster
+        .controller()
+        .external_view("Music")
+        .map_err(|e| format!("no external view: {e}"))?;
+    for (p, states) in &view.partitions {
+        let masters: Vec<&NodeId> = states
+            .iter()
+            .filter(|(_, &s)| s == li_helix::ReplicaState::Master)
+            .map(|(n, _)| n)
+            .collect();
+        if masters.len() > 1 {
+            return Err(format!("partition {} has multiple masters {masters:?}", p.0));
+        }
+    }
+    Ok(())
+}
+
+/// relay-commit-order: every node's relay streams in strict commit (SCN)
+/// order with no per-key etag regressions.
+fn relay_commit_order(cluster: &EspressoCluster, nodes: u16) -> Result<(), String> {
+    for i in 0..nodes {
+        cluster
+            .relay(NodeId(i))
+            .map_err(|e| format!("relay {i}: {e}"))?
+            .verify_commit_order()
+            .map_err(|e| format!("relay {i}: {e}"))?;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Kafka: the shared gates.
+// ---------------------------------------------------------------------
+
+/// log-contiguity: every broker's log of each partition of `topic` passes
+/// the CRC frame walk with contiguous offsets.
+fn logs_contiguous(cluster: &KafkaCluster, topic: &str, partitions: u32) -> Result<(), String> {
+    for (b, broker) in cluster.brokers().iter().enumerate() {
+        for p in 0..partitions {
+            broker
+                .log(topic, p)
+                .map_err(|e| format!("broker {b} {topic}/{p}: {e}"))?
+                .verify_contiguity()
+                .map_err(|e| format!("broker {b} {topic}/{p}: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
+/// replica-byte-identity: every replica of each `events` partition is
+/// byte-identical to its leader.
+fn replicas_identical(rc: &ReplicatedCluster, partitions: u32) -> Result<(), String> {
+    (0..partitions).try_for_each(|p| rc.verify_replica_identity("events", p))
+}
+
+/// Replicates until a pass copies nothing, at most ten passes.
+fn replicate_to_fixpoint(rc: &ReplicatedCluster) {
+    for _ in 0..10 {
+        if rc.replicate().unwrap() == 0 {
+            break;
+        }
+    }
+}
+
+/// The committed messages of `events/<partition>` from offset 0.
+fn committed_log(rc: &ReplicatedCluster, partition: u32) -> Result<Vec<(u64, Bytes)>, String> {
+    let (messages, _) = rc
+        .fetch_committed("events", partition, 0, usize::MAX)
+        .map_err(|e| format!("refetch events/{partition}: {e}"))?;
+    Ok(messages.into_iter().map(|(o, m)| (o, m.payload)).collect())
+}
 
 // ---------------------------------------------------------------------
 // Scenario 1: Voldemort quorum durability under the full fault menu.
@@ -54,37 +405,14 @@ use std::time::Duration;
 fn run_voldemort_quorum(seed: u64, plant_violation: bool) -> Result<String, ChaosFailure> {
     let nodes: Vec<NodeId> = (0..5).map(NodeId).collect();
     let mut sched = ChaosScheduler::new(seed, nodes.clone(), ChaosConfig::default());
-    let clock = sched.clock();
-    let ring = HashRing::balanced(16, &nodes).unwrap();
-    let cluster = VoldemortCluster::with_parts(ring, sched.network(), Arc::new(clock.clone()))
-        .unwrap();
-    cluster
-        .add_store(StoreDef::read_write("s").with_quorum(3, 2, 2))
-        .unwrap();
+    let cluster = quorum_store(&sched, HashRing::balanced(16, &nodes).unwrap());
     let client = cluster.client("s").unwrap();
 
-    let mut acked: Vec<(String, Bytes, VectorClock)> = Vec::new();
+    let mut acked: Vec<Acked> = Vec::new();
     for i in 0..120u32 {
         sched.step(&*cluster);
-        let key = format!("k{i}");
-        let value = Bytes::from(format!("v{i}"));
-        // Retry like a real app: apply_update re-reads at quorum and
-        // re-writes with a dominating clock, so a success is W acks of
-        // the *current* write. Between attempts, virtual time passes and
-        // the async recovery path (failure probes) runs.
-        for _attempt in 0..8 {
-            match client.apply_update(key.as_bytes(), 5, &|_| Some(value.clone())) {
-                Ok(write_clock) => {
-                    acked.push((key.clone(), value.clone(), write_clock));
-                    break;
-                }
-                Err(_) => {
-                    clock.advance(Duration::from_secs(6));
-                    cluster.run_failure_probes();
-                    sched.step(&*cluster);
-                }
-            }
-        }
+        let write = (format!("k{i}"), Bytes::from(format!("v{i}")));
+        acked.extend(put_retrying(&mut sched, &cluster, &client, write, 8));
         if i % 20 == 0 {
             sched.note(format!("op {i}: acked_total={}", acked.len()));
         }
@@ -92,14 +420,7 @@ fn run_voldemort_quorum(seed: u64, plant_violation: bool) -> Result<String, Chao
 
     sched.quiesce(&*cluster);
     // Drain the recovery machinery: readmit banned nodes, replay hints.
-    for _ in 0..40 {
-        clock.advance(Duration::from_secs(6));
-        cluster.run_failure_probes();
-        cluster.deliver_hints();
-        if cluster.pending_hints() == 0 && cluster.detector().banned_nodes().is_empty() {
-            break;
-        }
-    }
+    drain_recovery(&sched, &cluster, true);
     sched.note(format!(
         "drained: acked={} pending_hints={} banned={:?}",
         acked.len(),
@@ -125,50 +446,14 @@ fn run_voldemort_quorum(seed: u64, plant_violation: bool) -> Result<String, Chao
         }
     }
 
-    let durability = || -> Result<(), String> {
-        for (key, value, write_clock) in &acked {
-            let siblings = client
-                .get(key.as_bytes())
-                .map_err(|e| format!("read of acked `{key}` failed: {e}"))?;
-            if siblings.is_empty() {
-                return Err(format!("acked key `{key}` unreadable (write lost)"));
-            }
-            if !siblings.iter().any(|v| v.clock.descends_from(write_clock)) {
-                return Err(format!(
-                    "acked write to `{key}` not covered by any surviving version"
-                ));
-            }
-            if let Some(v) = siblings.iter().find(|v| v.clock == *write_clock) {
-                if v.value != *value {
-                    return Err(format!("acked key `{key}` returned wrong bytes"));
-                }
-            }
-        }
-        Ok(())
-    };
-    let hints_drained = || -> Result<(), String> {
-        match cluster.pending_hints() {
-            0 => Ok(()),
-            n => Err(format!("{n} hints still pending after recovery")),
-        }
-    };
     sched.check(
         &[
-            ("quorum-durability", &durability),
-            ("hints-drained", &hints_drained),
+            ("quorum-durability", &|| acked_not_lost(&client, &acked)),
+            ("hints-drained", &|| hints_drained(&cluster)),
         ],
         "cargo test --test chaos voldemort",
     )?;
     Ok(sched.trace_text())
-}
-
-#[test]
-fn chaos_sweep_voldemort_quorum() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_voldemort_quorum(seed, false) {
-            panic!("{failure}");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -204,12 +489,7 @@ fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String,
     };
     let mut sched = ChaosScheduler::new(seed, nodes.clone(), config);
     let clock = sched.clock();
-    let ring = HashRing::balanced(16, &nodes).unwrap();
-    let cluster =
-        VoldemortCluster::with_parts(ring, sched.network(), Arc::new(clock.clone())).unwrap();
-    cluster
-        .add_store(StoreDef::read_write("s").with_quorum(3, 2, 2))
-        .unwrap();
+    let cluster = quorum_store(&sched, HashRing::balanced(16, &nodes).unwrap());
     // Replies are ranked by their simulated completion times, so which of
     // them form the quorum is decided by the fault schedule alone.
     let client = cluster.client("s").unwrap().with_quorum_config(QuorumConfig {
@@ -224,45 +504,28 @@ fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String,
     // has a slow replica to mask.
     let mut link_rng = seed | 1;
     let mut slow_replica: Option<NodeId> = None;
-    let mut acked: Vec<(String, Bytes, VectorClock)> = Vec::new();
+    let mut acked: Vec<Acked> = Vec::new();
     let mut tail_violations: Vec<String> = Vec::new();
     for i in 0..60u32 {
         sched.step(&*cluster);
         if i % 8 == 0 {
             if let Some(old) = slow_replica.take() {
-                cluster
-                    .network()
-                    .set_link_latency(li_voldemort::StoreClient::CLIENT_NODE, old, Duration::ZERO);
+                cluster.network().set_link_latency(StoreClient::CLIENT_NODE, old, Duration::ZERO);
             }
             link_rng ^= link_rng << 13;
             link_rng ^= link_rng >> 7;
             link_rng ^= link_rng << 17;
             let node = NodeId((link_rng % 5) as u16);
             let ms = 10 + (link_rng >> 8) % 16;
-            cluster.network().set_link_latency(
-                li_voldemort::StoreClient::CLIENT_NODE,
-                node,
-                Duration::from_millis(ms),
-            );
+            let latency = Duration::from_millis(ms);
+            cluster.network().set_link_latency(StoreClient::CLIENT_NODE, node, latency);
             slow_replica = Some(node);
             sched.note(format!("client-slow: node {} {}ms", node.0, ms));
         }
 
         let key = format!("t{}", i % 12);
-        let value = Bytes::from(format!("v{i}"));
-        for _attempt in 0..6 {
-            match client.apply_update(key.as_bytes(), 5, &|_| Some(value.clone())) {
-                Ok(write_clock) => {
-                    acked.push((key.clone(), value.clone(), write_clock));
-                    break;
-                }
-                Err(_) => {
-                    clock.advance(Duration::from_secs(6));
-                    cluster.run_failure_probes();
-                    sched.step(&*cluster);
-                }
-            }
-        }
+        let write = (key.clone(), Bytes::from(format!("v{i}")));
+        acked.extend(put_retrying(&mut sched, &cluster, &client, write, 6));
 
         // Tail bound: the R-th smallest client→replica latency over live,
         // detector-available owners is the worst a fanned-out read may
@@ -271,12 +534,7 @@ fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String,
         let mut reachable: Vec<Duration> = prefs
             .iter()
             .filter(|&&p| cluster.detector().is_available(p))
-            .filter_map(|&p| {
-                cluster
-                    .network()
-                    .peek_latency(li_voldemort::StoreClient::CLIENT_NODE, p)
-                    .ok()
-            })
+            .filter_map(|&p| cluster.network().peek_latency(StoreClient::CLIENT_NODE, p).ok())
             .collect();
         reachable.sort();
         if let Some(&bound) = reachable.get(required_reads - 1) {
@@ -312,14 +570,7 @@ fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String,
 
     sched.quiesce(&*cluster);
     cluster.network().heal_all();
-    for _ in 0..40 {
-        clock.advance(Duration::from_secs(6));
-        cluster.run_failure_probes();
-        cluster.deliver_hints();
-        if cluster.pending_hints() == 0 && cluster.detector().banned_nodes().is_empty() {
-            break;
-        }
-    }
+    drain_recovery(&sched, &cluster, true);
     // Let the detector's sample window expire so crash-epoch failure
     // samples can't combine with the first verification success into a
     // ratio ban mid-check.
@@ -340,83 +591,25 @@ fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String,
             )),
         }
     };
-    let durability = || -> Result<(), String> {
-        for (key, value, write_clock) in &acked {
-            let siblings = client
-                .get(key.as_bytes())
-                .map_err(|e| format!("read of acked `{key}` failed: {e}"))?;
-            if !siblings.iter().any(|v| v.clock.descends_from(write_clock)) {
-                return Err(format!(
-                    "acked write to `{key}` not covered by any surviving version"
-                ));
-            }
-            if let Some(v) = siblings.iter().find(|v| v.clock == *write_clock) {
-                if v.value != *value {
-                    return Err(format!("acked key `{key}` returned wrong bytes"));
-                }
-            }
-        }
-        Ok(())
-    };
-    // Runs after `durability`, whose all-replica reads have already
-    // read-repaired any owner the hint path could legitimately miss (a
-    // hint that found no holder).
-    let hints_to_owners = || -> Result<(), String> {
-        if cluster.pending_hints() != 0 {
-            return Err(format!(
-                "{} hints still pending after heal_all + recovery",
-                cluster.pending_hints()
-            ));
-        }
-        for (key, _, write_clock) in &acked {
-            let prefs = cluster.ring().preference_list(key.as_bytes(), 3).unwrap();
-            for owner in prefs {
-                let held = cluster
-                    .node(owner)
-                    .map_err(|e| e.to_string())?
-                    .get("s", key.as_bytes())
-                    .map_err(|e| format!("owner {owner} read of `{key}`: {e}"))?;
-                if !held.iter().any(|v| v.clock.descends_from(write_clock)) {
-                    return Err(format!(
-                        "owner {owner} of `{key}` missing the acked write after hint replay"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    };
     sched.check(
         &[
             ("tail-bound", &tail_bound),
-            ("quorum-durability", &durability),
-            ("hints-drained-to-owners", &hints_to_owners),
+            ("quorum-durability", &|| acked_not_lost(&client, &acked)),
+            // After quorum-durability, whose all-replica reads have
+            // already read-repaired any owner the hint path could
+            // legitimately miss (a hint that found no holder).
+            ("hints-drained-to-owners", &|| {
+                hints_drained(&cluster).and_then(|()| owners_hold(&cluster, &acked, None))
+            }),
         ],
         "cargo test --test chaos tail_fanout",
     )?;
     Ok(sched.trace_text())
 }
 
-#[test]
-fn chaos_sweep_voldemort_tail_fanout() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_voldemort_tail_fanout(seed, false) {
-            panic!("{failure}");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Scenario 2: Espresso mastership failover + commit-order.
 // ---------------------------------------------------------------------
-
-fn tiny_music(partitions: u32, replication: usize) -> DatabaseSchema {
-    DatabaseSchema::new("Music", partitions, replication)
-        .with_table(
-            TableSchema::new("Album", ["artist", "album"]),
-            RecordSchema::new("Album", 1, vec![Field::new("year", FieldType::Long)]).unwrap(),
-        )
-        .unwrap()
-}
 
 /// Drives a 3-node Espresso cluster (6 partitions, replication 2)
 /// through crash/restart storms (hooks-only faults — Espresso's routing
@@ -424,24 +617,18 @@ fn tiny_music(partitions: u32, replication: usize) -> DatabaseSchema {
 /// acknowledged document readable with its committed value, at most one
 /// master per partition, and every relay's change stream in strict
 /// commit (SCN) order with no per-key etag regressions.
-fn run_espresso_failover(seed: u64) -> Result<String, ChaosFailure> {
-    let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let mut config = ChaosConfig::hooks_only();
-    config.max_down = 1;
-    let mut sched = ChaosScheduler::new(seed, nodes, config);
+///
+/// With `plant_violation`, one acked document is deleted through the
+/// router after the drain, without the delete being recorded.
+fn run_espresso_failover(seed: u64, plant_violation: bool) -> Result<String, ChaosFailure> {
+    let mut sched = hooks_only(seed, (0..3).map(NodeId).collect(), 1);
     let cluster = EspressoCluster::new(3).unwrap();
     cluster.create_database(tiny_music(6, 2)).unwrap();
-    let album = |year: i64| Record::new().with("year", Value::Long(year));
 
-    let mut acked: Vec<(RowKey, i64)> = Vec::new();
+    let mut acked = Albums::new();
     for i in 0..120u64 {
         sched.step(&*cluster);
-        let key = RowKey::new([format!("artist-{}", i % 7), format!("album-{i}")]);
-        let year = 1990 + i as i64;
-        match cluster.put("Music", "Album", key.clone(), &album(year)) {
-            Ok(_etag) => acked.push((key, year)),
-            Err(_) => sched.note(format!("put {i} rejected (no live master)")),
-        }
+        put_album(&mut sched, &cluster, &mut acked, i);
         if i % 5 == 0 {
             let _ = cluster.pump_replication();
         }
@@ -451,76 +638,24 @@ fn run_espresso_failover(seed: u64) -> Result<String, ChaosFailure> {
     }
 
     sched.quiesce(&*cluster);
-    for _ in 0..4 {
-        let _ = cluster.pump_replication();
-    }
+    pump_espresso(&cluster);
     sched.note(format!("drained: acked={}", acked.len()));
 
-    let readable = || -> Result<(), String> {
-        for (key, year) in &acked {
-            let got = cluster
-                .get("Music", "Album", key)
-                .map_err(|e| format!("read of acked {key:?} failed: {e}"))?;
-            let Some((record, _row)) = got else {
-                return Err(format!("acked document {key:?} lost"));
-            };
-            if record.get("year") != Some(&Value::Long(*year)) {
-                return Err(format!("acked document {key:?} has wrong value"));
-            }
-        }
-        Ok(())
-    };
-    let single_master = || -> Result<(), String> {
-        let view = cluster
-            .controller()
-            .external_view("Music")
-            .map_err(|e| format!("no external view: {e}"))?;
-        for p in 0..6 {
-            let masters: Vec<NodeId> = view
-                .partitions
-                .get(&PartitionId(p))
-                .map(|states| {
-                    states
-                        .iter()
-                        .filter(|(_, &s)| s == li_helix::ReplicaState::Master)
-                        .map(|(&n, _)| n)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if masters.len() > 1 {
-                return Err(format!("partition {p} has multiple masters {masters:?}"));
-            }
-        }
-        Ok(())
-    };
-    let commit_order = || -> Result<(), String> {
-        for i in 0..3u16 {
-            cluster
-                .relay(NodeId(i))
-                .map_err(|e| format!("relay {i}: {e}"))?
-                .verify_commit_order()
-                .map_err(|e| format!("relay {i}: {e}"))?;
-        }
-        Ok(())
-    };
+    if plant_violation {
+        let (key, _) = acked.first().expect("an acked document");
+        cluster.delete("Music", "Album", key.clone()).unwrap();
+        sched.note(format!("PLANT: deleted acked document {key:?} through the router"));
+    }
+
     sched.check(
         &[
-            ("acked-docs-readable", &readable),
-            ("single-master-per-partition", &single_master),
-            ("relay-commit-order", &commit_order),
+            ("acked-docs-readable", &|| acked_docs_readable(&cluster, &acked)),
+            ("single-master-per-partition", &|| single_master(&cluster)),
+            ("relay-commit-order", &|| relay_commit_order(&cluster, 3)),
         ],
         "cargo test --test chaos espresso",
     )?;
     Ok(sched.trace_text())
-}
-
-#[test]
-fn chaos_sweep_espresso_failover() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_espresso_failover(seed) {
-            panic!("{failure}");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -536,10 +671,7 @@ fn chaos_sweep_espresso_failover() {
 /// never rolled back, and the mirror target is byte-identical to its
 /// source.
 fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
-    let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let mut config = ChaosConfig::hooks_only();
-    config.max_down = 1;
-    let mut sched = ChaosScheduler::new(seed, nodes, config);
+    let mut sched = hooks_only(seed, (0..3).map(NodeId).collect(), 1);
     let live = KafkaCluster::new(3).unwrap();
     let replicated = ReplicatedCluster::new(live.clone());
     replicated.create_topic("events", 3, 3).unwrap();
@@ -550,7 +682,7 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
     target.create_topic("tracking", 2).unwrap();
     let mirror = MirrorMaker::new(source.clone(), target.clone(), ["tracking"]).unwrap();
 
-    // Committed consumer state per partition: (byte offset, payload).
+    // Committed consumer reads per partition: (byte offset, payload).
     let mut consumed: Vec<Vec<(u64, Bytes)>> = vec![Vec::new(); 3];
     let mut next_offset = [0u64; 3];
     let mut produced_ok = 0u64;
@@ -594,81 +726,37 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
     }
 
     sched.quiesce(&replicated);
-    for _ in 0..10 {
-        if replicated.replicate().unwrap() == 0 {
-            break;
-        }
-    }
+    replicate_to_fixpoint(&replicated);
     mirror.pump().unwrap();
     sched.note(format!(
         "drained: produced_ok={produced_ok} consumed={:?}",
         consumed.iter().map(Vec::len).collect::<Vec<_>>()
     ));
 
-    let contiguity = || -> Result<(), String> {
-        for broker in 0..3usize {
-            for p in 0..3u32 {
-                live.brokers()[broker]
-                    .log("events", p)
-                    .map_err(|e| format!("broker {broker} events/{p}: {e}"))?
-                    .verify_contiguity()
-                    .map_err(|e| format!("broker {broker} events/{p}: {e}"))?;
-            }
-        }
-        for (name, cluster) in [("source", &source), ("target", &target)] {
-            for p in 0..2u32 {
-                cluster.brokers()[0]
-                    .log("tracking", p)
-                    .map_err(|e| format!("{name} tracking/{p}: {e}"))?
-                    .verify_contiguity()
-                    .map_err(|e| format!("{name} tracking/{p}: {e}"))?;
-            }
-        }
-        Ok(())
+    let contiguity_all = || -> Result<(), String> {
+        logs_contiguous(&live, "events", 3)?;
+        logs_contiguous(&source, "tracking", 2).map_err(|e| format!("source {e}"))?;
+        logs_contiguous(&target, "tracking", 2).map_err(|e| format!("target {e}"))
     };
-    let replica_identity = || -> Result<(), String> {
-        for p in 0..3u32 {
-            replicated.verify_replica_identity("events", p)?;
-        }
-        Ok(())
-    };
+    // Nothing a consumer saw below the high watermark may have been
+    // rolled back: its reads agree with each other, and re-fetching from 0
+    // replays the same bytes at the same offsets.
     let committed_stable = || -> Result<(), String> {
-        // Nothing a consumer saw below the high watermark may have been
-        // rolled back: re-fetching from 0 must replay the same bytes at
-        // the same offsets.
-        for p in 0..3u32 {
-            let (all, _) = replicated
-                .fetch_committed("events", p, 0, usize::MAX)
-                .map_err(|e| format!("refetch events/{p}: {e}"))?;
-            for (offset, payload) in &consumed[p as usize] {
-                let found = all.iter().find(|(o, _)| o == offset);
-                match found {
-                    Some((_, message)) if message.payload == *payload => {}
-                    Some(_) => {
-                        return Err(format!(
-                            "events/{p} offset {offset}: committed read changed bytes"
-                        ))
-                    }
-                    None => {
-                        return Err(format!(
-                            "events/{p} offset {offset}: committed read rolled back"
-                        ))
-                    }
-                }
-            }
+        for (p, reads) in (0..3u32).zip(&consumed) {
+            let mut log = LogModel::default();
+            log.observe(reads)
+                .and_then(|()| log.check_stable(&committed_log(&replicated, p)?))
+                .map_err(|e| format!("events/{p}: {e}"))?;
         }
         Ok(())
+    };
+    let fingerprint = |cluster: &KafkaCluster, p| {
+        let log = cluster.brokers()[0].log("tracking", p).map_err(|e| e.to_string())?;
+        Ok::<_, String>(log.content_fingerprint())
     };
     let mirror_identity = || -> Result<(), String> {
         for p in 0..2u32 {
-            let src = source.brokers()[0]
-                .log("tracking", p)
-                .map_err(|e| e.to_string())?
-                .content_fingerprint();
-            let dst = target.brokers()[0]
-                .log("tracking", p)
-                .map_err(|e| e.to_string())?
-                .content_fingerprint();
+            let (src, dst) = (fingerprint(&source, p)?, fingerprint(&target, p)?);
             if src != dst {
                 return Err(format!(
                     "tracking/{p}: mirror target diverged from source ({src:#x} != {dst:#x})"
@@ -679,23 +767,14 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
     };
     sched.check(
         &[
-            ("log-contiguity", &contiguity),
-            ("replica-byte-identity", &replica_identity),
+            ("log-contiguity", &contiguity_all),
+            ("replica-byte-identity", &|| replicas_identical(&replicated, 3)),
             ("committed-reads-stable", &committed_stable),
             ("mirror-byte-identity", &mirror_identity),
         ],
         "cargo test --test chaos kafka",
     )?;
     Ok(sched.trace_text())
-}
-
-#[test]
-fn chaos_sweep_kafka_replication_and_mirror() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_kafka_replication_and_mirror(seed) {
-            panic!("{failure}");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -746,11 +825,11 @@ impl li_commons::chaos::FaultHooks for AckCrashHooks<'_> {
 ///   *after* its ack caught it above that crash's high watermark — the
 ///   unshipped tail. Nothing below any crash's watermark may vanish.
 /// * replica byte-identity and CRC-walk contiguity, as everywhere else.
-fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
-    let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let mut config = ChaosConfig::hooks_only();
-    config.max_down = 1;
-    let mut sched = ChaosScheduler::new(seed, nodes, config);
+///
+/// With `plant_violation`, every replica of `events/0` is reset after the
+/// drain.
+fn run_kafka_ack_durability(seed: u64, plant_violation: bool) -> Result<String, ChaosFailure> {
+    let mut sched = hooks_only(seed, (0..3).map(NodeId).collect(), 1);
     let live =
         KafkaCluster::with_parts(3, LogConfig::default(), Arc::new(SimClock::new())).unwrap();
     let replicated = ReplicatedCluster::new(live.clone());
@@ -762,11 +841,12 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
         crashes: Mutex::new(Vec::new()),
     };
 
+    // What each partition's FullIsr produces were promised.
+    let mut full_isr: Vec<LogModel<Bytes>> =
+        (0..ACK_PARTITIONS).map(|_| LogModel::default()).collect();
     // (partition, acked offset, payload, op index of the ack).
-    let mut full_isr_acked: Vec<(u32, u64, Bytes, u64)> = Vec::new();
     let mut leader_acked: Vec<(u32, u64, Bytes, u64)> = Vec::new();
-    let mut none_sent = 0u64;
-    let mut rejected = 0u64;
+    let (mut full_isr_acks, mut none_sent, mut rejected) = (0u64, 0u64, 0u64);
     let acks = [AckMode::Leader, AckMode::FullIsr, AckMode::None];
     for i in 0..150u64 {
         op.store(i, Ordering::SeqCst);
@@ -778,7 +858,9 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
         match replicated.produce_with_ack("events", partition, &set, ack) {
             Ok(receipt) => match ack {
                 AckMode::FullIsr => {
-                    full_isr_acked.push((partition, receipt.base_offset.unwrap(), payload, i));
+                    let offset = receipt.base_offset.unwrap();
+                    full_isr[partition as usize].ack_full_isr(offset, payload);
+                    full_isr_acks += 1;
                 }
                 AckMode::Leader => {
                     leader_acked.push((partition, receipt.base_offset.unwrap(), payload, i));
@@ -793,7 +875,7 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
         if i % 30 == 0 {
             sched.note(format!(
                 "op {i}: full_isr={} leader={} none={} rejected={}",
-                full_isr_acked.len(),
+                full_isr_acks,
                 leader_acked.len(),
                 none_sent,
                 rejected
@@ -803,41 +885,30 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
 
     sched.quiesce(&hooks);
     replicated.flush_ingest();
-    for _ in 0..10 {
-        if replicated.replicate().unwrap() == 0 {
-            break;
-        }
-    }
+    replicate_to_fixpoint(&replicated);
     let crashes = hooks.crashes.into_inner();
     sched.note(format!(
         "drained: full_isr={} leader={} crashes={crashes:?}",
-        full_isr_acked.len(),
+        full_isr_acks,
         leader_acked.len()
     ));
 
+    if plant_violation {
+        for broker in live.brokers() {
+            broker.reset_partition("events", 0);
+        }
+        sched.note("PLANT: reset every replica of events/0");
+    }
+
     // Committed state per partition after full recovery.
     let committed: Vec<Vec<(u64, Bytes)>> = (0..ACK_PARTITIONS)
-        .map(|p| {
-            let (messages, _) = replicated.fetch_committed("events", p, 0, usize::MAX).unwrap();
-            messages.into_iter().map(|(o, m)| (o, m.payload)).collect()
-        })
+        .map(|p| committed_log(&replicated, p).unwrap())
         .collect();
 
     let full_isr_durability = || -> Result<(), String> {
-        for (p, offset, payload, op_i) in &full_isr_acked {
-            match committed[*p as usize].iter().find(|(o, _)| o == offset) {
-                Some((_, got)) if got == payload => {}
-                Some(_) => {
-                    return Err(format!(
-                        "events/{p} offset {offset} (op {op_i}): FullIsr-acked bytes changed"
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "events/{p} offset {offset} (op {op_i}): FullIsr-acked message lost"
-                    ))
-                }
-            }
+        for (p, log) in full_isr.iter().enumerate() {
+            log.check_full_isr(&committed[p])
+                .map_err(|e| format!("events/{p}: {e}"))?;
         }
         Ok(())
     };
@@ -864,43 +935,16 @@ fn run_kafka_ack_durability(seed: u64) -> Result<String, ChaosFailure> {
         }
         Ok(())
     };
-    let replica_identity = || -> Result<(), String> {
-        for p in 0..ACK_PARTITIONS {
-            replicated.verify_replica_identity("events", p)?;
-        }
-        Ok(())
-    };
-    let contiguity = || -> Result<(), String> {
-        for broker in 0..3usize {
-            for p in 0..ACK_PARTITIONS {
-                live.brokers()[broker]
-                    .log("events", p)
-                    .map_err(|e| format!("broker {broker} events/{p}: {e}"))?
-                    .verify_contiguity()
-                    .map_err(|e| format!("broker {broker} events/{p}: {e}"))?;
-            }
-        }
-        Ok(())
-    };
     sched.check(
         &[
             ("full-isr-durability", &full_isr_durability),
             ("leader-ack-loss-bounded", &leader_loss_bounded),
-            ("replica-byte-identity", &replica_identity),
-            ("log-contiguity", &contiguity),
+            ("replica-byte-identity", &|| replicas_identical(&replicated, ACK_PARTITIONS)),
+            ("log-contiguity", &|| logs_contiguous(&live, "events", ACK_PARTITIONS)),
         ],
         "cargo test --test chaos kafka_ack",
     )?;
     Ok(sched.trace_text())
-}
-
-#[test]
-fn chaos_sweep_kafka_ack_durability() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_kafka_ack_durability(seed) {
-            panic!("{failure}");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -914,10 +958,7 @@ fn chaos_sweep_kafka_ack_durability() {
 /// primary's binlog bytes reproduces that same state (replay
 /// equivalence).
 fn run_sqlstore_replication(seed: u64) -> Result<String, ChaosFailure> {
-    let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let mut config = ChaosConfig::hooks_only();
-    config.max_down = 2;
-    let mut sched = ChaosScheduler::new(seed, nodes, config);
+    let mut sched = hooks_only(seed, (0..3).map(NodeId).collect(), 2);
     let clock: Arc<dyn li_commons::sim::Clock> = Arc::new(sched.clock());
     let primary = Database::with_clock("member_db", clock);
     primary.create_table("members").unwrap();
@@ -1015,15 +1056,6 @@ fn run_sqlstore_replication(seed: u64) -> Result<String, ChaosFailure> {
     Ok(sched.trace_text())
 }
 
-#[test]
-fn chaos_sweep_sqlstore_replication() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_sqlstore_replication(seed) {
-            panic!("{failure}");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Scenario 5: the assembled site under the full fault menu.
 // ---------------------------------------------------------------------
@@ -1061,12 +1093,13 @@ enum SitePlant {
 /// * **follow-no-acked-write-lost** — every cached list, as the union
 ///   over all its replicas, equals the primary-derived set, no id twice;
 /// * **databus-lag-drained** — both subscribers at the relay's head;
-/// * **profile-timeline** — an updated member reads its last acked text
-///   or a later attempt that was not acked, every other member its
-///   seeded text (§IV timeline consistency across Espresso failover);
+/// * **profile-timeline** — every member reads as its profile's timeline
+///   allows: its last acked text (the seeded one at first) or a later
+///   attempt that was not acked (§IV timeline consistency across Espresso
+///   failover);
 /// * **search-converged** — people search, which follows Espresso's
 ///   update stream across the same failovers, finds every member by one
-///   of the texts profile-timeline allows, and no member by a word that
+///   of the texts its timeline still allows, and no member by a word that
 ///   only a superseded text held;
 /// * **pymk-serves** — every member's read-only record is served;
 /// * **kafka-conserved** — tracked = consumed online = warehouse rows,
@@ -1104,14 +1137,16 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
             followers[company as usize].insert(member);
         }
     }
-    // The texts a member may read: the last acked one (the seeded one at
-    // first) and every attempt since that returned an error — its
-    // Espresso half may have committed all the same.
-    let mut profiles: Vec<Vec<String>> =
-        (0..members).map(|m| vec![graph.profile_of(m).to_string()]).collect();
-    // The texts an acked update superseded: search must not find a member
-    // by a word only these held.
-    let mut superseded: Vec<BTreeSet<String>> = vec![BTreeSet::new(); members as usize];
+    // Each member's profile timeline, from its seeded text on: an update
+    // that returned an error may have committed its Espresso half all the
+    // same.
+    let mut profiles: Vec<KeyModel<String>> = (0..members)
+        .map(|m| {
+            let mut timeline = KeyModel::new();
+            timeline.write(Some(graph.profile_of(m).to_string()), true);
+            timeline
+        })
+        .collect();
 
     let workload = SiteWorkload::new(
         members,
@@ -1138,13 +1173,7 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
                 } else {
                     let text = format!("member {m} rewrote this at op {i}");
                     let outcome = platform.update_profile(*m, &text);
-                    match outcome {
-                        Ok(()) => {
-                            let before = std::mem::replace(&mut profiles[*m as usize], vec![text]);
-                            superseded[*m as usize].extend(before);
-                        }
-                        Err(_) => profiles[*m as usize].push(text),
-                    }
+                    profiles[*m as usize].write(Some(text), outcome.is_ok());
                     outcome
                 }
             }
@@ -1252,12 +1281,15 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
             // Index the old text, then write the last acked one back
             // without a pump: Espresso serves an allowed text, search
             // holds a superseded one.
-            let member = superseded.iter().position(|texts| !texts.is_empty()).expect("an update");
-            let old = superseded[member].first().expect("a superseded text").clone();
-            let current = profiles[member][0].clone();
-            platform.update_profile(member as u64, &old).unwrap();
+            let (member, old) = profiles
+                .iter()
+                .enumerate()
+                .find_map(|(m, timeline)| Some((m, timeline.superseded().iter().flatten().next()?)))
+                .expect("an acked update");
+            let current = profiles[member].allowed()[0].as_ref().expect("an acked text");
+            platform.update_profile(member as u64, old).unwrap();
             platform.pump().unwrap();
-            platform.update_profile(member as u64, &current).unwrap();
+            platform.update_profile(member as u64, current).unwrap();
             sched.note(format!("PLANT: re-indexed member {member}'s superseded text {old:?}"));
         }
     }
@@ -1325,12 +1357,9 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
             let read = platform
                 .profile(member)
                 .map_err(|e| format!("member {member}: profile read failed: {e}"))?;
-            let allowed = &profiles[member as usize];
-            if !read.as_ref().is_some_and(|text| allowed.contains(text)) {
-                return Err(format!(
-                    "member {member}: reads {read:?}, last acked then later attempts {allowed:?}"
-                ));
-            }
+            profiles[member as usize]
+                .check(&read, 0)
+                .map_err(|e| format!("member {member}: {e}"))?;
         }
         Ok(())
     };
@@ -1341,14 +1370,14 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
             .collect()
     };
     let search_converged = || -> Result<(), String> {
-        for member in 0..members {
+        for (member, timeline) in (0..members).zip(&profiles) {
             let key = member_row_key(member).to_string();
-            let allowed = &profiles[member as usize];
+            let allowed: Vec<&String> = timeline.allowed().iter().flatten().collect();
             if !allowed.iter().any(|text| platform.search_profiles(text).contains(&key)) {
                 return Err(format!("member {member}: found by none of its texts {allowed:?}"));
             }
             let current: BTreeSet<String> = allowed.iter().flat_map(|text| words(text)).collect();
-            for text in &superseded[member as usize] {
+            for text in timeline.superseded().iter().flatten() {
                 for word in words(text).difference(&current) {
                     if platform.search_profiles(word).contains(&key) {
                         return Err(format!(
@@ -1412,15 +1441,6 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
     Ok(sched.trace_text())
 }
 
-#[test]
-fn chaos_sweep_site_closed_loop() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_site_closed_loop(seed, None) {
-            panic!("{failure}");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Scenario 6: online partition migration racing donor/target crashes.
 // ---------------------------------------------------------------------
@@ -1442,104 +1462,37 @@ fn run_migration_vs_donor_crash(seed: u64) -> Result<String, ChaosFailure> {
     let to = NodeId((donor.0 + 2) % 5);
     // Fault domain: only the migration's endpoints, so every scheduled
     // crash races the move itself.
-    let mut config = ChaosConfig::hooks_only();
-    config.max_down = 1;
-    let mut sched = ChaosScheduler::new(seed, vec![donor, to], config);
-    let clock = sched.clock();
-    let cluster =
-        VoldemortCluster::with_parts(ring, sched.network(), Arc::new(clock.clone())).unwrap();
-    cluster
-        .add_store(StoreDef::read_write("s").with_quorum(3, 2, 2))
-        .unwrap();
+    let mut sched = hooks_only(seed, vec![donor, to], 1);
+    let cluster = quorum_store(&sched, ring);
     let client = cluster.client("s").unwrap();
-
-    // Preload before faults so the snapshot phase has an image to copy.
-    let mut acked: Vec<(String, Bytes, VectorClock)> = Vec::new();
-    for i in 0..24u32 {
-        let key = format!("k{i}");
-        let value = Bytes::from(format!("seed-{i}"));
-        let write_clock = client
-            .apply_update(key.as_bytes(), 5, &|_| Some(value.clone()))
-            .unwrap();
-        acked.push((key, value, write_clock));
-    }
+    let mut acked = preload(&client);
 
     let driver = cluster
         .begin_partition_migration(partition, to)
         .unwrap()
         .expect("donor != target");
-    // Generous verify budget: divergence while an endpoint crash-loops is
-    // lag, not corruption — refusal is reserved for real divergence (see
-    // the planted shadow-mismatch test in the voldemort crate).
-    let coordinator = MigrationCoordinator::new(
-        cluster.metrics(),
-        MigrationConfig {
-            verify_retries: 10_000,
-            ..MigrationConfig::default()
-        },
-    );
+    let coordinator = migration_coordinator(cluster.metrics());
     sched.note(format!(
         "migrating p{} from node {} to node {}",
         partition.0, donor.0, to.0
     ));
 
     let mut phase = coordinator.phase();
-    for i in 0..120u32 {
+    for i in 0..120u64 {
         sched.step(&*cluster);
-        let key = format!("k{}", i % 24);
-        let value = Bytes::from(format!("v{i}"));
-        for _attempt in 0..8 {
-            match client.apply_update(key.as_bytes(), 5, &|_| Some(value.clone())) {
-                Ok(write_clock) => {
-                    acked.push((key.clone(), value.clone(), write_clock));
-                    break;
-                }
-                Err(_) => {
-                    clock.advance(Duration::from_secs(6));
-                    cluster.run_failure_probes();
-                    sched.step(&*cluster);
-                }
-            }
-        }
-        if coordinator.phase() != MigrationPhase::Done {
-            match coordinator.step(&driver) {
-                Ok(next) if next != phase => {
-                    phase = next;
-                    sched.note(format!("op {i}: migration phase -> {next}"));
-                }
-                Ok(_) => {}
-                // A crashed endpoint fails the phase; retried next op.
-                Err(_) => {}
-            }
-        }
+        let write = (format!("k{}", i % 24), Bytes::from(format!("v{i}")));
+        acked.extend(put_retrying(&mut sched, &cluster, &client, write, 8));
+        step_migration(&mut sched, &coordinator, &driver, &mut phase, i);
         if i % 30 == 0 {
             sched.note(format!("op {i}: acked_total={} phase={phase}", acked.len()));
         }
     }
 
     sched.quiesce(&*cluster);
-    for _ in 0..40 {
-        clock.advance(Duration::from_secs(6));
-        cluster.run_failure_probes();
-        cluster.deliver_hints();
-        if cluster.pending_hints() == 0 && cluster.detector().banned_nodes().is_empty() {
-            break;
-        }
-    }
-    if coordinator.phase() != MigrationPhase::Done {
-        if let Err(e) = coordinator.run(&driver, 10_000) {
-            sched.note(format!("migration did not complete after heal: {e}"));
-        }
-    }
+    drain_recovery(&sched, &cluster, true);
+    finish_migration(&mut sched, &coordinator, &driver);
     // The flip repoints hint delivery at the new owners; drain once more.
-    for _ in 0..40 {
-        clock.advance(Duration::from_secs(6));
-        cluster.run_failure_probes();
-        cluster.deliver_hints();
-        if cluster.pending_hints() == 0 {
-            break;
-        }
-    }
+    drain_recovery(&sched, &cluster, false);
     sched.note(format!(
         "drained: acked={} phase={} owner=node{}",
         acked.len(),
@@ -1547,31 +1500,7 @@ fn run_migration_vs_donor_crash(seed: u64) -> Result<String, ChaosFailure> {
         cluster.ring().owner_of(partition).0
     ));
 
-    let durability = || -> Result<(), String> {
-        for (key, value, write_clock) in &acked {
-            let siblings = client
-                .get(key.as_bytes())
-                .map_err(|e| format!("read of acked `{key}` failed: {e}"))?;
-            if siblings.is_empty() {
-                return Err(format!("acked key `{key}` unreadable (write lost)"));
-            }
-            if !siblings.iter().any(|v| v.clock.descends_from(write_clock)) {
-                return Err(format!(
-                    "acked write to `{key}` not covered by any surviving version"
-                ));
-            }
-            if let Some(v) = siblings.iter().find(|v| v.clock == *write_clock) {
-                if v.value != *value {
-                    return Err(format!("acked key `{key}` returned wrong bytes"));
-                }
-            }
-        }
-        Ok(())
-    };
-    let migration_complete = || -> Result<(), String> {
-        if coordinator.phase() != MigrationPhase::Done {
-            return Err(format!("migration stuck in phase {}", coordinator.phase()));
-        }
+    let moved = || -> Result<(), String> {
         let owner = cluster.ring().owner_of(partition);
         if owner != to {
             return Err(format!(
@@ -1582,45 +1511,19 @@ fn run_migration_vs_donor_crash(seed: u64) -> Result<String, ChaosFailure> {
         if cluster.migration_in_flight().is_some() {
             return Err("migration routing state not torn down after cutover".into());
         }
-        let snapshot = cluster.metrics().snapshot();
-        if snapshot.counter("migration.cutover_flips") != Some(1) {
-            return Err(format!(
-                "cutover flips {:?}, want exactly 1",
-                snapshot.counter("migration.cutover_flips")
-            ));
-        }
-        if snapshot.counter("migration.cutover_refusals") != Some(0) {
-            return Err(format!(
-                "{:?} cutover refusals under crash faults (lag misread as corruption)",
-                snapshot.counter("migration.cutover_refusals")
-            ));
-        }
         Ok(())
-    };
-    let hints_drained = || -> Result<(), String> {
-        match cluster.pending_hints() {
-            0 => Ok(()),
-            n => Err(format!("{n} hints still pending after recovery")),
-        }
     };
     sched.check(
         &[
-            ("quorum-durability", &durability),
-            ("migration-completes-once", &migration_complete),
-            ("hints-drained", &hints_drained),
+            ("quorum-durability", &|| acked_not_lost(&client, &acked)),
+            ("migration-completes-once", &|| {
+                migrated_once(&coordinator, cluster.metrics()).and_then(|()| moved())
+            }),
+            ("hints-drained", &|| hints_drained(&cluster)),
         ],
         "cargo test --test chaos migration_vs_donor_crash",
     )?;
     Ok(sched.trace_text())
-}
-
-#[test]
-fn chaos_sweep_migration_vs_donor_crash() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_migration_vs_donor_crash(seed) {
-            panic!("{failure}");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1656,89 +1559,35 @@ fn run_cutover_vs_network_partition(seed: u64) -> Result<String, ChaosFailure> {
     let mut domain = nodes.clone();
     domain.push(li_voldemort::migrate::ADMIN_NODE);
     let mut sched = ChaosScheduler::new(seed, domain, config);
-    let clock = sched.clock();
-    let cluster =
-        VoldemortCluster::with_parts(ring, sched.network(), Arc::new(clock.clone())).unwrap();
-    cluster
-        .add_store(StoreDef::read_write("s").with_quorum(3, 2, 2))
-        .unwrap();
+    let cluster = quorum_store(&sched, ring);
     let client = cluster.client("s").unwrap();
-
-    let mut acked: Vec<(String, Bytes, VectorClock)> = Vec::new();
-    for i in 0..24u32 {
-        let key = format!("k{i}");
-        let value = Bytes::from(format!("seed-{i}"));
-        let write_clock = client
-            .apply_update(key.as_bytes(), 5, &|_| Some(value.clone()))
-            .unwrap();
-        acked.push((key, value, write_clock));
-    }
+    let mut acked = preload(&client);
 
     let driver = cluster
         .begin_partition_migration(partition, to)
         .unwrap()
         .expect("donor != target");
     let epoch_before = cluster.topology_epoch();
-    let coordinator = MigrationCoordinator::new(
-        cluster.metrics(),
-        MigrationConfig {
-            verify_retries: 10_000,
-            ..MigrationConfig::default()
-        },
-    );
+    let coordinator = migration_coordinator(cluster.metrics());
     sched.note(format!(
         "migrating p{} from node {} to node {}",
         partition.0, donor.0, to.0
     ));
 
     let mut phase = coordinator.phase();
-    for i in 0..120u32 {
+    for i in 0..120u64 {
         sched.step(&*cluster);
-        let key = format!("k{}", i % 24);
-        let value = Bytes::from(format!("v{i}"));
-        for _attempt in 0..6 {
-            match client.apply_update(key.as_bytes(), 5, &|_| Some(value.clone())) {
-                Ok(write_clock) => {
-                    acked.push((key.clone(), value.clone(), write_clock));
-                    break;
-                }
-                Err(_) => {
-                    clock.advance(Duration::from_secs(6));
-                    cluster.run_failure_probes();
-                    sched.step(&*cluster);
-                }
-            }
-        }
-        if coordinator.phase() != MigrationPhase::Done {
-            match coordinator.step(&driver) {
-                Ok(next) if next != phase => {
-                    phase = next;
-                    sched.note(format!("op {i}: migration phase -> {next}"));
-                }
-                Ok(_) => {}
-                // The admin is cut off from an endpoint; retried next op.
-                Err(_) => {}
-            }
-        }
+        let write = (format!("k{}", i % 24), Bytes::from(format!("v{i}")));
+        acked.extend(put_retrying(&mut sched, &cluster, &client, write, 6));
+        step_migration(&mut sched, &coordinator, &driver, &mut phase, i);
         if i % 30 == 0 {
             sched.note(format!("op {i}: acked_total={} phase={phase}", acked.len()));
         }
     }
 
     sched.quiesce(&*cluster);
-    for _ in 0..40 {
-        clock.advance(Duration::from_secs(6));
-        cluster.run_failure_probes();
-        cluster.deliver_hints();
-        if cluster.pending_hints() == 0 && cluster.detector().banned_nodes().is_empty() {
-            break;
-        }
-    }
-    if coordinator.phase() != MigrationPhase::Done {
-        if let Err(e) = coordinator.run(&driver, 10_000) {
-            sched.note(format!("migration did not complete after heal: {e}"));
-        }
-    }
+    drain_recovery(&sched, &cluster, true);
+    finish_migration(&mut sched, &coordinator, &driver);
     sched.note(format!(
         "drained: acked={} phase={} epoch {}->{}",
         acked.len(),
@@ -1747,31 +1596,7 @@ fn run_cutover_vs_network_partition(seed: u64) -> Result<String, ChaosFailure> {
         cluster.topology_epoch()
     ));
 
-    let durability = || -> Result<(), String> {
-        for (key, value, write_clock) in &acked {
-            let siblings = client
-                .get(key.as_bytes())
-                .map_err(|e| format!("read of acked `{key}` failed: {e}"))?;
-            if siblings.is_empty() {
-                return Err(format!("acked key `{key}` unreadable (write lost)"));
-            }
-            if !siblings.iter().any(|v| v.clock.descends_from(write_clock)) {
-                return Err(format!(
-                    "acked write to `{key}` not covered by any surviving version"
-                ));
-            }
-            if let Some(v) = siblings.iter().find(|v| v.clock == *write_clock) {
-                if v.value != *value {
-                    return Err(format!("acked key `{key}` returned wrong bytes"));
-                }
-            }
-        }
-        Ok(())
-    };
-    let atomic_flip = || -> Result<(), String> {
-        if coordinator.phase() != MigrationPhase::Done {
-            return Err(format!("migration stuck in phase {}", coordinator.phase()));
-        }
+    let flipped_once = || -> Result<(), String> {
         if cluster.ring().owner_of(partition) != to {
             return Err("ownership did not move to the target".into());
         }
@@ -1782,64 +1607,23 @@ fn run_cutover_vs_network_partition(seed: u64) -> Result<String, ChaosFailure> {
                 epoch - epoch_before
             ));
         }
-        let snapshot = cluster.metrics().snapshot();
-        if snapshot.counter("migration.cutover_flips") != Some(1) {
-            return Err(format!(
-                "cutover flips {:?}, want exactly 1",
-                snapshot.counter("migration.cutover_flips")
-            ));
-        }
-        if snapshot.counter("migration.cutover_refusals") != Some(0) {
-            return Err(format!(
-                "{:?} refusals under network partitions (lag misread as corruption)",
-                snapshot.counter("migration.cutover_refusals")
-            ));
-        }
-        Ok(())
-    };
-    // Every acked key the target now serves must actually be on the
-    // target — an acked write either made it into the journal before the
-    // final drain or mirrored synchronously during dual-write.
-    let target_coverage = || -> Result<(), String> {
-        let ring = cluster.ring();
-        for (key, _, write_clock) in &acked {
-            let prefs = ring
-                .preference_list(key.as_bytes(), 3)
-                .map_err(|e| e.to_string())?;
-            if !prefs.contains(&to) {
-                continue;
-            }
-            let held = cluster
-                .node(to)
-                .map_err(|e| e.to_string())?
-                .get("s", key.as_bytes())
-                .map_err(|e| format!("target read of `{key}`: {e}"))?;
-            if !held.iter().any(|v| v.clock.descends_from(write_clock)) {
-                return Err(format!(
-                    "target now owns `{key}` but misses the acked write"
-                ));
-            }
-        }
         Ok(())
     };
     sched.check(
         &[
-            ("quorum-durability", &durability),
-            ("atomic-single-flip", &atomic_flip),
-            ("target-holds-moved-keys", &target_coverage),
+            ("quorum-durability", &|| acked_not_lost(&client, &acked)),
+            ("atomic-single-flip", &|| {
+                migrated_once(&coordinator, cluster.metrics()).and_then(|()| flipped_once())
+            }),
+            // Every acked key the target now serves must actually be on
+            // the target — an acked write either made it into the journal
+            // before the final drain or mirrored synchronously during
+            // dual-write.
+            ("target-holds-moved-keys", &|| owners_hold(&cluster, &acked, Some(to))),
         ],
         "cargo test --test chaos cutover_vs_partition",
     )?;
     Ok(sched.trace_text())
-}
-
-#[test]
-fn chaos_sweep_cutover_vs_network_partition() {
-    for seed in sweep_seeds(5) {
-        if let Err(failure) = run_cutover_vs_network_partition(seed) {
-            panic!("{failure}");
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1873,50 +1657,27 @@ fn run_espresso_rebalance_vs_failover(seed: u64) -> Result<String, ChaosFailure>
         .find(|n| !hosts.contains_key(n))
         .expect("replication 2 on 4 nodes leaves a free node");
     let domain: Vec<NodeId> = (0..4u16).map(NodeId).filter(|n| *n != source).collect();
-    let mut config = ChaosConfig::hooks_only();
-    config.max_down = 1;
-    let mut sched = ChaosScheduler::new(seed, domain, config);
+    let mut sched = hooks_only(seed, domain, 1);
 
     let driver = cluster
         .begin_partition_migration("Music", partition.0, to)
         .unwrap();
-    let coordinator = MigrationCoordinator::new(
-        cluster.metrics(),
-        MigrationConfig {
-            verify_retries: 10_000,
-            ..MigrationConfig::default()
-        },
-    );
+    let coordinator = migration_coordinator(cluster.metrics());
     sched.note(format!(
         "migrating Music/p{} from node {} to node {}",
         partition.0, source.0, to.0
     ));
 
-    let album = |year: i64| Record::new().with("year", Value::Long(year));
-    let mut acked: Vec<(RowKey, i64)> = Vec::new();
+    let mut acked = Albums::new();
     let mut phase = coordinator.phase();
     for i in 0..120u64 {
         sched.step(&*cluster);
-        let key = RowKey::new([format!("artist-{}", i % 7), format!("album-{i}")]);
-        let year = 1990 + i as i64;
-        match cluster.put("Music", "Album", key.clone(), &album(year)) {
-            Ok(_etag) => acked.push((key, year)),
-            Err(_) => sched.note(format!("put {i} rejected (no live master)")),
-        }
+        put_album(&mut sched, &cluster, &mut acked, i);
         if i % 5 == 0 {
             let _ = cluster.pump_replication();
         }
-        let flip_ready = coordinator.phase() != MigrationPhase::DualWrite
-            || sched.crashed_nodes().is_empty();
-        if coordinator.phase() != MigrationPhase::Done && flip_ready {
-            match coordinator.step(&driver) {
-                Ok(next) if next != phase => {
-                    phase = next;
-                    sched.note(format!("op {i}: migration phase -> {next}"));
-                }
-                Ok(_) => {}
-                Err(_) => {}
-            }
+        if coordinator.phase() != MigrationPhase::DualWrite || sched.crashed_nodes().is_empty() {
+            step_migration(&mut sched, &coordinator, &driver, &mut phase, i);
         }
         if i % 30 == 0 {
             sched.note(format!("op {i}: acked_total={} phase={phase}", acked.len()));
@@ -1924,74 +1685,16 @@ fn run_espresso_rebalance_vs_failover(seed: u64) -> Result<String, ChaosFailure>
     }
 
     sched.quiesce(&*cluster);
-    for _ in 0..4 {
-        let _ = cluster.pump_replication();
-    }
-    if coordinator.phase() != MigrationPhase::Done {
-        if let Err(e) = coordinator.run(&driver, 10_000) {
-            sched.note(format!("migration did not complete after heal: {e}"));
-        }
-    }
-    for _ in 0..4 {
-        let _ = cluster.pump_replication();
-    }
+    pump_espresso(&cluster);
+    finish_migration(&mut sched, &coordinator, &driver);
+    pump_espresso(&cluster);
     sched.note(format!(
         "drained: acked={} phase={}",
         acked.len(),
         coordinator.phase()
     ));
 
-    let readable = || -> Result<(), String> {
-        for (key, year) in &acked {
-            let got = cluster
-                .get("Music", "Album", key)
-                .map_err(|e| format!("read of acked {key:?} failed: {e}"))?;
-            let Some((record, _row)) = got else {
-                return Err(format!("acked document {key:?} lost"));
-            };
-            if record.get("year") != Some(&Value::Long(*year)) {
-                return Err(format!("acked document {key:?} has wrong value"));
-            }
-        }
-        Ok(())
-    };
-    let single_master = || -> Result<(), String> {
-        let view = cluster
-            .controller()
-            .external_view("Music")
-            .map_err(|e| format!("no external view: {e}"))?;
-        for p in 0..6 {
-            let masters: Vec<NodeId> = view
-                .partitions
-                .get(&PartitionId(p))
-                .map(|states| {
-                    states
-                        .iter()
-                        .filter(|(_, &s)| s == li_helix::ReplicaState::Master)
-                        .map(|(&n, _)| n)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if masters.len() > 1 {
-                return Err(format!("partition {p} has multiple masters {masters:?}"));
-            }
-        }
-        Ok(())
-    };
-    let commit_order = || -> Result<(), String> {
-        for i in 0..4u16 {
-            cluster
-                .relay(NodeId(i))
-                .map_err(|e| format!("relay {i}: {e}"))?
-                .verify_commit_order()
-                .map_err(|e| format!("relay {i}: {e}"))?;
-        }
-        Ok(())
-    };
-    let migration_complete = || -> Result<(), String> {
-        if coordinator.phase() != MigrationPhase::Done {
-            return Err(format!("migration stuck in phase {}", coordinator.phase()));
-        }
+    let mastered_by_target = || -> Result<(), String> {
         let view = cluster
             .controller()
             .external_view("Music")
@@ -2004,86 +1707,89 @@ fn run_espresso_rebalance_vs_failover(seed: u64) -> Result<String, ChaosFailure>
                 to.0
             ));
         }
-        let snapshot = cluster.metrics().snapshot();
-        if snapshot.counter("migration.cutover_flips") != Some(1) {
-            return Err(format!(
-                "cutover flips {:?}, want exactly 1",
-                snapshot.counter("migration.cutover_flips")
-            ));
-        }
-        if snapshot.counter("migration.cutover_refusals") != Some(0) {
-            return Err(format!(
-                "{:?} refusals while failovers raced the move",
-                snapshot.counter("migration.cutover_refusals")
-            ));
-        }
         Ok(())
     };
     sched.check(
         &[
-            ("acked-docs-readable", &readable),
-            ("single-master-per-partition", &single_master),
-            ("relay-commit-order", &commit_order),
-            ("migration-completes-once", &migration_complete),
+            ("acked-docs-readable", &|| acked_docs_readable(&cluster, &acked)),
+            ("single-master-per-partition", &|| single_master(&cluster)),
+            ("relay-commit-order", &|| relay_commit_order(&cluster, 4)),
+            ("migration-completes-once", &|| {
+                migrated_once(&coordinator, cluster.metrics()).and_then(|()| mastered_by_target())
+            }),
         ],
         "cargo test --test chaos espresso_rebalance",
     )?;
     Ok(sched.trace_text())
 }
 
-#[test]
-fn chaos_sweep_espresso_rebalance_vs_failover() {
+// ---------------------------------------------------------------------
+// The sweeps and the determinism contract, over one table of scenarios.
+// ---------------------------------------------------------------------
+
+type Scenario = fn(u64) -> Result<String, ChaosFailure>;
+
+/// Declares the scenario table, each scenario unplanted under the name of
+/// its `chaos_sweep_` test with the seeds its determinism check runs, and
+/// that test.
+macro_rules! scenarios {
+    ($($test:ident $seeds:expr => $run:expr,)*) => {
+        const SCENARIOS: [(&str, &[u64], Scenario); 10] = [$((stringify!($test), &$seeds, $run)),*];
+        $(
+            #[test]
+            fn $test() {
+                sweep(stringify!($test), $run);
+            }
+        )*
+    };
+}
+
+scenarios! {
+    chaos_sweep_voldemort_quorum [7, 23] => |seed| run_voldemort_quorum(seed, false),
+    chaos_sweep_voldemort_tail_fanout [7, 23] => |seed| run_voldemort_tail_fanout(seed, false),
+    chaos_sweep_espresso_failover [11] => |seed| run_espresso_failover(seed, false),
+    chaos_sweep_kafka_replication_and_mirror [11] => run_kafka_replication_and_mirror,
+    chaos_sweep_kafka_ack_durability [11] => |seed| run_kafka_ack_durability(seed, false),
+    chaos_sweep_sqlstore_replication [11] => run_sqlstore_replication,
+    chaos_sweep_site_closed_loop [11] => |seed| run_site_closed_loop(seed, None),
+    chaos_sweep_migration_vs_donor_crash [11] => run_migration_vs_donor_crash,
+    chaos_sweep_cutover_vs_network_partition [11] => run_cutover_vs_network_partition,
+    chaos_sweep_espresso_rebalance_vs_failover [11] => run_espresso_rebalance_vs_failover,
+}
+
+/// Runs sweep test `test`'s scenario `run` over the sweep's seeds and
+/// panics with the first failure's repro line and trace. With
+/// `CHAOS_TRACE_DIR=<dir>` set, every run's trace is also written to
+/// `<dir>/<scenario>-<seed>.trace` (the test name without `chaos_sweep_`),
+/// so a trace-identity check against another tree is `diff -r`.
+fn sweep(test: &str, run: Scenario) {
+    let scenario = test.trim_start_matches("chaos_sweep_");
+    let trace_dir = std::env::var_os("CHAOS_TRACE_DIR").map(PathBuf::from);
     for seed in sweep_seeds(5) {
-        if let Err(failure) = run_espresso_rebalance_vs_failover(seed) {
+        let outcome = run(seed);
+        if let Some(dir) = &trace_dir {
+            let trace = outcome.as_ref().unwrap_or_else(|failure| &failure.trace);
+            std::fs::create_dir_all(dir).unwrap();
+            std::fs::write(dir.join(format!("{scenario}-{seed}.trace")), trace).unwrap();
+        }
+        if let Err(failure) = outcome {
             panic!("{failure}");
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// The determinism contract, asserted.
-// ---------------------------------------------------------------------
-
 /// Running the same `(seed, scenario)` twice produces byte-identical
 /// event traces — the property every repro line depends on.
 #[test]
 fn same_seed_yields_byte_identical_traces() {
-    for seed in [7u64, 23] {
-        let a = run_voldemort_quorum(seed, false).unwrap_or_else(|f| panic!("{f}"));
-        let b = run_voldemort_quorum(seed, false).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(a, b, "voldemort trace diverged for seed {seed}");
-        assert!(!a.is_empty());
+    for (scenario, seeds, run) in SCENARIOS {
+        for &seed in seeds {
+            let a = run(seed).unwrap_or_else(|f| panic!("{f}"));
+            let b = run(seed).unwrap_or_else(|f| panic!("{f}"));
+            assert_eq!(a, b, "{scenario} trace diverged for seed {seed}");
+            assert!(!a.is_empty());
+        }
     }
-    for seed in [7u64, 23] {
-        let a = run_voldemort_tail_fanout(seed, false).unwrap_or_else(|f| panic!("{f}"));
-        let b = run_voldemort_tail_fanout(seed, false).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(a, b, "voldemort tail-fanout trace diverged for seed {seed}");
-        assert!(!a.is_empty());
-    }
-    let a = run_espresso_failover(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_espresso_failover(11).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "espresso trace diverged");
-    let a = run_kafka_replication_and_mirror(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_kafka_replication_and_mirror(11).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "kafka trace diverged");
-    let a = run_kafka_ack_durability(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_kafka_ack_durability(11).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "kafka ack-durability trace diverged");
-    let a = run_sqlstore_replication(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_sqlstore_replication(11).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "sqlstore trace diverged");
-    let a = run_site_closed_loop(11, None).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_site_closed_loop(11, None).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "site closed-loop trace diverged");
-    let a = run_migration_vs_donor_crash(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_migration_vs_donor_crash(11).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "migration-vs-donor-crash trace diverged");
-    let a = run_cutover_vs_network_partition(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_cutover_vs_network_partition(11).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "cutover-vs-partition trace diverged");
-    let a = run_espresso_rebalance_vs_failover(11).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_espresso_rebalance_vs_failover(11).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a, b, "espresso-rebalance trace diverged");
 }
 
 /// A deliberately planted invariant violation is caught, reported with
@@ -2092,10 +1798,22 @@ fn same_seed_yields_byte_identical_traces() {
 /// on the assembled platform.
 #[test]
 fn planted_violation_is_caught_and_reproduces_from_printed_seed() {
-    type Scenario = fn(u64, bool) -> Result<String, ChaosFailure>;
-    let cases: [(Scenario, &str, &str, &str); 5] = [
+    type Planted = fn(u64, bool) -> Result<String, ChaosFailure>;
+    let cases: [(Planted, &str, &str, &str); 7] = [
         (run_voldemort_quorum, "quorum-durability", "voldemort", "PLANT: deleted acked key"),
         (run_voldemort_tail_fanout, "tail-bound", "tail_fanout", "PLANT: quorum-width read"),
+        (
+            run_espresso_failover,
+            "acked-docs-readable",
+            "espresso",
+            "PLANT: deleted acked document",
+        ),
+        (
+            run_kafka_ack_durability,
+            "full-isr-durability",
+            "kafka_ack",
+            "PLANT: reset every replica",
+        ),
         (
             |seed, plant| run_site_closed_loop(seed, plant.then_some(SitePlant::CachedList)),
             "follow-no-acked-write-lost",

@@ -2,8 +2,9 @@
 //!
 //! Each walk drives a small cluster through a random sequence of writes,
 //! replication pumps, crashes and restarts over the tier's public API, and
-//! after every step checks each read against a model of what the acked
-//! history allows. A failing walk prints its seed and its step list, so
+//! after every step checks each read against the tier's model of what the
+//! acked history allows (`tests/contracts/`, shared with the chaos
+//! scenarios). A failing walk prints its seed and its step list, so
 //! `WALK_SEED=<seed> cargo test --test replication_walks <tier>` replays
 //! it alone; `WALK_SEEDS=<n>` widens every sweep.
 //!
@@ -16,6 +17,10 @@
 //! * Kafka — `ReplicatedCluster`, 3 brokers, 2 partitions, replication 3,
 //!   up to 2 brokers down at once (1,000 seeds).
 
+mod contracts;
+
+use contracts::{KeyModel, LogModel};
+use li_commons::chaos::seed_var;
 use li_commons::ring::{NodeId, PartitionId};
 use li_commons::schema::{Field, FieldType, Record, RecordSchema, Value};
 use li_commons::sim::SimClock;
@@ -25,7 +30,7 @@ use li_kafka::{AckMode, KafkaCluster, MessageSet, ReplicatedCluster};
 use li_sqlstore::RowKey;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Nodes (or brokers) per walk, and the most of them down at once.
@@ -36,10 +41,9 @@ const MAX_DOWN: usize = 2;
 /// `WALK_SEED`), split over two threads, and fails with the number of
 /// failing walks and the first one's seed and steps.
 fn sweep(tier: &str, seeds: u64, walk: impl Fn(u64) -> Result<(), String> + Sync) {
-    let env = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-    let seeds: Vec<u64> = match env("WALK_SEED") {
+    let seeds: Vec<u64> = match seed_var("WALK_SEED") {
         Some(seed) => vec![seed],
-        None => (0..env("WALK_SEEDS").unwrap_or(seeds)).collect(),
+        None => (0..seed_var("WALK_SEEDS").unwrap_or(seeds)).collect(),
     };
     let failures: Vec<(u64, String)> = std::thread::scope(|scope| {
         let walk = &walk;
@@ -121,56 +125,6 @@ fn read(cluster: &EspressoCluster, key: &RowKey) -> Result<Option<String>, Espre
     }))
 }
 
-/// One key's history. Version 0 is "absent"; every write adds a version,
-/// a put's text naming it uniquely.
-struct KeyModel {
-    /// Each version's text, `None` for a delete.
-    versions: Vec<Option<String>>,
-    /// The last acked version.
-    acked: usize,
-    /// Versions written after it whose write failed: maybe applied.
-    maybe: Vec<usize>,
-    /// The oldest version a read may still return: a read never goes back
-    /// past one an earlier read returned.
-    floor: usize,
-}
-
-impl KeyModel {
-    fn new() -> Self {
-        KeyModel { versions: vec![None], acked: 0, maybe: Vec::new(), floor: 0 }
-    }
-
-    fn write(&mut self, text: Option<String>, acked: bool) {
-        self.versions.push(text);
-        let version = self.versions.len() - 1;
-        if acked {
-            self.acked = version;
-            self.maybe.clear();
-        } else {
-            self.maybe.push(version);
-        }
-    }
-
-    /// Checks a read against the versions the model allows and raises the
-    /// floor to the oldest version it can be.
-    fn observe(&mut self, got: &Option<String>) -> Result<(), String> {
-        let allowed = |v: &usize| *v >= self.floor && (*v == self.acked || self.maybe.contains(v));
-        let oldest = (0..self.versions.len())
-            .filter(|v| &self.versions[*v] == got && allowed(v))
-            .min();
-        let Some(version) = oldest else {
-            return Err(format!(
-                "read {got:?}; acked {:?}, maybe {:?}, floor {:?}",
-                self.versions[self.acked],
-                self.maybe.iter().map(|v| &self.versions[*v]).collect::<Vec<_>>(),
-                self.versions[self.floor]
-            ));
-        };
-        self.floor = version;
-        Ok(())
-    }
-}
-
 /// One Espresso walk: put, delete, pump, crash (at most `max_down` down)
 /// and restart, every key read after each step; then every node restarts,
 /// two pumps, and every key must read an allowed value.
@@ -178,13 +132,15 @@ fn espresso_walk(seed: u64, max_down: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trace = Trace::new(seed);
     let cluster = espresso_cluster();
-    let mut model: Vec<KeyModel> = (0..KEYS).map(|_| KeyModel::new()).collect();
+    let mut model: Vec<KeyModel<String>> = (0..KEYS).map(|_| KeyModel::new()).collect();
+    // Per key, the version the last read returned: no read goes back past it.
+    let mut floors = [0; KEYS];
     let mut down: BTreeSet<u16> = BTreeSet::new();
     let mut written = 0;
-    let check_all = |trace: &Trace, model: &mut Vec<KeyModel>, strict: bool| {
-        for (k, key_model) in model.iter_mut().enumerate() {
+    let check_all = |trace: &Trace, model: &[KeyModel<String>], floors: &mut [usize], strict| {
+        for (k, (key_model, floor)) in model.iter().zip(floors).enumerate() {
             match read(&cluster, &key(k)) {
-                Ok(got) => key_model.observe(&got),
+                Ok(got) => key_model.check(&got, *floor).map(|at| *floor = at),
                 Err(e) if strict => Err(format!("read failed with every node up: {e}")),
                 Err(_) => Ok(()),
             }
@@ -207,18 +163,14 @@ fn espresso_walk(seed: u64, max_down: usize) -> Result<(), String> {
                 trace.step(format!("delete k{k} -> {}", if acked { "ok" } else { "err" }));
                 model[k].write(None, acked);
             }
-            5 | 6 => {
-                let pumped = cluster.pump_replication();
-                trace.step(format!("pump -> {}", if pumped.is_ok() { "ok" } else { "err" }));
-            }
-            _ if down.len() < max_down && rng.random_bool(0.7) => {
+            7.. if down.len() < max_down && rng.random_bool(0.7) => {
                 let up: Vec<u16> = (0..NODES).filter(|n| !down.contains(n)).collect();
                 let node = up[rng.random_range(0..up.len())];
                 trace.step(format!("crash {node}"));
                 cluster.crash_node(NodeId(node)).map_err(|e| trace.fail(format!("crash: {e}")))?;
                 down.insert(node);
             }
-            _ if !down.is_empty() => {
+            7.. if !down.is_empty() => {
                 let downed: Vec<u16> = down.iter().copied().collect();
                 let node = downed[rng.random_range(0..downed.len())];
                 trace.step(format!("restart {node}"));
@@ -232,7 +184,7 @@ fn espresso_walk(seed: u64, max_down: usize) -> Result<(), String> {
                 trace.step(format!("pump -> {}", if pumped.is_ok() { "ok" } else { "err" }));
             }
         }
-        check_all(&trace, &mut model, false)?;
+        check_all(&trace, &model, &mut floors, false)?;
     }
     for node in std::mem::take(&mut down) {
         trace.step(format!("restart {node}"));
@@ -242,7 +194,7 @@ fn espresso_walk(seed: u64, max_down: usize) -> Result<(), String> {
         cluster.pump_replication().map_err(|e| trace.fail(format!("final pump: {e}")))?;
     }
     trace.step("pump; pump".into());
-    check_all(&trace, &mut model, true)
+    check_all(&trace, &model, &mut floors, true)
 }
 
 #[test]
@@ -341,39 +293,18 @@ fn committed(rc: &ReplicatedCluster, partition: u32) -> Option<Vec<(u64, String)
     Some(messages.iter().map(|(offset, m)| (*offset, text(m))).collect())
 }
 
-/// What the walk has seen and been promised, per partition.
-#[derive(Default)]
-struct LogModel {
-    /// Every committed offset read so far and its message.
-    seen: BTreeMap<u64, String>,
-    /// Messages a `FullIsr` produce acked.
-    full_isr_acked: Vec<String>,
-}
-
-impl LogModel {
-    /// A committed offset never changes its message.
-    fn observe(&mut self, messages: &[(u64, String)]) -> Result<(), String> {
-        for (offset, message) in messages {
-            let was = self.seen.entry(*offset).or_insert_with(|| message.clone());
-            if was != message {
-                return Err(format!("committed offset {offset} read {was}, now {message}"));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One Kafka walk: produce at `Leader` or `FullIsr`, replicate, fail and
 /// recover brokers (at most `MAX_DOWN` down), every partition's committed
 /// log read after each step; then every broker recovers, replication runs
-/// to a fixpoint, and every `FullIsr`-acked message must be committed.
+/// to a fixpoint, and every offset read before and every `FullIsr`-acked
+/// message must be committed at its offset.
 fn kafka_walk(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trace = Trace::new(seed);
     let rc = replicated();
-    let mut model: Vec<LogModel> = (0..PARTITIONS).map(|_| LogModel::default()).collect();
+    let mut model: Vec<LogModel<String>> = (0..PARTITIONS).map(|_| LogModel::default()).collect();
     let mut down: BTreeSet<u16> = BTreeSet::new();
-    let check_all = |trace: &Trace, model: &mut Vec<LogModel>| {
+    let check_all = |trace: &Trace, model: &mut [LogModel<String>]| {
         for (p, log) in model.iter_mut().enumerate() {
             if let Some(messages) = committed(&rc, p as u32) {
                 log.observe(&messages).map_err(|e| trace.fail(format!("p{p}: {e}")))?;
@@ -391,24 +322,21 @@ fn kafka_walk(seed: u64) -> Result<(), String> {
                 };
                 let message = format!("m{step}");
                 let set = MessageSet::from_payloads([message.clone()]);
-                let acked = rc.produce_with_ack(TOPIC, p, &set, ack).is_ok();
-                trace.step(format!("produce p{p} {message} at {name} -> {acked}"));
-                if acked && ack == AckMode::FullIsr {
-                    model[p as usize].full_isr_acked.push(message);
+                let acked = rc.produce_with_ack(TOPIC, p, &set, ack);
+                trace.step(format!("produce p{p} {message} at {name} -> {}", acked.is_ok()));
+                if let (Ok(receipt), AckMode::FullIsr) = (acked, ack) {
+                    let offset = receipt.base_offset.expect("an acked produce has an offset");
+                    model[p as usize].ack_full_isr(offset, message);
                 }
             }
-            5 | 6 => {
-                let copied = rc.replicate().map_err(|e| trace.fail(format!("replicate: {e}")))?;
-                trace.step(format!("replicate -> {copied}"));
-            }
-            _ if down.len() < MAX_DOWN && rng.random_bool(0.6) => {
+            7.. if down.len() < MAX_DOWN && rng.random_bool(0.6) => {
                 let up: Vec<u16> = (0..NODES).filter(|b| !down.contains(b)).collect();
                 let broker = up[rng.random_range(0..up.len())];
                 trace.step(format!("fail {broker}"));
                 rc.fail_broker(broker).map_err(|e| trace.fail(format!("fail: {e}")))?;
                 down.insert(broker);
             }
-            _ if !down.is_empty() => {
+            7.. if !down.is_empty() => {
                 let downed: Vec<u16> = down.iter().copied().collect();
                 let broker = downed[rng.random_range(0..downed.len())];
                 rc.recover_broker(broker);
@@ -432,10 +360,9 @@ fn kafka_walk(seed: u64) -> Result<(), String> {
     for (p, log) in model.iter().enumerate() {
         let messages = committed(&rc, p as u32)
             .ok_or_else(|| trace.fail(format!("p{p} has no leader with every broker up")))?;
-        let present: BTreeSet<&String> = messages.iter().map(|(_, m)| m).collect();
-        if let Some(lost) = log.full_isr_acked.iter().find(|m| !present.contains(m)) {
-            return Err(trace.fail(format!("p{p}: full-isr-acked {lost} is missing")));
-        }
+        log.check_stable(&messages)
+            .and_then(|()| log.check_full_isr(&messages))
+            .map_err(|e| trace.fail(format!("p{p}: {e}")))?;
     }
     Ok(())
 }
@@ -443,4 +370,12 @@ fn kafka_walk(seed: u64) -> Result<(), String> {
 #[test]
 fn kafka_walk_never_rewrites_a_committed_offset_or_loses_a_full_isr_ack() {
     sweep("kafka", 1_000, kafka_walk);
+}
+
+#[test]
+fn a_second_full_isr_ack_at_one_offset_fails_the_log_model() {
+    let mut log = LogModel::default();
+    log.ack_full_isr(0, "m0");
+    log.ack_full_isr(0, "m1");
+    assert!(log.check_full_isr(&[(0, "m1")]).is_err(), "the rewritten m0 must fail");
 }
