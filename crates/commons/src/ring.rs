@@ -320,9 +320,19 @@ impl HashRing {
         n: usize,
         zones_required: usize,
     ) -> Result<Vec<NodeId>, RingError> {
-        let master = self.master_partition(key);
+        self.partition_preference_list(self.master_partition(key), n, zones_required)
+    }
+
+    /// The preference list of every key whose master partition is
+    /// `partition`: what a router may compute once per topology.
+    pub fn partition_preference_list(
+        &self,
+        partition: PartitionId,
+        n: usize,
+        zones_required: usize,
+    ) -> Result<Vec<NodeId>, RingError> {
         Ok(self
-            .replica_partitions_zoned(master, n, zones_required)?
+            .replica_partitions_zoned(partition, n, zones_required)?
             .into_iter()
             .map(|p| self.owner_of(p))
             .collect())

@@ -6,10 +6,10 @@
 use bytes::Bytes;
 use std::collections::HashSet;
 
-use li_commons::clock::{VectorClock, Versioned};
+use li_commons::clock::Versioned;
 use li_databus::{ConsumerCallback, Window};
 use li_sqlstore::{Op, RowKey};
-use li_voldemort::{StoreClient, Transform, VoldemortError};
+use li_voldemort::{Rewrite, StoreClient, Transform};
 
 /// Primary table of follow edges: one [`follow_edge_row`] per follow. The
 /// two list tables (`member_follows`, `company_followers`) hold only the
@@ -34,9 +34,18 @@ pub fn decode_ids(list: &[u8]) -> Result<Vec<u64>, String> {
         .collect())
 }
 
-/// Whether an [`encode_ids`] list holds `id`.
-fn contains_id(list: &[u8], id: u64) -> bool {
-    list.chunks_exact(8).any(|w| w == id.to_le_bytes())
+/// Whether an [`encode_ids`] list holds `id` (a torn tail holds none).
+/// The scan takes a block of eight ids a step and folds their compares
+/// with `|`, no branch per id, so each step compiles to vector compares:
+/// a hot company's list is tens of kilobytes, scanned at every follow.
+pub fn contains_id(list: &[u8], id: u64) -> bool {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    let mut blocks = list.chunks_exact(64);
+    let in_block = |block: &[u8]| {
+        let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+        (0..8).fold(false, |hit, i| hit | (word(&block[i * 8..i * 8 + 8]) == id))
+    };
+    blocks.by_ref().any(in_block) || blocks.remainder().chunks_exact(8).any(|w| word(w) == id)
 }
 
 /// The ids of a cached list as read from Voldemort. Replicas that diverged
@@ -53,7 +62,11 @@ pub fn union_ids(siblings: &[Versioned<Bytes>]) -> Result<Vec<u64>, String> {
     Ok(ids)
 }
 
-/// The paper's "transformed put to append an entity to a list" (§II.B).
+/// The paper's "transformed put to append an entity to a list" (§II.B),
+/// run by the coordinating replica on what it holds. The input is one
+/// [`encode_ids`] id. A list that holds it is kept, any other single list
+/// gets it as a suffix, and siblings (replicas diverged while one was
+/// down) are replaced by their union with it.
 struct AppendId;
 
 impl Transform for AppendId {
@@ -61,8 +74,36 @@ impl Transform for AppendId {
         Bytes::copy_from_slice(value)
     }
 
-    fn on_put(&self, current: Option<&[u8]>, input: &[u8]) -> Bytes {
-        [current.unwrap_or_default(), input].concat().into()
+    fn on_put(&self, held: &[Versioned<Bytes>], input: &Bytes) -> Rewrite {
+        let id = u64::from_le_bytes(input[..].try_into().expect("AppendId's input is one id"));
+        match held {
+            [list] if contains_id(&list.value, id) => Rewrite::Keep,
+            [] | [_] => Rewrite::Append(input.clone()),
+            siblings => match union_ids(siblings) {
+                Ok(mut ids) => {
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                    Rewrite::Value(encode_ids(&ids).into())
+                }
+                // A torn sibling stays for the read path to report: a
+                // torn list is an error, never a silently shorter one.
+                Err(_) => Rewrite::Keep,
+            },
+        }
+    }
+}
+
+/// A packed list row's value, stored in place of whatever the key holds.
+struct ReplaceList;
+
+impl Transform for ReplaceList {
+    fn on_get(&self, value: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(value)
+    }
+
+    fn on_put(&self, _held: &[Versioned<Bytes>], input: &Bytes) -> Rewrite {
+        Rewrite::Value(input.clone())
     }
 }
 
@@ -71,18 +112,19 @@ impl Transform for AppendId {
 /// of our primary storage Oracle ... Both stores are fed by a Databus
 /// relay and are populated whenever a user follows a new company."
 ///
-/// Packed list rows (the loaded population) land as full-value puts; a
-/// follow-edge row lands as one append-if-absent per store. Redelivered
-/// windows and re-follows of loaded edges find the id present and skip.
+/// Every change is one transformed put, the read-modify-write run by the
+/// coordinating replica: a packed list row (the loaded population) replaces
+/// the list, and a follow-edge row appends one id to each store's list
+/// unless it holds it. The cacher never reads: redelivered windows and
+/// re-follows of loaded edges find the id present, and nothing is written.
 pub struct CompanyFollowCacher {
     member_store: StoreClient,
     company_store: StoreClient,
 }
 
 impl CompanyFollowCacher {
-    /// Wires the cacher to the two stores. It reads at each store's own R,
-    /// like the serving reads: a replica that missed appends while down is
-    /// owed a hint for each, delivered to it once it is back.
+    /// Wires the cacher to the two stores. A replica that missed writes
+    /// while down is owed a hint for each, delivered to it once it is back.
     pub fn new(member_store: StoreClient, company_store: StoreClient) -> Self {
         CompanyFollowCacher {
             member_store,
@@ -90,46 +132,18 @@ impl CompanyFollowCacher {
         }
     }
 
-    /// Applies one packed list row: a full-value put, or a cache delete
-    /// that drops every current version.
-    fn apply_list(store: &StoreClient, key: &[u8], op: &Op) -> Result<(), VoldemortError> {
-        match op {
-            Op::Put(row) => store
-                .apply_update(key, 8, &|_siblings| Some(row.value.clone()))
-                .map(|_| ()),
-            Op::Delete => match store.get(key)?.first() {
-                Some(latest) => store.delete(key, &latest.clock).map(|_| ()),
-                None => Ok(()),
-            },
-        }
-    }
-
-    /// Appends `id` to the list under `key`, or issues no put at all when
-    /// the cached list holds it. A lost optimistic lock is not retried
-    /// here: the error redelivers the window.
-    fn append_if_absent(store: &StoreClient, key: &RowKey, id: u64) -> Result<(), String> {
-        let key = key.to_string().into_bytes();
-        let siblings = store.get(&key).map_err(|e| e.to_string())?;
-        let put = match &siblings[..] {
-            [list] if contains_id(&list.value, id) => return Ok(()),
-            [] | [_] => {
-                let clock = siblings.first().map(|v| v.clock.clone()).unwrap_or_default();
-                let input = Bytes::copy_from_slice(&id.to_le_bytes());
-                store.put_with_transform(&key, &clock, input, &AppendId)
-            }
-            // Replicas diverged while one was down: write the union back.
-            diverged => {
-                let mut ids = union_ids(diverged)?;
-                if !ids.contains(&id) {
-                    ids.push(id);
-                }
-                let clock = diverged
-                    .iter()
-                    .fold(VectorClock::new(), |acc, v| acc.merged(&v.clock));
-                store.put(&key, &clock, encode_ids(&ids).into())
-            }
-        };
-        put.map(|_| ()).map_err(|e| e.to_string())
+    /// One transformed put of `input` to the list under `key`.
+    fn write(
+        store: &StoreClient,
+        key: &RowKey,
+        input: Bytes,
+        transform: &dyn Transform,
+    ) -> Result<(), String> {
+        let key = key.to_string();
+        store
+            .put_with_transform(key.as_bytes(), input, transform)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -143,8 +157,13 @@ impl ConsumerCallback for CompanyFollowCacher {
                 "company_followers" => &self.company_store,
                 _ => continue,
             };
-            Self::apply_list(store, change.key.to_string().as_bytes(), &change.op)
-                .map_err(|e| e.to_string())?;
+            // A deleted list row caches as the empty list, which every read
+            // path serves as a key that is absent.
+            let list = match &change.op {
+                Op::Put(row) => row.value.clone(),
+                Op::Delete => Bytes::new(),
+            };
+            Self::write(store, &change.key, list, &ReplaceList)?;
         }
         for change in &window.changes {
             if change.table != FOLLOW_EDGES_TABLE {
@@ -156,8 +175,9 @@ impl ConsumerCallback for CompanyFollowCacher {
             let [member, company] = decode_ids(&row.value)?[..] else {
                 return Err(format!("edge row {} is not a (member, company) pair", change.key));
             };
-            Self::append_if_absent(&self.member_store, &member_row_key(member), company)?;
-            Self::append_if_absent(&self.company_store, &company_row_key(company), member)?;
+            let id = |id: u64| Bytes::copy_from_slice(&id.to_le_bytes());
+            Self::write(&self.member_store, &member_row_key(member), id(company), &AppendId)?;
+            Self::write(&self.company_store, &company_row_key(company), id(member), &AppendId)?;
         }
         Ok(())
     }

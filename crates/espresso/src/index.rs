@@ -19,8 +19,8 @@ use std::sync::Arc;
 ///
 /// Lucene-style, it works on document numbers: each key and each
 /// (field, token) term is stored once and numbered, postings are ordered
-/// sets of document numbers, and a document's reverse entry lists term
-/// numbers. A removed document's number and key, and a term no document
+/// sets of document numbers (a term one document holds keeps its number
+/// inline), and a document's reverse entry lists term numbers. A removed document's number and key, and a term no document
 /// holds any more, are released for reuse. Keys are sorted only where a
 /// query's matches leave the index.
 #[derive(Debug, Default, Clone)]
@@ -48,7 +48,67 @@ struct Posting {
     field: u32,
     token: Arc<str>,
     /// Numbers of the documents whose field holds the token.
-    docs: BTreeSet<u32>,
+    docs: DocSet,
+}
+
+/// A posting's document numbers. Many terms belong to one document (each
+/// profile's member number is a token no other profile has), so that
+/// document's number is held inline, and the ordered set starts at the
+/// second document. Never empty: a term goes when its last document does.
+#[derive(Debug, Clone)]
+enum DocSet {
+    One(u32),
+    /// Two documents or more.
+    Many(BTreeSet<u32>),
+}
+
+impl DocSet {
+    fn insert(&mut self, doc: u32) {
+        match self {
+            DocSet::One(held) if *held == doc => {}
+            DocSet::One(held) => *self = DocSet::Many(BTreeSet::from([*held, doc])),
+            DocSet::Many(docs) => {
+                docs.insert(doc);
+            }
+        }
+    }
+
+    /// Removes `doc`; whether that left no document.
+    fn remove(&mut self, doc: u32) -> bool {
+        match self {
+            DocSet::One(held) => *held == doc,
+            DocSet::Many(docs) => {
+                docs.remove(&doc);
+                if let (1, Some(&last)) = (docs.len(), docs.iter().next()) {
+                    *self = DocSet::One(last);
+                }
+                false
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            DocSet::One(_) => 1,
+            DocSet::Many(docs) => docs.len(),
+        }
+    }
+
+    fn contains(&self, doc: u32) -> bool {
+        match self {
+            DocSet::One(held) => *held == doc,
+            DocSet::Many(docs) => docs.contains(&doc),
+        }
+    }
+
+    /// The numbers in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (one, many) = match self {
+            DocSet::One(held) => (Some(*held), None),
+            DocSet::Many(docs) => (None, Some(docs.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 /// Values addressed by dense `u32` numbers; a removed value's number is
@@ -138,23 +198,22 @@ impl InvertedIndex {
         fields: impl IntoIterator<Item = (&'a str, &'a Value)>,
     ) {
         self.remove_document(key);
+        let doc = self.docs.insert(Doc {
+            key: key.clone(),
+            terms: Box::default(),
+        });
         let mut terms = Vec::new();
         for (field, value) in fields {
             let field = self.field_number(field);
-            for_each_token(value, &mut |token| terms.push(self.term_number(field, &token)));
+            for_each_token(value, &mut |token| terms.push(self.post(field, &token, doc)));
         }
         if terms.is_empty() {
+            self.docs.remove(doc);
             return;
         }
         terms.sort_unstable();
         terms.dedup();
-        let doc = self.docs.insert(Doc {
-            key: key.clone(),
-            terms: terms.into_boxed_slice(),
-        });
-        for &term in self.docs.get(doc).terms.iter() {
-            self.terms.get_mut(term).docs.insert(doc);
-        }
+        self.docs.get_mut(doc).terms = terms.into_boxed_slice();
         self.doc_numbers.insert(key.clone(), doc);
     }
 
@@ -170,18 +229,19 @@ impl InvertedIndex {
         number as u32
     }
 
-    /// The number of the term (`field`, `token`), which is numbered (with
-    /// an empty posting) on first sight.
-    fn term_number(&mut self, field: u32, token: &str) -> u32 {
+    /// Posts `doc` under the term (`field`, `token`), which is numbered on
+    /// first sight; the term's number.
+    fn post(&mut self, field: u32, token: &str, doc: u32) -> u32 {
         let by_token = &mut self.fields[field as usize].1;
         if let Some(&term) = by_token.get(token) {
+            self.terms.get_mut(term).docs.insert(doc);
             return term;
         }
         let token: Arc<str> = token.into();
         let term = self.terms.insert(Posting {
             field,
             token: token.clone(),
-            docs: BTreeSet::new(),
+            docs: DocSet::One(doc),
         });
         by_token.insert(token, term);
         term
@@ -193,9 +253,7 @@ impl InvertedIndex {
             return;
         };
         for &term in self.docs.remove(doc).terms.iter() {
-            let posting = &mut self.terms.get_mut(term).docs;
-            posting.remove(&doc);
-            if posting.is_empty() {
+            if self.terms.get_mut(term).docs.remove(doc) {
                 let Posting { field, token, .. } = self.terms.remove(term);
                 self.fields[field as usize].1.remove(&token);
             }
@@ -222,9 +280,9 @@ impl InvertedIndex {
         let Some((smallest, others)) = postings.split_first() else {
             return Vec::new();
         };
-        let mut docs: Vec<u32> = smallest.iter().copied().collect();
+        let mut docs: Vec<u32> = smallest.iter().collect();
         for posting in others {
-            docs.retain(|doc| posting.contains(doc));
+            docs.retain(|&doc| posting.contains(doc));
         }
         let mut keys: Vec<RowKey> = docs
             .into_iter()
@@ -408,6 +466,26 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(index.query("text", &word, None), expected, "{word:?}");
         }
+    }
+
+    #[test]
+    fn a_term_one_document_holds_keeps_its_number_inline() {
+        let sets = |index: &InvertedIndex| {
+            let postings = index.terms.items.iter().flatten();
+            postings.filter(|p| matches!(p.docs, DocSet::Many(_))).count()
+        };
+        let mut index = InvertedIndex::new();
+        let (a, b) = (song("A", "B", "1"), song("A", "B", "2"));
+        index.index_document(&a, [("text", &Value::Str("shared 1001 1001".into()))]);
+        assert_eq!(sets(&index), 0, "one document, no set");
+        index.index_document(&b, [("text", &Value::Str("shared 1002".into()))]);
+        assert_eq!(sets(&index), 1, "`shared` alone has two documents");
+        assert_eq!(index.query("text", "shared", None), [a.clone(), b.clone()]);
+        assert_eq!(index.query("text", "shared 1002", None), std::slice::from_ref(&b));
+        index.remove_document(&a);
+        assert_eq!(sets(&index), 0, "back to one document");
+        assert_eq!(index.query("text", "shared", None), [b]);
+        assert!(index.query("text", "1001", None).is_empty());
     }
 
     #[test]

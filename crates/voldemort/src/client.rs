@@ -42,6 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cluster::VoldemortCluster;
+use crate::engine::Rewrite;
 use crate::error::VoldemortError;
 use crate::migrate::JournaledWrite;
 use crate::server::{Hint, VoldemortNode};
@@ -50,16 +51,52 @@ use crate::store::StoreDef;
 /// A server-side transform (API methods 3 and 4): runs against the stored
 /// value *on the node*, saving the round trip of shipping the whole value.
 /// A transformed get runs on every replica read; a transformed put runs
-/// once, on the coordinating replica, against the version the caller read.
-/// "For example, if the value is a list, we can run a transformed get to
-/// retrieve a sub-list or a transformed put to append an entity to a list."
+/// once, on the coordinating replica, against every version it holds, in
+/// one read-modify-write under its engine's lock. "For example, if the
+/// value is a list, we can run a transformed get to retrieve a sub-list or
+/// a transformed put to append an entity to a list."
 pub trait Transform: Send + Sync {
     /// Maps the stored value on a transformed get.
     fn on_get(&self, value: &[u8]) -> Bytes;
 
-    /// Produces the new stored value from the current one and the client's
-    /// input on a transformed put.
-    fn on_put(&self, current: Option<&[u8]>, input: &[u8]) -> Bytes;
+    /// Answers a transformed put from the versions the coordinator holds
+    /// (empty when the key is absent, two or more when replicas diverged)
+    /// and the client's input: nothing to write, a new value, or a suffix
+    /// for the one version held.
+    fn on_put(&self, held: &[Versioned<Bytes>], input: &Bytes) -> Rewrite;
+}
+
+/// What a put asks of the replica that coordinates it.
+enum Write<'a> {
+    /// A whole value, under the clock the caller read.
+    Raw { clock: &'a VectorClock, value: Bytes },
+    /// The transform's answer to what the coordinator holds.
+    Transformed {
+        input: Bytes,
+        transform: &'a dyn Transform,
+    },
+}
+
+impl Write<'_> {
+    /// The coordinator's half of the write, run on `server`: the version it
+    /// stored, stamped with its entry, or `None` when a transform declined.
+    fn commit(
+        &self,
+        server: &VoldemortNode,
+        store: &str,
+        key: &[u8],
+    ) -> Result<Option<Versioned<Bytes>>, VoldemortError> {
+        match self {
+            Write::Raw { clock, value } => {
+                let version = Versioned::new(clock.incremented(server.id().0), value.clone());
+                server.put(store, key, version.clone())?;
+                Ok(Some(version))
+            }
+            Write::Transformed { input, transform } => {
+                server.put_transformed(store, key, &|held| transform.on_put(held, input))
+            }
+        }
+    }
 }
 
 /// The read-modify-write closure for [`StoreClient::apply_update`]: given
@@ -677,7 +714,10 @@ impl StoreClient {
         clock: &VectorClock,
         value: Bytes,
     ) -> Result<VectorClock, VoldemortError> {
-        self.put_internal(key, clock, value, None)
+        match self.put_internal(key, Write::Raw { clock, value })? {
+            Some(clock) => Ok(clock),
+            None => unreachable!("a raw put always stores its value"),
+        }
     }
 
     /// Convenience for a first write (empty base clock).
@@ -686,88 +726,47 @@ impl StoreClient {
     }
 
     /// API method 4: transformed put — the client ships only its (small)
-    /// input; the coordinating replica derives the stored value from the
-    /// version it holds under `clock`, and that stored value is what
-    /// replicates, parks as a hint and feeds a migration capture, exactly
-    /// like a raw put's. `clock` must be the clock of the one version the
-    /// caller read (empty for a first write): a coordinator that does not
-    /// hold that version — it missed writes while down, or the caller
-    /// merged siblings — answers `ObsoleteVersion` rather than replicate a
-    /// list derived from less than the caller saw. Resolve siblings with a
-    /// raw [`StoreClient::put`].
+    /// input and no clock. The coordinating replica reads what it holds,
+    /// runs `transform` on it and stores the answer in one
+    /// read-modify-write, stamped `merge(held clocks).incremented(coordinator)`:
+    /// the output supersedes exactly what the coordinator held, and wherever
+    /// another replica holds more it lands there as a sibling, so nothing
+    /// acked is erased. The stored value is what replicates, parks as a
+    /// hint and feeds a migration capture, exactly like a raw put's.
+    /// Returns the stored version's clock, or `None` when the transform had
+    /// nothing to write (nothing is then replicated or logged).
     pub fn put_with_transform(
         &self,
         key: &[u8],
-        clock: &VectorClock,
         input: Bytes,
         transform: &dyn Transform,
-    ) -> Result<VectorClock, VoldemortError> {
-        self.put_internal(key, clock, input, Some(transform))
+    ) -> Result<Option<VectorClock>, VoldemortError> {
+        self.put_internal(key, Write::Transformed { input, transform })
     }
 
     fn put_internal(
         &self,
         key: &[u8],
-        clock: &VectorClock,
-        value: Bytes,
-        transform: Option<&dyn Transform>,
-    ) -> Result<VectorClock, VoldemortError> {
+        write: Write<'_>,
+    ) -> Result<Option<VectorClock>, VoldemortError> {
         let start = Instant::now();
-        let result = self.put_quorum(key, clock, value, transform);
+        let result = self.put_quorum(key, write);
         self.metrics.put_latency.record_duration(start.elapsed());
         match &result {
-            Ok(_) => self.metrics.puts_ok.inc(),
+            Ok(Some(_)) => self.metrics.puts_ok.inc(),
             Err(VoldemortError::InsufficientWrites { .. }) => {
                 self.metrics.quorum_write_failures.inc();
             }
-            Err(_) => {}
+            Ok(None) | Err(_) => {}
         }
         result
-    }
-
-    /// The coordinator hop: one synchronous replica put that stamps
-    /// `clock` incremented by `node`. Returns the link latency, the stamped
-    /// clock and the value the replica stored — the transform's output
-    /// when there is one.
-    fn put_coordinator(
-        &self,
-        node: NodeId,
-        key: &[u8],
-        clock: &VectorClock,
-        value: &Bytes,
-        transform: Option<&dyn Transform>,
-    ) -> Result<(Duration, (VectorClock, Bytes)), VoldemortError> {
-        self.link.call(node, true, |server| {
-            let stored = match transform {
-                Some(t) => {
-                    // Transform exactly the version the stamped clock
-                    // supersedes: the output replaces it on every replica.
-                    let held = server.get(&self.store.name, key)?;
-                    let base = held.iter().find(|v| v.clock == *clock);
-                    if base.is_none() && !clock.is_empty() {
-                        return Err(VoldemortError::ObsoleteVersion);
-                    }
-                    t.on_put(base.map(|v| v.value.as_ref()), value)
-                }
-                None => value.clone(),
-            };
-            let stamped = clock.incremented(node.0);
-            server.put(
-                &self.store.name,
-                key,
-                Versioned::new(stamped.clone(), stored.clone()),
-            )?;
-            Ok((stamped, stored))
-        })
     }
 
     fn put_quorum(
         &self,
         key: &[u8],
-        clock: &VectorClock,
-        mut value: Bytes,
-        transform: Option<&dyn Transform>,
-    ) -> Result<VectorClock, VoldemortError> {
+        write: Write<'_>,
+    ) -> Result<Option<VectorClock>, VoldemortError> {
         self.enter()?;
         let prefs = self.preference_list(key)?;
         // Captured before the quorum runs: if a migration cutover flips
@@ -785,28 +784,29 @@ impl StoreClient {
         // actually accepts the write stamps the incremented vector clock,
         // as in Dynamo. Two writers racing through disjoint replica subsets
         // therefore produce *concurrent* clocks (siblings), while writers
-        // sharing a replica collide on the optimistic lock. Fanning the
+        // sharing a replica collide on the optimistic lock (a raw put) or
+        // take turns on its engine's lock (a transformed put). Fanning the
         // clock-stamping write out in parallel would let disjoint writers
         // mint *identical* clocks, silently losing one write — so this hop
         // completes before the replication wave starts.
-        let mut committed_clock: Option<VectorClock> = None;
-        let mut coordinator: Option<NodeId> = None;
+        let mut committed: Option<(NodeId, Versioned<Bytes>)> = None;
         let mut wave_start = prefs.len();
         for (i, &node) in prefs.iter().enumerate() {
             if !self.link.is_live(node) {
                 owed.push(node);
                 continue;
             }
-            match self.put_coordinator(node, key, clock, &value, transform) {
-                Ok((latency, (stamped, stored))) => {
+            let commit = |server: &VoldemortNode| write.commit(server, &self.store.name, key);
+            match self.link.call(node, true, commit) {
+                Ok((latency, Some(stored))) => {
                     sim_latency += latency;
-                    value = stored;
-                    committed_clock = Some(stamped);
-                    coordinator = Some(node);
+                    committed = Some((node, stored));
                     acks = 1;
                     wave_start = i + 1;
                     break;
                 }
+                // The transform declined: nothing to replicate or hint.
+                Ok((_, None)) => return Ok(None),
                 // Optimistic lock (someone committed a newer version) or an
                 // engine-level rejection: no other replica (or hint) will
                 // accept the write either.
@@ -814,18 +814,20 @@ impl StoreClient {
                 Err(_) => owed.push(node),
             }
         }
-        let committed = coordinator.is_some();
-        if transform.is_some() && !committed {
-            // No replica ran the transform, so there is no stored value to
-            // park as a hint: the raw input is not one.
-            return Err(VoldemortError::InsufficientWrites { required, got: 0 });
-        }
         // The version that replicates, parks as a hint and feeds a
         // migration capture; the key is copied once for all of them.
-        let versioned = Versioned::new(
-            committed_clock.unwrap_or_else(|| clock.incremented(prefs[0].0)),
-            value,
-        );
+        let (coordinator, versioned) = match (committed, write) {
+            (Some((node, stored)), _) => (Some(node), stored),
+            (None, Write::Raw { clock, value }) => {
+                (None, Versioned::new(clock.incremented(prefs[0].0), value))
+            }
+            // No replica ran the transform, so there is no stored value to
+            // park as a hint: the raw input is not one.
+            (None, Write::Transformed { .. }) => {
+                return Err(VoldemortError::InsufficientWrites { required, got: 0 });
+            }
+        };
+        let committed = coordinator.is_some();
         let shared_key = Bytes::copy_from_slice(key);
 
         // Phase 2 — replicate the committed version to the remaining
@@ -887,7 +889,7 @@ impl StoreClient {
                 value: versioned.clone(),
             });
         self.heal_routing_drift(&shared_key, &prefs, coordinator, &versioned, epoch);
-        Ok(versioned.clock)
+        Ok(Some(versioned.clock))
     }
 
     /// Hinted handoff, the one rule: each replica in `owed` missed
@@ -1129,15 +1131,21 @@ mod tests {
             let s = std::str::from_utf8(value).unwrap_or("");
             Bytes::copy_from_slice(s.rsplit(',').next().unwrap_or("").as_bytes())
         }
-        fn on_put(&self, current: Option<&[u8]>, input: &[u8]) -> Bytes {
-            match current {
-                Some(existing) if !existing.is_empty() => {
-                    let mut out = existing.to_vec();
-                    out.push(b',');
-                    out.extend_from_slice(input);
-                    Bytes::from(out)
+        fn on_put(&self, held: &[Versioned<Bytes>], input: &Bytes) -> Rewrite {
+            match held {
+                [] => Rewrite::Value(input.clone()),
+                [_] => Rewrite::Append([&b","[..], input].concat().into()),
+                // Diverged lists: the sorted union of their elements.
+                siblings => {
+                    let mut items: Vec<&[u8]> = siblings
+                        .iter()
+                        .flat_map(|v| v.value.split(|&b| b == b','))
+                        .chain([&input[..]])
+                        .collect();
+                    items.sort_unstable();
+                    items.dedup();
+                    Rewrite::Value(items.join(&b","[..]).into())
                 }
-                _ => Bytes::copy_from_slice(input),
             }
         }
     }
@@ -1227,14 +1235,14 @@ mod tests {
     fn hinted_handoff_of_a_transformed_put_parks_the_stored_value() {
         let (cluster, client) = cluster_with_store(4, 2, 1, 2);
         let prefs = cluster.ring().preference_list(b"follows", 2).unwrap();
-        let c1 = client
-            .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
+        client
+            .put_with_transform(b"follows", Bytes::from_static(b"li"), &ListAppend)
             .unwrap();
         cluster.network().crash(prefs[1]);
         // W=2 met via the coordinator + 1 hint: the hint must carry the
         // list the coordinator stored, not the two-byte input.
         client
-            .put_with_transform(b"follows", &c1, Bytes::from_static(b"msft"), &ListAppend)
+            .put_with_transform(b"follows", Bytes::from_static(b"msft"), &ListAppend)
             .unwrap();
         assert_eq!(cluster.pending_hints(), 1);
         cluster.network().restart(prefs[1]);
@@ -1251,49 +1259,90 @@ mod tests {
             cluster.network().crash(node);
         }
         let err = client
-            .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
+            .put_with_transform(b"follows", Bytes::from_static(b"li"), &ListAppend)
             .unwrap_err();
         assert_eq!(err, VoldemortError::InsufficientWrites { required: 1, got: 0 });
         assert_eq!(cluster.pending_hints(), 0);
     }
 
     #[test]
-    fn stale_coordinator_refuses_a_transformed_put() {
+    fn a_declined_transformed_put_writes_nothing_anywhere() {
+        /// Appends its input unless the one list held already ends with it.
+        struct AppendOnce;
+        impl Transform for AppendOnce {
+            fn on_get(&self, value: &[u8]) -> Bytes {
+                Bytes::copy_from_slice(value)
+            }
+            fn on_put(&self, held: &[Versioned<Bytes>], input: &Bytes) -> Rewrite {
+                match held {
+                    [list] if list.value.ends_with(input) => Rewrite::Keep,
+                    _ => ListAppend.on_put(held, input),
+                }
+            }
+        }
+        let (cluster, client) = cluster_with_store(4, 2, 1, 2);
+        let stored = client
+            .put_with_transform(b"follows", Bytes::from_static(b"li"), &AppendOnce)
+            .unwrap();
+        let puts = || cluster.metrics().snapshot().counter("voldemort.client.put.ok");
+        assert_eq!(puts(), Some(1));
+        let declined = client
+            .put_with_transform(b"follows", Bytes::from_static(b"li"), &AppendOnce)
+            .unwrap();
+        assert_eq!(declined, None);
+        assert_eq!(puts(), Some(1), "a declined put is not an acked one");
+        let held = client.get(b"follows").unwrap();
+        assert_eq!(held.len(), 1);
+        assert_eq!(Some(&held[0].clock), stored.as_ref(), "no replica moved");
+    }
+
+    #[test]
+    fn a_stale_coordinators_append_lands_as_a_sibling() {
         // N=2, R=1, W=1: an append while prefs[0] is down reaches prefs[1]
-        // only, and W is met without a hint.
+        // only, and W is met with a hint for prefs[0].
         let (cluster, client) = cluster_with_store(4, 2, 1, 1);
         let prefs = cluster.ring().preference_list(b"follows", 2).unwrap();
-        let c1 = client
-            .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
+        client
+            .put_with_transform(b"follows", Bytes::from_static(b"li"), &ListAppend)
             .unwrap();
         cluster.network().crash(prefs[0]);
-        let c2 = client
-            .put_with_transform(b"follows", &c1, Bytes::from_static(b"msft"), &ListAppend)
+        client
+            .put_with_transform(b"follows", Bytes::from_static(b"msft"), &ListAppend)
             .unwrap();
         cluster.network().restart(prefs[0]);
-        // prefs[0] coordinates again but still holds "li": appending to that
-        // under a clock above c2 would erase "msft" from the healthy replica.
-        let err = client
-            .put_with_transform(b"follows", &c2, Bytes::from_static(b"goog"), &ListAppend)
-            .unwrap_err();
-        assert_eq!(err, VoldemortError::ObsoleteVersion);
-        let healthy = cluster.node(prefs[1]).unwrap().get("s", b"follows").unwrap();
-        assert_eq!(healthy[0].value.as_ref(), b"li,msft");
-        // From the version prefs[0] does hold, the append lands as a
-        // sibling beside the healthy replica's list: nothing is lost.
+        // prefs[0] coordinates again and still holds "li" alone. Its append
+        // supersedes exactly that: on the healthy replica it is concurrent
+        // with "li,msft", so it lands beside it and erases nothing.
         client
-            .put_with_transform(b"follows", &c1, Bytes::from_static(b"goog"), &ListAppend)
+            .put_with_transform(b"follows", Bytes::from_static(b"goog"), &ListAppend)
             .unwrap();
-        let mut lists: Vec<_> = cluster
-            .node(prefs[1])
-            .unwrap()
-            .get("s", b"follows")
-            .unwrap()
-            .into_iter()
-            .map(|v| v.value)
+        let lists = |node: NodeId| {
+            let held = cluster.node(node).unwrap().get("s", b"follows").unwrap();
+            let mut lists: Vec<Bytes> = held.into_iter().map(|v| v.value).collect();
+            lists.sort();
+            lists
+        };
+        assert_eq!(lists(prefs[0]), [&b"li,goog"[..]]);
+        assert_eq!(lists(prefs[1]), [&b"li,goog"[..], &b"li,msft"[..]]);
+        // The hint brings "li,msft" to prefs[0]; a read then returns both
+        // lists, and their union holds every element.
+        assert_eq!(cluster.deliver_hints(), 1);
+        let read = client.get(b"follows").unwrap();
+        assert_eq!(read.len(), 2);
+        let mut union: Vec<&[u8]> = read
+            .iter()
+            .flat_map(|v| v.value.split(|&b| b == b','))
             .collect();
-        lists.sort();
-        assert_eq!(lists, [&b"li,goog"[..], &b"li,msft"[..]]);
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(union, [&b"goog"[..], b"li", b"msft"]);
+        // The next append runs on both siblings and reconciles them.
+        client
+            .put_with_transform(b"follows", Bytes::from_static(b"ibm"), &ListAppend)
+            .unwrap();
+        for node in prefs {
+            assert_eq!(lists(node), [&b"goog,ibm,li,msft"[..]]);
+        }
     }
 
     /// The nodes outside `prefs`, in id order: where hints for it park.

@@ -22,15 +22,19 @@
 //! OP_APPEND  key clock base_len suffix  the one version held, extended
 //! ```
 //!
-//! `put` picks the record from what it sees under its own mutex. When the
-//! slot holds exactly one version, the incoming clock strictly dominates
-//! that version's, and the incoming bytes are longer than and start with
-//! the held bytes, the new version *is* the held one plus a suffix, whoever
-//! produced it (a transformed put that appends to a list, a replica wave,
-//! a replayed hint, a read repair), and the log gets the suffix alone:
-//! what is framed and CRC'd no longer grows with the value. Every other
-//! put logs the whole value. The index always holds the materialised
-//! value, so nothing outside this module can tell the two records apart.
+//! A write picks the record from what it sees under its own mutex. A
+//! read-modify-write whose answer is [`Rewrite::Append`] to the one
+//! version held is a suffix record by construction: the engine built the
+//! value from that version, so nothing needs comparing. A `put` finds the
+//! same shape by looking: when the slot holds exactly one version, the
+//! incoming clock strictly dominates that version's, and the incoming
+//! bytes are longer than and start with the held bytes, the new version
+//! *is* the held one plus a suffix, whoever produced it (a replica wave
+//! carrying a coordinator's append, a replayed hint, a read repair), and
+//! the log gets the suffix alone: what is framed and CRC'd no longer grows
+//! with the value. Every other write logs the whole value. The index
+//! always holds the materialised value, so nothing outside this module can
+//! tell the two records apart.
 //!
 //! Replay is deterministic: a rejected put is not logged and a delete only
 //! when it removed something, so the slot a record meets on replay is the
@@ -42,13 +46,13 @@
 
 use bytes::Bytes;
 use li_commons::bufio::{self, FrameBounds};
-use li_commons::clock::{Occurred, VectorClock, Versioned};
+use li_commons::clock::{Occurred, VectorClock, Versioned, WriterId};
 use li_commons::metrics::{Gauge, MetricsRegistry, MetricsScope};
 use li_commons::varint;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-use super::{slot_delete, slot_put, StorageEngine};
+use super::{slot_delete, slot_put, slot_rewrite, Rewrite, StorageEngine};
 use crate::error::VoldemortError;
 
 const OP_PUT: u8 = 0;
@@ -275,6 +279,36 @@ impl StorageEngine for BdbLikeEngine {
         }
         self.log_gauge.set(log.len() as i64);
         Ok(())
+    }
+
+    fn read_modify_write(
+        &self,
+        key: &[u8],
+        writer: WriterId,
+        rewrite: &dyn Fn(&[Versioned<Bytes>]) -> Rewrite,
+    ) -> Result<Option<Versioned<Bytes>>, VoldemortError> {
+        let mut guard = self.inner.lock();
+        let Inner { index, log } = &mut *guard;
+        let stored = match index.get_mut(key) {
+            Some(slot) => slot_rewrite(slot, writer, rewrite)?,
+            None => {
+                let mut slot = Vec::new();
+                let stored = slot_rewrite(&mut slot, writer, rewrite)?;
+                if !slot.is_empty() {
+                    index.insert(key.to_vec(), slot);
+                }
+                stored
+            }
+        };
+        let Some((version, base_len)) = stored else {
+            return Ok(None);
+        };
+        bufio::write_frame_with(log, |out| match base_len {
+            Some(base_len) => encode_append(out, key, &version, base_len),
+            None => encode_put(out, key, &version),
+        });
+        self.log_gauge.set(log.len() as i64);
+        Ok(Some(version))
     }
 
     fn delete(&self, key: &[u8], clock: &VectorClock) -> Result<bool, VoldemortError> {

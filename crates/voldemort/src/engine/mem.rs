@@ -1,11 +1,11 @@
 //! Volatile in-memory engine.
 
 use bytes::Bytes;
-use li_commons::clock::{VectorClock, Versioned};
+use li_commons::clock::{VectorClock, Versioned, WriterId};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
-use super::{slot_delete, slot_put, StorageEngine};
+use super::{slot_delete, slot_put, slot_rewrite, Rewrite, StorageEngine};
 use crate::error::VoldemortError;
 
 /// A BTreeMap-backed engine: the simplest conforming implementation, used
@@ -38,6 +38,21 @@ impl StorageEngine for MemoryEngine {
             map.remove(key);
         }
         result
+    }
+
+    fn read_modify_write(
+        &self,
+        key: &[u8],
+        writer: WriterId,
+        rewrite: &dyn Fn(&[Versioned<Bytes>]) -> Rewrite,
+    ) -> Result<Option<Versioned<Bytes>>, VoldemortError> {
+        let mut map = self.map.write();
+        let slot = map.entry(key.to_vec()).or_default();
+        let result = slot_rewrite(slot, writer, rewrite);
+        if slot.is_empty() {
+            map.remove(key);
+        }
+        result.map(|stored| stored.map(|(version, _)| version))
     }
 
     fn delete(&self, key: &[u8], clock: &VectorClock) -> Result<bool, VoldemortError> {

@@ -12,9 +12,24 @@ pub use bdb::BdbLikeEngine;
 pub use mem::MemoryEngine;
 
 use bytes::Bytes;
-use li_commons::clock::{VectorClock, Versioned};
+use li_commons::clock::{VectorClock, Versioned, WriterId};
 
 use crate::error::VoldemortError;
+
+/// What a read-modify-write makes of the versions a key holds: the answer
+/// of [`StorageEngine::read_modify_write`]'s closure, and of a transformed
+/// put's [`crate::Transform::on_put`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rewrite {
+    /// Nothing to write: the key keeps what it holds, and nothing is
+    /// stored, logged or replicated.
+    Keep,
+    /// A new value, superseding every version held.
+    Value(Bytes),
+    /// The one version held (nothing, when the key is absent) extended by
+    /// these bytes.
+    Append(Bytes),
+}
 
 /// The storage interface every engine implements. Engines store the full
 /// sibling set per key: concurrent vector-clocked versions coexist until a
@@ -37,6 +52,19 @@ pub trait StorageEngine: Send + Sync {
             Err(e) => Err(e),
         }
     }
+
+    /// Read-modify-write under the engine's one lock: `rewrite` is handed
+    /// every version `key` holds, and its answer is stored stamped
+    /// `merge(held clocks).incremented(writer)`, so it supersedes exactly
+    /// what was held. Returns the stored version, or `None` when `rewrite`
+    /// answered [`Rewrite::Keep`]. An append to two or more siblings has no
+    /// one base and fails with [`VoldemortError::UnsupportedOperation`].
+    fn read_modify_write(
+        &self,
+        key: &[u8],
+        writer: WriterId,
+        rewrite: &dyn Fn(&[Versioned<Bytes>]) -> Rewrite,
+    ) -> Result<Option<Versioned<Bytes>>, VoldemortError>;
 
     /// Deletes every version of `key` dominated by (or equal to) `clock`.
     /// Concurrent siblings survive. Returns true when anything was removed.
@@ -61,6 +89,48 @@ pub(crate) fn slot_put<V>(
     } else {
         Err(VoldemortError::ObsoleteVersion)
     }
+}
+
+/// A version a read-modify-write stored and, when it appended to the one
+/// version held, that version's length: the log may carry it as a suffix
+/// of that many bytes.
+pub(crate) type Rewritten = (Versioned<Bytes>, Option<usize>);
+
+/// Shared read-modify-write logic: stores `rewrite`'s answer to `slot` in
+/// it, as [`StorageEngine::read_modify_write`] specifies.
+pub(crate) fn slot_rewrite(
+    slot: &mut Vec<Versioned<Bytes>>,
+    writer: WriterId,
+    rewrite: &dyn Fn(&[Versioned<Bytes>]) -> Rewrite,
+) -> Result<Option<Rewritten>, VoldemortError> {
+    let (value, base_len) = match (rewrite(slot), slot.as_slice()) {
+        (Rewrite::Keep, _) => return Ok(None),
+        (Rewrite::Value(value) | Rewrite::Append(value), []) | (Rewrite::Value(value), _) => {
+            (value, None)
+        }
+        (Rewrite::Append(suffix), [held]) => {
+            let mut value = Vec::with_capacity(held.value.len() + suffix.len());
+            value.extend_from_slice(&held.value);
+            value.extend_from_slice(&suffix);
+            (Bytes::from(value), Some(held.value.len()))
+        }
+        (Rewrite::Append(_), _) => {
+            return Err(VoldemortError::UnsupportedOperation(
+                "append to concurrent siblings",
+            ))
+        }
+    };
+    let clock = slot
+        .iter()
+        .fold(VectorClock::new(), |acc, v| acc.merged(&v.clock))
+        .incremented(writer);
+    let version = Versioned::new(clock, value);
+    slot.clear();
+    // A slot that held nothing has no capacity yet: a push alone would
+    // reserve four versions for the one it stores.
+    slot.reserve_exact(1);
+    slot.push(version.clone());
+    Ok(Some((version, base_len)))
 }
 
 /// Shared delete logic: drop versions `<= clock`.
@@ -92,6 +162,7 @@ pub(crate) mod conformance {
         delete_dominated_versions(make());
         delete_spares_concurrent(make());
         entries_snapshot(make());
+        read_modify_write_supersedes_what_is_held(make());
     }
 
     fn v(clock: VectorClock, value: &str) -> Versioned<Bytes> {
@@ -174,6 +245,40 @@ pub(crate) mod conformance {
         let rest = e.get(b"k").unwrap();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].value.as_ref(), b"right");
+    }
+
+    fn read_modify_write_supersedes_what_is_held(e: Box<dyn StorageEngine>) {
+        let keep = |_: &[Versioned<Bytes>]| Rewrite::Keep;
+        let append = |_: &[Versioned<Bytes>]| Rewrite::Append(Bytes::from_static(b"+x"));
+        assert_eq!(e.read_modify_write(b"k", 1, &keep).unwrap(), None);
+        assert_eq!(e.key_count(), 0, "a declined write stores nothing");
+
+        let first = e.read_modify_write(b"k", 1, &append).unwrap().unwrap();
+        assert_eq!(first, v(VectorClock::with(1, 1), "+x"), "an append to nothing");
+        let second = e.read_modify_write(b"k", 2, &append).unwrap().unwrap();
+        assert_eq!(second, v(VectorClock::with(1, 1).incremented(2), "+x+x"));
+        assert_eq!(e.read_modify_write(b"k", 2, &keep).unwrap(), None);
+        assert_eq!(e.get(b"k").unwrap(), std::slice::from_ref(&second));
+
+        // Two siblings: an append has no one base; a value supersedes both.
+        e.put(b"k", v(VectorClock::with(3, 1), "other")).unwrap();
+        let held = e.get(b"k").unwrap();
+        assert_eq!(held.len(), 2);
+        assert!(matches!(
+            e.read_modify_write(b"k", 1, &append),
+            Err(VoldemortError::UnsupportedOperation(_))
+        ));
+        assert_eq!(e.get(b"k").unwrap(), held, "a refused append changes nothing");
+        let seen = std::cell::Cell::new(0);
+        let union = |held: &[Versioned<Bytes>]| {
+            seen.set(held.len());
+            Rewrite::Value(Bytes::from_static(b"union"))
+        };
+        let merged = e.read_modify_write(b"k", 1, &union).unwrap().unwrap();
+        assert_eq!(seen.get(), 2, "the closure sees every sibling");
+        let stamp = second.clock.merged(&VectorClock::with(3, 1)).incremented(1);
+        assert_eq!(merged, v(stamp, "union"));
+        assert_eq!(e.get(b"k").unwrap(), [merged]);
     }
 
     fn entries_snapshot(e: Box<dyn StorageEngine>) {

@@ -9,7 +9,8 @@
 //! interchanged and mocked, exactly as the paper prescribes:
 //!
 //! * [`client`] — the client API of Figure II.2: vector-clocked `get`/`put`
-//!   (with optional server-side **transforms** that save a round trip),
+//!   (with optional server-side **transforms** that save a round trip; a
+//!   transformed put is one read-modify-write on the coordinator),
 //!   `apply_update` optimistic-locking retry loops, quorum coordination
 //!   (N/R/W), **read repair**, and **hinted handoff**.
 //! * [`routing`] — O(1) consistent-hash routing over the full replicated
@@ -68,6 +69,7 @@ pub use client::{
     UpdateAction,
 };
 pub use cluster::VoldemortCluster;
+pub use engine::Rewrite;
 pub use error::VoldemortError;
 pub use migrate::PartitionMigration;
 pub use store::{EngineKind, StoreDef};

@@ -1,7 +1,7 @@
 //! Pull + swap phases and the serving path of the read-only engine.
 
 use bytes::Bytes;
-use li_commons::clock::{VectorClock, Versioned};
+use li_commons::clock::{VectorClock, Versioned, WriterId};
 use li_commons::md5::md5;
 use li_commons::ring::{HashRing, NodeId, PartitionId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use super::format;
-use crate::engine::StorageEngine;
+use crate::engine::{Rewrite, StorageEngine};
 use crate::error::VoldemortError;
 
 /// One fully-loaded store version: every partition's index and data files
@@ -252,6 +252,17 @@ impl StorageEngine for ReadOnlyEngine {
     fn put(&self, _key: &[u8], _value: Versioned<Bytes>) -> Result<(), VoldemortError> {
         Err(VoldemortError::UnsupportedOperation(
             "put on read-only store (use the build/pull/swap pipeline)",
+        ))
+    }
+
+    fn read_modify_write(
+        &self,
+        _key: &[u8],
+        _writer: WriterId,
+        _rewrite: &dyn Fn(&[Versioned<Bytes>]) -> Rewrite,
+    ) -> Result<Option<Versioned<Bytes>>, VoldemortError> {
+        Err(VoldemortError::UnsupportedOperation(
+            "read-modify-write on read-only store",
         ))
     }
 

@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::engine::StorageEngine;
+use crate::engine::{Rewrite, StorageEngine};
 use crate::error::VoldemortError;
 
 /// Per-node observability: request counts, bytes moved, hint queue depth,
@@ -154,6 +154,27 @@ impl VoldemortNode {
             .bytes_in
             .add((key.len() + value.value.len()) as u64);
         self.engine(store)?.put(key, value)
+    }
+
+    /// Server-side read-modify-write, the coordinator's half of a
+    /// transformed put: `rewrite` answers what `key` holds here, under the
+    /// engine's one lock, and the answer is stamped with this node's entry
+    /// ([`StorageEngine::read_modify_write`]). Counted as a put when it
+    /// stores a version; a declined write counts nothing.
+    pub fn put_transformed(
+        &self,
+        store: &str,
+        key: &[u8],
+        rewrite: &dyn Fn(&[Versioned<Bytes>]) -> Rewrite,
+    ) -> Result<Option<Versioned<Bytes>>, VoldemortError> {
+        let stored = self.engine(store)?.read_modify_write(key, self.id.0, rewrite)?;
+        if let Some(version) = &stored {
+            self.metrics.puts.inc();
+            self.metrics
+                .bytes_in
+                .add((key.len() + version.value.len()) as u64);
+        }
+        Ok(stored)
     }
 
     /// Server-side force put (read repair / handoff replay / rebalance).

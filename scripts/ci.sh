@@ -56,8 +56,8 @@ if [ "$(grep -c 'Reply {' <<<"$client_seam")" -ne 1 ] \
   exit 1
 fi
 # One hint rule: every replica a put missed is owed a hint, delivered to
-# that replica. The post-quorum straggler's walk of its own stays gone, the
-# follow cacher reads at its store's R, and outside the test modules
+# that replica. The post-quorum straggler's walk of its own stays gone, no
+# follow-cacher read widens to every replica, and outside the test modules
 # `ReadFanOut` is named in the library only by its enum, the config field,
 # the re-export and `get_quorum`'s width match.
 read_fan_out="$(for f in $(git grep -lw 'ReadFanOut\|is_straggler' -- crates/core crates/voldemort/src); do
@@ -76,6 +76,15 @@ hint_holder_calls="$(awk '
 ' <<<"$client_seam")"
 if grep UNGUARDED <<<"$hint_holder_calls" || ! grep -q guarded <<<"$hint_holder_calls"; then
   echo "ci.sh: voldemort client.rs builds hint holders outside an owed-hint branch" >&2
+  exit 1
+fi
+# A follow's cache update is one transformed put per list: outside its
+# test module the follow cacher neither reads a store (`.get(`) nor runs a
+# client-side read-modify-write (`apply_update(`). The coordinating
+# replica reads, checks and appends under its engine's lock.
+consumers_seam="$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/consumers.rs)"
+if grep -nE 'apply_update\(|\.get\(' <<<"$consumers_seam"; then
+  echo "ci.sh: the follow cacher reads a store before it writes again (matches above)" >&2
   exit 1
 fi
 # Quorums run on simulated time: no Voldemort path sleeps a latency, runs

@@ -4,9 +4,10 @@
 //! Each scenario is a pure function of its seed: the [`ChaosScheduler`]
 //! owns the run's `SimClock` and seeded `SimNetwork`, the workload is a
 //! deterministic op stream, and no code on the chaos path consults the
-//! wall clock or OS RNG. A failing run prints a one-line repro
-//! (`CHAOS_SEED=<seed> cargo test --test chaos <scenario>`) plus the
-//! event trace; re-running with that seed reproduces the run byte for
+//! wall clock or OS RNG. A failing run prints a one-line repro naming its
+//! one sweep test (`CHAOS_SEED=<seed> cargo test --test chaos
+//! chaos_sweep_<scenario> -- --exact`, so no sibling scenario re-runs)
+//! plus the event trace; re-running with that seed reproduces the run byte for
 //! byte (asserted by `same_seed_yields_byte_identical_traces` below, and
 //! exercised end-to-end by the planted-violation test).
 //!
@@ -451,7 +452,7 @@ fn run_voldemort_quorum(seed: u64, plant_violation: bool) -> Result<String, Chao
             ("quorum-durability", &|| acked_not_lost(&client, &acked)),
             ("hints-drained", &|| hints_drained(&cluster)),
         ],
-        "cargo test --test chaos voldemort",
+        &repro("chaos_sweep_voldemort_quorum"),
     )?;
     Ok(sched.trace_text())
 }
@@ -602,7 +603,7 @@ fn run_voldemort_tail_fanout(seed: u64, plant_violation: bool) -> Result<String,
                 hints_drained(&cluster).and_then(|()| owners_hold(&cluster, &acked, None))
             }),
         ],
-        "cargo test --test chaos tail_fanout",
+        &repro("chaos_sweep_voldemort_tail_fanout"),
     )?;
     Ok(sched.trace_text())
 }
@@ -653,7 +654,7 @@ fn run_espresso_failover(seed: u64, plant_violation: bool) -> Result<String, Cha
             ("single-master-per-partition", &|| single_master(&cluster)),
             ("relay-commit-order", &|| relay_commit_order(&cluster, 3)),
         ],
-        "cargo test --test chaos espresso",
+        &repro("chaos_sweep_espresso_failover"),
     )?;
     Ok(sched.trace_text())
 }
@@ -772,7 +773,7 @@ fn run_kafka_replication_and_mirror(seed: u64) -> Result<String, ChaosFailure> {
             ("committed-reads-stable", &committed_stable),
             ("mirror-byte-identity", &mirror_identity),
         ],
-        "cargo test --test chaos kafka",
+        &repro("chaos_sweep_kafka_replication_and_mirror"),
     )?;
     Ok(sched.trace_text())
 }
@@ -942,7 +943,7 @@ fn run_kafka_ack_durability(seed: u64, plant_violation: bool) -> Result<String, 
             ("replica-byte-identity", &|| replicas_identical(&replicated, ACK_PARTITIONS)),
             ("log-contiguity", &|| logs_contiguous(&live, "events", ACK_PARTITIONS)),
         ],
-        "cargo test --test chaos kafka_ack",
+        &repro("chaos_sweep_kafka_ack_durability"),
     )?;
     Ok(sched.trace_text())
 }
@@ -1051,7 +1052,7 @@ fn run_sqlstore_replication(seed: u64) -> Result<String, ChaosFailure> {
             ("binlog-replay-equivalence", &replay_equivalence),
             ("recover-matches-primary", &recover_matches),
         ],
-        "cargo test --test chaos sqlstore",
+        &repro("chaos_sweep_sqlstore_replication"),
     )?;
     Ok(sched.trace_text())
 }
@@ -1436,7 +1437,7 @@ fn run_site_closed_loop(seed: u64, plant: Option<SitePlant>) -> Result<String, C
             ("pymk-serves", &pymk_serves),
             ("kafka-conserved", &kafka_conserved),
         ],
-        "cargo test --test chaos site_closed_loop",
+        &repro("chaos_sweep_site_closed_loop"),
     )?;
     Ok(sched.trace_text())
 }
@@ -1521,7 +1522,7 @@ fn run_migration_vs_donor_crash(seed: u64) -> Result<String, ChaosFailure> {
             }),
             ("hints-drained", &|| hints_drained(&cluster)),
         ],
-        "cargo test --test chaos migration_vs_donor_crash",
+        &repro("chaos_sweep_migration_vs_donor_crash"),
     )?;
     Ok(sched.trace_text())
 }
@@ -1621,7 +1622,7 @@ fn run_cutover_vs_network_partition(seed: u64) -> Result<String, ChaosFailure> {
             // dual-write.
             ("target-holds-moved-keys", &|| owners_hold(&cluster, &acked, Some(to))),
         ],
-        "cargo test --test chaos cutover_vs_partition",
+        &repro("chaos_sweep_cutover_vs_network_partition"),
     )?;
     Ok(sched.trace_text())
 }
@@ -1718,7 +1719,7 @@ fn run_espresso_rebalance_vs_failover(seed: u64) -> Result<String, ChaosFailure>
                 migrated_once(&coordinator, cluster.metrics()).and_then(|()| mastered_by_target())
             }),
         ],
-        "cargo test --test chaos espresso_rebalance",
+        &repro("chaos_sweep_espresso_rebalance_vs_failover"),
     )?;
     Ok(sched.trace_text())
 }
@@ -1755,6 +1756,12 @@ scenarios! {
     chaos_sweep_migration_vs_donor_crash [11] => run_migration_vs_donor_crash,
     chaos_sweep_cutover_vs_network_partition [11] => run_cutover_vs_network_partition,
     chaos_sweep_espresso_rebalance_vs_failover [11] => run_espresso_rebalance_vs_failover,
+}
+
+/// The repro command of sweep test `test`: that test alone, whatever
+/// other test names contain its name.
+fn repro(test: &str) -> String {
+    format!("cargo test --test chaos {test} -- --exact")
 }
 
 /// Runs sweep test `test`'s scenario `run` over the sweep's seeds and
@@ -1800,18 +1807,23 @@ fn same_seed_yields_byte_identical_traces() {
 fn planted_violation_is_caught_and_reproduces_from_printed_seed() {
     type Planted = fn(u64, bool) -> Result<String, ChaosFailure>;
     let cases: [(Planted, &str, &str, &str); 7] = [
-        (run_voldemort_quorum, "quorum-durability", "voldemort", "PLANT: deleted acked key"),
-        (run_voldemort_tail_fanout, "tail-bound", "tail_fanout", "PLANT: quorum-width read"),
+        (run_voldemort_quorum, "quorum-durability", "voldemort_quorum", "PLANT: deleted acked key"),
+        (
+            run_voldemort_tail_fanout,
+            "tail-bound",
+            "voldemort_tail_fanout",
+            "PLANT: quorum-width read",
+        ),
         (
             run_espresso_failover,
             "acked-docs-readable",
-            "espresso",
+            "espresso_failover",
             "PLANT: deleted acked document",
         ),
         (
             run_kafka_ack_durability,
             "full-isr-durability",
-            "kafka_ack",
+            "kafka_ack_durability",
             "PLANT: reset every replica",
         ),
         (
@@ -1840,21 +1852,25 @@ fn planted_violation_is_caught_and_reproduces_from_printed_seed() {
             message.contains(&format!("invariant `{invariant}` violated")),
             "unexpected report:\n{message}"
         );
-        assert!(
-            message.contains(&format!("CHAOS_SEED=4242 cargo test --test chaos {scenario}")),
-            "missing repro line:\n{message}"
-        );
         assert!(message.contains(plant), "trace missing:\n{message}");
 
-        // Act like an engineer reading the failure: parse the seed out of
-        // the printed repro line and re-run. The violation must reproduce
-        // with the identical trace.
-        let seed: u64 = message
-            .split("CHAOS_SEED=")
-            .nth(1)
-            .and_then(|rest| rest.split_whitespace().next())
-            .and_then(|s| s.parse().ok())
-            .expect("repro line carries a parseable seed");
+        // Act like an engineer reading the failure: parse the seed and the
+        // test out of the printed repro line and re-run. The line names
+        // exactly the scenario's sweep test, and the violation must
+        // reproduce with the identical trace.
+        let line = message
+            .lines()
+            .find_map(|line| line.strip_prefix("repro: CHAOS_SEED="))
+            .expect("a repro line");
+        let [seed, "cargo", "test", "--test", "chaos", test, "--", "--exact"] =
+            line.split_whitespace().collect::<Vec<_>>()[..]
+        else {
+            panic!("malformed repro line: {line}");
+        };
+        assert_eq!(test, format!("chaos_sweep_{scenario}"), "the scenario's own sweep");
+        assert!(SCENARIOS.iter().any(|(name, ..)| *name == test), "{test} is a sweep test");
+        let seed: u64 = seed.parse().expect("repro line carries a parseable seed");
+        assert_eq!(seed, 4242);
         let again = run(seed, true).expect_err("repro run must fail identically");
         assert_eq!(failure.violations, again.violations);
         assert_eq!(failure.trace, again.trace);

@@ -22,8 +22,11 @@
 //! with the live consumer caught up inline, once fed from push-dispatch
 //! threads while the follows commit — and both runs must issue the same
 //! number of replica puts per Voldemort node in every one of the three
-//! consumers (one append per edge event, no coalescing). The replica-down
-//! cases run once, on the inline path.
+//! consumers (one append per edge event, no coalescing). Each consumer
+//! issues no get at all (every write is one transformed put, run by the
+//! coordinating replica on what it holds) and one put per replica for each
+//! list row and each id an edge adds. The replica-down cases run once, on
+//! the inline path.
 //!
 //! Every view's stores run on log-structured engines the test holds, and
 //! wherever a view is checked each replica's log must replay to what the
@@ -46,8 +49,8 @@ use li_voldemort::engine::{BdbLikeEngine, StorageEngine};
 use li_voldemort::{StoreDef, VoldemortCluster};
 use linkedin_data_infra::DataPlatform;
 use linkedin_data_infra::consumers::{
-    company_row_key, decode_ids, encode_ids, follow_edge_row, member_row_key, union_ids,
-    CompanyFollowCacher, FOLLOW_EDGES_TABLE,
+    company_row_key, contains_id, decode_ids, encode_ids, follow_edge_row, member_row_key,
+    union_ids, CompanyFollowCacher, FOLLOW_EDGES_TABLE,
 };
 use proptest::prelude::*;
 
@@ -155,6 +158,16 @@ impl View {
         self.check("member-follows", member_row_key, follows)?;
         self.check("company-followers", company_row_key, followers)?;
         self.check_logs()
+    }
+
+    /// The gets any client and any node served: the cacher issues none.
+    fn gets(&self) -> u64 {
+        let snapshot = self.registry.snapshot();
+        let nodes = (0..NODES).map(|n| format!("voldemort.node{n}.get.count"));
+        std::iter::once("voldemort.client.get.ok".to_string())
+            .chain(nodes)
+            .filter_map(|name| snapshot.counter(&name))
+            .sum()
     }
 
     fn puts_per_node(&self) -> Vec<u64> {
@@ -265,6 +278,7 @@ fn run_case(
         }
     }
     live.client.catch_up().map_err(|e| e.to_string())?;
+    assert_eq!(live.gets(), 0, "the cacher reads before it writes");
     live.check_both(&follows, &followers).map_err(|e| format!("live: {e}"))?;
     let live_puts = live.puts_per_node();
 
@@ -276,8 +290,9 @@ fn run_case(
 
     let fresh = View::new(&relay, &bootstrap);
     fresh.client.catch_up().map_err(|e| e.to_string())?;
-    fresh.check_both(&follows, &followers).map_err(|e| format!("fresh: {e}"))?;
     behind.client.catch_up().map_err(|e| e.to_string())?;
+    assert_eq!(fresh.gets() + behind.gets(), 0, "a late cacher reads before it writes");
+    fresh.check_both(&follows, &followers).map_err(|e| format!("fresh: {e}"))?;
     behind.check_both(&follows, &followers).map_err(|e| format!("behind: {e}"))?;
     if relay.oldest_scn() > 2 {
         // The head is gone, so neither was served window by window.
@@ -287,7 +302,20 @@ fn run_case(
     for view in [&live, &fresh, &behind] {
         assert_eq!(view.client.checkpoint(), last);
     }
-    Ok(vec![live_puts, fresh.puts_per_node(), behind.puts_per_node()])
+    // One put per replica (N=2) for each loaded list row and for each id
+    // an edge adds to a list; a re-follow of a loaded edge adds none.
+    let new_edges = ops
+        .iter()
+        .filter(|edge| !loaded.contains(edge))
+        .collect::<BTreeSet<_>>()
+        .len();
+    let lists = loaded.iter().map(|e| e.0).collect::<BTreeSet<_>>().len()
+        + loaded.iter().map(|e| e.1).collect::<BTreeSet<_>>().len();
+    let puts = vec![live_puts, fresh.puts_per_node(), behind.puts_per_node()];
+    for per_node in &puts {
+        assert_eq!(per_node.iter().sum::<u64>(), 2 * (lists + 2 * new_edges) as u64);
+    }
+    Ok(puts)
 }
 
 proptest! {
@@ -304,6 +332,35 @@ proptest! {
         let inline = run(false).map_err(TestCaseError::fail)?;
         let pushed = run(true).map_err(TestCaseError::fail)?;
         prop_assert_eq!(inline, pushed, "replica puts per node differ between inline and push delivery");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cacher's block-wise scan (eight ids a step) against the plain
+    /// one, for every id of the list, an id it lacks and a duplicated id.
+    #[test]
+    fn the_block_wise_id_scan_agrees_with_the_scalar_scan(
+        ids in proptest::collection::vec(any::<u64>(), 0..131),
+        absent in any::<u64>(),
+        copied in any::<proptest::sample::Index>(),
+        at in any::<proptest::sample::Index>(),
+        torn in 0usize..8,
+    ) {
+        let scalar = |list: &[u8], id: u64| list.chunks_exact(8).any(|w| w == id.to_le_bytes());
+        let mut list = encode_ids(&ids);
+        if !ids.is_empty() {
+            let (id, at) = (ids[copied.index(ids.len())], at.index(ids.len() + 1));
+            list.splice(at * 8..at * 8, id.to_le_bytes());
+        }
+        // A torn tail holds no id, whatever its bytes.
+        list.extend(std::iter::repeat_n(0xab, torn));
+        for id in ids.iter().copied().chain([absent, 0xabab_abab_abab_abab]) {
+            prop_assert_eq!(contains_id(&list, id), scalar(&list, id), "id {:#x}", id);
+        }
+        prop_assert!(ids.iter().all(|&id| contains_id(&list, id)));
+        prop_assert_eq!(contains_id(&list, absent), ids.contains(&absent));
     }
 }
 

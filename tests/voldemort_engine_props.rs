@@ -7,13 +7,19 @@
 //! cuts one to a prefix or is unrelated, under a clock derived from a
 //! version held, from any clock the key has seen (so obsolete, equal and
 //! concurrent clocks all occur) or from every sibling at once; of
-//! `force_put`s of the same; of deletes at such clocks; and of `compact`s.
+//! `force_put`s of the same; of deletes at such clocks; of
+//! read-modify-writes (a transformed put's coordinator half) that decline,
+//! answer such a value or append a suffix; and of `compact`s.
 //! A [`BdbLikeEngine`] and a [`MemoryEngine`] — the reference — are fed the
 //! same ops, and an in-test encoder writes the accepted ones as whole-value
 //! frames. Then:
 //!
 //! * live `entries()` equal the reference's after every op, and every
-//!   outcome (`ObsoleteVersion`, what a delete removed) agrees;
+//!   outcome (`ObsoleteVersion`, what a delete removed, the version a
+//!   read-modify-write stored or its refusal) agrees;
+//! * a read-modify-write's version dominates every version held before it;
+//!   a declined or refused one logs nothing, and an append to the one
+//!   version held, and no other, is logged as a suffix record;
 //! * `recover(log_bytes())` equals live at the end and after every
 //!   `compact`;
 //! * the whole-value log recovers to the same entries;
@@ -24,10 +30,11 @@
 //! Case count: 24 (CI runs 64 with `PROPTEST_CASES=64`).
 
 use bytes::Bytes;
-use li_commons::bufio;
-use li_commons::clock::{VectorClock, Versioned};
+use li_commons::bufio::{self, FrameBounds};
+use li_commons::clock::{Occurred, VectorClock, Versioned};
 use li_commons::varint;
 use li_voldemort::engine::{BdbLikeEngine, MemoryEngine, StorageEngine};
+use li_voldemort::Rewrite;
 use proptest::prelude::*;
 use proptest::sample::Index;
 
@@ -56,9 +63,18 @@ enum Value {
     Fresh(Vec<u8>),
 }
 
+/// A read-modify-write's answer.
+#[derive(Debug, Clone)]
+enum Answer {
+    Keep,
+    Value(Value),
+    Append(Vec<u8>),
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Put { key: Index, base: Base, writer: u16, value: Value, force: bool },
+    Rewrite { key: Index, writer: u16, answer: Answer },
     Delete { key: Index, at: Base },
     Compact,
 }
@@ -82,12 +98,22 @@ fn value() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// Six puts in eight, one delete, one compact (or a seventh put).
+fn answer() -> impl Strategy<Value = Answer> {
+    prop_oneof![
+        Just(Answer::Keep),
+        value().prop_map(Answer::Value),
+        proptest::collection::vec(any::<u8>(), 0..9).prop_map(Answer::Append),
+    ]
+}
+
+/// Six puts in ten, two read-modify-writes, one delete, one compact (or a
+/// seventh put).
 fn op(compacts: bool) -> impl Strategy<Value = Op> {
-    (0..8u8, any::<Index>(), base(), 1..4u16, value(), any::<bool>()).prop_map(
-        move |(kind, key, base, writer, value, force)| match kind {
+    (0..10u8, any::<Index>(), base(), 1..4u16, value(), any::<bool>(), answer()).prop_map(
+        move |(kind, key, base, writer, value, force, answer)| match kind {
             0 => Op::Delete { key, at: base },
             1 if compacts => Op::Compact,
+            2 | 3 => Op::Rewrite { key, writer, answer },
             _ => Op::Put { key, base, writer, value, force },
         },
     )
@@ -169,6 +195,40 @@ fn run(ops: &[Op]) -> Result<Run, TestCaseError> {
                 if outcome.is_ok() {
                     frame_put(&mut whole_value_log, KEYS[at], &version);
                     seen[at].push(version.clock);
+                }
+            }
+            Op::Rewrite { key, writer, answer } => {
+                let at = key.index(KEYS.len());
+                let held = reference.get(KEYS[at]).unwrap();
+                let rewrite = match answer {
+                    Answer::Keep => Rewrite::Keep,
+                    Answer::Value(value) => Rewrite::Value(bytes_of(value, &held)),
+                    Answer::Append(suffix) => Rewrite::Append(Bytes::copy_from_slice(suffix)),
+                };
+                let seen_held = std::cell::RefCell::new(Vec::new());
+                let answer = |versions: &[Versioned<Bytes>]| {
+                    *seen_held.borrow_mut() = versions.to_vec();
+                    rewrite.clone()
+                };
+                let before = engine.log_len();
+                let outcome = reference.read_modify_write(KEYS[at], *writer, &answer);
+                prop_assert_eq!(engine.read_modify_write(KEYS[at], *writer, &answer), outcome.clone());
+                prop_assert_eq!(&*seen_held.borrow(), &held, "the closure sees every version held");
+                if let Ok(Some(stored)) = outcome {
+                    for version in &held {
+                        prop_assert_eq!(version.clock.compare(&stored.clock), Occurred::Before);
+                    }
+                    let log = engine.log_bytes();
+                    let FrameBounds::Record { start, end } = bufio::frame_at(&log, before) else {
+                        return Err(TestCaseError::fail("a stored rewrite logged no frame"));
+                    };
+                    prop_assert_eq!(end, log.len(), "one frame");
+                    let suffix = matches!((&rewrite, &held[..]), (Rewrite::Append(_), [_]));
+                    prop_assert_eq!(log[start] == 2, suffix, "a suffix record exactly for an append to one version");
+                    frame_put(&mut whole_value_log, KEYS[at], &stored);
+                    seen[at].push(stored.clock);
+                } else {
+                    prop_assert_eq!(engine.log_len(), before, "a declined or refused write logs nothing");
                 }
             }
             Op::Delete { key, at: clock } => {

@@ -3,10 +3,10 @@
 //! data cycle (F-II.3) — all through the public crate APIs.
 
 use bytes::Bytes;
-use li_commons::clock::VectorClock;
+use li_commons::clock::{VectorClock, Versioned};
 use li_commons::ring::NodeId;
 use li_voldemort::readonly::{ReadOnlyBuilder, ScratchDir};
-use li_voldemort::{EngineKind, StoreDef, Transform, VoldemortCluster, VoldemortError};
+use li_voldemort::{EngineKind, Rewrite, StoreDef, Transform, VoldemortCluster, VoldemortError};
 use std::sync::Arc;
 
 /// The same client-visible behaviour must hold over any engine — the
@@ -231,10 +231,11 @@ impl Transform for ListAppend {
         Bytes::copy_from_slice(list.rsplit(',').next().unwrap_or("").as_bytes())
     }
 
-    fn on_put(&self, current: Option<&[u8]>, input: &[u8]) -> Bytes {
-        match current {
-            Some(existing) if !existing.is_empty() => Bytes::from([existing, b",", input].concat()),
-            _ => Bytes::copy_from_slice(input),
+    fn on_put(&self, held: &[Versioned<Bytes>], input: &Bytes) -> Rewrite {
+        match held {
+            [] => Rewrite::Value(input.clone()),
+            [_] => Rewrite::Append([&b","[..], input].concat().into()),
+            _ => Rewrite::Keep,
         }
     }
 }
@@ -248,12 +249,11 @@ fn transformed_get_returns_the_list_tail() {
         .add_store(StoreDef::read_write("s").with_quorum(2, 2, 2))
         .unwrap();
     let client = cluster.client("s").unwrap();
-    let c1 = client
-        .put_with_transform(b"follows", &VectorClock::new(), Bytes::from_static(b"li"), &ListAppend)
-        .unwrap();
-    client
-        .put_with_transform(b"follows", &c1, Bytes::from_static(b"msft"), &ListAppend)
-        .unwrap();
+    for item in ["li", "msft"] {
+        client
+            .put_with_transform(b"follows", Bytes::from_static(item.as_bytes()), &ListAppend)
+            .unwrap();
+    }
     assert_eq!(client.get(b"follows").unwrap()[0].value.as_ref(), b"li,msft");
     let tail = client.get_with_transform(b"follows", &ListAppend).unwrap();
     assert_eq!(tail[0].value.as_ref(), b"msft");
